@@ -19,13 +19,14 @@ import configparser
 import inspect
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import driver, scenarios
 from .fields import NodalField, l2_diff, quadrature
-from .linalg import NoConvergenceError, SolverConfig
+from .linalg import NoConvergenceError
 from .observation import AlignmentError, SparseGrid
 
 
@@ -89,14 +90,11 @@ def build_scenario(cfg):
 def _solvers(cfg):
     if not cfg.has_section("solver"):
         return None
-    rel = cfg.getfloat("solver", "rel_tol", fallback=1e-12)
     maxit = cfg.getint("solver", "max_iter", fallback=0) or None
-    return {
-        "pressure": SolverConfig(method="cg", rel_tol=rel, max_iter=maxit,
-                                 preconditioner="jacobi"),
-        "transport": SolverConfig(method="bicgstab", rel_tol=rel,
-                                  max_iter=maxit, preconditioner="jacobi"),
-    }
+    return {kind: replace(conf, max_iter=maxit,
+                          rel_tol=cfg.getfloat("solver", "rel_tol",
+                                               fallback=conf.rel_tol))
+            for kind, conf in driver._solver_configs().items()}
 
 
 def output_dir(cfg):
@@ -105,23 +103,13 @@ def output_dir(cfg):
     return root / sub if sub else root
 
 
-def write_raster(path, values, lengths):
-    """Field snapshot in the raster container: `nx ny Lx Ly` then rows."""
-    values = np.asarray(values, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(f"{values.shape[1]} {values.shape[0]} "
-                 f"{lengths[0]!r} {lengths[1]!r}\n")
-        for row in values:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 def _write_snapshots(outdir, scenario, trajectory, times):
     mesh = trajectory.mesh
     for t in times:
         field = trajectory.at(t)
         grid_vals = field.values.reshape(mesh.ny + 1, mesh.nx + 1)
-        write_raster(outdir / f"theta_t{t:g}.raster", grid_vals,
-                     scenario.lengths)
+        scenarios.write_raster(outdir / f"theta_t{t:g}.raster", grid_vals,
+                               scenario.lengths)
 
 
 def _write_report(outdir, run, mu):
@@ -165,7 +153,12 @@ def cmd_run(cfg):
           f"{partition.n_coarse} coarse steps of {scenario.fine_per_coarse} "
           f"fine steps, spacing {scenario.spacing!r}")
 
-    ref = driver.run_reference(scenario, partition, mesh, solvers=solvers)
+    try:
+        ref = driver.run_reference(scenario, partition, mesh, solvers=solvers)
+    except NoConvergenceError as exc:
+        (outroot / "report.txt").write_text(f"reference run failed: {exc}\n")
+        print(f"reference: FAILED ({exc})", file=sys.stderr)
+        return 1
     if cfg.getboolean("output", "reference", fallback=True):
         ref.report.write_csv(outroot / "reference_metrics.csv")
 

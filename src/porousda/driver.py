@@ -15,7 +15,6 @@ quality of the sparse data themselves.
 """
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,11 +182,6 @@ class RunReport:
         writer.writerow(METRIC_COLUMNS)
         for row in self.rows:
             writer.writerow([repr(float(v)) for v in row])
-
-    def to_csv_text(self):
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
 
 
 @dataclass

@@ -110,12 +110,9 @@ def _segment_outflux_from(mesh, kappa_seg, corner_values):
 
 def _cv_source_integrals(mesh, problem):
     quad = quadrature(mesh)
-    pts = quad.global_points()
-    gq = np.asarray(problem.source(pts[:, :, 0], pts[:, :, 1]), dtype=float) \
-        * np.ones(pts.shape[:2])
     cv_rows = mesh.elements[:, quad.owner_corner]                  # (ne, 16)
     out = np.zeros(mesh.n_vertices)
-    np.add.at(out, cv_rows.ravel(), (quad.weight * gq).ravel())
+    np.add.at(out, cv_rows.ravel(), (quad.weight * problem.source_q).ravel())
     return out
 
 
@@ -162,9 +159,7 @@ def postprocess_flux(problem, pressure, theta):
     r1 = r1.reshape(mesh.n_elements, 4)
 
     # Source terms: quadrant integral minus weighted element integral, same rule.
-    pts = quad.global_points()
-    gq = np.asarray(problem.source(pts[:, :, 0], pts[:, :, 1]), dtype=float) \
-        * np.ones(pts.shape[:2])
+    gq = problem.source_q
     quadrant_sums = (quad.weight * gq).reshape(mesh.n_elements, 4, 4).sum(axis=2)
     r2 = quadrant_sums - quad.weight * gq @ quad.phi
 

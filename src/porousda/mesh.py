@@ -40,16 +40,6 @@ class MeshError(ValueError):
 
 
 @dataclass
-class BoundaryEdge:
-    """One primal edge on the domain boundary."""
-
-    side: str
-    index: int
-    midpoint: tuple
-    tag: str
-
-
-@dataclass
 class CVFace:
     """A flat piece of a control-volume boundary."""
 
@@ -123,17 +113,6 @@ class StructuredMesh:
         x, y = self.vertices[:, 0], self.vertices[:, 1]
         self.on_boundary = (x == 0.0) | (y == 0.0) | (x == self.Lx) | (y == self.Ly)
 
-    def boundary_edges(self):
-        out = []
-        for side, tags in self.edge_tags.items():
-            for k, tag in enumerate(tags):
-                if side in ("bottom", "top"):
-                    mid = ((k + 0.5) * self.hx, 0.0 if side == "bottom" else self.Ly)
-                else:
-                    mid = (0.0 if side == "left" else self.Lx, (k + 0.5) * self.hy)
-                out.append(BoundaryEdge(side, k, mid, tag))
-        return out
-
     # -- dual-mesh segment table ------------------------------------------
 
     def _build_segments(self):
@@ -155,9 +134,6 @@ class StructuredMesh:
 
     def vertex_id(self, i, j):
         return j * (self.nx + 1) + i
-
-    def element_id(self, i, j):
-        return j * self.nx + i
 
     def cv_bounds(self, vid):
         x, y = self.vertices[vid]

@@ -14,7 +14,7 @@ import csv
 import numpy as np
 
 from . import linalg
-from .fields import NodalField, quadrature
+from .fields import NodalField, basis_values, quadrature
 
 
 class AlignmentError(ValueError):
@@ -60,6 +60,20 @@ class SparseGrid:
 
     # -- operators ---------------------------------------------------------
 
+    def _basis(self, ci, cj, xi, eta):
+        """Coarse bilinear basis at points in coarse cells (ci, cj) with local
+        coordinates (xi, eta); returns (columns, weights), each (n, 4)."""
+        base = cj * (self.ncx + 1) + ci
+        cols = np.stack([base, base + 1, base + self.ncx + 1, base + self.ncx + 2], axis=1)
+        return cols, basis_values(xi, eta)
+
+    def basis_at(self, points):
+        """Coarse bilinear basis at arbitrary points (n, 2); see `_basis`."""
+        H = self.spacing
+        ci = np.clip((points[:, 0] // H).astype(int), 0, self.ncx - 1)
+        cj = np.clip((points[:, 1] // H).astype(int), 0, self.ncy - 1)
+        return self._basis(ci, cj, points[:, 0] / H - ci, points[:, 1] / H - cj)
+
     def _build_prolong(self):
         """Coarse bilinear basis evaluated at every fine vertex, (nv, n_obs)."""
         mesh = self.mesh
@@ -67,14 +81,13 @@ class SparseGrid:
         j = np.arange(mesh.ny + 1)
         ci = np.minimum(i // self.kx, self.ncx - 1)
         cj = np.minimum(j // self.ky, self.ncy - 1)
+        # Integer offsets keep the local coordinates, and so the
+        # reconstruction, exact at the lattice vertices.
         xi = (i - ci * self.kx) / self.kx
         eta = (j - cj * self.ky) / self.ky
         XI, ETA = np.meshgrid(xi, eta)
         CI, CJ = np.meshgrid(ci, cj)
-        base = CJ.ravel() * (self.ncx + 1) + CI.ravel()
-        cols = np.stack([base, base + 1, base + self.ncx + 1, base + self.ncx + 2], axis=1)
-        xl, yl = XI.ravel(), ETA.ravel()
-        w = np.stack([(1 - xl) * (1 - yl), xl * (1 - yl), (1 - xl) * yl, xl * yl], axis=1)
+        cols, w = self._basis(CI.ravel(), CJ.ravel(), XI.ravel(), ETA.ravel())
         rows = np.repeat(np.arange(mesh.n_vertices), 4)
         return linalg.assemble(rows, cols.ravel(), w.ravel(),
                                (mesh.n_vertices, self.n_obs))
@@ -203,7 +216,3 @@ class ObservationStream:
                 times.append(float(rec[0]))
                 rows.append([float(v) for v in rec[1:]])
         return cls(np.array(times), np.array(rows))
-
-
-def interpolate_in_time(stream, t):
-    return stream.interpolate(t)

@@ -22,12 +22,21 @@ class CoefficientRangeError(ValueError):
 
 @dataclass
 class PressureProblem:
+    """Pressure equation data; g is time-independent and is evaluated once,
+    at the package quadrature points, into `source_q` (ne, 16)."""
+
     mesh: object
     kappa: object                  # callable(theta, x, y) -> permeability
     source: object                 # callable(x, y) -> g
     dirichlet: object = 0.0        # callable(x, y) -> p on Gamma_D, or a constant
     solver: linalg.SolverConfig = dc_field(
         default_factory=lambda: linalg.SolverConfig(method="cg"))
+    source_q: np.ndarray = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        pts = quadrature(self.mesh).global_points()
+        self.source_q = np.asarray(self.source(pts[:, :, 0], pts[:, :, 1]),
+                                   dtype=float) * np.ones(pts.shape[:2])
 
     def dirichlet_values(self, vids):
         x, y = self.mesh.vertices[vids, 0], self.mesh.vertices[vids, 1]
@@ -68,11 +77,8 @@ def assemble_pressure(problem, theta):
     A = linalg.assemble(rows, cols, k_local.ravel(),
                         (mesh.n_vertices, mesh.n_vertices))
 
-    pts = quad.global_points()
-    gq = np.asarray(problem.source(pts[:, :, 0], pts[:, :, 1]), dtype=float) \
-        * np.ones(kq.shape)
     b = np.zeros(mesh.n_vertices)
-    np.add.at(b, e.ravel(), (quad.weight * gq @ quad.phi).ravel())
+    np.add.at(b, e.ravel(), (quad.weight * problem.source_q @ quad.phi).ravel())
 
     free = mesh.free_vertices
     fixed = np.flatnonzero(mesh.is_dirichlet)

@@ -53,6 +53,16 @@ def quarter_power_viscosity(theta, mu_solvent=0.00108, mu_water=0.001):
     return (th / mu_solvent**0.25 + (1.0 - th) / mu_water**0.25) ** -4
 
 
+def write_raster(path, values, lengths):
+    """Raster container: header `nx ny Lx Ly`, then the rows of `values`."""
+    values = np.asarray(values, dtype=float)
+    with open(path, "w") as fh:
+        fh.write(f"{values.shape[1]} {values.shape[0]} "
+                 f"{lengths[0]!r} {lengths[1]!r}\n")
+        for row in values:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+
+
 class PermeabilityRaster:
     """Cell-centered permeability samples with clamped bilinear lookup.
 
@@ -114,10 +124,7 @@ class PermeabilityRaster:
                                   self.lengths)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"{self.nx} {self.ny} {self.lengths[0]!r} {self.lengths[1]!r}\n")
-            for row in self.values:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        write_raster(path, self.values, self.lengths)
 
     @classmethod
     def load(cls, path):

@@ -33,9 +33,10 @@ class TransportStep:
 class TransportCoefficients:
     """Coefficient bundle for transport steps within one coarse interval.
 
-    The velocity is frozen for the lifetime of the bundle; `with_velocity`
-    produces a sibling for the next interval that shares the static pieces
-    (mass, diffusion, reaction, nudging operators).
+    The static operators (mass, diffusion, reaction, Dirichlet rows and the
+    nudging operators) are built once, at construction.  The velocity is
+    frozen for the lifetime of the bundle; `with_velocity` produces a sibling
+    for the next interval that shares the static operators.
     """
 
     def __init__(self, mesh, diffusion, reaction=None, source=None, mu=0.0,
@@ -52,7 +53,7 @@ class TransportCoefficients:
         self.grid = grid
         self.velocity_outflux = velocity_outflux
         self.dirichlet = dirichlet
-        self._static = None
+        self._static = self._build_static()
         self._k_matrix = None
         self._lhs = {}
         self._source_cache = {}
@@ -116,31 +117,17 @@ class TransportCoefficients:
             static["nudge_cv"] = self._build_nudge_cv(cv_rows, free)
             static["nudge_k"] = (static["nudge_cv"]
                                  @ self.grid.functional_matrix()).tocsr()
-        self._static = static
         return static
 
     def _build_nudge_cv(self, cv_rows, free):
         """CV integrals of the coarse observation basis, shape (nv, n_obs)."""
-        mesh, grid = self.mesh, self.grid
-        quad = quadrature(mesh)
-        pts = quad.global_points().reshape(-1, 2)
-        H = grid.spacing
-        ci = np.clip((pts[:, 0] // H).astype(int), 0, grid.ncx - 1)
-        cj = np.clip((pts[:, 1] // H).astype(int), 0, grid.ncy - 1)
-        xi = pts[:, 0] / H - ci
-        eta = pts[:, 1] / H - cj
-        base = cj * (grid.ncx + 1) + ci
-        cols = np.stack([base, base + 1,
-                         base + grid.ncx + 1, base + grid.ncx + 2], axis=1)
-        w = np.stack([(1 - xi) * (1 - eta), xi * (1 - eta),
-                      (1 - xi) * eta, xi * eta], axis=1) * quad.weight
+        quad = quadrature(self.mesh)
+        cols, w = self.grid.basis_at(quad.global_points().reshape(-1, 2))
+        w = w * quad.weight
         rows = np.repeat(cv_rows.ravel(), 4)
         keep = free[rows]
         return linalg.assemble(rows[keep], cols.ravel()[keep], w.ravel()[keep],
-                               (mesh.n_vertices, grid.n_obs))
-
-    def _static_pieces(self):
-        return self._static if self._static is not None else self._build_static()
+                               (self.mesh.n_vertices, self.grid.n_obs))
 
     # -- per-interval operators ----------------------------------------------
 
@@ -149,7 +136,7 @@ class TransportCoefficients:
         U = np.asarray(self.velocity_outflux, dtype=float)
         if U.shape != (mesh.n_segments,):
             raise ValueError(f"expected {mesh.n_segments} segment outflux values")
-        free = self._static_pieces()["free"]
+        free = self._static["free"]
         act = np.flatnonzero(U != 0.0)
         up = np.where(U[act] > 0.0, mesh.seg_left[act], mesh.seg_right[act])
         rows = np.concatenate([mesh.seg_left[act], mesh.seg_right[act]])
@@ -163,7 +150,7 @@ class TransportCoefficients:
         """Everything multiplying theta except accumulation: K in M dtheta + K theta = F."""
         if self._k_matrix is not None:
             return self._k_matrix
-        st = self._static_pieces()
+        st = self._static
         K = st["diff"].copy()
         if self.velocity_outflux is not None:
             K = K + self._advection_matrix()
@@ -177,7 +164,7 @@ class TransportCoefficients:
     def _lhs_matrix(self, dt):
         lhs = self._lhs.get(dt)
         if lhs is None:
-            st = self._static_pieces()
+            st = self._static
             lhs = (st["mass"] + 0.5 * dt * self.spatial_operator()
                    + st["dir_diag"]).tocsr()
             self._lhs[dt] = lhs
@@ -188,7 +175,7 @@ class TransportCoefficients:
         cached = self._source_cache.get(t)
         if cached is not None:
             return cached
-        st = self._static_pieces()
+        st = self._static
         out = np.zeros(self.mesh.n_vertices)
         if self.source is not None:
             quad = quadrature(self.mesh)
@@ -205,11 +192,10 @@ class TransportCoefficients:
 
     def data_vector(self, functional_values):
         """Nudging data term mu * integral of the reconstructed measurements."""
-        st = self._static_pieces()
-        return self.mu * (st["nudge_cv"] @ functional_values)
+        return self.mu * (self._static["nudge_cv"] @ functional_values)
 
     def dirichlet_values(self, t):
-        rows = self._static_pieces()["dir_rows"]
+        rows = self._static["dir_rows"]
         if self.dirichlet is None:
             return rows, np.zeros(rows.size)
         x, y = self.mesh.vertices[rows, 0], self.mesh.vertices[rows, 1]
@@ -221,7 +207,7 @@ def assemble_step(theta_old, coeffs, step, observations=None):
     dt = step.dt
     if dt <= 0:
         raise ValueError(f"nonpositive step from {step.t_start} to {step.t_end}")
-    st = coeffs._static_pieces()
+    st = coeffs._static
     K = coeffs.spatial_operator()
     A = coeffs._lhs_matrix(dt)
     told = theta_old.values

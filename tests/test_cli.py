@@ -177,3 +177,12 @@ t_end = 0.04
 kind = fourier
 """)
     assert main(["run", cfg]) == 2
+
+
+def test_failed_reference_run_reports_and_exits_1(tmp_path, outroot, capsys):
+    text = EX1_SMALL.format(mu="10", dir="noconv") + "\n[solver]\nmax_iter = 1\n"
+    cfg = _write(tmp_path, "noconv.ini", text)
+    assert main(["run", cfg]) == 1
+    assert "reference: FAILED" in capsys.readouterr().err
+    report = (outroot / "noconv" / "report.txt").read_text()
+    assert report.startswith("reference run failed:")

@@ -7,6 +7,7 @@ from porousda import driver, scenarios
 from porousda.driver import (METRIC_COLUMNS, RunReport, TimePartition,
                              fit_decay_rate, parameter_sweep, run_assimilated,
                              run_reference, sweep_csv)
+from porousda.transport import TransportCoefficients
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +179,24 @@ def test_sweep_csv_format():
     text = buf.getvalue().splitlines()
     assert text[0] == "mu,spacing,plateau_R_percent,rate,status"
     assert text[1].endswith(",ok")
+
+
+def test_static_operators_built_once_per_run(monkeypatch):
+    """A run marching several coarse intervals assembles the static transport
+    operators once, not once per interval."""
+    calls = []
+    build = TransportCoefficients._build_static
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(TransportCoefficients, "_build_static", counted)
+    sc = scenarios.example1(nx=10, t_end=0.06)
+    part = TimePartition.from_scenario(sc)
+    assert part.n_coarse >= 3
+    mesh = sc.build_mesh()
+    ref = run_reference(sc, part, mesh)
+    assert len(calls) == 1
+    run_assimilated(sc, ref.stream, part, mesh, reference=ref.trajectory)
+    assert len(calls) == 2

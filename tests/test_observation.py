@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from porousda.fields import NodalField, l2_diff, l2_norm
 from porousda.mesh import build_mesh
 from porousda.observation import (AlignmentError, ObservationGapError,
-                                  ObservationStream, SparseGrid,
-                                  interpolate_in_time)
+                                  ObservationStream, SparseGrid)
 
 
 @pytest.mark.parametrize("kind", ["point", "average"])
@@ -42,6 +41,15 @@ def test_prolongation_partition_of_unity():
     grid = SparseGrid(mesh, 0.25)
     ones = grid.prolong_matrix @ np.ones(grid.n_obs)
     np.testing.assert_allclose(ones, 1.0, atol=1e-13)
+
+
+def test_basis_at_vertices_matches_prolongation():
+    mesh = build_mesh(12, 12)
+    grid = SparseGrid(mesh, 0.25)
+    cols, w = grid.basis_at(mesh.vertices)
+    dense = np.zeros((mesh.n_vertices, grid.n_obs))
+    np.add.at(dense, (np.arange(mesh.n_vertices)[:, None], cols), w)
+    np.testing.assert_allclose(dense, grid.prolong_matrix.toarray(), atol=1e-14)
 
 
 @settings(deadline=None, max_examples=40)
@@ -121,7 +129,7 @@ def test_stream_exact_at_records_and_midpoints():
     np.testing.assert_array_equal(stream.interpolate(0.0), vals[0])
     np.testing.assert_array_equal(stream.interpolate(1.0), vals[1])
     np.testing.assert_allclose(stream.interpolate(0.5), [0.5, 3.0])
-    np.testing.assert_allclose(interpolate_in_time(stream, 0.25), [0.25, 2.5])
+    np.testing.assert_allclose(stream.interpolate(0.25), [0.25, 2.5])
 
 
 def test_stream_gap_and_ordering_errors():

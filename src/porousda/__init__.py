@@ -6,9 +6,10 @@ recovery, sparse-observation operators, and a nudging-based assimilation
 driver with twin-experiment metrics.
 """
 
-from .driver import (AssimilationRun, FitResult, ReferenceRun, RunReport,
-                     TimePartition, Trajectory, fit_decay_rate,
-                     parameter_sweep, run_assimilated, run_reference)
+from .driver import (AssimilationRun, FitResult, NonFiniteStateError,
+                     ReferenceRun, RunReport, TimePartition, Trajectory,
+                     fit_decay_rate, parameter_sweep, run_assimilated,
+                     run_reference)
 from .fields import DGField, NodalField, integrate, l2_diff, l2_norm
 from .flux_postprocess import ConservativeFlux, LocalSolveError, postprocess_flux
 from .linalg import NoConvergenceError, SolveReport, SolverConfig
@@ -25,7 +26,7 @@ __all__ = [
     "AlignmentError", "AssimilationRun", "CoefficientRangeError",
     "ConservativeFlux", "DGField", "DIRICHLET", "FitResult", "LocalSolveError",
     "MeshError",
-    "NEUMANN", "NoConvergenceError", "NodalField", "ObservationGapError",
+    "NEUMANN", "NoConvergenceError", "NodalField", "NonFiniteStateError", "ObservationGapError",
     "ObservationStream", "PermeabilityRaster", "PressureProblem",
     "ReferenceRun", "RunReport", "Scenario", "SolveReport", "SolverConfig",
     "SparseGrid", "StructuredMesh", "TimePartition", "Trajectory",

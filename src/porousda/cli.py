@@ -26,7 +26,6 @@ import numpy as np
 
 from . import driver, scenarios
 from .fields import NodalField, l2_diff, quadrature
-from .linalg import NoConvergenceError
 from .observation import AlignmentError, SparseGrid
 
 
@@ -155,7 +154,7 @@ def cmd_run(cfg):
 
     try:
         ref = driver.run_reference(scenario, partition, mesh, solvers=solvers)
-    except NoConvergenceError as exc:
+    except driver.RUN_FAILURES as exc:
         (outroot / "report.txt").write_text(f"reference run failed: {exc}\n")
         print(f"reference: FAILED ({exc})", file=sys.stderr)
         return 1
@@ -170,7 +169,7 @@ def cmd_run(cfg):
             run = driver.run_assimilated(scenario, ref.stream, partition, mesh,
                                          mu=mu, reference=ref.trajectory,
                                          solvers=solvers)
-        except (NoConvergenceError, ValueError) as exc:
+        except (*driver.RUN_FAILURES, ValueError) as exc:
             failures += 1
             (rundir / "report.txt").write_text(f"run failed: {exc}\n")
             print(f"mu={mu:g}: FAILED ({exc})", file=sys.stderr)

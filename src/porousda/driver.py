@@ -24,10 +24,25 @@ from .fields import NodalField, l2_diff, l2_norm
 from .flux_postprocess import postprocess_flux
 from .linalg import NoConvergenceError, SolverConfig
 from .observation import ObservationStream, SparseGrid
-from .pressure import PressureProblem, solve_pressure
+from .pressure import PressureProblem, default_solver, solve_pressure
 
 METRIC_COLUMNS = ("t", "R_percent", "Rtilde_percent", "mass_residual",
                   "range_min", "range_max")
+
+
+class NonFiniteStateError(RuntimeError):
+    """A fine step produced a non-finite concentration."""
+
+    def __init__(self, t, step):
+        super().__init__(f"non-finite concentration at t = {t!r} "
+                         f"(fine step {step})")
+        self.t = t
+        self.step = step
+
+
+# What a run can fail with once it is under way; the CLI and parameter_sweep
+# report these as failed runs.
+RUN_FAILURES = (NoConvergenceError, NonFiniteStateError)
 
 
 @dataclass(frozen=True)
@@ -199,7 +214,7 @@ class AssimilationRun:
 
 def _solver_configs(overrides=None):
     cfg = {
-        "pressure": SolverConfig(method="cg", rel_tol=1e-12, preconditioner="jacobi"),
+        "pressure": default_solver(),
         "transport": SolverConfig(method="bicgstab", rel_tol=1e-12,
                                   preconditioner="jacobi"),
     }
@@ -308,6 +323,8 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
                                         observations=stream,
                                         solver=solvers["transport"])
             report.solver_iterations["transport"].append(rep.iterations)
+            if not np.all(np.isfinite(theta.values)):
+                raise NonFiniteStateError(float(s1), len(times))
             times.append(s1)
             values.append(theta.values.copy())
             record(s1, mass_residual)
@@ -430,7 +447,7 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
         part = partition or TimePartition.from_scenario(sc)
         try:
             ref = run_reference(sc, part, mesh, solvers=solvers)
-        except (NoConvergenceError, ValueError) as exc:
+        except (*RUN_FAILURES, ValueError) as exc:
             for mu in mu_values:
                 rows.append((mu, spacing, float("nan"), float("nan"),
                              f"failed: {exc}"))
@@ -445,7 +462,7 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
                 except ValueError:
                     rate = float("nan")
                 rows.append((mu, spacing, run.report.plateau_value(), rate, "ok"))
-            except (NoConvergenceError, ValueError) as exc:
+            except (*RUN_FAILURES, ValueError) as exc:
                 rows.append((mu, spacing, float("nan"), float("nan"),
                              f"failed: {exc}"))
     rows.sort(key=lambda r: (r[1], r[0]))

@@ -4,20 +4,35 @@ Storage is scipy CSR.  `assemble` turns an unordered contribution stream into
 a canonical matrix: duplicate (row, col) entries are summed in value-sorted
 order, so the result is bitwise independent of the stream order.  CG is
 hand-rolled to expose the residual history; BiCGStab wraps scipy for the
-nonsymmetric transport systems.
+nonsymmetric transport systems.  CG takes its preconditioner as a function
+r -> z: Jacobi, or a symmetric multigrid V-cycle over a caller-supplied
+hierarchy of prolongations.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import bicgstab as _scipy_bicgstab
+from scipy.sparse.linalg import splu
+
+# V-cycle smoother: z += _SMOOTH_SCALE * (r - A z) / l1, where l1 holds the
+# absolute row sums of A, with this many sweeps both before and after the
+# coarse correction, so the cycle stays symmetric.  On rows with nonpositive
+# off-diagonal entries that sum to minus the diagonal (square elements) this
+# is damped Jacobi with weight 0.8.  Any scale below 2 keeps the smoother
+# convergent, and so the cycle positive definite, for every SPD matrix; plain
+# weighted Jacobi diverges on stretched elements, where entries turn positive.
+_SMOOTH_SCALE = 1.6
+_SMOOTH_SWEEPS = 2
 
 SparseMatrix = sparse.csr_matrix
 
 
 class NoConvergenceError(RuntimeError):
-    """Solver hit the iteration cap; carries the best iterate seen."""
+    """Solver could not reach its tolerance (iteration cap, or a singular
+    multigrid coarsest level); carries the best iterate seen."""
 
     def __init__(self, message, best, report):
         super().__init__(message)
@@ -31,13 +46,15 @@ class SolverConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_iter: int | None = None   # default 10 * n
-    preconditioner: str | None = None  # None or "jacobi"
+    preconditioner: str | None = None  # None, "jacobi" or "multigrid" (cg only)
 
     def __post_init__(self):
         if self.method not in ("cg", "bicgstab"):
             raise ValueError(f"unknown solver method {self.method!r}")
-        if self.preconditioner not in (None, "jacobi"):
+        if self.preconditioner not in (None, "jacobi", "multigrid"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
+        if self.preconditioner == "multigrid" and self.method != "cg":
+            raise ValueError("multigrid preconditioning needs method 'cg'")
 
 
 @dataclass
@@ -79,12 +96,48 @@ def _jacobi_inverse(A):
     return 1.0 / d
 
 
-def _cg(A, b, x0, rtol, atol, maxiter, minv):
+def _v_cycle(levels, coarse_solve, r, k=0):
+    """One symmetric V-cycle from a zero guess: z ~ A_k^-1 r.
+
+    levels[k] is (A_k, smoother scale over the l1 row sums of A_k, P_k,
+    P_k^T); below the last level the system is solved directly.  Equal pre-
+    and post-sweeps make the cycle a symmetric positive definite
+    preconditioner.
+    """
+    if k == len(levels):
+        return coarse_solve(r)
+    A, smooth, P, R = levels[k]
+    z = smooth * r
+    for _ in range(_SMOOTH_SWEEPS - 1):
+        z += smooth * (r - A @ z)
+    z += P @ _v_cycle(levels, coarse_solve, R @ (r - A @ z), k + 1)
+    for _ in range(_SMOOTH_SWEEPS):
+        z += smooth * (r - A @ z)
+    return z
+
+
+def multigrid_preconditioner(A, transfers):
+    """V-cycle preconditioner r -> z for SPD A over nested prolongations.
+
+    `transfers` lists (P, P^T) pairs from the finest level down; the coarse
+    operators are the Galerkin products P^T A P, and the coarsest one is
+    factored with SuperLU.  An empty list makes the preconditioner an exact
+    solve.  A singular coarsest operator raises `RuntimeError` from SuperLU.
+    """
+    levels = []
+    for P, R in transfers:
+        l1 = np.asarray(abs(A).sum(axis=1)).ravel()
+        levels.append((A, _SMOOTH_SCALE / l1, P, R))
+        A = (R @ A @ P).tocsr()
+    return partial(_v_cycle, levels, splu(A.tocsc()).solve)
+
+
+def _cg(A, b, x0, rtol, atol, maxiter, precondition):
     x = x0.copy()
     r = b - A @ x
     target = max(rtol * np.linalg.norm(b), atol)
     history = [float(np.linalg.norm(r))]
-    z = r * minv if minv is not None else r
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, maxiter + 1):
@@ -97,7 +150,7 @@ def _cg(A, b, x0, rtol, atol, maxiter, minv):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = r * minv if minv is not None else r
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -130,18 +183,44 @@ def _bicgstab(A, b, x0, rtol, atol, maxiter, minv):
     return x, report
 
 
-def solve(A, b, config=None, x0=None):
-    """Solve A x = b per the solver config; returns (x, SolveReport)."""
+def _identity(r):
+    return r
+
+
+def solve(A, b, config=None, x0=None, transfers=None):
+    """Solve A x = b per the solver config; returns (x, SolveReport).
+
+    A "multigrid" config needs `transfers`, the prolongation hierarchy of
+    `multigrid_preconditioner`.  A system with a non-finite entry comes back
+    at once as a NaN solution with `converged` False: no iteration can fix
+    it, and iterating to the cap would only take time.
+    """
     config = config or SolverConfig()
+    if config.preconditioner == "multigrid" and transfers is None:
+        raise ValueError("multigrid preconditioning needs a transfer hierarchy")
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix shape {A.shape} does not match rhs length {n}")
     if n == 0:
         return np.zeros(0), SolveReport(0, 0.0, True, [0.0])
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(A.data))):
+        return np.full(n, np.nan), SolveReport(0, float("nan"), False, [float("nan")])
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     maxiter = config.max_iter if config.max_iter is not None else 10 * n
-    minv = _jacobi_inverse(A) if config.preconditioner == "jacobi" else None
-    if config.method == "cg":
-        return _cg(A, b, x0, config.rel_tol, config.abs_tol, maxiter, minv)
-    return _bicgstab(A, b, x0, config.rel_tol, config.abs_tol, maxiter, minv)
+    if config.method == "bicgstab":
+        minv = _jacobi_inverse(A) if config.preconditioner == "jacobi" else None
+        return _bicgstab(A, b, x0, config.rel_tol, config.abs_tol, maxiter, minv)
+    if config.preconditioner == "multigrid":
+        try:
+            precondition = multigrid_preconditioner(A, transfers)
+        except RuntimeError as exc:   # SuperLU: singular coarsest operator
+            residual = float(np.linalg.norm(b - A @ x0))
+            raise NoConvergenceError(
+                f"cg multigrid coarsest level is singular ({exc})", x0,
+                SolveReport(0, residual, False, [residual])) from exc
+    elif config.preconditioner == "jacobi":
+        precondition = partial(np.multiply, _jacobi_inverse(A))
+    else:
+        precondition = _identity
+    return _cg(A, b, x0, config.rel_tol, config.abs_tol, maxiter, precondition)

@@ -36,6 +36,41 @@ def _axis_ratio(spacing, h, n, axis):
     return k
 
 
+def _coarse_basis(ncx, ci, cj, xi, eta):
+    """Bilinear basis of a lattice with ncx cells per row, at points in its
+    cells (ci, cj) with local coordinates (xi, eta); returns (columns,
+    weights), each (n, 4)."""
+    base = cj * (ncx + 1) + ci
+    cols = np.stack([base, base + 1, base + ncx + 1, base + ncx + 2], axis=1)
+    return cols, basis_values(xi, eta)
+
+
+def bilinear_prolongation(nx, ny, kx, ky):
+    """Bilinear interpolation from a coarse lattice to a fine one, as CSR.
+
+    The fine lattice has nx-by-ny cells; the coarse one keeps every kx-th
+    vertical and every ky-th horizontal line, so it has (nx/kx)-by-(ny/ky)
+    cells.  Row v holds the coarse basis at fine vertex v, so the matrix is
+    ((nx+1)(ny+1), (nx/kx+1)(ny/ky+1)).  It keeps explicit zeros.
+    """
+    ncx, ncy = nx // kx, ny // ky
+    i = np.arange(nx + 1)
+    j = np.arange(ny + 1)
+    ci = np.minimum(i // kx, ncx - 1)
+    cj = np.minimum(j // ky, ncy - 1)
+    # Integer offsets keep the local coordinates, and so the
+    # reconstruction, exact at the coarse vertices.
+    xi = (i - ci * kx) / kx
+    eta = (j - cj * ky) / ky
+    XI, ETA = np.meshgrid(xi, eta)
+    CI, CJ = np.meshgrid(ci, cj)
+    cols, w = _coarse_basis(ncx, CI.ravel(), CJ.ravel(), XI.ravel(), ETA.ravel())
+    n_fine = (nx + 1) * (ny + 1)
+    rows = np.repeat(np.arange(n_fine), 4)
+    return linalg.assemble(rows, cols.ravel(), w.ravel(),
+                           (n_fine, (ncx + 1) * (ncy + 1)))
+
+
 class SparseGrid:
     """Coarse measurement lattice aligned with a fine mesh."""
 
@@ -55,42 +90,18 @@ class SparseGrid:
         ii, jj = ii.ravel(), jj.ravel()
         self.point_vertex = (jj * self.ky) * (mesh.nx + 1) + ii * self.kx
         self.points = mesh.vertices[self.point_vertex]
-        self._prolong = self._build_prolong()
+        self._prolong = bilinear_prolongation(mesh.nx, mesh.ny, self.kx, self.ky)
         self._average = self._build_average() if kind == "average" else None
 
     # -- operators ---------------------------------------------------------
 
-    def _basis(self, ci, cj, xi, eta):
-        """Coarse bilinear basis at points in coarse cells (ci, cj) with local
-        coordinates (xi, eta); returns (columns, weights), each (n, 4)."""
-        base = cj * (self.ncx + 1) + ci
-        cols = np.stack([base, base + 1, base + self.ncx + 1, base + self.ncx + 2], axis=1)
-        return cols, basis_values(xi, eta)
-
     def basis_at(self, points):
-        """Coarse bilinear basis at arbitrary points (n, 2); see `_basis`."""
+        """Coarse bilinear basis at arbitrary points (n, 2); see `_coarse_basis`."""
         H = self.spacing
         ci = np.clip((points[:, 0] // H).astype(int), 0, self.ncx - 1)
         cj = np.clip((points[:, 1] // H).astype(int), 0, self.ncy - 1)
-        return self._basis(ci, cj, points[:, 0] / H - ci, points[:, 1] / H - cj)
-
-    def _build_prolong(self):
-        """Coarse bilinear basis evaluated at every fine vertex, (nv, n_obs)."""
-        mesh = self.mesh
-        i = np.arange(mesh.nx + 1)
-        j = np.arange(mesh.ny + 1)
-        ci = np.minimum(i // self.kx, self.ncx - 1)
-        cj = np.minimum(j // self.ky, self.ncy - 1)
-        # Integer offsets keep the local coordinates, and so the
-        # reconstruction, exact at the lattice vertices.
-        xi = (i - ci * self.kx) / self.kx
-        eta = (j - cj * self.ky) / self.ky
-        XI, ETA = np.meshgrid(xi, eta)
-        CI, CJ = np.meshgrid(ci, cj)
-        cols, w = self._basis(CI.ravel(), CJ.ravel(), XI.ravel(), ETA.ravel())
-        rows = np.repeat(np.arange(mesh.n_vertices), 4)
-        return linalg.assemble(rows, cols.ravel(), w.ravel(),
-                               (mesh.n_vertices, self.n_obs))
+        return _coarse_basis(self.ncx, ci, cj, points[:, 0] / H - ci,
+                             points[:, 1] / H - cj)
 
     def _build_average(self):
         """Normalized coarse-CV average functionals as a (n_obs, nv) matrix."""

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from porousda import scenarios
 from porousda.cli import main
+from test_driver import nan_source_after_start
 
 
 def _write(tmp_path, name, text):
@@ -186,3 +188,14 @@ def test_failed_reference_run_reports_and_exits_1(tmp_path, outroot, capsys):
     assert "reference: FAILED" in capsys.readouterr().err
     report = (outroot / "noconv" / "report.txt").read_text()
     assert report.startswith("reference run failed:")
+
+
+def test_non_finite_reference_run_reports_and_exits_1(tmp_path, outroot,
+                                                      capsys, monkeypatch):
+    monkeypatch.setitem(scenarios.BUILTIN_SCENARIOS, "example1",
+                        lambda nx=100: nan_source_after_start(scenarios.example1(nx)))
+    cfg = _write(tmp_path, "nan.ini", EX1_SMALL.format(mu="10", dir="nan"))
+    assert main(["run", cfg]) == 1
+    assert "reference: FAILED (non-finite concentration" in capsys.readouterr().err
+    report = (outroot / "nan" / "report.txt").read_text()
+    assert report.startswith("reference run failed: non-finite concentration")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from porousda import driver, scenarios
-from porousda.driver import (METRIC_COLUMNS, RunReport, TimePartition,
-                             fit_decay_rate, parameter_sweep, run_assimilated,
-                             run_reference, sweep_csv)
+from porousda.driver import (METRIC_COLUMNS, NonFiniteStateError, RunReport,
+                             TimePartition, fit_decay_rate, parameter_sweep,
+                             run_assimilated, run_reference, sweep_csv)
+from porousda.pressure import multigrid_transfers
 from porousda.transport import TransportCoefficients
 
 
@@ -17,6 +18,26 @@ def tiny_ex1():
     part = TimePartition.from_scenario(sc, t_end=0.04)
     ref = run_reference(sc, part, mesh)
     return sc, mesh, part, ref
+
+
+@pytest.fixture(scope="module")
+def tiny_ex4():
+    """A Darcy case: two coarse intervals, so two multigrid pressure solves,
+    the second from the first one's pressure."""
+    sc = scenarios.example4(nx=48)
+    mesh = sc.build_mesh()
+    assert len(multigrid_transfers(mesh)) >= 2
+    part = TimePartition.from_scenario(sc, t_end=4.0 * scenarios.DAY)
+    ref = run_reference(sc, part, mesh)
+    assert len(ref.report.solver_iterations["pressure"]) == 2
+    return sc, mesh, part, ref
+
+
+def nan_source_after_start(sc):
+    """The scenario with a source that is NaN for t > 0."""
+    source = sc.source
+    return sc.with_overrides(
+        source=lambda x, y, t: source(x, y, t) + (np.nan if t > 0 else 0.0))
 
 
 def test_partition_layout():
@@ -84,23 +105,23 @@ def test_rtilde_starts_at_exactly_zero_with_interpolant_guess(tiny_ex1):
     assert run.report.rows[0][2] == 0.0
 
 
-def test_mu_zero_matches_reference_bitwise(tiny_ex1):
-    sc, mesh, part, ref = tiny_ex1
-    run = run_assimilated(sc, ref.stream, part, mesh, mu=0.0,
-                          theta0_policy="true", reference=ref.trajectory)
-    for t in part.coarse_times:
-        assert np.array_equal(run.trajectory.at(t).values,
-                              ref.trajectory.at(t).values)
+def test_mu_zero_matches_reference_bitwise(tiny_ex1, tiny_ex4):
+    for sc, mesh, part, ref in (tiny_ex1, tiny_ex4):
+        run = run_assimilated(sc, ref.stream, part, mesh, mu=0.0,
+                              theta0_policy="true", reference=ref.trajectory)
+        for t in part.coarse_times:
+            assert np.array_equal(run.trajectory.at(t).values,
+                                  ref.trajectory.at(t).values)
 
 
-def test_repeated_runs_are_bitwise_deterministic(tiny_ex1):
-    sc, mesh, part, ref = tiny_ex1
-    a = run_assimilated(sc, ref.stream, part, mesh, mu=25.0)
-    b = run_assimilated(sc, ref.stream, part, mesh, mu=25.0)
-    assert np.array_equal(a.trajectory.final().values,
-                          b.trajectory.final().values)
-    assert np.array_equal(np.asarray(a.report.rows), np.asarray(b.report.rows),
-                          equal_nan=True)
+def test_repeated_runs_are_bitwise_deterministic(tiny_ex1, tiny_ex4):
+    for (sc, mesh, part, ref), mu in ((tiny_ex1, 25.0), (tiny_ex4, None)):
+        a = run_assimilated(sc, ref.stream, part, mesh, mu=mu)
+        b = run_assimilated(sc, ref.stream, part, mesh, mu=mu)
+        assert np.array_equal(a.trajectory.final().values,
+                              b.trajectory.final().values)
+        assert np.array_equal(np.asarray(a.report.rows),
+                              np.asarray(b.report.rows), equal_nan=True)
 
 
 def test_free_run_keeps_large_error_at_short_horizon(tiny_ex1):
@@ -170,6 +191,17 @@ def test_sweep_records_failures_instead_of_raising():
     status = {r[1]: r[4] for r in rows}
     assert status[0.1] == "ok"
     assert status[0.15].startswith("failed:")
+
+
+def test_non_finite_state_raises_with_time_and_step():
+    sc = nan_source_after_start(scenarios.example1(nx=10, t_end=0.04))
+    part = TimePartition.from_scenario(sc)
+    with pytest.raises(NonFiniteStateError) as info:
+        run_reference(sc, part)
+    assert info.value.step == 1
+    assert info.value.t == part.fine_times(0)[1]
+    rows = parameter_sweep(sc, mu_values=[1.0], spacings=[0.1])
+    assert rows[0][4].startswith("failed: non-finite concentration")
 
 
 def test_sweep_csv_format():

@@ -138,6 +138,29 @@ def test_solver_config_validation():
         SolverConfig(method="gmres")
     with pytest.raises(ValueError):
         SolverConfig(preconditioner="ilu")
+    with pytest.raises(ValueError):
+        SolverConfig(method="bicgstab", preconditioner="multigrid")
+
+
+def test_multigrid_needs_hierarchy_and_nonsingular_coarsest_level():
+    from scipy.sparse import csr_matrix
+    cfg = SolverConfig(preconditioner="multigrid")
+    with pytest.raises(ValueError):
+        solve(csr_matrix(np.eye(3)), np.ones(3), cfg)
+    singular = csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(NoConvergenceError) as info:
+        solve(singular, np.array([1.0, -1.0]), cfg, transfers=[])
+    assert "singular" in str(info.value)
+    assert info.value.report.iterations == 0
+
+
+@pytest.mark.parametrize("method", ["cg", "bicgstab"])
+def test_non_finite_system_returns_nan_without_iterating(method):
+    from scipy.sparse import csr_matrix
+    a = csr_matrix(np.eye(3) * 2.0)
+    x, report = solve(a, np.array([1.0, np.nan, 1.0]), SolverConfig(method=method))
+    assert np.all(np.isnan(x))
+    assert not report.converged and report.iterations == 0
 
 
 def test_solve_shape_checks():

@@ -102,6 +102,30 @@ def output_dir(cfg):
     return root / sub if sub else root
 
 
+def _snapshot_times(cfg, scenario, partition):
+    """Snapshot times of a run, checked before it starts.
+
+    Explicit `[output] snapshots` must be fine time levels of the run, and
+    anything else is a configuration error; scenario defaults that are not
+    (they lie beyond a shortened `t_end`) are dropped.
+    """
+    levels = partition.all_times()
+
+    def sampled(t):
+        return np.any(np.abs(levels - t) <= 1e-9 * max(1.0, abs(t)))
+
+    if not cfg.has_option("output", "snapshots"):
+        return [t for t in scenario.snapshot_times if sampled(t)]
+    times = _floats(cfg.get("output", "snapshots"))
+    for t in times:
+        if not sampled(t):
+            raise ValueError(
+                f"snapshot time {t!r} is not a fine time level of the run "
+                f"from {levels[0]!r} to {levels[-1]!r} in steps of "
+                f"{scenario.dt!r}")
+    return times
+
+
 def _write_snapshots(outdir, scenario, trajectory, times):
     mesh = trajectory.mesh
     for t in times:
@@ -142,12 +166,9 @@ def cmd_run(cfg):
 
     mu_values = (_floats(cfg.get("assimilation", "mu"))
                  if cfg.has_option("assimilation", "mu") else [scenario.mu])
-    snapshot_times = (_floats(cfg.get("output", "snapshots"))
-                      if cfg.has_option("output", "snapshots")
-                      else list(scenario.snapshot_times))
-
     mesh = scenario.build_mesh()
     partition = driver.TimePartition.from_scenario(scenario)
+    snapshot_times = _snapshot_times(cfg, scenario, partition)
     print(f"{scenario.name}: {scenario.nx}x{scenario.ny} mesh, "
           f"{partition.n_coarse} coarse steps of {scenario.fine_per_coarse} "
           f"fine steps, spacing {scenario.spacing!r}")

@@ -10,7 +10,7 @@ on control-volume faces use the midpoint rule per sub-segment.
 
 import numpy as np
 
-from .mesh import SEG_LOCAL_MID, SEG_NORMAL_AXIS
+from .mesh import SEG_LOCAL_MID, SEG_NORMAL_AXIS, SEG_SIGN
 
 _G = 0.5 / np.sqrt(3.0)
 
@@ -63,6 +63,7 @@ class Quadrature:
         # Gradient component along the segment normal, (type, basis).
         self.seg_dphi_n = np.take_along_axis(
             self.seg_dphi, SEG_NORMAL_AXIS[:, None, None], axis=2)[:, :, 0]
+        self.seg_len = np.where(SEG_NORMAL_AXIS == 0, mesh.hy / 2.0, mesh.hx / 2.0)
 
     def global_points(self, elems=None):
         """Quadrature points of the given elements, shape (ne, 16, 2)."""
@@ -80,6 +81,18 @@ def quadrature(mesh):
         quad = Quadrature(mesh)
         mesh._quadrature = quad
     return quad
+
+
+def cv_flux_blocks(mesh, coeff):
+    """Element-local control-volume flux blocks, shape (ne, 4, 4).
+
+    Entry (e, a, b) is the flux -coeff grad(phi_b) . n out of the control
+    volume of corner a through the sub-segments inside element e, by the
+    midpoint rule; `coeff` (ne, 4) holds the coefficient at the four
+    sub-segment midpoints.
+    """
+    quad = quadrature(mesh)
+    return -(coeff[:, None, :] * (SEG_SIGN * quad.seg_len)) @ quad.seg_dphi_n
 
 
 def locate(mesh, points):
@@ -168,16 +181,6 @@ class DGField:
         xi, eta = _local_coords(self.mesh, pts, elems)
         dphi = basis_gradients(xi, eta, self.mesh.hx, self.mesh.hy)
         return np.einsum("pcd,pc->pd", dphi, self.values[elems])
-
-
-def interp_const(dg, elem):
-    """Subquadrant constants of a DG field on one element.
-
-    The piecewise-constant interpolant takes the corner value on each corner's
-    quadrant, so the constants are exactly the four corner values, ordered SW,
-    SE, NW, NE like the quadrants.
-    """
-    return dg.values[elem].copy()
 
 
 # -- L2 norms via the package quadrature ------------------------------------

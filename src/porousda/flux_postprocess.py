@@ -15,31 +15,21 @@ set is what makes the control-volume balance hold to roundoff: the telescoped
 identity cancels term by term instead of up to quadrature error.  Boundary
 handling: zero normal flux is imposed on Neumann edges, the one-sided trace
 is used on Dirichlet edges.
+
+The recovery builds no global matrix.  kappa at every point it needs and the
+element stiffness come from `pressure.element_kernel`, which the pressure
+assembly has just filled for the same concentration, so the stiffness action
+is `k_local @ p_c`.  The control-volume balances add the segment outfluxes
+per vertex in segment order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DGField, basis_gradients, basis_values, quadrature
-from .mesh import NEUMANN, SEG_LOCAL_MID
-
-# Quarter points of the four element edges, ordered S0 S1 N0 N1 W0 W1 E0 E1.
-EDGE_QP_LOCAL = np.array([
-    [0.25, 0.0], [0.75, 0.0],
-    [0.25, 1.0], [0.75, 1.0],
-    [0.0, 0.25], [0.0, 0.75],
-    [1.0, 0.25], [1.0, 0.75],
-])
-EDGE_QP_AXIS = np.array([1, 1, 1, 1, 0, 0, 0, 0])
-
-# Outward-normal sign of each CV sub-segment (type) per local corner.
-_SEG_SIGN = np.array([
-    [1.0, 0.0, 1.0, 0.0],    # SW corner: vertical-lower (+x), horizontal-left (+y)
-    [-1.0, 0.0, 0.0, 1.0],   # SE corner: vertical-lower (-x), horizontal-right (+y)
-    [0.0, 1.0, -1.0, 0.0],   # NW corner: vertical-upper (+x), horizontal-left (-y)
-    [0.0, -1.0, 0.0, -1.0],  # NE corner: vertical-upper (-x), horizontal-right (-y)
-])
+from .fields import DGField, basis_gradients, cv_flux_blocks, quadrature
+from .mesh import EDGE_QP_AXIS, EDGE_QP_LOCAL, NEUMANN
+from .pressure import element_kernel
 
 
 class LocalSolveError(RuntimeError):
@@ -59,19 +49,6 @@ class ConservativeFlux:
     segment_outflux: np.ndarray   # outflux across each segment from its "left" CV
     residuals: np.ndarray         # CV balance residual, NaN at Dirichlet vertices
     max_residual: float
-
-
-def _clamped_theta_at(theta, local_pts):
-    phi = basis_values(local_pts[:, 0], local_pts[:, 1])       # (k, 4)
-    return np.clip(theta.corner_values() @ phi.T, 0.0, 1.0)    # (ne, k)
-
-
-def _kappa_at(problem, theta, local_pts):
-    mesh = problem.mesh
-    scale = np.array([mesh.hx, mesh.hy])
-    pts = mesh.element_origins[:, None, :] + local_pts[None, :, :] * scale
-    th = _clamped_theta_at(theta, local_pts)
-    return problem.kappa(th, pts[:, :, 0], pts[:, :, 1]) * np.ones_like(th)
 
 
 def _edge_averaged_flux(mesh, w_one, tags_zero=NEUMANN):
@@ -103,17 +80,8 @@ def _edge_averaged_flux(mesh, w_one, tags_zero=NEUMANN):
 def _segment_outflux_from(mesh, kappa_seg, corner_values):
     """Outflux -kappa d(psi)/dn * length across every CV sub-segment."""
     quad = quadrature(mesh)
-    dpsi_n = np.einsum("tc,ec->et", quad.seg_dphi_n, corner_values)  # (ne, 4)
-    seg_len = np.array([mesh.hy / 2, mesh.hy / 2, mesh.hx / 2, mesh.hx / 2])
-    return (-kappa_seg * dpsi_n * seg_len).ravel()
-
-
-def _cv_source_integrals(mesh, problem):
-    quad = quadrature(mesh)
-    cv_rows = mesh.elements[:, quad.owner_corner]                  # (ne, 16)
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, cv_rows.ravel(), (quad.weight * problem.source_q).ravel())
-    return out
+    dpsi_n = corner_values @ quad.seg_dphi_n.T                      # (ne, 4)
+    return (-kappa_seg * dpsi_n * quad.seg_len).ravel()
 
 
 def cv_balance_residuals(mesh, segment_outflux, cv_source):
@@ -129,20 +97,22 @@ def cv_balance_residuals(mesh, segment_outflux, cv_source):
 def postprocess_flux(problem, pressure, theta):
     """Recover the locally conservative flux from a pressure solution.
 
-    Returns a ConservativeFlux whose per-CV balance residual is at roundoff
-    level for every non-Dirichlet vertex.
+    kappa and the element stiffness come from `pressure.element_kernel`, so a
+    recovery that follows the solve at the same concentration evaluates
+    neither again.  Returns a ConservativeFlux whose per-CV balance residual
+    is at roundoff level for every non-Dirichlet vertex.
     """
     mesh = problem.mesh
     quad = quadrature(mesh)
+    kernel = element_kernel(problem, theta)
     p_c = pressure.corner_values()                                  # (ne, 4)
 
     # One-sided kappa grad(p) . (+axis) at the edge quarter points.
-    kq_edge = _kappa_at(problem, theta, EDGE_QP_LOCAL)              # (ne, 8)
     dphi_edge = basis_gradients(EDGE_QP_LOCAL[:, 0], EDGE_QP_LOCAL[:, 1],
                                 mesh.hx, mesh.hy)                   # (8, 4, 2)
     dphi_axis = np.take_along_axis(
         dphi_edge, EDGE_QP_AXIS[:, None, None], axis=2)[:, :, 0]    # (8, 4)
-    w_one = kq_edge * np.einsum("kc,ec->ek", dphi_axis, p_c)
+    w_one = kernel.kappa_edge * (p_c @ dphi_axis.T)
     avg_y, avg_x = _edge_averaged_flux(mesh, w_one)
 
     nx, ny = mesh.nx, mesh.ny
@@ -164,17 +134,12 @@ def postprocess_flux(problem, pressure, theta):
     r2 = quadrant_sums - quad.weight * gq @ quad.phi
 
     # Element stiffness action on the pressure.
-    kq = _kappa_at(problem, theta, quad.local_points)               # (ne, 16)
-    grad_p = np.einsum("pcd,ec->epd", quad.dphi, p_c)
-    r3 = quad.weight * np.einsum("ep,epd,pxd->ex", kq, grad_p, quad.dphi)
+    r3 = (kernel.stiffness @ p_c[:, :, None])[:, :, 0]
 
     rhs = r1 + r2 + r3
 
     # Local flux matrices from the CV sub-segment midpoint rule.
-    kappa_seg = _kappa_at(problem, theta, SEG_LOCAL_MID)            # (ne, 4)
-    seg_len = np.array([mesh.hy / 2, mesh.hy / 2, mesh.hx / 2, mesh.hx / 2])
-    a_loc = -np.einsum("xt,et,tc->exc", _SEG_SIGN * seg_len, kappa_seg,
-                       quad.seg_dphi_n)
+    a_loc = cv_flux_blocks(mesh, kernel.kappa_seg)
 
     # Bordered solve: pin the local mean of psi to the local mean of p.
     n_e = mesh.n_elements
@@ -189,27 +154,19 @@ def postprocess_flux(problem, pressure, theta):
         ranks = np.linalg.matrix_rank(B)
         raise LocalSolveError(int(np.argmax(ranks < 5))) from None
 
-    outflux = _segment_outflux_from(mesh, kappa_seg, psi)
-    cv_g = _cv_source_integrals(mesh, problem)
-    residuals = cv_balance_residuals(mesh, outflux, cv_g)
+    outflux = _segment_outflux_from(mesh, kernel.kappa_seg, psi)
+    residuals = cv_balance_residuals(mesh, outflux, problem.cv_source)
     max_res = float(np.nanmax(np.abs(residuals))) if mesh.free_vertices.size else 0.0
     return ConservativeFlux(mesh, DGField(mesh, psi), outflux, residuals, max_res)
 
 
 def raw_pressure_outflux(problem, pressure, theta):
     """Per-segment outflux of the unprocessed FEM pressure (for contrast)."""
-    kappa_seg = _kappa_at(problem, theta, SEG_LOCAL_MID)
+    kappa_seg = element_kernel(problem, theta).kappa_seg
     return _segment_outflux_from(problem.mesh, kappa_seg, pressure.corner_values())
 
 
 def raw_pressure_residuals(problem, pressure, theta):
     """CV balance residuals of the raw FEM flux (typically O(h), not zero)."""
     outflux = raw_pressure_outflux(problem, pressure, theta)
-    cv_g = _cv_source_integrals(problem.mesh, problem)
-    return cv_balance_residuals(problem.mesh, outflux, cv_g)
-
-
-def face_velocity(flux, segment):
-    """Normal velocity (outflux per unit length) across one dual-mesh segment,
-    signed along the segment's +axis normal (from seg_left toward seg_right)."""
-    return float(flux.segment_outflux[segment] / flux.mesh.seg_len[segment])
+    return cv_balance_residuals(problem.mesh, outflux, problem.cv_source)

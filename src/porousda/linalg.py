@@ -1,12 +1,21 @@
 """Sparse assembly and iterative solvers.
 
-Storage is scipy CSR.  `assemble` turns an unordered contribution stream into
-a canonical matrix: duplicate (row, col) entries are summed in value-sorted
-order, so the result is bitwise independent of the stream order.  CG is
-hand-rolled to expose the residual history; BiCGStab wraps scipy for the
-nonsymmetric transport systems.  CG takes its preconditioner as a function
-r -> z: Jacobi, or a symmetric multigrid V-cycle over a caller-supplied
-hierarchy of prolongations.
+Storage is scipy CSR.  Square operators on a mesh's vertices live on one
+fixed sparsity pattern, the 9-point vertex graph, owned by `stencil(mesh)`:
+each operator is reduced to an element-local 4x4 block first and scattered
+into the pattern by `np.bincount`, which sums each entry's contributions (one
+per element sharing it) in element order.  That order is fixed, so assembly
+is deterministic; it is not value-sorted.  `assemble` turns an unordered
+contribution stream into a canonical matrix of any shape, summing duplicate
+(row, col) entries in value-sorted order, so its result is bitwise
+independent of the stream order; it serves the rectangular operators (grid
+transfers, observation functionals, the nudging operator) and the tests as
+the reference.
+
+CG is hand-rolled to expose the residual history; BiCGStab wraps scipy for
+the nonsymmetric transport systems.  CG takes its preconditioner as a
+function r -> z: Jacobi, or a symmetric multigrid V-cycle over a
+caller-supplied hierarchy of prolongations.
 """
 
 from dataclasses import dataclass
@@ -90,6 +99,69 @@ def assemble(rows, cols, values, shape):
     return sparse.csr_matrix((summed, (r[starts], c[starts])), shape=shape)
 
 
+class StencilPattern:
+    """CSR pattern of a structured mesh's 9-point vertex graph.
+
+    Row v holds v and its up to eight lattice neighbours in column order,
+    which are exactly the vertices sharing an element with v.  `slots` maps
+    every element-local entry (ne, 4, 4), rows and columns in element corner
+    order, to its position in the CSR data; it is built from index arithmetic
+    on the lattice, without sorting.
+    """
+
+    def __init__(self, mesh):
+        nvx, nvy = mesh.nx + 1, mesh.ny + 1
+        self.n = nvx * nvy
+        i = np.tile(np.arange(nvx), nvy)
+        j = np.repeat(np.arange(nvy), nvx)
+        # Neighbour offsets in increasing column order: row below, same row,
+        # row above, each from left to right.
+        di = np.tile([-1, 0, 1], 3)
+        dj = np.repeat([-1, 0, 1], 3)
+        ii, jj = i[:, None] + di, j[:, None] + dj
+        present = (ii >= 0) & (ii < nvx) & (jj >= 0) & (jj < nvy)
+        self.indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(present.sum(axis=1), out=self.indptr[1:])
+        self.indices = (jj * nvx + ii)[present].astype(np.int32)
+        self.nnz = self.indices.size
+        position = self.indptr[:-1, None] + np.cumsum(present, axis=1) - 1
+        self.diagonal_slots = position[:, 4]
+        # Corners SW, SE, NW, NE sit at lattice offsets (0|1, 0|1); the entry
+        # (a, b) is the neighbour of corner a at offset b - a.
+        cx = np.array([0, 1, 0, 1])
+        cy = np.array([0, 0, 1, 1])
+        offset = (cy - cy[:, None] + 1) * 3 + (cx - cx[:, None] + 1)
+        self.slots = position[mesh.elements[:, :, None], offset].ravel()
+        self.corners = mesh.elements
+
+    def matrix(self, data):
+        """The CSR matrix with these values on the pattern."""
+        return sparse.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                                 shape=(self.n, self.n))
+
+    def scatter(self, local, rows=None):
+        """Sum element-local blocks (ne, 4, 4) into a CSR matrix.
+
+        Each entry's contributions are added in element order.  `rows`, a
+        boolean mask over vertices, keeps only those rows; the others hold
+        explicit zeros.
+        """
+        local = np.asarray(local, dtype=float)
+        if rows is not None:
+            local = np.where(rows[self.corners][:, :, None], local, 0.0)
+        data = np.bincount(self.slots, weights=local.ravel(), minlength=self.nnz)
+        return self.matrix(data)
+
+
+def stencil(mesh):
+    """The stencil pattern of a mesh, built once and cached on it."""
+    pattern = getattr(mesh, "_stencil", None)
+    if pattern is None:
+        pattern = StencilPattern(mesh)
+        mesh._stencil = pattern
+    return pattern
+
+
 def _jacobi_inverse(A):
     d = A.diagonal().copy()
     d[d == 0.0] = 1.0
@@ -116,20 +188,33 @@ def _v_cycle(levels, coarse_solve, r, k=0):
     return z
 
 
-def multigrid_preconditioner(A, transfers):
+def _project_constants_out(precondition, r):
+    """z = P M P r, with P removing the mean of a vector."""
+    z = precondition(r - r.mean())
+    return z - z.mean()
+
+
+def multigrid_preconditioner(A, transfers, constant_nullspace=False):
     """V-cycle preconditioner r -> z for SPD A over nested prolongations.
 
     `transfers` lists (P, P^T) pairs from the finest level down; the coarse
     operators are the Galerkin products P^T A P, and the coarsest one is
     factored with SuperLU.  An empty list makes the preconditioner an exact
     solve.  A singular coarsest operator raises `RuntimeError` from SuperLU.
+    When A is only semidefinite with the constants as its null space
+    (`constant_nullspace`), constants are projected out of the cycle's input
+    and output; otherwise the cycle feeds constant components into the
+    search directions, and CG stalls once the residual reaches them.
     """
     levels = []
     for P, R in transfers:
         l1 = np.asarray(abs(A).sum(axis=1)).ravel()
         levels.append((A, _SMOOTH_SCALE / l1, P, R))
         A = (R @ A @ P).tocsr()
-    return partial(_v_cycle, levels, splu(A.tocsc()).solve)
+    cycle = partial(_v_cycle, levels, splu(A.tocsc()).solve)
+    if constant_nullspace:
+        return partial(_project_constants_out, cycle)
+    return cycle
 
 
 def _cg(A, b, x0, rtol, atol, maxiter, precondition):
@@ -187,13 +272,14 @@ def _identity(r):
     return r
 
 
-def solve(A, b, config=None, x0=None, transfers=None):
+def solve(A, b, config=None, x0=None, transfers=None, constant_nullspace=False):
     """Solve A x = b per the solver config; returns (x, SolveReport).
 
     A "multigrid" config needs `transfers`, the prolongation hierarchy of
-    `multigrid_preconditioner`.  A system with a non-finite entry comes back
-    at once as a NaN solution with `converged` False: no iteration can fix
-    it, and iterating to the cap would only take time.
+    `multigrid_preconditioner`, which also takes `constant_nullspace`.  A
+    system with a non-finite entry comes back at once as a NaN solution with
+    `converged` False: no iteration can fix it, and iterating to the cap
+    would only take time.
     """
     config = config or SolverConfig()
     if config.preconditioner == "multigrid" and transfers is None:
@@ -213,7 +299,8 @@ def solve(A, b, config=None, x0=None, transfers=None):
         return _bicgstab(A, b, x0, config.rel_tol, config.abs_tol, maxiter, minv)
     if config.preconditioner == "multigrid":
         try:
-            precondition = multigrid_preconditioner(A, transfers)
+            precondition = multigrid_preconditioner(A, transfers,
+                                                    constant_nullspace)
         except RuntimeError as exc:   # SuperLU: singular coarsest operator
             residual = float(np.linalg.norm(b - A @ x0))
             raise NoConvergenceError(

@@ -12,8 +12,6 @@ halves of the horizontal mid-line); the segment table built here is the
 backbone of all finite-volume surface integrals.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 DIRICHLET = "dirichlet"
@@ -33,30 +31,24 @@ SEG_LOCAL_MID = np.array([
 SEG_NORMAL_AXIS = np.array([0, 0, 1, 1])
 SEG_LEFT_CORNER = np.array([0, 2, 0, 1])
 SEG_RIGHT_CORNER = np.array([1, 3, 2, 3])
+# Outward-normal sign of each segment type (column) for the control volume of
+# each local corner (row): +1 on the left side, -1 on the right, 0 elsewhere.
+SEG_SIGN = ((np.arange(4)[:, None] == SEG_LEFT_CORNER).astype(float)
+            - (np.arange(4)[:, None] == SEG_RIGHT_CORNER))
+
+# Quarter points of the four element edges, ordered S0 S1 N0 N1 W0 W1 E0 E1,
+# and the axis of each edge's normal.
+EDGE_QP_LOCAL = np.array([
+    [0.25, 0.0], [0.75, 0.0],
+    [0.25, 1.0], [0.75, 1.0],
+    [0.0, 0.25], [0.0, 0.75],
+    [1.0, 0.25], [1.0, 0.75],
+])
+EDGE_QP_AXIS = np.array([1, 1, 1, 1, 0, 0, 0, 0])
 
 
 class MeshError(ValueError):
     pass
-
-
-@dataclass
-class CVFace:
-    """A flat piece of a control-volume boundary."""
-
-    midpoint: np.ndarray
-    normal: np.ndarray
-    length: float
-    neighbor: int        # vertex id of the CV across the face, -1 on the boundary
-    tag: str | None      # boundary tag when neighbor == -1
-
-
-@dataclass
-class ControlVolume:
-    vertex: int
-    center: np.ndarray
-    bounds: tuple        # (xlo, xhi, ylo, yhi)
-    area: float
-    faces: list = field(default_factory=list)
 
 
 class StructuredMesh:
@@ -132,14 +124,6 @@ class StructuredMesh:
 
     # -- convenience -------------------------------------------------------
 
-    def vertex_id(self, i, j):
-        return j * (self.nx + 1) + i
-
-    def cv_bounds(self, vid):
-        x, y = self.vertices[vid]
-        return (max(x - self.hx / 2, 0.0), min(x + self.hx / 2, self.Lx),
-                max(y - self.hy / 2, 0.0), min(y + self.hy / 2, self.Ly))
-
     def cv_areas(self):
         """Areas of all control volumes (clipped at the boundary)."""
         x, y = self.vertices[:, 0], self.vertices[:, 1]
@@ -191,59 +175,3 @@ def build_mesh(nx, ny, Lx=1.0, Ly=1.0, boundary_spec="all_dirichlet"):
         raise MeshError(f"domain lengths must be positive, got {Lx}, {Ly}")
     tags = _resolve_edge_tags(int(nx), int(ny), Lx, Ly, boundary_spec)
     return StructuredMesh(int(nx), int(ny), Lx, Ly, tags)
-
-
-def control_volumes(mesh):
-    """Materialize the dual mesh as a list of ControlVolume records.
-
-    One record per vertex (Dirichlet vertices included, their rows simply
-    carry no unknown later on).  Faces cover the full CV boundary: interior
-    sub-segments carry the neighboring vertex id, boundary pieces carry the
-    tag of the primal boundary edge they lie on.
-    """
-    nx, ny = mesh.nx, mesh.ny
-    hx, hy = mesh.hx, mesh.hy
-    areas = mesh.cv_areas()
-
-    # Gather interior faces per vertex from the segment table.
-    faces_of = [[] for _ in range(mesh.n_vertices)]
-    axis_vecs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    for s in range(mesh.n_segments):
-        n = axis_vecs[mesh.seg_normal_axis[s]]
-        left, right = mesh.seg_left[s], mesh.seg_right[s]
-        mid, ln = mesh.seg_mid[s], mesh.seg_len[s]
-        faces_of[left].append(CVFace(mid, n.copy(), ln, right, None))
-        faces_of[right].append(CVFace(mid, -n, ln, left, None))
-
-    def boundary_pieces(i, j, vid):
-        """Pieces of the CV boundary lying on the domain boundary."""
-        x, y = mesh.vertices[vid]
-        pieces = []
-        if j == 0 or j == ny:
-            side = "bottom" if j == 0 else "top"
-            ny_vec = np.array([0.0, -1.0]) if j == 0 else np.array([0.0, 1.0])
-            if i > 0:
-                pieces.append(CVFace(np.array([x - hx / 4, y]), ny_vec, hx / 2,
-                                     -1, mesh.edge_tags[side][i - 1]))
-            if i < nx:
-                pieces.append(CVFace(np.array([x + hx / 4, y]), ny_vec, hx / 2,
-                                     -1, mesh.edge_tags[side][i]))
-        if i == 0 or i == nx:
-            side = "left" if i == 0 else "right"
-            nx_vec = np.array([-1.0, 0.0]) if i == 0 else np.array([1.0, 0.0])
-            if j > 0:
-                pieces.append(CVFace(np.array([x, y - hy / 4]), nx_vec, hy / 2,
-                                     -1, mesh.edge_tags[side][j - 1]))
-            if j < ny:
-                pieces.append(CVFace(np.array([x, y + hy / 4]), nx_vec, hy / 2,
-                                     -1, mesh.edge_tags[side][j]))
-        return pieces
-
-    out = []
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            vid = mesh.vertex_id(i, j)
-            faces = faces_of[vid] + boundary_pieces(i, j, vid)
-            out.append(ControlVolume(vid, mesh.vertices[vid], mesh.cv_bounds(vid),
-                                     areas[vid], faces))
-    return out

@@ -1,11 +1,13 @@
 """Bilinear FEM for the elliptic pressure equation.
 
 The pressure solve -div(kappa(theta) grad p) = g uses continuous bilinears on
-the primal mesh.  The mobility-weighted permeability kappa is evaluated at the
-package quadrature points with the concentration clamped to [0, 1] first, so
-transient over/undershoots cannot push the coefficient out of its physical
-range.  Dirichlet values are imposed by row/column elimination with the
-symmetric right-hand-side correction, which keeps the free block SPD.
+the primal mesh.  The mobility-weighted permeability kappa is evaluated once
+per concentration, at the package quadrature points and at the edge and
+sub-segment points the flux recovery needs, with the concentration clamped to
+[0, 1] first, so transient over/undershoots cannot push the coefficient out
+of its physical range.  Dirichlet values are imposed by row/column
+elimination with the symmetric right-hand-side correction, which keeps the
+free block SPD.
 
 The default solve is CG preconditioned by a geometric multigrid V-cycle.  The
 levels follow from the mesh: it is halved while nx and ny are both even and
@@ -19,7 +21,8 @@ import numpy as np
 from scipy import sparse
 
 from . import linalg
-from .fields import NodalField, quadrature
+from .fields import NodalField, basis_values, quadrature
+from .mesh import EDGE_QP_LOCAL, SEG_LOCAL_MID
 from .observation import bilinear_prolongation
 
 MIN_COARSE_CELLS = 8
@@ -64,10 +67,26 @@ def multigrid_transfers(mesh):
 
 
 @dataclass
+class ElementKernel:
+    """The per-element coefficient data of one pressure solve and its flux
+    recovery, for one concentration: the element stiffness matrices (from
+    kappa at the 16 quadrature points), and kappa at the 8 edge quarter
+    points and the 4 sub-segment midpoints."""
+
+    theta: np.ndarray             # nodal concentration it was built from
+    kappa_edge: np.ndarray        # (ne, 8), at mesh.EDGE_QP_LOCAL
+    kappa_seg: np.ndarray         # (ne, 4), at mesh.SEG_LOCAL_MID
+    stiffness: np.ndarray         # (ne, 4, 4)
+
+
+@dataclass
 class PressureProblem:
     """Pressure equation data.  Run constants are built once: g, which is
     time-independent, at the package quadrature points into `source_q`
-    (ne, 16), and the multigrid prolongations into `transfers`."""
+    (ne, 16), its FEM load vector into `load` and its control-volume
+    integrals into `cv_source` (nv,), and the multigrid prolongations into
+    `transfers`.  The element kernel of the latest concentration is kept for
+    the flux recovery that follows the solve (`element_kernel`)."""
 
     mesh: object
     kappa: object                  # callable(theta, x, y) -> permeability
@@ -75,13 +94,26 @@ class PressureProblem:
     dirichlet: object = 0.0        # callable(x, y) -> p on Gamma_D, or a constant
     solver: linalg.SolverConfig = dc_field(default_factory=default_solver)
     source_q: np.ndarray = dc_field(init=False, repr=False)
+    load: np.ndarray = dc_field(init=False, repr=False)
+    cv_source: np.ndarray = dc_field(init=False, repr=False)
     transfers: list = dc_field(init=False, repr=False)
+    kernel: ElementKernel | None = dc_field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def __post_init__(self):
-        pts = quadrature(self.mesh).global_points()
+        mesh = self.mesh
+        quad = quadrature(mesh)
+        pts = quad.global_points()
         self.source_q = np.asarray(self.source(pts[:, :, 0], pts[:, :, 1]),
                                    dtype=float) * np.ones(pts.shape[:2])
-        self.transfers = multigrid_transfers(self.mesh)
+        wg = quad.weight * self.source_q
+        self.load = np.bincount(mesh.elements.ravel(),
+                                weights=(wg @ quad.phi).ravel(),
+                                minlength=mesh.n_vertices)
+        self.cv_source = np.bincount(mesh.elements[:, quad.owner_corner].ravel(),
+                                     weights=wg.ravel(),
+                                     minlength=mesh.n_vertices)
+        self.transfers = multigrid_transfers(mesh)
 
     def dirichlet_values(self, vids):
         x, y = self.mesh.vertices[vids, 0], self.mesh.vertices[vids, 1]
@@ -90,45 +122,51 @@ class PressureProblem:
         return np.full(len(vids), float(self.dirichlet))
 
 
-def _kappa_at_quadrature(problem, theta):
+def element_kernel(problem, theta):
+    """The ElementKernel of `problem` at concentration `theta`.
+
+    kappa is evaluated once, on all 28 points per element, with the
+    concentration clamped to [0, 1] first, and must be positive and finite
+    at every one of them.  The kernel is kept on the problem, so the flux
+    recovery at the same concentration reuses it.
+    """
+    kernel = problem.kernel
+    if kernel is not None and np.array_equal(kernel.theta, theta.values):
+        return kernel
     mesh = problem.mesh
     quad = quadrature(mesh)
-    pts = quad.global_points()
-    theta_q = np.clip(theta.corner_values() @ quad.phi.T, 0.0, 1.0)  # (ne, 16)
-    kq = problem.kappa(theta_q, pts[:, :, 0], pts[:, :, 1]) * np.ones_like(theta_q)
+    local = np.concatenate([quad.local_points, EDGE_QP_LOCAL, SEG_LOCAL_MID])
+    pts = mesh.element_origins[:, None, :] + local * np.array([mesh.hx, mesh.hy])
+    phi = basis_values(local[:, 0], local[:, 1])
+    th = np.clip(theta.corner_values() @ phi.T, 0.0, 1.0)          # (ne, 28)
+    kq = problem.kappa(th, pts[:, :, 0], pts[:, :, 1]) * np.ones_like(th)
     if np.any(~np.isfinite(kq)) or np.any(kq <= 0.0):
         bad = float(np.nanmin(kq))
         raise CoefficientRangeError(f"kappa must be positive, found {bad}")
-    return kq
+    grad_dot = np.einsum("pad,pbd->pab", quad.dphi, quad.dphi)       # (16, 4, 4)
+    stiffness = (kq[:, :16] @ grad_dot.reshape(16, 16)).reshape(-1, 4, 4)
+    kernel = ElementKernel(theta.values.copy(), kq[:, 16:24], kq[:, 24:],
+                           stiffness * quad.weight)
+    problem.kernel = kernel
+    return kernel
 
 
 def assemble_pressure(problem, theta):
     """Assemble the free-vertex system; returns (matrix, rhs).
 
-    Nonhomogeneous Dirichlet data is lifted into the right-hand side, so the
-    returned matrix is the SPD free block and the rhs already carries the
-    boundary contribution.
+    The element stiffness comes from `element_kernel` and is scattered into
+    the mesh's stencil pattern.  Nonhomogeneous Dirichlet data is lifted into
+    the right-hand side, so the returned matrix is the SPD free block and the
+    rhs already carries the boundary contribution.
     """
     mesh = problem.mesh
-    quad = quadrature(mesh)
-    kq = _kappa_at_quadrature(problem, theta)
-
-    grad_dot = np.einsum("pad,pbd->pab", quad.dphi, quad.dphi)       # (16, 4, 4)
-    k_local = np.einsum("ep,pab->eab", kq, grad_dot) * quad.weight   # (ne, 4, 4)
-
-    e = mesh.elements
-    rows = np.repeat(e, 4, axis=1).ravel()
-    cols = np.tile(e, (1, 4)).ravel()
-    A = linalg.assemble(rows, cols, k_local.ravel(),
-                        (mesh.n_vertices, mesh.n_vertices))
-
-    b = np.zeros(mesh.n_vertices)
-    np.add.at(b, e.ravel(), (quad.weight * problem.source_q @ quad.phi).ravel())
+    kernel = element_kernel(problem, theta)
+    A = linalg.stencil(mesh).scatter(kernel.stiffness)
 
     free = mesh.free_vertices
     fixed = np.flatnonzero(mesh.is_dirichlet)
     A_ff = A[free][:, free].tocsr()
-    rhs = b[free]
+    rhs = problem.load[free]
     if fixed.size:
         p_d = problem.dirichlet_values(fixed)
         rhs = rhs - A[free][:, fixed] @ p_d
@@ -145,7 +183,8 @@ def solve_pressure(problem, theta, x0=None):
     free = mesh.free_vertices
     guess = None if x0 is None else np.asarray(x0, dtype=float)[free]
     x, report = linalg.solve(A, b, problem.solver, x0=guess,
-                             transfers=problem.transfers)
+                             transfers=problem.transfers,
+                             constant_nullspace=not mesh.is_dirichlet.any())
     values = np.zeros(mesh.n_vertices)
     values[free] = x
     fixed = np.flatnonzero(mesh.is_dirichlet)

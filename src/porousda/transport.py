@@ -10,6 +10,17 @@ unknown and explicitly in the data.  All non-accumulation terms carry the
 trapezoidal weight 1/2 at both endpoint times.  Dirichlet vertices are
 constrained rows; Neumann faces of clipped control volumes carry zero total
 flux, matching the no-flow closure of the model.
+
+Mass, reaction, diffusion, advection and the Dirichlet diagonal live on the
+mesh's fixed stencil pattern (`linalg.stencil`).  Each is reduced to one 4x4
+block per element first: the four Gauss points of a quadrant share the
+control volume of that quadrant's corner, and every dual-mesh segment lies in
+one element, with both of its control volumes and its upwind vertex at that
+element's corners.  The blocks are summed into the pattern in element order,
+which is deterministic but not value-sorted.  The nudging operator couples
+vertices to coarse lattice columns, off the pattern; its stream is reduced
+per element (an element lies in one coarse cell) and assembled with
+`linalg.assemble`.
 """
 
 from dataclasses import dataclass
@@ -17,7 +28,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .fields import NodalField, quadrature
+from .fields import NodalField, cv_flux_blocks, quadrature
+from .mesh import SEG_LEFT_CORNER, SEG_RIGHT_CORNER
+
+
+def _upwind_blocks(upwind_corner):
+    """Per segment type, the element block of a unit outflux upwinded at the
+    given corner: it leaves the CV of the segment's left corner (+1) and
+    enters that of its right corner (-1), both in the upwind corner's
+    column."""
+    blocks = np.zeros((4, 4, 4))
+    t = np.arange(4)
+    blocks[t, SEG_LEFT_CORNER, upwind_corner] += 1.0
+    blocks[t, SEG_RIGHT_CORNER, upwind_corner] -= 1.0
+    return blocks
+
+
+# Positive outflux is upwinded at the left corner, negative at the right one.
+_UPWIND_LEFT = _upwind_blocks(SEG_LEFT_CORNER)
+_UPWIND_RIGHT = _upwind_blocks(SEG_RIGHT_CORNER)
 
 
 @dataclass
@@ -71,80 +100,77 @@ class TransportCoefficients:
     def _build_static(self):
         mesh = self.mesh
         quad = quadrature(mesh)
-        nv = mesh.n_vertices
+        pattern = linalg.stencil(mesh)
         free = ~mesh.is_dirichlet
 
         cv_rows = mesh.elements[:, quad.owner_corner]            # (ne, 16)
         pts = quad.global_points()
         x, y = pts[:, :, 0], pts[:, :, 1]
+        # The four Gauss points of quadrant a all sit in the CV of corner a.
+        phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
 
-        def cv_matrix(weight_values):
-            rows = np.repeat(cv_rows.ravel(), 4)
-            cols = np.repeat(mesh.elements, 16, axis=0).reshape(-1, 4).ravel()
-            phi = np.tile(quad.phi, (mesh.n_elements, 1))
-            vals = (quad.weight * weight_values.reshape(-1, 1) * phi).ravel()
-            keep = free[rows]
-            return linalg.assemble(rows[keep], cols[keep], vals[keep], (nv, nv))
-
-        mass = cv_matrix(np.ones(x.shape).ravel())
+        mass = pattern.scatter(np.broadcast_to(phi_quadrant.sum(axis=1),
+                                               (mesh.n_elements, 4, 4)), free)
         if self.reaction is not None:
             qv = np.asarray(self.reaction(x, y), dtype=float) * np.ones_like(x)
-            reac = cv_matrix(qv.ravel())
+            reac = pattern.scatter(
+                np.einsum("eap,apb->eab", qv.reshape(-1, 4, 4), phi_quadrant),
+                free)
         else:
             reac = None
 
         # Diffusive flux term: -sum over CV faces of D grad(theta) . n.
         dq = np.asarray(self.diffusion(mesh.seg_mid[:, 0], mesh.seg_mid[:, 1]),
                         dtype=float) * np.ones(mesh.n_segments)
-        dn = quad.seg_dphi_n[mesh.seg_type]                      # (ns, 4)
-        flux = dq[:, None] * dn * mesh.seg_len[:, None]          # (ns, 4)
-        cols = mesh.elements[mesh.seg_elem]                      # (ns, 4)
-        rows = np.concatenate([np.repeat(mesh.seg_left, 4),
-                               np.repeat(mesh.seg_right, 4)])
-        cc = np.concatenate([cols.ravel(), cols.ravel()])
-        vv = np.concatenate([(-flux).ravel(), flux.ravel()])
-        keep = free[rows]
-        diff = linalg.assemble(rows[keep], cc[keep], vv[keep], (nv, nv))
+        diff = pattern.scatter(cv_flux_blocks(mesh, dq.reshape(-1, 4)), free)
 
         dir_rows = np.flatnonzero(mesh.is_dirichlet)
-        dir_diag = linalg.assemble(dir_rows, dir_rows, np.ones(dir_rows.size),
-                                   (nv, nv))
+        dir_data = np.zeros(pattern.nnz)
+        dir_data[pattern.diagonal_slots[dir_rows]] = 1.0
+        dir_diag = pattern.matrix(dir_data)
 
         static = {"mass": mass, "reac": reac, "diff": diff, "dir_diag": dir_diag,
                   "dir_rows": dir_rows, "cv_rows": cv_rows, "free": free}
 
         if self.grid is not None:
-            static["nudge_cv"] = self._build_nudge_cv(cv_rows, free)
+            static["nudge_cv"] = self._build_nudge_cv(free)
             static["nudge_k"] = (static["nudge_cv"]
                                  @ self.grid.functional_matrix()).tocsr()
         return static
 
-    def _build_nudge_cv(self, cv_rows, free):
-        """CV integrals of the coarse observation basis, shape (nv, n_obs)."""
-        quad = quadrature(self.mesh)
+    def _build_nudge_cv(self, free):
+        """CV integrals of the coarse observation basis, shape (nv, n_obs).
+
+        The lattice is aligned with the mesh, so all 16 quadrature points of
+        an element lie in one coarse cell and share its four basis columns;
+        the stream is reduced per element and quadrant before assembly.
+        """
+        mesh = self.mesh
+        quad = quadrature(mesh)
         cols, w = self.grid.basis_at(quad.global_points().reshape(-1, 2))
-        w = w * quad.weight
-        rows = np.repeat(cv_rows.ravel(), 4)
+        cols = cols.reshape(-1, 16, 4)[:, 0, :]                  # (ne, 4)
+        w = quad.weight * w.reshape(-1, 4, 4, 4).sum(axis=2)     # (ne, a, k)
+        rows = np.broadcast_to(mesh.elements[:, :, None], w.shape)
+        cols = np.broadcast_to(cols[:, None, :], w.shape)
         keep = free[rows]
-        return linalg.assemble(rows[keep], cols.ravel()[keep], w.ravel()[keep],
-                               (self.mesh.n_vertices, self.grid.n_obs))
+        return linalg.assemble(rows[keep], cols[keep], w[keep],
+                               (mesh.n_vertices, self.grid.n_obs))
 
     # -- per-interval operators ----------------------------------------------
 
     def _advection_matrix(self):
+        """Upwinded advective outflux, scattered per element: every segment
+        lies in one element, and its two CVs and upwind vertex are corners
+        of that element."""
         mesh = self.mesh
         U = np.asarray(self.velocity_outflux, dtype=float)
         if U.shape != (mesh.n_segments,):
             raise ValueError(f"expected {mesh.n_segments} segment outflux values")
-        free = self._static["free"]
-        act = np.flatnonzero(U != 0.0)
-        up = np.where(U[act] > 0.0, mesh.seg_left[act], mesh.seg_right[act])
-        rows = np.concatenate([mesh.seg_left[act], mesh.seg_right[act]])
-        cols = np.concatenate([up, up])
-        vals = np.concatenate([U[act], -U[act]])
-        keep = free[rows]
-        return linalg.assemble(rows[keep], cols[keep], vals[keep],
-                               (mesh.n_vertices, mesh.n_vertices))
+        U = U.reshape(-1, 4)
+        local = (np.maximum(U, 0.0) @ _UPWIND_LEFT.reshape(4, 16)
+                 + np.minimum(U, 0.0) @ _UPWIND_RIGHT.reshape(4, 16))
+        return linalg.stencil(mesh).scatter(local.reshape(-1, 4, 4),
+                                            self._static["free"])
 
     def spatial_operator(self):
         """Everything multiplying theta except accumulation: K in M dtheta + K theta = F."""

@@ -7,8 +7,12 @@ element numbering, quadrature point set, segment ordering) are the interface
 contract and are re-derived here from first principles; the assembly logic
 itself is independent.
 
-All routines return dense numpy arrays.
+All assembly routines return dense numpy arrays.  The last section holds
+record views of the dual mesh and of postprocessed fields that only the tests
+use.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -411,3 +415,109 @@ def dense_coarse_step(mesh, kappa, pressure_source, pressure_dirichlet,
     return {"pressure": p, "flux_matrices": A_locs, "flux_rhs": flux_rhs,
             "psi": psi, "outflux": outflux, "transport_matrix": A,
             "transport_rhs": rhs, "theta_new": theta_new}
+
+
+# -- test-only views of package data ------------------------------------------
+#
+# Record-per-object views of the dual mesh and of postprocessed fields that
+# only the tests use.  They read the package's arrays and add no assembly.
+
+@dataclass
+class CVFace:
+    """A flat piece of a control-volume boundary."""
+
+    midpoint: np.ndarray
+    normal: np.ndarray
+    length: float
+    neighbor: int        # vertex id of the CV across the face, -1 on the boundary
+    tag: str | None      # boundary tag when neighbor == -1
+
+
+@dataclass
+class ControlVolume:
+    vertex: int
+    center: np.ndarray
+    bounds: tuple        # (xlo, xhi, ylo, yhi)
+    area: float
+    faces: list = field(default_factory=list)
+
+
+def vertex_id(mesh, i, j):
+    return j * (mesh.nx + 1) + i
+
+
+def cv_bounds(mesh, vid):
+    x, y = mesh.vertices[vid]
+    return (max(x - mesh.hx / 2, 0.0), min(x + mesh.hx / 2, mesh.Lx),
+            max(y - mesh.hy / 2, 0.0), min(y + mesh.hy / 2, mesh.Ly))
+
+
+def control_volumes(mesh):
+    """Materialize the dual mesh as a list of ControlVolume records.
+
+    One record per vertex (Dirichlet vertices included).  Faces cover the
+    full CV boundary: interior sub-segments carry the neighboring vertex id,
+    boundary pieces carry the tag of the primal boundary edge they lie on.
+    """
+    nx, ny = mesh.nx, mesh.ny
+    hx, hy = mesh.hx, mesh.hy
+    areas = mesh.cv_areas()
+
+    # Gather interior faces per vertex from the segment table.
+    faces_of = [[] for _ in range(mesh.n_vertices)]
+    axis_vecs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    for s in range(mesh.n_segments):
+        n = axis_vecs[mesh.seg_normal_axis[s]]
+        left, right = mesh.seg_left[s], mesh.seg_right[s]
+        mid, ln = mesh.seg_mid[s], mesh.seg_len[s]
+        faces_of[left].append(CVFace(mid, n.copy(), ln, right, None))
+        faces_of[right].append(CVFace(mid, -n, ln, left, None))
+
+    def boundary_pieces(i, j, vid):
+        """Pieces of the CV boundary lying on the domain boundary."""
+        x, y = mesh.vertices[vid]
+        pieces = []
+        if j == 0 or j == ny:
+            side = "bottom" if j == 0 else "top"
+            ny_vec = np.array([0.0, -1.0]) if j == 0 else np.array([0.0, 1.0])
+            if i > 0:
+                pieces.append(CVFace(np.array([x - hx / 4, y]), ny_vec, hx / 2,
+                                     -1, mesh.edge_tags[side][i - 1]))
+            if i < nx:
+                pieces.append(CVFace(np.array([x + hx / 4, y]), ny_vec, hx / 2,
+                                     -1, mesh.edge_tags[side][i]))
+        if i == 0 or i == nx:
+            side = "left" if i == 0 else "right"
+            nx_vec = np.array([-1.0, 0.0]) if i == 0 else np.array([1.0, 0.0])
+            if j > 0:
+                pieces.append(CVFace(np.array([x, y - hy / 4]), nx_vec, hy / 2,
+                                     -1, mesh.edge_tags[side][j - 1]))
+            if j < ny:
+                pieces.append(CVFace(np.array([x, y + hy / 4]), nx_vec, hy / 2,
+                                     -1, mesh.edge_tags[side][j]))
+        return pieces
+
+    out = []
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            vid = vertex_id(mesh, i, j)
+            faces = faces_of[vid] + boundary_pieces(i, j, vid)
+            out.append(ControlVolume(vid, mesh.vertices[vid], cv_bounds(mesh, vid),
+                                     areas[vid], faces))
+    return out
+
+
+def interp_const(dg, elem):
+    """Subquadrant constants of a DG field on one element.
+
+    The piecewise-constant interpolant takes the corner value on each corner's
+    quadrant, so the constants are exactly the four corner values, ordered SW,
+    SE, NW, NE like the quadrants.
+    """
+    return dg.values[elem].copy()
+
+
+def face_velocity(flux, segment):
+    """Normal velocity (outflux per unit length) across one dual-mesh segment,
+    signed along the segment's +axis normal (from seg_left toward seg_right)."""
+    return float(flux.segment_outflux[segment] / flux.mesh.seg_len[segment])

@@ -77,6 +77,41 @@ def test_run_snapshots_parse_back(tmp_path, outroot):
     assert np.all(np.isfinite(values))
 
 
+def test_run_drops_default_snapshots_beyond_t_end(tmp_path, outroot):
+    """example3's default snapshots are at 0.002, 0.012 and 0.024; a run to
+    0.004 writes the first and skips the others instead of failing after
+    the run with exit 2."""
+    cfg = _write(tmp_path, "short.ini", """
+[scenario]
+name = example3
+
+[mesh]
+nx = 30
+
+[time]
+t_end = 0.004
+
+[assimilation]
+spacing = 0.1
+
+[output]
+dir = short
+""")
+    assert main(["run", cfg]) == 0
+    snaps = sorted(p.name for p in (outroot / "short").glob("theta_t*.raster"))
+    assert snaps == ["theta_t0.002.raster"]
+
+
+@pytest.mark.parametrize("times", ["0.02 0.5", "-0.01", "0.003"])
+def test_run_rejects_snapshots_off_the_run_levels_before_running(
+        tmp_path, outroot, capsys, times):
+    text = EX1_SMALL.format(mu="10", dir="badsnap") + f"snapshots = {times}\n"
+    cfg = _write(tmp_path, "badsnap.ini", text)
+    assert main(["run", cfg]) == 2
+    assert "error: snapshot time" in capsys.readouterr().err
+    assert not (outroot / "badsnap" / "reference_metrics.csv").exists()
+
+
 def test_validate_reports_assumptions_and_alignment(tmp_path, capsys):
     cfg = _write(tmp_path, "val.ini", """
 [scenario]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from dense_reference import interp_const
 from porousda.fields import (DGField, NodalField, basis_gradients,
-                             basis_values, integrate, interp_const, l2_diff,
-                             l2_norm, locate, quadrature)
+                             basis_values, integrate, l2_diff, l2_norm, locate,
+                             quadrature)
 from porousda.mesh import build_mesh
 
 

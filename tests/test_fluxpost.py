@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import dense_reference as dr
+from dense_reference import face_velocity
 from porousda.fields import NodalField, l2_norm_callable
-from porousda.flux_postprocess import (LocalSolveError, face_velocity,
-                                       postprocess_flux,
+from porousda.flux_postprocess import (LocalSolveError, postprocess_flux,
                                        raw_pressure_residuals)
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.pressure import PressureProblem, solve_pressure
@@ -103,8 +103,11 @@ def test_heterogeneous_case_matches_dense_oracle():
 
 
 def test_singular_local_system_reports_element():
+    """The smallest subnormal kappa passes the range check but underflows
+    every local flux matrix to zero."""
     mesh = build_mesh(2, 2)
-    prob = PressureProblem(mesh, kappa=lambda th, x, y: 0.0 * x, source=ZERO)
+    prob = PressureProblem(mesh, kappa=lambda th, x, y: np.full_like(x, 5e-324),
+                           source=ZERO)
     p = NodalField.from_callable(mesh, lambda x, y: x)
     with pytest.raises(LocalSolveError) as info:
         postprocess_flux(prob, p, NodalField.zeros(mesh))

@@ -4,6 +4,7 @@ import pytest
 import dense_reference as dr
 from porousda import driver, linalg, scenarios
 from porousda.fields import NodalField, l2_diff
+from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.pressure import (CoefficientRangeError, PressureProblem,
@@ -122,6 +123,19 @@ def test_nonpositive_kappa_rejected():
                                 source=lambda x, y: 0.0 * x)
     with pytest.raises(CoefficientRangeError):
         assemble_pressure(nonfinite, theta)
+
+
+def test_kappa_range_checked_at_flux_recovery_points():
+    """kappa vanishing only on the bottom boundary edge is caught: the check
+    covers the edge quarter points, not just the quadrature points."""
+    mesh = build_mesh(3, 3)
+    theta = NodalField.zeros(mesh)
+    edge_zero = PressureProblem(mesh, kappa=lambda th, x, y: np.where(y == 0.0, 0.0, 1.0),
+                                source=lambda x, y: 0.0 * x)
+    with pytest.raises(CoefficientRangeError):
+        assemble_pressure(edge_zero, theta)
+    with pytest.raises(CoefficientRangeError):
+        postprocess_flux(edge_zero, NodalField.zeros(mesh), theta)
 
 
 def test_theta_clamped_before_kappa():
@@ -253,3 +267,23 @@ def test_multigrid_without_halving_or_dirichlet_solves_or_raises_typed(nx, spec)
         assert prob.transfers == [] and report.iterations <= 1
     shift = np.mean(p.values - p_jac.values)   # 0 unless all-Neumann
     np.testing.assert_allclose(p.values - shift, p_jac.values, atol=1e-10)
+
+
+@pytest.mark.parametrize("nx", [64, 128])
+def test_multigrid_cg_converges_on_all_neumann_meshes(nx):
+    """Without a Dirichlet vertex the V-cycle fed constant components into
+    the search directions, and multigrid CG stalled near a residual of 1e-8
+    with NoConvergenceError on these meshes; it now converges like the
+    others and matches Jacobi-CG up to the free constant."""
+    mesh = build_mesh(nx, nx, boundary_spec="all_neumann")
+    kappa = lambda th, x, y: 1.0 + 0.5 * x * y
+    theta = NodalField.zeros(mesh)
+    p, report = solve_pressure(PressureProblem(mesh, kappa, _wavy_source), theta)
+    assert report.converged and report.iterations <= 20
+    jac = PressureProblem(mesh, kappa, _wavy_source,
+                          solver=SolverConfig(rel_tol=1e-12,
+                                              preconditioner="jacobi"))
+    p_jac, _ = solve_pressure(jac, theta)
+    shift = np.mean(p.values - p_jac.values)
+    np.testing.assert_allclose(p.values - shift, p_jac.values,
+                               atol=1e-9 * np.max(np.abs(p_jac.values)))

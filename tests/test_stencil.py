@@ -1,0 +1,261 @@
+"""The stencil pattern against the contribution-stream assembly it replaced.
+
+Every operator the package scatters into `linalg.stencil(mesh)` is rebuilt
+here as the unordered (row, col, value) stream of its quadrature points or
+dual-mesh segments and assembled with `linalg.assemble`, which sums in
+value-sorted order.  The two differ only in summation order, so they agree to
+roundoff and, once explicit zeros are dropped, in structure.  The driver-path
+tests check that a twin experiment builds the pattern once per mesh and
+evaluates kappa once per pressure solve.
+"""
+
+import numpy as np
+import pytest
+
+from porousda import driver, linalg, scenarios
+from porousda.fields import NodalField, quadrature
+from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
+from porousda.observation import SparseGrid
+from porousda.pressure import PressureProblem, assemble_pressure, element_kernel
+from porousda.transport import TransportCoefficients
+
+REL_TOL = 1e-15
+
+
+def _mixed_faces(x, y):
+    return DIRICHLET if x == 0.0 or (y == 0.0 and x < 1.5) else NEUMANN
+
+
+# (nx, ny, Lx, Ly, boundary spec, lattice spacing): odd nx, nx != ny, mixed
+# tags; cells are square so the lattice aligns in both directions.
+MESHES = [
+    (9, 6, 3.0, 2.0, _mixed_faces, 1.0),
+    (7, 7, 1.0, 1.0, "all_neumann", 1.0 / 7.0),
+    (4, 10, 2.0, 5.0, "all_dirichlet", 1.0),
+]
+
+
+def _same_operator(scattered, stream):
+    scattered = scattered.tocsr()
+    stream = stream.tocsr()
+    gap = abs(scattered - stream).max()
+    assert gap <= REL_TOL * abs(stream).max()
+    scattered.eliminate_zeros()
+    stream.eliminate_zeros()
+    np.testing.assert_array_equal(scattered.indptr, stream.indptr)
+    np.testing.assert_array_equal(scattered.indices, stream.indices)
+
+
+@pytest.fixture(params=MESHES, ids=["9x6-mixed", "7x7-neumann", "4x10-dirichlet"])
+def case(request):
+    nx, ny, lx, ly, spec, spacing = request.param
+    mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
+    rng = np.random.default_rng(nx * ny)
+    return mesh, SparseGrid(mesh, spacing), rng
+
+
+def _coefficients(mesh, grid, rng):
+    return TransportCoefficients(
+        mesh,
+        diffusion=lambda x, y: 0.05 + 0.02 * x * y + 0.01 * np.sin(5.0 * y),
+        reaction=lambda x, y: 0.3 + 0.1 * y + 0.05 * np.cos(3.0 * x),
+        mu=10.0, grid=grid,
+        velocity_outflux=rng.standard_normal(mesh.n_segments))
+
+
+# -- contribution streams ------------------------------------------------------
+
+def _cv_stream(mesh, weight_values, free):
+    """Mass-type operator: one stream entry per quadrature point and column."""
+    quad = quadrature(mesh)
+    cv_rows = mesh.elements[:, quad.owner_corner]
+    rows = np.repeat(cv_rows.ravel(), 4)
+    cols = np.repeat(mesh.elements, 16, axis=0).reshape(-1, 4).ravel()
+    phi = np.tile(quad.phi, (mesh.n_elements, 1))
+    vals = (quad.weight * weight_values.reshape(-1, 1) * phi).ravel()
+    keep = free[rows]
+    return linalg.assemble(rows[keep], cols[keep], vals[keep],
+                           (mesh.n_vertices, mesh.n_vertices))
+
+
+def _diffusion_stream(mesh, diffusion, free):
+    quad = quadrature(mesh)
+    dq = diffusion(mesh.seg_mid[:, 0], mesh.seg_mid[:, 1])
+    flux = dq[:, None] * quad.seg_dphi_n[mesh.seg_type] * mesh.seg_len[:, None]
+    cols = mesh.elements[mesh.seg_elem]
+    rows = np.concatenate([np.repeat(mesh.seg_left, 4),
+                           np.repeat(mesh.seg_right, 4)])
+    cc = np.concatenate([cols.ravel(), cols.ravel()])
+    vv = np.concatenate([(-flux).ravel(), flux.ravel()])
+    keep = free[rows]
+    return linalg.assemble(rows[keep], cc[keep], vv[keep],
+                           (mesh.n_vertices, mesh.n_vertices))
+
+
+def _advection_stream(mesh, U, free):
+    act = np.flatnonzero(U != 0.0)
+    up = np.where(U[act] > 0.0, mesh.seg_left[act], mesh.seg_right[act])
+    rows = np.concatenate([mesh.seg_left[act], mesh.seg_right[act]])
+    cols = np.concatenate([up, up])
+    vals = np.concatenate([U[act], -U[act]])
+    keep = free[rows]
+    return linalg.assemble(rows[keep], cols[keep], vals[keep],
+                           (mesh.n_vertices, mesh.n_vertices))
+
+
+def _nudge_stream(mesh, grid, free):
+    """One stream entry per quadrature point and coarse basis column."""
+    quad = quadrature(mesh)
+    cols, w = grid.basis_at(quad.global_points().reshape(-1, 2))
+    rows = np.repeat(mesh.elements[:, quad.owner_corner].ravel(), 4)
+    keep = free[rows]
+    return linalg.assemble(rows[keep], cols.ravel()[keep],
+                           (w * quad.weight).ravel()[keep],
+                           (mesh.n_vertices, grid.n_obs))
+
+
+# -- operator equality -----------------------------------------------------------
+
+def test_pressure_matches_stream(case):
+    mesh, _, rng = case
+    prob = PressureProblem(
+        mesh, lambda th, x, y: (1.0 + th) * np.exp(np.sin(2.0 * x) * np.cos(y)),
+        lambda x, y: np.cos(x) * y, dirichlet=lambda x, y: 1.0 + x - y)
+    theta = NodalField(mesh, rng.random(mesh.n_vertices))
+    a, rhs = assemble_pressure(prob, theta)
+    e = mesh.elements
+    full = linalg.assemble(np.repeat(e, 4, axis=1).ravel(),
+                           np.tile(e, (1, 4)).ravel(),
+                           element_kernel(prob, theta).stiffness.ravel(),
+                           (mesh.n_vertices, mesh.n_vertices))
+    free = mesh.free_vertices
+    fixed = np.flatnonzero(mesh.is_dirichlet)
+    _same_operator(a, full[free][:, free])
+    want = prob.load[free] - full[free][:, fixed] @ prob.dirichlet_values(fixed)
+    np.testing.assert_allclose(rhs, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def test_transport_operators_match_streams(case):
+    mesh, grid, rng = case
+    coeffs = _coefficients(mesh, grid, rng)
+    st = coeffs._static
+    free = ~mesh.is_dirichlet
+    pts = quadrature(mesh).global_points()
+    x, y = pts[:, :, 0], pts[:, :, 1]
+    _same_operator(st["mass"], _cv_stream(mesh, np.ones(x.size), free))
+    _same_operator(st["reac"], _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free))
+    _same_operator(st["diff"], _diffusion_stream(mesh, coeffs.diffusion, free))
+    _same_operator(coeffs._advection_matrix(),
+                   _advection_stream(mesh, coeffs.velocity_outflux, free))
+    _same_operator(st["nudge_cv"], _nudge_stream(mesh, grid, free))
+    dirichlet = np.flatnonzero(mesh.is_dirichlet)
+    _same_operator(st["dir_diag"],
+                   linalg.assemble(dirichlet, dirichlet, np.ones(dirichlet.size),
+                                   (mesh.n_vertices, mesh.n_vertices)))
+
+
+def test_advection_skips_zero_outflux(case):
+    """Segments without flow add nothing, as in the stream, which leaves
+    them out."""
+    mesh, grid, rng = case
+    U = rng.standard_normal(mesh.n_segments)
+    U[rng.random(U.size) < 0.5] = 0.0
+    coeffs = _coefficients(mesh, grid, rng).with_velocity(U)
+    _same_operator(coeffs._advection_matrix(),
+                   _advection_stream(mesh, U, ~mesh.is_dirichlet))
+
+
+def test_pattern_is_the_vertex_graph():
+    """Row v holds exactly the vertices sharing an element with v, sorted."""
+    mesh = build_mesh(5, 3)
+    pattern = linalg.stencil(mesh)
+    assert linalg.stencil(mesh) is pattern
+    adjacency = np.zeros((mesh.n_vertices,) * 2, dtype=bool)
+    for corners in mesh.elements:
+        adjacency[np.ix_(corners, corners)] = True
+    graph = pattern.matrix(np.ones(pattern.nnz))
+    assert graph.has_canonical_format          # sorted, no duplicates
+    np.testing.assert_array_equal(graph.toarray() != 0, adjacency)
+    np.testing.assert_array_equal(pattern.indices[pattern.diagonal_slots],
+                                  np.arange(mesh.n_vertices))
+
+
+def test_scatter_leaves_the_pattern_intact():
+    mesh = build_mesh(3, 3)
+    pattern = linalg.stencil(mesh)
+    indices = pattern.indices.copy()
+    a = pattern.scatter(np.zeros((mesh.n_elements, 4, 4)))
+    a.eliminate_zeros()
+    assert a.nnz == 0
+    np.testing.assert_array_equal(pattern.indices, indices)
+
+
+# -- driver path -------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ex3_twin():
+    """Reference plus assimilated run of example3 over three coarse
+    intervals, recording pattern builds, kappa points and every flux
+    recovery's inputs."""
+    sc = scenarios.example3(nx=30, spacing=0.1, t_end=0.006)
+    seen = {"patterns": 0, "kappa_points": 0, "recoveries": []}
+    kappa = sc.kappa
+
+    def counted_kappa(theta, x, y):
+        seen["kappa_points"] += np.broadcast(x, y).size
+        return kappa(theta, x, y)
+
+    build = linalg.StencilPattern.__init__
+
+    def counted_build(self, mesh):
+        seen["patterns"] += 1
+        build(self, mesh)
+
+    recover = driver.postprocess_flux
+
+    def recorded(problem, pressure, theta):
+        flux = recover(problem, pressure, theta)
+        seen["recoveries"].append((problem.kernel, pressure, theta.copy()))
+        return flux
+
+    sc = sc.with_overrides(kappa=counted_kappa)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg.StencilPattern, "__init__", counted_build)
+        mp.setattr(driver, "postprocess_flux", recorded)
+        part = driver.TimePartition.from_scenario(sc)
+        assert part.n_coarse >= 3
+        mesh = sc.build_mesh()
+        ref = driver.run_reference(sc, part, mesh)
+        run = driver.run_assimilated(sc, ref.stream, part, mesh,
+                                     reference=ref.trajectory)
+    solves = sum(len(r.report.solver_iterations["pressure"]) for r in (ref, run))
+    return kappa, mesh, seen, solves
+
+
+def test_twin_builds_the_pattern_once_per_mesh(ex3_twin):
+    _, _, seen, _ = ex3_twin
+    assert seen["patterns"] == 1
+
+
+def test_twin_evaluates_kappa_at_28_points_per_element_per_solve(ex3_twin):
+    _, mesh, seen, solves = ex3_twin
+    assert solves == 6
+    assert seen["kappa_points"] == 28 * mesh.n_elements * solves
+
+
+def test_twin_flux_recovery_stiffness_action_matches_quadrature(ex3_twin):
+    """r3 = k_local @ p_c equals the quadrature form
+    w sum_q kappa grad(p) . grad(phi) it replaced."""
+    kappa, mesh, seen, _ = ex3_twin
+    quad = quadrature(mesh)
+    pts = quad.global_points()
+    assert len(seen["recoveries"]) == 6
+    for kernel, pressure, theta in seen["recoveries"]:
+        np.testing.assert_array_equal(kernel.theta, theta.values)
+        p_c = pressure.corner_values()
+        r3 = (kernel.stiffness @ p_c[:, :, None])[:, :, 0]
+        th = np.clip(theta.corner_values() @ quad.phi.T, 0.0, 1.0)
+        kq = kappa(th, pts[:, :, 0], pts[:, :, 1])
+        grad_p = np.einsum("pcd,ec->epd", quad.dphi, p_c)
+        want = quad.weight * np.einsum("ep,epd,pxd->ex", kq, grad_p, quad.dphi)
+        assert np.max(np.abs(r3 - want)) <= 1e-13 * np.max(np.abs(want))

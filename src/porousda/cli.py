@@ -155,6 +155,10 @@ def _write_report(outdir, run, mu):
         if counts:
             lines.append(f"{kind} solver iterations: max {max(counts)}, "
                          f"total {sum(counts)}")
+    if report.recoveries:
+        kinds = [kind for _, kind in report.recoveries]
+        lines.append("transport steps recovered from a bicgstab breakdown: "
+                     + ", ".join(f"{k} {kinds.count(k)}" for k in sorted(set(kinds))))
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")
 
 

@@ -6,6 +6,11 @@ the same rule everywhere in the package: 2x2 Gauss points on each quadrant of
 each element (16 points per element), so that control-volume integrals and
 element integrals are built from the identical point set.  Surface integrals
 on control-volume faces use the midpoint rule per sub-segment.
+
+`quadrature(mesh)` is the one owner of that point set.  It is built once per
+mesh, on first use, and holds the global point coordinates as contiguous,
+read-only (ne, 16) arrays `x` and `y`; every coefficient and source that is
+integrated with the rule is evaluated at those two arrays.
 """
 
 import numpy as np
@@ -32,24 +37,29 @@ def basis_gradients(xi, eta, hx, hy):
     return np.stack([dxi, deta], axis=-1)
 
 
+def _quad_local():
+    g = np.array([0.5 - _G, 0.5 + _G])
+    quadrants = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)
+    return np.array([((qx + gx) / 2.0, (qy + gy) / 2.0)
+                     for qx, qy in quadrants for gy in g for gx in g])
+
+
+# Local coordinates of the 16 quadrature points of the unit element.
+QUAD_LOCAL = _quad_local()
+
+
 class Quadrature:
     """Per-element quadrature and segment tables bound to one mesh.
 
     Points are ordered quadrant by quadrant (SW, SE, NW, NE), four Gauss
     points each, so point k belongs to the control volume of local corner
-    k // 4.  Weights are uniform: hx*hy/16 per point.
+    k // 4.  Weights are uniform: hx*hy/16 per point.  `x` and `y` hold the
+    global coordinates of every element's points, (ne, 16) each, read-only.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        g = np.array([0.5 - _G, 0.5 + _G])
-        quadrants = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)
-        pts = []
-        for qx, qy in quadrants:
-            for gy in g:
-                for gx in g:
-                    pts.append(((qx + gx) / 2.0, (qy + gy) / 2.0))
-        self.local_points = np.array(pts)                      # (16, 2)
+        self.local_points = QUAD_LOCAL                          # (16, 2)
         self.owner_corner = np.repeat(np.arange(4), 4)          # CV owning each point
         self.weight = mesh.hx * mesh.hy / 16.0
         self.phi = basis_values(self.local_points[:, 0], self.local_points[:, 1])
@@ -64,23 +74,28 @@ class Quadrature:
         self.seg_dphi_n = np.take_along_axis(
             self.seg_dphi, SEG_NORMAL_AXIS[:, None, None], axis=2)[:, :, 0]
         self.seg_len = np.where(SEG_NORMAL_AXIS == 0, mesh.hy / 2.0, mesh.hx / 2.0)
+        self.x, self.y = element_points(mesh, self.local_points)
 
-    def global_points(self, elems=None):
-        """Quadrature points of the given elements, shape (ne, 16, 2)."""
-        origins = self.mesh.element_origins
-        if elems is not None:
-            origins = origins[elems]
-        scale = np.array([self.mesh.hx, self.mesh.hy])
-        return origins[:, None, :] + self.local_points[None, :, :] * scale
+    def global_points(self):
+        """The quadrature points as one (ne, 16, 2) array, a fresh copy."""
+        return np.stack([self.x, self.y], axis=-1)
+
+
+def element_points(mesh, local):
+    """Global coordinates of local points (n, 2) in every element.
+
+    Returns read-only (ne, n) arrays x and y.
+    """
+    x = mesh.element_origins[:, 0, None] + local[:, 0] * mesh.hx
+    y = mesh.element_origins[:, 1, None] + local[:, 1] * mesh.hy
+    x.flags.writeable = False
+    y.flags.writeable = False
+    return x, y
 
 
 def quadrature(mesh):
-    """Quadrature tables for a mesh, built once and cached on it."""
-    quad = getattr(mesh, "_quadrature", None)
-    if quad is None:
-        quad = Quadrature(mesh)
-        mesh._quadrature = quad
-    return quad
+    """Quadrature tables and points of a mesh, built once per mesh."""
+    return mesh.constant("quadrature", Quadrature)
 
 
 def cv_flux_blocks(mesh, coeff):
@@ -185,14 +200,31 @@ class DGField:
 
 # -- L2 norms via the package quadrature ------------------------------------
 
+class QuadratureField:
+    """A function known by its values at the quadrature points, (16, ne).
+
+    `sample` evaluates a callable there once, so several integrals of the
+    same function (a norm and a difference, say) share one evaluation.
+    """
+
+    def __init__(self, mesh, values):
+        self.mesh = mesh
+        self.values = values
+
+    @classmethod
+    def sample(cls, mesh, fn, t=None):
+        return cls(mesh, _values_at_quadrature(mesh, fn, t))
+
+
 def _values_at_quadrature(mesh, source, t=None):
     quad = quadrature(mesh)
     if isinstance(source, NodalField):
         return quad.phi @ source.corner_values().T  # (16, ne) -> transpose below
     if isinstance(source, DGField):
         return quad.phi @ source.values.T
-    pts = quad.global_points()
-    x, y = pts[:, :, 0], pts[:, :, 1]
+    if isinstance(source, QuadratureField):
+        return source.values
+    x, y = quad.x, quad.y
     vals = source(x, y) if t is None else source(x, y, t)
     # match the memory layout of the field branches so reductions over
     # identical values are bitwise identical regardless of the source kind
@@ -207,7 +239,8 @@ def l2_norm(field):
 
 
 def l2_diff(field, other, t=None):
-    """L2 norm of (field - other); other is a field or a callable f(x, y[, t])."""
+    """L2 norm of (field - other); other is a field, a QuadratureField or a
+    callable f(x, y[, t])."""
     quad = quadrature(field.mesh)
     a = _values_at_quadrature(field.mesh, field)
     b = _values_at_quadrature(field.mesh, other, t=t)

@@ -40,13 +40,15 @@ SparseMatrix = sparse.csr_matrix
 
 
 class NoConvergenceError(RuntimeError):
-    """Solver could not reach its tolerance (iteration cap, or a singular
-    multigrid coarsest level); carries the best iterate seen."""
+    """Solver could not reach its tolerance (iteration cap, a BiCGStab
+    breakdown, or a singular multigrid coarsest level); carries the best
+    iterate seen, and whether the method broke down before its cap."""
 
-    def __init__(self, message, best, report):
+    def __init__(self, message, best, report, breakdown=False):
         super().__init__(message)
         self.best = best
         self.report = report
+        self.breakdown = breakdown
 
 
 @dataclass
@@ -72,6 +74,7 @@ class SolveReport:
     residual: float
     converged: bool
     residual_history: list | None = None
+    recovery: str | None = None   # "restart" or "lu" after a breakdown
 
 
 def assemble(rows, cols, values, shape):
@@ -154,12 +157,8 @@ class StencilPattern:
 
 
 def stencil(mesh):
-    """The stencil pattern of a mesh, built once and cached on it."""
-    pattern = getattr(mesh, "_stencil", None)
-    if pattern is None:
-        pattern = StencilPattern(mesh)
-        mesh._stencil = pattern
-    return pattern
+    """The stencil pattern of a mesh, built once per mesh."""
+    return mesh.constant("stencil", StencilPattern)
 
 
 def _jacobi_inverse(A):
@@ -262,9 +261,12 @@ def _bicgstab(A, b, x0, rtol, atol, maxiter, minv):
     residual = float(np.linalg.norm(b - A @ x))
     report = SolveReport(count[0], residual, info == 0, None)
     if info != 0:
+        # info > 0: iteration cap; info < 0: breakdown (a vanishing inner
+        # product), which a restart or another method can get past.
         raise NoConvergenceError(
             f"bicgstab failed after {count[0]} iterations "
-            f"(residual {residual:.3e}, info={info})", x, report)
+            f"(residual {residual:.3e}, info={info})", x, report,
+            breakdown=info < 0)
     return x, report
 
 

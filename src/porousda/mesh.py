@@ -78,6 +78,7 @@ class StructuredMesh:
 
         self._tag_vertices()
         self._build_segments()
+        self._constants = {}
 
     # -- boundary handling ------------------------------------------------
 
@@ -123,6 +124,19 @@ class StructuredMesh:
         self.n_segments = 4 * ne
 
     # -- convenience -------------------------------------------------------
+
+    def constant(self, key, build):
+        """The mesh constant `key`: build(mesh) on first use, then kept.
+
+        This is the one cache of what a mesh determines on its own (the
+        quadrature tables and points, the stencil pattern, the kernel
+        points, the multigrid transfers); it is filled lazily, inside the
+        run that first needs each entry.
+        """
+        value = self._constants.get(key)
+        if value is None:
+            value = self._constants[key] = build(self)
+        return value
 
     def cv_areas(self):
         """Areas of all control volumes (clipped at the boundary)."""

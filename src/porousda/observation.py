@@ -7,6 +7,11 @@ by default, coarse-cell averages as an alternative) and reconstructs a
 continuous field from such values with coarse bilinear interpolation.  An
 ObservationStream is a time-ordered sequence of functional-value vectors with
 linear interpolation between records.
+
+`bilinear_prolongation` is the one owner of the coarse bilinear weights: the
+grid's reconstruction and the pressure multigrid transfers are built from it.
+The grid reads the quadrature points from `quadrature(mesh)` and builds its
+operators once, at construction.
 """
 
 import csv
@@ -51,7 +56,9 @@ def bilinear_prolongation(nx, ny, kx, ky):
     The fine lattice has nx-by-ny cells; the coarse one keeps every kx-th
     vertical and every ky-th horizontal line, so it has (nx/kx)-by-(ny/ky)
     cells.  Row v holds the coarse basis at fine vertex v, so the matrix is
-    ((nx+1)(ny+1), (nx/kx+1)(ny/ky+1)).  It keeps explicit zeros.
+    ((nx+1)(ny+1), (nx/kx+1)(ny/ky+1)).  It keeps explicit zeros.  Every row
+    holds the four distinct corners of one coarse cell, already in column
+    order, so the CSR arrays are written down directly, without a sort.
     """
     ncx, ncy = nx // kx, ny // ky
     i = np.arange(nx + 1)
@@ -66,9 +73,9 @@ def bilinear_prolongation(nx, ny, kx, ky):
     CI, CJ = np.meshgrid(ci, cj)
     cols, w = _coarse_basis(ncx, CI.ravel(), CJ.ravel(), XI.ravel(), ETA.ravel())
     n_fine = (nx + 1) * (ny + 1)
-    rows = np.repeat(np.arange(n_fine), 4)
-    return linalg.assemble(rows, cols.ravel(), w.ravel(),
-                           (n_fine, (ncx + 1) * (ncy + 1)))
+    indptr = np.arange(0, 4 * n_fine + 1, 4, dtype=np.int32)
+    return linalg.SparseMatrix((w.ravel(), cols.ravel().astype(np.int32), indptr),
+                               shape=(n_fine, (ncx + 1) * (ncy + 1)))
 
 
 class SparseGrid:
@@ -107,9 +114,8 @@ class SparseGrid:
         """Normalized coarse-CV average functionals as a (n_obs, nv) matrix."""
         mesh = self.mesh
         quad = quadrature(mesh)
-        pts = quad.global_points().reshape(-1, 2)
-        ox = np.clip(np.round(pts[:, 0] / self.spacing).astype(int), 0, self.ncx)
-        oy = np.clip(np.round(pts[:, 1] / self.spacing).astype(int), 0, self.ncy)
+        ox = np.clip(np.round(quad.x.ravel() / self.spacing).astype(int), 0, self.ncx)
+        oy = np.clip(np.round(quad.y.ravel() / self.spacing).astype(int), 0, self.ncy)
         obs = oy * (self.ncx + 1) + ox
         corners = np.repeat(mesh.elements, 16, axis=0)          # (ne*16, 4)
         phi = np.tile(quad.phi, (mesh.n_elements, 1))            # (ne*16, 4)

@@ -2,17 +2,25 @@
 
 The pressure solve -div(kappa(theta) grad p) = g uses continuous bilinears on
 the primal mesh.  The mobility-weighted permeability kappa is evaluated once
-per concentration, at the package quadrature points and at the edge and
-sub-segment points the flux recovery needs, with the concentration clamped to
-[0, 1] first, so transient over/undershoots cannot push the coefficient out
-of its physical range.  Dirichlet values are imposed by row/column
-elimination with the symmetric right-hand-side correction, which keeps the
-free block SPD.
+per concentration, at the 28 kernel points per element: the package
+quadrature points and the edge and sub-segment points the flux recovery
+needs, with the concentration clamped to [0, 1] first, so transient
+over/undershoots cannot push the coefficient out of its physical range.
+Dirichlet values are imposed by row/column elimination with the symmetric
+right-hand-side correction, which keeps the free block SPD.
 
 The default solve is CG preconditioned by a geometric multigrid V-cycle.  The
 levels follow from the mesh: it is halved while nx and ny are both even and
 the coarse mesh keeps at least `MIN_COARSE_CELLS` cells per direction, and
 the coarsest level is solved directly.
+
+What depends on the mesh alone is built once per mesh, on first use, and
+shared by every problem on it (the reference and the assimilated run of a
+twin experiment): the kernel points (`kernel_points`, read-only, so a
+coefficient such as a raster lookup can keep its value there for the run)
+and the multigrid transfers (`multigrid_transfers`).  What depends on the
+problem's time-independent data is built once per problem: the source at the
+quadrature points, its load vector and control-volume integrals.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -21,7 +29,8 @@ import numpy as np
 from scipy import sparse
 
 from . import linalg
-from .fields import NodalField, basis_values, quadrature
+from .fields import (QUAD_LOCAL, NodalField, basis_values, element_points,
+                     quadrature)
 from .mesh import EDGE_QP_LOCAL, SEG_LOCAL_MID
 from .observation import bilinear_prolongation
 
@@ -45,8 +54,12 @@ def multigrid_transfers(mesh):
     is free when the fine vertex under it is), with explicit zeros dropped;
     returns a list of (P, P^T) pairs in CSR.  Every level keeps a Dirichlet
     vertex when the mesh has one, because each Dirichlet boundary edge has an
-    endpoint on the next coarser lattice.
+    endpoint on the next coarser lattice.  Built once per mesh.
     """
+    return mesh.constant("multigrid_transfers", _build_transfers)
+
+
+def _build_transfers(mesh):
     nx, ny = mesh.nx, mesh.ny
     free = ~mesh.is_dirichlet
     transfers = []
@@ -64,6 +77,25 @@ def multigrid_transfers(mesh):
         pin = sparse.eye(n, n - 1, k=-1, format="csr")
         transfers.append((pin, pin.T.tocsr()))
     return transfers
+
+
+# Local coordinates of the 28 kernel points: the 16 quadrature points, the 8
+# edge quarter points and the 4 sub-segment midpoints; and the basis there.
+_KERNEL_LOCAL = np.concatenate([QUAD_LOCAL, EDGE_QP_LOCAL, SEG_LOCAL_MID])
+_KERNEL_PHI = basis_values(_KERNEL_LOCAL[:, 0], _KERNEL_LOCAL[:, 1])
+
+
+def _build_kernel_points(mesh):
+    return element_points(mesh, _KERNEL_LOCAL)
+
+
+def kernel_points(mesh):
+    """Global coordinates of the 28 kernel points of every element.
+
+    Returns read-only (ne, 28) arrays x and y, built once per mesh; kappa is
+    evaluated at exactly these arrays on every solve.
+    """
+    return mesh.constant("kernel_points", _build_kernel_points)
 
 
 @dataclass
@@ -84,9 +116,10 @@ class PressureProblem:
     """Pressure equation data.  Run constants are built once: g, which is
     time-independent, at the package quadrature points into `source_q`
     (ne, 16), its FEM load vector into `load` and its control-volume
-    integrals into `cv_source` (nv,), and the multigrid prolongations into
-    `transfers`.  The element kernel of the latest concentration is kept for
-    the flux recovery that follows the solve (`element_kernel`)."""
+    integrals into `cv_source` (nv,).  `transfers` is the mesh's multigrid
+    hierarchy, shared with every other problem on the mesh.  The element
+    kernel of the latest concentration is kept for the flux recovery that
+    follows the solve (`element_kernel`)."""
 
     mesh: object
     kappa: object                  # callable(theta, x, y) -> permeability
@@ -103,9 +136,8 @@ class PressureProblem:
     def __post_init__(self):
         mesh = self.mesh
         quad = quadrature(mesh)
-        pts = quad.global_points()
-        self.source_q = np.asarray(self.source(pts[:, :, 0], pts[:, :, 1]),
-                                   dtype=float) * np.ones(pts.shape[:2])
+        self.source_q = np.asarray(self.source(quad.x, quad.y),
+                                   dtype=float) * np.ones(quad.x.shape)
         wg = quad.weight * self.source_q
         self.load = np.bincount(mesh.elements.ravel(),
                                 weights=(wg @ quad.phi).ravel(),
@@ -125,21 +157,19 @@ class PressureProblem:
 def element_kernel(problem, theta):
     """The ElementKernel of `problem` at concentration `theta`.
 
-    kappa is evaluated once, on all 28 points per element, with the
-    concentration clamped to [0, 1] first, and must be positive and finite
-    at every one of them.  The kernel is kept on the problem, so the flux
-    recovery at the same concentration reuses it.
+    kappa is evaluated once, at the mesh's `kernel_points` (all 28 points
+    per element), with the concentration clamped to [0, 1] first, and must
+    be positive and finite at every one of them.  The kernel is kept on the
+    problem, so the flux recovery at the same concentration reuses it.
     """
     kernel = problem.kernel
     if kernel is not None and np.array_equal(kernel.theta, theta.values):
         return kernel
     mesh = problem.mesh
     quad = quadrature(mesh)
-    local = np.concatenate([quad.local_points, EDGE_QP_LOCAL, SEG_LOCAL_MID])
-    pts = mesh.element_origins[:, None, :] + local * np.array([mesh.hx, mesh.hy])
-    phi = basis_values(local[:, 0], local[:, 1])
-    th = np.clip(theta.corner_values() @ phi.T, 0.0, 1.0)          # (ne, 28)
-    kq = problem.kappa(th, pts[:, :, 0], pts[:, :, 1]) * np.ones_like(th)
+    x, y = kernel_points(mesh)
+    th = np.clip(theta.corner_values() @ _KERNEL_PHI.T, 0.0, 1.0)  # (ne, 28)
+    kq = problem.kappa(th, x, y) * np.ones_like(th)
     if np.any(~np.isfinite(kq)) or np.any(kq <= 0.0):
         bad = float(np.nanmin(kq))
         raise CoefficientRangeError(f"kappa must be positive, found {bad}")

@@ -12,6 +12,13 @@ seeded noise mapped into a configured log range for permeability, and smooth
 compact bumps for wells, sources, and initial pockets.  Published figures of
 these fields are pictures only, so runs against them are property-checked,
 not curve-matched.
+
+The raster-backed conductivities (example3's `mobility_closure`, example4's
+kappa) take the raster factor from `PermeabilityRaster.lookup`, which keeps
+its value at the mesh's read-only kernel points: the bilinear lookup runs
+once per mesh, and only the concentration-dependent factor is evaluated on
+every pressure solve.  Every callable keeps its call form, kappa(theta, x, y)
+and f(x, y[, t]).
 """
 
 import math
@@ -63,11 +70,22 @@ def write_raster(path, values, lengths):
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _frozen(a):
+    """An array nobody can write to in place: read-only, owning its data."""
+    return isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
+
+
 class PermeabilityRaster:
     """Cell-centered permeability samples with clamped bilinear lookup.
 
     File format: one header line `nx ny Lx Ly`, then ny rows of nx values,
     row-major from the bottom row up.
+
+    The raster factor of a run's coefficient is a run constant: kappa is
+    evaluated at the mesh's read-only kernel points on every pressure solve.
+    `lookup` keeps its latest result for read-only input arrays and returns
+    it when it is handed the very same arrays again, so the bilinear formula
+    runs once per mesh.
     """
 
     def __init__(self, values, lengths=(1.0, 1.0)):
@@ -79,6 +97,7 @@ class PermeabilityRaster:
         self.values = values
         self.lengths = (float(lengths[0]), float(lengths[1]))
         self.ny, self.nx = values.shape
+        self._memo = None          # (x, y, lookup(x, y)) for read-only x, y
 
     @property
     def value_range(self):
@@ -91,7 +110,22 @@ class PermeabilityRaster:
         return xs, ys
 
     def lookup(self, x, y):
-        """Bilinear interpolation on the center lattice, clamped at edges."""
+        """Bilinear interpolation on the center lattice, clamped at edges.
+
+        The memo is keyed on array identity: for read-only arrays that own
+        their data, the result is stored (read-only) and returned as long as
+        the same two arrays come back; any other input is computed fresh.
+        """
+        memo = self._memo
+        if memo is not None and memo[0] is x and memo[1] is y:
+            return memo[2]
+        value = self._bilinear(x, y)
+        if _frozen(x) and _frozen(y):
+            value.flags.writeable = False
+            self._memo = (x, y, value)
+        return value
+
+    def _bilinear(self, x, y):
         Lx, Ly = self.lengths
         gx = np.clip(np.asarray(x, dtype=float) / (Lx / self.nx) - 0.5,
                      0.0, self.nx - 1.0)

@@ -20,16 +20,26 @@ element's corners.  The blocks are summed into the pattern in element order,
 which is deterministic but not value-sorted.  The nudging operator couples
 vertices to coarse lattice columns, off the pattern; its stream is reduced
 per element (an element lies in one coarse cell) and assembled with
-`linalg.assemble`.
+`linalg.assemble`.  The source is evaluated at the mesh's quadrature points
+and summed into control volumes by `np.bincount` over rows and weights fixed
+with the static operators (zero weight in Dirichlet rows).
+
+A BiCGStab breakdown is recovered in `step`: one restart from the best
+iterate, then a sparse LU factor of the step matrix, reused for the rest of
+the interval.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from . import linalg
 from .fields import NodalField, cv_flux_blocks, quadrature
 from .mesh import SEG_LEFT_CORNER, SEG_RIGHT_CORNER
+
+_log = logging.getLogger("porousda")
 
 
 def _upwind_blocks(upwind_corner):
@@ -85,6 +95,7 @@ class TransportCoefficients:
         self._static = self._build_static()
         self._k_matrix = None
         self._lhs = {}
+        self._lu = {}              # LU factors of _lhs after a breakdown
         self._source_cache = {}
 
     def with_velocity(self, outflux):
@@ -93,6 +104,7 @@ class TransportCoefficients:
         sib.velocity_outflux = outflux
         sib._k_matrix = None
         sib._lhs = {}
+        sib._lu = {}
         return sib
 
     # -- static operators ---------------------------------------------------
@@ -104,8 +116,10 @@ class TransportCoefficients:
         free = ~mesh.is_dirichlet
 
         cv_rows = mesh.elements[:, quad.owner_corner]            # (ne, 16)
-        pts = quad.global_points()
-        x, y = pts[:, :, 0], pts[:, :, 1]
+        # Quadrature weight of each point in its CV's source integral; zero
+        # in the rows of Dirichlet vertices, which are constrained.
+        cv_weight = quad.weight * free[cv_rows]
+        x, y = quad.x, quad.y
         # The four Gauss points of quadrant a all sit in the CV of corner a.
         phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
 
@@ -130,7 +144,8 @@ class TransportCoefficients:
         dir_diag = pattern.matrix(dir_data)
 
         static = {"mass": mass, "reac": reac, "diff": diff, "dir_diag": dir_diag,
-                  "dir_rows": dir_rows, "cv_rows": cv_rows, "free": free}
+                  "dir_rows": dir_rows, "cv_rows": cv_rows.ravel(),
+                  "cv_weight": cv_weight, "free": free}
 
         if self.grid is not None:
             static["nudge_cv"] = self._build_nudge_cv(free)
@@ -201,16 +216,16 @@ class TransportCoefficients:
         cached = self._source_cache.get(t)
         if cached is not None:
             return cached
-        st = self._static
-        out = np.zeros(self.mesh.n_vertices)
-        if self.source is not None:
+        n = self.mesh.n_vertices
+        if self.source is None:
+            out = np.zeros(n)
+        else:
+            st = self._static
             quad = quadrature(self.mesh)
-            pts = quad.global_points()
-            fv = np.asarray(self.source(pts[:, :, 0], pts[:, :, 1], t),
-                            dtype=float) * np.ones(pts.shape[:2])
-            rows = st["cv_rows"].ravel()
-            keep = st["free"][rows]
-            np.add.at(out, rows[keep], (quad.weight * fv).ravel()[keep])
+            fv = np.asarray(self.source(quad.x, quad.y, t), dtype=float)
+            out = np.bincount(st["cv_rows"],
+                              weights=(st["cv_weight"] * fv).ravel(),
+                              minlength=n)
         if len(self._source_cache) > 8:
             self._source_cache.clear()
         self._source_cache[t] = out
@@ -251,11 +266,54 @@ def assemble_step(theta_old, coeffs, step, observations=None):
 
 
 def step(theta_old, coeffs, step_spec, observations=None, solver=None):
-    """Advance one fine step; returns (NodalField, SolveReport)."""
+    """Advance one fine step; returns (NodalField, SolveReport).
+
+    A BiCGStab breakdown is recovered, and logged: the solve restarts once
+    from its best iterate, and if that fails too, the step is solved with a
+    sparse LU factor of the same matrix, which the later steps of the
+    interval with the same step size reuse.  The report's `recovery` names
+    what was done.  An iteration cap that is reached without a breakdown is
+    the caller's budget and stays a `NoConvergenceError`.
+    """
     solver = solver or linalg.SolverConfig(method="bicgstab", preconditioner="jacobi")
     A, rhs = assemble_step(theta_old, coeffs, step_spec, observations)
-    x, report = linalg.solve(A, rhs, solver, x0=theta_old.values)
+    lu = coeffs._lu.get(step_spec.dt)
+    if lu is not None:
+        x, report = _lu_solve(A, lu, rhs)
+        return NodalField(coeffs.mesh, x), report
+    try:
+        x, report = linalg.solve(A, rhs, solver, x0=theta_old.values)
+    except linalg.NoConvergenceError as exc:
+        if not exc.breakdown:
+            raise
+        x, report = _recover(A, rhs, solver, exc, coeffs, step_spec)
     return NodalField(coeffs.mesh, x), report
+
+
+def _recover(A, rhs, solver, exc, coeffs, step_spec):
+    """Solve a step whose BiCGStab broke down: restart, then sparse LU."""
+    where = (f"transport step {float(step_spec.t_start)!r} -> "
+             f"{float(step_spec.t_end)!r}")
+    try:
+        x, report = linalg.solve(A, rhs, solver, x0=exc.best)
+    except linalg.NoConvergenceError as again:
+        _log.warning("%s: %s; the restart failed too (%s), solving by sparse LU",
+                     where, exc, again)
+        try:
+            lu = coeffs._lu[step_spec.dt] = splu(A.tocsc())
+        except RuntimeError:        # SuperLU: singular; nothing left to try
+            raise again from None
+        return _lu_solve(A, lu, rhs)
+    _log.warning("%s: %s; restarted from the best iterate", where, exc)
+    report.iterations += exc.report.iterations
+    report.recovery = "restart"
+    return x, report
+
+
+def _lu_solve(A, lu, rhs):
+    x = lu.solve(rhs)
+    residual = float(np.linalg.norm(rhs - A @ x))
+    return x, linalg.SolveReport(0, residual, True, recovery="lu")
 
 
 def prescribed_outflux(mesh, velocity, theta_frozen):

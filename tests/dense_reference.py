@@ -521,3 +521,56 @@ def face_velocity(flux, segment):
     """Normal velocity (outflux per unit length) across one dual-mesh segment,
     signed along the segment's +axis normal (from seg_left toward seg_right)."""
     return float(flux.segment_outflux[segment] / flux.mesh.seg_len[segment])
+
+
+# -- forms the package replaced, kept as bitwise references ------------------
+
+def source_vector_add_at(coeffs, t):
+    """CV integrals of the transport source f(., t), scattered point by point
+    with `np.add.at` over the free control volumes only."""
+    from porousda.fields import quadrature
+
+    mesh = coeffs.mesh
+    quad = quadrature(mesh)
+    out = np.zeros(mesh.n_vertices)
+    if coeffs.source is None:
+        return out
+    pts = quad.global_points()
+    fv = np.asarray(coeffs.source(pts[:, :, 0], pts[:, :, 1], t),
+                    dtype=float) * np.ones(pts.shape[:2])
+    rows = mesh.elements[:, quad.owner_corner].ravel()
+    keep = ~mesh.is_dirichlet[rows]
+    np.add.at(out, rows[keep], (quad.weight * fv).ravel()[keep])
+    return out
+
+
+def metrics_two_calls(theta, fn, grid):
+    """R and Rtilde against an analytic truth fn(x, y), which is evaluated at
+    the quadrature points twice: once for the norm, once for the difference."""
+    from porousda.fields import l2_diff, l2_norm_callable
+
+    denom = l2_norm_callable(theta.mesh, fn)
+    r = 100.0 * (l2_diff(theta, fn) / denom)
+    rtilde = 100.0 * (l2_diff(theta, grid.interpolate(fn)) / denom)
+    return r, rtilde
+
+
+def prolongation_by_assembly(nx, ny, kx, ky):
+    """The coarse-to-fine bilinear prolongation as a (row, col, weight) stream
+    summed by `linalg.assemble`."""
+    from porousda import linalg
+
+    ncx, ncy = nx // kx, ny // ky
+    rows, cols, vals = [], [], []
+    for j in range(ny + 1):
+        cj = min(j // ky, ncy - 1)
+        eta = (j - cj * ky) / ky
+        for i in range(nx + 1):
+            ci = min(i // kx, ncx - 1)
+            xi = (i - ci * kx) / kx
+            base = cj * (ncx + 1) + ci
+            rows += [j * (nx + 1) + i] * 4
+            cols += [base, base + 1, base + ncx + 1, base + ncx + 2]
+            vals += [hat(c, xi, eta) for c in range(4)]
+    return linalg.assemble(np.array(rows), np.array(cols), np.array(vals),
+                           ((nx + 1) * (ny + 1), (ncx + 1) * (ncy + 1)))

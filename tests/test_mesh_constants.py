@@ -1,0 +1,214 @@
+"""Fixed point sets and mesh-constant operators: one owner, built once.
+
+The driver-path tests run a twin experiment (reference plus assimilated run)
+and count how often each mesh constant and the raster factor of kappa are
+built.  The other tests hold the faster forms to the ones they replaced
+(`np.add.at` source scatter, two evaluations of an analytic truth per metric
+row, the sorted-stream prolongation), bitwise.
+"""
+
+import numpy as np
+import pytest
+
+import dense_reference as dr
+from porousda import driver, fields, pressure, scenarios
+from porousda.fields import NodalField, quadrature
+from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
+from porousda.observation import SparseGrid, bilinear_prolongation
+from porousda.pressure import kernel_points, multigrid_transfers
+from porousda.scenarios import PermeabilityRaster
+from porousda.transport import TransportCoefficients
+
+
+def _counting(counts, key, fn):
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.fixture(scope="module")
+def ex3_twin_builds():
+    """example3 nx=30 over three coarse intervals, reference plus assimilated
+    run on one mesh, counting the builds of every mesh constant and every
+    run of the raster's bilinear formula."""
+    sc = scenarios.example3(nx=30, spacing=0.1, t_end=0.006)
+    counts = dict.fromkeys(("bilinear", "quadrature", "kernel_points",
+                            "transfers"), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PermeabilityRaster, "_bilinear",
+                   _counting(counts, "bilinear", PermeabilityRaster._bilinear))
+        mp.setattr(fields, "Quadrature",
+                   _counting(counts, "quadrature", fields.Quadrature))
+        mp.setattr(pressure, "_build_kernel_points",
+                   _counting(counts, "kernel_points",
+                             pressure._build_kernel_points))
+        mp.setattr(pressure, "_build_transfers",
+                   _counting(counts, "transfers", pressure._build_transfers))
+        part = driver.TimePartition.from_scenario(sc)
+        mesh = sc.build_mesh()
+        ref = driver.run_reference(sc, part, mesh)
+        run = driver.run_assimilated(sc, ref.stream, part, mesh,
+                                     reference=ref.trajectory)
+    solves = sum(len(r.report.solver_iterations["pressure"]) for r in (ref, run))
+    return mesh, counts, solves
+
+
+def test_twin_runs_the_raster_formula_once_per_mesh(ex3_twin_builds):
+    _, counts, solves = ex3_twin_builds
+    assert solves == 6
+    assert counts["bilinear"] == 1
+
+
+def test_twin_builds_each_mesh_constant_once(ex3_twin_builds):
+    _, counts, _ = ex3_twin_builds
+    assert counts["quadrature"] == 1
+    assert counts["kernel_points"] == 1
+    assert counts["transfers"] == 1
+
+
+def test_point_sets_are_contiguous_and_read_only(ex3_twin_builds):
+    mesh, _, _ = ex3_twin_builds
+    quad = quadrature(mesh)
+    for arr, width in ((quad.x, 16), (quad.y, 16),
+                       *((a, 28) for a in kernel_points(mesh))):
+        assert arr.shape == (mesh.n_elements, width)
+        assert arr.flags.c_contiguous and arr.flags.owndata
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    np.testing.assert_array_equal(quad.global_points(),
+                                  np.stack([quad.x, quad.y], axis=-1))
+    kx, ky = kernel_points(mesh)
+    np.testing.assert_array_equal(kx[:, :16], quad.x)
+    np.testing.assert_array_equal(ky[:, :16], quad.y)
+
+
+def test_problems_on_one_mesh_share_the_transfers():
+    sc = scenarios.example3(nx=32)
+    mesh = sc.build_mesh()
+    a = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)
+    b = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)
+    assert a.transfers is b.transfers is multigrid_transfers(mesh)
+    assert len(a.transfers) == 2
+
+
+# -- the raster memo ------------------------------------------------------------
+
+def _frozen_points(n=40, seed=3):
+    rng = np.random.default_rng(seed)
+    x, y = (a.copy() for a in rng.uniform(-0.1, 1.1, (2, n, 7)))
+    x.flags.writeable = False
+    y.flags.writeable = False
+    return x, y
+
+
+def test_lookup_memo_returns_the_stored_value_for_the_same_arrays(monkeypatch):
+    raster = PermeabilityRaster.standin(nx=12, ny=9, seed=5)
+    counts = {"bilinear": 0}
+    monkeypatch.setattr(PermeabilityRaster, "_bilinear",
+                        _counting(counts, "bilinear", PermeabilityRaster._bilinear))
+    x, y = _frozen_points()
+    first = raster.lookup(x, y)
+    again = raster.lookup(x, y)
+    assert again is first and counts["bilinear"] == 1
+    assert not first.flags.writeable
+    np.testing.assert_array_equal(first, raster._bilinear(x.copy(), y.copy()))
+    # Equal but different arrays are computed fresh, and become the memo.
+    x2, y2 = _frozen_points()
+    assert raster.lookup(x2, y2) is not first
+    assert counts["bilinear"] == 3
+
+
+def test_lookup_memo_ignores_arrays_that_can_change(monkeypatch):
+    raster = PermeabilityRaster.standin(nx=12, ny=9, seed=5)
+    counts = {"bilinear": 0}
+    monkeypatch.setattr(PermeabilityRaster, "_bilinear",
+                        _counting(counts, "bilinear", PermeabilityRaster._bilinear))
+    x, y = _frozen_points()
+    writable = x.copy(), y.copy()
+    base = x.copy()
+    view = base.view()
+    view.flags.writeable = False         # read-only, but base can change it
+    for args in (writable, writable, (view, y), (view, y)):
+        value = raster.lookup(*args)
+        assert value.flags.writeable
+    assert counts["bilinear"] == 4
+    base[0, 0] = 0.5
+    np.testing.assert_array_equal(raster.lookup(view, y),
+                                  raster._bilinear(base, y))
+
+
+@pytest.mark.parametrize("factory", [scenarios.example3, scenarios.example4])
+def test_raster_kappa_reuses_the_factor_at_the_kernel_points(factory, monkeypatch):
+    sc = factory(nx=16)
+    mesh = sc.build_mesh()
+    x, y = kernel_points(mesh)
+    counts = {"bilinear": 0}
+    monkeypatch.setattr(PermeabilityRaster, "_bilinear",
+                        _counting(counts, "bilinear", PermeabilityRaster._bilinear))
+    for theta in (0.0, 0.3, np.linspace(0.0, 1.0, x.size).reshape(x.shape)):
+        got = sc.kappa(theta, x, y)
+        np.testing.assert_array_equal(got, sc.kappa(theta, x.copy(), y.copy()))
+    assert counts["bilinear"] == 1 + 3       # one memo fill, three fresh copies
+
+
+# -- source and metric integrals ---------------------------------------------
+
+def _mixed_faces(x, y):
+    return DIRICHLET if x == 0.0 or (y == 0.0 and x < 0.5) else NEUMANN
+
+
+@pytest.mark.parametrize("boundary", ["all_dirichlet", "all_neumann", _mixed_faces])
+def test_source_vector_equals_the_add_at_scatter_bitwise(boundary):
+    mesh = build_mesh(9, 7, 1.0, 0.7, boundary)
+
+    def source(x, y, t):
+        return np.sin(3.0 * x + t) * np.exp(y) - 0.4
+
+    coeffs = TransportCoefficients(mesh, lambda x, y: np.ones_like(x),
+                                   source=source)
+    for t in (0.0, 0.125, 1.0 / 3.0):
+        got = coeffs.source_vector(t)
+        want = dr.source_vector_add_at(coeffs, t)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scalar_source_is_spread_over_every_point():
+    mesh = build_mesh(5, 4)
+    coeffs = TransportCoefficients(mesh, lambda x, y: np.ones_like(x),
+                                   source=lambda x, y, t: 2.0)
+    np.testing.assert_array_equal(coeffs.source_vector(0.0),
+                                  dr.source_vector_add_at(coeffs, 0.0))
+
+
+def test_metrics_evaluate_the_truth_once_and_match_two_calls():
+    sc = scenarios.example1(nx=20)
+    mesh = sc.build_mesh()
+    grid = SparseGrid(mesh, sc.spacing)
+    calls = {"exact": 0}
+    exact = _counting(calls, "exact", sc.exact)
+    comparator = driver._Comparator(sc.with_overrides(exact=exact), grid)
+    theta = NodalField.from_callable(
+        mesh, lambda x, y: 0.9 * sc.exact(x, y, 0.1) + 0.01 * np.sin(7.0 * x))
+    for t in (0.0, 0.1, 0.37):
+        calls["exact"] = 0
+        got = comparator.metrics(theta, t)
+        # One evaluation at the quadrature points, one at the lattice points.
+        assert calls["exact"] == 2
+        want = dr.metrics_two_calls(theta, lambda x, y: sc.exact(x, y, t), grid)
+        assert got == want
+
+
+# -- coarse transfers -------------------------------------------------------------
+
+@pytest.mark.parametrize("nx, ny, kx, ky", [(240, 240, 8, 8), (240, 240, 2, 2),
+                                            (60, 60, 6, 6), (9, 6, 3, 2)])
+def test_prolongation_equals_the_assembled_stream_bitwise(nx, ny, kx, ky):
+    got = bilinear_prolongation(nx, ny, kx, ky)
+    want = dr.prolongation_by_assembly(nx, ny, kx, ky)
+    assert got.shape == want.shape
+    for a, b in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()

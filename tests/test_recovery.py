@@ -1,0 +1,156 @@
+"""BiCGStab breakdown recovery in the transport step.
+
+A breakdown (scipy's info < 0) is recovered by one restart from the best
+iterate, and failing that by a sparse LU factor of the step matrix that the
+rest of the interval reuses.  Reaching the iteration cap is not a breakdown
+and still fails the run.  The scenario cases below broke down in their
+reference run before the recovery existed.
+"""
+
+import logging
+
+import numpy as np
+import pytest
+
+from porousda import driver, linalg, scenarios, transport
+from porousda.cli import main
+from porousda.fields import NodalField
+from porousda.linalg import NoConvergenceError, SolverConfig
+from porousda.mesh import build_mesh
+from porousda.transport import TransportCoefficients, TransportStep
+
+DAY = scenarios.DAY
+
+
+def _reference(sc, t_end):
+    part = driver.TimePartition.from_scenario(sc, t_end=t_end)
+    return driver.run_reference(sc, part, sc.build_mesh())
+
+
+def _broken_bicgstab(monkeypatch, failures):
+    """Make the first `failures` BiCGStab solves break down (info = -10)."""
+    solve = linalg.solve
+    calls = {"n": 0}
+
+    def breaking(A, b, config=None, **kw):
+        calls["n"] += 1
+        if calls["n"] <= failures:
+            x = np.zeros_like(b)
+            report = linalg.SolveReport(3, 1.0, False)
+            raise NoConvergenceError("bicgstab failed (info=-10)", x, report,
+                                     breakdown=True)
+        return solve(A, b, config, **kw)
+
+    monkeypatch.setattr(linalg, "solve", breaking)
+    return calls
+
+
+def _counted_splu(monkeypatch):
+    calls = []
+    splu = transport.splu
+
+    def counted(A):
+        calls.append(A)
+        return splu(A)
+
+    monkeypatch.setattr(transport, "splu", counted)
+    return calls
+
+
+def _diffusion_problem():
+    mesh = build_mesh(8, 8)
+    coeffs = TransportCoefficients(
+        mesh, diffusion=lambda x, y: 0.1 * np.ones_like(x),
+        source=lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y))
+    theta = NodalField.from_callable(mesh, lambda x, y: x * (1 - x) * y)
+    return coeffs, theta
+
+
+def _march(coeffs, theta, steps, dt=1.0 / 64.0):
+    solver = SolverConfig(method="bicgstab", rel_tol=1e-12, preconditioner="jacobi")
+    reports = []
+    for k in range(steps):
+        theta, rep = transport.step(theta, coeffs,
+                                    TransportStep(k * dt, (k + 1) * dt),
+                                    solver=solver)
+        reports.append(rep)
+    return theta, reports
+
+
+def test_bicgstab_marks_breakdown_but_not_the_cap():
+    coeffs, theta = _diffusion_problem()
+    A, rhs = transport.assemble_step(theta, coeffs, TransportStep(0.0, 0.01))
+    cfg = SolverConfig(method="bicgstab", rel_tol=1e-14, max_iter=1)
+    with pytest.raises(NoConvergenceError) as info:
+        linalg.solve(A, rhs, cfg)
+    assert not info.value.breakdown
+    with pytest.raises(NoConvergenceError):
+        transport.step(theta, coeffs, TransportStep(0.0, 0.01), solver=cfg)
+
+
+def test_restart_recovers_a_breakdown_and_logs_it(monkeypatch, caplog):
+    coeffs, theta = _diffusion_problem()
+    plain, _ = _march(coeffs.with_velocity(None), theta, 3)
+    _broken_bicgstab(monkeypatch, failures=1)
+    with caplog.at_level(logging.WARNING, logger="porousda"):
+        got, reports = _march(coeffs.with_velocity(None), theta, 3)
+    assert [r.recovery for r in reports] == ["restart", None, None]
+    assert reports[0].iterations > 3
+    assert "restarted from the best iterate" in caplog.text
+    np.testing.assert_allclose(got.values, plain.values, rtol=0, atol=1e-11)
+
+
+def test_failed_restart_falls_back_to_one_lu_factor_per_interval(monkeypatch, caplog):
+    coeffs, theta = _diffusion_problem()
+    plain, _ = _march(coeffs.with_velocity(None), theta, 4)
+    calls = _broken_bicgstab(monkeypatch, failures=2)
+    factors = _counted_splu(monkeypatch)
+    interval = coeffs.with_velocity(None)
+    with caplog.at_level(logging.WARNING, logger="porousda"):
+        got, reports = _march(interval, theta, 4)
+    assert [r.recovery for r in reports] == ["lu"] * 4
+    assert all(r.converged and r.residual < 1e-12 for r in reports)
+    assert calls["n"] == 2 and len(factors) == 1      # later steps reuse it
+    assert "solving by sparse LU" in caplog.text
+    np.testing.assert_allclose(got.values, plain.values, rtol=0, atol=1e-11)
+    # The next interval has its own step matrix and starts with BiCGStab.
+    _, reports = _march(interval.with_velocity(None), theta, 1)
+    assert reports[0].recovery is None
+
+
+def test_run_report_counts_recoveries(monkeypatch):
+    sc = scenarios.example1(nx=10, t_end=0.04)
+    _broken_bicgstab(monkeypatch, failures=1)
+    ref = _reference(sc, 0.04)
+    assert ref.report.recoveries == [(pytest.approx(0.002), "restart")]
+
+
+# -- cases that broke down before ---------------------------------------------
+
+def test_example1_default_size_recovers_its_breakdowns():
+    """example1 at nx=100 broke down in the step ending at t = 0.052."""
+    ref = _reference(scenarios.example1(), 0.06)
+    assert [t for t, _ in ref.report.recoveries] == pytest.approx([0.052, 0.056])
+    assert np.all(np.isfinite(ref.trajectory.values))
+
+
+def test_example4_default_size_recovers_its_breakdown():
+    """example4 at nx=240 broke down in its first fine step."""
+    ref = _reference(scenarios.example4(), 2 * DAY)
+    assert ref.report.recoveries == [(7200.0, "restart")]
+    assert len(ref.report.rows) == 25
+
+
+def test_example4_raster_seed_10_recovers_its_breakdown():
+    ref = _reference(scenarios.example4(nx=120, seed=10), 8 * DAY)
+    assert [kind for _, kind in ref.report.recoveries] == ["restart"]
+    assert ref.report.conservation_max <= 1e-12
+
+
+def test_cli_runs_example4_at_default_size(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("POROUSDA_OUTPUT_ROOT", str(tmp_path))
+    cfg = tmp_path / "ex4.ini"
+    cfg.write_text("[scenario]\nname = example4\n\n[time]\nt_end = 172800\n")
+    assert main(["run", str(cfg)]) == 0
+    assert "final R" in capsys.readouterr().out
+    assert (tmp_path / "metrics.csv").exists()

@@ -322,9 +322,10 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
 
         coeffs_n = coeffs.with_velocity(outflux) if outflux is not None else coeffs
         fine = partition.fine_times(n)
+        h = (fine[-1] - fine[0]) / partition.fine_per_coarse  # see TransportStep
         for s0, s1 in zip(fine[:-1], fine[1:]):
             theta, rep = transport.step(theta, coeffs_n,
-                                        transport.TransportStep(s0, s1),
+                                        transport.TransportStep(s0, s1, h),
                                         observations=stream,
                                         solver=solvers["transport"])
             report.solver_iterations["transport"].append(rep.iterations)

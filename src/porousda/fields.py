@@ -110,28 +110,6 @@ def cv_flux_blocks(mesh, coeff):
     return -(coeff[:, None, :] * (SEG_SIGN * quad.seg_len)) @ quad.seg_dphi_n
 
 
-def locate(mesh, points):
-    """Element ids containing the given points.
-
-    Points on an inter-element line are assigned to the lower element id,
-    points outside the domain raise.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x, y = pts[:, 0], pts[:, 1]
-    if np.any(x < 0) or np.any(x > mesh.Lx) or np.any(y < 0) or np.any(y > mesh.Ly):
-        raise ValueError("point outside the mesh domain")
-    ix = np.clip(np.ceil(x / mesh.hx).astype(int) - 1, 0, mesh.nx - 1)
-    iy = np.clip(np.ceil(y / mesh.hy).astype(int) - 1, 0, mesh.ny - 1)
-    return iy * mesh.nx + ix
-
-
-def _local_coords(mesh, pts, elems):
-    origins = mesh.element_origins[elems]
-    xi = (pts[:, 0] - origins[:, 0]) / mesh.hx
-    eta = (pts[:, 1] - origins[:, 1]) / mesh.hy
-    return xi, eta
-
-
 class NodalField:
     """Continuous piecewise-bilinear field, one value per mesh vertex."""
 
@@ -150,24 +128,9 @@ class NodalField:
     def zeros(cls, mesh):
         return cls(mesh, np.zeros(mesh.n_vertices))
 
-    def corner_values(self, elems=None):
+    def corner_values(self):
         """Values at element corners, shape (ne, 4)."""
-        e = self.mesh.elements if elems is None else self.mesh.elements[elems]
-        return self.values[e]
-
-    def eval(self, points, elems=None):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        elems = locate(self.mesh, pts) if elems is None else np.asarray(elems)
-        xi, eta = _local_coords(self.mesh, pts, elems)
-        phi = basis_values(xi, eta)
-        return np.einsum("pc,pc->p", phi, self.values[self.mesh.elements[elems]])
-
-    def grad(self, points, elems=None):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        elems = locate(self.mesh, pts) if elems is None else np.asarray(elems)
-        xi, eta = _local_coords(self.mesh, pts, elems)
-        dphi = basis_gradients(xi, eta, self.mesh.hx, self.mesh.hy)
-        return np.einsum("pcd,pc->pd", dphi, self.values[self.mesh.elements[elems]])
+        return self.values[self.mesh.elements]
 
     def copy(self):
         return NodalField(self.mesh, self.values.copy())
@@ -182,20 +145,6 @@ class DGField:
             raise ValueError(f"expected shape ({mesh.n_elements}, 4), got {values.shape}")
         self.mesh = mesh
         self.values = values
-
-    def eval(self, points, elems=None):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        elems = locate(self.mesh, pts) if elems is None else np.asarray(elems)
-        xi, eta = _local_coords(self.mesh, pts, elems)
-        phi = basis_values(xi, eta)
-        return np.einsum("pc,pc->p", phi, self.values[elems])
-
-    def grad(self, points, elems=None):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        elems = locate(self.mesh, pts) if elems is None else np.asarray(elems)
-        xi, eta = _local_coords(self.mesh, pts, elems)
-        dphi = basis_gradients(xi, eta, self.mesh.hx, self.mesh.hy)
-        return np.einsum("pcd,pc->pd", dphi, self.values[elems])
 
 
 # -- L2 norms via the package quadrature ------------------------------------
@@ -219,7 +168,7 @@ class QuadratureField:
 def _values_at_quadrature(mesh, source, t=None):
     quad = quadrature(mesh)
     if isinstance(source, NodalField):
-        return quad.phi @ source.corner_values().T  # (16, ne) -> transpose below
+        return quad.phi @ source.corner_values().T  # (16, ne)
     if isinstance(source, DGField):
         return quad.phi @ source.values.T
     if isinstance(source, QuadratureField):

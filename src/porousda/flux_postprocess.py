@@ -158,15 +158,3 @@ def postprocess_flux(problem, pressure, theta):
     residuals = cv_balance_residuals(mesh, outflux, problem.cv_source)
     max_res = float(np.nanmax(np.abs(residuals))) if mesh.free_vertices.size else 0.0
     return ConservativeFlux(mesh, DGField(mesh, psi), outflux, residuals, max_res)
-
-
-def raw_pressure_outflux(problem, pressure, theta):
-    """Per-segment outflux of the unprocessed FEM pressure (for contrast)."""
-    kappa_seg = element_kernel(problem, theta).kappa_seg
-    return _segment_outflux_from(problem.mesh, kappa_seg, pressure.corner_values())
-
-
-def raw_pressure_residuals(problem, pressure, theta):
-    """CV balance residuals of the raw FEM flux (typically O(h), not zero)."""
-    outflux = raw_pressure_outflux(problem, pressure, theta)
-    return cv_balance_residuals(problem.mesh, outflux, problem.cv_source)

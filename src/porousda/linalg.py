@@ -8,9 +8,8 @@ per element sharing it) in element order.  That order is fixed, so assembly
 is deterministic; it is not value-sorted.  `assemble` turns an unordered
 contribution stream into a canonical matrix of any shape, summing duplicate
 (row, col) entries in value-sorted order, so its result is bitwise
-independent of the stream order; it serves the rectangular operators (grid
-transfers, observation functionals, the nudging operator) and the tests as
-the reference.
+independent of the stream order; it serves the coarse-average functionals
+(`SparseGrid._build_average`) and, as the reference, the tests.
 
 CG is hand-rolled to expose the residual history; BiCGStab wraps scipy for
 the nonsymmetric transport systems.  CG takes its preconditioner as a

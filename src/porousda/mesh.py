@@ -138,13 +138,6 @@ class StructuredMesh:
             value = self._constants[key] = build(self)
         return value
 
-    def cv_areas(self):
-        """Areas of all control volumes (clipped at the boundary)."""
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        wx = np.minimum(x + self.hx / 2, self.Lx) - np.maximum(x - self.hx / 2, 0.0)
-        wy = np.minimum(y + self.hy / 2, self.Ly) - np.maximum(y - self.hy / 2, 0.0)
-        return wx * wy
-
 
 def _resolve_edge_tags(nx, ny, Lx, Ly, boundary_spec):
     hx, hy = Lx / nx, Ly / ny

@@ -8,18 +8,22 @@ continuous field from such values with coarse bilinear interpolation.  An
 ObservationStream is a time-ordered sequence of functional-value vectors with
 linear interpolation between records.
 
-`bilinear_prolongation` is the one owner of the coarse bilinear weights: the
-grid's reconstruction and the pressure multigrid transfers are built from it.
-The grid reads the quadrature points from `quadrature(mesh)` and builds its
-operators once, at construction.
+`bilinear_prolongation` P is the one owner of the coarse bilinear basis.  It
+is the Kronecker product of two 1-D linear interpolations, and column c holds
+the coarse hat of lattice point c at the fine vertices.  The lattice is
+aligned with the mesh, so that hat is exactly the fine bilinear field with
+those vertex values.  The grid's reconstruction, the transport nudging
+operator (mass @ P) and the pressure multigrid transfers are all built from
+it.  The grid builds its operators once, at construction.
 """
 
 import csv
 
 import numpy as np
+from scipy import sparse
 
 from . import linalg
-from .fields import NodalField, basis_values, quadrature
+from .fields import NodalField, quadrature
 
 
 class AlignmentError(ValueError):
@@ -41,13 +45,21 @@ def _axis_ratio(spacing, h, n, axis):
     return k
 
 
-def _coarse_basis(ncx, ci, cj, xi, eta):
-    """Bilinear basis of a lattice with ncx cells per row, at points in its
-    cells (ci, cj) with local coordinates (xi, eta); returns (columns,
-    weights), each (n, 4)."""
-    base = cj * (ncx + 1) + ci
-    cols = np.stack([base, base + 1, base + ncx + 1, base + ncx + 2], axis=1)
-    return cols, basis_values(xi, eta)
+def _linear_interpolation(n, k):
+    """1-D linear interpolation from every k-th of n + 1 points to all of
+    them, as CSR ((n+1), (n/k+1)).  Row i holds the two hats of coarse cell
+    min(i // k, n/k - 1), in column order, explicit zeros included."""
+    nc = n // k
+    i = np.arange(n + 1)
+    c = np.minimum(i // k, nc - 1)
+    # Integer offsets keep the weights, and so the reconstruction, exact at
+    # the coarse points.
+    t = (i - c * k) / k
+    return linalg.SparseMatrix(
+        (np.stack([1.0 - t, t], axis=1).ravel(),
+         np.stack([c, c + 1], axis=1).ravel().astype(np.int32),
+         np.arange(0, 2 * (n + 1) + 1, 2, dtype=np.int32)),
+        shape=(n + 1, nc + 1))
 
 
 def bilinear_prolongation(nx, ny, kx, ky):
@@ -56,26 +68,13 @@ def bilinear_prolongation(nx, ny, kx, ky):
     The fine lattice has nx-by-ny cells; the coarse one keeps every kx-th
     vertical and every ky-th horizontal line, so it has (nx/kx)-by-(ny/ky)
     cells.  Row v holds the coarse basis at fine vertex v, so the matrix is
-    ((nx+1)(ny+1), (nx/kx+1)(ny/ky+1)).  It keeps explicit zeros.  Every row
-    holds the four distinct corners of one coarse cell, already in column
-    order, so the CSR arrays are written down directly, without a sort.
+    ((nx+1)(ny+1), (nx/kx+1)(ny/ky+1)).  Both lattices number their points
+    row by row, so the matrix is the Kronecker product of the 1-D
+    interpolations in y and in x: every row holds the four corners of one
+    coarse cell in column order, explicit zeros included.
     """
-    ncx, ncy = nx // kx, ny // ky
-    i = np.arange(nx + 1)
-    j = np.arange(ny + 1)
-    ci = np.minimum(i // kx, ncx - 1)
-    cj = np.minimum(j // ky, ncy - 1)
-    # Integer offsets keep the local coordinates, and so the
-    # reconstruction, exact at the coarse vertices.
-    xi = (i - ci * kx) / kx
-    eta = (j - cj * ky) / ky
-    XI, ETA = np.meshgrid(xi, eta)
-    CI, CJ = np.meshgrid(ci, cj)
-    cols, w = _coarse_basis(ncx, CI.ravel(), CJ.ravel(), XI.ravel(), ETA.ravel())
-    n_fine = (nx + 1) * (ny + 1)
-    indptr = np.arange(0, 4 * n_fine + 1, 4, dtype=np.int32)
-    return linalg.SparseMatrix((w.ravel(), cols.ravel().astype(np.int32), indptr),
-                               shape=(n_fine, (ncx + 1) * (ncy + 1)))
+    return sparse.kron(_linear_interpolation(ny, ky), _linear_interpolation(nx, kx),
+                       format="csr")
 
 
 class SparseGrid:
@@ -97,18 +96,10 @@ class SparseGrid:
         ii, jj = ii.ravel(), jj.ravel()
         self.point_vertex = (jj * self.ky) * (mesh.nx + 1) + ii * self.kx
         self.points = mesh.vertices[self.point_vertex]
-        self._prolong = bilinear_prolongation(mesh.nx, mesh.ny, self.kx, self.ky)
+        self.prolong_matrix = bilinear_prolongation(mesh.nx, mesh.ny, self.kx, self.ky)
         self._average = self._build_average() if kind == "average" else None
 
     # -- operators ---------------------------------------------------------
-
-    def basis_at(self, points):
-        """Coarse bilinear basis at arbitrary points (n, 2); see `_coarse_basis`."""
-        H = self.spacing
-        ci = np.clip((points[:, 0] // H).astype(int), 0, self.ncx - 1)
-        cj = np.clip((points[:, 1] // H).astype(int), 0, self.ncy - 1)
-        return _coarse_basis(self.ncx, ci, cj, points[:, 0] / H - ci,
-                             points[:, 1] / H - cj)
 
     def _build_average(self):
         """Normalized coarse-CV average functionals as a (n_obs, nv) matrix."""
@@ -151,23 +142,19 @@ class SparseGrid:
         d = np.asarray(functional_values, dtype=float)
         if d.shape != (self.n_obs,):
             raise ValueError(f"expected {self.n_obs} functional values, got {d.shape}")
-        return NodalField(self.mesh, self._prolong @ d)
+        return NodalField(self.mesh, self.prolong_matrix @ d)
 
     def interpolate(self, source, t=None):
         """Sparse interpolant of a field: reconstruct(sample(source))."""
         return self.reconstruct(self.sample(source, t=t))
 
-    @property
-    def prolong_matrix(self):
-        return self._prolong
-
     def functional_matrix(self):
         """The functionals as a sparse (n_obs, nv) matrix acting on nodal values."""
         if self.kind == "point":
-            rows = np.arange(self.n_obs)
-            vals = np.ones(self.n_obs)
-            return linalg.assemble(rows, self.point_vertex, vals,
-                                   (self.n_obs, self.mesh.n_vertices))
+            return linalg.SparseMatrix(
+                (np.ones(self.n_obs), self.point_vertex.astype(np.int32),
+                 np.arange(self.n_obs + 1, dtype=np.int32)),
+                shape=(self.n_obs, self.mesh.n_vertices))
         return self._average
 
 

@@ -18,15 +18,17 @@ control volume of that quadrant's corner, and every dual-mesh segment lies in
 one element, with both of its control volumes and its upwind vertex at that
 element's corners.  The blocks are summed into the pattern in element order,
 which is deterministic but not value-sorted.  The nudging operator couples
-vertices to coarse lattice columns, off the pattern; its stream is reduced
-per element (an element lies in one coarse cell) and assembled with
-`linalg.assemble`.  The source is evaluated at the mesh's quadrature points
-and summed into control volumes by `np.bincount` over rows and weights fixed
-with the static operators (zero weight in Dirichlet rows).
+vertices to coarse lattice columns, off the pattern.  Each coarse hat is
+exactly the fine bilinear field of its column of the grid's prolongation P,
+so the CV integrals of the coarse basis are `mass @ P`.  The source is
+evaluated at the mesh's quadrature points and summed into control volumes by
+`np.bincount` over rows and weights fixed with the static operators (zero
+weight in Dirichlet rows).
 
 A BiCGStab breakdown is recovered in `step`: one restart from the best
 iterate, then a sparse LU factor of the step matrix, reused for the rest of
-the interval.
+the interval.  The step matrix and its factor are cached by the step size,
+and the driver gives every step of an interval the same nominal size.
 """
 
 import logging
@@ -61,12 +63,21 @@ _UPWIND_RIGHT = _upwind_blocks(SEG_RIGHT_CORNER)
 
 @dataclass
 class TransportStep:
+    """One fine step from t_start to t_end, of size dt.
+
+    dt defaults to t_end - t_start.  The driver passes its interval's nominal
+    fine step (coarse step / m) instead: the fine times are a linspace, whose
+    differences vary in the last bit, and the step matrix and its LU factor
+    are cached by dt.
+    """
+
     t_start: float
     t_end: float
+    dt: float | None = None
 
-    @property
-    def dt(self):
-        return self.t_end - self.t_start
+    def __post_init__(self):
+        if self.dt is None:
+            self.dt = self.t_end - self.t_start
 
 
 class TransportCoefficients:
@@ -148,28 +159,13 @@ class TransportCoefficients:
                   "cv_weight": cv_weight, "free": free}
 
         if self.grid is not None:
-            static["nudge_cv"] = self._build_nudge_cv(free)
+            # CV integrals of the coarse observation basis, (nv, n_obs); the
+            # product's columns come out unsorted.
+            static["nudge_cv"] = mass @ self.grid.prolong_matrix
+            static["nudge_cv"].sort_indices()
             static["nudge_k"] = (static["nudge_cv"]
                                  @ self.grid.functional_matrix()).tocsr()
         return static
-
-    def _build_nudge_cv(self, free):
-        """CV integrals of the coarse observation basis, shape (nv, n_obs).
-
-        The lattice is aligned with the mesh, so all 16 quadrature points of
-        an element lie in one coarse cell and share its four basis columns;
-        the stream is reduced per element and quadrant before assembly.
-        """
-        mesh = self.mesh
-        quad = quadrature(mesh)
-        cols, w = self.grid.basis_at(quad.global_points().reshape(-1, 2))
-        cols = cols.reshape(-1, 16, 4)[:, 0, :]                  # (ne, 4)
-        w = quad.weight * w.reshape(-1, 4, 4, 4).sum(axis=2)     # (ne, a, k)
-        rows = np.broadcast_to(mesh.elements[:, :, None], w.shape)
-        cols = np.broadcast_to(cols[:, None, :], w.shape)
-        keep = free[rows]
-        return linalg.assemble(rows[keep], cols[keep], w[keep],
-                               (mesh.n_vertices, self.grid.n_obs))
 
     # -- per-interval operators ----------------------------------------------
 
@@ -271,9 +267,10 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None):
     A BiCGStab breakdown is recovered, and logged: the solve restarts once
     from its best iterate, and if that fails too, the step is solved with a
     sparse LU factor of the same matrix, which the later steps of the
-    interval with the same step size reuse.  The report's `recovery` names
-    what was done.  An iteration cap that is reached without a breakdown is
-    the caller's budget and stays a `NoConvergenceError`.
+    interval reuse (they share its step size; see `TransportStep`).  The
+    report's `recovery` names what was done.  An iteration cap that is
+    reached without a breakdown is the caller's budget and stays a
+    `NoConvergenceError`.
     """
     solver = solver or linalg.SolverConfig(method="bicgstab", preconditioner="jacobi")
     A, rhs = assemble_step(theta_old, coeffs, step_spec, observations)

@@ -7,9 +7,10 @@ element numbering, quadrature point set, segment ordering) are the interface
 contract and are re-derived here from first principles; the assembly logic
 itself is independent.
 
-All assembly routines return dense numpy arrays.  The last section holds
-record views of the dual mesh and of postprocessed fields that only the tests
-use.
+The dense assembly routines return dense numpy arrays.  The last two
+sections hold what only the tests use: record views of the dual mesh and of
+fields (control-volume areas, point evaluation, the raw FEM flux residuals),
+and the stream forms the package replaced, kept as references.
 """
 
 from dataclasses import dataclass, field
@@ -304,6 +305,32 @@ def coarse_basis(i, x, y, spacing, ncx):
     return sx * sy
 
 
+def nudge_by_assembly(mesh, grid):
+    """CV integrals of the coarse bilinear basis over the free control
+    volumes, (nv, n_obs): one (row, col, weight) entry per quadrature point
+    and corner of its coarse cell, summed by `linalg.assemble`."""
+    from porousda import linalg
+
+    H, ncx, ncy = grid.spacing, grid.ncx, grid.ncy
+    weight = mesh.hx * mesh.hy / 16.0
+    rows, cols, vals = [], [], []
+    for e in range(mesh.n_elements):
+        ox, oy = element_origin(mesh, e)
+        verts = element_vertices(mesh, e)
+        for xi, eta, quadrant in quad_points():
+            v = verts[quadrant]
+            if mesh.is_dirichlet[v]:
+                continue
+            x, y = ox + xi * mesh.hx, oy + eta * mesh.hy
+            sw = min(int(y // H), ncy - 1) * (ncx + 1) + min(int(x // H), ncx - 1)
+            for i in (sw, sw + 1, sw + ncx + 1, sw + ncx + 2):
+                rows.append(v)
+                cols.append(i)
+                vals.append(weight * coarse_basis(i, x, y, H, ncx))
+    return linalg.assemble(np.array(rows), np.array(cols), np.array(vals),
+                           (mesh.n_vertices, grid.n_obs))
+
+
 def dense_transport_system(mesh, theta_old, dt, t0, t1, diffusion,
                            reaction=None, source=None, mu=0.0, spacing=None,
                            outflux=None, data0=None, data1=None,
@@ -442,6 +469,14 @@ class ControlVolume:
     faces: list = field(default_factory=list)
 
 
+def cv_areas(mesh):
+    """Areas of all control volumes (clipped at the boundary)."""
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    wx = np.minimum(x + mesh.hx / 2, mesh.Lx) - np.maximum(x - mesh.hx / 2, 0.0)
+    wy = np.minimum(y + mesh.hy / 2, mesh.Ly) - np.maximum(y - mesh.hy / 2, 0.0)
+    return wx * wy
+
+
 def vertex_id(mesh, i, j):
     return j * (mesh.nx + 1) + i
 
@@ -461,7 +496,7 @@ def control_volumes(mesh):
     """
     nx, ny = mesh.nx, mesh.ny
     hx, hy = mesh.hx, mesh.hy
-    areas = mesh.cv_areas()
+    areas = cv_areas(mesh)
 
     # Gather interior faces per vertex from the segment table.
     faces_of = [[] for _ in range(mesh.n_vertices)]
@@ -505,6 +540,63 @@ def control_volumes(mesh):
             out.append(ControlVolume(vid, mesh.vertices[vid], cv_bounds(mesh, vid),
                                      areas[vid], faces))
     return out
+
+
+def locate(mesh, points):
+    """Element ids containing the given points.
+
+    Points on an inter-element line are assigned to the lower element id,
+    points outside the domain raise.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
+    if np.any(x < 0) or np.any(x > mesh.Lx) or np.any(y < 0) or np.any(y > mesh.Ly):
+        raise ValueError("point outside the mesh domain")
+    ix = np.clip(np.ceil(x / mesh.hx).astype(int) - 1, 0, mesh.nx - 1)
+    iy = np.clip(np.ceil(y / mesh.hy).astype(int) - 1, 0, mesh.ny - 1)
+    return iy * mesh.nx + ix
+
+
+def _at_points(field, points):
+    """Local coordinates (xi, eta) of points (n, 2) in their elements, and
+    the corner values (n, 4) of a NodalField or DGField there."""
+    mesh = field.mesh
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    elems = locate(mesh, pts)
+    origins = mesh.element_origins[elems]
+    xi = (pts[:, 0] - origins[:, 0]) / mesh.hx
+    eta = (pts[:, 1] - origins[:, 1]) / mesh.hy
+    values = field.values
+    corners = values[mesh.elements[elems]] if values.ndim == 1 else values[elems]
+    return xi, eta, corners
+
+
+def field_value(field, points):
+    """A NodalField or DGField at arbitrary points (n, 2)."""
+    xi, eta, corners = _at_points(field, points)
+    return sum(corners[:, c] * hat(c, xi, eta) for c in range(4))
+
+
+def field_gradient(field, points):
+    """Gradient (n, 2) of a NodalField or DGField at arbitrary points (n, 2)."""
+    mesh = field.mesh
+    xi, eta, corners = _at_points(field, points)
+    return sum(corners[:, c, None]
+               * np.stack(hat_grad(c, xi, eta, mesh.hx, mesh.hy), axis=-1)
+               for c in range(4))
+
+
+def raw_pressure_residuals(problem, pressure, theta):
+    """CV balance residuals of the unprocessed FEM pressure flux, for
+    contrast with the recovered one (typically O(h), not zero)."""
+    from porousda.flux_postprocess import (_segment_outflux_from,
+                                           cv_balance_residuals)
+    from porousda.pressure import element_kernel
+
+    mesh = problem.mesh
+    kappa_seg = element_kernel(problem, theta).kappa_seg
+    outflux = _segment_outflux_from(mesh, kappa_seg, pressure.corner_values())
+    return cv_balance_residuals(mesh, outflux, problem.cv_source)
 
 
 def interp_const(dg, elem):

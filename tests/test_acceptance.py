@@ -16,7 +16,7 @@ from porousda import driver, scenarios
 from porousda.driver import TimePartition, fit_decay_rate, run_assimilated, \
     run_reference
 from porousda.fields import NodalField, l2_diff, l2_norm, l2_norm_callable
-from porousda.flux_postprocess import postprocess_flux, raw_pressure_residuals
+from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import SolverConfig
 from porousda.mesh import build_mesh
 from porousda.observation import ObservationStream, SparseGrid
@@ -148,7 +148,7 @@ def test_criterion_3(ex3_runs):
     for t in (0.0, 0.1, 0.2):
         theta = ref.trajectory.at(t)
         p, _ = solve_pressure(prob, theta)
-        raw = raw_pressure_residuals(prob, p, theta)
+        raw = dr.raw_pressure_residuals(prob, p, theta)
         raw_worst = max(raw_worst, float(np.nanmax(np.abs(raw))))
     ok = post <= tol and raw_worst > 1e-4
     assert _record(

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import dense_reference as dr
-from dense_reference import face_velocity
+from dense_reference import face_velocity, raw_pressure_residuals
 from porousda.fields import NodalField, l2_norm_callable
-from porousda.flux_postprocess import (LocalSolveError, postprocess_flux,
-                                       raw_pressure_residuals)
+from porousda.flux_postprocess import LocalSolveError, postprocess_flux
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.pressure import PressureProblem, solve_pressure
 

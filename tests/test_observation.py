@@ -43,15 +43,6 @@ def test_prolongation_partition_of_unity():
     np.testing.assert_allclose(ones, 1.0, atol=1e-13)
 
 
-def test_basis_at_vertices_matches_prolongation():
-    mesh = build_mesh(12, 12)
-    grid = SparseGrid(mesh, 0.25)
-    cols, w = grid.basis_at(mesh.vertices)
-    dense = np.zeros((mesh.n_vertices, grid.n_obs))
-    np.add.at(dense, (np.arange(mesh.n_vertices)[:, None], cols), w)
-    np.testing.assert_allclose(dense, grid.prolong_matrix.toarray(), atol=1e-14)
-
-
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["point", "average"]))
 def test_sign_preserved_for_nonnegative_fields(seed, kind):

@@ -118,6 +118,35 @@ def test_failed_restart_falls_back_to_one_lu_factor_per_interval(monkeypatch, ca
     assert reports[0].recovery is None
 
 
+def test_driver_builds_one_step_matrix_and_one_factor_per_interval(monkeypatch):
+    """The fine times of an interval are a linspace whose steps differ in
+    the last bit.  The driver gives every step the interval's nominal size,
+    so each interval builds one step matrix, and when every BiCGStab solve
+    breaks down, the first step's LU factor serves the whole interval."""
+    sc = scenarios.example1(nx=10, t_end=0.04)
+    part = driver.TimePartition.from_scenario(sc)
+    assert all(np.unique(np.diff(part.fine_times(n))).size > 1
+               for n in range(part.n_coarse))
+    matrices = []
+    build = TransportCoefficients._lhs_matrix
+
+    def recorded(self, dt):
+        matrices.append(build(self, dt))
+        return matrices[-1]
+
+    monkeypatch.setattr(TransportCoefficients, "_lhs_matrix", recorded)
+    calls = _broken_bicgstab(monkeypatch, failures=float("inf"))
+    factors = _counted_splu(monkeypatch)
+    ref = _reference(sc, 0.04)
+    steps = part.n_coarse * part.fine_per_coarse
+    assert len(matrices) == steps
+    assert len({id(A) for A in matrices}) == part.n_coarse
+    # One solve and its restart break down per interval, then LU throughout.
+    assert calls["n"] == 2 * part.n_coarse
+    assert len(factors) == part.n_coarse
+    assert [kind for _, kind in ref.report.recoveries] == ["lu"] * steps
+
+
 def test_run_report_counts_recoveries(monkeypatch):
     sc = scenarios.example1(nx=10, t_end=0.04)
     _broken_bicgstab(monkeypatch, failures=1)
@@ -128,9 +157,12 @@ def test_run_report_counts_recoveries(monkeypatch):
 # -- cases that broke down before ---------------------------------------------
 
 def test_example1_default_size_recovers_its_breakdowns():
-    """example1 at nx=100 broke down in the step ending at t = 0.052."""
+    """example1 at nx=100 breaks down in the step ending at t = 0.056.
+
+    The breakdown comes at a residual near 1e-14, so which steps break
+    down moves with roundoff in the step size and the operators."""
     ref = _reference(scenarios.example1(), 0.06)
-    assert [t for t, _ in ref.report.recoveries] == pytest.approx([0.052, 0.056])
+    assert [t for t, _ in ref.report.recoveries] == pytest.approx([0.056])
     assert np.all(np.isfinite(ref.trajectory.values))
 
 

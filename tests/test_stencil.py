@@ -4,14 +4,17 @@ Every operator the package scatters into `linalg.stencil(mesh)` is rebuilt
 here as the unordered (row, col, value) stream of its quadrature points or
 dual-mesh segments and assembled with `linalg.assemble`, which sums in
 value-sorted order.  The two differ only in summation order, so they agree to
-roundoff and, once explicit zeros are dropped, in structure.  The driver-path
-tests check that a twin experiment builds the pattern once per mesh and
-evaluates kappa once per pressure solve.
+roundoff and, once explicit zeros are dropped, in structure.  The nudging
+operator `mass @ P` is checked the same way against the stream of the coarse
+basis at the quadrature points (`dense_reference.nudge_by_assembly`).  The
+driver-path tests check that a twin experiment builds the pattern once per
+mesh, evaluates kappa once per pressure solve and assembles no stream.
 """
 
 import numpy as np
 import pytest
 
+import dense_reference as dr
 from porousda import driver, linalg, scenarios
 from porousda.fields import NodalField, quadrature
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
@@ -103,17 +106,6 @@ def _advection_stream(mesh, U, free):
                            (mesh.n_vertices, mesh.n_vertices))
 
 
-def _nudge_stream(mesh, grid, free):
-    """One stream entry per quadrature point and coarse basis column."""
-    quad = quadrature(mesh)
-    cols, w = grid.basis_at(quad.global_points().reshape(-1, 2))
-    rows = np.repeat(mesh.elements[:, quad.owner_corner].ravel(), 4)
-    keep = free[rows]
-    return linalg.assemble(rows[keep], cols.ravel()[keep],
-                           (w * quad.weight).ravel()[keep],
-                           (mesh.n_vertices, grid.n_obs))
-
-
 # -- operator equality -----------------------------------------------------------
 
 def test_pressure_matches_stream(case):
@@ -147,7 +139,7 @@ def test_transport_operators_match_streams(case):
     _same_operator(st["diff"], _diffusion_stream(mesh, coeffs.diffusion, free))
     _same_operator(coeffs._advection_matrix(),
                    _advection_stream(mesh, coeffs.velocity_outflux, free))
-    _same_operator(st["nudge_cv"], _nudge_stream(mesh, grid, free))
+    _same_operator(st["nudge_cv"], dr.nudge_by_assembly(mesh, grid))
     dirichlet = np.flatnonzero(mesh.is_dirichlet)
     _same_operator(st["dir_diag"],
                    linalg.assemble(dirichlet, dirichlet, np.ones(dirichlet.size),
@@ -195,10 +187,10 @@ def test_scatter_leaves_the_pattern_intact():
 @pytest.fixture(scope="module")
 def ex3_twin():
     """Reference plus assimilated run of example3 over three coarse
-    intervals, recording pattern builds, kappa points and every flux
-    recovery's inputs."""
+    intervals, recording pattern builds, stream assemblies, kappa points
+    and every flux recovery's inputs."""
     sc = scenarios.example3(nx=30, spacing=0.1, t_end=0.006)
-    seen = {"patterns": 0, "kappa_points": 0, "recoveries": []}
+    seen = {"patterns": 0, "assemblies": 0, "kappa_points": 0, "recoveries": []}
     kappa = sc.kappa
 
     def counted_kappa(theta, x, y):
@@ -211,6 +203,12 @@ def ex3_twin():
         seen["patterns"] += 1
         build(self, mesh)
 
+    assemble = linalg.assemble
+
+    def counted_assemble(*args):
+        seen["assemblies"] += 1
+        return assemble(*args)
+
     recover = driver.postprocess_flux
 
     def recorded(problem, pressure, theta):
@@ -221,6 +219,7 @@ def ex3_twin():
     sc = sc.with_overrides(kappa=counted_kappa)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg.StencilPattern, "__init__", counted_build)
+        mp.setattr(linalg, "assemble", counted_assemble)
         mp.setattr(driver, "postprocess_flux", recorded)
         part = driver.TimePartition.from_scenario(sc)
         assert part.n_coarse >= 3
@@ -235,6 +234,14 @@ def ex3_twin():
 def test_twin_builds_the_pattern_once_per_mesh(ex3_twin):
     _, _, seen, _ = ex3_twin
     assert seen["patterns"] == 1
+
+
+def test_twin_assembles_no_stream(ex3_twin):
+    """The nudging operator is mass @ P and the point functionals are
+    written directly, so no operator of the twin goes through
+    `linalg.assemble`."""
+    _, _, seen, _ = ex3_twin
+    assert seen["assemblies"] == 0
 
 
 def test_twin_evaluates_kappa_at_28_points_per_element_per_solve(ex3_twin):

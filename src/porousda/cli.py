@@ -159,6 +159,10 @@ def _write_report(outdir, run, mu):
         kinds = [kind for _, kind in report.recoveries]
         lines.append("transport steps recovered from a bicgstab breakdown: "
                      + ", ".join(f"{k} {kinds.count(k)}" for k in sorted(set(kinds))))
+    if report.factored_intervals:
+        lines.append("coarse intervals whose later transport steps were "
+                     f"solved by a sparse LU factor: {report.factored_intervals}"
+                     f" of {report.partition.n_coarse}")
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")
 
 

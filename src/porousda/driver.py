@@ -128,6 +128,9 @@ class RunReport:
         # (t, kind) of every transport step that needed a breakdown recovery
         # ("restart" or "lu"; see transport.step)
         self.recoveries = []
+        # coarse intervals whose later steps were solved by a sparse LU
+        # factor chosen for its cost (not counting breakdown recoveries)
+        self.factored_intervals = 0
 
     def append(self, t, r, rtilde, mass_residual, rmin, rmax):
         self.rows.append((t, r, rtilde, mass_residual, rmin, rmax))
@@ -299,7 +302,11 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
 
     frozen = None
     pressure_guess = None
+    m = partition.fine_per_coarse
     for n in range(partition.n_coarse):
+        # Free the last interval's step matrix and factor before the
+        # pressure transients.
+        coeffs_n = None
         if scenario.velocity is not None:
             outflux = transport.prescribed_outflux(mesh, scenario.velocity, theta)
             mass_residual = float("nan")
@@ -312,6 +319,7 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
                 pressure_guess = pressure.values
                 report.solver_iterations["pressure"].append(prep.iterations)
                 flux = postprocess_flux(problem, pressure, theta)
+                problem.kernel = None   # its last reader was the recovery
                 outflux = flux.segment_outflux
                 mass_residual = flux.max_residual
                 report.conservation_max = max(report.conservation_max,
@@ -322,21 +330,25 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
 
         coeffs_n = coeffs.with_velocity(outflux) if outflux is not None else coeffs
         fine = partition.fine_times(n)
-        h = (fine[-1] - fine[0]) / partition.fine_per_coarse  # see TransportStep
-        for s0, s1 in zip(fine[:-1], fine[1:]):
+        h = (fine[-1] - fine[0]) / m  # see TransportStep
+        factored = False
+        for j, (s0, s1) in enumerate(zip(fine[:-1], fine[1:])):
             theta, rep = transport.step(theta, coeffs_n,
                                         transport.TransportStep(s0, s1, h),
                                         observations=stream,
-                                        solver=solvers["transport"])
+                                        solver=solvers["transport"],
+                                        later_steps=m - 1 - j)
             report.solver_iterations["transport"].append(rep.iterations)
             if rep.recovery is not None:
                 report.recoveries.append((float(s1), rep.recovery))
+            factored = factored or (rep.factored and rep.recovery is None)
             level += 1
             if not np.all(np.isfinite(theta.values)):
                 raise NonFiniteStateError(float(s1), level)
             times[level] = s1
             values[level] = theta.values
             record(s1, mass_residual)
+        report.factored_intervals += factored
 
     return Trajectory(mesh, times, values), report
 

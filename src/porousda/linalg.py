@@ -14,7 +14,11 @@ independent of the stream order; it serves the coarse-average functionals
 CG is hand-rolled to expose the residual history; BiCGStab wraps scipy for
 the nonsymmetric transport systems.  CG takes its preconditioner as a
 function r -> z: Jacobi, or a symmetric multigrid V-cycle over a
-caller-supplied hierarchy of prolongations.
+caller-supplied hierarchy of prolongations.  Both stop when
+||b - A x|| <= max(rel_tol * ||b||, abs_tol).  The transport step may
+instead solve by a sparse LU factor that it keeps for a coarse interval
+(`transport.StepFactor`); it checks each such solve against the same
+criterion and marks its report `factored`.
 """
 
 from dataclasses import dataclass
@@ -74,6 +78,7 @@ class SolveReport:
     converged: bool
     residual_history: list | None = None
     recovery: str | None = None   # "restart" or "lu" after a breakdown
+    factored: bool = False        # solved by a sparse LU factor
 
 
 def assemble(rows, cols, values, shape):

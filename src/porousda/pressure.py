@@ -16,7 +16,8 @@ the coarsest level is solved directly.
 
 What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
-twin experiment): the kernel points (`kernel_points`, read-only, so a
+twin experiment): the kernel points (`kernel_points`, read-only, and their
+row blocks, `kernel_point_blocks`, at which kappa is evaluated, so a
 coefficient such as a raster lookup can keep its value there for the run)
 and the multigrid transfers (`multigrid_transfers`).  What depends on the
 problem's time-independent data is built once per problem: the source at the
@@ -35,6 +36,9 @@ from .mesh import EDGE_QP_LOCAL, SEG_LOCAL_MID
 from .observation import bilinear_prolongation
 
 MIN_COARSE_CELLS = 8
+# Elements per block of the kappa evaluation, which then makes a few
+# (KERNEL_BLOCK, 28) temporaries instead of (ne, 28) ones.
+KERNEL_BLOCK = 4096
 
 
 class CoefficientRangeError(ValueError):
@@ -92,10 +96,25 @@ def _build_kernel_points(mesh):
 def kernel_points(mesh):
     """Global coordinates of the 28 kernel points of every element.
 
-    Returns read-only (ne, 28) arrays x and y, built once per mesh; kappa is
-    evaluated at exactly these arrays on every solve.
+    Returns read-only (ne, 28) arrays x and y, built once per mesh.
     """
     return mesh.constant("kernel_points", _build_kernel_points)
+
+
+def _build_kernel_blocks(mesh):
+    x, y = kernel_points(mesh)
+    return [(lo, x[lo:lo + KERNEL_BLOCK], y[lo:lo + KERNEL_BLOCK])
+            for lo in range(0, mesh.n_elements, KERNEL_BLOCK)]
+
+
+def kernel_point_blocks(mesh):
+    """The kernel points in blocks of `KERNEL_BLOCK` elements.
+
+    Returns a list of (first element, x, y), with x and y read-only views of
+    `kernel_points`, built once per mesh; kappa is evaluated at exactly these
+    arrays on every solve.
+    """
+    return mesh.constant("kernel_point_blocks", _build_kernel_blocks)
 
 
 @dataclass
@@ -157,9 +176,10 @@ class PressureProblem:
 def element_kernel(problem, theta):
     """The ElementKernel of `problem` at concentration `theta`.
 
-    kappa is evaluated once, at the mesh's `kernel_points` (all 28 points
-    per element), with the concentration clamped to [0, 1] first, and must
-    be positive and finite at every one of them.  The kernel is kept on the
+    kappa is evaluated once, at the mesh's kernel points (all 28 points per
+    element), block by block (`kernel_point_blocks`) into one (ne, 28)
+    array, with the concentration clamped to [0, 1] first, and must be
+    positive and finite at every one of them.  The kernel is kept on the
     problem, so the flux recovery at the same concentration reuses it.
     """
     kernel = problem.kernel
@@ -167,16 +187,20 @@ def element_kernel(problem, theta):
         return kernel
     mesh = problem.mesh
     quad = quadrature(mesh)
-    x, y = kernel_points(mesh)
-    th = np.clip(theta.corner_values() @ _KERNEL_PHI.T, 0.0, 1.0)  # (ne, 28)
-    kq = problem.kappa(th, x, y) * np.ones_like(th)
+    corners = theta.corner_values()
+    kq = np.empty((mesh.n_elements, _KERNEL_PHI.shape[0]))
+    for lo, x, y in kernel_point_blocks(mesh):
+        rows = slice(lo, lo + x.shape[0])
+        th = np.clip(corners[rows] @ _KERNEL_PHI.T, 0.0, 1.0)
+        kq[rows] = problem.kappa(th, x, y)
     if np.any(~np.isfinite(kq)) or np.any(kq <= 0.0):
         bad = float(np.nanmin(kq))
         raise CoefficientRangeError(f"kappa must be positive, found {bad}")
     grad_dot = np.einsum("pad,pbd->pab", quad.dphi, quad.dphi)       # (16, 4, 4)
     stiffness = (kq[:, :16] @ grad_dot.reshape(16, 16)).reshape(-1, 4, 4)
+    stiffness *= quad.weight
     kernel = ElementKernel(theta.values.copy(), kq[:, 16:24], kq[:, 24:],
-                           stiffness * quad.weight)
+                           stiffness)
     problem.kernel = kernel
     return kernel
 

@@ -15,13 +15,16 @@ not curve-matched.
 
 The raster-backed conductivities (example3's `mobility_closure`, example4's
 kappa) take the raster factor from `PermeabilityRaster.lookup`, which keeps
-its value at the mesh's read-only kernel points: the bilinear lookup runs
-once per mesh, and only the concentration-dependent factor is evaluated on
-every pressure solve.  Every callable keeps its call form, kappa(theta, x, y)
-and f(x, y[, t]).
+its value at the mesh's read-only kernel points, block by block
+(`FrozenPointMemo`): the bilinear lookup runs once per mesh, and only the
+concentration-dependent factor is evaluated on every pressure solve.
+example4's injection profile is kept the same way at the quadrature points,
+so its source costs one product per step.  Every callable keeps its call
+form, kappa(theta, x, y) and f(x, y[, t]).
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,8 +74,39 @@ def write_raster(path, values, lengths):
 
 
 def _frozen(a):
-    """An array nobody can write to in place: read-only, owning its data."""
-    return isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
+    """An array nobody can write to in place: read-only, and owning its data
+    or a view of an array that is itself frozen."""
+    if not isinstance(a, np.ndarray) or a.flags.writeable:
+        return False
+    return a.flags.owndata or _frozen(a.base)
+
+
+class FrozenPointMemo:
+    """Values of functions of (x, y) kept at frozen point arrays.
+
+    `memo(fn, x, y)` returns fn(x, y).  For a pair of frozen arrays
+    (`_frozen`), such as a mesh's quadrature or kernel points or row blocks
+    of them, it stores the value (read-only) and returns it whenever the
+    same two arrays come back: it keys on array identity, and an entry is
+    dropped when either array is freed.  Any other input is computed fresh.
+    One memo serves one function.
+    """
+
+    def __init__(self):
+        self.values = {}
+
+    def __call__(self, fn, x, y):
+        key = (id(x), id(y))
+        value = self.values.get(key)
+        if value is not None:
+            return value
+        value = fn(x, y)
+        if _frozen(x) and _frozen(y):
+            value.flags.writeable = False
+            self.values[key] = value
+            for a in (x, y):
+                weakref.finalize(a, self.values.pop, key, None)
+        return value
 
 
 class PermeabilityRaster:
@@ -82,10 +116,10 @@ class PermeabilityRaster:
     row-major from the bottom row up.
 
     The raster factor of a run's coefficient is a run constant: kappa is
-    evaluated at the mesh's read-only kernel points on every pressure solve.
-    `lookup` keeps its latest result for read-only input arrays and returns
-    it when it is handed the very same arrays again, so the bilinear formula
-    runs once per mesh.
+    evaluated at the mesh's read-only kernel points on every pressure solve,
+    block by block.  `lookup` keeps its result at every pair of frozen input
+    arrays (`FrozenPointMemo`), so the bilinear formula runs once per block
+    per mesh.
     """
 
     def __init__(self, values, lengths=(1.0, 1.0)):
@@ -97,7 +131,7 @@ class PermeabilityRaster:
         self.values = values
         self.lengths = (float(lengths[0]), float(lengths[1]))
         self.ny, self.nx = values.shape
-        self._memo = None          # (x, y, lookup(x, y)) for read-only x, y
+        self._memo = FrozenPointMemo()
 
     @property
     def value_range(self):
@@ -110,20 +144,9 @@ class PermeabilityRaster:
         return xs, ys
 
     def lookup(self, x, y):
-        """Bilinear interpolation on the center lattice, clamped at edges.
-
-        The memo is keyed on array identity: for read-only arrays that own
-        their data, the result is stored (read-only) and returned as long as
-        the same two arrays come back; any other input is computed fresh.
-        """
-        memo = self._memo
-        if memo is not None and memo[0] is x and memo[1] is y:
-            return memo[2]
-        value = self._bilinear(x, y)
-        if _frozen(x) and _frozen(y):
-            value.flags.writeable = False
-            self._memo = (x, y, value)
-        return value
+        """Bilinear interpolation on the center lattice, clamped at edges;
+        memoized at frozen point arrays (`FrozenPointMemo`)."""
+        return self._memo(self._bilinear, x, y)
 
     def _bilinear(self, x, y):
         Lx, Ly = self.lengths
@@ -372,8 +395,15 @@ def example4(nx=240, raster=None, seed=20260814, mu=1e-5, spacing=40.0,
     def kappa(theta, x, y):
         return k.lookup(x, y) / quarter_power_viscosity(theta)
 
-    def q_in(x, y):
+    q_in_memo = FrozenPointMemo()
+
+    def injection(x, y):
         return bump(x, y, 190.0, 190.0, 12.0, 0.0005)
+
+    def q_in(x, y):
+        # Kept at the quadrature points, where the source evaluates it on
+        # every step.
+        return q_in_memo(injection, x, y)
 
     def q_out(x, y):
         return bump(x, y, 50.0, 50.0, 12.0, 0.002)

@@ -25,17 +25,34 @@ evaluated at the mesh's quadrature points and summed into control volumes by
 `np.bincount` over rows and weights fixed with the static operators (zero
 weight in Dirichlet rows).
 
+Each step solves its step matrix, mass + dt/2 * K plus the Dirichlet rows.
+The velocity is frozen over a coarse interval, and the driver gives every
+fine step of an interval the same nominal size, so its m steps solve one
+matrix; it is built once and cached by the step size.  `step` chooses the
+solver per interval, by cost.  A step solves by Jacobi-BiCGStab, and if that
+took k iterations and k times the number of later steps of the interval
+(m - 1 after the first) exceeds sqrt(n), n vertices, the matrix is factored
+once (`splu`) and the later steps reuse the factor: with a fill-reducing
+ordering, a factor of a 2-D stencil matrix costs about sqrt(n) BiCGStab
+iterations (within 15 % on examples 1 and 4), and a solve by it costs a few,
+which the rule leaves out.  The factor is held by the interval's coefficient
+bundle and freed with it; it has 50-80 entries per vertex on the built-in
+scenarios (12 MiB at n = 14,641).  Every solve by a factor has its residual
+checked against the BiCGStab tolerance; a solve that misses it is redone by
+BiCGStab, which then solves the rest of the interval.
+
 A BiCGStab breakdown is recovered in `step`: one restart from the best
-iterate, then a sparse LU factor of the step matrix, reused for the rest of
-the interval.  The step matrix and its factor are cached by the step size,
-and the driver gives every step of an interval the same nominal size.
+iterate, then a factor of the step matrix, reused for the rest of the
+interval.  Steps solved by that factor are recoveries; steps solved by a
+factor chosen for its cost are not.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu as _superlu
 
 from . import linalg
 from .fields import NodalField, cv_flux_blocks, quadrature
@@ -86,7 +103,10 @@ class TransportCoefficients:
     The static operators (mass, diffusion, reaction, Dirichlet rows and the
     nudging operators) are built once, at construction.  The velocity is
     frozen for the lifetime of the bundle; `with_velocity` produces a sibling
-    for the next interval that shares the static operators.
+    for the next interval that shares the static operators.  The bundle
+    caches, by step size, the step matrix and the decision on its sparse LU
+    factor (`_factors`: a `StepFactor`, or None where BiCGStab solves it),
+    so a factor lives exactly as long as the interval's bundle.
     """
 
     def __init__(self, mesh, diffusion, reaction=None, source=None, mu=0.0,
@@ -106,7 +126,7 @@ class TransportCoefficients:
         self._static = self._build_static()
         self._k_matrix = None
         self._lhs = {}
-        self._lu = {}              # LU factors of _lhs after a breakdown
+        self._factors = {}         # StepFactor or None, by step size
         self._source_cache = {}
 
     def with_velocity(self, outflux):
@@ -115,7 +135,7 @@ class TransportCoefficients:
         sib.velocity_outflux = outflux
         sib._k_matrix = None
         sib._lhs = {}
-        sib._lu = {}
+        sib._factors = {}
         return sib
 
     # -- static operators ---------------------------------------------------
@@ -261,56 +281,112 @@ def assemble_step(theta_old, coeffs, step, observations=None):
     return A, rhs
 
 
-def step(theta_old, coeffs, step_spec, observations=None, solver=None):
+def step(theta_old, coeffs, step_spec, observations=None, solver=None,
+         later_steps=0):
     """Advance one fine step; returns (NodalField, SolveReport).
 
+    `later_steps` is how many more steps of the interval will solve the same
+    step matrix.  A step solves by the interval's factor when it has one.
+    Otherwise it solves by BiCGStab, and if that took k iterations with
+    k * later_steps > sqrt(n), the matrix is factored for the later steps
+    (see the module docstring).  A factor solve that misses the tolerance is
+    redone by BiCGStab, which keeps the rest of the interval.
+
     A BiCGStab breakdown is recovered, and logged: the solve restarts once
-    from its best iterate, and if that fails too, the step is solved with a
-    sparse LU factor of the same matrix, which the later steps of the
-    interval reuse (they share its step size; see `TransportStep`).  The
-    report's `recovery` names what was done.  An iteration cap that is
-    reached without a breakdown is the caller's budget and stays a
-    `NoConvergenceError`.
+    from its best iterate, and if that fails too, the step is solved by a
+    factor of the same matrix, which the later steps of the interval reuse
+    (they share its step size; see `TransportStep`).  The report's `recovery`
+    names what was done.  An iteration cap that is reached without a
+    breakdown is the caller's budget and stays a `NoConvergenceError`.
     """
     solver = solver or linalg.SolverConfig(method="bicgstab", preconditioner="jacobi")
     A, rhs = assemble_step(theta_old, coeffs, step_spec, observations)
-    lu = coeffs._lu.get(step_spec.dt)
-    if lu is not None:
-        x, report = _lu_solve(A, lu, rhs)
-        return NodalField(coeffs.mesh, x), report
+    dt = step_spec.dt
+    factor = coeffs._factors.get(dt)
+    if factor is not None:
+        solved = factor.solve(A, rhs, solver)
+        if solved is not None:
+            return NodalField(coeffs.mesh, solved[0]), solved[1]
+        _log.warning("%s: the sparse LU solve missed the tolerance; "
+                     "back to BiCGStab", _where(step_spec))
+        coeffs._factors[dt] = None
     try:
         x, report = linalg.solve(A, rhs, solver, x0=theta_old.values)
     except linalg.NoConvergenceError as exc:
         if not exc.breakdown:
             raise
         x, report = _recover(A, rhs, solver, exc, coeffs, step_spec)
+    if (dt not in coeffs._factors
+            and report.iterations * later_steps > math.sqrt(A.shape[0])):
+        try:
+            coeffs._factors[dt] = StepFactor(A)
+        except RuntimeError:        # SuperLU: singular; BiCGStab keeps it
+            coeffs._factors[dt] = None
     return NodalField(coeffs.mesh, x), report
+
+
+def _where(step_spec):
+    return (f"transport step {float(step_spec.t_start)!r} -> "
+            f"{float(step_spec.t_end)!r}")
 
 
 def _recover(A, rhs, solver, exc, coeffs, step_spec):
     """Solve a step whose BiCGStab broke down: restart, then sparse LU."""
-    where = (f"transport step {float(step_spec.t_start)!r} -> "
-             f"{float(step_spec.t_end)!r}")
+    where = _where(step_spec)
     try:
         x, report = linalg.solve(A, rhs, solver, x0=exc.best)
     except linalg.NoConvergenceError as again:
         _log.warning("%s: %s; the restart failed too (%s), solving by sparse LU",
                      where, exc, again)
         try:
-            lu = coeffs._lu[step_spec.dt] = splu(A.tocsc())
+            factor = StepFactor(A, recovery="lu")
         except RuntimeError:        # SuperLU: singular; nothing left to try
             raise again from None
-        return _lu_solve(A, lu, rhs)
+        solved = factor.solve(A, rhs, solver)
+        if solved is None:
+            raise again from None
+        coeffs._factors[step_spec.dt] = factor
+        return solved
     _log.warning("%s: %s; restarted from the best iterate", where, exc)
     report.iterations += exc.report.iterations
     report.recovery = "restart"
     return x, report
 
 
-def _lu_solve(A, lu, rhs):
-    x = lu.solve(rhs)
-    residual = float(np.linalg.norm(rhs - A @ x))
-    return x, linalg.SolveReport(0, residual, True, recovery="lu")
+def splu(A):
+    """SuperLU factor of a step matrix; raises RuntimeError if it is singular.
+
+    The ordering is minimum degree on the pattern of A^T + A, in SuperLU's
+    symmetric mode, with a pivot threshold of 0.1 that keeps most pivots on
+    the diagonal.  On example4 at nx = 120 the factor has about 1.05 M
+    entries (12 MiB); scipy's default COLAMD ordering gives 1.5 M and takes
+    1.6-2 times as long to factor.
+    """
+    return _superlu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                    options={"SymmetricMode": True})
+
+
+class StepFactor:
+    """The sparse LU factor of one step matrix, and why it was made.
+
+    `recovery` is "lu" for a factor made after a BiCGStab breakdown, whose
+    solves are reported as recoveries, and None for one chosen for its cost.
+    """
+
+    def __init__(self, A, recovery=None):
+        self.lu = splu(A)
+        self.recovery = recovery
+
+    def solve(self, A, rhs, solver):
+        """(x, SolveReport), or None when the residual misses the solver's
+        tolerance, max(rel_tol * ||rhs||, abs_tol), as BiCGStab's does."""
+        x = self.lu.solve(rhs)
+        residual = float(np.linalg.norm(rhs - A @ x))
+        if not residual <= max(solver.rel_tol * float(np.linalg.norm(rhs)),
+                               solver.abs_tol):
+            return None
+        return x, linalg.SolveReport(0, residual, True, recovery=self.recovery,
+                                     factored=True)
 
 
 def prescribed_outflux(mesh, velocity, theta_frozen):

@@ -48,6 +48,8 @@ def test_run_writes_metrics_and_report(tmp_path, outroot, capsys):
     report = (rundir / "report.txt").read_text()
     assert "final R_percent" in report
     assert "max flux conservation residual" in report
+    assert "solved by a sparse LU factor: 2 of 2" in report
+    assert "recovered from a bicgstab breakdown" not in report
 
 
 def test_run_splits_mu_list_into_subdirs(tmp_path, outroot):

@@ -139,6 +139,19 @@ def test_lookup_memo_ignores_arrays_that_can_change(monkeypatch):
                                   raster._bilinear(base, y))
 
 
+def test_memo_keeps_one_entry_per_pair_and_drops_it_with_its_arrays():
+    memo = scenarios.FrozenPointMemo()
+    x, y = _frozen_points()
+    x2, y2 = _frozen_points(seed=4)
+    first = memo(np.add, x, y)
+    assert memo(np.add, x2, y2) is not first
+    assert memo(np.add, x, y) is first and len(memo.values) == 2
+    del x, first
+    assert len(memo.values) == 1
+    del y2
+    assert memo.values == {}
+
+
 @pytest.mark.parametrize("factory", [scenarios.example3, scenarios.example4])
 def test_raster_kappa_reuses_the_factor_at_the_kernel_points(factory, monkeypatch):
     sc = factory(nx=16)

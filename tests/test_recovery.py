@@ -157,12 +157,12 @@ def test_run_report_counts_recoveries(monkeypatch):
 # -- cases that broke down before ---------------------------------------------
 
 def test_example1_default_size_recovers_its_breakdowns():
-    """example1 at nx=100 breaks down in the step ending at t = 0.056.
-
-    The breakdown comes at a residual near 1e-14, so which steps break
-    down moves with roundoff in the step size and the operators."""
+    """example1 at nx=100 broke down in the step ending at t = 0.056, the
+    8th step of its interval.  Every interval's later steps are now solved
+    by its factor, so no BiCGStab solve reaches that breakdown."""
     ref = _reference(scenarios.example1(), 0.06)
-    assert [t for t, _ in ref.report.recoveries] == pytest.approx([0.056])
+    assert ref.report.recoveries == []
+    assert ref.report.factored_intervals == 3
     assert np.all(np.isfinite(ref.trajectory.values))
 
 

@@ -65,9 +65,9 @@ def build_scenario(cfg):
 
     overrides = {}
     if cfg.has_option("mesh", "nx"):
-        overrides["nx"] = cfg.getint("mesh", "nx")
-        overrides["ny"] = cfg.getint("mesh", "ny") if cfg.has_option("mesh", "ny") \
-            else overrides["nx"]
+        overrides["nx"] = overrides["ny"] = cfg.getint("mesh", "nx")
+    if cfg.has_option("mesh", "ny"):
+        overrides["ny"] = cfg.getint("mesh", "ny")
     for section, key, conv in (("time", "dt", cfg.getfloat),
                                ("time", "fine_per_coarse", cfg.getint),
                                ("time", "t_end", cfg.getfloat),
@@ -160,7 +160,7 @@ def _write_report(outdir, run, mu):
         lines.append("transport steps recovered from a bicgstab breakdown: "
                      + ", ".join(f"{k} {kinds.count(k)}" for k in sorted(set(kinds))))
     if report.factored_intervals:
-        lines.append("coarse intervals whose later transport steps were "
+        lines.append("coarse intervals with transport steps "
                      f"solved by a sparse LU factor: {report.factored_intervals}"
                      f" of {report.partition.n_coarse}")
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")

@@ -56,6 +56,10 @@ class TimePartition:
         ct = np.asarray(self.coarse_times, dtype=float)
         if ct.size < 2 or np.any(np.diff(ct) <= 0):
             raise ValueError("coarse times must be strictly increasing")
+        # The steps of a linspace differ in the last bits, not more.
+        if not np.allclose(np.diff(ct), (ct[-1] - ct[0]) / (ct.size - 1),
+                           rtol=1e-9, atol=0.0):
+            raise ValueError("coarse times must be uniformly spaced")
         if self.fine_per_coarse < 1:
             raise ValueError("need at least one fine step per coarse interval")
 
@@ -128,8 +132,8 @@ class RunReport:
         # (t, kind) of every transport step that needed a breakdown recovery
         # ("restart" or "lu"; see transport.step)
         self.recoveries = []
-        # coarse intervals whose later steps were solved by a sparse LU
-        # factor chosen for its cost (not counting breakdown recoveries)
+        # coarse intervals with any step solved by a sparse LU factor chosen
+        # for its cost (not counting breakdown recoveries)
         self.factored_intervals = 0
 
     def append(self, t, r, rtilde, mass_residual, rmin, rmax):
@@ -300,44 +304,46 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
 
     record(times[0], float("nan"))
 
-    frozen = None
-    pressure_guess = None
+    # A transport bundle lives as long as its velocity: the whole run when
+    # there is none or it is computed once, else one interval.
+    static = scenario.velocity is None and (scenario.static_velocity
+                                            or not needs_pressure)
+    bundle, mass_residual, pressure_guess = None, float("nan"), None
     m = partition.fine_per_coarse
+    steps = partition.n_coarse * m
+    # The run's nominal fine step; see TransportStep.
+    h = (partition.coarse_times[-1] - partition.coarse_times[0]) / steps
     for n in range(partition.n_coarse):
-        # Free the last interval's step matrix and factor before the
-        # pressure transients.
-        coeffs_n = None
-        if scenario.velocity is not None:
-            outflux = transport.prescribed_outflux(mesh, scenario.velocity, theta)
-            mass_residual = float("nan")
-        elif needs_pressure:
-            if frozen is not None and scenario.static_velocity:
-                outflux, mass_residual = frozen
-            else:
+        if bundle is None or not static:
+            # Free the last step matrix and factor before the pressure
+            # transients.
+            bundle = None
+            if scenario.velocity is not None:
+                bundle = coeffs.with_velocity(transport.prescribed_outflux(
+                    mesh, scenario.velocity, theta))
+            elif needs_pressure:
                 pressure, prep = solve_pressure(problem, theta,
                                                 x0=pressure_guess)
                 pressure_guess = pressure.values
                 report.solver_iterations["pressure"].append(prep.iterations)
                 flux = postprocess_flux(problem, pressure, theta)
                 problem.kernel = None   # its last reader was the recovery
-                outflux = flux.segment_outflux
                 mass_residual = flux.max_residual
                 report.conservation_max = max(report.conservation_max,
                                               mass_residual)
-                frozen = (outflux, mass_residual)
-        else:
-            outflux, mass_residual = None, float("nan")
+                bundle = coeffs.with_velocity(flux.segment_outflux)
+            else:
+                bundle = coeffs
+            last = steps if static else level + m
 
-        coeffs_n = coeffs.with_velocity(outflux) if outflux is not None else coeffs
         fine = partition.fine_times(n)
-        h = (fine[-1] - fine[0]) / m  # see TransportStep
         factored = False
-        for j, (s0, s1) in enumerate(zip(fine[:-1], fine[1:])):
-            theta, rep = transport.step(theta, coeffs_n,
+        for s0, s1 in zip(fine[:-1], fine[1:]):
+            theta, rep = transport.step(theta, bundle,
                                         transport.TransportStep(s0, s1, h),
                                         observations=stream,
                                         solver=solvers["transport"],
-                                        later_steps=m - 1 - j)
+                                        later_steps=last - level - 1)
             report.solver_iterations["transport"].append(rep.iterations)
             if rep.recovery is not None:
                 report.recoveries.append((float(s1), rep.recovery))

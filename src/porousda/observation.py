@@ -180,9 +180,6 @@ class ObservationStream:
     def n_obs(self):
         return self.values.shape[1]
 
-    def span(self):
-        return self.times[0], self.times[-1]
-
     def interpolate(self, t):
         """Linear interpolation of the functional values at time t."""
         if self.times.size == 0:

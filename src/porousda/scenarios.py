@@ -137,12 +137,6 @@ class PermeabilityRaster:
     def value_range(self):
         return float(self.values.min()), float(self.values.max())
 
-    def cell_centers(self):
-        Lx, Ly = self.lengths
-        xs = (np.arange(self.nx) + 0.5) * Lx / self.nx
-        ys = (np.arange(self.ny) + 0.5) * Ly / self.ny
-        return xs, ys
-
     def lookup(self, x, y):
         """Bilinear interpolation on the center lattice, clamped at edges;
         memoized at frozen point arrays (`FrozenPointMemo`)."""

@@ -26,24 +26,25 @@ evaluated at the mesh's quadrature points and summed into control volumes by
 weight in Dirichlet rows).
 
 Each step solves its step matrix, mass + dt/2 * K plus the Dirichlet rows.
-The velocity is frozen over a coarse interval, and the driver gives every
-fine step of an interval the same nominal size, so its m steps solve one
-matrix; it is built once and cached by the step size.  `step` chooses the
-solver per interval, by cost.  A step solves by Jacobi-BiCGStab, and if that
-took k iterations and k times the number of later steps of the interval
-(m - 1 after the first) exceeds sqrt(n), n vertices, the matrix is factored
-once (`splu`) and the later steps reuse the factor: with a fill-reducing
-ordering, a factor of a 2-D stencil matrix costs about sqrt(n) BiCGStab
-iterations (within 15 % on examples 1 and 4), and a solve by it costs a few,
-which the rule leaves out.  The factor is held by the interval's coefficient
-bundle and freed with it; it has 50-80 entries per vertex on the built-in
-scenarios (12 MiB at n = 14,641).  Every solve by a factor has its residual
-checked against the BiCGStab tolerance; a solve that misses it is redone by
-BiCGStab, which then solves the rest of the interval.
+A coefficient bundle lives exactly as long as its velocity: the driver makes
+one per computed velocity (`with_velocity`), and every step of a run takes
+the run's nominal size, so a bundle holds one slot: step size, step matrix
+and factor decision.  `step` chooses the solver by cost.  A step solves by
+Jacobi-BiCGStab, and if that took k iterations and k times the number of
+steps the bundle still has to solve exceeds sqrt(n), n vertices, the matrix
+is factored once (`splu`) and the later steps reuse the factor: with a
+fill-reducing ordering, a factor of a 2-D stencil matrix costs about sqrt(n)
+BiCGStab iterations (within 15 % on examples 1 and 4), and a solve by it
+costs a few, which the rule leaves out.  The factor is freed with its
+bundle; it has 50-80 entries per vertex on the built-in scenarios (12 MiB at
+n = 14,641).  Every solve by a factor has its residual checked against the
+BiCGStab tolerance; a solve that misses it is redone by BiCGStab, which then
+solves the bundle's later steps.  Sibling bundles share one cached source
+vector: a step reads the source at its start, where the step before read it.
 
 A BiCGStab breakdown is recovered in `step`: one restart from the best
-iterate, then a factor of the step matrix, reused for the rest of the
-interval.  Steps solved by that factor are recoveries; steps solved by a
+iterate, then a factor of the step matrix, reused for the bundle's later
+steps.  Steps solved by that factor are recoveries; steps solved by a
 factor chosen for its cost are not.
 """
 
@@ -82,10 +83,10 @@ _UPWIND_RIGHT = _upwind_blocks(SEG_RIGHT_CORNER)
 class TransportStep:
     """One fine step from t_start to t_end, of size dt.
 
-    dt defaults to t_end - t_start.  The driver passes its interval's nominal
-    fine step (coarse step / m) instead: the fine times are a linspace, whose
-    differences vary in the last bit, and the step matrix and its LU factor
-    are cached by dt.
+    dt defaults to t_end - t_start.  The driver passes the run's nominal
+    fine step (time span / number of fine steps) instead: the fine times are
+    a linspace, whose differences vary in the last bit, and a coefficient
+    bundle keeps the step matrix and its LU factor of one step size only.
     """
 
     t_start: float
@@ -98,15 +99,15 @@ class TransportStep:
 
 
 class TransportCoefficients:
-    """Coefficient bundle for transport steps within one coarse interval.
+    """Coefficient bundle for the transport steps of one frozen velocity.
 
     The static operators (mass, diffusion, reaction, Dirichlet rows and the
-    nudging operators) are built once, at construction.  The velocity is
-    frozen for the lifetime of the bundle; `with_velocity` produces a sibling
-    for the next interval that shares the static operators.  The bundle
-    caches, by step size, the step matrix and the decision on its sparse LU
-    factor (`_factors`: a `StepFactor`, or None where BiCGStab solves it),
-    so a factor lives exactly as long as the interval's bundle.
+    nudging operators) are built once, at construction; `with_velocity`
+    produces a sibling for a new velocity that shares them and the one-entry
+    source cache, (t, vector).  The bundle holds one slot, `_step = (dt, step
+    matrix, factor)`, where the factor is a `StepFactor`, False where
+    BiCGStab keeps the matrix, or None while undecided; a step of another
+    size replaces the slot, and the factor lives as long as the bundle.
     """
 
     def __init__(self, mesh, diffusion, reaction=None, source=None, mu=0.0,
@@ -125,17 +126,15 @@ class TransportCoefficients:
         self.dirichlet = dirichlet
         self._static = self._build_static()
         self._k_matrix = None
-        self._lhs = {}
-        self._factors = {}         # StepFactor or None, by step size
-        self._source_cache = {}
+        self._step = None
+        self._source = [None, None]     # (t, vector), shared by siblings
 
     def with_velocity(self, outflux):
         sib = TransportCoefficients.__new__(TransportCoefficients)
         sib.__dict__.update(self.__dict__)
         sib.velocity_outflux = outflux
         sib._k_matrix = None
-        sib._lhs = {}
-        sib._factors = {}
+        sib._step = None
         return sib
 
     # -- static operators ---------------------------------------------------
@@ -219,19 +218,17 @@ class TransportCoefficients:
         return self._k_matrix
 
     def _lhs_matrix(self, dt):
-        lhs = self._lhs.get(dt)
-        if lhs is None:
+        if self._step is None or self._step[0] != dt:
             st = self._static
             lhs = (st["mass"] + 0.5 * dt * self.spatial_operator()
                    + st["dir_diag"]).tocsr()
-            self._lhs[dt] = lhs
-        return lhs
+            self._step = (dt, lhs, None)
+        return self._step[1]
 
     def source_vector(self, t):
         """CV integrals of the source f(., t) over free control volumes."""
-        cached = self._source_cache.get(t)
-        if cached is not None:
-            return cached
+        if self._source[0] == t:
+            return self._source[1]
         n = self.mesh.n_vertices
         if self.source is None:
             out = np.zeros(n)
@@ -242,9 +239,7 @@ class TransportCoefficients:
             out = np.bincount(st["cv_rows"],
                               weights=(st["cv_weight"] * fv).ravel(),
                               minlength=n)
-        if len(self._source_cache) > 8:
-            self._source_cache.clear()
-        self._source_cache[t] = out
+        self._source[:] = (t, out)
         return out
 
     def data_vector(self, functional_values):
@@ -285,43 +280,42 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None,
          later_steps=0):
     """Advance one fine step; returns (NodalField, SolveReport).
 
-    `later_steps` is how many more steps of the interval will solve the same
-    step matrix.  A step solves by the interval's factor when it has one.
-    Otherwise it solves by BiCGStab, and if that took k iterations with
-    k * later_steps > sqrt(n), the matrix is factored for the later steps
-    (see the module docstring).  A factor solve that misses the tolerance is
-    redone by BiCGStab, which keeps the rest of the interval.
+    `later_steps` is how many more steps the bundle `coeffs` will solve
+    with the same step matrix.  A step solves by the bundle's factor when it
+    has one.  Otherwise it solves by BiCGStab, and if that took k iterations
+    with k * later_steps > sqrt(n), the matrix is factored for the later
+    steps (see the module docstring).  A factor solve that misses the
+    tolerance is redone by BiCGStab, which keeps the bundle's later steps.
 
     A BiCGStab breakdown is recovered, and logged: the solve restarts once
     from its best iterate, and if that fails too, the step is solved by a
-    factor of the same matrix, which the later steps of the interval reuse
-    (they share its step size; see `TransportStep`).  The report's `recovery`
+    factor of the same matrix, which the bundle's later steps reuse (they
+    share its step size; see `TransportStep`).  The report's `recovery`
     names what was done.  An iteration cap that is reached without a
     breakdown is the caller's budget and stays a `NoConvergenceError`.
     """
     solver = solver or linalg.SolverConfig(method="bicgstab", preconditioner="jacobi")
     A, rhs = assemble_step(theta_old, coeffs, step_spec, observations)
-    dt = step_spec.dt
-    factor = coeffs._factors.get(dt)
-    if factor is not None:
+    dt, _, factor = coeffs._step
+    if factor:
         solved = factor.solve(A, rhs, solver)
         if solved is not None:
             return NodalField(coeffs.mesh, solved[0]), solved[1]
         _log.warning("%s: the sparse LU solve missed the tolerance; "
                      "back to BiCGStab", _where(step_spec))
-        coeffs._factors[dt] = None
+        coeffs._step = (dt, A, False)
     try:
         x, report = linalg.solve(A, rhs, solver, x0=theta_old.values)
     except linalg.NoConvergenceError as exc:
         if not exc.breakdown:
             raise
         x, report = _recover(A, rhs, solver, exc, coeffs, step_spec)
-    if (dt not in coeffs._factors
+    if (coeffs._step[2] is None
             and report.iterations * later_steps > math.sqrt(A.shape[0])):
         try:
-            coeffs._factors[dt] = StepFactor(A)
+            coeffs._step = (dt, A, StepFactor(A))
         except RuntimeError:        # SuperLU: singular; BiCGStab keeps it
-            coeffs._factors[dt] = None
+            coeffs._step = (dt, A, False)
     return NodalField(coeffs.mesh, x), report
 
 
@@ -345,7 +339,7 @@ def _recover(A, rhs, solver, exc, coeffs, step_spec):
         solved = factor.solve(A, rhs, solver)
         if solved is None:
             raise again from None
-        coeffs._factors[step_spec.dt] = factor
+        coeffs._step = (step_spec.dt, A, factor)
         return solved
     _log.warning("%s: %s; restarted from the best iterate", where, exc)
     report.iterations += exc.report.iterations

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from porousda import scenarios
-from porousda.cli import main
+from porousda.cli import build_scenario, load_config, main
 from test_driver import nan_source_after_start
 
 
@@ -236,3 +236,17 @@ def test_non_finite_reference_run_reports_and_exits_1(tmp_path, outroot,
     assert "reference: FAILED (non-finite concentration" in capsys.readouterr().err
     report = (outroot / "nan" / "report.txt").read_text()
     assert report.startswith("reference run failed: non-finite concentration")
+
+
+def test_mesh_ny_alone_overrides_the_scenario_rows(tmp_path):
+    cfg = load_config(_write(tmp_path, "ny.ini", """
+[scenario]
+name = example1
+
+[mesh]
+ny = 30
+"""))
+    sc = build_scenario(cfg)
+    assert (sc.nx, sc.ny) == (100, 30)
+    mesh = sc.build_mesh()
+    assert (mesh.nx, mesh.ny) == (100, 30)

@@ -11,10 +11,18 @@ on control-volume faces use the midpoint rule per sub-segment.
 mesh, on first use, and holds the global point coordinates as contiguous,
 read-only (ne, 16) arrays `x` and `y`; every coefficient and source that is
 integrated with the rule is evaluated at those two arrays.
+
+L2 norms of nodal fields, and of differences of two nodal fields, are read
+from `mass_matrix(mesh)`, the consistent bilinear mass matrix on the mesh's
+stencil pattern, also built once per mesh: ||u|| = sqrt(u^T M u).  The rule
+integrates products of bilinears exactly, so this equals the quadrature sum up
+to roundoff.  A norm that involves a discontinuous field, a callable or a
+`QuadratureField` is summed over the quadrature points.
 """
 
 import numpy as np
 
+from . import linalg
 from .mesh import SEG_LOCAL_MID, SEG_NORMAL_AXIS, SEG_SIGN
 
 _G = 0.5 / np.sqrt(3.0)
@@ -98,6 +106,22 @@ def quadrature(mesh):
     return mesh.constant("quadrature", Quadrature)
 
 
+def _build_mass_matrix(mesh):
+    quad = quadrature(mesh)
+    block = quad.weight * (quad.phi.T @ quad.phi)               # (4, 4)
+    return linalg.stencil(mesh).scatter(
+        np.broadcast_to(block, (mesh.n_elements, 4, 4)))
+
+
+def mass_matrix(mesh):
+    """Consistent bilinear mass matrix, (nv, nv) on the stencil pattern.
+
+    Entry (a, b) is the integral of phi_a phi_b by the 16-point rule, which
+    is exact for it; built once per mesh.
+    """
+    return mesh.constant("mass_matrix", _build_mass_matrix)
+
+
 def cv_flux_blocks(mesh, coeff):
     """Element-local control-volume flux blocks, shape (ne, 4, 4).
 
@@ -147,7 +171,7 @@ class DGField:
         self.values = values
 
 
-# -- L2 norms via the package quadrature ------------------------------------
+# -- L2 norms: by the mass matrix for nodal fields, else by quadrature ------
 
 class QuadratureField:
     """A function known by its values at the quadrature points, (16, ne).
@@ -181,7 +205,13 @@ def _values_at_quadrature(mesh, source, t=None):
         np.broadcast_to(np.asarray(vals, dtype=float), x.shape).T)
 
 
+def _mass_norm(mesh, u):
+    return float(np.sqrt(u @ (mass_matrix(mesh) @ u)))
+
+
 def l2_norm(field):
+    if isinstance(field, NodalField):
+        return _mass_norm(field.mesh, field.values)
     quad = quadrature(field.mesh)
     v = _values_at_quadrature(field.mesh, field)
     return float(np.sqrt(np.sum(v * v) * quad.weight))
@@ -189,7 +219,9 @@ def l2_norm(field):
 
 def l2_diff(field, other, t=None):
     """L2 norm of (field - other); other is a field, a QuadratureField or a
-    callable f(x, y[, t])."""
+    callable f(x, y[, t]).  Two nodal fields are compared by the mass matrix."""
+    if isinstance(field, NodalField) and isinstance(other, NodalField):
+        return _mass_norm(field.mesh, field.values - other.values)
     quad = quadrature(field.mesh)
     a = _values_at_quadrature(field.mesh, field)
     b = _values_at_quadrature(field.mesh, other, t=t)

@@ -18,9 +18,10 @@ kappa) take the raster factor from `PermeabilityRaster.lookup`, which keeps
 its value at the mesh's read-only kernel points, block by block
 (`FrozenPointMemo`): the bilinear lookup runs once per mesh, and only the
 concentration-dependent factor is evaluated on every pressure solve.
-example4's injection profile is kept the same way at the quadrature points,
-so its source costs one product per step.  Every callable keeps its call
-form, kappa(theta, x, y) and f(x, y[, t]).
+example4's injection profile and example1's spatial factors are kept the
+same way at the quadrature points, so their sources cost a few products per
+step.  Every callable keeps its call form, kappa(theta, x, y) and
+f(x, y[, t]).
 """
 
 import math
@@ -254,23 +255,45 @@ def _x_faces_dirichlet(Lx):
     return tag
 
 
+def example1_factors(x, y):
+    """The spatial factors of example1, stacked: the hump g = (x - x^2)(y -
+    y^2), its Laplacian and the divergence of (g, g), so that the exact
+    solution is e^{-t} g and the forcing e^{-t} (-g - lap + adv / (1 +
+    e^{-t} g)^2)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    gx, gy = x - x**2, y - y**2
+    return np.stack(np.broadcast_arrays(
+        gx * gy, -2.0 * (gy + gx), (1.0 - 2.0 * x) * gy + gx * (1.0 - 2.0 * y)))
+
+
 def example1(nx=100, t_end=0.5, mu=100.0):
     """Manufactured decaying hump with a concentration-dependent velocity.
 
     The velocity is prescribed directly as (w, w), w = 1/(1 + theta), so no
     pressure solve is involved; the forcing keeps the exact solution at
-    (x - x^2)(y - y^2) e^{-t}.
+    (x - x^2)(y - y^2) e^{-t}.  Both are e^{-t} times functions of the
+    spatial factors (`example1_factors`), which are kept at the quadrature
+    points (`FrozenPointMemo`), where the source and the metrics read them
+    on every step.
     """
+    factors = FrozenPointMemo()
 
     def exact(x, y, t):
-        return np.exp(-t) * (x - x**2) * (y - y**2)
+        return np.exp(-t) * factors(example1_factors, x, y)[0]
 
     def source(x, y, t):
-        th = exact(x, y, t)
-        dthx = np.exp(-t) * (1.0 - 2.0 * x) * (y - y**2)
-        dthy = np.exp(-t) * (x - x**2) * (1.0 - 2.0 * y)
-        lap = -2.0 * np.exp(-t) * ((y - y**2) + (x - x**2))
-        return -th - lap + (dthx + dthy) / (1.0 + th) ** 2
+        # e (-g - lap + adv / (1 + e g)^2), e = e^{-t}, in one temporary.
+        g, lap, adv = factors(example1_factors, x, y)
+        e = np.exp(-t)
+        f = np.asarray(e * g)       # 0-d at a scalar point: updated in place
+        f += 1.0
+        f *= f
+        np.divide(adv, f, out=f)
+        f -= g
+        f -= lap
+        f *= e
+        return f
 
     def velocity(x, y, theta):
         w = 1.0 / (1.0 + theta)

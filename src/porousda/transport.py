@@ -21,9 +21,9 @@ which is deterministic but not value-sorted.  The nudging operator couples
 vertices to coarse lattice columns, off the pattern.  Each coarse hat is
 exactly the fine bilinear field of its column of the grid's prolongation P,
 so the CV integrals of the coarse basis are `mass @ P`.  The source is
-evaluated at the mesh's quadrature points and summed into control volumes by
-`np.bincount` over rows and weights fixed with the static operators (zero
-weight in Dirichlet rows).
+evaluated at the mesh's quadrature points and summed into the free control
+volumes by one CSR product, with an integration matrix built with the static
+operators when the problem has a source.
 
 Each step solves its step matrix, mass + dt/2 * K plus the Dirichlet rows.
 A coefficient bundle lives exactly as long as its velocity: the driver makes
@@ -145,10 +145,6 @@ class TransportCoefficients:
         pattern = linalg.stencil(mesh)
         free = ~mesh.is_dirichlet
 
-        cv_rows = mesh.elements[:, quad.owner_corner]            # (ne, 16)
-        # Quadrature weight of each point in its CV's source integral; zero
-        # in the rows of Dirichlet vertices, which are constrained.
-        cv_weight = quad.weight * free[cv_rows]
         x, y = quad.x, quad.y
         # The four Gauss points of quadrant a all sit in the CV of corner a.
         phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
@@ -174,8 +170,9 @@ class TransportCoefficients:
         dir_diag = pattern.matrix(dir_data)
 
         static = {"mass": mass, "reac": reac, "diff": diff, "dir_diag": dir_diag,
-                  "dir_rows": dir_rows, "cv_rows": cv_rows.ravel(),
-                  "cv_weight": cv_weight, "free": free}
+                  "dir_rows": dir_rows, "free": free}
+        if self.source is not None:
+            static["source_cv"] = _cv_integration(mesh, free)
 
         if self.grid is not None:
             # CV integrals of the coarse observation basis, (nv, n_obs); the
@@ -229,16 +226,13 @@ class TransportCoefficients:
         """CV integrals of the source f(., t) over free control volumes."""
         if self._source[0] == t:
             return self._source[1]
-        n = self.mesh.n_vertices
         if self.source is None:
-            out = np.zeros(n)
+            out = np.zeros(self.mesh.n_vertices)
         else:
-            st = self._static
             quad = quadrature(self.mesh)
             fv = np.asarray(self.source(quad.x, quad.y, t), dtype=float)
-            out = np.bincount(st["cv_rows"],
-                              weights=(st["cv_weight"] * fv).ravel(),
-                              minlength=n)
+            out = (self._static["source_cv"]
+                   @ np.broadcast_to(fv, quad.x.shape).ravel())
         self._source[:] = (t, out)
         return out
 
@@ -252,6 +246,23 @@ class TransportCoefficients:
             return rows, np.zeros(rows.size)
         x, y = self.mesh.vertices[rows, 0], self.mesh.vertices[rows, 1]
         return rows, np.asarray(self.dirichlet(x, y, t), dtype=float) * np.ones(rows.size)
+
+
+def _cv_integration(mesh, free):
+    """The CV integrals of a function known at the quadrature points, as a
+    CSR matrix (nv, ne * 16) acting on the flattened (ne, 16) values.
+
+    Row v holds the quadrature weight at every point in the control volume
+    of v, in increasing point order, so a product sums each row in the order
+    `np.bincount` over the points would.  The rows of Dirichlet vertices,
+    which are constrained, are empty.
+    """
+    quad = quadrature(mesh)
+    rows = mesh.elements[:, quad.owner_corner].ravel()         # CV of each point
+    points = np.flatnonzero(free[rows])
+    return linalg.SparseMatrix(
+        (np.full(points.size, quad.weight), (rows[points], points)),
+        shape=(mesh.n_vertices, quad.x.size))
 
 
 def assemble_step(theta_old, coeffs, step, observations=None):

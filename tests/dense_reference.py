@@ -636,6 +636,35 @@ def source_vector_add_at(coeffs, t):
     return out
 
 
+def l2_by_quadrature(field, other=None):
+    """L2 norm of a nodal field, or of the difference of two, summed over
+    the 16 quadrature points of every element."""
+    from porousda.fields import quadrature
+
+    quad = quadrature(field.mesh)
+    v = quad.phi @ field.corner_values().T
+    if other is not None:
+        v = v - quad.phi @ other.corner_values().T
+    return float(np.sqrt(np.sum(v * v) * quad.weight))
+
+
+def example1_closed_form():
+    """example1's exact solution and forcing (exact, source), each written
+    out in full at every call."""
+
+    def exact(x, y, t):
+        return np.exp(-t) * (x - x**2) * (y - y**2)
+
+    def source(x, y, t):
+        th = exact(x, y, t)
+        dthx = np.exp(-t) * (1.0 - 2.0 * x) * (y - y**2)
+        dthy = np.exp(-t) * (x - x**2) * (1.0 - 2.0 * y)
+        lap = -2.0 * np.exp(-t) * ((y - y**2) + (x - x**2))
+        return -th - lap + (dthx + dthy) / (1.0 + th) ** 2
+
+    return exact, source
+
+
 def metrics_two_calls(theta, fn, grid):
     """R and Rtilde against an analytic truth fn(x, y), which is evaluated at
     the quadrature points twice: once for the norm, once for the difference."""

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dense_reference import field_gradient, field_value, interp_const, locate
+from dense_reference import (field_gradient, field_value, interp_const,
+                             l2_by_quadrature, locate)
 from porousda.fields import (DGField, NodalField, basis_gradients,
                              basis_values, integrate, l2_diff, l2_norm,
-                             quadrature)
+                             mass_matrix, quadrature)
 from porousda.mesh import build_mesh
 
 
@@ -97,6 +98,29 @@ def test_l2_diff_against_time_callable():
     # only the O(h^2) interpolation error remains when t is honored
     assert 1e-4 < l2_diff(f, exact, t=0.3) < 5e-3
     assert l2_diff(f, f.copy()) == 0.0
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(12, 12, 1.0, 1.0),    # square cells
+                                            (8, 10, 4.0, 1.25)])  # 4:1 cells
+def test_nodal_l2_by_mass_matrix_matches_the_quadrature_sum(nx, ny, lx, ly):
+    m = build_mesh(nx, ny, Lx=lx, Ly=ly)
+    rng = np.random.default_rng(nx)
+    u = NodalField(m, rng.standard_normal(m.n_vertices))
+    v = NodalField(m, rng.standard_normal(m.n_vertices))
+    smooth = NodalField.from_callable(m, lambda x, y: np.exp(x) * np.cos(y))
+    for a, b in ((u, v), (smooth, u), (u, smooth)):
+        assert l2_norm(a) == pytest.approx(l2_by_quadrature(a), rel=1e-14)
+        assert l2_diff(a, b) == pytest.approx(l2_by_quadrature(a, b), rel=1e-14)
+    assert l2_diff(u, u.copy()) == 0.0
+    assert l2_norm(NodalField.zeros(m)) == 0.0
+
+
+def test_mass_matrix_is_a_symmetric_mesh_constant_with_the_domain_area():
+    m = build_mesh(5, 3, Lx=2.0, Ly=0.75)
+    M = mass_matrix(m)
+    assert mass_matrix(m) is M
+    assert abs(M - M.T).max() == 0.0
+    assert M.sum() == pytest.approx(1.5, rel=1e-14)
 
 
 def test_nodal_field_shape_validation():

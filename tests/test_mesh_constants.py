@@ -1,10 +1,10 @@
 """Fixed point sets and mesh-constant operators: one owner, built once.
 
 The driver-path tests run a twin experiment (reference plus assimilated run)
-and count how often each mesh constant and the raster factor of kappa are
-built.  The other tests hold the faster forms to the ones they replaced
-(`np.add.at` source scatter, two evaluations of an analytic truth per metric
-row, the sorted-stream prolongation), bitwise.
+and count how often each mesh constant, the raster factor of kappa and
+example1's spatial factors are built.  The other tests hold the faster forms
+to the ones they replaced (`np.add.at` source scatter, two evaluations of an
+analytic truth per metric row, the sorted-stream prolongation), bitwise.
 """
 
 import numpy as np
@@ -91,6 +91,41 @@ def test_problems_on_one_mesh_share_the_transfers():
     b = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)
     assert a.transfers is b.transfers is multigrid_transfers(mesh)
     assert len(a.transfers) == 2
+
+
+@pytest.fixture(scope="module")
+def ex1_twin_builds():
+    """example1 nx=10 over two coarse intervals, reference plus assimilated
+    run on one mesh, counting the builds of the mass matrix and the
+    evaluations of example1's spatial factors at the quadrature points."""
+    sc = scenarios.example1(nx=10, t_end=0.04)
+    mesh = sc.build_mesh()
+    quad = quadrature(mesh)
+    counts = {"mass": 0, "factors_at_quadrature": 0}
+    factors = scenarios.example1_factors
+
+    def counted_factors(x, y):
+        counts["factors_at_quadrature"] += x is quad.x and y is quad.y
+        return factors(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_build_mass_matrix",
+                   _counting(counts, "mass", fields._build_mass_matrix))
+        mp.setattr(scenarios, "example1_factors", counted_factors)
+        part = driver.TimePartition.from_scenario(sc)
+        ref = driver.run_reference(sc, part, mesh)
+        run = driver.run_assimilated(sc, ref.stream, part, mesh,
+                                     reference=ref.trajectory)
+    assert len(run.report.rows) == part.n_coarse * part.fine_per_coarse + 1
+    return counts
+
+
+def test_twin_computes_example1_factors_once_per_mesh(ex1_twin_builds):
+    assert ex1_twin_builds["factors_at_quadrature"] == 1
+
+
+def test_twin_builds_the_mass_matrix_once_per_mesh(ex1_twin_builds):
+    assert ex1_twin_builds["mass"] == 1
 
 
 # -- the raster memo ------------------------------------------------------------
@@ -193,6 +228,34 @@ def test_scalar_source_is_spread_over_every_point():
                                    source=lambda x, y, t: 2.0)
     np.testing.assert_array_equal(coeffs.source_vector(0.0),
                                   dr.source_vector_add_at(coeffs, 0.0))
+
+
+@pytest.mark.parametrize("factory, nx, times", [
+    (scenarios.example1, 20, (0.0, 0.013, 0.5)),
+    (scenarios.example4, 24, (0.0, 7200.0, 1.3 * scenarios.DAY))])
+def test_example_source_vectors_equal_the_add_at_scatter_bitwise(factory, nx,
+                                                                times):
+    """The scatter sums each CV in point order, as the `np.bincount` form
+    the CSR product replaced did, and evaluates the source at fresh copies
+    of the points, where no memo applies."""
+    sc = factory(nx=nx)
+    coeffs = TransportCoefficients(sc.build_mesh(), sc.diffusion,
+                                   reaction=sc.reaction, source=sc.source)
+    for t in times:
+        got = coeffs.source_vector(t)
+        assert got.tobytes() == dr.source_vector_add_at(coeffs, t).tobytes()
+
+
+def test_cv_integration_matrix_is_built_only_with_a_source():
+    mesh = build_mesh(6, 5)
+    diffusion = lambda x, y: np.ones_like(x)
+    assert "source_cv" not in TransportCoefficients(mesh, diffusion)._static
+    with_source = TransportCoefficients(mesh, diffusion,
+                                        source=lambda x, y, t: x + t)
+    assert with_source._static["source_cv"].shape == (mesh.n_vertices,
+                                                      16 * mesh.n_elements)
+    np.testing.assert_array_equal(TransportCoefficients(mesh, diffusion)
+                                  .source_vector(0.5), 0.0)
 
 
 def test_metrics_evaluate_the_truth_once_and_match_two_calls():

@@ -120,9 +120,10 @@ def test_failed_restart_falls_back_to_one_lu_factor_per_interval(monkeypatch, ca
 
 def test_driver_builds_one_step_matrix_and_one_factor_per_interval(monkeypatch):
     """The fine times of an interval are a linspace whose steps differ in
-    the last bit.  The driver gives every step the interval's nominal size,
-    so each interval builds one step matrix, and when every BiCGStab solve
-    breaks down, the first step's LU factor serves the whole interval."""
+    the last bit.  The driver gives every step the run's nominal size, so
+    each interval's bundle builds one step matrix, and when every BiCGStab
+    solve breaks down, the first step's LU factor serves the whole
+    interval."""
     sc = scenarios.example1(nx=10, t_end=0.04)
     part = driver.TimePartition.from_scenario(sc)
     assert all(np.unique(np.diff(part.fine_times(n))).size > 1

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dense_reference import example1_closed_form
 from porousda import scenarios
+from porousda.fields import quadrature
 from porousda.scenarios import (BUILTIN_SCENARIOS, DAY, PermeabilityRaster,
                                 assumption_report, bump, diffusion_reaction,
                                 example1, example2, example3, example4,
@@ -56,6 +58,29 @@ def test_example1_forcing_matches_finite_differences():
     x, y = _sample_points(7)
     for t in (0.1, 0.4):
         np.testing.assert_allclose(sc.source(x, y, t), fd(x, y, t), atol=1e-6)
+
+
+def test_example1_memoized_forms_match_the_closed_form_and_the_forcing():
+    sc = example1(nx=30)
+    quad = quadrature(sc.build_mesh())
+    x, y = quad.x, quad.y
+    exact, source = example1_closed_form()
+    fd = manufactured_forcing(exact, velocity=sc.velocity)
+    for t in (0.0, 0.13, 0.5):
+        for _ in range(2):              # the memo's fill, then its reuse
+            got = sc.source(x, y, t)
+            np.testing.assert_allclose(got, source(x, y, t), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(sc.exact(x, y, t), exact(x, y, t),
+                                       rtol=0, atol=1e-15)
+        # The difference forcing itself is off the closed form by up to
+        # 1.6e-9 at these points: its second differences lose that to roundoff.
+        np.testing.assert_allclose(got, fd(x, y, t), rtol=0, atol=5e-9)
+    # Points that are not frozen are evaluated fresh, by the same formulas.
+    xs, ys = _sample_points()
+    np.testing.assert_allclose(sc.source(xs, ys, 0.2), source(xs, ys, 0.2),
+                               rtol=0, atol=1e-15)
+    assert sc.source(0.3, 0.6, 0.2) == pytest.approx(source(0.3, 0.6, 0.2),
+                                                     rel=1e-15)
 
 
 # ---------------------------------------------------------------- example 2

@@ -1,9 +1,10 @@
 """The per-interval choice between BiCGStab and a sparse LU factor.
 
-Each coarse interval solves its first fine step by Jacobi-BiCGStab.  When
-that took k iterations and k * (m - 1) > sqrt(n), the step matrix is
-factored and the other m - 1 steps reuse the factor; every factor solve is
-checked against the BiCGStab tolerance.  The twin cases below run the path
+Each transport bundle solves its first fine step by Jacobi-BiCGStab.  When
+that took k iterations and k times the number of steps the bundle still has
+to solve exceeds sqrt(n), the step matrix is factored and those later steps
+reuse the factor (for a bundle of one coarse interval, k * (m - 1) >
+sqrt(n)); every factor solve is checked against the BiCGStab tolerance.  The twin cases below run the path
 the driver takes; the element-kernel cases hold the blocked kappa
 evaluation to the whole-array one it replaced, bitwise.
 """

@@ -156,9 +156,8 @@ def _write_report(outdir, run, mu):
             lines.append(f"{kind} solver iterations: max {max(counts)}, "
                          f"total {sum(counts)}")
     if report.recoveries:
-        kinds = [kind for _, kind in report.recoveries]
-        lines.append("transport steps recovered from a bicgstab breakdown: "
-                     + ", ".join(f"{k} {kinds.count(k)}" for k in sorted(set(kinds))))
+        lines.append("transport steps recovered from a bicgstab breakdown "
+                     f"by sparse LU: {len(report.recoveries)}")
     if report.factored_intervals:
         lines.append("coarse intervals with transport steps "
                      f"solved by a sparse LU factor: {report.factored_intervals}"

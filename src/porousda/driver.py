@@ -22,7 +22,7 @@ import numpy as np
 from . import transport
 from .fields import NodalField, QuadratureField, l2_diff, l2_norm
 from .flux_postprocess import postprocess_flux
-from .linalg import NoConvergenceError, SolverConfig
+from .linalg import NoConvergenceError
 from .observation import ObservationStream, SparseGrid
 from .pressure import PressureProblem, default_solver, solve_pressure
 
@@ -129,11 +129,11 @@ class RunReport:
         self.rows = []
         self.solver_iterations = {"pressure": [], "transport": []}
         self.conservation_max = 0.0
-        # (t, kind) of every transport step that needed a breakdown recovery
-        # ("restart" or "lu"; see transport.step)
+        # (t, "lu") of every transport step whose BiCGStab broke down and
+        # was solved by a sparse LU factor (see transport.step)
         self.recoveries = []
-        # coarse intervals with any step solved by a sparse LU factor chosen
-        # for its cost (not counting breakdown recoveries)
+        # coarse intervals with any step solved by a sparse LU factor, chosen
+        # for its cost or made after a breakdown
         self.factored_intervals = 0
 
     def append(self, t, r, rtilde, mass_residual, rmin, rmax):
@@ -225,8 +225,7 @@ class AssimilationRun:
 def _solver_configs(overrides=None):
     cfg = {
         "pressure": default_solver(),
-        "transport": SolverConfig(method="bicgstab", rel_tol=1e-12,
-                                  preconditioner="jacobi"),
+        "transport": transport.default_solver(),
     }
     if overrides:
         cfg.update(overrides)
@@ -347,7 +346,7 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
             report.solver_iterations["transport"].append(rep.iterations)
             if rep.recovery is not None:
                 report.recoveries.append((float(s1), rep.recovery))
-            factored = factored or (rep.factored and rep.recovery is None)
+            factored = factored or rep.factored
             level += 1
             if not np.all(np.isfinite(theta.values)):
                 raise NonFiniteStateError(float(s1), level)

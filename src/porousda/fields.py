@@ -84,10 +84,6 @@ class Quadrature:
         self.seg_len = np.where(SEG_NORMAL_AXIS == 0, mesh.hy / 2.0, mesh.hx / 2.0)
         self.x, self.y = element_points(mesh, self.local_points)
 
-    def global_points(self):
-        """The quadrature points as one (ne, 16, 2) array, a fresh copy."""
-        return np.stack([self.x, self.y], axis=-1)
-
 
 def element_points(mesh, local):
     """Global coordinates of local points (n, 2) in every element.
@@ -174,7 +170,8 @@ class DGField:
 # -- L2 norms: by the mass matrix for nodal fields, else by quadrature ------
 
 class QuadratureField:
-    """A function known by its values at the quadrature points, (16, ne).
+    """A function known by its values at the quadrature points, (ne, 16)
+    in the layout of `quadrature(mesh).x`.
 
     `sample` evaluates a callable there once, so several integrals of the
     same function (a norm and a difference, say) share one evaluation.
@@ -190,49 +187,48 @@ class QuadratureField:
 
 
 def _values_at_quadrature(mesh, source, t=None):
+    """Values of a field, QuadratureField or callable at the quadrature
+    points, (ne, 16)."""
     quad = quadrature(mesh)
     if isinstance(source, NodalField):
-        return quad.phi @ source.corner_values().T  # (16, ne)
+        return source.corner_values() @ quad.phi.T
     if isinstance(source, DGField):
-        return quad.phi @ source.values.T
+        return source.values @ quad.phi.T
     if isinstance(source, QuadratureField):
         return source.values
     x, y = quad.x, quad.y
     vals = source(x, y) if t is None else source(x, y, t)
-    # match the memory layout of the field branches so reductions over
-    # identical values are bitwise identical regardless of the source kind
-    return np.ascontiguousarray(
-        np.broadcast_to(np.asarray(vals, dtype=float), x.shape).T)
+    return np.broadcast_to(np.asarray(vals, dtype=float), x.shape)
 
 
 def _mass_norm(mesh, u):
     return float(np.sqrt(u @ (mass_matrix(mesh) @ u)))
 
 
+def _quadrature_norm(mesh, v):
+    """L2 norm of the values v (ne, 16) at the quadrature points, by a dot
+    product, which makes no squared copy of v."""
+    return float(np.sqrt(np.vdot(v, v) * quadrature(mesh).weight))
+
+
 def l2_norm(field):
     if isinstance(field, NodalField):
         return _mass_norm(field.mesh, field.values)
-    quad = quadrature(field.mesh)
-    v = _values_at_quadrature(field.mesh, field)
-    return float(np.sqrt(np.sum(v * v) * quad.weight))
+    return _quadrature_norm(field.mesh, _values_at_quadrature(field.mesh, field))
 
 
 def l2_diff(field, other, t=None):
     """L2 norm of (field - other); other is a field, a QuadratureField or a
     callable f(x, y[, t]).  Two nodal fields are compared by the mass matrix."""
+    mesh = field.mesh
     if isinstance(field, NodalField) and isinstance(other, NodalField):
-        return _mass_norm(field.mesh, field.values - other.values)
-    quad = quadrature(field.mesh)
-    a = _values_at_quadrature(field.mesh, field)
-    b = _values_at_quadrature(field.mesh, other, t=t)
-    d = a - b
-    return float(np.sqrt(np.sum(d * d) * quad.weight))
+        return _mass_norm(mesh, field.values - other.values)
+    return _quadrature_norm(mesh, _values_at_quadrature(mesh, field)
+                            - _values_at_quadrature(mesh, other, t=t))
 
 
 def l2_norm_callable(mesh, fn, t=None):
-    quad = quadrature(mesh)
-    v = _values_at_quadrature(mesh, fn, t=t)
-    return float(np.sqrt(np.sum(v * v) * quad.weight))
+    return _quadrature_norm(mesh, _values_at_quadrature(mesh, fn, t=t))
 
 
 def integrate(mesh, source, t=None):

@@ -17,8 +17,9 @@ function r -> z: Jacobi, or a symmetric multigrid V-cycle over a
 caller-supplied hierarchy of prolongations.  Both stop when
 ||b - A x|| <= max(rel_tol * ||b||, abs_tol).  The transport step may
 instead solve by a sparse LU factor that it keeps for a coarse interval
-(`transport.StepFactor`); it checks each such solve against the same
-criterion and marks its report `factored`.
+(`transport.StepFactor`), chosen for its cost or made after a BiCGStab
+breakdown; it checks each such solve against the same criterion and marks
+its report `factored`.
 """
 
 from dataclasses import dataclass
@@ -77,7 +78,7 @@ class SolveReport:
     residual: float
     converged: bool
     residual_history: list | None = None
-    recovery: str | None = None   # "restart" or "lu" after a breakdown
+    recovery: str | None = None   # "lu": a breakdown solved by a sparse LU factor
     factored: bool = False        # solved by a sparse LU factor
 
 
@@ -266,7 +267,7 @@ def _bicgstab(A, b, x0, rtol, atol, maxiter, minv):
     report = SolveReport(count[0], residual, info == 0, None)
     if info != 0:
         # info > 0: iteration cap; info < 0: breakdown (a vanishing inner
-        # product), which a restart or another method can get past.
+        # product), which the transport step gets past by a direct solve.
         raise NoConvergenceError(
             f"bicgstab failed after {count[0]} iterations "
             f"(residual {residual:.3e}, info={info})", x, report,

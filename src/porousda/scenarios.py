@@ -29,7 +29,6 @@ import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate
 from scipy.ndimage import gaussian_filter
 
 from .mesh import DIRICHLET, NEUMANN, build_mesh
@@ -50,12 +49,6 @@ def bump(x, y, cx, cy, radius, peak=1.0):
     with np.errstate(divide="ignore", over="ignore"):
         val = np.exp(1.0 - 1.0 / np.maximum(1.0 - s, _TINY))
     return peak * np.where(s < 1.0, val, 0.0)
-
-
-def well_total(peak, radius):
-    """Exact integral of a bump well, for audit against mesh quadrature."""
-    unit, _ = integrate.quad(lambda s: math.exp(1.0 - 1.0 / (1.0 - s)), 0.0, 1.0)
-    return peak * math.pi * radius**2 * unit
 
 
 def quarter_power_viscosity(theta, mu_solvent=0.00108, mu_water=0.001):

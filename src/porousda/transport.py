@@ -35,17 +35,15 @@ steps the bundle still has to solve exceeds sqrt(n), n vertices, the matrix
 is factored once (`splu`) and the later steps reuse the factor: with a
 fill-reducing ordering, a factor of a 2-D stencil matrix costs about sqrt(n)
 BiCGStab iterations (within 15 % on examples 1 and 4), and a solve by it
-costs a few, which the rule leaves out.  The factor is freed with its
-bundle; it has 50-80 entries per vertex on the built-in scenarios (12 MiB at
-n = 14,641).  Every solve by a factor has its residual checked against the
-BiCGStab tolerance; a solve that misses it is redone by BiCGStab, which then
-solves the bundle's later steps.  Sibling bundles share one cached source
-vector: a step reads the source at its start, where the step before read it.
-
-A BiCGStab breakdown is recovered in `step`: one restart from the best
-iterate, then a factor of the step matrix, reused for the bundle's later
-steps.  Steps solved by that factor are recoveries; steps solved by a
-factor chosen for its cost are not.
+costs a few, which the rule leaves out.  A BiCGStab breakdown is treated as
+a solve that costs more than the factor: the step is solved by a factor of
+its matrix, which the later steps reuse, and its report's `recovery` is
+"lu".  The factor is freed with its bundle; it has 50-80 entries per vertex
+on the built-in scenarios (12 MiB at n = 14,641).  Every solve by a factor
+has its residual checked against the BiCGStab tolerance; a solve that misses
+it is redone by BiCGStab, which then solves the bundle's later steps.
+Sibling bundles share one cached source vector: a step reads the source at
+its start, where the step before read it.
 """
 
 import logging
@@ -287,25 +285,32 @@ def assemble_step(theta_old, coeffs, step, observations=None):
     return A, rhs
 
 
+def default_solver():
+    """The transport solve: Jacobi-BiCGStab to a relative 1e-12."""
+    return linalg.SolverConfig(method="bicgstab", rel_tol=1e-12,
+                               preconditioner="jacobi")
+
+
 def step(theta_old, coeffs, step_spec, observations=None, solver=None,
          later_steps=0):
     """Advance one fine step; returns (NodalField, SolveReport).
 
     `later_steps` is how many more steps the bundle `coeffs` will solve
     with the same step matrix.  A step solves by the bundle's factor when it
-    has one.  Otherwise it solves by BiCGStab, and if that took k iterations
-    with k * later_steps > sqrt(n), the matrix is factored for the later
-    steps (see the module docstring).  A factor solve that misses the
-    tolerance is redone by BiCGStab, which keeps the bundle's later steps.
+    has one.  Otherwise it solves by BiCGStab (`solver`, by default
+    `default_solver()`), and if that took k iterations with
+    k * later_steps > sqrt(n), the matrix is factored for the later steps
+    (see the module docstring).  A factor solve that misses the tolerance is
+    redone by BiCGStab, which keeps the bundle's later steps.
 
-    A BiCGStab breakdown is recovered, and logged: the solve restarts once
-    from its best iterate, and if that fails too, the step is solved by a
-    factor of the same matrix, which the bundle's later steps reuse (they
-    share its step size; see `TransportStep`).  The report's `recovery`
-    names what was done.  An iteration cap that is reached without a
-    breakdown is the caller's budget and stays a `NoConvergenceError`.
+    A BiCGStab breakdown is logged, and the step is solved by a factor of
+    its matrix, which the bundle's later steps reuse (they share its step
+    size; see `TransportStep`); the report's `recovery` is "lu".  When that
+    factor is singular or its solve misses the tolerance, the breakdown's
+    `NoConvergenceError` is raised.  An iteration cap that is reached
+    without a breakdown is the caller's budget and stays an error too.
     """
-    solver = solver or linalg.SolverConfig(method="bicgstab", preconditioner="jacobi")
+    solver = solver or default_solver()
     A, rhs = assemble_step(theta_old, coeffs, step_spec, observations)
     dt, _, factor = coeffs._step
     if factor:
@@ -320,13 +325,17 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None,
     except linalg.NoConvergenceError as exc:
         if not exc.breakdown:
             raise
-        x, report = _recover(A, rhs, solver, exc, coeffs, step_spec)
+        _log.warning("%s: %s; solving by sparse LU", _where(step_spec), exc)
+        factor = _factor(A)
+        solved = factor and factor.solve(A, rhs, solver)
+        if not solved:
+            raise
+        coeffs._step = (dt, A, factor)
+        x, report = solved
+        report.recovery = "lu"
     if (coeffs._step[2] is None
             and report.iterations * later_steps > math.sqrt(A.shape[0])):
-        try:
-            coeffs._step = (dt, A, StepFactor(A))
-        except RuntimeError:        # SuperLU: singular; BiCGStab keeps it
-            coeffs._step = (dt, A, False)
+        coeffs._step = (dt, A, _factor(A))
     return NodalField(coeffs.mesh, x), report
 
 
@@ -335,27 +344,13 @@ def _where(step_spec):
             f"{float(step_spec.t_end)!r}")
 
 
-def _recover(A, rhs, solver, exc, coeffs, step_spec):
-    """Solve a step whose BiCGStab broke down: restart, then sparse LU."""
-    where = _where(step_spec)
+def _factor(A):
+    """A `StepFactor` of A, or False (BiCGStab keeps A) when SuperLU finds
+    A singular."""
     try:
-        x, report = linalg.solve(A, rhs, solver, x0=exc.best)
-    except linalg.NoConvergenceError as again:
-        _log.warning("%s: %s; the restart failed too (%s), solving by sparse LU",
-                     where, exc, again)
-        try:
-            factor = StepFactor(A, recovery="lu")
-        except RuntimeError:        # SuperLU: singular; nothing left to try
-            raise again from None
-        solved = factor.solve(A, rhs, solver)
-        if solved is None:
-            raise again from None
-        coeffs._step = (step_spec.dt, A, factor)
-        return solved
-    _log.warning("%s: %s; restarted from the best iterate", where, exc)
-    report.iterations += exc.report.iterations
-    report.recovery = "restart"
-    return x, report
+        return StepFactor(A)
+    except RuntimeError:
+        return False
 
 
 def splu(A):
@@ -372,15 +367,10 @@ def splu(A):
 
 
 class StepFactor:
-    """The sparse LU factor of one step matrix, and why it was made.
+    """The sparse LU factor of one step matrix."""
 
-    `recovery` is "lu" for a factor made after a BiCGStab breakdown, whose
-    solves are reported as recoveries, and None for one chosen for its cost.
-    """
-
-    def __init__(self, A, recovery=None):
+    def __init__(self, A):
         self.lu = splu(A)
-        self.recovery = recovery
 
     def solve(self, A, rhs, solver):
         """(x, SolveReport), or None when the residual misses the solver's
@@ -390,8 +380,7 @@ class StepFactor:
         if not residual <= max(solver.rel_tol * float(np.linalg.norm(rhs)),
                                solver.abs_tol):
             return None
-        return x, linalg.SolveReport(0, residual, True, recovery=self.recovery,
-                                     factored=True)
+        return x, linalg.SolveReport(0, residual, True, factored=True)
 
 
 def prescribed_outflux(mesh, velocity, theta_frozen):

@@ -9,13 +9,16 @@ itself is independent.
 
 The dense assembly routines return dense numpy arrays.  The last two
 sections hold what only the tests use: record views of the dual mesh and of
-fields (control-volume areas, point evaluation, the raw FEM flux residuals),
+fields (the quadrature points as one array, control-volume areas, point
+evaluation, the raw FEM flux residuals), the exact integral of a bump well,
 and the stream forms the package replaced, kept as references.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import integrate
 
 # Corner order on the unit square: SW, SE, NW, NE.
 _CORNER_XI = (0.0, 1.0, 0.0, 1.0)
@@ -469,6 +472,18 @@ class ControlVolume:
     faces: list = field(default_factory=list)
 
 
+def global_points(quad):
+    """A mesh's quadrature points as one (ne, 16, 2) array, a fresh copy."""
+    return np.stack([quad.x, quad.y], axis=-1)
+
+
+def well_total(peak, radius):
+    """Exact integral of a bump well (`scenarios.bump`), for audit against
+    mesh quadrature."""
+    unit, _ = integrate.quad(lambda s: math.exp(1.0 - 1.0 / (1.0 - s)), 0.0, 1.0)
+    return peak * math.pi * radius**2 * unit
+
+
 def cv_areas(mesh):
     """Areas of all control volumes (clipped at the boundary)."""
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
@@ -627,7 +642,7 @@ def source_vector_add_at(coeffs, t):
     out = np.zeros(mesh.n_vertices)
     if coeffs.source is None:
         return out
-    pts = quad.global_points()
+    pts = global_points(quad)
     fv = np.asarray(coeffs.source(pts[:, :, 0], pts[:, :, 1], t),
                     dtype=float) * np.ones(pts.shape[:2])
     rows = mesh.elements[:, quad.owner_corner].ravel()

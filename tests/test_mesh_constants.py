@@ -77,8 +77,13 @@ def test_point_sets_are_contiguous_and_read_only(ex3_twin_builds):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
-    np.testing.assert_array_equal(quad.global_points(),
-                                  np.stack([quad.x, quad.y], axis=-1))
+    local = np.array([pt[:2] for pt in dr.quad_points()])
+    for e in (0, mesh.n_elements - 1):
+        ox, oy = dr.element_origin(mesh, e)
+        np.testing.assert_allclose(quad.x[e], ox + local[:, 0] * mesh.hx,
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(quad.y[e], oy + local[:, 1] * mesh.hy,
+                                   rtol=1e-15, atol=0)
     kx, ky = kernel_points(mesh)
     np.testing.assert_array_equal(kx[:, :16], quad.x)
     np.testing.assert_array_equal(ky[:, :16], quad.y)

@@ -1,10 +1,10 @@
 """BiCGStab breakdown recovery in the transport step.
 
-A breakdown (scipy's info < 0) is recovered by one restart from the best
-iterate, and failing that by a sparse LU factor of the step matrix that the
-rest of the interval reuses.  Reaching the iteration cap is not a breakdown
-and still fails the run.  The scenario cases below broke down in their
-reference run before the recovery existed.
+A breakdown (scipy's info < 0) is solved by a sparse LU factor of the step
+matrix, the same factor the cost rule would make, and the bundle's later
+steps reuse it.  Reaching the iteration cap is not a breakdown and still
+fails the run.  The scenario cases below broke down in their reference run
+before the recovery existed.
 """
 
 import logging
@@ -27,14 +27,15 @@ def _reference(sc, t_end):
     return driver.run_reference(sc, part, sc.build_mesh())
 
 
-def _broken_bicgstab(monkeypatch, failures):
-    """Make the first `failures` BiCGStab solves break down (info = -10)."""
+def _broken_bicgstab(monkeypatch, failures=0, breaks=()):
+    """Make the first `failures` BiCGStab solves, and the solves numbered in
+    `breaks` (from 1), break down (info = -10)."""
     solve = linalg.solve
     calls = {"n": 0}
 
     def breaking(A, b, config=None, **kw):
         calls["n"] += 1
-        if calls["n"] <= failures:
+        if calls["n"] <= failures or calls["n"] in breaks:
             x = np.zeros_like(b)
             report = linalg.SolveReport(3, 1.0, False)
             raise NoConvergenceError("bicgstab failed (info=-10)", x, report,
@@ -67,12 +68,12 @@ def _diffusion_problem():
 
 
 def _march(coeffs, theta, steps, dt=1.0 / 64.0):
-    solver = SolverConfig(method="bicgstab", rel_tol=1e-12, preconditioner="jacobi")
+    """`steps` steps with later_steps = 0, so the cost rule never factors."""
     reports = []
     for k in range(steps):
         theta, rep = transport.step(theta, coeffs,
                                     TransportStep(k * dt, (k + 1) * dt),
-                                    solver=solver)
+                                    solver=transport.default_solver())
         reports.append(rep)
     return theta, reports
 
@@ -88,34 +89,63 @@ def test_bicgstab_marks_breakdown_but_not_the_cap():
         transport.step(theta, coeffs, TransportStep(0.0, 0.01), solver=cfg)
 
 
-def test_restart_recovers_a_breakdown_and_logs_it(monkeypatch, caplog):
-    coeffs, theta = _diffusion_problem()
-    plain, _ = _march(coeffs.with_velocity(None), theta, 3)
-    _broken_bicgstab(monkeypatch, failures=1)
-    with caplog.at_level(logging.WARNING, logger="porousda"):
-        got, reports = _march(coeffs.with_velocity(None), theta, 3)
-    assert [r.recovery for r in reports] == ["restart", None, None]
-    assert reports[0].iterations > 3
-    assert "restarted from the best iterate" in caplog.text
-    np.testing.assert_allclose(got.values, plain.values, rtol=0, atol=1e-11)
-
-
-def test_failed_restart_falls_back_to_one_lu_factor_per_interval(monkeypatch, caplog):
+def test_a_breakdown_is_solved_by_one_lu_factor_per_interval(monkeypatch, caplog):
     coeffs, theta = _diffusion_problem()
     plain, _ = _march(coeffs.with_velocity(None), theta, 4)
-    calls = _broken_bicgstab(monkeypatch, failures=2)
+    calls = _broken_bicgstab(monkeypatch, failures=1)
     factors = _counted_splu(monkeypatch)
     interval = coeffs.with_velocity(None)
     with caplog.at_level(logging.WARNING, logger="porousda"):
         got, reports = _march(interval, theta, 4)
-    assert [r.recovery for r in reports] == ["lu"] * 4
+    # Only the breakdown step is a recovery; the later steps reuse its factor.
+    assert [r.recovery for r in reports] == ["lu", None, None, None]
+    assert all(r.factored and r.iterations == 0 for r in reports)
     assert all(r.converged and r.residual < 1e-12 for r in reports)
-    assert calls["n"] == 2 and len(factors) == 1      # later steps reuse it
+    assert calls["n"] == 1 and len(factors) == 1
     assert "solving by sparse LU" in caplog.text
     np.testing.assert_allclose(got.values, plain.values, rtol=0, atol=1e-11)
     # The next interval has its own step matrix and starts with BiCGStab.
     _, reports = _march(interval.with_velocity(None), theta, 1)
-    assert reports[0].recovery is None
+    assert reports[0].recovery is None and not reports[0].factored
+
+
+def test_a_breakdown_on_the_last_step_takes_one_bicgstab_solve(monkeypatch):
+    coeffs, theta = _diffusion_problem()
+    calls = _broken_bicgstab(monkeypatch, failures=1)
+    factors = _counted_splu(monkeypatch)
+    _, report = transport.step(theta, coeffs, TransportStep(0.0, 1.0 / 64.0),
+                               later_steps=0)
+    assert report.recovery == "lu" and report.factored and report.converged
+    assert calls["n"] == 1 and len(factors) == 1
+
+
+def test_a_breakdown_after_bicgstab_was_kept_installs_the_factor(monkeypatch):
+    """later_steps = 0 keeps the first step on BiCGStab; the second breaks
+    down, and its factor solves the third."""
+    coeffs, theta = _diffusion_problem()
+    plain, _ = _march(coeffs.with_velocity(None), theta, 3)
+    calls = _broken_bicgstab(monkeypatch, breaks={2})
+    factors = _counted_splu(monkeypatch)
+    interval = coeffs.with_velocity(None)
+    got, reports = _march(interval, theta, 3)
+    assert [r.recovery for r in reports] == [None, "lu", None]
+    assert [r.factored for r in reports] == [False, True, True]
+    assert calls["n"] == 2 and len(factors) == 1
+    assert interval._step[2].lu is not None
+    np.testing.assert_allclose(got.values, plain.values, rtol=0, atol=1e-11)
+
+
+def test_a_singular_breakdown_factor_raises_the_breakdown(monkeypatch):
+    coeffs, theta = _diffusion_problem()
+    _broken_bicgstab(monkeypatch, failures=1)
+
+    def singular(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(transport, "splu", singular)
+    with pytest.raises(NoConvergenceError) as info:
+        transport.step(theta, coeffs, TransportStep(0.0, 1.0 / 64.0))
+    assert info.value.breakdown
 
 
 def test_driver_builds_one_step_matrix_and_one_factor_per_interval(monkeypatch):
@@ -142,17 +172,29 @@ def test_driver_builds_one_step_matrix_and_one_factor_per_interval(monkeypatch):
     steps = part.n_coarse * part.fine_per_coarse
     assert len(matrices) == steps
     assert len({id(A) for A in matrices}) == part.n_coarse
-    # One solve and its restart break down per interval, then LU throughout.
-    assert calls["n"] == 2 * part.n_coarse
+    # One solve breaks down per interval, then its factor solves the rest.
+    assert calls["n"] == part.n_coarse
     assert len(factors) == part.n_coarse
-    assert [kind for _, kind in ref.report.recoveries] == ["lu"] * steps
+    assert [kind for _, kind in ref.report.recoveries] == ["lu"] * part.n_coarse
+    assert ref.report.factored_intervals == part.n_coarse
 
 
 def test_run_report_counts_recoveries(monkeypatch):
     sc = scenarios.example1(nx=10, t_end=0.04)
     _broken_bicgstab(monkeypatch, failures=1)
     ref = _reference(sc, 0.04)
-    assert ref.report.recoveries == [(pytest.approx(0.002), "restart")]
+    assert ref.report.recoveries == [(pytest.approx(0.002), "lu")]
+
+
+def test_factored_intervals_counts_a_breakdown_factor(monkeypatch):
+    """One fine step per interval: the cost rule never factors, so only the
+    breakdown's factor counts."""
+    sc = scenarios.example1(nx=10)
+    part = driver.TimePartition.uniform(0.04, 4, 1)
+    _broken_bicgstab(monkeypatch, breaks={2})
+    ref = driver.run_reference(sc, part, sc.build_mesh())
+    assert ref.report.recoveries == [(pytest.approx(0.02), "lu")]
+    assert ref.report.factored_intervals == 1
 
 
 # -- cases that broke down before ---------------------------------------------
@@ -170,13 +212,13 @@ def test_example1_default_size_recovers_its_breakdowns():
 def test_example4_default_size_recovers_its_breakdown():
     """example4 at nx=240 broke down in its first fine step."""
     ref = _reference(scenarios.example4(), 2 * DAY)
-    assert ref.report.recoveries == [(7200.0, "restart")]
+    assert ref.report.recoveries == [(7200.0, "lu")]
     assert len(ref.report.rows) == 25
 
 
 def test_example4_raster_seed_10_recovers_its_breakdown():
     ref = _reference(scenarios.example4(nx=120, seed=10), 8 * DAY)
-    assert [kind for _, kind in ref.report.recoveries] == ["restart"]
+    assert ref.report.recoveries == [(7200.0, "lu")]
     assert ref.report.conservation_max <= 1e-12
 
 
@@ -187,3 +229,18 @@ def test_cli_runs_example4_at_default_size(tmp_path, monkeypatch, capsys):
     assert main(["run", str(cfg)]) == 0
     assert "final R" in capsys.readouterr().out
     assert (tmp_path / "metrics.csv").exists()
+
+
+def test_cli_report_counts_the_breakdowns(tmp_path, monkeypatch):
+    """Every BiCGStab solve breaks down: each interval's first step is a
+    recovery, and its factor solves the rest of the interval."""
+    monkeypatch.setenv("POROUSDA_OUTPUT_ROOT", str(tmp_path))
+    cfg = tmp_path / "ex1.ini"
+    cfg.write_text("[scenario]\nname = example1\n\n[mesh]\nnx = 10\n\n"
+                   "[time]\nt_end = 0.04\n")
+    _broken_bicgstab(monkeypatch, failures=float("inf"))
+    assert main(["run", str(cfg)]) == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert ("transport steps recovered from a bicgstab breakdown "
+            "by sparse LU: 2\n") in report
+    assert "solved by a sparse LU factor: 2 of 2" in report

@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dense_reference import example1_closed_form
+from dense_reference import example1_closed_form, well_total
 from porousda import scenarios
 from porousda.fields import quadrature
 from porousda.scenarios import (BUILTIN_SCENARIOS, DAY, PermeabilityRaster,
                                 assumption_report, bump, diffusion_reaction,
                                 example1, example2, example3, example4,
                                 manufactured_forcing, mobility_closure,
-                                quarter_power_viscosity, well_total)
+                                quarter_power_viscosity)
 
 
 def _sample_points(n=13):

@@ -132,7 +132,7 @@ def test_transport_operators_match_streams(case):
     coeffs = _coefficients(mesh, grid, rng)
     st = coeffs._static
     free = ~mesh.is_dirichlet
-    pts = quadrature(mesh).global_points()
+    pts = dr.global_points(quadrature(mesh))
     x, y = pts[:, :, 0], pts[:, :, 1]
     _same_operator(st["mass"], _cv_stream(mesh, np.ones(x.size), free))
     _same_operator(st["reac"], _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free))
@@ -255,7 +255,7 @@ def test_twin_flux_recovery_stiffness_action_matches_quadrature(ex3_twin):
     w sum_q kappa grad(p) . grad(phi) it replaced."""
     kappa, mesh, seen, _ = ex3_twin
     quad = quadrature(mesh)
-    pts = quad.global_points()
+    pts = dr.global_points(quad)
     assert len(seen["recoveries"]) == 6
     for kernel, pressure, theta in seen["recoveries"]:
         np.testing.assert_array_equal(kernel.theta, theta.values)

@@ -239,3 +239,25 @@ def test_observation_gap_propagates():
     with pytest.raises(ObservationGapError):
         assemble_step(NodalField.zeros(mesh), coeffs,
                       TransportStep(0.1, 0.2), observations=stream)
+
+
+def test_step_without_a_solver_uses_the_driver_transport_default(monkeypatch):
+    """One transport default, `transport.default_solver()`: what `step`
+    solves with when given no solver, and what the driver's runs use."""
+    from porousda import driver, linalg
+
+    configs = []
+    solve = linalg.solve
+
+    def recorded(A, b, config=None, **kw):
+        configs.append(config)
+        return solve(A, b, config, **kw)
+
+    monkeypatch.setattr(linalg, "solve", recorded)
+    mesh = build_mesh(6, 6)
+    coeffs = TransportCoefficients(mesh, diffusion=lambda x, y: 0.1 * np.ones_like(x))
+    theta = NodalField.from_callable(mesh, lambda x, y: x * (1 - x) * y)
+    step(theta, coeffs, TransportStep(0.0, 0.01))
+    assert configs == [driver._solver_configs()["transport"]]
+    assert configs[0] == SolverConfig(method="bicgstab", rel_tol=1e-12,
+                                      preconditioner="jacobi")

@@ -19,13 +19,13 @@ import configparser
 import inspect
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import driver, scenarios
 from .fields import NodalField, l2_diff, quadrature
+from .linalg import SolverConfig
 from .observation import AlignmentError, SparseGrid
 
 
@@ -86,14 +86,14 @@ def build_scenario(cfg):
     return scenario.with_overrides(**overrides) if overrides else scenario
 
 
-def _solvers(cfg):
+def _solver(cfg):
+    """The one solver config of both systems from `[solver]`, or None for
+    the default; a bad value raises ValueError before anything runs."""
     if not cfg.has_section("solver"):
         return None
-    maxit = cfg.getint("solver", "max_iter", fallback=0) or None
-    return {kind: replace(conf, max_iter=maxit,
-                          rel_tol=cfg.getfloat("solver", "rel_tol",
-                                               fallback=conf.rel_tol))
-            for kind, conf in driver._solver_configs().items()}
+    return SolverConfig(
+        rel_tol=cfg.getfloat("solver", "rel_tol", fallback=SolverConfig.rel_tol),
+        max_iter=cfg.getint("solver", "max_iter", fallback=0) or None)
 
 
 def output_dir(cfg):
@@ -135,7 +135,22 @@ def _write_snapshots(outdir, scenario, trajectory, times):
                                scenario.lengths)
 
 
-def _write_report(outdir, run, mu):
+def _lu_lines(report, prefix=""):
+    """The transport steps of a run that a sparse LU factor solved."""
+    lines = []
+    if report.recoveries:
+        lines.append(f"{prefix}transport steps recovered from a bicgstab "
+                     f"breakdown by sparse LU: {len(report.recoveries)}")
+    if report.factored_intervals:
+        lines.append(f"{prefix}coarse intervals with transport steps solved "
+                     f"by a sparse LU factor: {report.factored_intervals}"
+                     f" of {report.partition.n_coarse}")
+    return lines
+
+
+def _write_report(outdir, run, mu, reference):
+    """report.txt of an assimilated run; `reference` is the RunReport of
+    the reference run it was measured against."""
     report = run.report
     lines = [f"mu = {mu!r}"]
     lines.append(f"plateau R_percent = {report.plateau_value()!r} "
@@ -155,19 +170,13 @@ def _write_report(outdir, run, mu):
         if counts:
             lines.append(f"{kind} solver iterations: max {max(counts)}, "
                          f"total {sum(counts)}")
-    if report.recoveries:
-        lines.append("transport steps recovered from a bicgstab breakdown "
-                     f"by sparse LU: {len(report.recoveries)}")
-    if report.factored_intervals:
-        lines.append("coarse intervals with transport steps "
-                     f"solved by a sparse LU factor: {report.factored_intervals}"
-                     f" of {report.partition.n_coarse}")
+    lines += _lu_lines(report) + _lu_lines(reference, "reference run: ")
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")
 
 
 def cmd_run(cfg):
     scenario = build_scenario(cfg)
-    solvers = _solvers(cfg)
+    solver = _solver(cfg)
     outroot = output_dir(cfg)
     outroot.mkdir(parents=True, exist_ok=True)
 
@@ -181,7 +190,7 @@ def cmd_run(cfg):
           f"fine steps, spacing {scenario.spacing!r}")
 
     try:
-        ref = driver.run_reference(scenario, partition, mesh, solvers=solvers)
+        ref = driver.run_reference(scenario, partition, mesh, solver=solver)
     except driver.RUN_FAILURES as exc:
         (outroot / "report.txt").write_text(f"reference run failed: {exc}\n")
         print(f"reference: FAILED ({exc})", file=sys.stderr)
@@ -196,14 +205,14 @@ def cmd_run(cfg):
         try:
             run = driver.run_assimilated(scenario, ref.stream, partition, mesh,
                                          mu=mu, reference=ref.trajectory,
-                                         solvers=solvers)
+                                         solver=solver)
         except (*driver.RUN_FAILURES, ValueError) as exc:
             failures += 1
             (rundir / "report.txt").write_text(f"run failed: {exc}\n")
             print(f"mu={mu:g}: FAILED ({exc})", file=sys.stderr)
             continue
         run.report.write_csv(rundir / "metrics.csv")
-        _write_report(rundir, run, mu)
+        _write_report(rundir, run, mu, ref.report)
         if snapshot_times:
             _write_snapshots(rundir, scenario, run.trajectory, snapshot_times)
         print(f"mu={mu:g}: final R = {run.report.asymptote():.6g}%, "
@@ -254,7 +263,7 @@ def cmd_validate(cfg):
 
 def cmd_sweep(cfg):
     scenario = build_scenario(cfg)
-    solvers = _solvers(cfg)
+    solver = _solver(cfg)
     mu_values = (_floats(cfg.get("sweep", "mu"))
                  if cfg.has_option("sweep", "mu") else [scenario.mu])
     spacings = (_floats(cfg.get("sweep", "spacing"))
@@ -263,7 +272,7 @@ def cmd_sweep(cfg):
     outroot.mkdir(parents=True, exist_ok=True)
 
     rows = driver.parameter_sweep(scenario, mu_values, spacings,
-                                  solvers=solvers)
+                                  solver=solver)
     driver.sweep_csv(rows, outroot / "sweep.csv")
     failures = sum(1 for row in rows if row[4] != "ok")
     for mu, spacing, plateau, rate, status in rows:

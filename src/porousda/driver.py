@@ -22,9 +22,9 @@ import numpy as np
 from . import transport
 from .fields import NodalField, QuadratureField, l2_diff, l2_norm
 from .flux_postprocess import postprocess_flux
-from .linalg import NoConvergenceError
+from .linalg import NoConvergenceError, SolverConfig
 from .observation import ObservationStream, SparseGrid
-from .pressure import PressureProblem, default_solver, solve_pressure
+from .pressure import PressureProblem, solve_pressure
 
 METRIC_COLUMNS = ("t", "R_percent", "Rtilde_percent", "mass_residual",
                   "range_min", "range_max")
@@ -151,10 +151,6 @@ class RunReport:
     def r_percent(self):
         return self.column("R_percent")
 
-    @property
-    def rtilde_percent(self):
-        return self.column("Rtilde_percent")
-
     def range_violation(self):
         lo = self.column("range_min")
         hi = self.column("range_max")
@@ -196,17 +192,19 @@ class RunReport:
         return float(np.mean(r[idx + 1] <= r[idx]))
 
     def write_csv(self, path_or_handle):
-        if hasattr(path_or_handle, "write"):
-            self._write(path_or_handle)
-        else:
-            with open(path_or_handle, "w", newline="") as fh:
-                self._write(fh)
+        _write_csv(path_or_handle, METRIC_COLUMNS,
+                   ([repr(float(v)) for v in row] for row in self.rows))
 
-    def _write(self, fh):
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
-        for row in self.rows:
-            writer.writerow([repr(float(v)) for v in row])
+
+def _write_csv(path_or_handle, header, rows):
+    """Write a header and rows of strings to a path or an open handle."""
+    if not hasattr(path_or_handle, "write"):
+        with open(path_or_handle, "w", newline="") as fh:
+            _write_csv(fh, header, rows)
+        return
+    writer = csv.writer(path_or_handle)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 @dataclass
@@ -220,16 +218,6 @@ class ReferenceRun:
 class AssimilationRun:
     trajectory: Trajectory
     report: RunReport
-
-
-def _solver_configs(overrides=None):
-    cfg = {
-        "pressure": default_solver(),
-        "transport": transport.default_solver(),
-    }
-    if overrides:
-        cfg.update(overrides)
-    return cfg
 
 
 class _Comparator:
@@ -268,8 +256,12 @@ class _Comparator:
 
 
 def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
-           comparator, solvers):
-    """Shared coarse/fine marching core; returns (Trajectory, RunReport)."""
+           comparator, solver):
+    """Shared coarse/fine marching core; returns (Trajectory, RunReport).
+
+    `solver`, a `SolverConfig` or None for the default one, holds the
+    tolerances of both the pressure and the transport solves."""
+    solver = solver or SolverConfig()
     coeffs = transport.TransportCoefficients(
         mesh,
         diffusion=scenario.diffusion,
@@ -285,7 +277,7 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
         problem = PressureProblem(mesh, scenario.kappa,
                                   scenario.pressure_source or (lambda x, y: np.zeros_like(np.asarray(x, dtype=float))),
                                   dirichlet=scenario.pressure_dirichlet,
-                                  solver=solvers["pressure"])
+                                  solver=solver)
 
     report = RunReport(partition)
     theta = NodalField(mesh, np.array(theta0_values, dtype=float))
@@ -341,7 +333,7 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
             theta, rep = transport.step(theta, bundle,
                                         transport.TransportStep(s0, s1, h),
                                         observations=stream,
-                                        solver=solvers["transport"],
+                                        solver=solver,
                                         later_steps=last - level - 1)
             report.solver_iterations["transport"].append(rep.iterations)
             if rep.recovery is not None:
@@ -358,21 +350,21 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
     return Trajectory(mesh, times, values), report
 
 
-def run_reference(scenario, partition=None, mesh=None, solvers=None):
+def run_reference(scenario, partition=None, mesh=None, solver=None):
     """Advance the plain scheme from the scenario's true initial condition.
 
     Returns the trajectory, an observation stream sampled at every coarse
     time, and the metric report (R measured against the analytic solution
     when the scenario has one; Rtilde doubles as interpolation quality).
+    `solver` is the `SolverConfig` of both systems, the default when None.
     """
     partition = partition or TimePartition.from_scenario(scenario)
     mesh = mesh or scenario.build_mesh()
     grid = SparseGrid(mesh, scenario.spacing, kind=scenario.observation_kind)
-    solvers = _solver_configs(solvers)
     theta0 = NodalField.from_callable(mesh, scenario.initial).values
     comparator = _Comparator(scenario, grid)
     traj, report = _march(scenario, partition, mesh, theta0, 0.0, None, grid,
-                          comparator, solvers)
+                          comparator, solver)
     records = [(t, grid.sample(traj.at(t))) for t in partition.coarse_times]
     stream = ObservationStream([t for t, _ in records],
                                np.array([d for _, d in records]))
@@ -395,22 +387,22 @@ def initial_guess(scenario, mesh, grid, stream, policy=None):
 
 
 def run_assimilated(scenario, stream, partition=None, mesh=None, mu=None,
-                    theta0_policy=None, reference=None, solvers=None):
+                    theta0_policy=None, reference=None, solver=None):
     """Nudged run driven by an observation stream.
 
     `reference` may be a Trajectory for twin-experiment metrics; otherwise the
     scenario's analytic solution is used when present.  With mu = 0 the data
     stream is ignored entirely and the marching reduces to the plain scheme.
+    `solver` is as in `run_reference`.
     """
     partition = partition or TimePartition.from_scenario(scenario)
     mesh = mesh or scenario.build_mesh()
     mu = scenario.mu if mu is None else float(mu)
     grid = SparseGrid(mesh, scenario.spacing, kind=scenario.observation_kind)
-    solvers = _solver_configs(solvers)
     theta0 = initial_guess(scenario, mesh, grid, stream, theta0_policy)
     comparator = _Comparator(scenario, grid, reference=reference)
     traj, report = _march(scenario, partition, mesh, theta0, mu, stream, grid,
-                          comparator, solvers)
+                          comparator, solver)
     return AssimilationRun(traj, report)
 
 
@@ -458,7 +450,7 @@ SWEEP_COLUMNS = ("mu", "spacing", "plateau_R_percent", "rate", "status")
 
 
 def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
-                    solvers=None):
+                    solver=None):
     """Independent assimilated runs over mu and observation-spacing grids.
 
     One reference run is shared per spacing.  Rows come back sorted by
@@ -472,7 +464,7 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
         mesh = sc.build_mesh()
         part = partition or TimePartition.from_scenario(sc)
         try:
-            ref = run_reference(sc, part, mesh, solvers=solvers)
+            ref = run_reference(sc, part, mesh, solver=solver)
         except (*RUN_FAILURES, ValueError) as exc:
             for mu in mu_values:
                 rows.append((mu, spacing, float("nan"), float("nan"),
@@ -482,7 +474,7 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
             try:
                 run = run_assimilated(sc, ref.stream, part, mesh, mu=mu,
                                       reference=ref.trajectory,
-                                      solvers=solvers)
+                                      solver=solver)
                 try:
                     rate = fit_decay_rate(run.report).rate
                 except ValueError:
@@ -496,15 +488,6 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
 
 
 def sweep_csv(rows, path_or_handle):
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for mu, spacing, plateau, rate, status in rows:
-            writer.writerow([repr(float(mu)), repr(float(spacing)),
-                             repr(float(plateau)), repr(float(rate)), status])
-
-    if hasattr(path_or_handle, "write"):
-        write(path_or_handle)
-    else:
-        with open(path_or_handle, "w", newline="") as fh:
-            write(fh)
+    _write_csv(path_or_handle, SWEEP_COLUMNS,
+               ([repr(float(v)) for v in (mu, spacing, plateau, rate)] + [status]
+                for mu, spacing, plateau, rate, status in rows))

@@ -11,24 +11,25 @@ contribution stream into a canonical matrix of any shape, summing duplicate
 independent of the stream order; it serves the coarse-average functionals
 (`SparseGrid._build_average`) and, as the reference, the tests.
 
-CG is hand-rolled to expose the residual history; BiCGStab wraps scipy for
-the nonsymmetric transport systems.  CG takes its preconditioner as a
-function r -> z: Jacobi, or a symmetric multigrid V-cycle over a
-caller-supplied hierarchy of prolongations.  Both stop when
-||b - A x|| <= max(rel_tol * ||b||, abs_tol).  The transport step may
-instead solve by a sparse LU factor that it keeps for a coarse interval
+Both linear systems of a coarse interval go through `solve`, which wraps
+scipy's Krylov methods.  The SPD pressure block, which comes with a multigrid
+hierarchy, is solved by CG preconditioned by a symmetric V-cycle over that
+hierarchy; the nonsymmetric transport step, which comes without one, by
+Jacobi-BiCGStab.  Both stop when ||b - A x|| < max(rel_tol * ||b||,
+abs_tol), the one `SolverConfig` of a run.  The transport step may instead
+solve by a sparse LU factor that it keeps for a coarse interval
 (`transport.StepFactor`), chosen for its cost or made after a BiCGStab
-breakdown; it checks each such solve against the same criterion and marks
+breakdown; it checks each such solve against the same tolerances and marks
 its report `factored`.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import bicgstab as _scipy_bicgstab
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, bicgstab, cg, splu
 
 # V-cycle smoother: z += _SMOOTH_SCALE * (r - A z) / l1, where l1 holds the
 # absolute row sums of A, with this many sweeps both before and after the
@@ -57,19 +58,21 @@ class NoConvergenceError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    method: str = "cg"            # "cg" or "bicgstab"
-    rel_tol: float = 1e-10
+    """Tolerances of both systems of a run."""
+
+    rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     max_iter: int | None = None   # default 10 * n
-    preconditioner: str | None = None  # None, "jacobi" or "multigrid" (cg only)
 
     def __post_init__(self):
-        if self.method not in ("cg", "bicgstab"):
-            raise ValueError(f"unknown solver method {self.method!r}")
-        if self.preconditioner not in (None, "jacobi", "multigrid"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
-        if self.preconditioner == "multigrid" and self.method != "cg":
-            raise ValueError("multigrid preconditioning needs method 'cg'")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"solver {name} must be finite and "
+                                 f"nonnegative, got {value!r}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError(f"solver max_iter must be at least 1, "
+                             f"got {self.max_iter!r}")
 
 
 @dataclass
@@ -77,7 +80,6 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
-    residual_history: list | None = None
     recovery: str | None = None   # "lu": a breakdown solved by a sparse LU factor
     factored: bool = False        # solved by a sparse LU factor
 
@@ -177,8 +179,7 @@ def _v_cycle(levels, coarse_solve, r, k=0):
 
     levels[k] is (A_k, smoother scale over the l1 row sums of A_k, P_k,
     P_k^T); below the last level the system is solved directly.  Equal pre-
-    and post-sweeps make the cycle a symmetric positive definite
-    preconditioner.
+    and post-sweeps make the cycle symmetric positive definite.
     """
     if k == len(levels):
         return coarse_solve(r)
@@ -192,19 +193,18 @@ def _v_cycle(levels, coarse_solve, r, k=0):
     return z
 
 
-def _project_constants_out(precondition, r):
-    """z = P M P r, with P removing the mean of a vector."""
-    z = precondition(r - r.mean())
+def _project_constants_out(cycle, r):
+    """z = P M P r, with M the cycle and P removing the mean of a vector."""
+    z = cycle(r - r.mean())
     return z - z.mean()
 
 
-def multigrid_preconditioner(A, transfers, constant_nullspace=False):
-    """V-cycle preconditioner r -> z for SPD A over nested prolongations.
+def multigrid_cycle(A, transfers, constant_nullspace=False):
+    """The V-cycle r -> z ~ A^-1 r for SPD A over nested prolongations.
 
     `transfers` lists (P, P^T) pairs from the finest level down; the coarse
     operators are the Galerkin products P^T A P, and the coarsest one is
-    factored with SuperLU.  An empty list makes the preconditioner an exact
-    solve.  A singular coarsest operator raises `RuntimeError` from SuperLU.
+    factored with SuperLU.  An empty list makes the cycle an exact solve.  A singular coarsest operator raises `RuntimeError` from SuperLU.
     When A is only semidefinite with the constants as its null space
     (`constant_nullspace`), constants are projected out of the cycle's input
     and output; otherwise the cycle feeds constant components into the
@@ -221,100 +221,62 @@ def multigrid_preconditioner(A, transfers, constant_nullspace=False):
     return cycle
 
 
-def _cg(A, b, x0, rtol, atol, maxiter, precondition):
-    x = x0.copy()
-    r = b - A @ x
-    target = max(rtol * np.linalg.norm(b), atol)
-    history = [float(np.linalg.norm(r))]
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(1, maxiter + 1):
-        if history[-1] <= target:
-            return x, SolveReport(it - 1, history[-1], True, history)
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            break  # matrix not SPD on this subspace; bail with best iterate
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        z = precondition(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        history.append(float(np.linalg.norm(r)))
-    if history[-1] <= target:
-        return x, SolveReport(len(history) - 1, history[-1], True, history)
-    report = SolveReport(len(history) - 1, history[-1], False, history)
-    raise NoConvergenceError(
-        f"cg failed to reach {target:.3e} in {report.iterations} iterations "
-        f"(residual {report.residual:.3e})", x, report)
+def _krylov(method, A, b, x0, config, M):
+    """Run a scipy Krylov `method`; returns (x, SolveReport).
 
-
-def _bicgstab(A, b, x0, rtol, atol, maxiter, minv):
+    Iterations are counted by callback, and the report carries the true
+    residual.  scipy's info > 0 is the iteration cap and info < 0 a
+    breakdown (a vanishing inner product), which the transport step gets
+    past by a direct solve; either raises `NoConvergenceError`.
+    """
     count = [0]
 
-    def cb(_xk):
+    def counted(_xk):
         count[0] += 1
 
-    M = sparse.diags(minv) if minv is not None else None
-    # scipy's atol/rtol match the contract: converged when
-    # ||r|| <= max(rtol * ||b||, atol).
-    x, info = _scipy_bicgstab(A, b, x0=x0, rtol=rtol, atol=atol,
-                              maxiter=maxiter, M=M, callback=cb)
+    maxiter = config.max_iter if config.max_iter is not None else 10 * b.size
+    x, info = method(A, b, x0=x0, rtol=config.rel_tol, atol=config.abs_tol,
+                     maxiter=maxiter, M=M, callback=counted)
     residual = float(np.linalg.norm(b - A @ x))
-    report = SolveReport(count[0], residual, info == 0, None)
+    report = SolveReport(count[0], residual, info == 0)
     if info != 0:
-        # info > 0: iteration cap; info < 0: breakdown (a vanishing inner
-        # product), which the transport step gets past by a direct solve.
         raise NoConvergenceError(
-            f"bicgstab failed after {count[0]} iterations "
+            f"{method.__name__} failed after {count[0]} iterations "
             f"(residual {residual:.3e}, info={info})", x, report,
             breakdown=info < 0)
     return x, report
 
 
-def _identity(r):
-    return r
-
-
 def solve(A, b, config=None, x0=None, transfers=None, constant_nullspace=False):
-    """Solve A x = b per the solver config; returns (x, SolveReport).
+    """Solve A x = b to the config's tolerances; returns (x, SolveReport).
 
-    A "multigrid" config needs `transfers`, the prolongation hierarchy of
-    `multigrid_preconditioner`, which also takes `constant_nullspace`.  A
-    system with a non-finite entry comes back at once as a NaN solution with
+    With `transfers`, the prolongation hierarchy of `multigrid_cycle`
+    (which also takes `constant_nullspace`), A is SPD and is solved by CG
+    preconditioned by the V-cycle; an empty hierarchy makes the cycle an
+    exact solve.  Without one, A is solved by Jacobi-BiCGStab.  A system
+    with a non-finite entry comes back at once as a NaN solution with
     `converged` False: no iteration can fix it, and iterating to the cap
     would only take time.
     """
     config = config or SolverConfig()
-    if config.preconditioner == "multigrid" and transfers is None:
-        raise ValueError("multigrid preconditioning needs a transfer hierarchy")
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix shape {A.shape} does not match rhs length {n}")
     if n == 0:
-        return np.zeros(0), SolveReport(0, 0.0, True, [0.0])
+        return np.zeros(0), SolveReport(0, 0.0, True)
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(A.data))):
-        return np.full(n, np.nan), SolveReport(0, float("nan"), False, [float("nan")])
+        return np.full(n, np.nan), SolveReport(0, float("nan"), False)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    maxiter = config.max_iter if config.max_iter is not None else 10 * n
-    if config.method == "bicgstab":
-        minv = _jacobi_inverse(A) if config.preconditioner == "jacobi" else None
-        return _bicgstab(A, b, x0, config.rel_tol, config.abs_tol, maxiter, minv)
-    if config.preconditioner == "multigrid":
-        try:
-            precondition = multigrid_preconditioner(A, transfers,
-                                                    constant_nullspace)
-        except RuntimeError as exc:   # SuperLU: singular coarsest operator
-            residual = float(np.linalg.norm(b - A @ x0))
-            raise NoConvergenceError(
-                f"cg multigrid coarsest level is singular ({exc})", x0,
-                SolveReport(0, residual, False, [residual])) from exc
-    elif config.preconditioner == "jacobi":
-        precondition = partial(np.multiply, _jacobi_inverse(A))
-    else:
-        precondition = _identity
-    return _cg(A, b, x0, config.rel_tol, config.abs_tol, maxiter, precondition)
+    if transfers is None:
+        return _krylov(bicgstab, A, b, x0, config,
+                       sparse.diags(_jacobi_inverse(A)))
+    try:
+        cycle = multigrid_cycle(A, transfers, constant_nullspace)
+    except RuntimeError as exc:   # SuperLU: singular coarsest operator
+        residual = float(np.linalg.norm(b - A @ x0))
+        raise NoConvergenceError(
+            f"cg multigrid coarsest level is singular ({exc})", x0,
+            SolveReport(0, residual, False)) from exc
+    return _krylov(cg, A, b, x0, config,
+                   LinearOperator(A.shape, matvec=cycle, dtype=float))

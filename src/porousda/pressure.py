@@ -9,10 +9,11 @@ over/undershoots cannot push the coefficient out of its physical range.
 Dirichlet values are imposed by row/column elimination with the symmetric
 right-hand-side correction, which keeps the free block SPD.
 
-The default solve is CG preconditioned by a geometric multigrid V-cycle.  The
-levels follow from the mesh: it is halved while nx and ny are both even and
-the coarse mesh keeps at least `MIN_COARSE_CELLS` cells per direction, and
-the coarsest level is solved directly.
+The free block is solved by CG preconditioned by a geometric multigrid
+V-cycle (`linalg.solve` with the mesh's transfers).  The levels follow from
+the mesh: it is halved while nx and ny are both even and the coarse mesh
+keeps at least `MIN_COARSE_CELLS` cells per direction, and the coarsest
+level is solved directly.
 
 What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
@@ -43,12 +44,6 @@ KERNEL_BLOCK = 4096
 
 class CoefficientRangeError(ValueError):
     """Permeability evaluated to a non-positive value."""
-
-
-def default_solver():
-    """The pressure solve unless a caller passes its own: multigrid CG."""
-    return linalg.SolverConfig(method="cg", rel_tol=1e-12,
-                               preconditioner="multigrid")
 
 
 def multigrid_transfers(mesh):
@@ -144,7 +139,7 @@ class PressureProblem:
     kappa: object                  # callable(theta, x, y) -> permeability
     source: object                 # callable(x, y) -> g
     dirichlet: object = 0.0        # callable(x, y) -> p on Gamma_D, or a constant
-    solver: linalg.SolverConfig = dc_field(default_factory=default_solver)
+    solver: linalg.SolverConfig = dc_field(default_factory=linalg.SolverConfig)
     source_q: np.ndarray = dc_field(init=False, repr=False)
     load: np.ndarray = dc_field(init=False, repr=False)
     cv_source: np.ndarray = dc_field(init=False, repr=False)

@@ -285,23 +285,18 @@ def assemble_step(theta_old, coeffs, step, observations=None):
     return A, rhs
 
 
-def default_solver():
-    """The transport solve: Jacobi-BiCGStab to a relative 1e-12."""
-    return linalg.SolverConfig(method="bicgstab", rel_tol=1e-12,
-                               preconditioner="jacobi")
-
-
 def step(theta_old, coeffs, step_spec, observations=None, solver=None,
          later_steps=0):
     """Advance one fine step; returns (NodalField, SolveReport).
 
     `later_steps` is how many more steps the bundle `coeffs` will solve
     with the same step matrix.  A step solves by the bundle's factor when it
-    has one.  Otherwise it solves by BiCGStab (`solver`, by default
-    `default_solver()`), and if that took k iterations with
-    k * later_steps > sqrt(n), the matrix is factored for the later steps
-    (see the module docstring).  A factor solve that misses the tolerance is
-    redone by BiCGStab, which keeps the bundle's later steps.
+    has one.  Otherwise it solves by Jacobi-BiCGStab to the tolerances of
+    `solver` (a `linalg.SolverConfig`, the default one when None), and if
+    that took k iterations with k * later_steps > sqrt(n), the matrix is
+    factored for the later steps (see the module docstring).  A factor
+    solve that misses the tolerance is redone by BiCGStab, which keeps the
+    bundle's later steps.
 
     A BiCGStab breakdown is logged, and the step is solved by a factor of
     its matrix, which the bundle's later steps reuse (they share its step
@@ -310,7 +305,7 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None,
     `NoConvergenceError` is raised.  An iteration cap that is reached
     without a breakdown is the caller's budget and stays an error too.
     """
-    solver = solver or default_solver()
+    solver = solver or linalg.SolverConfig()
     A, rhs = assemble_step(theta_old, coeffs, step_spec, observations)
     dt, _, factor = coeffs._step
     if factor:

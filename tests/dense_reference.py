@@ -710,3 +710,29 @@ def prolongation_by_assembly(nx, ny, kx, ky):
             vals += [hat(c, xi, eta) for c in range(4)]
     return linalg.assemble(np.array(rows), np.array(cols), np.array(vals),
                            ((nx + 1) * (ny + 1), (ncx + 1) * (ncy + 1)))
+
+
+def jacobi_cg_pressure(problem, theta):
+    """Nodal pressure values, and the iteration count, of scipy's CG with a
+    Jacobi preconditioner on the package's free block: an oracle for the
+    package's multigrid CG that shares its assembly but not its solver."""
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import cg
+
+    from porousda.pressure import assemble_pressure
+
+    mesh = problem.mesh
+    A, b = assemble_pressure(problem, theta)
+    count = [0]
+
+    def counted(_xk):
+        count[0] += 1
+
+    x, info = cg(A, b, rtol=1e-12, atol=1e-14, maxiter=10 * b.size,
+                 M=diags(1.0 / A.diagonal()), callback=counted)
+    assert info == 0, f"Jacobi-CG oracle stopped with info={info}"
+    values = np.zeros(mesh.n_vertices)
+    values[mesh.free_vertices] = x
+    fixed = np.flatnonzero(mesh.is_dirichlet)
+    values[fixed] = problem.dirichlet_values(fixed)
+    return values, count[0]

@@ -252,8 +252,7 @@ def test_criterion_7():
                                observations=stream)
     from porousda.linalg import solve
     theta_new, _ = solve(a_t, rhs_t,
-                         SolverConfig(method="bicgstab", rel_tol=1e-13,
-                                      preconditioner="jacobi"),
+                         SolverConfig(rel_tol=1e-13),
                          x0=theta.values)
 
     # independent dense loop build of the same coarse step

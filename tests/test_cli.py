@@ -227,6 +227,19 @@ def test_failed_reference_run_reports_and_exits_1(tmp_path, outroot, capsys):
     assert report.startswith("reference run failed:")
 
 
+@pytest.mark.parametrize("setting", ["max_iter = -5", "rel_tol = nan"])
+def test_bad_solver_setting_exits_2_before_writing(tmp_path, outroot, capsys,
+                                                   setting):
+    """A negative cap made every BiCGStab solve return scipy's info = -5, a
+    "breakdown" that LU then solved, and a NaN tolerance made every factor
+    solve miss it; both runs exited 0."""
+    text = EX1_SMALL.format(mu="10", dir="badsolver") + f"\n[solver]\n{setting}\n"
+    cfg = _write(tmp_path, "badsolver.ini", text)
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: solver ")
+    assert not (outroot / "badsolver").exists()
+
+
 def test_non_finite_reference_run_reports_and_exits_1(tmp_path, outroot,
                                                       capsys, monkeypatch):
     monkeypatch.setitem(scenarios.BUILTIN_SCENARIOS, "example1",

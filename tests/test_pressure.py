@@ -8,8 +8,7 @@ from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.pressure import (CoefficientRangeError, PressureProblem,
-                               assemble_pressure, default_solver,
-                               solve_pressure)
+                               assemble_pressure, solve_pressure)
 
 
 def _x_faces(x, y):
@@ -153,10 +152,13 @@ def test_theta_clamped_before_kappa():
 
 
 def test_solver_failure_propagates():
-    mesh = build_mesh(12, 12)
+    """32x32 has a multigrid level (a 12x12 mesh has none, and CG with the
+    exact coarsest solve converges in one iteration)."""
+    mesh = build_mesh(32, 32)
     prob = PressureProblem(mesh, kappa=lambda th, x, y: np.ones_like(x),
                            source=lambda x, y: np.ones_like(x),
-                           solver=SolverConfig(rel_tol=1e-14, max_iter=2))
+                           solver=SolverConfig(rel_tol=1e-14, max_iter=1))
+    assert len(prob.transfers) == 2
     with pytest.raises(NoConvergenceError):
         solve_pressure(prob, NodalField.zeros(mesh))
 
@@ -174,26 +176,37 @@ def _wavy_source(x, y):
     return np.cos(np.pi * x) * np.cos(np.pi * y)
 
 
-def _mixed_problem(nx, solver=None):
+def _mixed_problem(nx):
     mesh = build_mesh(nx, nx, boundary_spec=_mixed_faces)
-    extra = {} if solver is None else {"solver": solver}
     prob = PressureProblem(mesh, _hetero_kappa, _wavy_source,
-                           dirichlet=lambda x, y: 1.0 + 0.3 * y, **extra)
+                           dirichlet=lambda x, y: 1.0 + 0.3 * y)
     theta = NodalField.from_callable(mesh, lambda x, y: x * (1.0 - y))
     return mesh, prob, theta
 
 
-def test_default_solver_is_the_driver_pressure_solver():
+def test_default_solver_is_the_driver_pressure_solver(monkeypatch):
+    """A problem's default config is the one a driver run gives both of its
+    systems when it is passed none."""
     _, prob, _ = _mixed_problem(4)
-    assert prob.solver == default_solver() == driver._solver_configs()["pressure"]
-    assert prob.solver.preconditioner == "multigrid"
+    assert prob.solver == SolverConfig()
+    configs = []
+    solve = linalg.solve
+
+    def recorded(A, b, config=None, **kw):
+        configs.append((config, kw.get("transfers") is not None))
+        return solve(A, b, config, **kw)
+
+    monkeypatch.setattr(linalg, "solve", recorded)
+    sc = scenarios.example3(nx=30)
+    driver.run_reference(sc, driver.TimePartition.uniform(sc.coarse_dt, 1, 1))
+    assert configs == [(prob.solver, True), (prob.solver, False)]
 
 
 def test_v_cycle_is_symmetric_positive_definite():
     _, prob, theta = _mixed_problem(32)
     assert len(prob.transfers) == 2          # 32 -> 16 -> 8 cells
     a, _ = assemble_pressure(prob, theta)
-    precondition = linalg.multigrid_preconditioner(a, prob.transfers)
+    precondition = linalg.multigrid_cycle(a, prob.transfers)
     rng = np.random.default_rng(3)
     r1, r2 = rng.standard_normal((2, a.shape[0]))
     z1, z2 = precondition(r1), precondition(r2)
@@ -205,14 +218,12 @@ def test_multigrid_cg_matches_jacobi_cg_and_dense_oracle():
     mesh, prob, theta = _mixed_problem(16)
     assert len(prob.transfers) == 1          # 16 -> 8 cells
     p_mg, rep_mg = solve_pressure(prob, theta)
-    _, jac, _ = _mixed_problem(16, SolverConfig(rel_tol=1e-12,
-                                                preconditioner="jacobi"))
-    p_jac, rep_jac = solve_pressure(jac, theta)
+    p_jac, jac_iterations = dr.jacobi_cg_pressure(prob, theta)
     p_ref = dr.dense_pressure_solve(mesh, _hetero_kappa, _wavy_source,
                                     prob.dirichlet, theta.values)
-    assert rep_mg.converged and rep_mg.iterations < rep_jac.iterations
+    assert rep_mg.converged and rep_mg.iterations < jac_iterations
     scale = np.max(np.abs(p_ref))
-    np.testing.assert_allclose(p_mg.values, p_jac.values, atol=1e-10 * scale)
+    np.testing.assert_allclose(p_mg.values, p_jac, atol=1e-10 * scale)
     np.testing.assert_allclose(p_mg.values, p_ref, atol=1e-10 * scale)
 
 
@@ -234,16 +245,11 @@ def test_multigrid_iterations_stay_bounded_on_stretched_elements(nx, ny, lx):
     549 / 310; the l1 smoother takes 30 / 32."""
     mesh = build_mesh(nx, ny, lx, 1.0, boundary_spec=_mixed_faces)
     theta = NodalField.from_callable(mesh, lambda x, y: x / lx)
-    solutions = {}
-    for pc in ("multigrid", "jacobi"):
-        prob = PressureProblem(mesh, _hetero_kappa, _wavy_source,
-                               solver=SolverConfig(rel_tol=1e-12,
-                                                   preconditioner=pc))
-        solutions[pc], report = solve_pressure(prob, theta)
-        if pc == "multigrid":
-            assert report.converged and report.iterations <= 40
-    np.testing.assert_allclose(solutions["multigrid"].values,
-                               solutions["jacobi"].values, atol=1e-10)
+    prob = PressureProblem(mesh, _hetero_kappa, _wavy_source)
+    p, report = solve_pressure(prob, theta)
+    assert report.converged and report.iterations <= 40
+    p_jac, _ = dr.jacobi_cg_pressure(prob, theta)
+    np.testing.assert_allclose(p.values, p_jac, atol=1e-10)
 
 
 @pytest.mark.parametrize("nx, spec", [(15, "all_dirichlet"), (15, "all_neumann"),
@@ -254,19 +260,16 @@ def test_multigrid_without_halving_or_dirichlet_solves_or_raises_typed(nx, spec)
     never a raw SuperLU RuntimeError."""
     mesh = build_mesh(nx, nx, boundary_spec=spec)
     prob = PressureProblem(mesh, _hetero_kappa, _wavy_source)
-    jac = PressureProblem(mesh, _hetero_kappa, _wavy_source,
-                          solver=SolverConfig(rel_tol=1e-12,
-                                              preconditioner="jacobi"))
     theta = NodalField.zeros(mesh)
     try:
         p, report = solve_pressure(prob, theta)
     except NoConvergenceError:
         return
-    p_jac, _ = solve_pressure(jac, theta)
+    p_jac, _ = dr.jacobi_cg_pressure(prob, theta)
     if spec == "all_dirichlet":
         assert prob.transfers == [] and report.iterations <= 1
-    shift = np.mean(p.values - p_jac.values)   # 0 unless all-Neumann
-    np.testing.assert_allclose(p.values - shift, p_jac.values, atol=1e-10)
+    shift = np.mean(p.values - p_jac)   # 0 unless all-Neumann
+    np.testing.assert_allclose(p.values - shift, p_jac, atol=1e-10)
 
 
 @pytest.mark.parametrize("nx", [64, 128])
@@ -278,12 +281,10 @@ def test_multigrid_cg_converges_on_all_neumann_meshes(nx):
     mesh = build_mesh(nx, nx, boundary_spec="all_neumann")
     kappa = lambda th, x, y: 1.0 + 0.5 * x * y
     theta = NodalField.zeros(mesh)
-    p, report = solve_pressure(PressureProblem(mesh, kappa, _wavy_source), theta)
+    prob = PressureProblem(mesh, kappa, _wavy_source)
+    p, report = solve_pressure(prob, theta)
     assert report.converged and report.iterations <= 20
-    jac = PressureProblem(mesh, kappa, _wavy_source,
-                          solver=SolverConfig(rel_tol=1e-12,
-                                              preconditioner="jacobi"))
-    p_jac, _ = solve_pressure(jac, theta)
-    shift = np.mean(p.values - p_jac.values)
-    np.testing.assert_allclose(p.values - shift, p_jac.values,
-                               atol=1e-9 * np.max(np.abs(p_jac.values)))
+    p_jac, _ = dr.jacobi_cg_pressure(prob, theta)
+    shift = np.mean(p.values - p_jac)
+    np.testing.assert_allclose(p.values - shift, p_jac,
+                               atol=1e-9 * np.max(np.abs(p_jac)))

@@ -73,7 +73,7 @@ def _march(coeffs, theta, steps, dt=1.0 / 64.0):
     for k in range(steps):
         theta, rep = transport.step(theta, coeffs,
                                     TransportStep(k * dt, (k + 1) * dt),
-                                    solver=transport.default_solver())
+                                    solver=SolverConfig())
         reports.append(rep)
     return theta, reports
 
@@ -81,7 +81,7 @@ def _march(coeffs, theta, steps, dt=1.0 / 64.0):
 def test_bicgstab_marks_breakdown_but_not_the_cap():
     coeffs, theta = _diffusion_problem()
     A, rhs = transport.assemble_step(theta, coeffs, TransportStep(0.0, 0.01))
-    cfg = SolverConfig(method="bicgstab", rel_tol=1e-14, max_iter=1)
+    cfg = SolverConfig(rel_tol=1e-14, max_iter=1)
     with pytest.raises(NoConvergenceError) as info:
         linalg.solve(A, rhs, cfg)
     assert not info.value.breakdown
@@ -244,3 +244,22 @@ def test_cli_report_counts_the_breakdowns(tmp_path, monkeypatch):
     assert ("transport steps recovered from a bicgstab breakdown "
             "by sparse LU: 2\n") in report
     assert "solved by a sparse LU factor: 2 of 2" in report
+
+
+def test_cli_report_counts_the_reference_breakdowns(tmp_path, monkeypatch):
+    """The first BiCGStab solve, the reference run's first step, breaks
+    down: report.txt counts it under the reference run, and the nudged run
+    has none."""
+    monkeypatch.setenv("POROUSDA_OUTPUT_ROOT", str(tmp_path))
+    cfg = tmp_path / "ex1.ini"
+    cfg.write_text("[scenario]\nname = example1\n\n[mesh]\nnx = 10\n\n"
+                   "[time]\nt_end = 0.04\n")
+    _broken_bicgstab(monkeypatch, failures=1)
+    assert main(["run", str(cfg)]) == 0
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert ("reference run: transport steps recovered from a bicgstab "
+            "breakdown by sparse LU: 1") in report
+    assert ("reference run: coarse intervals with transport steps solved "
+            "by a sparse LU factor: 2 of 2") in report
+    assert not [line for line in report
+                if line.startswith("transport steps recovered")]

@@ -23,7 +23,7 @@ from porousda.mesh import build_mesh
 from porousda.scenarios import PermeabilityRaster
 from porousda.transport import TransportCoefficients, TransportStep
 
-BICGSTAB = SolverConfig(method="bicgstab", rel_tol=1e-12, preconditioner="jacobi")
+BICGSTAB = SolverConfig(rel_tol=1e-12)
 
 
 def _counting(monkeypatch, module, name):

@@ -111,9 +111,7 @@ def test_mass_conserved_under_advection():
     t = 0.0
     for _ in range(5):
         theta, _ = step(theta, coeffs, TransportStep(t, t + 0.01),
-                        solver=SolverConfig(method="bicgstab",
-                                            preconditioner="jacobi",
-                                            rel_tol=1e-13))
+                        solver=SolverConfig(rel_tol=1e-13))
         t += 0.01
     assert quad_mass(theta) == pytest.approx(m0, rel=1e-10)
 
@@ -242,9 +240,10 @@ def test_observation_gap_propagates():
 
 
 def test_step_without_a_solver_uses_the_driver_transport_default(monkeypatch):
-    """One transport default, `transport.default_solver()`: what `step`
-    solves with when given no solver, and what the driver's runs use."""
-    from porousda import driver, linalg
+    """One default, `SolverConfig()`: what `step` solves with when given no
+    solver, and what the driver's runs use for both systems (see
+    test_pressure.test_default_solver_is_the_driver_pressure_solver)."""
+    from porousda import linalg
 
     configs = []
     solve = linalg.solve
@@ -258,6 +257,4 @@ def test_step_without_a_solver_uses_the_driver_transport_default(monkeypatch):
     coeffs = TransportCoefficients(mesh, diffusion=lambda x, y: 0.1 * np.ones_like(x))
     theta = NodalField.from_callable(mesh, lambda x, y: x * (1 - x) * y)
     step(theta, coeffs, TransportStep(0.0, 0.01))
-    assert configs == [driver._solver_configs()["transport"]]
-    assert configs[0] == SolverConfig(method="bicgstab", rel_tol=1e-12,
-                                      preconditioner="jacobi")
+    assert configs == [SolverConfig(rel_tol=1e-12, abs_tol=1e-14)]

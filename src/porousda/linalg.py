@@ -77,6 +77,15 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """What one linear solve did.
+
+    `iterations` is the number of Krylov iterations, counted by callback.
+    scipy's `bicgstab` can stop at the half step of an iteration, when the
+    intermediate residual s already meets the tolerance, without calling
+    its callback; that iteration is not counted, so the count is then half
+    an iteration short.  A solve by a sparse LU factor counts 0.
+    """
+
     iterations: int
     residual: float
     converged: bool
@@ -224,8 +233,9 @@ def multigrid_cycle(A, transfers, constant_nullspace=False):
 def _krylov(method, A, b, x0, config, M):
     """Run a scipy Krylov `method`; returns (x, SolveReport).
 
-    Iterations are counted by callback, and the report carries the true
-    residual.  scipy's info > 0 is the iteration cap and info < 0 a
+    Iterations are counted by callback, so the last half iteration of a
+    BiCGStab solve that stops at a half step is not counted (see
+    `SolveReport`); the report carries the true residual.  scipy's info > 0 is the iteration cap and info < 0 a
     breakdown (a vanishing inner product), which the transport step gets
     past by a direct solve; either raises `NoConvergenceError`.
     """

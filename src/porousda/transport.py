@@ -35,15 +35,23 @@ steps the bundle still has to solve exceeds sqrt(n), n vertices, the matrix
 is factored once (`splu`) and the later steps reuse the factor: with a
 fill-reducing ordering, a factor of a 2-D stencil matrix costs about sqrt(n)
 BiCGStab iterations (within 15 % on examples 1 and 4), and a solve by it
-costs a few, which the rule leaves out.  A BiCGStab breakdown is treated as
-a solve that costs more than the factor: the step is solved by a factor of
-its matrix, which the later steps reuse, and its report's `recovery` is
-"lu".  The factor is freed with its bundle; it has 50-80 entries per vertex
-on the built-in scenarios (12 MiB at n = 14,641).  Every solve by a factor
-has its residual checked against the BiCGStab tolerance; a solve that misses
-it is redone by BiCGStab, which then solves the bundle's later steps.
-Sibling bundles share one cached source vector: a step reads the source at
-its start, where the step before read it.
+costs a few, which the rule leaves out.  A run that factors decides once:
+after a bundle has factored by this rule, every later bundle of the run with
+steps after its first factors its matrix at its first step, without that
+BiCGStab probe, since its matrix differs only by the advection of a new
+velocity.  The run's first factor orders its columns by minimum degree; the
+step matrices of a run lie on one sparsity pattern, so every later factor of
+the run reuses that ordering instead of computing its own.  A BiCGStab
+breakdown is treated as a solve that costs more than the factor: the step is
+solved by a factor of its matrix, which the later steps reuse, and its
+report's `recovery` is "lu"; a breakdown does not make the next bundle skip
+its probe.  The factor is freed with its bundle; it has 50-80 entries per
+vertex on the built-in scenarios (12 MiB at n = 14,641).  Every solve by a
+factor has its residual checked against the BiCGStab tolerance; a solve that
+misses it is redone by BiCGStab, which then solves the bundle's later steps,
+and the run's next bundle probes again.  Sibling bundles share the run's
+factor state and one cached source vector: a step reads the source at its
+start, where the step before read it.
 """
 
 import logging
@@ -101,11 +109,12 @@ class TransportCoefficients:
 
     The static operators (mass, diffusion, reaction, Dirichlet rows and the
     nudging operators) are built once, at construction; `with_velocity`
-    produces a sibling for a new velocity that shares them and the one-entry
-    source cache, (t, vector).  The bundle holds one slot, `_step = (dt, step
-    matrix, factor)`, where the factor is a `StepFactor`, False where
-    BiCGStab keeps the matrix, or None while undecided; a step of another
-    size replaces the slot, and the factor lives as long as the bundle.
+    produces a sibling for a new velocity that shares them, the one-entry
+    source cache, (t, vector), and the run's factor state (`RunFactors`).
+    The bundle holds one slot, `_step = (dt, step matrix, factor)`, where the
+    factor is a `StepFactor`, False where BiCGStab keeps the matrix, or None
+    while undecided; a step of another size replaces the slot, and the
+    factor lives as long as the bundle.
     """
 
     def __init__(self, mesh, diffusion, reaction=None, source=None, mu=0.0,
@@ -126,6 +135,7 @@ class TransportCoefficients:
         self._k_matrix = None
         self._step = None
         self._source = [None, None]     # (t, vector), shared by siblings
+        self._run = RunFactors()        # shared by siblings
 
     def with_velocity(self, outflux):
         sib = TransportCoefficients.__new__(TransportCoefficients)
@@ -291,12 +301,14 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None,
 
     `later_steps` is how many more steps the bundle `coeffs` will solve
     with the same step matrix.  A step solves by the bundle's factor when it
-    has one.  Otherwise it solves by Jacobi-BiCGStab to the tolerances of
-    `solver` (a `linalg.SolverConfig`, the default one when None), and if
-    that took k iterations with k * later_steps > sqrt(n), the matrix is
-    factored for the later steps (see the module docstring).  A factor
-    solve that misses the tolerance is redone by BiCGStab, which keeps the
-    bundle's later steps.
+    has one; the first step of a bundle makes that factor at once when an
+    earlier bundle of the run factored by cost and later_steps > 0.
+    Otherwise it solves by Jacobi-BiCGStab to the tolerances of `solver` (a
+    `linalg.SolverConfig`, the default one when None), and if that took k
+    iterations with k * later_steps > sqrt(n), the matrix is factored for
+    the later steps (see the module docstring).  A factor solve that misses
+    the tolerance is redone by BiCGStab, which keeps the bundle's later
+    steps, and the run's next bundle probes by BiCGStab again.
 
     A BiCGStab breakdown is logged, and the step is solved by a factor of
     its matrix, which the bundle's later steps reuse (they share its step
@@ -307,7 +319,11 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None,
     """
     solver = solver or linalg.SolverConfig()
     A, rhs = assemble_step(theta_old, coeffs, step_spec, observations)
+    run = coeffs._run
     dt, _, factor = coeffs._step
+    if factor is None and later_steps > 0 and run.factor_at_once:
+        factor = run.factor(A)
+        coeffs._step = (dt, A, factor)
     if factor:
         solved = factor.solve(A, rhs, solver)
         if solved is not None:
@@ -315,13 +331,14 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None,
         _log.warning("%s: the sparse LU solve missed the tolerance; "
                      "back to BiCGStab", _where(step_spec))
         coeffs._step = (dt, A, False)
+        run.factor_at_once = False
     try:
         x, report = linalg.solve(A, rhs, solver, x0=theta_old.values)
     except linalg.NoConvergenceError as exc:
         if not exc.breakdown:
             raise
         _log.warning("%s: %s; solving by sparse LU", _where(step_spec), exc)
-        factor = _factor(A)
+        factor = run.factor(A)
         solved = factor and factor.solve(A, rhs, solver)
         if not solved:
             raise
@@ -330,7 +347,8 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None,
         report.recovery = "lu"
     if (coeffs._step[2] is None
             and report.iterations * later_steps > math.sqrt(A.shape[0])):
-        coeffs._step = (dt, A, _factor(A))
+        coeffs._step = (dt, A, run.factor(A))
+        run.factor_at_once = bool(coeffs._step[2])
     return NodalField(coeffs.mesh, x), report
 
 
@@ -339,38 +357,71 @@ def _where(step_spec):
             f"{float(step_spec.t_end)!r}")
 
 
-def _factor(A):
-    """A `StepFactor` of A, or False (BiCGStab keeps A) when SuperLU finds
-    A singular."""
-    try:
-        return StepFactor(A)
-    except RuntimeError:
-        return False
+def splu(A, permc_spec="MMD_AT_PLUS_A"):
+    """SuperLU factor of a step matrix in the column ordering `permc_spec`;
+    raises RuntimeError if A is singular.
 
-
-def splu(A):
-    """SuperLU factor of a step matrix; raises RuntimeError if it is singular.
-
-    The ordering is minimum degree on the pattern of A^T + A, in SuperLU's
-    symmetric mode, with a pivot threshold of 0.1 that keeps most pivots on
-    the diagonal.  On example4 at nx = 120 the factor has about 1.05 M
-    entries (12 MiB); scipy's default COLAMD ordering gives 1.5 M and takes
-    1.6-2 times as long to factor.
+    SuperLU runs in symmetric mode, with a pivot threshold of 0.1 that keeps
+    most pivots on the diagonal.  A run's first factor takes the default,
+    minimum degree on the pattern of A^T + A; `RunFactors` factors the later
+    ones in "NATURAL" order, having permuted them by the first one's
+    ordering.  On a nudged example4 step matrix at nx = 120 the factor has
+    about 1.04 M entries (12 MiB) either way; the reused ordering takes 23 %
+    less time than minimum degree there, 43 % at nx = 240 and 5 % on
+    example1 at nx = 60.  scipy's default COLAMD ordering gives 1.5 M
+    entries and takes 1.6-2 times as long to factor.
     """
-    return _superlu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+    return _superlu(A.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.1,
                     options={"SymmetricMode": True})
 
 
-class StepFactor:
-    """The sparse LU factor of one step matrix."""
+class RunFactors:
+    """The factor state that the bundles of one run share.
 
-    def __init__(self, A):
-        self.lu = splu(A)
+    `factor_at_once`: a bundle of the run has factored by the cost rule, and
+    no factor solve has missed the tolerance since, so the next bundle
+    factors at its first step (see `step`).  `order`: the fill-reducing
+    ordering of the run's first factor, q with A[:, q] = A Pc, set by that
+    factor.  The step matrices of a run lie on one sparsity pattern, so every
+    later factor, a breakdown's included, factors A[q][:, q] in that order.
+    """
+
+    def __init__(self):
+        self.factor_at_once = False
+        self.order = None
+
+    def factor(self, A):
+        """A `StepFactor` of A, or False (BiCGStab keeps A) when SuperLU
+        finds A singular."""
+        try:
+            if self.order is None:
+                factor = StepFactor(splu(A))
+                self.order = np.argsort(factor.lu.perm_c)
+                return factor
+            # Permuted as CSC, which `splu` then factors without a copy.
+            permuted = A.tocsc()[:, self.order][self.order]
+            return StepFactor(splu(permuted, "NATURAL"), self.order)
+        except RuntimeError:
+            return False
+
+
+class StepFactor:
+    """The sparse LU factor `lu` of one step matrix A, or of A[order][:, order]
+    when `order` is given."""
+
+    def __init__(self, lu, order=None):
+        self.lu = lu
+        self.order = order
 
     def solve(self, A, rhs, solver):
-        """(x, SolveReport), or None when the residual misses the solver's
-        tolerance, max(rel_tol * ||rhs||, abs_tol), as BiCGStab's does."""
-        x = self.lu.solve(rhs)
+        """(x, SolveReport), or None when the residual against A misses the
+        solver's tolerance, max(rel_tol * ||rhs||, abs_tol), as BiCGStab's
+        does."""
+        if self.order is None:
+            x = self.lu.solve(rhs)
+        else:
+            x = np.empty_like(rhs)
+            x[self.order] = self.lu.solve(rhs[self.order])
         residual = float(np.linalg.norm(rhs - A @ x))
         if not residual <= max(solver.rel_tol * float(np.linalg.norm(rhs)),
                                solver.abs_tol):

@@ -47,12 +47,13 @@ def _broken_bicgstab(monkeypatch, failures=0, breaks=()):
 
 
 def _counted_splu(monkeypatch):
+    """The column ordering of each factor, in the order they are made."""
     calls = []
     splu = transport.splu
 
-    def counted(A):
-        calls.append(A)
-        return splu(A)
+    def counted(A, permc_spec="MMD_AT_PLUS_A"):
+        calls.append(permc_spec)
+        return splu(A, permc_spec)
 
     monkeypatch.setattr(transport, "splu", counted)
     return calls
@@ -172,9 +173,10 @@ def test_driver_builds_one_step_matrix_and_one_factor_per_interval(monkeypatch):
     steps = part.n_coarse * part.fine_per_coarse
     assert len(matrices) == steps
     assert len({id(A) for A in matrices}) == part.n_coarse
-    # One solve breaks down per interval, then its factor solves the rest.
+    # One solve breaks down per interval, then its factor solves the rest;
+    # the run's first factor orders the columns for all of them.
     assert calls["n"] == part.n_coarse
-    assert len(factors) == part.n_coarse
+    assert factors == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (part.n_coarse - 1)
     assert [kind for _, kind in ref.report.recoveries] == ["lu"] * part.n_coarse
     assert ref.report.factored_intervals == part.n_coarse
 
@@ -195,6 +197,24 @@ def test_factored_intervals_counts_a_breakdown_factor(monkeypatch):
     ref = driver.run_reference(sc, part, sc.build_mesh())
     assert ref.report.recoveries == [(pytest.approx(0.02), "lu")]
     assert ref.report.factored_intervals == 1
+
+
+def test_a_breakdown_factor_does_not_skip_the_next_probe(monkeypatch):
+    """example3 at nx = 60 never factors by cost.  A breakdown in its first
+    step is solved by a factor, which serves that interval only: every
+    later interval still starts with a BiCGStab probe, and stays on it."""
+    sc = scenarios.example3(nx=60, spacing=1.0 / 30.0)
+    part = driver.TimePartition.from_scenario(sc, t_end=0.006)
+    _broken_bicgstab(monkeypatch, breaks={2})     # 1 is the pressure solve
+    factors = _counted_splu(monkeypatch)
+    ref = _reference(sc, 0.006)
+    iters = np.reshape(ref.report.solver_iterations["transport"],
+                       (part.n_coarse, part.fine_per_coarse))
+    assert part.n_coarse > 1
+    assert factors == ["MMD_AT_PLUS_A"]
+    assert [kind for _, kind in ref.report.recoveries] == ["lu"]
+    assert ref.report.factored_intervals == 1
+    assert np.all(iters[0] == 0) and np.all(iters[1:] > 0)
 
 
 # -- cases that broke down before ---------------------------------------------

@@ -1,12 +1,16 @@
-"""The per-interval choice between BiCGStab and a sparse LU factor.
+"""The run-level choice between BiCGStab and a sparse LU factor.
 
-Each transport bundle solves its first fine step by Jacobi-BiCGStab.  When
-that took k iterations and k times the number of steps the bundle still has
-to solve exceeds sqrt(n), the step matrix is factored and those later steps
-reuse the factor (for a bundle of one coarse interval, k * (m - 1) >
-sqrt(n)); every factor solve is checked against the BiCGStab tolerance.  The twin cases below run the path
-the driver takes; the element-kernel cases hold the blocked kappa
-evaluation to the whole-array one it replaced, bitwise.
+A run's first transport bundle solves its first fine step by
+Jacobi-BiCGStab.  When that probe took k iterations and k times the number
+of steps the bundle still has to solve exceeds sqrt(n), the step matrix is
+factored and those later steps reuse the factor (for a bundle of one coarse
+interval, k * (m - 1) > sqrt(n)).  From then on, every later bundle of the
+run factors at its first step, without a probe, until a factor solve misses
+the BiCGStab tolerance, against which each is checked; then the next bundle
+probes again.  The run's first factor orders its columns by minimum degree,
+and every later factor of the run reuses that ordering.  The twin cases
+below run the path the driver takes; the element-kernel cases hold the
+blocked kappa evaluation to the whole-array one it replaced, bitwise.
 """
 
 import logging
@@ -20,6 +24,7 @@ from porousda.fields import NodalField, quadrature
 from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
 from porousda.mesh import build_mesh
+from porousda.observation import SparseGrid
 from porousda.scenarios import PermeabilityRaster
 from porousda.transport import TransportCoefficients, TransportStep
 
@@ -48,18 +53,31 @@ def _twin(sc):
 
 
 def test_example1_factors_each_interval_after_one_bicgstab_solve(monkeypatch):
-    """n = 441 and m = 10: the first solve's k iterations make 9k > 21."""
+    """n = 441 and m = 10: the first solve's k iterations make 9k > 21, and
+    every later interval of the run factors without that probe."""
     factors = _counting(monkeypatch, transport, "splu")
     solves = _counting(monkeypatch, linalg, "solve")
     part, *reports = _twin(scenarios.example1(nx=20, t_end=0.06))
     n, m = part.n_coarse, part.fine_per_coarse
-    assert len(factors) == len(solves) == 2 * n
+    assert n > 1
+    assert len(solves) == 2 and len(factors) == 2 * n
     for report in reports:
         assert report.factored_intervals == n
         assert report.recoveries == []
         iters = np.reshape(report.solver_iterations["transport"], (n, m))
-        assert np.all(iters[:, 0] * (m - 1) > 21)
-        assert np.all(iters[:, 1:] == 0)
+        assert iters[0, 0] * (m - 1) > 21
+        assert np.all(iters.ravel()[1:] == 0)
+
+
+def test_a_run_orders_only_its_first_factor(monkeypatch):
+    """Every interval of example4 at nx = 24 factors; minimum degree, the
+    default ordering, runs once, on the first interval's matrix."""
+    factors = _counting(monkeypatch, transport, "splu")
+    sc = scenarios.example4(nx=24, t_end=6 * scenarios.DAY)
+    part = driver.TimePartition.from_scenario(sc)
+    ref = driver.run_reference(sc, part, sc.build_mesh())
+    assert ref.report.factored_intervals == part.n_coarse == 3
+    assert [args[1:] for args in factors] == [(), ("NATURAL",), ("NATURAL",)]
 
 
 def test_example3_stays_on_bicgstab(monkeypatch):
@@ -131,13 +149,14 @@ def _inaccurate_splu(monkeypatch):
     class Inaccurate:
         def __init__(self, lu):
             self.lu = lu
+            self.perm_c = lu.perm_c
 
         def solve(self, b):
             return self.lu.solve(b) * (1.0 + 1e-6)
 
-    def inaccurate(A):
+    def inaccurate(A, permc_spec="MMD_AT_PLUS_A"):
         calls.append(A)
-        return Inaccurate(splu(A))
+        return Inaccurate(splu(A, permc_spec))
 
     monkeypatch.setattr(transport, "splu", inaccurate)
     return calls
@@ -149,6 +168,7 @@ def test_a_factor_that_misses_the_tolerance_falls_back_to_bicgstab(
     plain, reports = _march(coeffs.with_velocity(None), theta, 4)
     assert [r.factored for r in reports] == [False, True, True, True]
     factors = _inaccurate_splu(monkeypatch)
+    coeffs, _ = _diffusion_problem()        # a new run, which probes first
     with caplog.at_level(logging.WARNING, logger="porousda"):
         got, reports = _march(coeffs.with_velocity(None), theta, 4)
     # The second step's factor solve is redone by BiCGStab, and the
@@ -158,6 +178,61 @@ def test_a_factor_that_misses_the_tolerance_falls_back_to_bicgstab(
     assert all(r.iterations > 0 and r.recovery is None for r in reports)
     assert "missed the tolerance" in caplog.text
     np.testing.assert_allclose(got.values, plain.values, rtol=0, atol=1e-11)
+
+
+def test_a_missed_tolerance_makes_the_next_interval_probe(monkeypatch):
+    coeffs, theta = _diffusion_problem()
+    splu = transport.splu
+    solves = _counting(monkeypatch, linalg, "solve")
+    _, first = _march(coeffs.with_velocity(None), theta, 4)
+    _, second = _march(coeffs.with_velocity(None), theta, 4)
+    # The run factored by cost, so its next interval factors at once.
+    assert [r.factored for r in first] == [False, True, True, True]
+    assert all(r.factored for r in second) and len(solves) == 1
+    factors = _inaccurate_splu(monkeypatch)
+    _, missed = _march(coeffs.with_velocity(None), theta, 4)
+    # Its first step's factor misses, so BiCGStab solves all four steps.
+    assert len(factors) == 1 and len(solves) == 5
+    assert not any(r.factored for r in missed)
+    monkeypatch.setattr(transport, "splu", splu)
+    _, probed = _march(coeffs.with_velocity(None), theta, 4)
+    assert [r.factored for r in probed] == [False, True, True, True]
+    assert len(solves) == 6
+
+
+def test_a_reused_ordering_factors_with_the_fill_of_a_fresh_one():
+    """Two nudged step matrices of example4 at nx = 48, from the velocities
+    of two states: the second, factored in the first one's ordering, has
+    the entries and, to roundoff, the solution of its own minimum-degree
+    factor."""
+    sc = scenarios.example4(nx=48)
+    mesh = sc.build_mesh()
+    problem = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)
+    coeffs = TransportCoefficients(
+        mesh, sc.diffusion, sc.reaction, sc.source, mu=sc.mu,
+        grid=SparseGrid(mesh, sc.spacing, kind=sc.observation_kind),
+        dirichlet=sc.theta_dirichlet)
+    matrices = []
+    for theta in (NodalField.from_callable(mesh, sc.initial),
+                  NodalField(mesh, np.full(mesh.n_vertices, 0.5))):
+        p, _ = pressure.solve_pressure(problem, theta)
+        outflux = postprocess_flux(problem, p, theta).segment_outflux
+        matrices.append(coeffs.with_velocity(outflux)._lhs_matrix(sc.dt))
+    run = transport.RunFactors()
+    run.factor(matrices[0])
+    A = matrices[1]
+    reused, fresh = run.factor(A), transport.RunFactors().factor(A)
+    assert reused.order is not None and fresh.order is None
+
+    def fill(factor):
+        return factor.lu.L.nnz + factor.lu.U.nnz
+
+    assert abs(fill(reused) - fill(fresh)) <= 1e-3 * fill(fresh)
+    rhs = A @ NodalField.from_callable(mesh, sc.initial).values
+    got, report = reused.solve(A, rhs, BICGSTAB)
+    want, _ = fresh.solve(A, rhs, BICGSTAB)
+    assert report.factored and report.residual <= 1e-12 * np.linalg.norm(rhs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_a_breakdown_factor_that_misses_the_tolerance_fails_the_step(monkeypatch):

@@ -109,19 +109,17 @@ def _snapshot_times(cfg, scenario, partition):
     anything else is a configuration error; scenario defaults that are not
     (they lie beyond a shortened `t_end`) are dropped.
     """
-    levels = partition.all_times()
-
-    def sampled(t):
-        return np.any(np.abs(levels - t) <= 1e-9 * max(1.0, abs(t)))
-
     if not cfg.has_option("output", "snapshots"):
-        return [t for t in scenario.snapshot_times if sampled(t)]
+        times = scenario.snapshot_times
+        return [t for t, i in zip(times, partition.level_indices(times))
+                if i is not None]
     times = _floats(cfg.get("output", "snapshots"))
-    for t in times:
-        if not sampled(t):
+    for t, i in zip(times, partition.level_indices(times)):
+        if i is None:
+            span = partition.coarse_times
             raise ValueError(
                 f"snapshot time {t!r} is not a fine time level of the run "
-                f"from {levels[0]!r} to {levels[-1]!r} in steps of "
+                f"from {span[0]!r} to {span[-1]!r} in steps of "
                 f"{scenario.dt!r}")
     return times
 
@@ -205,7 +203,8 @@ def cmd_run(cfg):
         try:
             run = driver.run_assimilated(scenario, ref.stream, partition, mesh,
                                          mu=mu, reference=ref.trajectory,
-                                         solver=solver)
+                                         solver=solver,
+                                         keep_times=snapshot_times)
         except (*driver.RUN_FAILURES, ValueError) as exc:
             failures += 1
             (rundir / "report.txt").write_text(f"run failed: {exc}\n")

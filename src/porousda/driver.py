@@ -12,6 +12,14 @@ l2 difference against the comparator (analytic solution when known, else the
 reference trajectory), Rtilde compares against the coarse interpolant of the
 comparator, so a reference run's Rtilde column doubles as the interpolation
 quality of the sparse data themselves.
+
+A run stores only the fine levels it is asked to keep.  The reference run
+keeps every level, because a nudged run's metrics read the reference state
+at each of its levels; a nudged run keeps none unless given times to keep
+(`run_assimilated`'s `keep_times`), so its memory does not grow with the
+number of levels.  The reference trajectory owns what every run compared
+against it needs per level, its L2 norm and its observation functionals,
+and computes each once.
 """
 
 import csv
@@ -96,14 +104,37 @@ class TimePartition:
             out.extend(self.fine_times(n)[1:])
         return np.array(out)
 
+    def level_indices(self, times):
+        """Index of the fine level at each of `times`, None where a time is
+        no level."""
+        levels = self.all_times()
+        return [_level_index(levels, t) for t in times]
+
+
+def _level_index(times, t):
+    """Index of the entry of `times` within 1e-9 (relative) of t, or None."""
+    if len(times) == 0:
+        return None
+    i = int(np.argmin(np.abs(times - t)))
+    return i if abs(times[i] - t) <= 1e-9 * max(1.0, abs(t)) else None
+
 
 class Trajectory:
-    """Dense record of nodal concentration values over the fine levels."""
+    """Nodal concentration values at the fine levels a run kept.
+
+    As the truth of nudged runs, a trajectory also owns two values per
+    level that each of those runs reads: the level's L2 norm (`norm`) and
+    its observation functionals on a grid (`functionals`, n_obs values, not
+    the nodal interpolant).  Each is computed on first use and kept, so runs
+    compared against one reference compute them once between them.
+    """
 
     def __init__(self, mesh, times, values):
         self.mesh = mesh
         self.times = np.asarray(times, dtype=float)
         self.values = np.asarray(values, dtype=float)
+        self._norms = {}           # level -> L2 norm
+        self._functionals = {}     # (level, spacing, kind) -> (n_obs,)
 
     def __len__(self):
         return self.times.size
@@ -111,11 +142,31 @@ class Trajectory:
     def field(self, i):
         return NodalField(self.mesh, self.values[i])
 
-    def at(self, t):
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
+    def index(self, t):
+        """Index of the kept level at time t; KeyError when none is."""
+        i = _level_index(self.times, t)
+        if i is None:
             raise KeyError(f"no trajectory sample at t={t}")
-        return self.field(i)
+        return i
+
+    def at(self, t):
+        return self.field(self.index(t))
+
+    def norm(self, i):
+        """L2 norm of level i."""
+        if i not in self._norms:
+            self._norms[i] = l2_norm(self.field(i))
+        return self._norms[i]
+
+    def functionals(self, i, grid):
+        """Functional values of level i on `grid`, a SparseGrid on this
+        trajectory's mesh."""
+        key = (i, grid.spacing, grid.kind)
+        if key not in self._functionals:
+            values = grid.sample(self.field(i))
+            values.flags.writeable = False     # shared by every reader
+            self._functionals[key] = values
+        return self._functionals[key]
 
     def final(self):
         return self.field(len(self) - 1)
@@ -221,46 +272,51 @@ class AssimilationRun:
 
 
 class _Comparator:
-    """Evaluates R and Rtilde rows against analytic or trajectory truth."""
+    """Evaluates R and Rtilde rows against analytic or trajectory truth.
+
+    Against a reference trajectory, the level's norm and functionals come
+    from the trajectory, which computes each once for every run compared
+    against it (see `Trajectory`)."""
 
     def __init__(self, scenario, grid, reference=None):
         self.exact = scenario.exact
         self.reference = reference
         self.grid = grid
 
-    def target(self, t):
-        if self.reference is not None:
-            return self.reference.at(t)
-        if self.exact is not None:
-            fn = self.exact
-            return lambda x, y: fn(x, y, t)
-        return None
-
     def metrics(self, theta, t):
-        target = self.target(t)
-        if target is None:
+        ref = self.reference
+        if ref is not None:
+            i = ref.index(t)
+            truth, denom = ref.field(i), ref.norm(i)
+        elif self.exact is not None:
+            fn = self.exact
+
+            def target(x, y):
+                return fn(x, y, t)
+
+            # An analytic truth is evaluated at the quadrature points once;
+            # R's numerator and denominator both read those values.
+            truth = QuadratureField.sample(theta.mesh, target)
+            denom = l2_norm(truth)
+        else:
             return float("nan"), float("nan")
-        # An analytic truth is evaluated at the quadrature points once; R's
-        # numerator and denominator both read those values.
-        truth = (target if isinstance(target, NodalField)
-                 else QuadratureField.sample(theta.mesh, target))
-        denom = l2_norm(truth)
         if denom == 0.0:
             return float("nan"), float("nan")
         r = 100.0 * (l2_diff(theta, truth) / denom)
-        if self.grid is None:
-            return r, float("nan")
-        coarse = self.grid.interpolate(target)
+        coarse = (self.grid.reconstruct(ref.functionals(i, self.grid))
+                  if ref is not None else self.grid.interpolate(target))
         rtilde = 100.0 * (l2_diff(theta, coarse) / denom)
         return r, rtilde
 
 
 def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
-           comparator, solver):
+           comparator, solver, keep=None):
     """Shared coarse/fine marching core; returns (Trajectory, RunReport).
 
     `solver`, a `SolverConfig` or None for the default one, holds the
-    tolerances of both the pressure and the transport solves."""
+    tolerances of both the pressure and the transport solves.  `keep`, the
+    indices of the fine levels to store, None for all of them, sizes the
+    trajectory's storage; the other levels are never stored."""
     solver = solver or SolverConfig()
     coeffs = transport.TransportCoefficients(
         mesh,
@@ -282,18 +338,22 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
     report = RunReport(partition)
     theta = NodalField(mesh, np.array(theta0_values, dtype=float))
     levels = partition.n_coarse * partition.fine_per_coarse + 1
-    times = np.empty(levels)
-    values = np.empty((levels, mesh.n_vertices))
-    times[0] = partition.coarse_times[0]
-    values[0] = theta.values
+    keep = np.arange(levels) if keep is None else np.unique(keep)
+    slot = np.full(levels, -1)        # level -> its row in the storage
+    slot[keep] = np.arange(keep.size)
+    times = np.empty(keep.size)
+    values = np.empty((keep.size, mesh.n_vertices))
     level = 0
 
     def record(t, mass_residual):
+        if slot[level] >= 0:
+            times[slot[level]] = t
+            values[slot[level]] = theta.values
         r, rtilde = comparator.metrics(theta, t)
         report.append(t, r, rtilde, mass_residual,
                       float(theta.values.min()), float(theta.values.max()))
 
-    record(times[0], float("nan"))
+    record(partition.coarse_times[0], float("nan"))
 
     # A transport bundle lives as long as its velocity: the whole run when
     # there is none or it is computed once, else one interval.
@@ -342,8 +402,6 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
             level += 1
             if not np.all(np.isfinite(theta.values)):
                 raise NonFiniteStateError(float(s1), level)
-            times[level] = s1
-            values[level] = theta.values
             record(s1, mass_residual)
         report.factored_intervals += factored
 
@@ -353,10 +411,11 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
 def run_reference(scenario, partition=None, mesh=None, solver=None):
     """Advance the plain scheme from the scenario's true initial condition.
 
-    Returns the trajectory, an observation stream sampled at every coarse
-    time, and the metric report (R measured against the analytic solution
-    when the scenario has one; Rtilde doubles as interpolation quality).
-    `solver` is the `SolverConfig` of both systems, the default when None.
+    Returns the trajectory of every fine level, an observation stream
+    sampled at every coarse time, and the metric report (R measured against
+    the analytic solution when the scenario has one; Rtilde doubles as
+    interpolation quality).  `solver` is the `SolverConfig` of both
+    systems, the default when None.
     """
     partition = partition or TimePartition.from_scenario(scenario)
     mesh = mesh or scenario.build_mesh()
@@ -387,22 +446,31 @@ def initial_guess(scenario, mesh, grid, stream, policy=None):
 
 
 def run_assimilated(scenario, stream, partition=None, mesh=None, mu=None,
-                    theta0_policy=None, reference=None, solver=None):
+                    theta0_policy=None, reference=None, solver=None,
+                    keep_times=()):
     """Nudged run driven by an observation stream.
 
     `reference` may be a Trajectory for twin-experiment metrics; otherwise the
     scenario's analytic solution is used when present.  With mu = 0 the data
     stream is ignored entirely and the marching reduces to the plain scheme.
-    `solver` is as in `run_reference`.
+    `solver` is as in `run_reference`.  The returned trajectory holds the
+    fine levels at `keep_times` only, none by default; a time that is not a
+    fine level of the run raises ValueError before the first step.
     """
     partition = partition or TimePartition.from_scenario(scenario)
+    keep = partition.level_indices(keep_times)
+    for t, i in zip(keep_times, keep):
+        if i is None:
+            span = partition.coarse_times
+            raise ValueError(f"keep time {t!r} is not a fine time level of "
+                             f"the run from {span[0]!r} to {span[-1]!r}")
     mesh = mesh or scenario.build_mesh()
     mu = scenario.mu if mu is None else float(mu)
     grid = SparseGrid(mesh, scenario.spacing, kind=scenario.observation_kind)
     theta0 = initial_guess(scenario, mesh, grid, stream, theta0_policy)
     comparator = _Comparator(scenario, grid, reference=reference)
     traj, report = _march(scenario, partition, mesh, theta0, mu, stream, grid,
-                          comparator, solver)
+                          comparator, solver, keep=np.array(keep, dtype=int))
     return AssimilationRun(traj, report)
 
 
@@ -453,7 +521,8 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
                     solver=None):
     """Independent assimilated runs over mu and observation-spacing grids.
 
-    One reference run is shared per spacing.  Rows come back sorted by
+    One reference run is shared per spacing, and it holds the only stored
+    trajectory: the nudged runs keep no level.  Rows come back sorted by
     (spacing, mu); failed runs are recorded, not raised.
     """
     mu_values = sorted(set(mu_values if mu_values is not None else [scenario.mu]))

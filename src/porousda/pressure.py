@@ -19,10 +19,12 @@ What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
 twin experiment): the kernel points (`kernel_points`, read-only, and their
 row blocks, `kernel_point_blocks`, at which kappa is evaluated, so a
-coefficient such as a raster lookup can keep its value there for the run)
-and the multigrid transfers (`multigrid_transfers`).  What depends on the
-problem's time-independent data is built once per problem: the source at the
-quadrature points, its load vector and control-volume integrals.
+coefficient such as a raster lookup can keep its value there for the run),
+the multigrid transfers (`multigrid_transfers`) and the gathers that take
+the free block and the Dirichlet block from the stiffness
+(`pressure_blocks`).  What depends on the problem's time-independent data
+is built once per problem: the source at the quadrature points, its load
+vector and control-volume integrals.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -200,26 +202,65 @@ def element_kernel(problem, theta):
     return kernel
 
 
+class BlockGather:
+    """The block of a stencil-pattern matrix in the free rows and the
+    columns `cols` (a boolean mask over vertices), as a gather of the
+    matrix's CSR data at fixed positions.
+
+    The block keeps each row's entries in the pattern's column order, so it
+    equals the sliced `A[free][:, cols]` entry for entry.
+    """
+
+    def __init__(self, mesh, cols):
+        pattern = linalg.stencil(mesh)
+        free = ~mesh.is_dirichlet
+        row = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+        take = free[row] & cols[pattern.indices]
+        self.positions = np.flatnonzero(take).astype(np.int32)
+        renumber = np.cumsum(cols) - 1           # vertex -> column in block
+        self.indices = renumber[pattern.indices[take]].astype(np.int32)
+        counts = np.bincount(row[take], minlength=pattern.n)[free]
+        self.indptr = np.zeros(counts.size + 1, dtype=np.int32)
+        np.cumsum(counts, out=self.indptr[1:])
+        self.shape = (counts.size, int(np.count_nonzero(cols)))
+
+    def matrix(self, data):
+        """The block of the stencil matrix with CSR data `data`."""
+        return sparse.csr_matrix((data[self.positions], self.indices.copy(),
+                                  self.indptr.copy()), shape=self.shape)
+
+
+def _build_blocks(mesh):
+    return BlockGather(mesh, ~mesh.is_dirichlet), BlockGather(mesh, mesh.is_dirichlet)
+
+
+def pressure_blocks(mesh):
+    """The gathers of the free block and of the free-rows, Dirichlet-columns
+    block, built once per mesh."""
+    return mesh.constant("pressure_blocks", _build_blocks)
+
+
 def assemble_pressure(problem, theta):
     """Assemble the free-vertex system; returns (matrix, rhs).
 
     The element stiffness comes from `element_kernel` and is scattered into
-    the mesh's stencil pattern.  Nonhomogeneous Dirichlet data is lifted into
-    the right-hand side, so the returned matrix is the SPD free block and the
-    rhs already carries the boundary contribution.
+    the mesh's stencil pattern, from whose data the free block and the
+    Dirichlet block are gathered (`pressure_blocks`).  Nonhomogeneous
+    Dirichlet data is lifted into the right-hand side, so the returned
+    matrix is the SPD free block and the rhs already carries the boundary
+    contribution.
     """
     mesh = problem.mesh
     kernel = element_kernel(problem, theta)
-    A = linalg.stencil(mesh).scatter(kernel.stiffness)
+    data = linalg.stencil(mesh).scatter(kernel.stiffness).data
+    free_block, dirichlet_block = pressure_blocks(mesh)
 
-    free = mesh.free_vertices
     fixed = np.flatnonzero(mesh.is_dirichlet)
-    A_ff = A[free][:, free].tocsr()
-    rhs = problem.load[free]
+    rhs = problem.load[mesh.free_vertices]
     if fixed.size:
         p_d = problem.dirichlet_values(fixed)
-        rhs = rhs - A[free][:, fixed] @ p_d
-    return A_ff, rhs
+        rhs = rhs - dirichlet_block.matrix(data) @ p_d
+    return free_block.matrix(data), rhs
 
 
 def solve_pressure(problem, theta, x0=None):

@@ -29,7 +29,6 @@ import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .mesh import DIRICHLET, NEUMANN, build_mesh
 
@@ -49,6 +48,34 @@ def bump(x, y, cx, cy, radius, peak=1.0):
     with np.errstate(divide="ignore", over="ignore"):
         val = np.exp(1.0 - 1.0 / np.maximum(1.0 - s, _TINY))
     return peak * np.where(s < 1.0, val, 0.0)
+
+
+def gaussian_smooth(values, sigma):
+    """Gaussian filter of a 2-D array, axis by axis, mirrored at the edges.
+
+    The weights are exp(-x^2 / (2 sigma^2)), normalized, for |x| up to
+    int(4 sigma + 0.5); the array is extended by mirroring about its edges
+    (d c b a | a b c d | d c b a).  Each output sums the centre first, then
+    the mirrored pairs (left + right) * w from the outermost pair inwards,
+    which is the order of `scipy.ndimage.gaussian_filter(mode="reflect")`,
+    so the two agree bitwise.
+    """
+    radius = int(4.0 * float(sigma) + 0.5)
+    x = np.arange(-radius, radius + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = w / w.sum()
+    out = np.asarray(values, dtype=float)
+    for axis in range(out.ndim):
+        line = np.moveaxis(out, axis, -1)
+        n = line.shape[-1]
+        pad = [(0, 0)] * (line.ndim - 1) + [(radius, radius)]
+        ext = np.pad(line, pad, mode="symmetric")
+        acc = ext[..., radius:radius + n] * w[radius]
+        for j in range(radius, 0, -1):
+            acc += (ext[..., radius - j:radius - j + n]
+                    + ext[..., radius + j:radius + j + n]) * w[radius + j]
+        out = np.moveaxis(acc, -1, axis)
+    return out
 
 
 def quarter_power_viscosity(theta, mu_solvent=0.00108, mu_water=0.001):
@@ -190,8 +217,8 @@ class PermeabilityRaster:
                 seed=20260814, smoothness=0.12):
         """Deterministic smoothed-noise permeability in a log range."""
         rng = np.random.default_rng(seed)
-        noise = gaussian_filter(rng.standard_normal((ny, nx)),
-                                sigma=smoothness * max(nx, ny), mode="reflect")
+        noise = gaussian_smooth(rng.standard_normal((ny, nx)),
+                                smoothness * max(nx, ny))
         lsp = noise.max() - noise.min()
         u = (noise - noise.min()) / lsp if lsp > 0 else np.full_like(noise, 0.5)
         return cls(np.exp(math.log(lo) + u * (math.log(hi) - math.log(lo))),

@@ -44,8 +44,9 @@ step matrices of a run lie on one sparsity pattern, so every later factor of
 the run reuses that ordering instead of computing its own.  A BiCGStab
 breakdown is treated as a solve that costs more than the factor: the step is
 solved by a factor of its matrix, which the later steps reuse, and its
-report's `recovery` is "lu"; a breakdown does not make the next bundle skip
-its probe.  The factor is freed with its bundle; it has 50-80 entries per
+report's `recovery` is "lu".  The breakdown's own k iterations decide, by the
+same rule, whether the next bundle skips its probe: a breakdown that would
+have factored by cost anyway makes the run factor at once.  The factor is freed with its bundle; it has 50-80 entries per
 vertex on the built-in scenarios (12 MiB at n = 14,641).  Every solve by a
 factor has its residual checked against the BiCGStab tolerance; a solve that
 misses it is redone by BiCGStab, which then solves the bundle's later steps,
@@ -312,7 +313,10 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None,
 
     A BiCGStab breakdown is logged, and the step is solved by a factor of
     its matrix, which the bundle's later steps reuse (they share its step
-    size; see `TransportStep`); the report's `recovery` is "lu".  When that
+    size; see `TransportStep`); the report's `recovery` is "lu".  When the
+    breakdown's own k iterations meet the cost rule, k * later_steps >
+    sqrt(n), the run's later bundles factor at once, as after a factor made
+    by that rule.  When that
     factor is singular or its solve misses the tolerance, the breakdown's
     `NoConvergenceError` is raised.  An iteration cap that is reached
     without a breakdown is the caller's budget and stays an error too.
@@ -343,6 +347,8 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None,
         if not solved:
             raise
         coeffs._step = (dt, A, factor)
+        if exc.report.iterations * later_steps > math.sqrt(A.shape[0]):
+            run.factor_at_once = True
         x, report = solved
         report.recovery = "lu"
     if (coeffs._step[2] is None
@@ -378,9 +384,10 @@ def splu(A, permc_spec="MMD_AT_PLUS_A"):
 class RunFactors:
     """The factor state that the bundles of one run share.
 
-    `factor_at_once`: a bundle of the run has factored by the cost rule, and
-    no factor solve has missed the tolerance since, so the next bundle
-    factors at its first step (see `step`).  `order`: the fill-reducing
+    `factor_at_once`: a bundle of the run has factored by the cost rule, or
+    after a breakdown that met it, and no factor solve has missed the
+    tolerance since, so the next bundle factors at its first step (see
+    `step`).  `order`: the fill-reducing
     ordering of the run's first factor, q with A[:, q] = A Pc, set by that
     factor.  The step matrices of a run lie on one sparsity pattern, so every
     later factor, a breakdown's included, factors A[q][:, q] in that order.

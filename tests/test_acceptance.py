@@ -284,7 +284,8 @@ def test_criterion_8():
     part = TimePartition.from_scenario(sc, t_end=0.04)
     ref = run_reference(sc, part, mesh)
     run = run_assimilated(sc, ref.stream, part, mesh, mu=0.0,
-                          theta0_policy="true", reference=ref.trajectory)
+                          theta0_policy="true", reference=ref.trajectory,
+                          keep_times=part.all_times())
     same_states = np.array_equal(run.trajectory.values,
                                  ref.trajectory.values)
     same_times = np.array_equal(run.trajectory.times, ref.trajectory.times)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from porousda import scenarios
-from porousda.cli import build_scenario, load_config, main
+from porousda import driver, scenarios
+from porousda.cli import _write_snapshots, build_scenario, load_config, main
 from test_driver import nan_source_after_start
 
 
@@ -77,6 +77,28 @@ def test_run_snapshots_parse_back(tmp_path, outroot):
     values = np.loadtxt(snap, skiprows=1)
     assert values.shape == (11, 11)
     assert np.all(np.isfinite(values))
+
+
+def test_run_snapshots_equal_those_of_a_fully_kept_trajectory(tmp_path,
+                                                              outroot):
+    """The CLI's nudged run keeps only its snapshot levels, and writes the
+    same bytes as from a run that keeps every level."""
+    text = EX1_SMALL.format(mu="10", dir="kept") + "snapshots = 0.02 0.04\n"
+    cfg = _write(tmp_path, "kept.ini", text)
+    assert main(["run", cfg]) == 0
+    sc = build_scenario(load_config(cfg))
+    mesh = sc.build_mesh()
+    part = driver.TimePartition.from_scenario(sc)
+    ref = driver.run_reference(sc, part, mesh)
+    run = driver.run_assimilated(sc, ref.stream, part, mesh,
+                                 reference=ref.trajectory,
+                                 keep_times=part.all_times())
+    full = tmp_path / "full"
+    full.mkdir()
+    _write_snapshots(full, sc, run.trajectory, [0.02, 0.04])
+    for name in ("theta_t0.02.raster", "theta_t0.04.raster"):
+        assert ((outroot / "kept" / name).read_bytes()
+                == (full / name).read_bytes())
 
 
 def test_run_drops_default_snapshots_beyond_t_end(tmp_path, outroot):

@@ -1,12 +1,16 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from porousda import driver, scenarios
+from porousda import driver, scenarios, transport
 from porousda.driver import (METRIC_COLUMNS, NonFiniteStateError, RunReport,
-                             TimePartition, fit_decay_rate, parameter_sweep,
-                             run_assimilated, run_reference, sweep_csv)
+                             TimePartition, Trajectory, fit_decay_rate,
+                             parameter_sweep, run_assimilated, run_reference,
+                             sweep_csv)
+from porousda.fields import NodalField
+from porousda.observation import SparseGrid
 from porousda.pressure import multigrid_transfers
 from porousda.transport import TransportCoefficients
 
@@ -108,7 +112,8 @@ def test_rtilde_starts_at_exactly_zero_with_interpolant_guess(tiny_ex1):
 def test_mu_zero_matches_reference_bitwise(tiny_ex1, tiny_ex4):
     for sc, mesh, part, ref in (tiny_ex1, tiny_ex4):
         run = run_assimilated(sc, ref.stream, part, mesh, mu=0.0,
-                              theta0_policy="true", reference=ref.trajectory)
+                              theta0_policy="true", reference=ref.trajectory,
+                              keep_times=part.all_times())
         for t in part.coarse_times:
             assert np.array_equal(run.trajectory.at(t).values,
                                   ref.trajectory.at(t).values)
@@ -116,8 +121,9 @@ def test_mu_zero_matches_reference_bitwise(tiny_ex1, tiny_ex4):
 
 def test_repeated_runs_are_bitwise_deterministic(tiny_ex1, tiny_ex4):
     for (sc, mesh, part, ref), mu in ((tiny_ex1, 25.0), (tiny_ex4, None)):
-        a = run_assimilated(sc, ref.stream, part, mesh, mu=mu)
-        b = run_assimilated(sc, ref.stream, part, mesh, mu=mu)
+        every = part.all_times()
+        a = run_assimilated(sc, ref.stream, part, mesh, mu=mu, keep_times=every)
+        b = run_assimilated(sc, ref.stream, part, mesh, mu=mu, keep_times=every)
         assert np.array_equal(a.trajectory.final().values,
                               b.trajectory.final().values)
         assert np.array_equal(np.asarray(a.report.rows),
@@ -232,3 +238,112 @@ def test_static_operators_built_once_per_run(monkeypatch):
     assert len(calls) == 1
     run_assimilated(sc, ref.stream, part, mesh, reference=ref.trajectory)
     assert len(calls) == 2
+
+
+# -- what a run keeps ------------------------------------------------------------
+
+def test_a_nudged_run_keeps_only_the_levels_asked_for(tiny_ex1):
+    sc, mesh, part, ref = tiny_ex1
+    every = run_assimilated(sc, ref.stream, part, mesh, mu=10.0,
+                            keep_times=part.all_times())
+    nothing = run_assimilated(sc, ref.stream, part, mesh, mu=10.0)
+    times = [part.coarse_times[-1], part.fine_times(0)[3]]
+    some = run_assimilated(sc, ref.stream, part, mesh, mu=10.0,
+                           keep_times=times)
+    assert len(every.trajectory) == len(part.all_times())
+    assert len(nothing.trajectory) == 0
+    assert nothing.trajectory.values.nbytes == 0
+    assert list(some.trajectory.times) == sorted(times)
+    for t in times:
+        assert np.array_equal(some.trajectory.at(t).values,
+                              every.trajectory.at(t).values)
+    for run in (nothing, some):
+        assert np.array_equal(np.asarray(run.report.rows),
+                              np.asarray(every.report.rows), equal_nan=True)
+
+
+@pytest.mark.parametrize("t", [0.003, -0.002, 0.06])
+def test_a_keep_time_off_the_levels_raises_before_any_step(tiny_ex1,
+                                                           monkeypatch, t):
+    sc, mesh, part, ref = tiny_ex1
+    steps = []
+    monkeypatch.setattr(transport, "step",
+                        lambda *a, **kw: steps.append(a) or None)
+    with pytest.raises(ValueError, match="keep time"):
+        run_assimilated(sc, ref.stream, part, mesh, mu=10.0,
+                        keep_times=[part.coarse_times[1], t])
+    assert steps == []
+
+
+def test_a_run_that_keeps_nothing_does_not_grow_with_t_end():
+    """The traced peak of a nudged run that keeps no level is the same at
+    4, 8 and 16 days; storing every level would add 1.9 MB per 4 days."""
+    sc = scenarios.example4(nx=48)
+    mesh = sc.build_mesh()
+    ref = run_reference(sc, TimePartition.from_scenario(sc, 16 * scenarios.DAY),
+                        mesh)
+
+    def peak(days):
+        part = TimePartition.from_scenario(sc, days * scenarios.DAY)
+        tracemalloc.start()
+        try:
+            run_assimilated(sc, ref.stream, part, mesh,
+                            reference=ref.trajectory)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)                   # the mesh constants a nudged run builds
+    peaks = [peak(days) for days in (4, 8, 16)]
+    assert max(peaks) <= 1.05 * min(peaks), peaks
+
+
+def test_a_sweep_reads_each_reference_level_once(monkeypatch):
+    """The nudged runs of a sweep share one reference: each reference
+    level's norm and functionals are computed once between them, and every
+    report row is bitwise equal to that of a run that computes them
+    itself."""
+    sc = scenarios.example1(nx=20)
+    part = TimePartition.from_scenario(sc, t_end=0.1)
+    mu_values = [1.0, 10.0, 100.0]
+    norms, samples, reports, refs = [], [], [], []
+    l2_norm, sample = driver.l2_norm, SparseGrid.sample
+    run_ref, run_nudged = driver.run_reference, driver.run_assimilated
+
+    def counted_norm(field):
+        if isinstance(field, NodalField):
+            norms.append(field)
+        return l2_norm(field)
+
+    def counted_sample(self, source, t=None):
+        if isinstance(source, NodalField):
+            samples.append(source)
+        return sample(self, source, t)
+
+    def logged_ref(*args, **kw):
+        refs.append(run_ref(*args, **kw))
+        return refs[-1]
+
+    def logged_nudged(*args, **kw):
+        reports.append(run_nudged(*args, **kw).report)
+        return driver.AssimilationRun(None, reports[-1])
+
+    monkeypatch.setattr(driver, "l2_norm", counted_norm)
+    monkeypatch.setattr(SparseGrid, "sample", counted_sample)
+    monkeypatch.setattr(driver, "run_reference", logged_ref)
+    monkeypatch.setattr(driver, "run_assimilated", logged_nudged)
+    rows = parameter_sweep(sc, mu_values, partition=part)
+    levels = len(part.all_times())
+    assert len(norms) == levels
+    # The reference run samples its coarse levels for the stream.
+    assert len(samples) == levels + part.n_coarse + 1
+    assert [row[4] for row in rows] == ["ok"] * len(mu_values)
+
+    ref = refs[0].trajectory
+    mesh = ref.mesh
+    for mu, report, row in zip(mu_values, reports, rows):
+        own = run_nudged(sc, refs[0].stream, part, mesh, mu=mu,
+                         reference=Trajectory(mesh, ref.times, ref.values))
+        assert np.array_equal(np.asarray(report.rows),
+                              np.asarray(own.report.rows), equal_nan=True)
+        assert row[2] == own.report.plateau_value()

@@ -8,7 +8,8 @@ from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.pressure import (CoefficientRangeError, PressureProblem,
-                               assemble_pressure, solve_pressure)
+                               assemble_pressure, element_kernel,
+                               solve_pressure)
 
 
 def _x_faces(x, y):
@@ -288,3 +289,32 @@ def test_multigrid_cg_converges_on_all_neumann_meshes(nx):
     shift = np.mean(p.values - p_jac)
     np.testing.assert_allclose(p.values - shift, p_jac,
                                atol=1e-9 * np.max(np.abs(p_jac)))
+
+
+@pytest.mark.parametrize("factory", [scenarios.example3, scenarios.example4])
+def test_gathered_blocks_equal_the_sliced_blocks_bitwise(factory):
+    """The free block and the Dirichlet block, gathered from the stiffness
+    data at positions built once per mesh, equal slices of the assembled
+    stiffness entry for entry, and so does the pressure they solve for."""
+    sc = factory(nx=32)
+    mesh = sc.build_mesh()
+    prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
+                           dirichlet=sc.pressure_dirichlet)
+    theta = NodalField.from_callable(mesh, sc.initial)
+    a, rhs = assemble_pressure(prob, theta)
+
+    stiffness = linalg.stencil(mesh).scatter(element_kernel(prob, theta).stiffness)
+    free = mesh.free_vertices
+    fixed = np.flatnonzero(mesh.is_dirichlet)
+    assert fixed.size
+    sliced = stiffness[free][:, free].tocsr()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, name), getattr(sliced, name))
+    sliced_rhs = (prob.load[free]
+                  - stiffness[free][:, fixed] @ prob.dirichlet_values(fixed))
+    assert np.array_equal(rhs, sliced_rhs)
+
+    p, _ = solve_pressure(prob, theta)
+    x, _ = linalg.solve(sliced, sliced_rhs, prob.solver,
+                        transfers=prob.transfers)
+    assert np.array_equal(p.values[free], x)

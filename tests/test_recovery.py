@@ -154,7 +154,9 @@ def test_driver_builds_one_step_matrix_and_one_factor_per_interval(monkeypatch):
     the last bit.  The driver gives every step the run's nominal size, so
     each interval's bundle builds one step matrix, and when every BiCGStab
     solve breaks down, the first step's LU factor serves the whole
-    interval."""
+    interval.  That breakdown took 3 iterations with 9 later steps, which
+    meets the cost rule (27 > sqrt(121)), so the later intervals factor at
+    their first step without a BiCGStab solve."""
     sc = scenarios.example1(nx=10, t_end=0.04)
     part = driver.TimePartition.from_scenario(sc)
     assert all(np.unique(np.diff(part.fine_times(n))).size > 1
@@ -173,11 +175,12 @@ def test_driver_builds_one_step_matrix_and_one_factor_per_interval(monkeypatch):
     steps = part.n_coarse * part.fine_per_coarse
     assert len(matrices) == steps
     assert len({id(A) for A in matrices}) == part.n_coarse
-    # One solve breaks down per interval, then its factor solves the rest;
-    # the run's first factor orders the columns for all of them.
-    assert calls["n"] == part.n_coarse
+    # The first solve breaks down, then factors solve every later step; the
+    # run's first factor orders the columns for all of them.
+    assert part.n_coarse > 1
+    assert calls["n"] == 1
     assert factors == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (part.n_coarse - 1)
-    assert [kind for _, kind in ref.report.recoveries] == ["lu"] * part.n_coarse
+    assert [kind for _, kind in ref.report.recoveries] == ["lu"]
     assert ref.report.factored_intervals == part.n_coarse
 
 
@@ -236,6 +239,26 @@ def test_example4_default_size_recovers_its_breakdown():
     assert len(ref.report.rows) == 25
 
 
+def test_example4_default_size_breakdown_makes_the_run_factor_at_once(
+        monkeypatch):
+    """The breakdown at t = 7200 s took k = 44 iterations with 23 steps
+    left, k * 23 > sqrt(58,081), so the second interval factors at its first
+    step: the run makes one transport BiCGStab solve, not two."""
+    transport_solves = []
+    solve = linalg.solve
+
+    def counted(A, b, config=None, transfers=None, **kw):
+        if transfers is None:
+            transport_solves.append(b.size)
+        return solve(A, b, config, transfers=transfers, **kw)
+
+    monkeypatch.setattr(linalg, "solve", counted)
+    ref = _reference(scenarios.example4(), 4 * DAY)
+    assert ref.report.recoveries == [(7200.0, "lu")]
+    assert ref.report.factored_intervals == 2
+    assert len(transport_solves) == 1
+
+
 def test_example4_raster_seed_10_recovers_its_breakdown():
     ref = _reference(scenarios.example4(nx=120, seed=10), 8 * DAY)
     assert ref.report.recoveries == [(7200.0, "lu")]
@@ -252,18 +275,21 @@ def test_cli_runs_example4_at_default_size(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_report_counts_the_breakdowns(tmp_path, monkeypatch):
-    """Every BiCGStab solve breaks down: each interval's first step is a
-    recovery, and its factor solves the rest of the interval."""
+    """Every BiCGStab solve breaks down: each run's first step is a
+    recovery whose factor solves the rest of its interval, and since that
+    breakdown meets the cost rule, the second interval factors at once."""
     monkeypatch.setenv("POROUSDA_OUTPUT_ROOT", str(tmp_path))
     cfg = tmp_path / "ex1.ini"
     cfg.write_text("[scenario]\nname = example1\n\n[mesh]\nnx = 10\n\n"
                    "[time]\nt_end = 0.04\n")
     _broken_bicgstab(monkeypatch, failures=float("inf"))
     assert main(["run", str(cfg)]) == 0
-    report = (tmp_path / "report.txt").read_text()
-    assert ("transport steps recovered from a bicgstab breakdown "
-            "by sparse LU: 2\n") in report
-    assert "solved by a sparse LU factor: 2 of 2" in report
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    for prefix in ("", "reference run: "):
+        assert (f"{prefix}transport steps recovered from a bicgstab "
+                "breakdown by sparse LU: 1") in report
+        assert (f"{prefix}coarse intervals with transport steps solved "
+                "by a sparse LU factor: 2 of 2") in report
 
 
 def test_cli_report_counts_the_reference_breakdowns(tmp_path, monkeypatch):

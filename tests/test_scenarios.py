@@ -1,7 +1,10 @@
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter   # the oracle only
 
 from dense_reference import example1_closed_form, well_total
 from porousda import scenarios
@@ -9,8 +12,8 @@ from porousda.fields import quadrature
 from porousda.scenarios import (BUILTIN_SCENARIOS, DAY, PermeabilityRaster,
                                 assumption_report, bump, diffusion_reaction,
                                 example1, example2, example3, example4,
-                                manufactured_forcing, mobility_closure,
-                                quarter_power_viscosity)
+                                gaussian_smooth, manufactured_forcing,
+                                mobility_closure, quarter_power_viscosity)
 
 
 def _sample_points(n=13):
@@ -226,6 +229,27 @@ def test_standin_raster_is_seeded():
 
 
 # ---------------------------------------------------------------- utilities
+
+@pytest.mark.parametrize("shape, seed", [((60, 60), 0), ((60, 60), 1),
+                                         ((60, 60), 2), ((60, 60), 3),
+                                         ((60, 60), 4), ((5, 7), 5),
+                                         ((1, 9), 6), ((3, 3), 7),
+                                         ((100, 80), 8)])
+def test_gaussian_smooth_equals_scipy_bitwise(shape, seed):
+    """The stand-in raster's smoothing, sigma = 0.12 max(nx, ny), against
+    scipy.ndimage; the small shapes reflect more than once at the edges."""
+    noise = np.random.default_rng(seed).standard_normal(shape)
+    sigma = 0.12 * max(shape)
+    assert np.array_equal(gaussian_smooth(noise, sigma),
+                          gaussian_filter(noise, sigma=sigma, mode="reflect"))
+
+
+def test_importing_the_package_leaves_out_scipy_ndimage():
+    code = "import sys, porousda; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
 
 def test_bump_compact_support():
     f = lambda x, y: bump(x, y, 0.5, 0.5, 0.2, peak=3.0)

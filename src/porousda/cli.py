@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import driver, scenarios
+from . import driver, scenarios, transport
 from .fields import NodalField, l2_diff, quadrature
 from .linalg import SolverConfig
 from .observation import AlignmentError, SparseGrid
@@ -175,14 +175,15 @@ def _write_report(outdir, run, mu, reference):
 def cmd_run(cfg):
     scenario = build_scenario(cfg)
     solver = _solver(cfg)
-    outroot = output_dir(cfg)
-    outroot.mkdir(parents=True, exist_ok=True)
-
     mu_values = (_floats(cfg.get("assimilation", "mu"))
                  if cfg.has_option("assimilation", "mu") else [scenario.mu])
-    mesh = scenario.build_mesh()
+    for mu in mu_values:
+        transport.check_mu(mu)
     partition = driver.TimePartition.from_scenario(scenario)
     snapshot_times = _snapshot_times(cfg, scenario, partition)
+    mesh = scenario.build_mesh()
+    outroot = output_dir(cfg)
+    outroot.mkdir(parents=True, exist_ok=True)
     print(f"{scenario.name}: {scenario.nx}x{scenario.ny} mesh, "
           f"{partition.n_coarse} coarse steps of {scenario.fine_per_coarse} "
           f"fine steps, spacing {scenario.spacing!r}")
@@ -267,11 +268,14 @@ def cmd_sweep(cfg):
                  if cfg.has_option("sweep", "mu") else [scenario.mu])
     spacings = (_floats(cfg.get("sweep", "spacing"))
                 if cfg.has_option("sweep", "spacing") else [scenario.spacing])
+    for mu in mu_values:
+        transport.check_mu(mu)
+    partition = driver.TimePartition.from_scenario(scenario)
     outroot = output_dir(cfg)
     outroot.mkdir(parents=True, exist_ok=True)
 
     rows = driver.parameter_sweep(scenario, mu_values, spacings,
-                                  solver=solver)
+                                  partition=partition, solver=solver)
     driver.sweep_csv(rows, outroot / "sweep.csv")
     failures = sum(1 for row in rows if row[4] != "ok")
     for mu, spacing, plateau, rate, status in rows:

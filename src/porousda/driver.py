@@ -23,6 +23,7 @@ and computes each once.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,15 @@ class TimePartition:
 
     @classmethod
     def from_scenario(cls, scenario, t_end=None):
+        if not (math.isfinite(scenario.dt) and scenario.dt > 0.0):
+            raise ValueError(f"time step dt must be finite and positive, "
+                             f"got {scenario.dt!r}")
+        if not scenario.fine_per_coarse >= 1:
+            raise ValueError(f"fine_per_coarse must be at least 1, "
+                             f"got {scenario.fine_per_coarse!r}")
         t_end = scenario.t_end if t_end is None else t_end
-        n = round(t_end / scenario.coarse_dt)
+        steps = t_end / scenario.coarse_dt
+        n = round(steps) if math.isfinite(steps) else 0
         if n < 1 or abs(n * scenario.coarse_dt - t_end) > 1e-9 * max(1.0, t_end):
             raise ValueError(
                 f"span {t_end} is not a whole number of coarse steps "

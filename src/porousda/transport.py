@@ -3,56 +3,35 @@
 One implicit trapezoidal step of the concentration equation on the dual mesh:
 accumulation over each control volume, diffusive flux from bilinear gradients
 at face midpoints, advective flux upwinded by the sign of the frozen normal
-velocity (a zero velocity contributes nothing, so the tie-break is moot),
-reaction and sources integrated with the shared 16-point rule, and the
-relaxation term mu * (interpolated mismatch) treated implicitly in the
-unknown and explicitly in the data.  All non-accumulation terms carry the
-trapezoidal weight 1/2 at both endpoint times.  Dirichlet vertices are
-constrained rows; Neumann faces of clipped control volumes carry zero total
-flux, matching the no-flow closure of the model.
+velocity (a zero velocity contributes nothing), reaction and sources by the
+shared 16-point rule, and the relaxation term mu * (interpolated mismatch),
+implicit in the unknown and explicit in the data.  All but accumulation carry
+the trapezoidal weight 1/2 at both ends.  Dirichlet vertices are constrained
+rows; Neumann faces of clipped control volumes carry zero total flux.
 
-Mass, reaction, diffusion, advection and the Dirichlet diagonal live on the
-mesh's fixed stencil pattern (`linalg.stencil`).  Each is reduced to one 4x4
-block per element first: the four Gauss points of a quadrant share the
-control volume of that quadrant's corner, and every dual-mesh segment lies in
-one element, with both of its control volumes and its upwind vertex at that
-element's corners.  The blocks are summed into the pattern in element order,
-which is deterministic but not value-sorted.  The nudging operator couples
-vertices to coarse lattice columns, off the pattern.  Each coarse hat is
-exactly the fine bilinear field of its column of the grid's prolongation P,
-so the CV integrals of the coarse basis are `mass @ P`.  The source is
-evaluated at the mesh's quadrature points and summed into the free control
-volumes by one CSR product, with an integration matrix built with the static
-operators when the problem has a source.
+One operator per run (`TransportOperator`): every matrix of a run's steps
+lies on one CSR pattern, the mesh's stencil in the free rows, joined, when
+mu > 0, with the columns that nudging couples them to, and the diagonal alone
+in the Dirichlet rows.  Mass, reaction, diffusion and advection are 4x4 blocks
+per element (a quadrant's Gauss points lie in its corner's CV; a dual-mesh
+segment, its two CVs and its upwind vertex lie in one element), summed into
+the pattern in element order by `np.bincount`.  A coarse hat is the fine
+bilinear field of its column of the prolongation P, so the CV integrals of
+the coarse basis are `mass @ P`.  The run keeps two data vectors, the mass M
+and K0 = diffusion + reaction + mu * nudging; with h = dt/2, a velocity with
+advection a has the step matrix S = M + h (K0 + a) plus the Dirichlet
+diagonal and the explicit operator E = M - h (K0 + a), so a step's
+right-hand side is one product, E @ theta.
 
-Each step solves its step matrix, mass + dt/2 * K plus the Dirichlet rows.
-A coefficient bundle lives exactly as long as its velocity: the driver makes
-one per computed velocity (`with_velocity`), and every step of a run takes
-the run's nominal size, so a bundle holds one slot: step size, step matrix
-and factor decision.  `step` chooses the solver by cost.  A step solves by
-Jacobi-BiCGStab, and if that took k iterations and k times the number of
-steps the bundle still has to solve exceeds sqrt(n), n vertices, the matrix
-is factored once (`splu`) and the later steps reuse the factor: with a
-fill-reducing ordering, a factor of a 2-D stencil matrix costs about sqrt(n)
-BiCGStab iterations (within 15 % on examples 1 and 4), and a solve by it
-costs a few, which the rule leaves out.  A run that factors decides once:
-after a bundle has factored by this rule, every later bundle of the run with
-steps after its first factors its matrix at its first step, without that
-BiCGStab probe, since its matrix differs only by the advection of a new
-velocity.  The run's first factor orders its columns by minimum degree; the
-step matrices of a run lie on one sparsity pattern, so every later factor of
-the run reuses that ordering instead of computing its own.  A BiCGStab
-breakdown is treated as a solve that costs more than the factor: the step is
-solved by a factor of its matrix, which the later steps reuse, and its
-report's `recovery` is "lu".  The breakdown's own k iterations decide, by the
-same rule, whether the next bundle skips its probe: a breakdown that would
-have factored by cost anyway makes the run factor at once.  The factor is freed with its bundle; it has 50-80 entries per
-vertex on the built-in scenarios (12 MiB at n = 14,641).  Every solve by a
-factor has its residual checked against the BiCGStab tolerance; a solve that
-misses it is redone by BiCGStab, which then solves the bundle's later steps,
-and the run's next bundle probes again.  Sibling bundles share the run's
-factor state and one cached source vector: a step reads the source at its
-start, where the step before read it.
+A bundle (`VelocityBundle`) lives as long as its velocity: the driver makes
+one per computed velocity (`with_velocity`), and every step takes the run's
+nominal size, so it holds one slot: the step size, S, E and its factor.  The
+run's coefficients are the bundle of their own velocity, and every bundle
+refers to them for the operator, the factor state and one cached source
+vector: a step reads the source at its start, where the step before read it.
+The run's first factor orders the columns by minimum degree; the run then
+fixes that ordering q and where the CSC data of S[q][:, q] sit in S's, so a
+later factor gathers its data and factors it in natural order.
 """
 
 import logging
@@ -60,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import splu as _superlu
 
 from . import linalg
@@ -68,33 +48,29 @@ from .mesh import SEG_LEFT_CORNER, SEG_RIGHT_CORNER
 
 _log = logging.getLogger("porousda")
 
-
-def _upwind_blocks(upwind_corner):
-    """Per segment type, the element block of a unit outflux upwinded at the
-    given corner: it leaves the CV of the segment's left corner (+1) and
-    enters that of its right corner (-1), both in the upwind corner's
-    column."""
-    blocks = np.zeros((4, 4, 4))
-    t = np.arange(4)
-    blocks[t, SEG_LEFT_CORNER, upwind_corner] += 1.0
-    blocks[t, SEG_RIGHT_CORNER, upwind_corner] -= 1.0
-    return blocks
+# Per segment type, the entries of its element's flattened 4x4 block that its
+# outflux enters: (left, left), (right, left), (left, right), (right, right).
+_L, _R = SEG_LEFT_CORNER, SEG_RIGHT_CORNER
+_UPWIND_ENTRIES = np.stack([4 * _L + _L, 4 * _R + _L, 4 * _L + _R, 4 * _R + _R],
+                           axis=-1).ravel()
 
 
-# Positive outflux is upwinded at the left corner, negative at the right one.
-_UPWIND_LEFT = _upwind_blocks(SEG_LEFT_CORNER)
-_UPWIND_RIGHT = _upwind_blocks(SEG_RIGHT_CORNER)
+def check_mu(mu):
+    """The relaxation strength as a float; raises ValueError unless it is
+    finite and nonnegative."""
+    value = float(mu)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"relaxation strength mu must be finite and "
+                         f"nonnegative, got {mu!r}")
+    return value
 
 
 @dataclass
 class TransportStep:
-    """One fine step from t_start to t_end, of size dt.
-
-    dt defaults to t_end - t_start.  The driver passes the run's nominal
-    fine step (time span / number of fine steps) instead: the fine times are
-    a linspace, whose differences vary in the last bit, and a coefficient
-    bundle keeps the step matrix and its LU factor of one step size only.
-    """
+    """One fine step from t_start to t_end, of size dt (t_end - t_start by
+    default).  The driver passes the run's nominal step: its fine times are
+    a linspace, whose differences vary in the last bit, and a bundle keeps
+    the matrices and factor of one step size only."""
 
     t_start: float
     t_end: float
@@ -105,131 +81,197 @@ class TransportStep:
             self.dt = self.t_end - self.t_start
 
 
-class TransportCoefficients:
-    """Coefficient bundle for the transport steps of one frozen velocity.
+class TransportOperator:
+    """The transport step operator of one run, as data on one pattern.
 
-    The static operators (mass, diffusion, reaction, Dirichlet rows and the
-    nudging operators) are built once, at construction; `with_velocity`
-    produces a sibling for a new velocity that shares them, the one-entry
-    source cache, (t, vector), and the run's factor state (`RunFactors`).
-    The bundle holds one slot, `_step = (dt, step matrix, factor)`, where the
-    factor is a `StepFactor`, False where BiCGStab keeps the matrix, or None
-    while undecided; a step of another size replaces the slot, and the
-    factor lives as long as the bundle.
+    `indices` and `indptr` (int32, read-only) are the pattern.  Per segment,
+    `advection_slots` (int32, ne * 16) holds the slots of the four entries
+    its outflux enters, and the dump slot `nnz` for those in Dirichlet rows.
+    `mass` and `k0` hold M and K0; `nudge_cv` and `source_cv` serve the
+    right-hand sides.  The run's factor state: `factor_at_once`, set while
+    the run factors by cost (see `step`), and `order`, the ordering q of its
+    first factor.
     """
+
+    def __init__(self, mesh, mass_blocks, k0_blocks, grid=None, mu=0.0,
+                 source_cv=None):
+        stencil = linalg.stencil(mesh)
+        dirichlet = mesh.is_dirichlet
+        self.dirichlet_rows = np.flatnonzero(dirichlet)
+        diagonal = stencil.diagonal_slots[self.dirichlet_rows]
+        row_sizes = np.diff(stencil.indptr)
+        in_dirichlet_row = np.repeat(dirichlet, row_sizes)
+        keep = ~in_dirichlet_row
+        keep[diagonal] = True
+        to_kept = np.cumsum(keep) - 1
+        self.n = stencil.n
+        self.nnz = int(to_kept[-1]) + 1
+        self.indices = stencil.indices[keep]
+        self.indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.where(dirichlet, 1, row_sizes), out=self.indptr[1:])
+        self.dirichlet_slots = to_kept[diagonal]
+        to_kept[in_dirichlet_row] = self.nnz
+        slots = to_kept[stencil.slots].reshape(-1, 16)   # of element entries
+
+        self.mass = self._scatter(slots, mass_blocks)
+        self.nudge_cv = coupling = None
+        if grid is not None:
+            # The product's columns come out unsorted.
+            self.nudge_cv = self.matrix(self.mass) @ grid.prolong_matrix
+            self.nudge_cv.sort_indices()
+            if mu > 0.0:
+                coupling = mu * (self.nudge_cv @ grid.functional_matrix()).tocsr()
+                coupling.sort_indices()
+                slots, coupling_slots = self._join(coupling, slots)
+        self.k0 = self._scatter(slots, k0_blocks)
+        if coupling is not None:
+            self.k0[coupling_slots] += coupling.data
+        self.advection_slots = slots[:, _UPWIND_ENTRIES].astype(np.int32).ravel()
+        # Every matrix of the run shares these; scipy raises on an in-place
+        # change, such as eliminate_zeros, instead of corrupting the run.
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        self.source_cv = source_cv
+        self.factor_at_once = False
+        self.order = None
+
+    def _join(self, coupling, slots):
+        """Join the entries of `coupling`, a canonical CSR matrix, to the
+        pattern, where `mass` holds the only data so far; returns the element
+        entries' `slots` in the joined pattern and the coupling's slots."""
+        indices, indptr, moved, coupling_slots = linalg.union_pattern(
+            self.matrix(self.mass), coupling)
+        moved = np.append(moved, indices.size)       # the dump slot moves too
+        slots = moved[slots]
+        self.dirichlet_slots = moved[self.dirichlet_slots]
+        self.nnz, self.indices, self.indptr = indices.size, indices, indptr
+        mass = np.zeros(self.nnz)
+        mass[moved[:-1]] = self.mass
+        self.mass = mass
+        return slots, coupling_slots
+
+    def _scatter(self, slots, blocks):
+        """Element blocks (ne, 4, 4) summed into the pattern at their `slots`
+        (ne, 16) in element order; the rows of Dirichlet vertices drop out."""
+        return np.bincount(slots.ravel(), weights=np.ravel(blocks),
+                           minlength=self.nnz + 1)[:self.nnz]
+
+    def matrix(self, data):
+        """The CSR matrix with these values on the run's pattern."""
+        return sparse.csr_matrix((data, self.indices, self.indptr),
+                                 shape=(self.n, self.n))
+
+    def advection(self, outflux):
+        """The upwind advection of a segment outflux, as data on the pattern:
+        a positive outflux leaves the left CV and enters the right one in the
+        left vertex's column, a negative one in the right vertex's."""
+        U = np.asarray(outflux, dtype=float)
+        if U.shape != (self.advection_slots.size // 4,):
+            raise ValueError(f"expected {self.advection_slots.size // 4} "
+                             f"segment outflux values")
+        weights = np.empty((U.size, 4))
+        np.maximum(U, 0.0, out=weights[:, 0])
+        np.minimum(U, 0.0, out=weights[:, 2])
+        np.negative(weights[:, 0::2], out=weights[:, 1::2])
+        return np.bincount(self.advection_slots, weights=weights.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
+
+    def step_matrices(self, h, outflux=None):
+        """(S, E) of a step of size 2h with this segment outflux (None for
+        none): S = M + h (K0 + a) plus the Dirichlet diagonal, and
+        E = M - h (K0 + a)."""
+        hk = h * (self.k0 if outflux is None
+                  else self.k0 + self.advection(outflux))
+        lhs = self.mass + hk
+        lhs[self.dirichlet_slots] = 1.0
+        return self.matrix(lhs), self.matrix(np.subtract(self.mass, hk, out=hk))
+
+    def factor(self, A):
+        """A `StepFactor` of the step matrix A, or False (BiCGStab keeps A)
+        when SuperLU finds A singular.  The first factor fixes the ordering q;
+        a later one factors A[q][:, q], its CSC data gathered from A's."""
+        try:
+            if self.order is None:
+                factor = StepFactor(splu(A))
+                perm_c = factor.lu.perm_c
+                self.order = np.argsort(perm_c)
+                self._csc = linalg.permuted_csc(self.indices, self.indptr, perm_c)
+                return factor
+            positions, indices, indptr = self._csc
+            permuted = sparse.csc_matrix((A.data[positions], indices, indptr),
+                                         shape=A.shape)
+            return StepFactor(splu(permuted, "NATURAL"), self.order)
+        except RuntimeError:
+            return False
+
+
+class VelocityBundle:
+    """The transport step of one frozen velocity: the run's `coefficients`,
+    the segment outflux and one slot, the step size `dt`, S (`lhs`), E
+    (`explicit`) and `factor`, a `StepFactor`, False where BiCGStab keeps S,
+    or None while undecided.  A step of another size replaces the slot."""
+
+    dt = lhs = explicit = factor = None
+
+    def __init__(self, coefficients, velocity_outflux):
+        self.coefficients = coefficients
+        self.velocity_outflux = velocity_outflux
+
+    def matrices(self, dt):
+        """(S, E) of a step of size dt, built once per step size."""
+        if dt != self.dt:
+            self.lhs, self.explicit = self.coefficients.operator.step_matrices(
+                0.5 * dt, self.velocity_outflux)
+            self.dt, self.factor = dt, None
+        return self.lhs, self.explicit
+
+
+class TransportCoefficients(VelocityBundle):
+    """The transport coefficients of one run, its operator, built once, and
+    its one-entry source cache, (t, vector); also the bundle of the velocity
+    they were made with.  `with_velocity` makes the bundle of another."""
 
     def __init__(self, mesh, diffusion, reaction=None, source=None, mu=0.0,
                  grid=None, velocity_outflux=None, dirichlet=None):
-        if mu < 0:
-            raise ValueError(f"relaxation strength must be nonnegative, got {mu}")
+        mu = check_mu(mu)
         if mu > 0 and grid is None:
             raise ValueError("nudging (mu > 0) requires an observation grid")
         self.mesh = mesh
         self.diffusion = diffusion
         self.reaction = reaction
         self.source = source
-        self.mu = float(mu)
+        self.mu = mu
         self.grid = grid
         self.velocity_outflux = velocity_outflux
         self.dirichlet = dirichlet
-        self._static = self._build_static()
-        self._k_matrix = None
-        self._step = None
-        self._source = [None, None]     # (t, vector), shared by siblings
-        self._run = RunFactors()        # shared by siblings
+        self.operator = self._build_static()
+        self._source = [None, None]     # (t, vector), shared by the bundles
+
+    @property
+    def coefficients(self):
+        return self
 
     def with_velocity(self, outflux):
-        sib = TransportCoefficients.__new__(TransportCoefficients)
-        sib.__dict__.update(self.__dict__)
-        sib.velocity_outflux = outflux
-        sib._k_matrix = None
-        sib._step = None
-        return sib
-
-    # -- static operators ---------------------------------------------------
+        return VelocityBundle(self, outflux)
 
     def _build_static(self):
         mesh = self.mesh
         quad = quadrature(mesh)
-        pattern = linalg.stencil(mesh)
-        free = ~mesh.is_dirichlet
-
-        x, y = quad.x, quad.y
         # The four Gauss points of quadrant a all sit in the CV of corner a.
         phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
-
-        mass = pattern.scatter(np.broadcast_to(phi_quadrant.sum(axis=1),
-                                               (mesh.n_elements, 4, 4)), free)
-        if self.reaction is not None:
-            qv = np.asarray(self.reaction(x, y), dtype=float) * np.ones_like(x)
-            reac = pattern.scatter(
-                np.einsum("eap,apb->eab", qv.reshape(-1, 4, 4), phi_quadrant),
-                free)
-        else:
-            reac = None
-
+        mass = np.broadcast_to(phi_quadrant.sum(axis=1), (mesh.n_elements, 4, 4))
         # Diffusive flux term: -sum over CV faces of D grad(theta) . n.
         dq = np.asarray(self.diffusion(mesh.seg_mid[:, 0], mesh.seg_mid[:, 1]),
                         dtype=float) * np.ones(mesh.n_segments)
-        diff = pattern.scatter(cv_flux_blocks(mesh, dq.reshape(-1, 4)), free)
-
-        dir_rows = np.flatnonzero(mesh.is_dirichlet)
-        dir_data = np.zeros(pattern.nnz)
-        dir_data[pattern.diagonal_slots[dir_rows]] = 1.0
-        dir_diag = pattern.matrix(dir_data)
-
-        static = {"mass": mass, "reac": reac, "diff": diff, "dir_diag": dir_diag,
-                  "dir_rows": dir_rows, "free": free}
-        if self.source is not None:
-            static["source_cv"] = _cv_integration(mesh, free)
-
-        if self.grid is not None:
-            # CV integrals of the coarse observation basis, (nv, n_obs); the
-            # product's columns come out unsorted.
-            static["nudge_cv"] = mass @ self.grid.prolong_matrix
-            static["nudge_cv"].sort_indices()
-            static["nudge_k"] = (static["nudge_cv"]
-                                 @ self.grid.functional_matrix()).tocsr()
-        return static
-
-    # -- per-interval operators ----------------------------------------------
-
-    def _advection_matrix(self):
-        """Upwinded advective outflux, scattered per element: every segment
-        lies in one element, and its two CVs and upwind vertex are corners
-        of that element."""
-        mesh = self.mesh
-        U = np.asarray(self.velocity_outflux, dtype=float)
-        if U.shape != (mesh.n_segments,):
-            raise ValueError(f"expected {mesh.n_segments} segment outflux values")
-        U = U.reshape(-1, 4)
-        local = (np.maximum(U, 0.0) @ _UPWIND_LEFT.reshape(4, 16)
-                 + np.minimum(U, 0.0) @ _UPWIND_RIGHT.reshape(4, 16))
-        return linalg.stencil(mesh).scatter(local.reshape(-1, 4, 4),
-                                            self._static["free"])
-
-    def spatial_operator(self):
-        """Everything multiplying theta except accumulation: K in M dtheta + K theta = F."""
-        if self._k_matrix is not None:
-            return self._k_matrix
-        st = self._static
-        K = st["diff"].copy()
-        if self.velocity_outflux is not None:
-            K = K + self._advection_matrix()
-        if st["reac"] is not None:
-            K = K + st["reac"]
-        if self.mu > 0.0:
-            K = K + self.mu * st["nudge_k"]
-        self._k_matrix = K.tocsr()
-        return self._k_matrix
-
-    def _lhs_matrix(self, dt):
-        if self._step is None or self._step[0] != dt:
-            st = self._static
-            lhs = (st["mass"] + 0.5 * dt * self.spatial_operator()
-                   + st["dir_diag"]).tocsr()
-            self._step = (dt, lhs, None)
-        return self._step[1]
+        k0_blocks = cv_flux_blocks(mesh, dq.reshape(-1, 4))
+        if self.reaction is not None:
+            qv = (np.asarray(self.reaction(quad.x, quad.y), dtype=float)
+                  * np.ones_like(quad.x))
+            k0_blocks = k0_blocks + np.einsum(
+                "eap,apb->eab", qv.reshape(-1, 4, 4), phi_quadrant)
+        source_cv = (_cv_integration(mesh, ~mesh.is_dirichlet)
+                     if self.source is not None else None)
+        return TransportOperator(mesh, mass, k0_blocks, self.grid, self.mu,
+                                 source_cv)
 
     def source_vector(self, t):
         """CV integrals of the source f(., t) over free control volumes."""
@@ -240,17 +282,17 @@ class TransportCoefficients:
         else:
             quad = quadrature(self.mesh)
             fv = np.asarray(self.source(quad.x, quad.y, t), dtype=float)
-            out = (self._static["source_cv"]
+            out = (self.operator.source_cv
                    @ np.broadcast_to(fv, quad.x.shape).ravel())
         self._source[:] = (t, out)
         return out
 
     def data_vector(self, functional_values):
         """Nudging data term mu * integral of the reconstructed measurements."""
-        return self.mu * (self._static["nudge_cv"] @ functional_values)
+        return self.mu * (self.operator.nudge_cv @ functional_values)
 
     def dirichlet_values(self, t):
-        rows = self._static["dir_rows"]
+        rows = self.operator.dirichlet_rows
         if self.dirichlet is None:
             return rows, np.zeros(rows.size)
         x, y = self.mesh.vertices[rows, 0], self.mesh.vertices[rows, 1]
@@ -259,13 +301,9 @@ class TransportCoefficients:
 
 def _cv_integration(mesh, free):
     """The CV integrals of a function known at the quadrature points, as a
-    CSR matrix (nv, ne * 16) acting on the flattened (ne, 16) values.
-
-    Row v holds the quadrature weight at every point in the control volume
-    of v, in increasing point order, so a product sums each row in the order
-    `np.bincount` over the points would.  The rows of Dirichlet vertices,
-    which are constrained, are empty.
-    """
+    CSR matrix (nv, ne * 16) on the flattened (ne, 16) values.  Row v holds
+    the weight at every point of v's CV in point order, so a product sums as
+    `np.bincount` over the points would; Dirichlet rows are empty."""
     quad = quadrature(mesh)
     rows = mesh.elements[:, quad.owner_corner].ravel()         # CV of each point
     points = np.flatnonzero(free[rows])
@@ -275,66 +313,58 @@ def _cv_integration(mesh, free):
 
 
 def assemble_step(theta_old, coeffs, step, observations=None):
-    """Assemble the trapezoidal system for one fine step; returns (A, rhs)."""
+    """Assemble the trapezoidal system for one fine step of the bundle
+    `coeffs`; returns (A, rhs)."""
     dt = step.dt
     if dt <= 0:
         raise ValueError(f"nonpositive step from {step.t_start} to {step.t_end}")
-    st = coeffs._static
-    K = coeffs.spatial_operator()
-    A = coeffs._lhs_matrix(dt)
-    told = theta_old.values
-    rhs = st["mass"] @ told - 0.5 * dt * (K @ told)
-    rhs += 0.5 * dt * (coeffs.source_vector(step.t_start)
-                       + coeffs.source_vector(step.t_end))
-    if coeffs.mu > 0.0:
+    run = coeffs.coefficients
+    A, explicit = coeffs.matrices(dt)
+    rhs = explicit @ theta_old.values
+    rhs += 0.5 * dt * (run.source_vector(step.t_start)
+                       + run.source_vector(step.t_end))
+    if run.mu > 0.0:
         if observations is None:
             raise ValueError("nudging requires an observation stream")
         d = observations.interpolate(step.t_start) + observations.interpolate(step.t_end)
-        rhs += 0.5 * dt * coeffs.data_vector(d)
-    dir_rows, dir_vals = coeffs.dirichlet_values(step.t_end)
+        rhs += 0.5 * dt * run.data_vector(d)
+    dir_rows, dir_vals = run.dirichlet_values(step.t_end)
     rhs[dir_rows] = dir_vals
     return A, rhs
 
 
 def step(theta_old, coeffs, step_spec, observations=None, solver=None,
          later_steps=0):
-    """Advance one fine step; returns (NodalField, SolveReport).
+    """Advance one fine step of the bundle `coeffs`; returns (NodalField,
+    SolveReport).
 
-    `later_steps` is how many more steps the bundle `coeffs` will solve
-    with the same step matrix.  A step solves by the bundle's factor when it
-    has one; the first step of a bundle makes that factor at once when an
-    earlier bundle of the run factored by cost and later_steps > 0.
-    Otherwise it solves by Jacobi-BiCGStab to the tolerances of `solver` (a
-    `linalg.SolverConfig`, the default one when None), and if that took k
-    iterations with k * later_steps > sqrt(n), the matrix is factored for
-    the later steps (see the module docstring).  A factor solve that misses
-    the tolerance is redone by BiCGStab, which keeps the bundle's later
-    steps, and the run's next bundle probes by BiCGStab again.
-
-    A BiCGStab breakdown is logged, and the step is solved by a factor of
-    its matrix, which the bundle's later steps reuse (they share its step
-    size; see `TransportStep`); the report's `recovery` is "lu".  When the
-    breakdown's own k iterations meet the cost rule, k * later_steps >
-    sqrt(n), the run's later bundles factor at once, as after a factor made
-    by that rule.  When that
-    factor is singular or its solve misses the tolerance, the breakdown's
-    `NoConvergenceError` is raised.  An iteration cap that is reached
-    without a breakdown is the caller's budget and stays an error too.
+    The step solves by the bundle's factor when it has one; a bundle's first
+    step makes it at once when the run factors by cost and `later_steps`, the
+    steps the bundle has after this one, is positive.  Otherwise it solves by
+    Jacobi-BiCGStab to the tolerances of `solver` (`SolverConfig()` if None),
+    and when that took k iterations with k * later_steps > sqrt(n), n
+    vertices, it factors for the later steps: with a fill-reducing ordering a
+    factor of a 2-D stencil matrix costs about sqrt(n) iterations (within
+    15 % on examples 1 and 4).  A factor solve that misses the tolerance is
+    redone by BiCGStab, which keeps the bundle, and the next bundle probes.
+    A BiCGStab breakdown is logged and solved by a factor that the later
+    steps reuse (`recovery` "lu"; it meets the cost rule by its own k); when
+    that factor is singular or misses the tolerance, the breakdown's
+    `NoConvergenceError` is raised, as is an iteration cap.
     """
     solver = solver or linalg.SolverConfig()
     A, rhs = assemble_step(theta_old, coeffs, step_spec, observations)
-    run = coeffs._run
-    dt, _, factor = coeffs._step
-    if factor is None and later_steps > 0 and run.factor_at_once:
-        factor = run.factor(A)
-        coeffs._step = (dt, A, factor)
-    if factor:
-        solved = factor.solve(A, rhs, solver)
+    mesh = coeffs.coefficients.mesh
+    run = coeffs.coefficients.operator
+    if coeffs.factor is None and later_steps > 0 and run.factor_at_once:
+        coeffs.factor = run.factor(A)
+    if coeffs.factor:
+        solved = coeffs.factor.solve(A, rhs, solver)
         if solved is not None:
-            return NodalField(coeffs.mesh, solved[0]), solved[1]
+            return NodalField(mesh, solved[0]), solved[1]
         _log.warning("%s: the sparse LU solve missed the tolerance; "
                      "back to BiCGStab", _where(step_spec))
-        coeffs._step = (dt, A, False)
+        coeffs.factor = False
         run.factor_at_once = False
     try:
         x, report = linalg.solve(A, rhs, solver, x0=theta_old.values)
@@ -346,16 +376,16 @@ def step(theta_old, coeffs, step_spec, observations=None, solver=None,
         solved = factor and factor.solve(A, rhs, solver)
         if not solved:
             raise
-        coeffs._step = (dt, A, factor)
+        coeffs.factor = factor
         if exc.report.iterations * later_steps > math.sqrt(A.shape[0]):
             run.factor_at_once = True
         x, report = solved
         report.recovery = "lu"
-    if (coeffs._step[2] is None
+    if (coeffs.factor is None
             and report.iterations * later_steps > math.sqrt(A.shape[0])):
-        coeffs._step = (dt, A, run.factor(A))
-        run.factor_at_once = bool(coeffs._step[2])
-    return NodalField(coeffs.mesh, x), report
+        coeffs.factor = run.factor(A)
+        run.factor_at_once = bool(coeffs.factor)
+    return NodalField(mesh, x), report
 
 
 def _where(step_spec):
@@ -364,52 +394,12 @@ def _where(step_spec):
 
 
 def splu(A, permc_spec="MMD_AT_PLUS_A"):
-    """SuperLU factor of a step matrix in the column ordering `permc_spec`;
-    raises RuntimeError if A is singular.
-
-    SuperLU runs in symmetric mode, with a pivot threshold of 0.1 that keeps
-    most pivots on the diagonal.  A run's first factor takes the default,
-    minimum degree on the pattern of A^T + A; `RunFactors` factors the later
-    ones in "NATURAL" order, having permuted them by the first one's
-    ordering.  On a nudged example4 step matrix at nx = 120 the factor has
-    about 1.04 M entries (12 MiB) either way; the reused ordering takes 23 %
-    less time than minimum degree there, 43 % at nx = 240 and 5 % on
-    example1 at nx = 60.  scipy's default COLAMD ordering gives 1.5 M
-    entries and takes 1.6-2 times as long to factor.
-    """
+    """SuperLU factor of a step matrix in symmetric mode, pivot threshold
+    0.1; raises RuntimeError if A is singular.  Minimum degree on A^T + A
+    gives 1.04 M entries on a nudged example4 step matrix at nx = 120, where
+    COLAMD gives 1.5 M and takes 1.6-2 times as long."""
     return _superlu(A.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.1,
                     options={"SymmetricMode": True})
-
-
-class RunFactors:
-    """The factor state that the bundles of one run share.
-
-    `factor_at_once`: a bundle of the run has factored by the cost rule, or
-    after a breakdown that met it, and no factor solve has missed the
-    tolerance since, so the next bundle factors at its first step (see
-    `step`).  `order`: the fill-reducing
-    ordering of the run's first factor, q with A[:, q] = A Pc, set by that
-    factor.  The step matrices of a run lie on one sparsity pattern, so every
-    later factor, a breakdown's included, factors A[q][:, q] in that order.
-    """
-
-    def __init__(self):
-        self.factor_at_once = False
-        self.order = None
-
-    def factor(self, A):
-        """A `StepFactor` of A, or False (BiCGStab keeps A) when SuperLU
-        finds A singular."""
-        try:
-            if self.order is None:
-                factor = StepFactor(splu(A))
-                self.order = np.argsort(factor.lu.perm_c)
-                return factor
-            # Permuted as CSC, which `splu` then factors without a copy.
-            permuted = A.tocsc()[:, self.order][self.order]
-            return StepFactor(splu(permuted, "NATURAL"), self.order)
-        except RuntimeError:
-            return False
 
 
 class StepFactor:

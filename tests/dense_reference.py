@@ -736,3 +736,73 @@ def jacobi_cg_pressure(problem, theta):
     fixed = np.flatnonzero(mesh.is_dirichlet)
     values[fixed] = problem.dirichlet_values(fixed)
     return values, count[0]
+
+
+def transport_operators_by_sums(coeffs):
+    """The run-constant transport operators of `coeffs` as separate CSR
+    matrices on the mesh's stencil, the form the package kept before one
+    operator per run held them as data on one pattern: the mass, reaction
+    (None without one), diffusion and Dirichlet diagonal, and the nudging
+    operator times mu (None when mu = 0)."""
+    from porousda import linalg
+    from porousda.fields import cv_flux_blocks, quadrature
+
+    mesh = coeffs.mesh
+    quad = quadrature(mesh)
+    pattern = linalg.stencil(mesh)
+    free = ~mesh.is_dirichlet
+    phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)
+    ops = {"mass": pattern.scatter(np.broadcast_to(
+        phi_quadrant.sum(axis=1), (mesh.n_elements, 4, 4)), free)}
+    ops["reac"] = None
+    if coeffs.reaction is not None:
+        qv = np.asarray(coeffs.reaction(quad.x, quad.y), dtype=float) * np.ones_like(quad.x)
+        ops["reac"] = pattern.scatter(
+            np.einsum("eap,apb->eab", qv.reshape(-1, 4, 4), phi_quadrant), free)
+    dq = np.asarray(coeffs.diffusion(mesh.seg_mid[:, 0], mesh.seg_mid[:, 1]),
+                    dtype=float) * np.ones(mesh.n_segments)
+    ops["diff"] = pattern.scatter(cv_flux_blocks(mesh, dq.reshape(-1, 4)), free)
+    dir_data = np.zeros(pattern.nnz)
+    dir_data[pattern.diagonal_slots[mesh.is_dirichlet]] = 1.0
+    ops["dir_diag"] = pattern.matrix(dir_data)
+    ops["nudge"] = None
+    if coeffs.mu > 0.0:
+        nudge_cv = ops["mass"] @ coeffs.grid.prolong_matrix
+        ops["nudge"] = coeffs.mu * (nudge_cv @ coeffs.grid.functional_matrix()).tocsr()
+    return ops
+
+
+def advection_by_scatter(mesh, outflux):
+    """The upwind advection of a segment outflux, scattered into the stencil
+    by element blocks, rows of Dirichlet vertices left out: a positive
+    outflux leaves the CV of the segment's left corner and enters its right
+    one's in the left corner's column, a negative one in the right's."""
+    from porousda import linalg
+    from porousda.mesh import SEG_LEFT_CORNER, SEG_RIGHT_CORNER
+
+    t = np.arange(4)
+    upwind = np.zeros((2, 4, 4, 4))          # (sign, segment type, row, col)
+    for k, corner in enumerate((SEG_LEFT_CORNER, SEG_RIGHT_CORNER)):
+        upwind[k, t, SEG_LEFT_CORNER, corner] = 1.0
+        upwind[k, t, SEG_RIGHT_CORNER, corner] = -1.0
+    U = np.asarray(outflux, dtype=float).reshape(-1, 4)
+    local = (np.maximum(U, 0.0) @ upwind[0].reshape(4, 16)
+             + np.minimum(U, 0.0) @ upwind[1].reshape(4, 16))
+    return linalg.stencil(mesh).scatter(local.reshape(-1, 4, 4),
+                                        ~mesh.is_dirichlet)
+
+
+def step_matrices_by_sums(coeffs, outflux, dt):
+    """(step matrix, explicit operator) of one velocity as sums of sparse
+    matrices: K = diffusion + advection + reaction + mu * nudging, the step
+    matrix mass + dt/2 K plus the Dirichlet diagonal, and the explicit
+    operator mass - dt/2 K."""
+    ops = transport_operators_by_sums(coeffs)
+    K = ops["diff"].copy()
+    if outflux is not None:
+        K = K + advection_by_scatter(coeffs.mesh, outflux)
+    for name in ("reac", "nudge"):
+        if ops[name] is not None:
+            K = K + ops[name]
+    lhs = (ops["mass"] + 0.5 * dt * K + ops["dir_diag"]).tocsr()
+    return lhs, (ops["mass"] - 0.5 * dt * K).tocsr()

@@ -37,14 +37,14 @@ def test_example2_builds_one_bundle_matrix_and_factor_per_run(monkeypatch):
     fine step per interval: its one bundle solves all 100 steps, so the
     first step's BiCGStab iterations pay for a factor."""
     bundles = _counting(monkeypatch, TransportCoefficients, "with_velocity")
-    advection = _counting(monkeypatch, TransportCoefficients,
-                          "_advection_matrix")
-    matrices = _counting(monkeypatch, TransportCoefficients, "_lhs_matrix")
+    advection = _counting(monkeypatch, transport.TransportOperator,
+                          "advection")
+    matrices = _counting(monkeypatch, transport.VelocityBundle, "matrices")
     factors = _counting(monkeypatch, transport, "splu")
     part, ref = _reference(scenarios.example2(nx=10))
     assert part.n_coarse == 100 and part.fine_per_coarse == 1
     assert len(bundles) == len(advection) == len(factors) == 1
-    assert len(matrices) == 100 and len({id(A) for A in matrices}) == 1
+    assert len(matrices) == 100 and len({id(A) for A, _ in matrices}) == 1
     iters = ref.report.solver_iterations["transport"]
     assert iters[0] > 0 and iters[1:] == [0] * 99
     assert ref.report.factored_intervals == 99
@@ -55,12 +55,12 @@ def test_diffusion_reaction_factors_one_step_matrix_per_run(monkeypatch):
     """No velocity: the run's one bundle holds one step matrix, although the
     fine steps of its 10 intervals differ in the last bit."""
     bundles = _counting(monkeypatch, TransportCoefficients, "with_velocity")
-    matrices = _counting(monkeypatch, TransportCoefficients, "_lhs_matrix")
+    matrices = _counting(monkeypatch, transport.VelocityBundle, "matrices")
     factors = _counting(monkeypatch, transport, "splu")
     part, ref = _reference(scenarios.diffusion_reaction())
     assert len(np.unique(np.diff(part.all_times()))) > 1
     assert bundles == []
-    assert len({id(A) for A in matrices}) == 1
+    assert len({id(A) for A, _ in matrices}) == 1
     assert len(factors) == 1
     assert ref.report.factored_intervals == part.n_coarse
 

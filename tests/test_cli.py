@@ -262,6 +262,34 @@ def test_bad_solver_setting_exits_2_before_writing(tmp_path, outroot, capsys,
     assert not (outroot / "badsolver").exists()
 
 
+@pytest.mark.parametrize("mu", ["nan", "inf", "-1", "10 nan"])
+@pytest.mark.parametrize("command, section", [("run", "assimilation"),
+                                             ("sweep", "sweep")])
+def test_bad_mu_exits_2_before_writing(tmp_path, outroot, capsys, command,
+                                       section, mu):
+    """mu = nan ran un-nudged and exited 0; mu = -1 exited 1 after the
+    reference run had written its files."""
+    text = (EX1_SMALL.format(mu="10", dir="badmu")
+            + f"\n[{section}]\nmu = {mu}\n").replace(
+                "[assimilation]\nmu = 10\n", "" if section == "assimilation"
+                else "[assimilation]\nmu = 10\n")
+    cfg = _write(tmp_path, "badmu.ini", text)
+    assert main([command, cfg]) == 2
+    assert "mu must be finite and nonnegative" in capsys.readouterr().err
+    assert not (outroot / "badmu").exists()
+
+
+@pytest.mark.parametrize("setting", ["dt = 0", "fine_per_coarse = 0"])
+def test_zero_step_exits_2_before_writing(tmp_path, outroot, capsys, setting):
+    text = EX1_SMALL.format(mu="10", dir="zerostep").replace(
+        "t_end = 0.04", f"t_end = 0.04\n{setting}")
+    cfg = _write(tmp_path, "zerostep.ini", text)
+    for command in ("run", "sweep"):
+        assert main([command, cfg]) == 2
+        assert setting.split()[0] in capsys.readouterr().err
+    assert not (outroot / "zerostep").exists()
+
+
 def test_non_finite_reference_run_reports_and_exits_1(tmp_path, outroot,
                                                       capsys, monkeypatch):
     monkeypatch.setitem(scenarios.BUILTIN_SCENARIOS, "example1",

@@ -61,6 +61,16 @@ def test_partition_rejects_ragged_horizon():
         TimePartition.from_scenario(sc, t_end=0.03)
 
 
+@pytest.mark.parametrize("key, value", [("dt", 0.0), ("dt", -0.01),
+                                        ("dt", float("nan")),
+                                        ("fine_per_coarse", 0)])
+def test_partition_rejects_a_zero_step_by_name(key, value):
+    """A zero step divided the span by zero (ZeroDivisionError)."""
+    sc = scenarios.example1(nx=10).with_overrides(**{key: value})
+    with pytest.raises(ValueError, match=key):
+        TimePartition.from_scenario(sc)
+
+
 def test_fit_recovers_known_decay():
     t = np.linspace(0.0, 1.0, 21)
     fit = fit_decay_rate(t, 7.0 * np.exp(-2.0 * t))

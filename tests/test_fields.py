@@ -129,3 +129,17 @@ def test_nodal_field_shape_validation():
         NodalField(m, np.zeros(5))
     with pytest.raises(ValueError):
         DGField(m, np.zeros((m.n_elements, 3)))
+
+
+def test_quadrature_norm_matches_the_dot_product():
+    """The einsum reduction gives the norm of the BLAS dot product it
+    replaced, on full-size and broadcast values."""
+    from porousda.fields import _quadrature_norm
+
+    mesh = build_mesh(60, 60)
+    weight = quadrature(mesh).weight
+    rng = np.random.default_rng(7)
+    for v in (rng.standard_normal((mesh.n_elements, 16)),
+              np.broadcast_to(rng.random(16), (mesh.n_elements, 16))):
+        want = float(np.sqrt(np.vdot(v, v) * weight))
+        assert abs(_quadrature_norm(mesh, v) - want) <= 1e-14 * want

@@ -106,7 +106,7 @@ def test_a_breakdown_is_solved_by_one_lu_factor_per_interval(monkeypatch, caplog
     assert "solving by sparse LU" in caplog.text
     np.testing.assert_allclose(got.values, plain.values, rtol=0, atol=1e-11)
     # The next interval has its own step matrix and starts with BiCGStab.
-    _, reports = _march(interval.with_velocity(None), theta, 1)
+    _, reports = _march(coeffs.with_velocity(None), theta, 1)
     assert reports[0].recovery is None and not reports[0].factored
 
 
@@ -132,7 +132,7 @@ def test_a_breakdown_after_bicgstab_was_kept_installs_the_factor(monkeypatch):
     assert [r.recovery for r in reports] == [None, "lu", None]
     assert [r.factored for r in reports] == [False, True, True]
     assert calls["n"] == 2 and len(factors) == 1
-    assert interval._step[2].lu is not None
+    assert interval.factor.lu is not None
     np.testing.assert_allclose(got.values, plain.values, rtol=0, atol=1e-11)
 
 
@@ -162,13 +162,14 @@ def test_driver_builds_one_step_matrix_and_one_factor_per_interval(monkeypatch):
     assert all(np.unique(np.diff(part.fine_times(n))).size > 1
                for n in range(part.n_coarse))
     matrices = []
-    build = TransportCoefficients._lhs_matrix
+    build = transport.VelocityBundle.matrices
 
     def recorded(self, dt):
-        matrices.append(build(self, dt))
-        return matrices[-1]
+        step_matrix, explicit = build(self, dt)
+        matrices.append(step_matrix)
+        return step_matrix, explicit
 
-    monkeypatch.setattr(TransportCoefficients, "_lhs_matrix", recorded)
+    monkeypatch.setattr(transport.VelocityBundle, "matrices", recorded)
     calls = _broken_bicgstab(monkeypatch, failures=float("inf"))
     factors = _counted_splu(monkeypatch)
     ref = _reference(sc, 0.04)

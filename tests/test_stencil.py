@@ -39,8 +39,8 @@ MESHES = [
 
 
 def _same_operator(scattered, stream):
-    scattered = scattered.tocsr()
-    stream = stream.tocsr()
+    scattered = scattered.tocsr(copy=True)
+    stream = stream.tocsr(copy=True)
     gap = abs(scattered - stream).max()
     assert gap <= REL_TOL * abs(stream).max()
     scattered.eliminate_zeros()
@@ -128,20 +128,32 @@ def test_pressure_matches_stream(case):
 
 
 def test_transport_operators_match_streams(case):
+    """The run's mass, K0 = diffusion + reaction + mu * nudging, advection
+    and Dirichlet diagonal, each as a matrix on the run's pattern; K0 of a
+    run without reaction or nudging is the diffusion alone."""
     mesh, grid, rng = case
     coeffs = _coefficients(mesh, grid, rng)
-    st = coeffs._static
+    op = coeffs.operator
     free = ~mesh.is_dirichlet
     pts = dr.global_points(quadrature(mesh))
     x, y = pts[:, :, 0], pts[:, :, 1]
-    _same_operator(st["mass"], _cv_stream(mesh, np.ones(x.size), free))
-    _same_operator(st["reac"], _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free))
-    _same_operator(st["diff"], _diffusion_stream(mesh, coeffs.diffusion, free))
-    _same_operator(coeffs._advection_matrix(),
+    nudge = (dr.nudge_by_assembly(mesh, grid)
+             @ grid.functional_matrix()).tocsr()
+    _same_operator(op.matrix(op.mass), _cv_stream(mesh, np.ones(x.size), free))
+    _same_operator(op.matrix(op.k0),
+                   _diffusion_stream(mesh, coeffs.diffusion, free)
+                   + _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free)
+                   + coeffs.mu * nudge)
+    plain = TransportCoefficients(mesh, coeffs.diffusion).operator
+    _same_operator(plain.matrix(plain.k0),
+                   _diffusion_stream(mesh, coeffs.diffusion, free))
+    _same_operator(op.matrix(op.advection(coeffs.velocity_outflux)),
                    _advection_stream(mesh, coeffs.velocity_outflux, free))
-    _same_operator(st["nudge_cv"], dr.nudge_by_assembly(mesh, grid))
+    _same_operator(op.nudge_cv, dr.nudge_by_assembly(mesh, grid))
     dirichlet = np.flatnonzero(mesh.is_dirichlet)
-    _same_operator(st["dir_diag"],
+    diagonal = np.zeros(op.nnz)
+    diagonal[op.dirichlet_slots] = 1.0
+    _same_operator(op.matrix(diagonal),
                    linalg.assemble(dirichlet, dirichlet, np.ones(dirichlet.size),
                                    (mesh.n_vertices, mesh.n_vertices)))
 
@@ -152,8 +164,8 @@ def test_advection_skips_zero_outflux(case):
     mesh, grid, rng = case
     U = rng.standard_normal(mesh.n_segments)
     U[rng.random(U.size) < 0.5] = 0.0
-    coeffs = _coefficients(mesh, grid, rng).with_velocity(U)
-    _same_operator(coeffs._advection_matrix(),
+    op = _coefficients(mesh, grid, rng).with_velocity(U).coefficients.operator
+    _same_operator(op.matrix(op.advection(U)),
                    _advection_stream(mesh, U, ~mesh.is_dirichlet))
 
 

@@ -217,11 +217,14 @@ def test_a_reused_ordering_factors_with_the_fill_of_a_fresh_one():
                   NodalField(mesh, np.full(mesh.n_vertices, 0.5))):
         p, _ = pressure.solve_pressure(problem, theta)
         outflux = postprocess_flux(problem, p, theta).segment_outflux
-        matrices.append(coeffs.with_velocity(outflux)._lhs_matrix(sc.dt))
-    run = transport.RunFactors()
+        matrices.append(coeffs.with_velocity(outflux).matrices(sc.dt)[0])
+    run = coeffs.operator
     run.factor(matrices[0])
     A = matrices[1]
-    reused, fresh = run.factor(A), transport.RunFactors().factor(A)
+    fresh_run = TransportCoefficients(
+        mesh, sc.diffusion, sc.reaction, sc.source, mu=sc.mu,
+        grid=coeffs.grid, dirichlet=sc.theta_dirichlet).operator
+    reused, fresh = run.factor(A), fresh_run.factor(A)
     assert reused.order is not None and fresh.order is None
 
     def fill(factor):

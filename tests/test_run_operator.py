@@ -68,6 +68,21 @@ def test_step_matrices_match_the_sums_of_matrices(mesh_and_grid, reaction, mu):
         _close(explicit, want_explicit)
 
 
+def test_cell_average_nudging_matches_the_sums_of_matrices():
+    """Average functionals couple each CV to whole coarse cells, not to
+    lattice points: another pattern to join."""
+    nx, ny, lx, ly, spec, spacing = MESHES[0]
+    mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
+    grid = SparseGrid(mesh, spacing, kind="average")
+    coeffs = TransportCoefficients(mesh, _diffusion, reaction=_reaction,
+                                   mu=10.0, grid=grid)
+    outflux = np.random.default_rng(5).standard_normal(mesh.n_segments)
+    lhs, explicit = coeffs.with_velocity(outflux).matrices(0.03)
+    want_lhs, want_explicit = dr.step_matrices_by_sums(coeffs, outflux, 0.03)
+    _close(lhs, want_lhs)
+    _close(explicit, want_explicit)
+
+
 def test_the_pattern_is_the_step_matrix_of_the_sums(mesh_and_grid):
     """Free rows hold the stencil and the nudging columns, Dirichlet rows
     their diagonal only: the pattern of the canonical sum, with no entry

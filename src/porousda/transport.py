@@ -126,7 +126,8 @@ class TransportOperator:
         self.k0 = self._scatter(slots, k0_blocks)
         if coupling is not None:
             self.k0[coupling_slots] += coupling.data
-        self.advection_slots = slots[:, _UPWIND_ENTRIES].astype(np.int32).ravel()
+        self.advection_slots = np.take(slots.astype(np.int32), _UPWIND_ENTRIES,
+                                       axis=1).ravel()
         # Every matrix of the run shares these; scipy raises on an in-place
         # change, such as eliminate_zeros, instead of corrupting the run.
         self.indices.flags.writeable = self.indptr.flags.writeable = False

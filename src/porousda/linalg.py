@@ -9,10 +9,7 @@ is deterministic; it is not value-sorted.  `assemble` turns an unordered
 contribution stream into a canonical matrix of any shape, summing duplicate
 (row, col) entries in value-sorted order, so its result is bitwise
 independent of the stream order; it serves the coarse-average functionals
-(`SparseGrid._build_average`) and, as the reference, the tests.  Patterns
-that are fixed once and then carry data are built by `union_pattern` (two
-patterns joined, with where each one's entries went) and `permuted_csc`
-(where the CSC data of a symmetrically permuted matrix sit in its CSR data).
+(`SparseGrid._build_average`) and, as the reference, the tests.
 
 Both linear systems of a coarse interval go through `solve`, which wraps
 scipy's Krylov methods.  The SPD pressure block, which comes with a multigrid
@@ -178,34 +175,6 @@ class StencilPattern:
 def stencil(mesh):
     """The stencil pattern of a mesh, built once per mesh."""
     return mesh.constant("stencil", StencilPattern)
-
-
-def union_pattern(a, b):
-    """The union of the patterns of two canonical CSR matrices of one shape:
-    (indices, indptr), both int32, and the slots of a's and of b's entries in
-    it.  Summing two canonical matrices keeps each one's entries in order;
-    marking a's entries 1 and b's 2 tells them apart in the sum."""
-    union = (sparse.csr_matrix((np.ones(a.nnz, dtype=np.int8), a.indices,
-                                a.indptr), shape=a.shape)
-             + sparse.csr_matrix((np.full(b.nnz, 2, dtype=np.int8), b.indices,
-                                  b.indptr), shape=b.shape))
-    return (union.indices.astype(np.int32, copy=False),
-            union.indptr.astype(np.int32, copy=False),
-            np.flatnonzero(union.data != 2), np.flatnonzero(union.data >= 2))
-
-
-def permuted_csc(indices, indptr, perm):
-    """The CSC pattern of P A P^T for A on this CSR pattern, with P mapping
-    row r to row perm[r], which is A[q][:, q] for q = argsort(perm):
-    (positions, indices, indptr), where `positions` picks the CSC data out of
-    A's CSR data."""
-    n = indptr.size - 1
-    rows = perm[np.repeat(np.arange(n), np.diff(indptr))]
-    cols = perm[indices]
-    positions = np.argsort(cols.astype(np.int64) * n + rows)
-    csc_indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=csc_indptr[1:])
-    return positions, rows[positions].astype(np.int32), csc_indptr
 
 
 def _jacobi_inverse(A):

@@ -138,17 +138,22 @@ class TransportOperator:
     def _join(self, coupling, slots):
         """Join the entries of `coupling`, a canonical CSR matrix, to the
         pattern, where `mass` holds the only data so far; returns the element
-        entries' `slots` in the joined pattern and the coupling's slots."""
-        indices, indptr, moved, coupling_slots = linalg.union_pattern(
-            self.matrix(self.mass), coupling)
-        moved = np.append(moved, indices.size)       # the dump slot moves too
+        entries' `slots` in the joined pattern and the coupling's slots.  A
+        sum of canonical matrices keeps each one's entries in order; marking
+        the pattern's entries 1 and the coupling's 2 tells them apart."""
+        union = self.matrix(np.ones(self.nnz, dtype=np.int8)) + sparse.csr_matrix(
+            (np.full(coupling.nnz, 2, dtype=np.int8), coupling.indices,
+             coupling.indptr), shape=coupling.shape)
+        moved = np.append(np.flatnonzero(union.data != 2), union.nnz)  # and the dump slot
         slots = moved[slots]
         self.dirichlet_slots = moved[self.dirichlet_slots]
-        self.nnz, self.indices, self.indptr = indices.size, indices, indptr
+        self.nnz = union.nnz
+        self.indices = union.indices.astype(np.int32, copy=False)
+        self.indptr = union.indptr.astype(np.int32, copy=False)
         mass = np.zeros(self.nnz)
         mass[moved[:-1]] = self.mass
         self.mass = mass
-        return slots, coupling_slots
+        return slots, np.flatnonzero(union.data >= 2)
 
     def _scatter(self, slots, blocks):
         """Element blocks (ne, 4, 4) summed into the pattern at their `slots`
@@ -193,9 +198,12 @@ class TransportOperator:
         try:
             if self.order is None:
                 factor = StepFactor(splu(A))
-                perm_c = factor.lu.perm_c
-                self.order = np.argsort(perm_c)
-                self._csc = linalg.permuted_csc(self.indices, self.indptr, perm_c)
+                q = self.order = np.argsort(factor.lu.perm_c)
+                # Slot numbers as data, permuted once: where A[q][:, q]'s
+                # CSC data sit in A's CSR data.
+                where = self.matrix(np.arange(1.0, self.nnz + 1))[q][:, q].tocsc()
+                self._csc = (where.data.astype(np.intp) - 1, where.indices,
+                             where.indptr)
                 return factor
             positions, indices, indptr = self._csc
             permuted = sparse.csc_matrix((A.data[positions], indices, indptr),

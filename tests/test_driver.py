@@ -71,6 +71,14 @@ def test_partition_rejects_a_zero_step_by_name(key, value):
         TimePartition.from_scenario(sc)
 
 
+@pytest.mark.parametrize("t_end", [float("inf"), float("nan")])
+def test_partition_rejects_a_non_finite_span(t_end):
+    """round() of the span's step count raised OverflowError or ValueError."""
+    sc = scenarios.example1(nx=10).with_overrides(t_end=t_end)
+    with pytest.raises(ValueError, match="whole number of coarse steps"):
+        TimePartition.from_scenario(sc)
+
+
 def test_fit_recovers_known_decay():
     t = np.linspace(0.0, 1.0, 21)
     fit = fit_decay_rate(t, 7.0 * np.exp(-2.0 * t))

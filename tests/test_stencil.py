@@ -130,7 +130,8 @@ def test_pressure_matches_stream(case):
 def test_transport_operators_match_streams(case):
     """The run's mass, K0 = diffusion + reaction + mu * nudging, advection
     and Dirichlet diagonal, each as a matrix on the run's pattern; K0 of a
-    run without reaction or nudging is the diffusion alone."""
+    run without diffusion or nudging is the reaction alone, and of one
+    without reaction or nudging the diffusion alone."""
     mesh, grid, rng = case
     coeffs = _coefficients(mesh, grid, rng)
     op = coeffs.operator
@@ -144,6 +145,10 @@ def test_transport_operators_match_streams(case):
                    _diffusion_stream(mesh, coeffs.diffusion, free)
                    + _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free)
                    + coeffs.mu * nudge)
+    reaction = TransportCoefficients(mesh, lambda x, y: np.zeros_like(x),
+                                     reaction=coeffs.reaction).operator
+    _same_operator(reaction.matrix(reaction.k0),
+                   _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free))
     plain = TransportCoefficients(mesh, coeffs.diffusion).operator
     _same_operator(plain.matrix(plain.k0),
                    _diffusion_stream(mesh, coeffs.diffusion, free))

@@ -46,6 +46,30 @@ def _floats(text):
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _boolean(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+_EXPECTED = {int: "an integer", float: "a number", _floats: "a list of numbers",
+             _boolean: "a boolean"}
+
+
+def _option(cfg, section, key, conv, fallback=None):
+    """`[section] key` converted by `conv`, or `fallback` when it is absent;
+    a value that `conv` rejects raises a ValueError naming section and key."""
+    if not cfg.has_option(section, key):
+        return fallback
+    raw = cfg.get(section, key)
+    try:
+        return conv(raw)
+    except ValueError:
+        raise ValueError(f"[{section}] {key} = {raw!r} is not "
+                         f"{_EXPECTED[conv]}") from None
+
+
 def build_scenario(cfg):
     sect = cfg["scenario"] if cfg.has_section("scenario") else {}
     name = sect.get("name", "")
@@ -56,29 +80,29 @@ def build_scenario(cfg):
 
     kwargs = {}
     accepted = inspect.signature(factory).parameters
-    if cfg.has_option("mesh", "nx") and "nx" in accepted:
-        kwargs["nx"] = cfg.getint("mesh", "nx")
-    for key in ("seed", "raster"):
+    nx = _option(cfg, "mesh", "nx", int)
+    if nx is not None and "nx" in accepted:
+        kwargs["nx"] = nx
+    for key, conv in (("seed", int), ("raster", str)):
         if key in sect and key in accepted:
-            kwargs[key] = int(sect[key]) if key == "seed" else sect[key]
+            kwargs[key] = _option(cfg, "scenario", key, conv)
     scenario = factory(**kwargs)
 
     overrides = {}
-    if cfg.has_option("mesh", "nx"):
-        overrides["nx"] = overrides["ny"] = cfg.getint("mesh", "nx")
-    if cfg.has_option("mesh", "ny"):
-        overrides["ny"] = cfg.getint("mesh", "ny")
-    for section, key, conv in (("time", "dt", cfg.getfloat),
-                               ("time", "fine_per_coarse", cfg.getint),
-                               ("time", "t_end", cfg.getfloat),
-                               ("assimilation", "spacing", cfg.getfloat)):
-        if cfg.has_option(section, key):
-            overrides[key] = conv(section, key)
-    if cfg.has_option("assimilation", "mu"):
-        # a list here is a run matrix handled by cmd_run, not a scenario field
-        mu_values = _floats(cfg.get("assimilation", "mu"))
-        if len(mu_values) == 1:
-            overrides["mu"] = mu_values[0]
+    if nx is not None:
+        overrides["nx"] = overrides["ny"] = nx
+    for section, key, conv in (("mesh", "ny", int),
+                               ("time", "dt", float),
+                               ("time", "fine_per_coarse", int),
+                               ("time", "t_end", float),
+                               ("assimilation", "spacing", float)):
+        value = _option(cfg, section, key, conv)
+        if value is not None:
+            overrides[key] = value
+    # a list of mu is a run matrix handled by cmd_run, not a scenario field
+    mu_values = _option(cfg, "assimilation", "mu", _floats, fallback=())
+    if len(mu_values) == 1:
+        overrides["mu"] = mu_values[0]
     if cfg.has_option("assimilation", "kind"):
         overrides["observation_kind"] = cfg.get("assimilation", "kind")
     if cfg.has_option("assimilation", "theta0"):
@@ -92,8 +116,9 @@ def _solver(cfg):
     if not cfg.has_section("solver"):
         return None
     return SolverConfig(
-        rel_tol=cfg.getfloat("solver", "rel_tol", fallback=SolverConfig.rel_tol),
-        max_iter=cfg.getint("solver", "max_iter", fallback=0) or None)
+        rel_tol=_option(cfg, "solver", "rel_tol", float,
+                        fallback=SolverConfig.rel_tol),
+        max_iter=_option(cfg, "solver", "max_iter", int, fallback=0) or None)
 
 
 def output_dir(cfg):
@@ -113,14 +138,14 @@ def _snapshot_times(cfg, scenario, partition):
         times = scenario.snapshot_times
         return [t for t, i in zip(times, partition.level_indices(times))
                 if i is not None]
-    times = _floats(cfg.get("output", "snapshots"))
+    times = _option(cfg, "output", "snapshots", _floats)
     for t, i in zip(times, partition.level_indices(times)):
         if i is None:
             span = partition.coarse_times
             raise ValueError(
                 f"snapshot time {t!r} is not a fine time level of the run "
-                f"from {span[0]!r} to {span[-1]!r} in steps of "
-                f"{scenario.dt!r}")
+                f"from {float(span[0])!r} to {float(span[-1])!r} in steps of "
+                f"{float(scenario.dt)!r}")
     return times
 
 
@@ -175,12 +200,14 @@ def _write_report(outdir, run, mu, reference):
 def cmd_run(cfg):
     scenario = build_scenario(cfg)
     solver = _solver(cfg)
-    mu_values = (_floats(cfg.get("assimilation", "mu"))
-                 if cfg.has_option("assimilation", "mu") else [scenario.mu])
+    mu_values = _option(cfg, "assimilation", "mu", _floats,
+                        fallback=[scenario.mu])
     for mu in mu_values:
         transport.check_mu(mu)
+    driver.check_initial_policy(scenario.theta0_policy)
     partition = driver.TimePartition.from_scenario(scenario)
     snapshot_times = _snapshot_times(cfg, scenario, partition)
+    keep_reference = _option(cfg, "output", "reference", _boolean, fallback=True)
     mesh = scenario.build_mesh()
     outroot = output_dir(cfg)
     outroot.mkdir(parents=True, exist_ok=True)
@@ -194,7 +221,7 @@ def cmd_run(cfg):
         (outroot / "report.txt").write_text(f"reference run failed: {exc}\n")
         print(f"reference: FAILED ({exc})", file=sys.stderr)
         return 1
-    if cfg.getboolean("output", "reference", fallback=True):
+    if keep_reference:
         ref.report.write_csv(outroot / "reference_metrics.csv")
 
     failures = 0
@@ -264,12 +291,12 @@ def cmd_validate(cfg):
 def cmd_sweep(cfg):
     scenario = build_scenario(cfg)
     solver = _solver(cfg)
-    mu_values = (_floats(cfg.get("sweep", "mu"))
-                 if cfg.has_option("sweep", "mu") else [scenario.mu])
-    spacings = (_floats(cfg.get("sweep", "spacing"))
-                if cfg.has_option("sweep", "spacing") else [scenario.spacing])
+    mu_values = _option(cfg, "sweep", "mu", _floats, fallback=[scenario.mu])
+    spacings = _option(cfg, "sweep", "spacing", _floats,
+                       fallback=[scenario.spacing])
     for mu in mu_values:
         transport.check_mu(mu)
+    driver.check_initial_policy(scenario.theta0_policy)
     partition = driver.TimePartition.from_scenario(scenario)
     outroot = output_dir(cfg)
     outroot.mkdir(parents=True, exist_ok=True)

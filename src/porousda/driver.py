@@ -438,9 +438,21 @@ def run_reference(scenario, partition=None, mesh=None, solver=None):
     return ReferenceRun(traj, stream, report)
 
 
+INITIAL_POLICIES = ("zero", "interpolant", "true")
+
+
+def check_initial_policy(policy):
+    """The starting-concentration policy; raises ValueError unless it is one
+    of `INITIAL_POLICIES`."""
+    if policy not in INITIAL_POLICIES:
+        raise ValueError(f"unknown initial policy {policy!r} "
+                         f"(known: {', '.join(INITIAL_POLICIES)})")
+    return policy
+
+
 def initial_guess(scenario, mesh, grid, stream, policy=None):
     """Starting concentration per policy: zero, interpolant, or true."""
-    policy = policy or scenario.theta0_policy
+    policy = check_initial_policy(policy or scenario.theta0_policy)
     if policy == "zero":
         return np.zeros(mesh.n_vertices)
     if policy == "interpolant":
@@ -448,9 +460,7 @@ def initial_guess(scenario, mesh, grid, stream, policy=None):
             raise ValueError("interpolant start requires observations")
         t0 = stream.times[0]
         return grid.reconstruct(stream.interpolate(t0)).values
-    if policy == "true":
-        return NodalField.from_callable(mesh, scenario.initial).values
-    raise ValueError(f"unknown initial policy {policy!r}")
+    return NodalField.from_callable(mesh, scenario.initial).values
 
 
 def run_assimilated(scenario, stream, partition=None, mesh=None, mu=None,
@@ -470,8 +480,9 @@ def run_assimilated(scenario, stream, partition=None, mesh=None, mu=None,
     for t, i in zip(keep_times, keep):
         if i is None:
             span = partition.coarse_times
-            raise ValueError(f"keep time {t!r} is not a fine time level of "
-                             f"the run from {span[0]!r} to {span[-1]!r}")
+            raise ValueError(f"keep time {float(t)!r} is not a fine time "
+                             f"level of the run from {float(span[0])!r} to "
+                             f"{float(span[-1])!r}")
     mesh = mesh or scenario.build_mesh()
     mu = scenario.mu if mu is None else float(mu)
     grid = SparseGrid(mesh, scenario.spacing, kind=scenario.observation_kind)

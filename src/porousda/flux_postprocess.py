@@ -1,13 +1,35 @@
 """Locally conservative velocity recovery from the FEM pressure.
 
 The Galerkin pressure does not balance mass over control volumes.  This
-module recovers a discontinuous bilinear potential, element by element, whose
-flux does: on each element a 4x4 system equates the control-volume flux of
-the potential with a right-hand side built from the pressure's edge-average
-fluxes, the source, and the element stiffness action.  The system has the
-constants in its kernel and a right-hand side that sums to zero identically,
-so it is solved as a bordered 5x5 system pinning the local mean of the
-potential to the local mean of the pressure.
+module recovers a discontinuous bilinear potential psi, element by element,
+whose flux does: in each element the outfluxes F_s of psi across the four
+control-volume sub-segments must balance, per corner control volume, a
+right-hand side r built from the pressure's edge-average fluxes, the source
+and the element stiffness action.  The right-hand side sums to zero
+identically, and the local mean of psi is pinned to that of the pressure.
+
+The local system is solved in closed form.  The four corner control volumes
+and the four sub-segments of an element form one loop (segment types of
+`mesh`: 0 is corner 0 -> 1, 1 is 2 -> 3, 2 is 0 -> 2, 3 is 1 -> 3), so the
+balances fix the flows up to one circulation c:
+
+    F = (r0 - c, r2 + c, c, r0 + r1 - c).
+
+With rho_s = 2 hx / (hy kappa_s) on the vertical segments (s = 0, 1) and
+2 hy / (hx kappa_s) on the horizontal ones (s = 2, 3), g_s = -rho_s F_s is
+the difference of psi that the flux F_s asks for: with u = psi_1 - psi_0,
+v = psi_3 - psi_2, p = psi_2 - psi_0 and q = psi_3 - psi_1, the midpoint
+rule gives g_0 = (3u + v) / 4, g_1 = (u + 3v) / 4, g_2 = (3p + q) / 4 and
+g_3 = (p + 3q) / 4.  The differences close around the loop, u + q = p + v,
+only when
+
+    c = (r0 rho0 - r2 rho1 + (r0 + r1) rho3) / (rho0 + rho1 + rho2 + rho3).
+
+Then u = (3 g0 - g1) / 2, v = (3 g1 - g0) / 2 and p = (3 g2 - g3) / 2, and
+the mean fixes psi_0.  Each F_s is evaluated as its own sum of products
+r_i rho_j over the sum of rho, not as r - c: where one kappa_s is orders of
+magnitude below the others, r - c cancels to a small F_s whose rounding
+error rho_s would magnify into psi.
 
 Every area integral here uses the same 16-point rule as the FEM assembly and
 every edge integral uses the midpoint rule per half-edge.  That shared point
@@ -18,22 +40,23 @@ is used on Dirichlet edges.
 
 The recovery builds no global matrix.  kappa at every point it needs and the
 element stiffness come from `pressure.element_kernel`, which the pressure
-assembly has just filled for the same concentration, so the stiffness action
-is `k_local @ p_c`.  The control-volume balances add the segment outfluxes
-per vertex in segment order.
+assembly has just filled for the same concentration; the source term of r
+is the problem's run constant `flux_source`.  The control-volume balances
+add the segment outfluxes per vertex in segment order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DGField, basis_gradients, cv_flux_blocks, quadrature
+from .fields import DGField, basis_gradients
 from .mesh import EDGE_QP_AXIS, EDGE_QP_LOCAL, NEUMANN
 from .pressure import element_kernel
 
 
 class LocalSolveError(RuntimeError):
-    """A local flux system is singular; carries the offending element id."""
+    """A local flux system has no finite solution (a kappa so small that
+    1 / kappa overflows, say); carries the first offending element id."""
 
     def __init__(self, element):
         super().__init__(f"singular local flux system on element {element}")
@@ -77,11 +100,34 @@ def _edge_averaged_flux(mesh, w_one, tags_zero=NEUMANN):
     return avg_y, avg_x
 
 
-def _segment_outflux_from(mesh, kappa_seg, corner_values):
-    """Outflux -kappa d(psi)/dn * length across every CV sub-segment."""
-    quad = quadrature(mesh)
-    dpsi_n = corner_values @ quad.seg_dphi_n.T                      # (ne, 4)
-    return (-kappa_seg * dpsi_n * quad.seg_len).ravel()
+def _loop_flows(mesh, kappa_seg, r, p_sum):
+    """Closed-form solution of every element's local flux system.
+
+    r (ne, 4) is the right-hand side per corner control volume and p_sum
+    (ne,) the sum of the pressure's corner values.  Returns the outfluxes
+    F (ne, 4) per segment type and the potential psi (ne, 4).
+    """
+    vertical, horizontal = 2.0 * mesh.hx / mesh.hy, 2.0 * mesh.hy / mesh.hx
+    rho = (vertical / kappa_seg[:, 0], vertical / kappa_seg[:, 1],
+           horizontal / kappa_seg[:, 2], horizontal / kappa_seg[:, 3])
+    rho0, rho1, rho2, rho3 = rho
+    r0, r1, r2 = r[:, 0], r[:, 1], r[:, 2]
+    # F_s times the sum of rho, each a sum of products r_i rho_j.
+    r01, rho12 = r0 + r1, rho1 + rho2
+    r0rho0, r2rho1, r01rho3 = r0 * rho0, r2 * rho1, r01 * rho3
+    num = (r0 * rho12 + r2rho1 - r1 * rho3,
+           r2 * (rho0 + rho2 + rho3) + r0rho0 + r01rho3,
+           r0rho0 - r2rho1 + r01rho3,
+           r1 * rho0 + r01 * rho12 + r2rho1)
+    inv_total = 1.0 / (rho0 + rho12 + rho3)
+    g0, g1, g2, g3 = (-rho_s * inv_total * n for rho_s, n in zip(rho, num))
+    u = 0.5 * (3.0 * g0 - g1)
+    v = 0.5 * (3.0 * g1 - g0)
+    p = 0.5 * (3.0 * g2 - g3)
+    psi0 = 0.25 * (p_sum - (u + 2.0 * p + v))
+    psi2 = psi0 + p
+    return (np.column_stack([n * inv_total for n in num]),
+            np.column_stack([psi0, psi0 + u, psi2, psi2 + v]))
 
 
 def cv_balance_residuals(mesh, segment_outflux, cv_source):
@@ -103,7 +149,6 @@ def postprocess_flux(problem, pressure, theta):
     is at roundoff level for every non-Dirichlet vertex.
     """
     mesh = problem.mesh
-    quad = quadrature(mesh)
     kernel = element_kernel(problem, theta)
     p_c = pressure.corner_values()                                  # (ne, 4)
 
@@ -128,33 +173,15 @@ def postprocess_flux(problem, pressure, theta):
     r1[..., 3] = cx * (qN[..., 1] - qN[..., 0]) + cy * (qE[..., 1] - qE[..., 0])
     r1 = r1.reshape(mesh.n_elements, 4)
 
-    # Source terms: quadrant integral minus weighted element integral, same rule.
-    gq = problem.source_q
-    quadrant_sums = (quad.weight * gq).reshape(mesh.n_elements, 4, 4).sum(axis=2)
-    r2 = quadrant_sums - quad.weight * gq @ quad.phi
+    # The source term is a run constant; the stiffness action is one einsum.
+    rhs = r1 + problem.flux_source + np.einsum("eab,eb->ea", kernel.stiffness, p_c)
 
-    # Element stiffness action on the pressure.
-    r3 = (kernel.stiffness @ p_c[:, :, None])[:, :, 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        flows, psi = _loop_flows(mesh, kernel.kappa_seg, rhs, p_c.sum(axis=1))
+    if not np.isfinite(psi).all():
+        raise LocalSolveError(np.argmin(np.isfinite(psi).all(axis=1)))
 
-    rhs = r1 + r2 + r3
-
-    # Local flux matrices from the CV sub-segment midpoint rule.
-    a_loc = cv_flux_blocks(mesh, kernel.kappa_seg)
-
-    # Bordered solve: pin the local mean of psi to the local mean of p.
-    n_e = mesh.n_elements
-    B = np.zeros((n_e, 5, 5))
-    B[:, :4, :4] = a_loc
-    B[:, :4, 4] = 1.0
-    B[:, 4, :4] = 1.0
-    rhs5 = np.concatenate([rhs, p_c.sum(axis=1, keepdims=True)], axis=1)
-    try:
-        psi = np.linalg.solve(B, rhs5[:, :, None])[:, :4, 0]
-    except np.linalg.LinAlgError:
-        ranks = np.linalg.matrix_rank(B)
-        raise LocalSolveError(int(np.argmax(ranks < 5))) from None
-
-    outflux = _segment_outflux_from(mesh, kernel.kappa_seg, psi)
+    outflux = flows.ravel()
     residuals = cv_balance_residuals(mesh, outflux, problem.cv_source)
     max_res = float(np.nanmax(np.abs(residuals))) if mesh.free_vertices.size else 0.0
     return ConservativeFlux(mesh, DGField(mesh, psi), outflux, residuals, max_res)

@@ -23,8 +23,8 @@ coefficient such as a raster lookup can keep its value there for the run),
 the multigrid transfers (`multigrid_transfers`) and the gathers that take
 the free block and the Dirichlet block from the stiffness
 (`pressure_blocks`).  What depends on the problem's time-independent data
-is built once per problem: the source at the quadrature points, its load
-vector and control-volume integrals.
+is built once per problem: the source's load vector, its control-volume
+integrals and the source term of the flux recovery's local systems.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -129,22 +129,24 @@ class ElementKernel:
 
 @dataclass
 class PressureProblem:
-    """Pressure equation data.  Run constants are built once: g, which is
-    time-independent, at the package quadrature points into `source_q`
-    (ne, 16), its FEM load vector into `load` and its control-volume
-    integrals into `cv_source` (nv,).  `transfers` is the mesh's multigrid
-    hierarchy, shared with every other problem on the mesh.  The element
-    kernel of the latest concentration is kept for the flux recovery that
-    follows the solve (`element_kernel`)."""
+    """Pressure equation data.  Run constants are built once from g, which
+    is time-independent, by the package quadrature: its FEM load vector into
+    `load`, its control-volume integrals into `cv_source` (nv,), and the
+    source term of the flux recovery's local systems into `flux_source`
+    (ne, 4), each corner quadrant's integral of g minus the element integral
+    of g times that corner's basis function.  `transfers` is the mesh's
+    multigrid hierarchy, shared with every other problem on the mesh.  The
+    element kernel of the latest concentration is kept for the flux recovery
+    that follows the solve (`element_kernel`)."""
 
     mesh: object
     kappa: object                  # callable(theta, x, y) -> permeability
     source: object                 # callable(x, y) -> g
     dirichlet: object = 0.0        # callable(x, y) -> p on Gamma_D, or a constant
     solver: linalg.SolverConfig = dc_field(default_factory=linalg.SolverConfig)
-    source_q: np.ndarray = dc_field(init=False, repr=False)
     load: np.ndarray = dc_field(init=False, repr=False)
     cv_source: np.ndarray = dc_field(init=False, repr=False)
+    flux_source: np.ndarray = dc_field(init=False, repr=False)
     transfers: list = dc_field(init=False, repr=False)
     kernel: ElementKernel | None = dc_field(default=None, init=False,
                                             repr=False, compare=False)
@@ -152,15 +154,17 @@ class PressureProblem:
     def __post_init__(self):
         mesh = self.mesh
         quad = quadrature(mesh)
-        self.source_q = np.asarray(self.source(quad.x, quad.y),
-                                   dtype=float) * np.ones(quad.x.shape)
-        wg = quad.weight * self.source_q
+        wg = quad.weight * (np.asarray(self.source(quad.x, quad.y), dtype=float)
+                            * np.ones(quad.x.shape))
+        element_load = wg @ quad.phi                              # (ne, 4)
         self.load = np.bincount(mesh.elements.ravel(),
-                                weights=(wg @ quad.phi).ravel(),
+                                weights=element_load.ravel(),
                                 minlength=mesh.n_vertices)
         self.cv_source = np.bincount(mesh.elements[:, quad.owner_corner].ravel(),
                                      weights=wg.ravel(),
                                      minlength=mesh.n_vertices)
+        self.flux_source = (wg.reshape(mesh.n_elements, 4, 4).sum(axis=2)
+                            - element_load)
         self.transfers = multigrid_transfers(mesh)
 
     def dirichlet_values(self, vids):

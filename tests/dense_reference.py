@@ -11,11 +11,14 @@ The dense assembly routines return dense numpy arrays.  The last two
 sections hold what only the tests use: record views of the dual mesh and of
 fields (the quadrature points as one array, control-volume areas, point
 evaluation, the raw FEM flux residuals), the exact integral of a bump well,
-and the stream forms the package replaced, kept as references.
+and the forms the package replaced, kept as references: among them the
+bordered 5x5 LAPACK solve of the flux recovery's local systems, and the same
+systems solved exactly in rationals.
 """
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -604,13 +607,12 @@ def field_gradient(field, points):
 def raw_pressure_residuals(problem, pressure, theta):
     """CV balance residuals of the unprocessed FEM pressure flux, for
     contrast with the recovered one (typically O(h), not zero)."""
-    from porousda.flux_postprocess import (_segment_outflux_from,
-                                           cv_balance_residuals)
+    from porousda.flux_postprocess import cv_balance_residuals
     from porousda.pressure import element_kernel
 
     mesh = problem.mesh
     kappa_seg = element_kernel(problem, theta).kappa_seg
-    outflux = _segment_outflux_from(mesh, kappa_seg, pressure.corner_values())
+    outflux = segment_outflux_from(mesh, kappa_seg, pressure.corner_values())
     return cv_balance_residuals(mesh, outflux, problem.cv_source)
 
 
@@ -806,3 +808,80 @@ def step_matrices_by_sums(coeffs, outflux, dt):
             K = K + ops[name]
     lhs = (ops["mass"] + 0.5 * dt * K + ops["dir_diag"]).tocsr()
     return lhs, (ops["mass"] - 0.5 * dt * K).tocsr()
+
+
+def segment_outflux_from(mesh, kappa_seg, corner_values):
+    """Outflux -kappa d(psi)/dn * length across every CV sub-segment of the
+    bilinear psi with `corner_values` (ne, 4); flat, in segment order."""
+    from porousda.fields import quadrature
+
+    quad = quadrature(mesh)
+    dpsi_n = corner_values @ quad.seg_dphi_n.T                      # (ne, 4)
+    return (-kappa_seg * dpsi_n * quad.seg_len).ravel()
+
+
+def bordered_flux_solve(mesh, kappa_seg, rhs, p_c):
+    """The flux recovery's local systems solved as the package did before
+    its closed form: one batched LAPACK solve of the bordered 5x5 systems
+    [[A, 1], [1^T, 0]], A the control-volume flux block of `kappa_seg` and
+    the border pinning the sum of psi to that of the pressure corners p_c.
+    Returns psi and the segment outfluxes, both (ne, 4)."""
+    from porousda.fields import cv_flux_blocks
+
+    B = np.zeros((mesh.n_elements, 5, 5))
+    B[:, :4, :4] = cv_flux_blocks(mesh, kappa_seg)
+    B[:, :4, 4] = 1.0
+    B[:, 4, :4] = 1.0
+    rhs5 = np.concatenate([rhs, p_c.sum(axis=1, keepdims=True)], axis=1)
+    psi = np.linalg.solve(B, rhs5[:, :, None])[:, :4, 0]
+    return psi, segment_outflux_from(mesh, kappa_seg, psi).reshape(-1, 4)
+
+
+def _solve_fractions(matrix, rhs):
+    """Gauss-Jordan elimination in exact rational arithmetic."""
+    n = len(rhs)
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[r][n] / rows[r][r] for r in range(n)]
+
+
+def exact_bordered_flux_solve(mesh, kappa_seg, rhs, p_c):
+    """The systems of `bordered_flux_solve`, built from the same float
+    inputs and solved exactly in rationals, then rounded to floats.
+
+    This is the oracle where kappa spans many decades.  In floats an entry
+    of A adds the kappa of two segments, and a kappa 1e-12 times the other
+    drops out of the sum: with kappa log-uniform over 1e-8..1e4, LAPACK's
+    psi then misses the exact one by up to a relative 1e-5.
+    """
+    hx, hy = Fraction(mesh.hx), Fraction(mesh.hy)
+    grads = [[Fraction(hat_grad(b, mx, my, 1.0, 1.0)[axis])
+              / (hx if axis == 0 else hy) for b in range(4)]
+             for (mx, my), axis, _, _ in _SEGMENTS]
+    lengths = [hy / 2 if axis == 0 else hx / 2 for _, axis, _, _ in _SEGMENTS]
+    psi = np.zeros((mesh.n_elements, 4))
+    outflux = np.zeros((mesh.n_elements, 4))
+    for e in range(mesh.n_elements):
+        kappa = [Fraction(k) for k in kappa_seg[e]]
+        # flow[s][b]: outflux across segment s of the basis function b
+        flow = [[-kappa[s] * lengths[s] * grads[s][b] for b in range(4)]
+                for s in range(4)]
+        matrix = [[Fraction(0)] * 4 + [Fraction(1)] for _ in range(4)]
+        for s, (_, _, left, right) in enumerate(_SEGMENTS):
+            for b in range(4):
+                matrix[left][b] += flow[s][b]
+                matrix[right][b] -= flow[s][b]
+        matrix.append([Fraction(1)] * 4 + [Fraction(0)])
+        sol = _solve_fractions(matrix, [Fraction(v) for v in rhs[e]]
+                               + [sum(Fraction(v) for v in p_c[e])])[:4]
+        psi[e] = [float(v) for v in sol]
+        outflux[e] = [float(sum(f * v for f, v in zip(flow[s], sol)))
+                      for s in range(4)]
+    return psi, outflux
+

@@ -313,3 +313,60 @@ ny = 30
     assert (sc.nx, sc.ny) == (100, 30)
     mesh = sc.build_mesh()
     assert (mesh.nx, mesh.ny) == (100, 30)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unknown_initial_policy_exits_2_before_writing(tmp_path, outroot,
+                                                       capsys, command):
+    """theta0 = bogus exited 1 with FAILED after the reference run had
+    written reference_metrics.csv and report.txt."""
+    text = EX1_SMALL.format(mu="10", dir="badtheta0") + "\n"
+    text = text.replace("[assimilation]\n", "[assimilation]\ntheta0 = bogus\n")
+    cfg = _write(tmp_path, "badtheta0.ini", text)
+    assert main([command, cfg]) == 2
+    assert "unknown initial policy 'bogus'" in capsys.readouterr().err
+    assert not (outroot / "badtheta0").exists()
+
+
+def test_snapshot_time_error_prints_plain_floats(tmp_path, outroot, capsys):
+    text = EX1_SMALL.format(mu="10", dir="badsnap") + "snapshots = 0.003\n"
+    cfg = _write(tmp_path, "badsnap.ini", text)
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "from 0.0 to 0.04 in steps of 0.002" in err
+    assert "np." not in err
+
+
+@pytest.mark.parametrize("section, key, value, kind", [
+    ("mesh", "nx", "abc", "an integer"),
+    ("mesh", "ny", "4.5", "an integer"),
+    ("scenario", "seed", "one", "an integer"),
+    ("time", "dt", "fast", "a number"),
+    ("time", "fine_per_coarse", "2.0", "an integer"),
+    ("time", "t_end", "later", "a number"),
+    ("assimilation", "spacing", "wide", "a number"),
+    ("assimilation", "mu", "10 strong", "a list of numbers"),
+])
+def test_unparsable_value_names_its_section_and_key(tmp_path, outroot, capsys,
+                                                    section, key, value, kind):
+    """`[mesh] nx = abc` printed "invalid literal for int() with base 10",
+    which names neither the section nor the key."""
+    header = "" if section == "scenario" else f"[{section}]\n"
+    cfg = _write(tmp_path, "typed.ini", f"[scenario]\nname = example3\n"
+                 f"{header}{key} = {value}\n")
+    for command in ("run", "validate", "sweep"):
+        assert main([command, cfg]) == 2
+        assert (capsys.readouterr().err
+                == f"error: [{section}] {key} = {value!r} is not {kind}\n")
+    assert [p.name for p in outroot.iterdir()] == ["typed.ini"]
+
+
+def test_unparsable_output_flag_exits_2_before_writing(tmp_path, outroot,
+                                                       capsys):
+    """`[output] reference` was read after the reference run."""
+    text = EX1_SMALL.format(mu="10", dir="badflag") + "reference = maybe\n"
+    cfg = _write(tmp_path, "badflag.ini", text)
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: [output] reference = 'maybe' is not a boolean\n")
+    assert not (outroot / "badflag").exists()

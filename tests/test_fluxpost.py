@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import dense_reference as dr
 from dense_reference import face_velocity, raw_pressure_residuals
-from porousda.fields import NodalField, l2_norm_callable
-from porousda.flux_postprocess import LocalSolveError, postprocess_flux
+from porousda.fields import NodalField, l2_norm_callable, quadrature
+from porousda.flux_postprocess import (LocalSolveError, _loop_flows,
+                                       postprocess_flux)
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
-from porousda.pressure import PressureProblem, solve_pressure
+from porousda.pressure import PressureProblem, element_kernel, solve_pressure
 
 ONES = lambda th, x, y: np.ones_like(x)
 ZERO = lambda x, y: np.zeros_like(x)
@@ -112,3 +115,91 @@ def test_singular_local_system_reports_element():
         postprocess_flux(prob, p, NodalField.zeros(mesh))
     assert 0 <= info.value.element < mesh.n_elements
     assert "element" in str(info.value)
+
+
+# -- the closed-form local solve against the bordered 5x5 systems ------------
+
+def _relative_gap(values, reference):
+    """Largest per-element gap, relative to the element's largest entry."""
+    scale = np.max(np.abs(reference), axis=1)
+    return float(np.max(np.max(np.abs(values - reference), axis=1) / scale))
+
+
+def _zero_sum_rhs(rng, ne):
+    r = rng.standard_normal((ne, 4))
+    r[:, 3] = -r[:, :3].sum(axis=1)
+    return r
+
+
+LOOP_MESHES = [build_mesh(5, 3, Lx=2.0, Ly=0.6), build_mesh(4, 4),
+               build_mesh(3, 6, Lx=0.5, Ly=3.0)]
+
+
+@pytest.mark.parametrize("decades, oracle", [
+    ((-1.0, 1.0), dr.bordered_flux_solve),
+    # Over twelve decades LAPACK's own psi is off by up to a relative 1e-5,
+    # so the exact rational solve is the oracle.
+    ((-8.0, 4.0), dr.exact_bordered_flux_solve),
+])
+@pytest.mark.parametrize("mesh", LOOP_MESHES)
+def test_loop_flows_match_the_bordered_solve(mesh, decades, oracle):
+    """kappa log-uniform over `decades`, a right-hand side summing to zero."""
+    rng = np.random.default_rng(12)
+    kappa_seg = 10.0 ** rng.uniform(*decades, (mesh.n_elements, 4))
+    r = _zero_sum_rhs(rng, mesh.n_elements)
+    p_c = rng.standard_normal((mesh.n_elements, 4))
+    flows, psi = _loop_flows(mesh, kappa_seg, r, p_c.sum(axis=1))
+    psi_ref, flows_ref = oracle(mesh, kappa_seg, r, p_c)
+    assert _relative_gap(psi, psi_ref) <= 1e-12
+    assert _relative_gap(flows, flows_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["all_dirichlet", "all_neumann", _x_faces])
+@pytest.mark.parametrize("shape", [(5, 3, 2.0, 0.6), (4, 4, 1.0, 1.0)])
+def test_recovery_matches_the_bordered_solve_of_the_dense_systems(boundary,
+                                                                  shape):
+    """The whole recovery against the local systems assembled by loops and
+    solved by the bordered LAPACK solve, for every kind of boundary tag."""
+    nx, ny, Lx, Ly = shape
+    mesh = build_mesh(nx, ny, Lx=Lx, Ly=Ly, boundary_spec=boundary)
+    rng = np.random.default_rng(13)
+    theta = NodalField(mesh, rng.random(mesh.n_vertices))
+    kappa = lambda th, x, y: 1.0 + 0.5 * th + 0.3 * np.sin(3.0 * x - y)
+    source = lambda x, y: np.cos(x) + 0.5 * y * y
+    prob = PressureProblem(mesh, kappa, source,
+                           dirichlet=lambda x, y: x - 0.3 * y * y)
+    p = NodalField(mesh, rng.standard_normal(mesh.n_vertices))
+    flux = postprocess_flux(prob, p, theta)
+
+    _, rhs, _ = dr.dense_flux_systems(mesh, kappa, source, p.values,
+                                      theta.values)
+    kappa_seg = element_kernel(prob, theta).kappa_seg
+    psi_ref, flows_ref = dr.bordered_flux_solve(mesh, kappa_seg, rhs,
+                                                p.corner_values())
+    assert _relative_gap(flux.potential.values, psi_ref) <= 1e-12
+    assert _relative_gap(flux.segment_outflux.reshape(-1, 4), flows_ref) <= 1e-12
+
+
+def test_flux_source_equals_the_per_call_source_term_bitwise():
+    """`flux_source` is the source term the recovery once rebuilt per call
+    from g at the quadrature points."""
+    mesh = build_mesh(6, 4, Lx=1.5, Ly=1.0)
+    source = lambda x, y: np.sin(2.0 * x) * np.exp(y)
+    prob = PressureProblem(mesh, ONES, source)
+    quad = quadrature(mesh)
+    gq = np.asarray(source(quad.x, quad.y), dtype=float) * np.ones(quad.x.shape)
+    quadrant_sums = (quad.weight * gq).reshape(mesh.n_elements, 4, 4).sum(axis=2)
+    per_call = quadrant_sums - quad.weight * gq @ quad.phi
+    assert np.array_equal(prob.flux_source, per_call)
+
+
+def test_subnormal_kappa_raises_without_a_warning():
+    mesh = build_mesh(3, 2)
+    prob = PressureProblem(mesh, kappa=lambda th, x, y: np.full_like(x, 5e-324),
+                           source=ZERO)
+    p = NodalField.from_callable(mesh, lambda x, y: x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LocalSolveError) as info:
+            postprocess_flux(prob, p, NodalField.zeros(mesh))
+    assert info.value.element == 0

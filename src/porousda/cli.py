@@ -139,13 +139,7 @@ def _snapshot_times(cfg, scenario, partition):
         return [t for t, i in zip(times, partition.level_indices(times))
                 if i is not None]
     times = _option(cfg, "output", "snapshots", _floats)
-    for t, i in zip(times, partition.level_indices(times)):
-        if i is None:
-            span = partition.coarse_times
-            raise ValueError(
-                f"snapshot time {t!r} is not a fine time level of the run "
-                f"from {float(span[0])!r} to {float(span[-1])!r} in steps of "
-                f"{float(scenario.dt)!r}")
+    partition.fine_levels(times, "snapshot time")
     return times
 
 

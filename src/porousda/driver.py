@@ -112,11 +112,30 @@ class TimePartition:
             out.extend(self.fine_times(n)[1:])
         return np.array(out)
 
+    @property
+    def fine_step(self):
+        """The run's nominal fine step; see `transport.TransportStep`."""
+        span = self.coarse_times[-1] - self.coarse_times[0]
+        return span / (self.n_coarse * self.fine_per_coarse)
+
     def level_indices(self, times):
         """Index of the fine level at each of `times`, None where a time is
         no level."""
         levels = self.all_times()
         return [_level_index(levels, t) for t in times]
+
+    def fine_levels(self, times, name):
+        """Index of the fine level at each of `times`; raises ValueError,
+        calling the time `name`, where one is no fine level of the run."""
+        indices = self.level_indices(times)
+        for t, i in zip(times, indices):
+            if i is None:
+                span = self.coarse_times
+                raise ValueError(
+                    f"{name} {float(t)!r} is not a fine time level of the run "
+                    f"from {float(span[0])!r} to {float(span[-1])!r} in steps "
+                    f"of {float(self.fine_step)!r}")
+        return indices
 
 
 def _level_index(times, t):
@@ -370,8 +389,7 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
     bundle, mass_residual, pressure_guess = None, float("nan"), None
     m = partition.fine_per_coarse
     steps = partition.n_coarse * m
-    # The run's nominal fine step; see TransportStep.
-    h = (partition.coarse_times[-1] - partition.coarse_times[0]) / steps
+    h = partition.fine_step
     for n in range(partition.n_coarse):
         if bundle is None or not static:
             # Free the last step matrix and factor before the pressure
@@ -476,13 +494,7 @@ def run_assimilated(scenario, stream, partition=None, mesh=None, mu=None,
     fine level of the run raises ValueError before the first step.
     """
     partition = partition or TimePartition.from_scenario(scenario)
-    keep = partition.level_indices(keep_times)
-    for t, i in zip(keep_times, keep):
-        if i is None:
-            span = partition.coarse_times
-            raise ValueError(f"keep time {float(t)!r} is not a fine time "
-                             f"level of the run from {float(span[0])!r} to "
-                             f"{float(span[-1])!r}")
+    keep = partition.fine_levels(keep_times, "keep time")
     mesh = mesh or scenario.build_mesh()
     mu = scenario.mu if mu is None else float(mu)
     grid = SparseGrid(mesh, scenario.spacing, kind=scenario.observation_kind)

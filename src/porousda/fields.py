@@ -7,10 +7,15 @@ each element (16 points per element), so that control-volume integrals and
 element integrals are built from the identical point set.  Surface integrals
 on control-volume faces use the midpoint rule per sub-segment.
 
-`quadrature(mesh)` is the one owner of that point set.  It is built once per
-mesh, on first use, and holds the global point coordinates as contiguous,
-read-only (ne, 16) arrays `x` and `y`; every coefficient and source that is
-integrated with the rule is evaluated at those two arrays.
+`quadrature(mesh)` is the one owner of the element point set, built once per
+mesh, on first use: one read-only (ne, 28) pair `points` holds every
+element's 16 quadrature points, its 8 edge quarter points (where the flux
+recovery averages the pressure's edge fluxes) and its 4 sub-segment
+midpoints, in the order of `POINT_LOCAL`.  Its column blocks are the views
+every module reads: `x` and `y`, (ne, 16), where each coefficient and source
+integrated with the rule is evaluated, and `seg_x` and `seg_y`, (ne, 4),
+the sub-segment midpoints.  The pressure evaluates kappa at row blocks of
+the whole pair (`pressure.kernel_point_blocks`).
 
 L2 norms of nodal fields, and of differences of two nodal fields, are read
 from `mass_matrix(mesh)`, the consistent bilinear mass matrix on the mesh's
@@ -23,7 +28,7 @@ to roundoff.  A norm that involves a discontinuous field, a callable or a
 import numpy as np
 
 from . import linalg
-from .mesh import SEG_LOCAL_MID, SEG_NORMAL_AXIS, SEG_SIGN
+from .mesh import EDGE_QP_LOCAL, SEG_LOCAL_MID, SEG_NORMAL_AXIS, SEG_SIGN
 
 _G = 0.5 / np.sqrt(3.0)
 
@@ -54,6 +59,9 @@ def _quad_local():
 
 # Local coordinates of the 16 quadrature points of the unit element.
 QUAD_LOCAL = _quad_local()
+# The element point set: the quadrature points, the edge quarter points and
+# the sub-segment midpoints, columns 0:16, 16:24 and 24:28 of `points`.
+POINT_LOCAL = np.concatenate([QUAD_LOCAL, EDGE_QP_LOCAL, SEG_LOCAL_MID])
 
 
 class Quadrature:
@@ -61,8 +69,10 @@ class Quadrature:
 
     Points are ordered quadrant by quadrant (SW, SE, NW, NE), four Gauss
     points each, so point k belongs to the control volume of local corner
-    k // 4.  Weights are uniform: hx*hy/16 per point.  `x` and `y` hold the
-    global coordinates of every element's points, (ne, 16) each, read-only.
+    k // 4.  Weights are uniform: hx*hy/16 per point.  `points` holds the
+    global coordinates of every element's 28 points (`POINT_LOCAL`), a
+    read-only (ne, 28) pair; `x` and `y` are its quadrature columns and
+    `seg_x` and `seg_y` its sub-segment midpoints, segment types in order.
     """
 
     def __init__(self, mesh):
@@ -86,19 +96,12 @@ class Quadrature:
         # segment, -sign(a, s) |s| grad(phi_b) . n, flattened.
         self.unit_flux_blocks = -((SEG_SIGN * self.seg_len).T[:, :, None]
                                   * self.seg_dphi_n[:, None, :]).reshape(4, 16)
-        self.x, self.y = element_points(mesh, self.local_points)
-
-
-def element_points(mesh, local):
-    """Global coordinates of local points (n, 2) in every element.
-
-    Returns read-only (ne, n) arrays x and y.
-    """
-    x = mesh.element_origins[:, 0, None] + local[:, 0] * mesh.hx
-    y = mesh.element_origins[:, 1, None] + local[:, 1] * mesh.hy
-    x.flags.writeable = False
-    y.flags.writeable = False
-    return x, y
+        px = mesh.element_origins[:, 0, None] + POINT_LOCAL[:, 0] * mesh.hx
+        py = mesh.element_origins[:, 1, None] + POINT_LOCAL[:, 1] * mesh.hy
+        px.flags.writeable = py.flags.writeable = False
+        self.points = px, py
+        self.x, self.y = px[:, :16], py[:, :16]
+        self.seg_x, self.seg_y = px[:, 24:], py[:, 24:]
 
 
 def quadrature(mesh):

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DGField, basis_gradients
-from .mesh import EDGE_QP_AXIS, EDGE_QP_LOCAL, NEUMANN
+from .mesh import (EDGE_QP_AXIS, EDGE_QP_LOCAL, NEUMANN, SEG_LEFT_CORNER,
+                   SEG_RIGHT_CORNER)
 from .pressure import element_kernel
 
 
@@ -133,8 +134,9 @@ def _loop_flows(mesh, kappa_seg, r, p_sum):
 def cv_balance_residuals(mesh, segment_outflux, cv_source):
     """Outflux sum minus source integral per CV; NaN at Dirichlet vertices."""
     res = np.zeros(mesh.n_vertices)
-    np.add.at(res, mesh.seg_left, segment_outflux)
-    np.add.at(res, mesh.seg_right, -segment_outflux)
+    outflux = segment_outflux.reshape(-1, 4)
+    np.add.at(res, mesh.elements[:, SEG_LEFT_CORNER], outflux)
+    np.add.at(res, mesh.elements[:, SEG_RIGHT_CORNER], -outflux)
     res -= cv_source
     res[mesh.is_dirichlet] = np.nan
     return res

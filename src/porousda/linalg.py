@@ -151,24 +151,18 @@ class StencilPattern:
         cy = np.array([0, 0, 1, 1])
         offset = (cy - cy[:, None] + 1) * 3 + (cx - cx[:, None] + 1)
         self.slots = position[mesh.elements[:, :, None], offset].ravel()
-        self.corners = mesh.elements
 
     def matrix(self, data):
         """The CSR matrix with these values on the pattern."""
         return sparse.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
                                  shape=(self.n, self.n))
 
-    def scatter(self, local, rows=None):
+    def scatter(self, local):
         """Sum element-local blocks (ne, 4, 4) into a CSR matrix.
 
-        Each entry's contributions are added in element order.  `rows`, a
-        boolean mask over vertices, keeps only those rows; the others hold
-        explicit zeros.
+        Each entry's contributions are added in element order.
         """
-        local = np.asarray(local, dtype=float)
-        if rows is not None:
-            local = np.where(rows[self.corners][:, :, None], local, 0.0)
-        data = np.bincount(self.slots, weights=local.ravel(), minlength=self.nnz)
+        data = np.bincount(self.slots, weights=np.ravel(local), minlength=self.nnz)
         return self.matrix(data)
 
 
@@ -213,7 +207,10 @@ def multigrid_cycle(A, transfers, constant_nullspace=False):
 
     `transfers` lists (P, P^T) pairs from the finest level down; the coarse
     operators are the Galerkin products P^T A P, and the coarsest one is
-    factored with SuperLU.  An empty list makes the cycle an exact solve.  A singular coarsest operator raises `RuntimeError` from SuperLU.
+    factored with SuperLU.  An empty list makes the cycle an exact solve.
+    A singular coarsest operator raises `RuntimeError` from SuperLU.  Row
+    sums that underflow (a subnormal kappa, say) make the smoother scale
+    infinite without a warning; the coarsest operator is then singular.
     When A is only semidefinite with the constants as its null space
     (`constant_nullspace`), constants are projected out of the cycle's input
     and output; otherwise the cycle feeds constant components into the
@@ -222,7 +219,8 @@ def multigrid_cycle(A, transfers, constant_nullspace=False):
     levels = []
     for P, R in transfers:
         l1 = np.asarray(abs(A).sum(axis=1)).ravel()
-        levels.append((A, _SMOOTH_SCALE / l1, P, R))
+        with np.errstate(divide="ignore", over="ignore"):
+            levels.append((A, _SMOOTH_SCALE / l1, P, R))
         A = (R @ A @ P).tocsr()
     cycle = partial(_v_cycle, levels, splu(A.tocsc()).solve)
     if constant_nullspace:

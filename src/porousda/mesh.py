@@ -8,8 +8,12 @@ the domain boundary, so the control volumes partition the domain exactly.
 Control-volume boundaries that lie strictly inside the domain are split into
 sub-segments, each contained in exactly one element.  Per element there are
 four such segments (lower/upper halves of the vertical mid-line, left/right
-halves of the horizontal mid-line); the segment table built here is the
-backbone of all finite-volume surface integrals.
+halves of the horizontal mid-line), the same four types in every element.
+A segment is therefore an (element, type) pair: per-segment data is an
+(ne, 4) array, flattened element by element when a flat one is needed
+(`n_segments` long), and its geometry is the per-type constants below,
+which broadcast against it.  The global segment midpoints are columns of
+the mesh's one point set, `fields.quadrature(mesh).seg_x` and `.seg_y`.
 """
 
 import numpy as np
@@ -52,7 +56,7 @@ class MeshError(ValueError):
 
 
 class StructuredMesh:
-    """Uniform rectangular mesh with dual-mesh segment tables."""
+    """Uniform rectangular mesh, its boundary tags and its constants."""
 
     def __init__(self, nx, ny, Lx, Ly, edge_tags):
         self.nx = nx
@@ -76,8 +80,8 @@ class StructuredMesh:
         self.elements = np.column_stack([sw, sw + 1, sw + nx + 1, sw + nx + 2])
         self.element_origins = np.column_stack([ei * self.hx, ej * self.hy])
 
+        self.n_segments = 4 * self.n_elements
         self._tag_vertices()
-        self._build_segments()
         self._constants = {}
 
     # -- boundary handling ------------------------------------------------
@@ -103,25 +107,6 @@ class StructuredMesh:
 
         self.is_dirichlet = dir_vertex
         self.free_vertices = np.flatnonzero(~dir_vertex)
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        self.on_boundary = (x == 0.0) | (y == 0.0) | (x == self.Lx) | (y == self.Ly)
-
-    # -- dual-mesh segment table ------------------------------------------
-
-    def _build_segments(self):
-        ne = self.n_elements
-        elem = np.repeat(np.arange(ne), 4)
-        styp = np.tile(np.arange(4), ne)
-        corners = self.elements[elem]
-        self.seg_elem = elem
-        self.seg_type = styp
-        self.seg_left = corners[np.arange(4 * ne), SEG_LEFT_CORNER[styp]]
-        self.seg_right = corners[np.arange(4 * ne), SEG_RIGHT_CORNER[styp]]
-        self.seg_normal_axis = SEG_NORMAL_AXIS[styp]
-        self.seg_len = np.where(self.seg_normal_axis == 0, self.hy / 2.0, self.hx / 2.0)
-        scale = np.array([self.hx, self.hy])
-        self.seg_mid = self.element_origins[elem] + SEG_LOCAL_MID[styp] * scale
-        self.n_segments = 4 * ne
 
     # -- convenience -------------------------------------------------------
 
@@ -129,9 +114,9 @@ class StructuredMesh:
         """The mesh constant `key`: build(mesh) on first use, then kept.
 
         This is the one cache of what a mesh determines on its own (the
-        quadrature tables and points, the stencil pattern, the kernel
-        points, the multigrid transfers); it is filled lazily, inside the
-        run that first needs each entry.
+        quadrature tables and point set, the stencil pattern, the kernel
+        point blocks, the multigrid transfers); it is filled lazily, inside
+        the run that first needs each entry.
         """
         value = self._constants.get(key)
         if value is None:

@@ -2,12 +2,12 @@
 
 The pressure solve -div(kappa(theta) grad p) = g uses continuous bilinears on
 the primal mesh.  The mobility-weighted permeability kappa is evaluated once
-per concentration, at the 28 kernel points per element: the package
-quadrature points and the edge and sub-segment points the flux recovery
-needs, with the concentration clamped to [0, 1] first, so transient
-over/undershoots cannot push the coefficient out of its physical range.
-Dirichlet values are imposed by row/column elimination with the symmetric
-right-hand-side correction, which keeps the free block SPD.
+per concentration, at all 28 points per element of the mesh's one point set
+(`fields.POINT_LOCAL`): the quadrature points and the edge and sub-segment
+points the flux recovery needs, with the concentration clamped to [0, 1]
+first, so transient over/undershoots cannot push the coefficient out of its
+physical range.  Dirichlet values are imposed by row/column elimination with
+the symmetric right-hand-side correction, which keeps the free block SPD.
 
 The free block is solved by CG preconditioned by a geometric multigrid
 V-cycle (`linalg.solve` with the mesh's transfers).  The levels follow from
@@ -17,14 +17,15 @@ level is solved directly.
 
 What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
-twin experiment): the kernel points (`kernel_points`, read-only, and their
-row blocks, `kernel_point_blocks`, at which kappa is evaluated, so a
-coefficient such as a raster lookup can keep its value there for the run),
-the multigrid transfers (`multigrid_transfers`) and the gathers that take
-the free block and the Dirichlet block from the stiffness
-(`pressure_blocks`).  What depends on the problem's time-independent data
-is built once per problem: the source's load vector, its control-volume
-integrals and the source term of the flux recovery's local systems.
+twin experiment): the row blocks of the point set at which kappa is
+evaluated (`kernel_point_blocks`, read-only views of the pair
+`fields.quadrature(mesh).points`, so a coefficient such as a raster lookup
+can keep its value there for the run), the multigrid transfers
+(`multigrid_transfers`) and the gathers that take the free block and the
+Dirichlet block from the stiffness (`pressure_blocks`).  What depends on the
+problem's time-independent data is built once per problem: the source's
+load vector, its control-volume integrals and the source term of the flux
+recovery's local systems.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -33,9 +34,7 @@ import numpy as np
 from scipy import sparse
 
 from . import linalg
-from .fields import (QUAD_LOCAL, NodalField, basis_values, element_points,
-                     quadrature)
-from .mesh import EDGE_QP_LOCAL, SEG_LOCAL_MID
+from .fields import POINT_LOCAL, NodalField, basis_values, quadrature
 from .observation import bilinear_prolongation
 
 MIN_COARSE_CELLS = 8
@@ -80,36 +79,22 @@ def _build_transfers(mesh):
     return transfers
 
 
-# Local coordinates of the 28 kernel points: the 16 quadrature points, the 8
-# edge quarter points and the 4 sub-segment midpoints; and the basis there.
-_KERNEL_LOCAL = np.concatenate([QUAD_LOCAL, EDGE_QP_LOCAL, SEG_LOCAL_MID])
-_KERNEL_PHI = basis_values(_KERNEL_LOCAL[:, 0], _KERNEL_LOCAL[:, 1])
-
-
-def _build_kernel_points(mesh):
-    return element_points(mesh, _KERNEL_LOCAL)
-
-
-def kernel_points(mesh):
-    """Global coordinates of the 28 kernel points of every element.
-
-    Returns read-only (ne, 28) arrays x and y, built once per mesh.
-    """
-    return mesh.constant("kernel_points", _build_kernel_points)
+# The basis at the 28 points of the element point set.
+_KERNEL_PHI = basis_values(POINT_LOCAL[:, 0], POINT_LOCAL[:, 1])
 
 
 def _build_kernel_blocks(mesh):
-    x, y = kernel_points(mesh)
+    x, y = quadrature(mesh).points
     return [(lo, x[lo:lo + KERNEL_BLOCK], y[lo:lo + KERNEL_BLOCK])
             for lo in range(0, mesh.n_elements, KERNEL_BLOCK)]
 
 
 def kernel_point_blocks(mesh):
-    """The kernel points in blocks of `KERNEL_BLOCK` elements.
+    """The mesh's point set in blocks of `KERNEL_BLOCK` elements.
 
-    Returns a list of (first element, x, y), with x and y read-only views of
-    `kernel_points`, built once per mesh; kappa is evaluated at exactly these
-    arrays on every solve.
+    Returns a list of (first element, x, y), with x and y read-only row
+    blocks of `quadrature(mesh).points`, built once per mesh; kappa is
+    evaluated at exactly these arrays on every solve.
     """
     return mesh.constant("kernel_point_blocks", _build_kernel_blocks)
 
@@ -177,7 +162,7 @@ class PressureProblem:
 def element_kernel(problem, theta):
     """The ElementKernel of `problem` at concentration `theta`.
 
-    kappa is evaluated once, at the mesh's kernel points (all 28 points per
+    kappa is evaluated once, at the mesh's point set (all 28 points per
     element), block by block (`kernel_point_blocks`) into one (ne, 28)
     array, with the concentration clamped to [0, 1] first, and must be
     positive and finite at every one of them.  The kernel is kept on the

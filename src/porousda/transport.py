@@ -44,7 +44,7 @@ from scipy.sparse.linalg import splu as _superlu
 
 from . import linalg
 from .fields import NodalField, cv_flux_blocks, quadrature
-from .mesh import SEG_LEFT_CORNER, SEG_RIGHT_CORNER
+from .mesh import SEG_LEFT_CORNER, SEG_NORMAL_AXIS, SEG_RIGHT_CORNER
 
 _log = logging.getLogger("porousda")
 
@@ -269,9 +269,9 @@ class TransportCoefficients(VelocityBundle):
         phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
         mass = np.broadcast_to(phi_quadrant.sum(axis=1), (mesh.n_elements, 4, 4))
         # Diffusive flux term: -sum over CV faces of D grad(theta) . n.
-        dq = np.asarray(self.diffusion(mesh.seg_mid[:, 0], mesh.seg_mid[:, 1]),
-                        dtype=float) * np.ones(mesh.n_segments)
-        k0_blocks = cv_flux_blocks(mesh, dq.reshape(-1, 4))
+        dq = (np.asarray(self.diffusion(quad.seg_x, quad.seg_y), dtype=float)
+              * np.ones(quad.seg_x.shape))
+        k0_blocks = cv_flux_blocks(mesh, dq)
         if self.reaction is not None:
             qv = (np.asarray(self.reaction(quad.x, quad.y), dtype=float)
                   * np.ones_like(quad.x))
@@ -443,9 +443,8 @@ def prescribed_outflux(mesh, velocity, theta_frozen):
     of the permeability.
     """
     quad = quadrature(mesh)
-    phi = quad.seg_phi[mesh.seg_type]                           # (ns, 4)
-    corners = theta_frozen.corner_values()[mesh.seg_elem]       # (ns, 4)
-    th = np.clip(np.sum(phi * corners, axis=1), 0.0, 1.0)
-    vx, vy = velocity(mesh.seg_mid[:, 0], mesh.seg_mid[:, 1], th)
-    vn = np.where(mesh.seg_normal_axis == 0, vx, vy)
-    return vn * mesh.seg_len
+    corners = theta_frozen.corner_values()[:, None, :]          # (ne, 1, 4)
+    th = np.clip(np.sum(quad.seg_phi * corners, axis=2), 0.0, 1.0)   # (ne, 4)
+    vx, vy = velocity(quad.seg_x, quad.seg_y, th)
+    vn = np.where(np.broadcast_to(SEG_NORMAL_AXIS == 0, th.shape), vx, vy)
+    return (vn * quad.seg_len).ravel()

@@ -100,6 +100,28 @@ def segment_tables(mesh):
     return out
 
 
+@dataclass
+class SegmentArrays:
+    """The dual-mesh segments as flat arrays, in the package's segment order:
+    element by element, the four types of `_SEGMENTS` in each."""
+
+    elem: np.ndarray
+    type: np.ndarray
+    mid: np.ndarray      # (ns, 2)
+    axis: np.ndarray     # normal axis, 0 = +x, 1 = +y
+    left: np.ndarray     # vertex on the negative side of the normal
+    right: np.ndarray    # vertex on the positive side
+    length: np.ndarray
+
+
+def segment_arrays(mesh):
+    """`segment_tables` as flat arrays (`SegmentArrays`)."""
+    mid, axis, left, right, length = (
+        np.array(column) for column in zip(*segment_tables(mesh)))
+    index = np.arange(axis.size)
+    return SegmentArrays(index // 4, index % 4, mid, axis, left, right, length)
+
+
 def _kappa_clamped(kappa, theta_corners, xi, eta, x, y):
     th = sum(theta_corners[c] * hat(c, xi, eta) for c in range(4))
     th = min(max(th, 0.0), 1.0)
@@ -519,10 +541,9 @@ def control_volumes(mesh):
     # Gather interior faces per vertex from the segment table.
     faces_of = [[] for _ in range(mesh.n_vertices)]
     axis_vecs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    for s in range(mesh.n_segments):
-        n = axis_vecs[mesh.seg_normal_axis[s]]
-        left, right = mesh.seg_left[s], mesh.seg_right[s]
-        mid, ln = mesh.seg_mid[s], mesh.seg_len[s]
+    for mid, axis, left, right, ln in segment_tables(mesh):
+        n = axis_vecs[axis]
+        mid = np.array(mid)
         faces_of[left].append(CVFace(mid, n.copy(), ln, right, None))
         faces_of[right].append(CVFace(mid, -n, ln, left, None))
 
@@ -628,8 +649,11 @@ def interp_const(dg, elem):
 
 def face_velocity(flux, segment):
     """Normal velocity (outflux per unit length) across one dual-mesh segment,
-    signed along the segment's +axis normal (from seg_left toward seg_right)."""
-    return float(flux.segment_outflux[segment] / flux.mesh.seg_len[segment])
+    signed along the segment's +axis normal (from its left vertex toward its
+    right one)."""
+    mesh = flux.mesh
+    length = mesh.hy / 2.0 if _SEGMENTS[segment % 4][1] == 0 else mesh.hx / 2.0
+    return float(flux.segment_outflux[segment] / length)
 
 
 # -- forms the package replaced, kept as bitwise references ------------------
@@ -754,16 +778,18 @@ def transport_operators_by_sums(coeffs):
     pattern = linalg.stencil(mesh)
     free = ~mesh.is_dirichlet
     phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)
-    ops = {"mass": pattern.scatter(np.broadcast_to(
+    ops = {"mass": scatter_rows(mesh, np.broadcast_to(
         phi_quadrant.sum(axis=1), (mesh.n_elements, 4, 4)), free)}
     ops["reac"] = None
     if coeffs.reaction is not None:
         qv = np.asarray(coeffs.reaction(quad.x, quad.y), dtype=float) * np.ones_like(quad.x)
-        ops["reac"] = pattern.scatter(
-            np.einsum("eap,apb->eab", qv.reshape(-1, 4, 4), phi_quadrant), free)
-    dq = np.asarray(coeffs.diffusion(mesh.seg_mid[:, 0], mesh.seg_mid[:, 1]),
+        ops["reac"] = scatter_rows(
+            mesh, np.einsum("eap,apb->eab", qv.reshape(-1, 4, 4), phi_quadrant),
+            free)
+    mid = segment_arrays(mesh).mid
+    dq = np.asarray(coeffs.diffusion(mid[:, 0], mid[:, 1]),
                     dtype=float) * np.ones(mesh.n_segments)
-    ops["diff"] = pattern.scatter(cv_flux_blocks(mesh, dq.reshape(-1, 4)), free)
+    ops["diff"] = scatter_rows(mesh, cv_flux_blocks(mesh, dq.reshape(-1, 4)), free)
     dir_data = np.zeros(pattern.nnz)
     dir_data[pattern.diagonal_slots[mesh.is_dirichlet]] = 1.0
     ops["dir_diag"] = pattern.matrix(dir_data)
@@ -790,8 +816,17 @@ def advection_by_scatter(mesh, outflux):
     U = np.asarray(outflux, dtype=float).reshape(-1, 4)
     local = (np.maximum(U, 0.0) @ upwind[0].reshape(4, 16)
              + np.minimum(U, 0.0) @ upwind[1].reshape(4, 16))
-    return linalg.stencil(mesh).scatter(local.reshape(-1, 4, 4),
-                                        ~mesh.is_dirichlet)
+    return scatter_rows(mesh, local.reshape(-1, 4, 4), ~mesh.is_dirichlet)
+
+
+def scatter_rows(mesh, local, rows):
+    """Element blocks (ne, 4, 4) scattered into the stencil pattern, only
+    the rows in the boolean vertex mask `rows`; the others hold explicit
+    zeros."""
+    from porousda import linalg
+
+    local = np.where(rows[mesh.elements][:, :, None], local, 0.0)
+    return linalg.stencil(mesh).scatter(local)
 
 
 def step_matrices_by_sums(coeffs, outflux, dt):

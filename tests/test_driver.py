@@ -1,5 +1,7 @@
 import io
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,3 +367,16 @@ def test_a_sweep_reads_each_reference_level_once(monkeypatch):
         assert np.array_equal(np.asarray(report.rows),
                               np.asarray(own.report.rows), equal_nan=True)
         assert row[2] == own.report.plateau_value()
+
+
+def test_readme_library_quick_start_runs_verbatim(tmp_path, monkeypatch):
+    """The README's library quick start, run as written (example1 at
+    nx = 60), in a scratch working directory for its metrics.csv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start \(library\)\n\n```python\n(.*?)```",
+                      readme, re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert (tmp_path / "metrics.csv").stat().st_size > 0
+    assert namespace["theta"].values.shape == (61 * 61,)

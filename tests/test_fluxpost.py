@@ -30,8 +30,9 @@ def test_linear_pressure_recovered_exactly():
     # potential equals p up to one constant per element
     shifts = flux.potential.values - p.corner_values()
     np.testing.assert_allclose(np.ptp(shifts, axis=1), 0.0, atol=1e-12)
+    axis = dr.segment_arrays(mesh).axis
     for s in range(mesh.n_segments):
-        expected = -2.0 if mesh.seg_normal_axis[s] == 0 else -3.0
+        expected = -2.0 if axis[s] == 0 else -3.0
         assert face_velocity(flux, s) == pytest.approx(expected, abs=1e-12)
 
 
@@ -53,8 +54,9 @@ def test_unit_horizontal_velocity_on_mixed_boundary():
     p, _ = solve_pressure(prob, theta)
     flux = postprocess_flux(prob, p, theta)
     assert flux.max_residual < 1e-12
+    axis = dr.segment_arrays(mesh).axis
     for s in range(mesh.n_segments):
-        want = 1.0 if mesh.seg_normal_axis[s] == 0 else 0.0
+        want = 1.0 if axis[s] == 0 else 0.0
         assert face_velocity(flux, s) == pytest.approx(want, abs=1e-10)
 
 

@@ -182,6 +182,19 @@ def test_multigrid_needs_hierarchy_and_nonsingular_coarsest_level():
     assert info.value.report.iterations == 0
 
 
+def test_subnormal_kappa_fails_typed_without_a_warning():
+    """With kappa = 5e-324 every l1 row sum of the pressure block underflows,
+    so the smoother scale overflows; that is no warning (the suite makes
+    RuntimeWarning an error), and the singular coarsest level comes back as
+    `NoConvergenceError`."""
+    mesh = build_mesh(32, 32)
+    problem = PressureProblem(mesh, lambda th, x, y: np.full_like(x, 5e-324),
+                              lambda x, y: np.ones_like(x))
+    a, b = assemble_pressure(problem, NodalField.zeros(mesh))
+    with pytest.raises(NoConvergenceError, match="singular"):
+        solve(a, b, SolverConfig(), transfers=problem.transfers)
+
+
 @pytest.mark.parametrize("hierarchy", SYSTEMS)
 def test_non_finite_system_returns_nan_without_iterating(hierarchy):
     a = csr_matrix(np.eye(3) * 2.0)

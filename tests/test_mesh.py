@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import control_volumes, cv_areas, cv_bounds
-from porousda.mesh import DIRICHLET, NEUMANN, MeshError, build_mesh
+from porousda.fields import quadrature
+from porousda.mesh import (DIRICHLET, NEUMANN, SEG_LEFT_CORNER, SEG_NORMAL_AXIS,
+                           SEG_RIGHT_CORNER, MeshError, build_mesh)
 
 
 def test_two_by_two_counts():
@@ -43,20 +45,27 @@ def test_interior_cv_bounds_centered():
 
 
 def test_segment_endpoints_flank_midpoint():
-    """Each sub-segment separates the two vertices it is listed under."""
+    """Each sub-segment, an (element, type) pair, separates the two corners
+    its type lists, and its midpoint in the mesh's point set lies halfway
+    between them."""
     m = build_mesh(3, 2, Lx=1.5, Ly=1.0)
-    for s in range(m.n_segments):
-        left = m.vertices[m.seg_left[s]]
-        right = m.vertices[m.seg_right[s]]
-        axis = m.seg_normal_axis[s]
-        mid = m.seg_mid[s]
-        # midpoint lies on the axis-line halfway between the two vertices
-        assert mid[axis] == pytest.approx(0.5 * (left[axis] + right[axis]))
-        # the off-axis coordinates agree
-        other = 1 - axis
-        assert left[other] == pytest.approx(right[other])
-        # normal points from left vertex toward right vertex
-        assert right[axis] > left[axis]
+    quad = quadrature(m)
+    for e in range(m.n_elements):
+        for s in range(4):
+            left = m.vertices[m.elements[e, SEG_LEFT_CORNER[s]]]
+            right = m.vertices[m.elements[e, SEG_RIGHT_CORNER[s]]]
+            axis = SEG_NORMAL_AXIS[s]
+            mid = np.array([quad.seg_x[e, s], quad.seg_y[e, s]])
+            # midpoint lies on the axis-line halfway between the two vertices
+            assert mid[axis] == pytest.approx(0.5 * (left[axis] + right[axis]))
+            # the off-axis coordinates agree, and the midpoint halves the
+            # half-cell segment between the two vertices' rows or columns
+            other = 1 - axis
+            assert left[other] == pytest.approx(right[other])
+            half = (m.hx, m.hy)[other] / 4.0
+            assert abs(mid[other] - left[other]) == pytest.approx(half)
+            # normal points from left vertex toward right vertex
+            assert right[axis] > left[axis]
 
 
 def test_cv_faces_close():
@@ -108,7 +117,9 @@ def test_mixed_boundary_tagging():
 def test_all_dirichlet_free_interior():
     m = build_mesh(4, 3)
     assert m.free_vertices.size == (4 - 1) * (3 - 1)
-    assert np.all(m.on_boundary == m.is_dirichlet)
+    x, y = m.vertices[:, 0], m.vertices[:, 1]
+    on_boundary = (x == 0.0) | (y == 0.0) | (x == m.Lx) | (y == m.Ly)
+    assert np.all(on_boundary == m.is_dirichlet)
 
 
 def test_deterministic_rebuild():
@@ -116,8 +127,8 @@ def test_deterministic_rebuild():
     b = build_mesh(5, 4, Lx=2.0)
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.elements, b.elements)
-    assert np.array_equal(a.seg_mid, b.seg_mid)
-    assert np.array_equal(a.seg_left, b.seg_left)
+    for pa, pb in zip(quadrature(a).points, quadrature(b).points):
+        assert np.array_equal(pa, pb)
 
 
 def test_bad_arguments_raise():

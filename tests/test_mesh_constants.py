@@ -15,7 +15,7 @@ from porousda import driver, fields, pressure, scenarios
 from porousda.fields import NodalField, quadrature
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.observation import SparseGrid, bilinear_prolongation
-from porousda.pressure import kernel_points, multigrid_transfers
+from porousda.pressure import kernel_point_blocks, multigrid_transfers
 from porousda.scenarios import PermeabilityRaster
 from porousda.transport import TransportCoefficients
 
@@ -33,16 +33,16 @@ def ex3_twin_builds():
     run on one mesh, counting the builds of every mesh constant and every
     run of the raster's bilinear formula."""
     sc = scenarios.example3(nx=30, spacing=0.1, t_end=0.006)
-    counts = dict.fromkeys(("bilinear", "quadrature", "kernel_points",
+    counts = dict.fromkeys(("bilinear", "quadrature", "kernel_blocks",
                             "transfers"), 0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PermeabilityRaster, "_bilinear",
                    _counting(counts, "bilinear", PermeabilityRaster._bilinear))
         mp.setattr(fields, "Quadrature",
                    _counting(counts, "quadrature", fields.Quadrature))
-        mp.setattr(pressure, "_build_kernel_points",
-                   _counting(counts, "kernel_points",
-                             pressure._build_kernel_points))
+        mp.setattr(pressure, "_build_kernel_blocks",
+                   _counting(counts, "kernel_blocks",
+                             pressure._build_kernel_blocks))
         mp.setattr(pressure, "_build_transfers",
                    _counting(counts, "transfers", pressure._build_transfers))
         part = driver.TimePartition.from_scenario(sc)
@@ -63,30 +63,39 @@ def test_twin_runs_the_raster_formula_once_per_mesh(ex3_twin_builds):
 def test_twin_builds_each_mesh_constant_once(ex3_twin_builds):
     _, counts, _ = ex3_twin_builds
     assert counts["quadrature"] == 1
-    assert counts["kernel_points"] == 1
+    assert counts["kernel_blocks"] == 1
     assert counts["transfers"] == 1
 
 
-def test_point_sets_are_contiguous_and_read_only(ex3_twin_builds):
+def test_point_sets_are_views_of_one_read_only_pair(ex3_twin_builds):
+    """The quadrature points, the kernel blocks and the sub-segment
+    midpoints are views of the one (ne, 28) pair of the mesh's quadrature,
+    frozen, so the memos keep them; the mesh holds no segment table."""
     mesh, _, _ = ex3_twin_builds
     quad = quadrature(mesh)
-    for arr, width in ((quad.x, 16), (quad.y, 16),
-                       *((a, 28) for a in kernel_points(mesh))):
-        assert arr.shape == (mesh.n_elements, width)
-        assert arr.flags.c_contiguous and arr.flags.owndata
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0, 0] = 0.0
+    px, py = quad.points
+    blocks = kernel_point_blocks(mesh)
+    assert sum(x.shape[0] for _, x, _ in blocks) == mesh.n_elements
+    for base, views in ((px, [quad.x, quad.seg_x, *(x for _, x, _ in blocks)]),
+                        (py, [quad.y, quad.seg_y, *(y for _, _, y in blocks)])):
+        assert base.shape == (mesh.n_elements, 28) and base.flags.owndata
+        for view in views:
+            assert np.shares_memory(view, base) and view.base is base
+            assert scenarios._frozen(view)
+            with pytest.raises(ValueError):
+                view[0, 0] = 0.0
+    assert not [name for name in vars(mesh) if name.startswith("seg_")]
     local = np.array([pt[:2] for pt in dr.quad_points()])
+    segments = dr.segment_arrays(mesh)
     for e in (0, mesh.n_elements - 1):
         ox, oy = dr.element_origin(mesh, e)
         np.testing.assert_allclose(quad.x[e], ox + local[:, 0] * mesh.hx,
                                    rtol=1e-15, atol=0)
         np.testing.assert_allclose(quad.y[e], oy + local[:, 1] * mesh.hy,
                                    rtol=1e-15, atol=0)
-    kx, ky = kernel_points(mesh)
-    np.testing.assert_array_equal(kx[:, :16], quad.x)
-    np.testing.assert_array_equal(ky[:, :16], quad.y)
+        mid = segments.mid[4 * e:4 * e + 4]
+        np.testing.assert_array_equal(quad.seg_x[e], mid[:, 0])
+        np.testing.assert_array_equal(quad.seg_y[e], mid[:, 1])
 
 
 def test_problems_on_one_mesh_share_the_transfers():
@@ -196,7 +205,7 @@ def test_memo_keeps_one_entry_per_pair_and_drops_it_with_its_arrays():
 def test_raster_kappa_reuses_the_factor_at_the_kernel_points(factory, monkeypatch):
     sc = factory(nx=16)
     mesh = sc.build_mesh()
-    x, y = kernel_points(mesh)
+    x, y = quadrature(mesh).points
     counts = {"bilinear": 0}
     monkeypatch.setattr(PermeabilityRaster, "_bilinear",
                         _counting(counts, "bilinear", PermeabilityRaster._bilinear))

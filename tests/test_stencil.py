@@ -83,11 +83,11 @@ def _cv_stream(mesh, weight_values, free):
 
 def _diffusion_stream(mesh, diffusion, free):
     quad = quadrature(mesh)
-    dq = diffusion(mesh.seg_mid[:, 0], mesh.seg_mid[:, 1])
-    flux = dq[:, None] * quad.seg_dphi_n[mesh.seg_type] * mesh.seg_len[:, None]
-    cols = mesh.elements[mesh.seg_elem]
-    rows = np.concatenate([np.repeat(mesh.seg_left, 4),
-                           np.repeat(mesh.seg_right, 4)])
+    seg = dr.segment_arrays(mesh)
+    dq = diffusion(seg.mid[:, 0], seg.mid[:, 1])
+    flux = dq[:, None] * quad.seg_dphi_n[seg.type] * seg.length[:, None]
+    cols = mesh.elements[seg.elem]
+    rows = np.concatenate([np.repeat(seg.left, 4), np.repeat(seg.right, 4)])
     cc = np.concatenate([cols.ravel(), cols.ravel()])
     vv = np.concatenate([(-flux).ravel(), flux.ravel()])
     keep = free[rows]
@@ -96,9 +96,10 @@ def _diffusion_stream(mesh, diffusion, free):
 
 
 def _advection_stream(mesh, U, free):
+    seg = dr.segment_arrays(mesh)
     act = np.flatnonzero(U != 0.0)
-    up = np.where(U[act] > 0.0, mesh.seg_left[act], mesh.seg_right[act])
-    rows = np.concatenate([mesh.seg_left[act], mesh.seg_right[act]])
+    up = np.where(U[act] > 0.0, seg.left[act], seg.right[act])
+    rows = np.concatenate([seg.left[act], seg.right[act]])
     cols = np.concatenate([up, up])
     vals = np.concatenate([U[act], -U[act]])
     keep = free[rows]

@@ -286,7 +286,7 @@ def _whole_array_kernel(problem, theta):
     """The element kernel as one (ne, 28) evaluation, before blocking."""
     mesh = problem.mesh
     quad = quadrature(mesh)
-    x, y = (a.copy() for a in pressure.kernel_points(mesh))
+    x, y = (a.copy() for a in quad.points)
     th = np.clip(theta.corner_values() @ pressure._KERNEL_PHI.T, 0.0, 1.0)
     kq = problem.kappa(th, x, y) * np.ones_like(th)
     grad_dot = np.einsum("pad,pbd->pab", quad.dphi, quad.dphi)

@@ -164,7 +164,7 @@ def test_prescribed_outflux_uniform_velocity():
     out = prescribed_outflux(mesh, lambda x, y, th: (np.ones_like(x),
                                                      np.zeros_like(x)),
                              NodalField.zeros(mesh))
-    vertical = mesh.seg_normal_axis == 0
+    vertical = dr.segment_arrays(mesh).axis == 0
     np.testing.assert_allclose(out[vertical], mesh.hy / 2.0, atol=1e-14)
     np.testing.assert_allclose(out[~vertical], 0.0, atol=1e-14)
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import driver, scenarios, transport
 from .fields import NodalField, l2_diff, quadrature
 from .linalg import SolverConfig
-from .observation import AlignmentError, SparseGrid
+from .observation import AlignmentError, SparseGrid, check_lattice
 
 
 def _fail(msg):
@@ -121,6 +121,21 @@ def _solver(cfg):
         max_iter=_option(cfg, "solver", "max_iter", int, fallback=0) or None)
 
 
+def _check_lattices(cfg, mesh, kind, spacings, section):
+    """The observation kind and every lattice spacing of a command, checked
+    before anything runs or is written; the error names the key at fault,
+    the spacing's in `section` when the config sets it there."""
+    if not cfg.has_option(section, "spacing"):
+        section = "assimilation"
+    for spacing in spacings:
+        try:
+            check_lattice(mesh, spacing, kind)
+        except AlignmentError as exc:
+            raise ValueError(f"[{section}] spacing: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"[assimilation] kind: {exc}") from None
+
+
 def output_dir(cfg):
     root = Path(os.environ.get("POROUSDA_OUTPUT_ROOT", "."))
     sub = cfg.get("output", "dir", fallback=None) if cfg.has_section("output") else None
@@ -203,6 +218,8 @@ def cmd_run(cfg):
     snapshot_times = _snapshot_times(cfg, scenario, partition)
     keep_reference = _option(cfg, "output", "reference", _boolean, fallback=True)
     mesh = scenario.build_mesh()
+    _check_lattices(cfg, mesh, scenario.observation_kind, [scenario.spacing],
+                    "assimilation")
     outroot = output_dir(cfg)
     outroot.mkdir(parents=True, exist_ok=True)
     print(f"{scenario.name}: {scenario.nx}x{scenario.ny} mesh, "
@@ -292,6 +309,8 @@ def cmd_sweep(cfg):
         transport.check_mu(mu)
     driver.check_initial_policy(scenario.theta0_policy)
     partition = driver.TimePartition.from_scenario(scenario)
+    _check_lattices(cfg, scenario.build_mesh(), scenario.observation_kind,
+                    spacings, "sweep")
     outroot = output_dir(cfg)
     outroot.mkdir(parents=True, exist_ok=True)
 

@@ -409,6 +409,9 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
                 report.conservation_max = max(report.conservation_max,
                                               mass_residual)
                 bundle = coeffs.with_velocity(flux.segment_outflux)
+                # The bundle keeps the outflux; psi and the residuals go
+                # before the next pressure solve.
+                del flux
             else:
                 bundle = coeffs
             last = steps if static else level + m

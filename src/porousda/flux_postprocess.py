@@ -41,8 +41,10 @@ is used on Dirichlet edges.
 The recovery builds no global matrix.  kappa at every point it needs and the
 element stiffness come from `pressure.element_kernel`, which the pressure
 assembly has just filled for the same concentration; the source term of r
-is the problem's run constant `flux_source`.  The control-volume balances
-add the segment outfluxes per vertex in segment order.
+is the problem's run constant `flux_source`.  r and the flows are computed
+in place, in preallocated (ne, 4) arrays filled column by column, and each
+temporary is dropped once read.  The control-volume balances add the
+segment outfluxes per vertex in segment order, in one `np.bincount`.
 """
 
 from dataclasses import dataclass
@@ -106,7 +108,9 @@ def _loop_flows(mesh, kappa_seg, r, p_sum):
 
     r (ne, 4) is the right-hand side per corner control volume and p_sum
     (ne,) the sum of the pressure's corner values.  Returns the outfluxes
-    F (ne, 4) per segment type and the potential psi (ne, 4).
+    F (ne, 4) per segment type and the potential psi (ne, 4), each written
+    column by column; the (ne,) temporaries are reused in place or dropped
+    once read.
     """
     vertical, horizontal = 2.0 * mesh.hx / mesh.hy, 2.0 * mesh.hy / mesh.hx
     rho = (vertical / kappa_seg[:, 0], vertical / kappa_seg[:, 1],
@@ -120,26 +124,101 @@ def _loop_flows(mesh, kappa_seg, r, p_sum):
            r2 * (rho0 + rho2 + rho3) + r0rho0 + r01rho3,
            r0rho0 - r2rho1 + r01rho3,
            r1 * rho0 + r01 * rho12 + r2rho1)
-    inv_total = 1.0 / (rho0 + rho12 + rho3)
-    g0, g1, g2, g3 = (-rho_s * inv_total * n for rho_s, n in zip(rho, num))
-    u = 0.5 * (3.0 * g0 - g1)
-    v = 0.5 * (3.0 * g1 - g0)
-    p = 0.5 * (3.0 * g2 - g3)
-    psi0 = 0.25 * (p_sum - (u + 2.0 * p + v))
-    psi2 = psi0 + p
-    return (np.column_stack([n * inv_total for n in num]),
-            np.column_stack([psi0, psi0 + u, psi2, psi2 + v]))
+    del r01, r0rho0, r2rho1, r01rho3
+    inv_total = np.add(rho0, rho12, out=rho12)
+    inv_total += rho3
+    np.divide(1.0, inv_total, out=inv_total)
+    # F_s into flows, and g_s = -rho_s F_s over rho_s.
+    flows = np.empty(r.shape)
+    for s, (rho_s, num_s) in enumerate(zip(rho, num)):
+        np.multiply(num_s, inv_total, out=flows[:, s])
+        np.negative(rho_s, out=rho_s)
+        rho_s *= inv_total
+        rho_s *= num_s
+    del num, num_s, inv_total
+    g0, g1, g2, g3 = rho
+    u = 3.0 * g0
+    u -= g1
+    u *= 0.5
+    v = np.multiply(3.0, g1, out=g1)
+    v -= g0
+    v *= 0.5
+    p = np.multiply(3.0, g2, out=g2)
+    p -= g3
+    p *= 0.5
+    psi = np.empty(r.shape)
+    psi0 = np.multiply(2.0, p, out=psi[:, 0])
+    psi0 += u
+    psi0 += v
+    np.subtract(p_sum, psi0, out=psi0)
+    psi0 *= 0.25
+    np.add(psi0, u, out=psi[:, 1])
+    np.add(psi0, p, out=psi[:, 2])
+    np.add(psi[:, 2], v, out=psi[:, 3])
+    return flows, psi
 
 
 def cv_balance_residuals(mesh, segment_outflux, cv_source):
-    """Outflux sum minus source integral per CV; NaN at Dirichlet vertices."""
-    res = np.zeros(mesh.n_vertices)
+    """Outflux sum minus source integral per CV; NaN at Dirichlet vertices.
+
+    One `np.bincount` adds each segment's outflux to its left CV and then
+    its negation to its right CV, in segment order.
+    """
     outflux = segment_outflux.reshape(-1, 4)
-    np.add.at(res, mesh.elements[:, SEG_LEFT_CORNER], outflux)
-    np.add.at(res, mesh.elements[:, SEG_RIGHT_CORNER], -outflux)
+    ends = np.empty((2,) + outflux.shape, dtype=mesh.elements.dtype)
+    np.take(mesh.elements, SEG_LEFT_CORNER, axis=1, out=ends[0])
+    np.take(mesh.elements, SEG_RIGHT_CORNER, axis=1, out=ends[1])
+    signed = np.empty(ends.shape)
+    signed[0] = outflux
+    np.negative(outflux, out=signed[1])
+    res = np.bincount(ends.ravel(), weights=signed.ravel(),
+                      minlength=mesh.n_vertices)
     res -= cv_source
     res[mesh.is_dirichlet] = np.nan
     return res
+
+
+def _local_rhs(problem, kernel, pressure):
+    """The right-hand side r (ne, 4) of every element's local system, built
+    in place one corner column at a time, and the sum (ne,) of the
+    pressure's corner values."""
+    mesh = problem.mesh
+    p_c = pressure.corner_values()                                  # (ne, 4)
+
+    # One-sided kappa grad(p) . (+axis) at the edge quarter points.
+    dphi_edge = basis_gradients(EDGE_QP_LOCAL[:, 0], EDGE_QP_LOCAL[:, 1],
+                                mesh.hx, mesh.hy)                   # (8, 4, 2)
+    dphi_axis = np.take_along_axis(
+        dphi_edge, EDGE_QP_AXIS[:, None, None], axis=2)[:, :, 0]    # (8, 4)
+    w_one = p_c @ dphi_axis.T
+    w_one *= kernel.kappa_edge
+    avg_y, avg_x = _edge_averaged_flux(mesh, w_one)
+    del w_one
+
+    # Each corner's balance takes the difference of the two half-edge fluxes
+    # on its horizontal edge (half i first) and on its vertical edge (half j
+    # first).  The outward normals of the bottom and left edges are -y and
+    # -x, which reverses their differences.
+    nx, ny = mesh.nx, mesh.ny
+    bottom, top = avg_y[:-1], avg_y[1:]         # (ny, nx, 2)
+    left, right = avg_x[:, :-1], avg_x[:, 1:]
+    halves = ((bottom, 1, left, 1), (bottom, 0, right, 0),
+              (top, 0, left, 0), (top, 1, right, 1))
+    cx, cy = mesh.hx / 8.0, mesh.hy / 8.0
+    r = np.empty((mesh.n_elements, 4))
+    r_grid = r.reshape(ny, nx, 4)
+    dx, dy = np.empty((ny, nx)), np.empty((ny, nx))
+    for corner, (horizontal, i, vertical, j) in enumerate(halves):
+        np.subtract(horizontal[..., i], horizontal[..., 1 - i], out=dx)
+        dx *= cx
+        np.subtract(vertical[..., j], vertical[..., 1 - j], out=dy)
+        dy *= cy
+        np.add(dx, dy, out=r_grid[..., corner])
+
+    # The source term is a run constant; the stiffness action is one einsum.
+    r += problem.flux_source
+    r += np.einsum("eab,eb->ea", kernel.stiffness, p_c)
+    return r, p_c.sum(axis=1)
 
 
 def postprocess_flux(problem, pressure, theta):
@@ -152,34 +231,10 @@ def postprocess_flux(problem, pressure, theta):
     """
     mesh = problem.mesh
     kernel = element_kernel(problem, theta)
-    p_c = pressure.corner_values()                                  # (ne, 4)
-
-    # One-sided kappa grad(p) . (+axis) at the edge quarter points.
-    dphi_edge = basis_gradients(EDGE_QP_LOCAL[:, 0], EDGE_QP_LOCAL[:, 1],
-                                mesh.hx, mesh.hy)                   # (8, 4, 2)
-    dphi_axis = np.take_along_axis(
-        dphi_edge, EDGE_QP_AXIS[:, None, None], axis=2)[:, :, 0]    # (8, 4)
-    w_one = kernel.kappa_edge * (p_c @ dphi_axis.T)
-    avg_y, avg_x = _edge_averaged_flux(mesh, w_one)
-
-    nx, ny = mesh.nx, mesh.ny
-    qS = -avg_y[:-1]            # (ny, nx, 2), outward normal -y
-    qN = avg_y[1:]
-    qW = -avg_x[:, :-1]
-    qE = avg_x[:, 1:]
-    cx, cy = mesh.hx / 8.0, mesh.hy / 8.0
-    r1 = np.empty((ny, nx, 4))
-    r1[..., 0] = cx * (qS[..., 0] - qS[..., 1]) + cy * (qW[..., 0] - qW[..., 1])
-    r1[..., 1] = cx * (qS[..., 1] - qS[..., 0]) + cy * (qE[..., 0] - qE[..., 1])
-    r1[..., 2] = cx * (qN[..., 0] - qN[..., 1]) + cy * (qW[..., 1] - qW[..., 0])
-    r1[..., 3] = cx * (qN[..., 1] - qN[..., 0]) + cy * (qE[..., 1] - qE[..., 0])
-    r1 = r1.reshape(mesh.n_elements, 4)
-
-    # The source term is a run constant; the stiffness action is one einsum.
-    rhs = r1 + problem.flux_source + np.einsum("eab,eb->ea", kernel.stiffness, p_c)
-
+    r, p_sum = _local_rhs(problem, kernel, pressure)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        flows, psi = _loop_flows(mesh, kernel.kappa_seg, rhs, p_c.sum(axis=1))
+        flows, psi = _loop_flows(mesh, kernel.kappa_seg, r, p_sum)
+    del r, p_sum
     if not np.isfinite(psi).all():
         raise LocalSolveError(np.argmin(np.isfinite(psi).all(axis=1)))
 

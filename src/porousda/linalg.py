@@ -144,7 +144,8 @@ class StencilPattern:
         self.indices = (jj * nvx + ii)[present].astype(np.int32)
         self.nnz = self.indices.size
         position = self.indptr[:-1, None] + np.cumsum(present, axis=1) - 1
-        self.diagonal_slots = position[:, 4]
+        # A copy, so that `position` goes once the slots are built.
+        self.diagonal_slots = position[:, 4].copy()
         # Corners SW, SE, NW, NE sit at lattice offsets (0|1, 0|1); the entry
         # (a, b) is the neighbour of corner a at offset b - a.
         cx = np.array([0, 1, 0, 1])
@@ -175,6 +176,16 @@ def _jacobi_inverse(A):
     d = A.diagonal().copy()
     d[d == 0.0] = 1.0
     return 1.0 / d
+
+
+def _abs_row_sums(A):
+    """The absolute row sums of a CSR matrix, each row's abs(A.data) added
+    in storage order as `abs(A).sum(axis=1)` adds them, without copying
+    the matrix."""
+    rows = np.flatnonzero(np.diff(A.indptr))
+    l1 = np.zeros(A.shape[0])
+    l1[rows] = np.add.reduceat(np.abs(A.data), A.indptr[rows])
+    return l1
 
 
 def _v_cycle(levels, coarse_solve, r, k=0):
@@ -218,7 +229,7 @@ def multigrid_cycle(A, transfers, constant_nullspace=False):
     """
     levels = []
     for P, R in transfers:
-        l1 = np.asarray(abs(A).sum(axis=1)).ravel()
+        l1 = _abs_row_sums(A)
         with np.errstate(divide="ignore", over="ignore"):
             levels.append((A, _SMOOTH_SCALE / l1, P, R))
         A = (R @ A @ P).tocsr()

@@ -18,6 +18,7 @@ it.  The grid builds its operators once, at construction.
 """
 
 import csv
+import math
 
 import numpy as np
 from scipy import sparse
@@ -32,6 +33,23 @@ class AlignmentError(ValueError):
 
 class ObservationGapError(ValueError):
     """Requested time lies outside the stream's span."""
+
+
+def check_lattice(mesh, spacing, kind="point"):
+    """The ratios (kx, ky) of lattice spacing to mesh spacing, after the
+    checks every SparseGrid applies: ValueError for a kind other than
+    "point" or "average", then AlignmentError unless the spacing is finite,
+    positive, a whole multiple of the mesh spacing in both directions, and
+    tiles the domain."""
+    if kind not in ("point", "average"):
+        raise ValueError(f"unknown functional kind {kind!r} "
+                         f"(known: point, average)")
+    spacing = float(spacing)
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise AlignmentError(
+            f"lattice spacing must be finite and positive, got {spacing!r}")
+    return (_axis_ratio(spacing, mesh.hx, mesh.nx, "x"),
+            _axis_ratio(spacing, mesh.hy, mesh.ny, "y"))
 
 
 def _axis_ratio(spacing, h, n, axis):
@@ -81,13 +99,10 @@ class SparseGrid:
     """Coarse measurement lattice aligned with a fine mesh."""
 
     def __init__(self, mesh, spacing, kind="point"):
-        if kind not in ("point", "average"):
-            raise ValueError(f"unknown functional kind {kind!r}")
+        self.kx, self.ky = check_lattice(mesh, spacing, kind)
         self.mesh = mesh
         self.spacing = float(spacing)
         self.kind = kind
-        self.kx = _axis_ratio(self.spacing, mesh.hx, mesh.nx, "x")
-        self.ky = _axis_ratio(self.spacing, mesh.hy, mesh.ny, "y")
         self.ncx = mesh.nx // self.kx
         self.ncy = mesh.ny // self.ky
         self.n_obs = (self.ncx + 1) * (self.ncy + 1)

@@ -6,8 +6,11 @@ per concentration, at all 28 points per element of the mesh's one point set
 (`fields.POINT_LOCAL`): the quadrature points and the edge and sub-segment
 points the flux recovery needs, with the concentration clamped to [0, 1]
 first, so transient over/undershoots cannot push the coefficient out of its
-physical range.  Dirichlet values are imposed by row/column elimination with
-the symmetric right-hand-side correction, which keeps the free block SPD.
+physical range.  It is evaluated one block of elements at a time, and the
+concentration's `ElementKernel` holds the element stiffness and kappa at the
+12 recovery points only, one (ne, 12) array.  Dirichlet values are imposed
+by row/column elimination with the symmetric right-hand-side correction,
+which keeps the free block SPD.
 
 The free block is solved by CG preconditioned by a geometric multigrid
 V-cycle (`linalg.solve` with the mesh's transfers).  The levels follow from
@@ -103,13 +106,24 @@ def kernel_point_blocks(mesh):
 class ElementKernel:
     """The per-element coefficient data of one pressure solve and its flux
     recovery, for one concentration: the element stiffness matrices (from
-    kappa at the 16 quadrature points), and kappa at the 8 edge quarter
-    points and the 4 sub-segment midpoints."""
+    kappa at the 16 quadrature points), and kappa at the 12 recovery points
+    only, one (ne, 12) array whose column blocks are the 8 edge quarter
+    points (`kappa_edge`) and the 4 sub-segment midpoints (`kappa_seg`).
+    kappa at the quadrature points is not kept."""
 
     theta: np.ndarray             # nodal concentration it was built from
-    kappa_edge: np.ndarray        # (ne, 8), at mesh.EDGE_QP_LOCAL
-    kappa_seg: np.ndarray         # (ne, 4), at mesh.SEG_LOCAL_MID
+    kappa_recovery: np.ndarray    # (ne, 12), at POINT_LOCAL[16:]
     stiffness: np.ndarray         # (ne, 4, 4)
+
+    @property
+    def kappa_edge(self):
+        """(ne, 8), at mesh.EDGE_QP_LOCAL."""
+        return self.kappa_recovery[:, :8]
+
+    @property
+    def kappa_seg(self):
+        """(ne, 4), at mesh.SEG_LOCAL_MID."""
+        return self.kappa_recovery[:, 8:]
 
 
 @dataclass
@@ -162,11 +176,13 @@ class PressureProblem:
 def element_kernel(problem, theta):
     """The ElementKernel of `problem` at concentration `theta`.
 
-    kappa is evaluated once, at the mesh's point set (all 28 points per
-    element), block by block (`kernel_point_blocks`) into one (ne, 28)
-    array, with the concentration clamped to [0, 1] first, and must be
-    positive and finite at every one of them.  The kernel is kept on the
-    problem, so the flux recovery at the same concentration reuses it.
+    kappa is evaluated at the mesh's point set (all 28 points per element),
+    one block of `kernel_point_blocks` at a time, with the concentration
+    clamped to [0, 1] first.  Each block must be positive and finite at
+    every point before its quadrature columns enter the block's stiffness
+    rows; its recovery columns are kept, the rest is dropped with the
+    block.  The kernel is kept on the problem, so the flux recovery at the
+    same concentration reuses it.
     """
     kernel = problem.kernel
     if kernel is not None and np.array_equal(kernel.theta, theta.values):
@@ -174,19 +190,26 @@ def element_kernel(problem, theta):
     mesh = problem.mesh
     quad = quadrature(mesh)
     corners = theta.corner_values()
-    kq = np.empty((mesh.n_elements, _KERNEL_PHI.shape[0]))
+    grad_dot = np.einsum("pad,pbd->pab", quad.dphi, quad.dphi).reshape(16, 16)
+    stiffness = np.empty((mesh.n_elements, 16))
+    kappa_recovery = np.empty((mesh.n_elements, 12))
     for lo, x, y in kernel_point_blocks(mesh):
         rows = slice(lo, lo + x.shape[0])
-        th = np.clip(corners[rows] @ _KERNEL_PHI.T, 0.0, 1.0)
-        kq[rows] = problem.kappa(th, x, y)
-    if np.any(~np.isfinite(kq)) or np.any(kq <= 0.0):
-        bad = float(np.nanmin(kq))
-        raise CoefficientRangeError(f"kappa must be positive, found {bad}")
-    grad_dot = np.einsum("pad,pbd->pab", quad.dphi, quad.dphi)       # (16, 4, 4)
-    stiffness = (kq[:, :16] @ grad_dot.reshape(16, 16)).reshape(-1, 4, 4)
-    stiffness *= quad.weight
-    kernel = ElementKernel(theta.values.copy(), kq[:, 16:24], kq[:, 24:],
-                           stiffness)
+        th = corners[rows] @ _KERNEL_PHI.T
+        np.clip(th, 0.0, 1.0, out=th)
+        k = np.asarray(problem.kappa(th, x, y), dtype=float)
+        # A kappa that broadcasts, a constant say, is made whole, so the
+        # stiffness product reads every block in one layout.
+        if k.shape != th.shape or not k.flags.c_contiguous:
+            k = np.broadcast_to(k, th.shape).copy()
+        if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
+            bad = float(np.nanmin(k))
+            raise CoefficientRangeError(f"kappa must be positive, found {bad}")
+        np.matmul(k[:, :16], grad_dot, out=stiffness[rows])
+        stiffness[rows] *= quad.weight
+        kappa_recovery[rows] = k[:, 16:]
+    kernel = ElementKernel(theta.values.copy(), kappa_recovery,
+                           stiffness.reshape(-1, 4, 4))
     problem.kernel = kernel
     return kernel
 
@@ -197,7 +220,8 @@ class BlockGather:
     matrix's CSR data at fixed positions.
 
     The block keeps each row's entries in the pattern's column order, so it
-    equals the sliced `A[free][:, cols]` entry for entry.
+    equals the sliced `A[free][:, cols]` entry for entry.  Every block it
+    makes shares its read-only int32 `indices` and `indptr`.
     """
 
     def __init__(self, mesh, cols):
@@ -212,11 +236,14 @@ class BlockGather:
         self.indptr = np.zeros(counts.size + 1, dtype=np.int32)
         np.cumsum(counts, out=self.indptr[1:])
         self.shape = (counts.size, int(np.count_nonzero(cols)))
+        # scipy raises on an in-place change of a block's pattern, such as
+        # eliminate_zeros, instead of corrupting the next block.
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
 
     def matrix(self, data):
         """The block of the stencil matrix with CSR data `data`."""
-        return sparse.csr_matrix((data[self.positions], self.indices.copy(),
-                                  self.indptr.copy()), shape=self.shape)
+        return sparse.csr_matrix((data[self.positions], self.indices,
+                                  self.indptr), shape=self.shape)
 
 
 def _build_blocks(mesh):

@@ -677,6 +677,20 @@ def source_vector_add_at(coeffs, t):
     return out
 
 
+def cv_balance_by_add_at(mesh, segment_outflux, cv_source):
+    """The control-volume balance residuals as two `np.add.at` calls, over
+    the left and then the right corners of every segment."""
+    from porousda.mesh import SEG_LEFT_CORNER, SEG_RIGHT_CORNER
+
+    res = np.zeros(mesh.n_vertices)
+    outflux = segment_outflux.reshape(-1, 4)
+    np.add.at(res, mesh.elements[:, SEG_LEFT_CORNER], outflux)
+    np.add.at(res, mesh.elements[:, SEG_RIGHT_CORNER], -outflux)
+    res -= cv_source
+    res[mesh.is_dirichlet] = np.nan
+    return res
+
+
 def l2_by_quadrature(field, other=None):
     """L2 norm of a nodal field, or of the difference of two, summed over
     the 16 quadrature points of every element."""

@@ -190,6 +190,9 @@ dir = sw
 
 
 def test_sweep_failure_sets_exit_code(tmp_path, outroot):
+    """A run that fails once under way (here the reference run, at the
+    solver's iteration cap) is a `failed:` row and exit 1; a bad spacing is
+    a configuration error (see test_bad_lattice_exits_2_before_writing)."""
     cfg = _write(tmp_path, "sweepfail.ini", """
 [scenario]
 name = example1
@@ -202,7 +205,10 @@ t_end = 0.04
 
 [sweep]
 mu = 10
-spacing = 0.1 0.15
+spacing = 0.1 0.2
+
+[solver]
+max_iter = 1
 
 [output]
 dir = swf
@@ -238,6 +244,34 @@ t_end = 0.04
 kind = fourier
 """)
     assert main(["run", cfg]) == 2
+
+
+@pytest.mark.parametrize("command, section, setting, key", [
+    ("run", "assimilation", "spacing = 0", "[assimilation] spacing"),
+    ("run", "assimilation", "spacing = -1", "[assimilation] spacing"),
+    ("run", "assimilation", "spacing = nan", "[assimilation] spacing"),
+    ("run", "assimilation", "spacing = inf", "[assimilation] spacing"),
+    ("run", "assimilation", "spacing = 7", "[assimilation] spacing"),
+    ("run", "assimilation", "kind = bogus", "[assimilation] kind"),
+    ("sweep", "sweep", "spacing = 0.1 0", "[sweep] spacing"),
+    ("sweep", "sweep", "spacing = 0.1 0.15", "[sweep] spacing"),
+    ("sweep", "assimilation", "spacing = 0", "[assimilation] spacing"),
+    ("sweep", "assimilation", "kind = bogus", "[assimilation] kind"),
+])
+def test_bad_lattice_exits_2_before_writing(tmp_path, outroot, capsys,
+                                            command, section, setting, key):
+    """A bad spacing or kind exited 2 only from inside the reference run,
+    after the output directory was made; spacing = nan printed "cannot
+    convert float NaN to integer"; a sweep ran its good spacings and wrote
+    `failed:` rows for the bad one."""
+    text = EX1_SMALL.format(mu="10", dir="badgrid") + f"\n[{section}]\n{setting}\n"
+    cfg = _write(tmp_path, "badgrid.ini", text.replace(
+        "[assimilation]\nmu = 10\n\n[output]", "[output]"))
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ")
+    assert "NaN to integer" not in err
+    assert not (outroot / "badgrid").exists()
 
 
 def test_failed_reference_run_reports_and_exits_1(tmp_path, outroot, capsys):

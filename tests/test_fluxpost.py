@@ -6,8 +6,9 @@ import pytest
 import dense_reference as dr
 from dense_reference import face_velocity, raw_pressure_residuals
 from porousda.fields import NodalField, l2_norm_callable, quadrature
+from porousda import scenarios
 from porousda.flux_postprocess import (LocalSolveError, _loop_flows,
-                                       postprocess_flux)
+                                       cv_balance_residuals, postprocess_flux)
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.pressure import PressureProblem, element_kernel, solve_pressure
 
@@ -117,6 +118,34 @@ def test_singular_local_system_reports_element():
         postprocess_flux(prob, p, NodalField.zeros(mesh))
     assert 0 <= info.value.element < mesh.n_elements
     assert "element" in str(info.value)
+
+
+@pytest.mark.parametrize("boundary", [_x_faces, "all_neumann"])
+def test_cv_balance_equals_the_add_at_form_bitwise(boundary):
+    """One `np.bincount` over the left and then the right segment corners
+    adds in the order of the two `np.add.at` calls it replaced."""
+    mesh = build_mesh(13, 9, boundary_spec=boundary)
+    rng = np.random.default_rng(7)
+    outflux = rng.standard_normal(mesh.n_segments) * 10.0 ** rng.uniform(
+        -8, 8, mesh.n_segments)
+    outflux[rng.random(outflux.size) < 0.2] = 0.0
+    outflux[rng.random(outflux.size) < 0.1] *= -0.0
+    cv_source = rng.standard_normal(mesh.n_vertices)
+    got = cv_balance_residuals(mesh, outflux, cv_source)
+    want = dr.cv_balance_by_add_at(mesh, outflux, cv_source)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_recovery_residuals_equal_the_add_at_form_bitwise():
+    sc = scenarios.example3(nx=30)
+    mesh = sc.build_mesh()
+    prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
+                           dirichlet=sc.pressure_dirichlet)
+    theta = NodalField.from_callable(mesh, sc.initial)
+    p, _ = solve_pressure(prob, theta)
+    flux = postprocess_flux(prob, p, theta)
+    want = dr.cv_balance_by_add_at(mesh, flux.segment_outflux, prob.cv_source)
+    assert flux.residuals.tobytes() == want.tobytes()
 
 
 # -- the closed-form local solve against the bordered 5x5 systems ------------

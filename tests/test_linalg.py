@@ -9,8 +9,8 @@ from scipy.sparse.linalg import spsolve
 
 import dense_reference as dr
 from porousda.fields import NodalField
-from porousda.linalg import (NoConvergenceError, SolverConfig, assemble,
-                             solve)
+from porousda.linalg import (NoConvergenceError, SolverConfig, _abs_row_sums,
+                             assemble, solve)
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.pressure import PressureProblem, assemble_pressure
 
@@ -215,3 +215,15 @@ def test_empty_system():
     x, report = solve(a, np.zeros(0), SolverConfig())
     assert x.size == 0
     assert report.converged
+
+
+def test_abs_row_sums_equal_the_sums_of_abs_a_bitwise():
+    """The smoother's l1 row sums, read from abs(A.data) per row, equal
+    scipy's `abs(A).sum(axis=1)`, empty rows included."""
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((40, 30)) * 10.0 ** rng.uniform(-6, 6, (40, 30))
+    dense[rng.random(dense.shape) < 0.7] = 0.0
+    dense[[0, 17, 39]] = 0.0
+    A = csr_matrix(dense)
+    want = np.asarray(abs(A).sum(axis=1)).ravel()
+    assert _abs_row_sums(A).tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -318,3 +320,68 @@ def test_gathered_blocks_equal_the_sliced_blocks_bitwise(factory):
     x, _ = linalg.solve(sliced, sliced_rhs, prob.solver,
                         transfers=prob.transfers)
     assert np.array_equal(p.values[free], x)
+
+
+# -- what one Darcy interval allocates ---------------------------------------
+
+def _base(array):
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def test_element_kernel_pins_no_whole_point_array():
+    """The kernel keeps the stiffness and kappa at the 12 recovery points;
+    kappa at all 28 points per element lives one block at a time."""
+    sc = scenarios.example3(nx=30)
+    mesh = sc.build_mesh()
+    prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
+                           dirichlet=sc.pressure_dirichlet)
+    kernel = element_kernel(prob, NodalField.from_callable(mesh, sc.initial))
+    ne = mesh.n_elements
+    assert kernel.kappa_recovery.shape == (ne, 12)
+    assert _base(kernel.kappa_edge) is kernel.kappa_recovery
+    assert _base(kernel.kappa_seg) is kernel.kappa_recovery
+    for array in (kernel.kappa_recovery, kernel.stiffness):
+        assert _base(array).size <= 16 * ne
+
+
+def test_pressure_blocks_share_their_pattern():
+    sc = scenarios.example3(nx=16)
+    mesh = sc.build_mesh()
+    prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
+                           dirichlet=sc.pressure_dirichlet)
+    theta = NodalField.from_callable(mesh, sc.initial)
+    a, _ = assemble_pressure(prob, theta)
+    b, _ = assemble_pressure(prob, NodalField(mesh, 0.5 * theta.values))
+    assert np.shares_memory(a.indices, b.indices)
+    assert np.shares_memory(a.indptr, b.indptr)
+    assert not a.indices.flags.writeable
+    with pytest.raises(ValueError):
+        a.eliminate_zeros()
+
+
+def test_one_darcy_interval_allocates_at_most_80_element_arrays():
+    """The peak that a pressure solve and its flux recovery allocate above
+    what is live at the interval's start, in (ne,) float arrays.  The mesh
+    constants and the raster lookup are built by a first interval.  It was
+    108 arrays, at nx = 120 as at 240, when the kernel kept kappa at all 28
+    points and the recovery made its temporaries whole; it is 72 now (56 at
+    nx = 240)."""
+    sc = scenarios.example3(nx=120)
+    mesh = sc.build_mesh()
+    prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
+                           dirichlet=sc.pressure_dirichlet)
+    theta = NodalField.from_callable(mesh, sc.initial)
+    p, _ = solve_pressure(prob, theta)
+    postprocess_flux(prob, p, theta)
+    prob.kernel = None
+    theta = NodalField(mesh, 0.5 * theta.values)
+    tracemalloc.start()
+    try:
+        p, _ = solve_pressure(prob, theta, x0=p.values)
+        postprocess_flux(prob, p, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * mesh.n_elements) <= 80

@@ -190,6 +190,13 @@ def test_pattern_is_the_vertex_graph():
                                   np.arange(mesh.n_vertices))
 
 
+def test_diagonal_slots_own_their_data():
+    """A view would keep the (nv, 9) slot table of the build alive."""
+    pattern = linalg.stencil(build_mesh(6, 4))
+    assert pattern.diagonal_slots.base is None
+    assert pattern.diagonal_slots.shape == (pattern.n,)
+
+
 def test_scatter_leaves_the_pattern_intact():
     mesh = build_mesh(3, 3)
     pattern = linalg.stencil(mesh)

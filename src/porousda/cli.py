@@ -70,21 +70,55 @@ def _option(cfg, section, key, conv, fallback=None):
                          f"{_EXPECTED[conv]}") from None
 
 
+# The keys that some command reads, by section.
+_KEYS = {
+    "scenario": {"name", "seed", "raster"},
+    "mesh": {"nx", "ny"},
+    "time": {"dt", "fine_per_coarse", "t_end"},
+    "assimilation": {"mu", "spacing", "kind", "theta0"},
+    "solver": {"rel_tol", "max_iter"},
+    "output": {"dir", "snapshots", "reference"},
+    "sweep": {"mu", "spacing"},
+}
+
+
+def _check_keys(cfg, name, accepted):
+    """Raise a ValueError naming `[section] key` for a key that no command
+    reads, and for a scenario `seed` or `raster` that the factory of
+    scenario `name`, with parameters `accepted`, does not take."""
+    defaults = cfg.defaults()
+    given = [(cfg.default_section, key, set().union(*_KEYS.values()))
+             for key in defaults]
+    given += [(section, key, _KEYS.get(section, set()))
+              for section in cfg.sections() for key in cfg[section]
+              if key not in defaults]
+    for section, key, read in given:
+        if key not in read:
+            raise ValueError(f"[{section}] {key}: no command reads this key")
+    for key in ("seed", "raster"):
+        if cfg.has_option("scenario", key) and key not in accepted:
+            raise ValueError(f"[scenario] {key}: scenario {name!r} takes "
+                             f"no {key}")
+
+
 def build_scenario(cfg):
+    """The configured scenario; a key that no command reads, or that the
+    scenario does not take, raises a ValueError before anything runs."""
     sect = cfg["scenario"] if cfg.has_section("scenario") else {}
     name = sect.get("name", "")
     factory = scenarios.BUILTIN_SCENARIOS.get(name)
     if factory is None:
         known = ", ".join(sorted(scenarios.BUILTIN_SCENARIOS))
         raise ValueError(f"unknown scenario {name!r} (known: {known})")
+    accepted = inspect.signature(factory).parameters
+    _check_keys(cfg, name, accepted)
 
     kwargs = {}
-    accepted = inspect.signature(factory).parameters
     nx = _option(cfg, "mesh", "nx", int)
     if nx is not None and "nx" in accepted:
         kwargs["nx"] = nx
     for key, conv in (("seed", int), ("raster", str)):
-        if key in sect and key in accepted:
+        if key in sect:
             kwargs[key] = _option(cfg, "scenario", key, conv)
     scenario = factory(**kwargs)
 
@@ -134,6 +168,16 @@ def _check_lattices(cfg, mesh, kind, spacings, section):
             raise ValueError(f"[{section}] spacing: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"[assimilation] kind: {exc}") from None
+
+
+def _partition(scenario, mu_values):
+    """The scenario's time partition, after checking every relaxation
+    strength and the initial policy: a bad one raises ValueError before
+    anything runs or is written."""
+    for mu in mu_values:
+        transport.check_mu(mu)
+    driver.check_initial_policy(scenario.theta0_policy)
+    return driver.TimePartition.from_scenario(scenario)
 
 
 def output_dir(cfg):
@@ -211,10 +255,7 @@ def cmd_run(cfg):
     solver = _solver(cfg)
     mu_values = _option(cfg, "assimilation", "mu", _floats,
                         fallback=[scenario.mu])
-    for mu in mu_values:
-        transport.check_mu(mu)
-    driver.check_initial_policy(scenario.theta0_policy)
-    partition = driver.TimePartition.from_scenario(scenario)
+    partition = _partition(scenario, mu_values)
     snapshot_times = _snapshot_times(cfg, scenario, partition)
     keep_reference = _option(cfg, "output", "reference", _boolean, fallback=True)
     mesh = scenario.build_mesh()
@@ -272,6 +313,7 @@ def _estimate_c0(mesh, grid, lengths):
 
 def cmd_validate(cfg):
     scenario = build_scenario(cfg)
+    _partition(scenario, [scenario.mu])
     print(f"scenario {scenario.name}")
     report = scenarios.assumption_report(scenario)
     for key in scenarios.ASSUMPTION_KEYS:
@@ -305,10 +347,7 @@ def cmd_sweep(cfg):
     mu_values = _option(cfg, "sweep", "mu", _floats, fallback=[scenario.mu])
     spacings = _option(cfg, "sweep", "spacing", _floats,
                        fallback=[scenario.spacing])
-    for mu in mu_values:
-        transport.check_mu(mu)
-    driver.check_initial_policy(scenario.theta0_policy)
-    partition = driver.TimePartition.from_scenario(scenario)
+    partition = _partition(scenario, mu_values)
     _check_lattices(cfg, scenario.build_mesh(), scenario.observation_kind,
                     spacings, "sweep")
     outroot = output_dir(cfg)

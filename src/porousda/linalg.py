@@ -152,19 +152,26 @@ class StencilPattern:
         cy = np.array([0, 0, 1, 1])
         offset = (cy - cy[:, None] + 1) * 3 + (cx - cx[:, None] + 1)
         self.slots = position[mesh.elements[:, :, None], offset].ravel()
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
 
     def matrix(self, data):
-        """The CSR matrix with these values on the pattern."""
-        return sparse.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+        """The CSR matrix with these values on the pattern.  It shares the
+        pattern's read-only index arrays, so scipy raises on an in-place
+        change of its structure, such as eliminate_zeros."""
+        return sparse.csr_matrix((data, self.indices, self.indptr),
                                  shape=(self.n, self.n))
 
-    def scatter(self, local):
-        """Sum element-local blocks (ne, 4, 4) into a CSR matrix.
+    def sum_blocks(self, local):
+        """Element-local blocks (ne, 4, 4) summed into the pattern's data,
+        each entry's contributions added in element order."""
+        return np.bincount(self.slots, weights=np.ravel(local), minlength=self.nnz)
 
-        Each entry's contributions are added in element order.
-        """
-        data = np.bincount(self.slots, weights=np.ravel(local), minlength=self.nnz)
-        return self.matrix(data)
+    def scatter(self, local):
+        """The CSR matrix of `sum_blocks(local)`, with index arrays of its
+        own, which the caller may change."""
+        return sparse.csr_matrix(
+            (self.sum_blocks(local), self.indices.copy(), self.indptr.copy()),
+            shape=(self.n, self.n))
 
 
 def stencil(mesh):

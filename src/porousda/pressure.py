@@ -259,8 +259,8 @@ def pressure_blocks(mesh):
 def assemble_pressure(problem, theta):
     """Assemble the free-vertex system; returns (matrix, rhs).
 
-    The element stiffness comes from `element_kernel` and is scattered into
-    the mesh's stencil pattern, from whose data the free block and the
+    The element stiffness comes from `element_kernel` and is summed into
+    the data of the mesh's stencil pattern, from which the free block and the
     Dirichlet block are gathered (`pressure_blocks`).  Nonhomogeneous
     Dirichlet data is lifted into the right-hand side, so the returned
     matrix is the SPD free block and the rhs already carries the boundary
@@ -268,7 +268,7 @@ def assemble_pressure(problem, theta):
     """
     mesh = problem.mesh
     kernel = element_kernel(problem, theta)
-    data = linalg.stencil(mesh).scatter(kernel.stiffness).data
+    data = linalg.stencil(mesh).sum_blocks(kernel.stiffness)
     free_block, dirichlet_block = pressure_blocks(mesh)
 
     fixed = np.flatnonzero(mesh.is_dirichlet)

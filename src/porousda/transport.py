@@ -29,9 +29,11 @@ nominal size, so it holds one slot: the step size, S, E and its factor.  The
 run's coefficients are the bundle of their own velocity, and every bundle
 refers to them for the operator, the factor state and one cached source
 vector: a step reads the source at its start, where the step before read it.
-The run's first factor orders the columns by minimum degree; the run then
-fixes that ordering q and where the CSC data of S[q][:, q] sit in S's, so a
-later factor gathers its data and factors it in natural order.
+Every factor takes one ordering q of the mesh's vertex lattice, a nested
+dissection whose split lines, when the run nudges, follow the observation
+lattice (`dissection`, built once per mesh and lattice).  The run's first
+factor fixes where the CSC data of S[q][:, q] sit in S's, so each factor
+gathers its data and factors it in natural order.
 """
 
 import logging
@@ -53,6 +55,10 @@ _log = logging.getLogger("porousda")
 _L, _R = SEG_LEFT_CORNER, SEG_RIGHT_CORNER
 _UPWIND_ENTRIES = np.stack([4 * _L + _L, 4 * _R + _L, 4 * _L + _R, 4 * _R + _R],
                            axis=-1).ravel()
+
+# Boxes of the dissection at most this many vertices wide and tall are
+# numbered row by row.
+_LEAF = 3
 
 
 def check_mu(mu):
@@ -90,7 +96,7 @@ class TransportOperator:
     `mass` and `k0` hold M and K0; `nudge_cv` and `source_cv` serve the
     right-hand sides.  The run's factor state: `factor_at_once`, set while
     the run factors by cost (see `step`), and `order`, the ordering q of its
-    first factor.
+    factors, from its first factor on.
     """
 
     def __init__(self, mesh, mass_blocks, k0_blocks, grid=None, mu=0.0,
@@ -132,6 +138,8 @@ class TransportOperator:
         # change, such as eliminate_zeros, instead of corrupting the run.
         self.indices.flags.writeable = self.indptr.flags.writeable = False
         self.source_cv = source_cv
+        self.mesh = mesh
+        self.lattice = None if coupling is None else (grid.kx, grid.ky)
         self.factor_at_once = False
         self.order = None
 
@@ -193,24 +201,89 @@ class TransportOperator:
 
     def factor(self, A):
         """A `StepFactor` of the step matrix A, or False (BiCGStab keeps A)
-        when SuperLU finds A singular.  The first factor fixes the ordering q;
-        a later one factors A[q][:, q], its CSC data gathered from A's."""
+        when SuperLU finds A singular.  Each factor takes A[q][:, q], q the
+        run's `dissection`, its CSC data gathered from A's at positions that
+        the run's first factor fixes."""
+        if self.order is None:
+            q = self.order = dissection(self.mesh, self.lattice)
+            # Slot numbers as data, permuted once: where A[q][:, q]'s CSC
+            # data sit in A's CSR data.
+            where = self.matrix(np.arange(1.0, self.nnz + 1))[q][:, q].tocsc()
+            self._csc = (where.data.astype(np.intp) - 1, where.indices,
+                         where.indptr)
+        positions, indices, indptr = self._csc
+        permuted = sparse.csc_matrix((A.data[positions], indices, indptr),
+                                     shape=A.shape)
         try:
-            if self.order is None:
-                factor = StepFactor(splu(A))
-                q = self.order = np.argsort(factor.lu.perm_c)
-                # Slot numbers as data, permuted once: where A[q][:, q]'s
-                # CSC data sit in A's CSR data.
-                where = self.matrix(np.arange(1.0, self.nnz + 1))[q][:, q].tocsc()
-                self._csc = (where.data.astype(np.intp) - 1, where.indices,
-                             where.indptr)
-                return factor
-            positions, indices, indptr = self._csc
-            permuted = sparse.csc_matrix((A.data[positions], indices, indptr),
-                                         shape=A.shape)
-            return StepFactor(splu(permuted, "NATURAL"), self.order)
+            return StepFactor(splu(permuted), self.order)
         except RuntimeError:
             return False
+
+
+def dissection(mesh, lattice=None):
+    """The nested-dissection ordering q of the mesh's vertex lattice (George,
+    SIAM J. Numer. Anal. 10, 1973): q[k] is the vertex factored k-th.  With
+    `lattice`, the ratios (kx, ky) of a nudged run's observation lattice,
+    the split lines follow it.  Built once per mesh and lattice."""
+    return mesh.constant(("dissection", lattice),
+                         lambda m: _dissection(m.nx, m.ny, lattice))
+
+
+def _dissection(nx, ny, lattice):
+    """Nested dissection of the (nx+1) x (ny+1) vertex lattice, one level of
+    boxes at a time.  A box [x0, x1) x [y0, y1) wider or taller than `_LEAF`
+    vertices is split across its longer side (across x when square) by one
+    line of vertices, which parts the 9-point stencil's two halves; the
+    first half, the second and then that separator take the box's range of
+    positions.  With a lattice the split is the observation line (every
+    kx-th column or ky-th row) nearest the box's middle that lies strictly
+    inside it, if any: the observation vertices, the hub columns of the
+    nudging coupling, then sit in separators and are eliminated late."""
+    nvx = nx + 1
+    q = np.empty(nvx * (ny + 1), dtype=np.intp)
+    x0, x1, y0, y1, first = (np.array([v]) for v in (0, nvx, 0, ny + 1, 0))
+    while x0.size:
+        width, height = x1 - x0, y1 - y0
+        leaf = np.maximum(width, height) <= _LEAF
+        _number(q, nvx, x0[leaf], y0[leaf], width[leaf], height[leaf],
+                first[leaf])
+        x0, x1, y0, y1, first, width, height = (
+            a[~leaf] for a in (x0, x1, y0, y1, first, width, height))
+        across_x = width >= height
+        lo = np.where(across_x, x0, y0)
+        hi = np.where(across_x, x1, y1) - 1
+        split = (lo + hi) // 2
+        if lattice is not None:
+            k = np.where(across_x, *lattice)
+            below = split // k * k
+            above = below + k
+            split = np.where(
+                (above < hi) & ((below <= lo) | (above - split < split - below)),
+                above, np.where(below > lo, below, split))
+        sep_x0 = np.where(across_x, split, x0)
+        sep_y0 = np.where(across_x, y0, split)
+        sep_width = np.where(across_x, 1, width)
+        sep_height = np.where(across_x, height, 1)
+        _number(q, nvx, sep_x0, sep_y0, sep_width, sep_height,
+                first + width * height - sep_width * sep_height)
+        end_x = np.where(across_x, split, x1)        # of the first half
+        end_y = np.where(across_x, y1, split)
+        x0, x1, y0, y1, first = (np.concatenate(pair) for pair in (
+            (x0, np.where(across_x, split + 1, x0)), (end_x, x1),
+            (y0, np.where(across_x, y0, split + 1)), (end_y, y1),
+            (first, first + (end_x - x0) * (end_y - y0))))
+    q.flags.writeable = False       # every factor of the mesh shares it
+    return q
+
+
+def _number(q, nvx, x0, y0, width, height, first):
+    """Give rectangle r of vertices, from (x0[r], y0[r]), width[r] by
+    height[r], the positions of q from first[r] on, row by row."""
+    size = width * height
+    r = np.repeat(np.arange(size.size), size)
+    k = np.arange(r.size) - np.repeat(np.cumsum(size) - size, size)
+    row, col = np.divmod(k, width[r])
+    q[first[r] + k] = (y0[r] + row) * nvx + x0[r] + col
 
 
 class VelocityBundle:
@@ -402,20 +475,21 @@ def _where(step_spec):
             f"{float(step_spec.t_end)!r}")
 
 
-def splu(A, permc_spec="MMD_AT_PLUS_A"):
-    """SuperLU factor of a step matrix in symmetric mode, pivot threshold
-    0.1; raises RuntimeError if A is singular.  Minimum degree on A^T + A
-    gives 1.04 M entries on a nudged example4 step matrix at nx = 120, where
-    COLAMD gives 1.5 M and takes 1.6-2 times as long."""
-    return _superlu(A.tocsc(), permc_spec=permc_spec, diag_pivot_thresh=0.1,
+def splu(A):
+    """SuperLU factor of a step matrix in CSC form, already in its factor
+    ordering (`dissection`), so its columns stay in natural order; symmetric
+    mode, pivot threshold 0.1.  Raises RuntimeError if A is singular.  On
+    example4's nudged step matrix at nx = 240 the dissection gives 4.75 M
+    L + U entries, where minimum degree on A^T + A gives 4.96 M."""
+    return _superlu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1,
                     options={"SymmetricMode": True})
 
 
 class StepFactor:
-    """The sparse LU factor `lu` of one step matrix A, or of A[order][:, order]
-    when `order` is given."""
+    """The sparse LU factor `lu` of A[order][:, order], for one step matrix
+    A."""
 
-    def __init__(self, lu, order=None):
+    def __init__(self, lu, order):
         self.lu = lu
         self.order = order
 
@@ -423,11 +497,8 @@ class StepFactor:
         """(x, SolveReport), or None when the residual against A misses the
         solver's tolerance, max(rel_tol * ||rhs||, abs_tol), as BiCGStab's
         does."""
-        if self.order is None:
-            x = self.lu.solve(rhs)
-        else:
-            x = np.empty_like(rhs)
-            x[self.order] = self.lu.solve(rhs[self.order])
+        x = np.empty_like(rhs)
+        x[self.order] = self.lu.solve(rhs[self.order])
         residual = float(np.linalg.norm(rhs - A @ x))
         if not residual <= max(solver.rel_tol * float(np.linalg.norm(rhs)),
                                solver.abs_tol):

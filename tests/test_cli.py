@@ -404,3 +404,52 @@ def test_unparsable_output_flag_exits_2_before_writing(tmp_path, outroot,
     assert capsys.readouterr().err == (
         "error: [output] reference = 'maybe' is not a boolean\n")
     assert not (outroot / "badflag").exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("time", "dtt", "0.5", "[time] dtt: no command reads this key"),
+    ("mesh", "nz", "4", "[mesh] nz: no command reads this key"),
+    ("plot", "style", "dots", "[plot] style: no command reads this key"),
+    ("DEFAULT", "colour", "red", "[DEFAULT] colour: no command reads this key"),
+    ("scenario", "seed", "5", "[scenario] seed: scenario 'example1' takes no seed"),
+    ("scenario", "raster", "nonexistent.raster",
+     "[scenario] raster: scenario 'example1' takes no raster"),
+])
+def test_a_key_that_nothing_reads_exits_2_before_writing(
+        tmp_path, outroot, capsys, section, key, value, message):
+    """These keys were ignored: `[time] dtt` and a seed or raster given to
+    example1, which has no raster, ran and wrote metrics.csv."""
+    text = EX1_SMALL.format(mu="10", dir="unread")
+    if f"[{section}]" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    else:
+        text += f"\n[{section}]\n{key} = {value}\n"
+    cfg = _write(tmp_path, "unread.ini", text)
+    for command in ("run", "validate", "sweep"):
+        assert main([command, cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in outroot.iterdir()] == ["unread.ini"]
+
+
+def test_a_seed_reaches_a_scenario_that_takes_one(tmp_path):
+    cfg = load_config(_write(tmp_path, "seeded.ini",
+                             "[scenario]\nname = example4\nseed = 5\n"
+                             "[mesh]\nnx = 12\n"))
+    got = build_scenario(cfg).notes["raster"].values
+    np.testing.assert_array_equal(
+        got, scenarios.example4(nx=12, seed=5).notes["raster"].values)
+    assert not np.array_equal(
+        got, scenarios.example4(nx=12).notes["raster"].values)
+
+
+@pytest.mark.parametrize("setting", ["[time]\nt_end = inf", "[time]\nt_end = -1e308",
+                                     "[assimilation]\nmu = nan",
+                                     "[assimilation]\ntheta0 = bogus"])
+def test_validate_checks_the_partition_mu_and_policy(tmp_path, capsys, setting):
+    """`validate` with t_end = inf raised a RuntimeWarning from its
+    assumption report's time samples; it now checks what `run` checks."""
+    cfg = _write(tmp_path, "check.ini", "[scenario]\nname = example1\n"
+                 "[mesh]\nnx = 10\n" + setting + "\n")
+    assert main(["validate", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dr
-from porousda import scenarios
+from porousda import scenarios, transport
 from porousda.fields import NodalField
 from porousda.linalg import SolverConfig
 from porousda.mesh import build_mesh
@@ -121,8 +121,9 @@ def test_every_matrix_of_a_run_shares_its_index_arrays():
 
 
 def test_a_later_factor_takes_the_permuted_matrix_at_fixed_positions():
-    """After the first factor fixes q, a later step matrix's data gathered at
-    the fixed positions is the CSC form of A[q][:, q], entry for entry."""
+    """After the first factor fixes the positions of q, the mesh's
+    dissection, a later step matrix's data gathered at them is the CSC form
+    of A[q][:, q], entry for entry."""
     sc = scenarios.example1(nx=20)
     mesh = sc.build_mesh()
     coeffs = TransportCoefficients(mesh, sc.diffusion, mu=50.0,
@@ -130,9 +131,9 @@ def test_a_later_factor_takes_the_permuted_matrix_at_fixed_positions():
     op = coeffs.operator
     rng = np.random.default_rng(4)
     first, _ = coeffs.with_velocity(rng.standard_normal(mesh.n_segments)).matrices(0.01)
-    assert op.factor(first).order is None
+    q = op.factor(first).order
+    assert q is op.order is transport.dissection(mesh, (2, 2))
     later, _ = coeffs.with_velocity(rng.standard_normal(mesh.n_segments)).matrices(0.01)
-    q = op.order
     want = later.toarray()[q][:, q]
     positions, indices, indptr = op._csc
     got = np.zeros_like(want)

@@ -197,6 +197,24 @@ def test_diagonal_slots_own_their_data():
     assert pattern.diagonal_slots.shape == (pattern.n,)
 
 
+def test_pattern_matrices_share_its_read_only_index_arrays():
+    """`sum_blocks` is the data that `scatter` puts in its matrix, bitwise;
+    `matrix` puts it on the pattern's own index arrays, which no matrix can
+    change."""
+    mesh = build_mesh(5, 4)
+    pattern = linalg.stencil(mesh)
+    local = np.random.default_rng(3).standard_normal((mesh.n_elements, 4, 4))
+    data = pattern.sum_blocks(local)
+    assert data.tobytes() == pattern.scatter(local).data.tobytes()
+    a = pattern.matrix(data)
+    assert np.shares_memory(a.indices, pattern.indices)
+    assert np.shares_memory(a.indptr, pattern.indptr)
+    assert not pattern.indices.flags.writeable
+    assert not pattern.indptr.flags.writeable
+    with pytest.raises(ValueError):
+        a.eliminate_zeros()
+
+
 def test_scatter_leaves_the_pattern_intact():
     mesh = build_mesh(3, 3)
     pattern = linalg.stencil(mesh)

@@ -7,8 +7,8 @@ factored and those later steps reuse the factor (for a bundle of one coarse
 interval, k * (m - 1) > sqrt(n)).  From then on, every later bundle of the
 run factors at its first step, without a probe, until a factor solve misses
 the BiCGStab tolerance, against which each is checked; then the next bundle
-probes again.  The run's first factor orders its columns by minimum degree,
-and every later factor of the run reuses that ordering.  The twin cases
+probes again.  Every factor takes the mesh's one nested-dissection ordering,
+split along the observation lattice when the run nudges.  The twin cases
 below run the path the driver takes; the element-kernel cases hold the
 blocked kappa evaluation to the whole-array one it replaced, bitwise.
 """
@@ -18,6 +18,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from porousda import driver, linalg, pressure, scenarios, transport
 from porousda.fields import NodalField, quadrature
@@ -70,26 +71,59 @@ def test_example1_factors_each_interval_after_one_bicgstab_solve(monkeypatch):
 
 
 def test_a_run_orders_only_its_first_factor(monkeypatch):
-    """Every interval of example4 at nx = 24 factors; minimum degree, the
-    default ordering, runs once, on the first interval's matrix."""
+    """Every interval of example4 at nx = 24 factors; the dissection
+    ordering is built once, at the first factor, and every factor of the
+    run takes it."""
     factors = _counting(monkeypatch, transport, "splu")
+    orders = _counting(monkeypatch, transport, "_dissection")
     sc = scenarios.example4(nx=24, t_end=6 * scenarios.DAY)
     part = driver.TimePartition.from_scenario(sc)
     ref = driver.run_reference(sc, part, sc.build_mesh())
     assert ref.report.factored_intervals == part.n_coarse == 3
-    assert [args[1:] for args in factors] == [(), ("NATURAL",), ("NATURAL",)]
+    assert len(factors) == 3
+    assert orders == [(24, 24, None)]
 
 
 def test_example3_stays_on_bicgstab(monkeypatch):
     """n = 3,721 and m = 5: about 10 iterations per step, and 4 * 10 < 61.
     (At nx = 30 the first step takes 11 iterations, and 4 * 11 > 31.)"""
     factors = _counting(monkeypatch, transport, "splu")
+    orders = _counting(monkeypatch, transport, "_dissection")
     part, *reports = _twin(scenarios.example3(nx=60, spacing=1.0 / 30.0,
                                               t_end=0.006))
-    assert factors == []
+    assert factors == [] and orders == []
     for report in reports:
         assert report.factored_intervals == 0
         assert all(k > 0 for k in report.solver_iterations["transport"])
+
+
+@pytest.mark.parametrize("nx, ny, lattice", [(1, 1, None), (7, 3, None),
+                                              (13, 29, (1, 1)), (30, 10, (3, 5)),
+                                              (60, 60, (6, 6))])
+def test_the_dissection_numbers_every_vertex_once(nx, ny, lattice):
+    q = transport._dissection(nx, ny, lattice)
+    np.testing.assert_array_equal(np.sort(q), np.arange((nx + 1) * (ny + 1)))
+
+
+def test_the_dissection_splits_along_the_observation_lattice():
+    """The first split of a 41 x 21 lattice of vertices is a column, the
+    middle one, or with observation lines every 8 columns the nearer of
+    columns 16 and 24 (a tie goes to the lower).  The columns left of it
+    come first, then those right of it, then the separator."""
+    nx, ny = 40, 20
+    for lattice, split in ((None, 20), ((8, 4), 16)):
+        x = transport._dissection(nx, ny, lattice) % (nx + 1)
+        assert np.all(x[:split * (ny + 1)] < split)
+        assert np.all(x[split * (ny + 1):-(ny + 1)] > split)
+        assert np.all(x[-(ny + 1):] == split)
+
+
+def test_one_dissection_per_mesh_and_lattice():
+    mesh = build_mesh(12, 12)
+    nudged = transport.dissection(mesh, (3, 3))
+    assert transport.dissection(mesh, (3, 3)) is nudged
+    assert transport.dissection(mesh) is transport.dissection(mesh, None)
+    assert not np.array_equal(transport.dissection(mesh), nudged)
 
 
 def _example4_interval(nx=48):
@@ -149,14 +183,13 @@ def _inaccurate_splu(monkeypatch):
     class Inaccurate:
         def __init__(self, lu):
             self.lu = lu
-            self.perm_c = lu.perm_c
 
         def solve(self, b):
             return self.lu.solve(b) * (1.0 + 1e-6)
 
-    def inaccurate(A, permc_spec="MMD_AT_PLUS_A"):
+    def inaccurate(A):
         calls.append(A)
-        return Inaccurate(splu(A, permc_spec))
+        return Inaccurate(splu(A))
 
     monkeypatch.setattr(transport, "splu", inaccurate)
     return calls
@@ -202,9 +235,10 @@ def test_a_missed_tolerance_makes_the_next_interval_probe(monkeypatch):
 
 def test_a_reused_ordering_factors_with_the_fill_of_a_fresh_one():
     """Two nudged step matrices of example4 at nx = 48, from the velocities
-    of two states: the second, factored in the first one's ordering, has
-    the entries and, to roundoff, the solution of its own minimum-degree
-    factor."""
+    of two states: the second, factored at the positions that the first
+    fixed, has the entries of a fresh run's factor, at most 1.05 times
+    those of a minimum-degree factor, and, to roundoff, the solution of
+    both."""
     sc = scenarios.example4(nx=48)
     mesh = sc.build_mesh()
     problem = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)
@@ -225,16 +259,20 @@ def test_a_reused_ordering_factors_with_the_fill_of_a_fresh_one():
         mesh, sc.diffusion, sc.reaction, sc.source, mu=sc.mu,
         grid=coeffs.grid, dirichlet=sc.theta_dirichlet).operator
     reused, fresh = run.factor(A), fresh_run.factor(A)
-    assert reused.order is not None and fresh.order is None
+    assert reused.order is fresh.order       # one per mesh and lattice
+    mmd = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+               options={"SymmetricMode": True})
 
-    def fill(factor):
-        return factor.lu.L.nnz + factor.lu.U.nnz
+    def fill(lu):
+        return lu.L.nnz + lu.U.nnz
 
-    assert abs(fill(reused) - fill(fresh)) <= 1e-3 * fill(fresh)
+    assert fill(reused.lu) == fill(fresh.lu) <= 1.05 * fill(mmd)
     rhs = A @ NodalField.from_callable(mesh, sc.initial).values
     got, report = reused.solve(A, rhs, BICGSTAB)
     want, _ = fresh.solve(A, rhs, BICGSTAB)
     assert report.factored and report.residual <= 1e-12 * np.linalg.norm(rhs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    want = mmd.solve(rhs)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 

@@ -382,21 +382,21 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
 
     record(partition.coarse_times[0], float("nan"))
 
-    # A transport bundle lives as long as its velocity: the whole run when
-    # there is none or it is computed once, else one interval.
+    # The run steps with one velocity at a time: for the whole run when there
+    # is none or it is computed once, else for one interval.
     static = scenario.velocity is None and (scenario.static_velocity
                                             or not needs_pressure)
-    bundle, mass_residual, pressure_guess = None, float("nan"), None
+    mass_residual, pressure_guess = float("nan"), None
     m = partition.fine_per_coarse
     steps = partition.n_coarse * m
     h = partition.fine_step
     for n in range(partition.n_coarse):
-        if bundle is None or not static:
-            # Free the last step matrix and factor before the pressure
-            # transients.
-            bundle = None
+        if n == 0 or not static:
+            # Free the last velocity's step matrices and factor before the
+            # pressure transients.
+            coeffs.set_velocity(None)
             if scenario.velocity is not None:
-                bundle = coeffs.with_velocity(transport.prescribed_outflux(
+                coeffs.set_velocity(transport.prescribed_outflux(
                     mesh, scenario.velocity, theta))
             elif needs_pressure:
                 pressure, prep = solve_pressure(problem, theta,
@@ -408,18 +408,16 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
                 mass_residual = flux.max_residual
                 report.conservation_max = max(report.conservation_max,
                                               mass_residual)
-                bundle = coeffs.with_velocity(flux.segment_outflux)
-                # The bundle keeps the outflux; psi and the residuals go
+                coeffs.set_velocity(flux.segment_outflux)
+                # The run keeps the outflux; psi and the residuals go
                 # before the next pressure solve.
                 del flux
-            else:
-                bundle = coeffs
             last = steps if static else level + m
 
         fine = partition.fine_times(n)
         factored = False
         for s0, s1 in zip(fine[:-1], fine[1:]):
-            theta, rep = transport.step(theta, bundle,
+            theta, rep = transport.step(theta, coeffs,
                                         transport.TransportStep(s0, s1, h),
                                         observations=stream,
                                         solver=solver,

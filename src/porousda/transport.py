@@ -9,31 +9,32 @@ implicit in the unknown and explicit in the data.  All but accumulation carry
 the trapezoidal weight 1/2 at both ends.  Dirichlet vertices are constrained
 rows; Neumann faces of clipped control volumes carry zero total flux.
 
-One operator per run (`TransportOperator`): every matrix of a run's steps
-lies on one CSR pattern, the mesh's stencil in the free rows, joined, when
-mu > 0, with the columns that nudging couples them to, and the diagonal alone
-in the Dirichlet rows.  Mass, reaction, diffusion and advection are 4x4 blocks
-per element (a quadrant's Gauss points lie in its corner's CV; a dual-mesh
-segment, its two CVs and its upwind vertex lie in one element), summed into
-the pattern in element order by `np.bincount`.  A coarse hat is the fine
-bilinear field of its column of the prolongation P, so the CV integrals of
-the coarse basis are `mass @ P`.  The run keeps two data vectors, the mass M
-and K0 = diffusion + reaction + mu * nudging; with h = dt/2, a velocity with
-advection a has the step matrix S = M + h (K0 + a) plus the Dirichlet
-diagonal and the explicit operator E = M - h (K0 + a), so a step's
-right-hand side is one product, E @ theta.
+One object per run (`TransportCoefficients`) holds its operator, built
+once: every matrix of a run's steps lies on one CSR pattern, the mesh's
+stencil in the free rows, joined, when mu > 0, with the columns that nudging
+couples them to, and the diagonal alone in the Dirichlet rows.  Mass,
+reaction, diffusion and advection are 4x4 blocks per element (a quadrant's
+Gauss points lie in its corner's CV; a dual-mesh segment, its two CVs and
+its upwind vertex lie in one element), summed into the pattern in element
+order by `np.bincount`.  A coarse hat is the fine bilinear field of its
+column of the prolongation P, so the CV integrals of the coarse basis are
+`mass @ P`.  The run keeps two data vectors, the mass M and K0 = diffusion +
+reaction + mu * nudging; with h = dt/2, a velocity with advection a has the
+step matrix S = M + h (K0 + a) plus the Dirichlet diagonal and the explicit
+operator E = M - h (K0 + a), so a step's right-hand side is one product,
+E @ theta.
 
-A bundle (`VelocityBundle`) lives as long as its velocity: the driver makes
-one per computed velocity (`with_velocity`), and every step takes the run's
-nominal size, so it holds one slot: the step size, S, E and its factor.  The
-run's coefficients are the bundle of their own velocity, and every bundle
-refers to them for the operator, the factor state and one cached source
-vector: a step reads the source at its start, where the step before read it.
-Every factor takes one ordering q of the mesh's vertex lattice, a nested
-dissection whose split lines, when the run nudges, follow the observation
-lattice (`dissection`, built once per mesh and lattice).  The run's first
-factor fixes where the CSC data of S[q][:, q] sit in S's, so each factor
-gathers its data and factors it in natural order.
+A run steps with one frozen velocity at a time, and every step takes the
+run's nominal size, so the run holds one slot: the segment outflux, the step
+size, S, E and its factor.  `set_velocity` replaces the slot; the driver
+empties it before each pressure solve, so no S, E or factor of the last
+velocity is alive during the next one.  One cached source vector outlives the
+velocities: a step reads the source at its start, where the step before
+read it.  Every factor takes one ordering q of the mesh's vertex lattice, a
+nested dissection whose split lines, when the run nudges, follow the
+observation lattice (`dissection`, built once per mesh and lattice).  The
+run's first factor fixes where the CSC data of S[q][:, q] sit in S's, so
+each factor gathers its data and factors it in natural order.
 """
 
 import logging
@@ -75,8 +76,8 @@ def check_mu(mu):
 class TransportStep:
     """One fine step from t_start to t_end, of size dt (t_end - t_start by
     default).  The driver passes the run's nominal step: its fine times are
-    a linspace, whose differences vary in the last bit, and a bundle keeps
-    the matrices and factor of one step size only."""
+    a linspace, whose differences vary in the last bit, and a run keeps the
+    matrices and factor of one step size only."""
 
     t_start: float
     t_end: float
@@ -85,139 +86,6 @@ class TransportStep:
     def __post_init__(self):
         if self.dt is None:
             self.dt = self.t_end - self.t_start
-
-
-class TransportOperator:
-    """The transport step operator of one run, as data on one pattern.
-
-    `indices` and `indptr` (int32, read-only) are the pattern.  Per segment,
-    `advection_slots` (int32, ne * 16) holds the slots of the four entries
-    its outflux enters, and the dump slot `nnz` for those in Dirichlet rows.
-    `mass` and `k0` hold M and K0; `nudge_cv` and `source_cv` serve the
-    right-hand sides.  The run's factor state: `factor_at_once`, set while
-    the run factors by cost (see `step`), and `order`, the ordering q of its
-    factors, from its first factor on.
-    """
-
-    def __init__(self, mesh, mass_blocks, k0_blocks, grid=None, mu=0.0,
-                 source_cv=None):
-        stencil = linalg.stencil(mesh)
-        dirichlet = mesh.is_dirichlet
-        self.dirichlet_rows = np.flatnonzero(dirichlet)
-        diagonal = stencil.diagonal_slots[self.dirichlet_rows]
-        row_sizes = np.diff(stencil.indptr)
-        in_dirichlet_row = np.repeat(dirichlet, row_sizes)
-        keep = ~in_dirichlet_row
-        keep[diagonal] = True
-        to_kept = np.cumsum(keep) - 1
-        self.n = stencil.n
-        self.nnz = int(to_kept[-1]) + 1
-        self.indices = stencil.indices[keep]
-        self.indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(np.where(dirichlet, 1, row_sizes), out=self.indptr[1:])
-        self.dirichlet_slots = to_kept[diagonal]
-        to_kept[in_dirichlet_row] = self.nnz
-        slots = to_kept[stencil.slots].reshape(-1, 16)   # of element entries
-
-        self.mass = self._scatter(slots, mass_blocks)
-        self.nudge_cv = coupling = None
-        if grid is not None:
-            # The product's columns come out unsorted.
-            self.nudge_cv = self.matrix(self.mass) @ grid.prolong_matrix
-            self.nudge_cv.sort_indices()
-            if mu > 0.0:
-                coupling = mu * (self.nudge_cv @ grid.functional_matrix()).tocsr()
-                coupling.sort_indices()
-                slots, coupling_slots = self._join(coupling, slots)
-        self.k0 = self._scatter(slots, k0_blocks)
-        if coupling is not None:
-            self.k0[coupling_slots] += coupling.data
-        self.advection_slots = np.take(slots.astype(np.int32), _UPWIND_ENTRIES,
-                                       axis=1).ravel()
-        # Every matrix of the run shares these; scipy raises on an in-place
-        # change, such as eliminate_zeros, instead of corrupting the run.
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
-        self.source_cv = source_cv
-        self.mesh = mesh
-        self.lattice = None if coupling is None else (grid.kx, grid.ky)
-        self.factor_at_once = False
-        self.order = None
-
-    def _join(self, coupling, slots):
-        """Join the entries of `coupling`, a canonical CSR matrix, to the
-        pattern, where `mass` holds the only data so far; returns the element
-        entries' `slots` in the joined pattern and the coupling's slots.  A
-        sum of canonical matrices keeps each one's entries in order; marking
-        the pattern's entries 1 and the coupling's 2 tells them apart."""
-        union = self.matrix(np.ones(self.nnz, dtype=np.int8)) + sparse.csr_matrix(
-            (np.full(coupling.nnz, 2, dtype=np.int8), coupling.indices,
-             coupling.indptr), shape=coupling.shape)
-        moved = np.append(np.flatnonzero(union.data != 2), union.nnz)  # and the dump slot
-        slots = moved[slots]
-        self.dirichlet_slots = moved[self.dirichlet_slots]
-        self.nnz = union.nnz
-        self.indices = union.indices.astype(np.int32, copy=False)
-        self.indptr = union.indptr.astype(np.int32, copy=False)
-        mass = np.zeros(self.nnz)
-        mass[moved[:-1]] = self.mass
-        self.mass = mass
-        return slots, np.flatnonzero(union.data >= 2)
-
-    def _scatter(self, slots, blocks):
-        """Element blocks (ne, 4, 4) summed into the pattern at their `slots`
-        (ne, 16) in element order; the rows of Dirichlet vertices drop out."""
-        return np.bincount(slots.ravel(), weights=np.ravel(blocks),
-                           minlength=self.nnz + 1)[:self.nnz]
-
-    def matrix(self, data):
-        """The CSR matrix with these values on the run's pattern."""
-        return sparse.csr_matrix((data, self.indices, self.indptr),
-                                 shape=(self.n, self.n))
-
-    def advection(self, outflux):
-        """The upwind advection of a segment outflux, as data on the pattern:
-        a positive outflux leaves the left CV and enters the right one in the
-        left vertex's column, a negative one in the right vertex's."""
-        U = np.asarray(outflux, dtype=float)
-        if U.shape != (self.advection_slots.size // 4,):
-            raise ValueError(f"expected {self.advection_slots.size // 4} "
-                             f"segment outflux values")
-        weights = np.empty((U.size, 4))
-        np.maximum(U, 0.0, out=weights[:, 0])
-        np.minimum(U, 0.0, out=weights[:, 2])
-        np.negative(weights[:, 0::2], out=weights[:, 1::2])
-        return np.bincount(self.advection_slots, weights=weights.ravel(),
-                           minlength=self.nnz + 1)[:self.nnz]
-
-    def step_matrices(self, h, outflux=None):
-        """(S, E) of a step of size 2h with this segment outflux (None for
-        none): S = M + h (K0 + a) plus the Dirichlet diagonal, and
-        E = M - h (K0 + a)."""
-        hk = h * (self.k0 if outflux is None
-                  else self.k0 + self.advection(outflux))
-        lhs = self.mass + hk
-        lhs[self.dirichlet_slots] = 1.0
-        return self.matrix(lhs), self.matrix(np.subtract(self.mass, hk, out=hk))
-
-    def factor(self, A):
-        """A `StepFactor` of the step matrix A, or False (BiCGStab keeps A)
-        when SuperLU finds A singular.  Each factor takes A[q][:, q], q the
-        run's `dissection`, its CSC data gathered from A's at positions that
-        the run's first factor fixes."""
-        if self.order is None:
-            q = self.order = dissection(self.mesh, self.lattice)
-            # Slot numbers as data, permuted once: where A[q][:, q]'s CSC
-            # data sit in A's CSR data.
-            where = self.matrix(np.arange(1.0, self.nnz + 1))[q][:, q].tocsc()
-            self._csc = (where.data.astype(np.intp) - 1, where.indices,
-                         where.indptr)
-        positions, indices, indptr = self._csc
-        permuted = sparse.csc_matrix((A.data[positions], indices, indptr),
-                                     shape=A.shape)
-        try:
-            return StepFactor(splu(permuted), self.order)
-        except RuntimeError:
-            return False
 
 
 def dissection(mesh, lattice=None):
@@ -286,31 +154,26 @@ def _number(q, nvx, x0, y0, width, height, first):
     q[first[r] + k] = (y0[r] + row) * nvx + x0[r] + col
 
 
-class VelocityBundle:
-    """The transport step of one frozen velocity: the run's `coefficients`,
-    the segment outflux and one slot, the step size `dt`, S (`lhs`), E
-    (`explicit`) and `factor`, a `StepFactor`, False where BiCGStab keeps S,
-    or None while undecided.  A step of another size replaces the slot."""
+class TransportCoefficients:
+    """The transport step of one run: its coefficients, its operator, built
+    once (`_build_static`), and the slot of the one velocity it steps with.
+
+    The operator: `indices` and `indptr` (int32, read-only) are the pattern.
+    Per segment, `advection_slots` (int32, ne * 16) holds the slots of the
+    four entries its outflux enters, and the dump slot `nnz` for those in
+    Dirichlet rows.  `mass` and `k0` hold M and K0; `nudge_cv` and
+    `source_cv` serve the right-hand sides.  The factor state:
+    `factor_at_once`, set while the run factors by cost (see `step`), and
+    `order`, the ordering q of its factors, from its first factor on.
+
+    The slot: the segment outflux `velocity_outflux` (None for none), the
+    step size `dt`, S (`lhs`), E (`explicit`) and `factor`, a `StepFactor`,
+    False where BiCGStab keeps S, or None while undecided.  A step of
+    another size replaces S, E and the factor; `set_velocity` replaces the
+    slot.  The one-entry source cache, (t, vector), outlives the velocities.
+    """
 
     dt = lhs = explicit = factor = None
-
-    def __init__(self, coefficients, velocity_outflux):
-        self.coefficients = coefficients
-        self.velocity_outflux = velocity_outflux
-
-    def matrices(self, dt):
-        """(S, E) of a step of size dt, built once per step size."""
-        if dt != self.dt:
-            self.lhs, self.explicit = self.coefficients.operator.step_matrices(
-                0.5 * dt, self.velocity_outflux)
-            self.dt, self.factor = dt, None
-        return self.lhs, self.explicit
-
-
-class TransportCoefficients(VelocityBundle):
-    """The transport coefficients of one run, its operator, built once, and
-    its one-entry source cache, (t, vector); also the bundle of the velocity
-    they were made with.  `with_velocity` makes the bundle of another."""
 
     def __init__(self, mesh, diffusion, reaction=None, source=None, mu=0.0,
                  grid=None, velocity_outflux=None, dirichlet=None):
@@ -325,22 +188,25 @@ class TransportCoefficients(VelocityBundle):
         self.grid = grid
         self.velocity_outflux = velocity_outflux
         self.dirichlet = dirichlet
-        self.operator = self._build_static()
-        self._source = [None, None]     # (t, vector), shared by the bundles
+        self._build_static()
+        self.lattice = None if mu == 0.0 else (grid.kx, grid.ky)
+        self.factor_at_once = False
+        self.order = None
+        self._source = [None, None]
 
-    @property
-    def coefficients(self):
-        return self
-
-    def with_velocity(self, outflux):
-        return VelocityBundle(self, outflux)
+    def set_velocity(self, outflux):
+        """Step with this segment outflux (None for none) from now on; the
+        slot's S, E and factor go."""
+        self.velocity_outflux = outflux
+        self.dt = self.lhs = self.explicit = self.factor = None
 
     def _build_static(self):
         mesh = self.mesh
         quad = quadrature(mesh)
         # The four Gauss points of quadrant a all sit in the CV of corner a.
         phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
-        mass = np.broadcast_to(phi_quadrant.sum(axis=1), (mesh.n_elements, 4, 4))
+        mass_blocks = np.broadcast_to(phi_quadrant.sum(axis=1),
+                                      (mesh.n_elements, 4, 4))
         # Diffusive flux term: -sum over CV faces of D grad(theta) . n.
         dq = (np.asarray(self.diffusion(quad.seg_x, quad.seg_y), dtype=float)
               * np.ones(quad.seg_x.shape))
@@ -350,10 +216,127 @@ class TransportCoefficients(VelocityBundle):
                   * np.ones_like(quad.x))
             k0_blocks = k0_blocks + np.einsum(
                 "eap,apb->eab", qv.reshape(-1, 4, 4), phi_quadrant)
-        source_cv = (_cv_integration(mesh, ~mesh.is_dirichlet)
-                     if self.source is not None else None)
-        return TransportOperator(mesh, mass, k0_blocks, self.grid, self.mu,
-                                 source_cv)
+        self.source_cv = (_cv_integration(mesh, ~mesh.is_dirichlet)
+                          if self.source is not None else None)
+
+        stencil = linalg.stencil(mesh)
+        dirichlet = mesh.is_dirichlet
+        self.dirichlet_rows = np.flatnonzero(dirichlet)
+        diagonal = stencil.diagonal_slots[self.dirichlet_rows]
+        row_sizes = np.diff(stencil.indptr)
+        in_dirichlet_row = np.repeat(dirichlet, row_sizes)
+        keep = ~in_dirichlet_row
+        keep[diagonal] = True
+        to_kept = np.cumsum(keep) - 1
+        self.n = stencil.n
+        self.nnz = int(to_kept[-1]) + 1
+        self.indices = stencil.indices[keep]
+        self.indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.where(dirichlet, 1, row_sizes), out=self.indptr[1:])
+        self.dirichlet_slots = to_kept[diagonal]
+        to_kept[in_dirichlet_row] = self.nnz
+        slots = to_kept[stencil.slots].reshape(-1, 16)   # of element entries
+
+        self.mass = self._scatter(slots, mass_blocks)
+        self.nudge_cv = coupling = None
+        if self.grid is not None:
+            # The product's columns come out unsorted.
+            self.nudge_cv = self.matrix(self.mass) @ self.grid.prolong_matrix
+            self.nudge_cv.sort_indices()
+            if self.mu > 0.0:
+                coupling = self.mu * (self.nudge_cv
+                                      @ self.grid.functional_matrix()).tocsr()
+                coupling.sort_indices()
+                slots, coupling_slots = self._join(coupling, slots)
+        self.k0 = self._scatter(slots, k0_blocks)
+        if coupling is not None:
+            self.k0[coupling_slots] += coupling.data
+        self.advection_slots = np.take(slots.astype(np.int32), _UPWIND_ENTRIES,
+                                       axis=1).ravel()
+        # Every matrix of the run shares these; scipy raises on an in-place
+        # change, such as eliminate_zeros, instead of corrupting the run.
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+
+    def _join(self, coupling, slots):
+        """Join the entries of `coupling`, a canonical CSR matrix, to the
+        pattern, where `mass` holds the only data so far; returns the element
+        entries' `slots` in the joined pattern and the coupling's slots.  A
+        sum of canonical matrices keeps each one's entries in order; marking
+        the pattern's entries 1 and the coupling's 2 tells them apart."""
+        union = self.matrix(np.ones(self.nnz, dtype=np.int8)) + sparse.csr_matrix(
+            (np.full(coupling.nnz, 2, dtype=np.int8), coupling.indices,
+             coupling.indptr), shape=coupling.shape)
+        moved = np.append(np.flatnonzero(union.data != 2), union.nnz)  # and the dump slot
+        slots = moved[slots]
+        self.dirichlet_slots = moved[self.dirichlet_slots]
+        self.nnz = union.nnz
+        self.indices = union.indices.astype(np.int32, copy=False)
+        self.indptr = union.indptr.astype(np.int32, copy=False)
+        mass = np.zeros(self.nnz)
+        mass[moved[:-1]] = self.mass
+        self.mass = mass
+        return slots, np.flatnonzero(union.data >= 2)
+
+    def _scatter(self, slots, blocks):
+        """Element blocks (ne, 4, 4) summed into the pattern at their `slots`
+        (ne, 16) in element order; the rows of Dirichlet vertices drop out."""
+        return np.bincount(slots.ravel(), weights=np.ravel(blocks),
+                           minlength=self.nnz + 1)[:self.nnz]
+
+    def matrix(self, data):
+        """The CSR matrix with these values on the run's pattern."""
+        return sparse.csr_matrix((data, self.indices, self.indptr),
+                                 shape=(self.n, self.n))
+
+    def advection(self, outflux):
+        """The upwind advection of a segment outflux, as data on the pattern:
+        a positive outflux leaves the left CV and enters the right one in the
+        left vertex's column, a negative one in the right vertex's."""
+        U = np.asarray(outflux, dtype=float)
+        if U.shape != (self.advection_slots.size // 4,):
+            raise ValueError(f"expected {self.advection_slots.size // 4} "
+                             f"segment outflux values")
+        weights = np.empty((U.size, 4))
+        np.maximum(U, 0.0, out=weights[:, 0])
+        np.minimum(U, 0.0, out=weights[:, 2])
+        np.negative(weights[:, 0::2], out=weights[:, 1::2])
+        return np.bincount(self.advection_slots, weights=weights.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
+
+    def matrices(self, dt):
+        """(S, E) of a step of size dt with the slot's velocity, built once
+        per step size: with h = dt/2, S = M + h (K0 + a) plus the Dirichlet
+        diagonal, and E = M - h (K0 + a)."""
+        if dt != self.dt:
+            U = self.velocity_outflux
+            hk = 0.5 * dt * (self.k0 if U is None
+                             else self.k0 + self.advection(U))
+            lhs = self.mass + hk
+            lhs[self.dirichlet_slots] = 1.0
+            self.lhs = self.matrix(lhs)
+            self.explicit = self.matrix(np.subtract(self.mass, hk, out=hk))
+            self.dt, self.factor = dt, None
+        return self.lhs, self.explicit
+
+    def factorize(self, A):
+        """A `StepFactor` of the step matrix A, or False (BiCGStab keeps A)
+        when SuperLU finds A singular.  Each factor takes A[q][:, q], q the
+        run's `dissection`, its CSC data gathered from A's at positions that
+        the run's first factor fixes."""
+        if self.order is None:
+            q = self.order = dissection(self.mesh, self.lattice)
+            # Slot numbers as data, permuted once: where A[q][:, q]'s CSC
+            # data sit in A's CSR data.
+            where = self.matrix(np.arange(1.0, self.nnz + 1))[q][:, q].tocsc()
+            self._csc = (where.data.astype(np.intp) - 1, where.indices,
+                         where.indptr)
+        positions, indices, indptr = self._csc
+        permuted = sparse.csc_matrix((A.data[positions], indices, indptr),
+                                     shape=A.shape)
+        try:
+            return StepFactor(splu(permuted), self.order)
+        except RuntimeError:
+            return False
 
     def source_vector(self, t):
         """CV integrals of the source f(., t) over free control volumes."""
@@ -364,17 +347,16 @@ class TransportCoefficients(VelocityBundle):
         else:
             quad = quadrature(self.mesh)
             fv = np.asarray(self.source(quad.x, quad.y, t), dtype=float)
-            out = (self.operator.source_cv
-                   @ np.broadcast_to(fv, quad.x.shape).ravel())
+            out = self.source_cv @ np.broadcast_to(fv, quad.x.shape).ravel()
         self._source[:] = (t, out)
         return out
 
     def data_vector(self, functional_values):
         """Nudging data term mu * integral of the reconstructed measurements."""
-        return self.mu * (self.operator.nudge_cv @ functional_values)
+        return self.mu * (self.nudge_cv @ functional_values)
 
     def dirichlet_values(self, t):
-        rows = self.operator.dirichlet_rows
+        rows = self.dirichlet_rows
         if self.dirichlet is None:
             return rows, np.zeros(rows.size)
         x, y = self.mesh.vertices[rows, 0], self.mesh.vertices[rows, 1]
@@ -395,79 +377,77 @@ def _cv_integration(mesh, free):
 
 
 def assemble_step(theta_old, coeffs, step, observations=None):
-    """Assemble the trapezoidal system for one fine step of the bundle
-    `coeffs`; returns (A, rhs)."""
+    """Assemble the trapezoidal system for one fine step of the run `coeffs`
+    with its current velocity; returns (A, rhs)."""
     dt = step.dt
     if dt <= 0:
         raise ValueError(f"nonpositive step from {step.t_start} to {step.t_end}")
-    run = coeffs.coefficients
     A, explicit = coeffs.matrices(dt)
     rhs = explicit @ theta_old.values
-    rhs += 0.5 * dt * (run.source_vector(step.t_start)
-                       + run.source_vector(step.t_end))
-    if run.mu > 0.0:
+    rhs += 0.5 * dt * (coeffs.source_vector(step.t_start)
+                       + coeffs.source_vector(step.t_end))
+    if coeffs.mu > 0.0:
         if observations is None:
             raise ValueError("nudging requires an observation stream")
         d = observations.interpolate(step.t_start) + observations.interpolate(step.t_end)
-        rhs += 0.5 * dt * run.data_vector(d)
-    dir_rows, dir_vals = run.dirichlet_values(step.t_end)
+        rhs += 0.5 * dt * coeffs.data_vector(d)
+    dir_rows, dir_vals = coeffs.dirichlet_values(step.t_end)
     rhs[dir_rows] = dir_vals
     return A, rhs
 
 
 def step(theta_old, coeffs, step_spec, observations=None, solver=None,
          later_steps=0):
-    """Advance one fine step of the bundle `coeffs`; returns (NodalField,
-    SolveReport).
+    """Advance one fine step of the run `coeffs` with its current velocity;
+    returns (NodalField, SolveReport).
 
-    The step solves by the bundle's factor when it has one; a bundle's first
-    step makes it at once when the run factors by cost and `later_steps`, the
-    steps the bundle has after this one, is positive.  Otherwise it solves by
-    Jacobi-BiCGStab to the tolerances of `solver` (`SolverConfig()` if None),
-    and when that took k iterations with k * later_steps > sqrt(n), n
-    vertices, it factors for the later steps: with a fill-reducing ordering a
-    factor of a 2-D stencil matrix costs about sqrt(n) iterations (within
-    15 % on examples 1 and 4).  A factor solve that misses the tolerance is
-    redone by BiCGStab, which keeps the bundle, and the next bundle probes.
-    A BiCGStab breakdown is logged and solved by a factor that the later
-    steps reuse (`recovery` "lu"; it meets the cost rule by its own k); when
-    that factor is singular or misses the tolerance, the breakdown's
-    `NoConvergenceError` is raised, as is an iteration cap.
+    The step solves by the velocity's factor when it has one; the first step
+    of a velocity makes it at once when the run factors by cost and
+    `later_steps`, the steps after this one with the same velocity, is
+    positive.  Otherwise it solves by Jacobi-BiCGStab to the tolerances of
+    `solver` (`SolverConfig()` if None), and when that took k iterations
+    with k * later_steps > sqrt(n), n vertices, it factors for the later
+    steps: with a fill-reducing ordering a factor of a 2-D stencil matrix
+    costs about sqrt(n) iterations (within 15 % on examples 1 and 4).  A
+    factor solve that misses the tolerance is redone by BiCGStab, which
+    keeps the velocity, and the next velocity probes.  A BiCGStab breakdown
+    is logged and solved by a factor that the later steps reuse (`recovery`
+    "lu"; it meets the cost rule by its own k); when that factor is singular
+    or misses the tolerance, the breakdown's `NoConvergenceError` is raised,
+    as is an iteration cap.
     """
     solver = solver or linalg.SolverConfig()
     A, rhs = assemble_step(theta_old, coeffs, step_spec, observations)
-    mesh = coeffs.coefficients.mesh
-    run = coeffs.coefficients.operator
-    if coeffs.factor is None and later_steps > 0 and run.factor_at_once:
-        coeffs.factor = run.factor(A)
+    if coeffs.factor is None and later_steps > 0 and coeffs.factor_at_once:
+        coeffs.factor = coeffs.factorize(A)
     if coeffs.factor:
         solved = coeffs.factor.solve(A, rhs, solver)
         if solved is not None:
-            return NodalField(mesh, solved[0]), solved[1]
+            return NodalField(coeffs.mesh, solved[0]), solved[1]
         _log.warning("%s: the sparse LU solve missed the tolerance; "
                      "back to BiCGStab", _where(step_spec))
         coeffs.factor = False
-        run.factor_at_once = False
+        coeffs.factor_at_once = False
     try:
         x, report = linalg.solve(A, rhs, solver, x0=theta_old.values)
     except linalg.NoConvergenceError as exc:
         if not exc.breakdown:
             raise
         _log.warning("%s: %s; solving by sparse LU", _where(step_spec), exc)
-        factor = run.factor(A)
+        factor = coeffs.factorize(A)
         solved = factor and factor.solve(A, rhs, solver)
         if not solved:
             raise
         coeffs.factor = factor
         if exc.report.iterations * later_steps > math.sqrt(A.shape[0]):
-            run.factor_at_once = True
+            coeffs.factor_at_once = True
         x, report = solved
         report.recovery = "lu"
     if (coeffs.factor is None
             and report.iterations * later_steps > math.sqrt(A.shape[0])):
-        coeffs.factor = run.factor(A)
-        run.factor_at_once = bool(coeffs.factor)
-    return NodalField(mesh, x), report
+        coeffs.factor = coeffs.factorize(A)
+        coeffs.factor_at_once = bool(coeffs.factor)
+    return NodalField(coeffs.mesh, x), report
 
 
 def _where(step_spec):

@@ -1,11 +1,12 @@
-"""A transport bundle lives exactly as long as its velocity.
+"""A run's transport object holds one velocity at a time.
 
-The driver makes a coefficient bundle (`with_velocity`) only when it computes
-a velocity: every interval for a prescribed closure or a pressure solve per
-interval, once per run when the velocity is absent or computed once.  Every
-fine step of a run takes the run's nominal size, so a bundle builds one step
-matrix and at most one factor.  Sibling bundles share one cached source
-vector, so a run evaluates the source once per fine time level.
+The driver gives the run's `TransportCoefficients` a velocity
+(`set_velocity`) only when it computes one: every interval for a prescribed
+closure or a pressure solve per interval, once per run when the velocity is
+computed once, never when there is none.  Every fine step of a run takes the
+run's nominal size, so a velocity builds one step matrix and at most one
+factor.  The run's one cached source vector outlives its velocities, so a
+run evaluates the source once per fine time level.
 """
 
 import numpy as np
@@ -27,6 +28,21 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+def _velocities(monkeypatch):
+    """The velocities the run is given, leaving out the None that empties
+    its slot before each one."""
+    given = []
+    set_velocity = TransportCoefficients.set_velocity
+
+    def recorded(self, outflux):
+        if outflux is not None:
+            given.append(outflux)
+        set_velocity(self, outflux)
+
+    monkeypatch.setattr(TransportCoefficients, "set_velocity", recorded)
+    return given
+
+
 def _reference(sc):
     part = driver.TimePartition.from_scenario(sc)
     return part, driver.run_reference(sc, part, sc.build_mesh())
@@ -34,16 +50,15 @@ def _reference(sc):
 
 def test_example2_builds_one_bundle_matrix_and_factor_per_run(monkeypatch):
     """example2 computes its velocity once (`static_velocity`) and has one
-    fine step per interval: its one bundle solves all 100 steps, so the
+    fine step per interval: its one velocity serves all 100 steps, so the
     first step's BiCGStab iterations pay for a factor."""
-    bundles = _counting(monkeypatch, TransportCoefficients, "with_velocity")
-    advection = _counting(monkeypatch, transport.TransportOperator,
-                          "advection")
-    matrices = _counting(monkeypatch, transport.VelocityBundle, "matrices")
+    velocities = _velocities(monkeypatch)
+    advection = _counting(monkeypatch, TransportCoefficients, "advection")
+    matrices = _counting(monkeypatch, TransportCoefficients, "matrices")
     factors = _counting(monkeypatch, transport, "splu")
     part, ref = _reference(scenarios.example2(nx=10))
     assert part.n_coarse == 100 and part.fine_per_coarse == 1
-    assert len(bundles) == len(advection) == len(factors) == 1
+    assert len(velocities) == len(advection) == len(factors) == 1
     assert len(matrices) == 100 and len({id(A) for A, _ in matrices}) == 1
     iters = ref.report.solver_iterations["transport"]
     assert iters[0] > 0 and iters[1:] == [0] * 99
@@ -52,22 +67,23 @@ def test_example2_builds_one_bundle_matrix_and_factor_per_run(monkeypatch):
 
 
 def test_diffusion_reaction_factors_one_step_matrix_per_run(monkeypatch):
-    """No velocity: the run's one bundle holds one step matrix, although the
-    fine steps of its 10 intervals differ in the last bit."""
-    bundles = _counting(monkeypatch, TransportCoefficients, "with_velocity")
-    matrices = _counting(monkeypatch, transport.VelocityBundle, "matrices")
+    """No velocity: the run holds one step matrix, although the fine steps
+    of its 10 intervals differ in the last bit."""
+    velocities = _velocities(monkeypatch)
+    matrices = _counting(monkeypatch, TransportCoefficients, "matrices")
     factors = _counting(monkeypatch, transport, "splu")
     part, ref = _reference(scenarios.diffusion_reaction())
     assert len(np.unique(np.diff(part.all_times()))) > 1
-    assert bundles == []
+    assert velocities == []
     assert len({id(A) for A, _ in matrices}) == 1
     assert len(factors) == 1
     assert ref.report.factored_intervals == part.n_coarse
 
 
 def test_example1_evaluates_the_source_once_per_time_level():
-    """A new bundle every interval, and still one source evaluation per fine
-    time level: the siblings share the cached source vector."""
+    """A new velocity every interval, and still one source evaluation per
+    fine time level: the run's cached source vector outlives its
+    velocities."""
     calls = []
     sc = scenarios.example1(nx=10, t_end=0.04)
     source = sc.source

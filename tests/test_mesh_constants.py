@@ -263,10 +263,10 @@ def test_example_source_vectors_equal_the_add_at_scatter_bitwise(factory, nx,
 def test_cv_integration_matrix_is_built_only_with_a_source():
     mesh = build_mesh(6, 5)
     diffusion = lambda x, y: np.ones_like(x)
-    assert TransportCoefficients(mesh, diffusion).operator.source_cv is None
+    assert TransportCoefficients(mesh, diffusion).source_cv is None
     with_source = TransportCoefficients(mesh, diffusion,
                                         source=lambda x, y, t: x + t)
-    assert with_source.operator.source_cv.shape == (mesh.n_vertices,
+    assert with_source.source_cv.shape == (mesh.n_vertices,
                                                     16 * mesh.n_elements)
     np.testing.assert_array_equal(TransportCoefficients(mesh, diffusion)
                                   .source_vector(0.5), 0.0)

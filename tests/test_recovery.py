@@ -1,8 +1,8 @@
 """BiCGStab breakdown recovery in the transport step.
 
 A breakdown (scipy's info < 0) is solved by a sparse LU factor of the step
-matrix, the same factor the cost rule would make, and the bundle's later
-steps reuse it.  Reaching the iteration cap is not a breakdown and still
+matrix, the same factor the cost rule would make, and the later steps with
+the same velocity reuse it.  Reaching the iteration cap is not a breakdown and still
 fails the run.  The scenario cases below broke down in their reference run
 before the recovery existed.
 """
@@ -69,7 +69,9 @@ def _diffusion_problem():
 
 
 def _march(coeffs, theta, steps, dt=1.0 / 64.0):
-    """`steps` steps with later_steps = 0, so the cost rule never factors."""
+    """`steps` steps of the run `coeffs` with a new velocity, none, and
+    later_steps = 0, so the cost rule never factors."""
+    coeffs.set_velocity(None)
     reports = []
     for k in range(steps):
         theta, rep = transport.step(theta, coeffs,
@@ -92,12 +94,11 @@ def test_bicgstab_marks_breakdown_but_not_the_cap():
 
 def test_a_breakdown_is_solved_by_one_lu_factor_per_interval(monkeypatch, caplog):
     coeffs, theta = _diffusion_problem()
-    plain, _ = _march(coeffs.with_velocity(None), theta, 4)
+    plain, _ = _march(coeffs, theta, 4)
     calls = _broken_bicgstab(monkeypatch, failures=1)
     factors = _counted_splu(monkeypatch)
-    interval = coeffs.with_velocity(None)
     with caplog.at_level(logging.WARNING, logger="porousda"):
-        got, reports = _march(interval, theta, 4)
+        got, reports = _march(coeffs, theta, 4)
     # Only the breakdown step is a recovery; the later steps reuse its factor.
     assert [r.recovery for r in reports] == ["lu", None, None, None]
     assert all(r.factored and r.iterations == 0 for r in reports)
@@ -106,7 +107,7 @@ def test_a_breakdown_is_solved_by_one_lu_factor_per_interval(monkeypatch, caplog
     assert "solving by sparse LU" in caplog.text
     np.testing.assert_allclose(got.values, plain.values, rtol=0, atol=1e-11)
     # The next interval has its own step matrix and starts with BiCGStab.
-    _, reports = _march(coeffs.with_velocity(None), theta, 1)
+    _, reports = _march(coeffs, theta, 1)
     assert reports[0].recovery is None and not reports[0].factored
 
 
@@ -124,15 +125,14 @@ def test_a_breakdown_after_bicgstab_was_kept_installs_the_factor(monkeypatch):
     """later_steps = 0 keeps the first step on BiCGStab; the second breaks
     down, and its factor solves the third."""
     coeffs, theta = _diffusion_problem()
-    plain, _ = _march(coeffs.with_velocity(None), theta, 3)
+    plain, _ = _march(coeffs, theta, 3)
     calls = _broken_bicgstab(monkeypatch, breaks={2})
     factors = _counted_splu(monkeypatch)
-    interval = coeffs.with_velocity(None)
-    got, reports = _march(interval, theta, 3)
+    got, reports = _march(coeffs, theta, 3)
     assert [r.recovery for r in reports] == [None, "lu", None]
     assert [r.factored for r in reports] == [False, True, True]
     assert calls["n"] == 2 and len(factors) == 1
-    assert interval.factor.lu is not None
+    assert coeffs.factor.lu is not None
     np.testing.assert_allclose(got.values, plain.values, rtol=0, atol=1e-11)
 
 
@@ -152,7 +152,7 @@ def test_a_singular_breakdown_factor_raises_the_breakdown(monkeypatch):
 def test_driver_builds_one_step_matrix_and_one_factor_per_interval(monkeypatch):
     """The fine times of an interval are a linspace whose steps differ in
     the last bit.  The driver gives every step the run's nominal size, so
-    each interval's bundle builds one step matrix, and when every BiCGStab
+    each interval's velocity builds one step matrix, and when every BiCGStab
     solve breaks down, the first step's LU factor serves the whole
     interval.  That breakdown took 3 iterations with 9 later steps, which
     meets the cost rule (27 > sqrt(121)), so the later intervals factor at
@@ -162,14 +162,14 @@ def test_driver_builds_one_step_matrix_and_one_factor_per_interval(monkeypatch):
     assert all(np.unique(np.diff(part.fine_times(n))).size > 1
                for n in range(part.n_coarse))
     matrices = []
-    build = transport.VelocityBundle.matrices
+    build = TransportCoefficients.matrices
 
     def recorded(self, dt):
         step_matrix, explicit = build(self, dt)
         matrices.append(step_matrix)
         return step_matrix, explicit
 
-    monkeypatch.setattr(transport.VelocityBundle, "matrices", recorded)
+    monkeypatch.setattr(TransportCoefficients, "matrices", recorded)
     calls = _broken_bicgstab(monkeypatch, failures=float("inf"))
     factors = _counted_splu(monkeypatch)
     ref = _reference(sc, 0.04)

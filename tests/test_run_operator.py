@@ -60,9 +60,9 @@ def test_step_matrices_match_the_sums_of_matrices(mesh_and_grid, reaction, mu):
     outflux = np.random.default_rng(mesh.n_vertices).standard_normal(
         mesh.n_segments)
     dt = 0.03
-    for bundle, velocity in ((coeffs, None),
-                             (coeffs.with_velocity(outflux), outflux)):
-        lhs, explicit = bundle.matrices(dt)
+    for velocity in (None, outflux):
+        coeffs.set_velocity(velocity)
+        lhs, explicit = coeffs.matrices(dt)
         want_lhs, want_explicit = dr.step_matrices_by_sums(coeffs, velocity, dt)
         _close(lhs, want_lhs)
         _close(explicit, want_explicit)
@@ -77,7 +77,8 @@ def test_cell_average_nudging_matches_the_sums_of_matrices():
     coeffs = TransportCoefficients(mesh, _diffusion, reaction=_reaction,
                                    mu=10.0, grid=grid)
     outflux = np.random.default_rng(5).standard_normal(mesh.n_segments)
-    lhs, explicit = coeffs.with_velocity(outflux).matrices(0.03)
+    coeffs.set_velocity(outflux)
+    lhs, explicit = coeffs.matrices(0.03)
     want_lhs, want_explicit = dr.step_matrices_by_sums(coeffs, outflux, 0.03)
     _close(lhs, want_lhs)
     _close(explicit, want_explicit)
@@ -89,15 +90,15 @@ def test_the_pattern_is_the_step_matrix_of_the_sums(mesh_and_grid):
     more."""
     mesh, grid = mesh_and_grid
     coeffs = TransportCoefficients(mesh, _diffusion, mu=10.0, grid=grid)
-    op = coeffs.operator
     want, _ = dr.step_matrices_by_sums(coeffs, None, 0.03)
     want.eliminate_zeros()
     want.sort_indices()
-    np.testing.assert_array_equal(op.indptr, want.indptr)
-    np.testing.assert_array_equal(op.indices, want.indices)
+    np.testing.assert_array_equal(coeffs.indptr, want.indptr)
+    np.testing.assert_array_equal(coeffs.indices, want.indices)
     dirichlet = np.flatnonzero(mesh.is_dirichlet)
-    np.testing.assert_array_equal(np.diff(op.indptr)[dirichlet], 1)
-    np.testing.assert_array_equal(op.indices[op.dirichlet_slots], dirichlet)
+    np.testing.assert_array_equal(np.diff(coeffs.indptr)[dirichlet], 1)
+    np.testing.assert_array_equal(coeffs.indices[coeffs.dirichlet_slots],
+                                  dirichlet)
 
 
 def test_every_matrix_of_a_run_shares_its_index_arrays():
@@ -105,17 +106,17 @@ def test_every_matrix_of_a_run_shares_its_index_arrays():
     mesh = sc.build_mesh()
     coeffs = TransportCoefficients(mesh, sc.diffusion, source=sc.source,
                                    mu=50.0, grid=SparseGrid(mesh, sc.spacing))
-    op = coeffs.operator
     rng = np.random.default_rng(3)
     matrices = list(coeffs.matrices(0.01))
     for _ in range(2):
-        matrices += coeffs.with_velocity(
-            rng.standard_normal(mesh.n_segments)).matrices(0.01)
+        coeffs.set_velocity(rng.standard_normal(mesh.n_segments))
+        matrices += coeffs.matrices(0.01)
     for A in matrices:
         assert A.indices.dtype == A.indptr.dtype == np.int32
-        assert np.shares_memory(A.indices, op.indices)
-        assert np.shares_memory(A.indptr, op.indptr)
-    assert not op.indices.flags.writeable and not op.indptr.flags.writeable
+        assert np.shares_memory(A.indices, coeffs.indices)
+        assert np.shares_memory(A.indptr, coeffs.indptr)
+    assert not coeffs.indices.flags.writeable
+    assert not coeffs.indptr.flags.writeable
     with pytest.raises(ValueError):
         matrices[0].eliminate_zeros()
 
@@ -128,21 +129,22 @@ def test_a_later_factor_takes_the_permuted_matrix_at_fixed_positions():
     mesh = sc.build_mesh()
     coeffs = TransportCoefficients(mesh, sc.diffusion, mu=50.0,
                                    grid=SparseGrid(mesh, sc.spacing))
-    op = coeffs.operator
     rng = np.random.default_rng(4)
-    first, _ = coeffs.with_velocity(rng.standard_normal(mesh.n_segments)).matrices(0.01)
-    q = op.factor(first).order
-    assert q is op.order is transport.dissection(mesh, (2, 2))
-    later, _ = coeffs.with_velocity(rng.standard_normal(mesh.n_segments)).matrices(0.01)
+    coeffs.set_velocity(rng.standard_normal(mesh.n_segments))
+    first, _ = coeffs.matrices(0.01)
+    q = coeffs.factorize(first).order
+    assert q is coeffs.order is transport.dissection(mesh, (2, 2))
+    coeffs.set_velocity(rng.standard_normal(mesh.n_segments))
+    later, _ = coeffs.matrices(0.01)
     want = later.toarray()[q][:, q]
-    positions, indices, indptr = op._csc
+    positions, indices, indptr = coeffs._csc
     got = np.zeros_like(want)
-    for j in range(op.n):
+    for j in range(coeffs.n):
         rows = indices[indptr[j]:indptr[j + 1]]
         assert np.all(np.diff(rows) > 0)
         got[rows, j] = later.data[positions[indptr[j]:indptr[j + 1]]]
     np.testing.assert_array_equal(got, want)
-    factor = op.factor(later)
+    factor = coeffs.factorize(later)
     rhs = later @ NodalField.from_callable(mesh, sc.initial).values
     x, report = factor.solve(later, rhs, SolverConfig())
     assert report.factored
@@ -157,9 +159,9 @@ def test_a_relaxation_strength_that_is_not_finite_and_nonnegative_is_rejected(mu
                               grid=SparseGrid(mesh, 0.25))
 
 
-def test_a_run_without_velocity_steps_on_its_own_bundle():
-    """The coefficients are the bundle of the velocity they were made with:
-    a step keeps its matrices and factor on them."""
+def test_a_run_without_velocity_keeps_its_step_matrices():
+    """A run made without a velocity steps with none: a step keeps its
+    matrices in the run's slot."""
     mesh = build_mesh(6, 6)
     coeffs = TransportCoefficients(mesh, _diffusion)
     theta = NodalField.from_callable(mesh, lambda x, y: x * (1 - x) * y)

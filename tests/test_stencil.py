@@ -135,31 +135,31 @@ def test_transport_operators_match_streams(case):
     without reaction or nudging the diffusion alone."""
     mesh, grid, rng = case
     coeffs = _coefficients(mesh, grid, rng)
-    op = coeffs.operator
     free = ~mesh.is_dirichlet
     pts = dr.global_points(quadrature(mesh))
     x, y = pts[:, :, 0], pts[:, :, 1]
     nudge = (dr.nudge_by_assembly(mesh, grid)
              @ grid.functional_matrix()).tocsr()
-    _same_operator(op.matrix(op.mass), _cv_stream(mesh, np.ones(x.size), free))
-    _same_operator(op.matrix(op.k0),
+    _same_operator(coeffs.matrix(coeffs.mass),
+                   _cv_stream(mesh, np.ones(x.size), free))
+    _same_operator(coeffs.matrix(coeffs.k0),
                    _diffusion_stream(mesh, coeffs.diffusion, free)
                    + _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free)
                    + coeffs.mu * nudge)
     reaction = TransportCoefficients(mesh, lambda x, y: np.zeros_like(x),
-                                     reaction=coeffs.reaction).operator
+                                     reaction=coeffs.reaction)
     _same_operator(reaction.matrix(reaction.k0),
                    _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free))
-    plain = TransportCoefficients(mesh, coeffs.diffusion).operator
+    plain = TransportCoefficients(mesh, coeffs.diffusion)
     _same_operator(plain.matrix(plain.k0),
                    _diffusion_stream(mesh, coeffs.diffusion, free))
-    _same_operator(op.matrix(op.advection(coeffs.velocity_outflux)),
+    _same_operator(coeffs.matrix(coeffs.advection(coeffs.velocity_outflux)),
                    _advection_stream(mesh, coeffs.velocity_outflux, free))
-    _same_operator(op.nudge_cv, dr.nudge_by_assembly(mesh, grid))
+    _same_operator(coeffs.nudge_cv, dr.nudge_by_assembly(mesh, grid))
     dirichlet = np.flatnonzero(mesh.is_dirichlet)
-    diagonal = np.zeros(op.nnz)
-    diagonal[op.dirichlet_slots] = 1.0
-    _same_operator(op.matrix(diagonal),
+    diagonal = np.zeros(coeffs.nnz)
+    diagonal[coeffs.dirichlet_slots] = 1.0
+    _same_operator(coeffs.matrix(diagonal),
                    linalg.assemble(dirichlet, dirichlet, np.ones(dirichlet.size),
                                    (mesh.n_vertices, mesh.n_vertices)))
 
@@ -170,8 +170,8 @@ def test_advection_skips_zero_outflux(case):
     mesh, grid, rng = case
     U = rng.standard_normal(mesh.n_segments)
     U[rng.random(U.size) < 0.5] = 0.0
-    op = _coefficients(mesh, grid, rng).with_velocity(U).coefficients.operator
-    _same_operator(op.matrix(op.advection(U)),
+    coeffs = _coefficients(mesh, grid, rng)
+    _same_operator(coeffs.matrix(coeffs.advection(U)),
                    _advection_stream(mesh, U, ~mesh.is_dirichlet))
 
 

@@ -1,12 +1,12 @@
 """The run-level choice between BiCGStab and a sparse LU factor.
 
-A run's first transport bundle solves its first fine step by
-Jacobi-BiCGStab.  When that probe took k iterations and k times the number
-of steps the bundle still has to solve exceeds sqrt(n), the step matrix is
-factored and those later steps reuse the factor (for a bundle of one coarse
-interval, k * (m - 1) > sqrt(n)).  From then on, every later bundle of the
-run factors at its first step, without a probe, until a factor solve misses
-the BiCGStab tolerance, against which each is checked; then the next bundle
+A run's first velocity solves its first fine step by Jacobi-BiCGStab.  When
+that probe took k iterations and k times the number of steps the velocity
+still has to solve exceeds sqrt(n), the step matrix is factored and those
+later steps reuse the factor (for a velocity of one coarse interval,
+k * (m - 1) > sqrt(n)).  From then on, every later velocity of the run
+factors at its first step, without a probe, until a factor solve misses the
+BiCGStab tolerance, against which each is checked; then the next velocity
 probes again.  Every factor takes the mesh's one nested-dissection ordering,
 split along the observation lattice when the run nudges.  The twin cases
 below run the path the driver takes; the element-kernel cases hold the
@@ -135,8 +135,9 @@ def _example4_interval(nx=48):
     p, _ = pressure.solve_pressure(problem, theta)
     flux = postprocess_flux(problem, p, theta)
     coeffs = TransportCoefficients(mesh, sc.diffusion, sc.reaction, sc.source,
+                                   velocity_outflux=flux.segment_outflux,
                                    dirichlet=sc.theta_dirichlet)
-    return coeffs.with_velocity(flux.segment_outflux), theta, sc.dt
+    return coeffs, theta, sc.dt
 
 
 def test_factored_step_agrees_with_bicgstab_on_example4():
@@ -166,6 +167,9 @@ def _diffusion_problem():
 
 
 def _march(coeffs, theta, steps, dt=1.0 / 64.0):
+    """`steps` steps of the run `coeffs` with a new velocity, none, as the
+    driver takes them over one interval."""
+    coeffs.set_velocity(None)
     reports = []
     for k in range(steps):
         theta, rep = transport.step(theta, coeffs,
@@ -198,12 +202,12 @@ def _inaccurate_splu(monkeypatch):
 def test_a_factor_that_misses_the_tolerance_falls_back_to_bicgstab(
         monkeypatch, caplog):
     coeffs, theta = _diffusion_problem()
-    plain, reports = _march(coeffs.with_velocity(None), theta, 4)
+    plain, reports = _march(coeffs, theta, 4)
     assert [r.factored for r in reports] == [False, True, True, True]
     factors = _inaccurate_splu(monkeypatch)
     coeffs, _ = _diffusion_problem()        # a new run, which probes first
     with caplog.at_level(logging.WARNING, logger="porousda"):
-        got, reports = _march(coeffs.with_velocity(None), theta, 4)
+        got, reports = _march(coeffs, theta, 4)
     # The second step's factor solve is redone by BiCGStab, and the
     # interval is not factored again.
     assert len(factors) == 1
@@ -217,18 +221,18 @@ def test_a_missed_tolerance_makes_the_next_interval_probe(monkeypatch):
     coeffs, theta = _diffusion_problem()
     splu = transport.splu
     solves = _counting(monkeypatch, linalg, "solve")
-    _, first = _march(coeffs.with_velocity(None), theta, 4)
-    _, second = _march(coeffs.with_velocity(None), theta, 4)
+    _, first = _march(coeffs, theta, 4)
+    _, second = _march(coeffs, theta, 4)
     # The run factored by cost, so its next interval factors at once.
     assert [r.factored for r in first] == [False, True, True, True]
     assert all(r.factored for r in second) and len(solves) == 1
     factors = _inaccurate_splu(monkeypatch)
-    _, missed = _march(coeffs.with_velocity(None), theta, 4)
+    _, missed = _march(coeffs, theta, 4)
     # Its first step's factor misses, so BiCGStab solves all four steps.
     assert len(factors) == 1 and len(solves) == 5
     assert not any(r.factored for r in missed)
     monkeypatch.setattr(transport, "splu", splu)
-    _, probed = _march(coeffs.with_velocity(None), theta, 4)
+    _, probed = _march(coeffs, theta, 4)
     assert [r.factored for r in probed] == [False, True, True, True]
     assert len(solves) == 6
 
@@ -251,14 +255,14 @@ def test_a_reused_ordering_factors_with_the_fill_of_a_fresh_one():
                   NodalField(mesh, np.full(mesh.n_vertices, 0.5))):
         p, _ = pressure.solve_pressure(problem, theta)
         outflux = postprocess_flux(problem, p, theta).segment_outflux
-        matrices.append(coeffs.with_velocity(outflux).matrices(sc.dt)[0])
-    run = coeffs.operator
-    run.factor(matrices[0])
+        coeffs.set_velocity(outflux)
+        matrices.append(coeffs.matrices(sc.dt)[0])
+    coeffs.factorize(matrices[0])
     A = matrices[1]
     fresh_run = TransportCoefficients(
         mesh, sc.diffusion, sc.reaction, sc.source, mu=sc.mu,
-        grid=coeffs.grid, dirichlet=sc.theta_dirichlet).operator
-    reused, fresh = run.factor(A), fresh_run.factor(A)
+        grid=coeffs.grid, dirichlet=sc.theta_dirichlet)
+    reused, fresh = coeffs.factorize(A), fresh_run.factorize(A)
     assert reused.order is fresh.order       # one per mesh and lattice
     mmd = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                options={"SymmetricMode": True})
@@ -288,34 +292,43 @@ def test_a_breakdown_factor_that_misses_the_tolerance_fails_the_step(monkeypatch
     monkeypatch.setattr(linalg, "solve", breaking)
     _inaccurate_splu(monkeypatch)
     with pytest.raises(NoConvergenceError):
-        _march(coeffs.with_velocity(None), theta, 1)
+        _march(coeffs, theta, 1)
 
 
 def test_driver_frees_each_interval_before_the_next_pressure_solve(monkeypatch):
-    """No coefficient bundle of an earlier interval, with its step matrix and
-    factor, is alive while the next pressure solve runs."""
-    bundles = []
-    with_velocity = TransportCoefficients.with_velocity
+    """No S, E or factor of an earlier interval's velocity is alive while
+    the next pressure solve runs."""
+    built = []
+    matrices, factorize = (TransportCoefficients.matrices,
+                           TransportCoefficients.factorize)
 
-    def recorded(self, outflux):
-        sib = with_velocity(self, outflux)
-        bundles.append(weakref.ref(sib))
-        return sib
+    def recorded_matrices(self, dt):
+        S, E = matrices(self, dt)
+        if not any(ref() is S for ref in built):
+            built.extend(weakref.ref(A) for A in (S, E))
+        return S, E
 
-    alive = []
+    def recorded_factor(self, A):
+        factor = factorize(self, A)
+        built.append(weakref.ref(factor))
+        return factor
+
+    alive = []          # (S, E and factors built so far, those alive)
     solve = driver.solve_pressure
 
     def checked(problem, theta, **kw):
-        alive.append(sum(ref() is not None for ref in bundles))
+        alive.append((len(built), sum(ref() is not None for ref in built)))
         return solve(problem, theta, **kw)
 
-    monkeypatch.setattr(TransportCoefficients, "with_velocity", recorded)
+    monkeypatch.setattr(TransportCoefficients, "matrices", recorded_matrices)
+    monkeypatch.setattr(TransportCoefficients, "factorize", recorded_factor)
     monkeypatch.setattr(driver, "solve_pressure", checked)
     sc = scenarios.example4(nx=24, t_end=6 * scenarios.DAY)
     ref = driver.run_reference(sc, driver.TimePartition.from_scenario(sc),
                                sc.build_mesh())
     assert ref.report.factored_intervals == 3
-    assert alive == [0, 0, 0]
+    assert [n for _, n in alive] == [0, 0, 0]
+    assert all(n > 0 for n, _ in alive[1:])
 
 
 # -- kappa by element blocks ---------------------------------------------------------

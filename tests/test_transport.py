@@ -182,16 +182,22 @@ def test_prescribed_outflux_clamps_concentration():
     assert seen["lo"] >= 0.0 and seen["hi"] <= 1.0
 
 
-def test_with_velocity_shares_static_operators():
+def test_set_velocity_keeps_the_static_operators():
+    """A new velocity empties the slot, step matrices and factor, and keeps
+    the run's pattern and data vectors."""
     mesh = build_mesh(5, 5)
-    base = TransportCoefficients(mesh,
-                                 diffusion=lambda x, y: np.ones_like(x))
-    sib = base.with_velocity(np.ones(mesh.n_segments))
-    assert sib.coefficients is base
-    assert sib.coefficients.operator is base.operator
-    a_base, _ = base.matrices(0.1)
-    a_sib, _ = sib.matrices(0.1)
-    assert (a_base != a_sib).nnz > 0  # advection entered
+    coeffs = TransportCoefficients(mesh,
+                                   diffusion=lambda x, y: np.ones_like(x))
+    a_none, _ = coeffs.matrices(0.1)
+    static = coeffs.indices, coeffs.indptr, coeffs.mass, coeffs.k0
+    outflux = np.ones(mesh.n_segments)
+    coeffs.set_velocity(outflux)
+    assert coeffs.velocity_outflux is outflux
+    assert coeffs.dt is coeffs.lhs is coeffs.explicit is coeffs.factor is None
+    a_new, _ = coeffs.matrices(0.1)
+    assert all(x is y for x, y in zip(static, (coeffs.indices, coeffs.indptr,
+                                              coeffs.mass, coeffs.k0)))
+    assert (a_none != a_new).nnz > 0  # advection entered
 
 
 def test_dirichlet_rows_are_identity_with_boundary_data():

@@ -8,8 +8,7 @@ per element sharing it) in element order.  That order is fixed, so assembly
 is deterministic; it is not value-sorted.  `assemble` turns an unordered
 contribution stream into a canonical matrix of any shape, summing duplicate
 (row, col) entries in value-sorted order, so its result is bitwise
-independent of the stream order; it serves the coarse-average functionals
-(`SparseGrid._build_average`) and, as the reference, the tests.
+independent of the stream order; it serves the tests as the reference.
 
 Both linear systems of a coarse interval go through `solve`, which wraps
 scipy's Krylov methods.  The SPD pressure block, which comes with a multigrid

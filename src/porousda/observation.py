@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from . import linalg
-from .fields import NodalField, quadrature
+from .fields import QUAD_LOCAL, NodalField
 
 
 class AlignmentError(ValueError):
@@ -80,6 +80,23 @@ def _linear_interpolation(n, k):
         shape=(n + 1, nc + 1))
 
 
+def _cv_averages(n, k):
+    """The averages over the coarse control volumes of every k-th of n + 1
+    points, as CSR ((n/k+1), (n+1)) on the linear field with those values.
+    Coarse CV c is [c - 1/2, c + 1/2] coarse cells, clipped to the domain;
+    the rule is the 1-D factor of the shared quadrature, two Gauss points on
+    each half of a cell, and a point belongs to the coarse CV it lies in."""
+    xi = np.unique(QUAD_LOCAL[:, 0])                # a cell's four points
+    cell = np.repeat(np.arange(n), xi.size)
+    xi = np.tile(xi, n)
+    owner = np.round((cell + xi) / k).astype(np.int32)
+    gamma = sparse.csr_matrix(
+        (np.concatenate([1.0 - xi, xi]),
+         (np.tile(owner, 2), np.concatenate([cell, cell + 1]))),
+        shape=(n // k + 1, n + 1))
+    return sparse.diags(1.0 / np.asarray(gamma.sum(axis=1)).ravel()) @ gamma
+
+
 def bilinear_prolongation(nx, ny, kx, ky):
     """Bilinear interpolation from a coarse lattice to a fine one, as CSR.
 
@@ -117,20 +134,11 @@ class SparseGrid:
     # -- operators ---------------------------------------------------------
 
     def _build_average(self):
-        """Normalized coarse-CV average functionals as a (n_obs, nv) matrix."""
-        mesh = self.mesh
-        quad = quadrature(mesh)
-        ox = np.clip(np.round(quad.x.ravel() / self.spacing).astype(int), 0, self.ncx)
-        oy = np.clip(np.round(quad.y.ravel() / self.spacing).astype(int), 0, self.ncy)
-        obs = oy * (self.ncx + 1) + ox
-        corners = np.repeat(mesh.elements, 16, axis=0)          # (ne*16, 4)
-        phi = np.tile(quad.phi, (mesh.n_elements, 1))            # (ne*16, 4)
-        rows = np.repeat(obs, 4)
-        gamma = linalg.assemble(rows, corners.ravel(), (phi * quad.weight).ravel(),
-                                (self.n_obs, mesh.n_vertices))
-        row_sums = np.asarray(gamma.sum(axis=1)).ravel()
-        inv = 1.0 / row_sums
-        return linalg.SparseMatrix(gamma.multiply(inv[:, None]))
+        """Normalized coarse-CV average functionals as a (n_obs, nv) matrix:
+        the Kronecker product of the 1-D averages in y and in x, as
+        `bilinear_prolongation` is of the interpolations."""
+        return sparse.kron(_cv_averages(self.mesh.ny, self.ky),
+                           _cv_averages(self.mesh.nx, self.kx), format="csr")
 
     # -- functionals and reconstruction -------------------------------------
 

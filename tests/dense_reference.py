@@ -778,6 +778,29 @@ def jacobi_cg_pressure(problem, theta):
     return values, count[0]
 
 
+def average_functionals_by_assembly(grid):
+    """The normalized coarse-CV average functionals of `grid`, (n_obs, nv),
+    assembled from every quadrature point of the mesh by `linalg.assemble`:
+    the point's weighted basis values go to the row of the lattice point
+    nearest it.  The package builds them as a Kronecker product of 1-D
+    averages; the two agree to roundoff, not bitwise."""
+    from porousda import linalg
+    from porousda.fields import quadrature
+
+    mesh = grid.mesh
+    quad = quadrature(mesh)
+    ox = np.clip(np.round(quad.x.ravel() / grid.spacing).astype(int), 0, grid.ncx)
+    oy = np.clip(np.round(quad.y.ravel() / grid.spacing).astype(int), 0, grid.ncy)
+    obs = oy * (grid.ncx + 1) + ox
+    corners = np.repeat(mesh.elements, 16, axis=0)          # (ne*16, 4)
+    phi = np.tile(quad.phi, (mesh.n_elements, 1))            # (ne*16, 4)
+    gamma = linalg.assemble(np.repeat(obs, 4), corners.ravel(),
+                            (phi * quad.weight).ravel(),
+                            (grid.n_obs, mesh.n_vertices))
+    inv = 1.0 / np.asarray(gamma.sum(axis=1)).ravel()
+    return linalg.SparseMatrix(gamma.multiply(inv[:, None]))
+
+
 def transport_operators_by_sums(coeffs):
     """The run-constant transport operators of `coeffs` as separate CSR
     matrices on the mesh's stencil, the form the package kept before one

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dr
 from porousda.fields import NodalField, l2_diff, l2_norm
 from porousda.mesh import build_mesh
 from porousda.observation import (AlignmentError, ObservationGapError,
@@ -34,6 +35,21 @@ def test_idempotence_on_coarse_bilinear_fields():
     coarse = grid.reconstruct(rng.random(grid.n_obs))
     again = grid.interpolate(coarse)
     np.testing.assert_allclose(again.values, coarse.values, atol=1e-13)
+
+
+@pytest.mark.parametrize("nx, ny, lx, k", [(240, 240, 1.0, 8), (60, 60, 1.0, 6),
+                                         (48, 24, 2.0, 6), (45, 30, 1.5, 3)])
+def test_average_functionals_match_the_assembled_ones(nx, ny, lx, k):
+    """The Kronecker product of 1-D averages has the pattern of the
+    functionals assembled point by point, and their values to roundoff."""
+    mesh = build_mesh(nx, ny, lx, lx * ny / nx)
+    grid = SparseGrid(mesh, k * lx / nx, kind="average")
+    got = grid.functional_matrix()
+    want = dr.average_functionals_by_assembly(grid)
+    assert got.has_canonical_format
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_allclose(got.data, want.data, rtol=2e-15, atol=0.0)
 
 
 def test_prolongation_partition_of_unity():

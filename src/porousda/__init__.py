@@ -10,7 +10,7 @@ from .driver import (AssimilationRun, FitResult, NonFiniteStateError,
                      ReferenceRun, RunReport, TimePartition, Trajectory,
                      fit_decay_rate, parameter_sweep, run_assimilated,
                      run_reference)
-from .fields import DGField, NodalField, integrate, l2_diff, l2_norm
+from .fields import DGField, NodalField, l2_diff, l2_norm
 from .flux_postprocess import ConservativeFlux, LocalSolveError, postprocess_flux
 from .linalg import NoConvergenceError, SolveReport, SolverConfig
 from .mesh import DIRICHLET, NEUMANN, MeshError, StructuredMesh, build_mesh
@@ -19,7 +19,7 @@ from .observation import (AlignmentError, ObservationGapError,
 from .pressure import CoefficientRangeError, PressureProblem, solve_pressure
 from .scenarios import (PermeabilityRaster, Scenario, assumption_report,
                         bump, diffusion_reaction, example1, example2,
-                        example3, example4, manufactured_forcing)
+                        example3, example4)
 from .transport import TransportCoefficients, TransportStep, step
 
 __all__ = [
@@ -32,8 +32,8 @@ __all__ = [
     "SparseGrid", "StructuredMesh", "TimePartition", "Trajectory",
     "TransportCoefficients", "TransportStep", "assumption_report",
     "build_mesh", "bump", "diffusion_reaction", "example1", "example2",
-    "example3", "example4", "fit_decay_rate", "integrate", "l2_diff",
-    "l2_norm", "manufactured_forcing", "parameter_sweep", "postprocess_flux",
+    "example3", "example4", "fit_decay_rate", "l2_diff", "l2_norm",
+    "parameter_sweep", "postprocess_flux",
     "run_assimilated", "run_reference", "solve_pressure", "step",
 ]
 

@@ -180,6 +180,22 @@ def _partition(scenario, mu_values):
     return driver.TimePartition.from_scenario(scenario)
 
 
+def _run_dirs(mu_values):
+    """The output subdirectory of each relaxation strength of `run`, none
+    for a single one; raises ValueError before anything runs or is written
+    when two strengths would write to one."""
+    if len(mu_values) == 1:
+        return [""]
+    names = {}
+    for mu in mu_values:
+        name = f"mu_{mu:g}"
+        if name in names:
+            raise ValueError(f"[assimilation] mu: {names[name]!r} and {mu!r} "
+                             f"would both write to {name}/")
+        names[name] = mu
+    return list(names)
+
+
 def output_dir(cfg):
     root = Path(os.environ.get("POROUSDA_OUTPUT_ROOT", "."))
     sub = cfg.get("output", "dir", fallback=None) if cfg.has_section("output") else None
@@ -256,6 +272,7 @@ def cmd_run(cfg):
     mu_values = _option(cfg, "assimilation", "mu", _floats,
                         fallback=[scenario.mu])
     partition = _partition(scenario, mu_values)
+    run_dirs = _run_dirs(mu_values)
     snapshot_times = _snapshot_times(cfg, scenario, partition)
     keep_reference = _option(cfg, "output", "reference", _boolean, fallback=True)
     mesh = scenario.build_mesh()
@@ -277,8 +294,8 @@ def cmd_run(cfg):
         ref.report.write_csv(outroot / "reference_metrics.csv")
 
     failures = 0
-    for mu in mu_values:
-        rundir = outroot / f"mu_{mu:g}" if len(mu_values) > 1 else outroot
+    for mu, name in zip(mu_values, run_dirs):
+        rundir = outroot / name
         rundir.mkdir(parents=True, exist_ok=True)
         try:
             run = driver.run_assimilated(scenario, ref.stream, partition, mesh,

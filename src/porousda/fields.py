@@ -112,8 +112,9 @@ def quadrature(mesh):
 def _build_mass_matrix(mesh):
     quad = quadrature(mesh)
     block = quad.weight * (quad.phi.T @ quad.phi)               # (4, 4)
-    return linalg.stencil(mesh).scatter(
-        np.broadcast_to(block, (mesh.n_elements, 4, 4)))
+    stencil = linalg.stencil(mesh)
+    return stencil.matrix(stencil.sum_blocks(
+        np.broadcast_to(block, (mesh.n_elements, 4, 4))))
 
 
 def mass_matrix(mesh):
@@ -244,9 +245,3 @@ def l2_diff(field, other, t=None):
 
 def l2_norm_callable(mesh, fn, t=None):
     return _quadrature_norm(mesh, _values_at_quadrature(mesh, fn, t=t))
-
-
-def integrate(mesh, source, t=None):
-    """Integral of a field or callable over the domain, shared 16-point rule."""
-    quad = quadrature(mesh)
-    return float(np.sum(_values_at_quadrature(mesh, source, t=t)) * quad.weight)

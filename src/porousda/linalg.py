@@ -165,13 +165,6 @@ class StencilPattern:
         each entry's contributions added in element order."""
         return np.bincount(self.slots, weights=np.ravel(local), minlength=self.nnz)
 
-    def scatter(self, local):
-        """The CSR matrix of `sum_blocks(local)`, with index arrays of its
-        own, which the caller may change."""
-        return sparse.csr_matrix(
-            (self.sum_blocks(local), self.indices.copy(), self.indptr.copy()),
-            shape=(self.n, self.n))
-
 
 def stencil(mesh):
     """The stencil pattern of a mesh, built once per mesh."""

@@ -90,7 +90,7 @@ def _cv_averages(n, k):
     cell = np.repeat(np.arange(n), xi.size)
     xi = np.tile(xi, n)
     owner = np.round((cell + xi) / k).astype(np.int32)
-    gamma = sparse.csr_matrix(
+    gamma = linalg.SparseMatrix(
         (np.concatenate([1.0 - xi, xi]),
          (np.tile(owner, 2), np.concatenate([cell, cell + 1]))),
         shape=(n // k + 1, n + 1))

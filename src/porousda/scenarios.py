@@ -498,59 +498,6 @@ BUILTIN_SCENARIOS = {
 }
 
 
-def manufactured_forcing(theta, velocity=None, diffusion=1.0, reaction=0.0):
-    """Numerical forcing builder f = dtheta/dt - div(D grad theta - v theta) + q theta.
-
-    Derivatives are Richardson-extrapolated central differences of the given
-    closed forms.  This is the independent check for hand-derived forcings,
-    accurate to roughly 1e-9 on smooth inputs; production scenarios carry
-    analytic forcings.
-    """
-    dfun = diffusion if callable(diffusion) else (lambda x, y: diffusion * np.ones_like(np.asarray(x, dtype=float)))
-    qfun = reaction if callable(reaction) else (lambda x, y: reaction * np.ones_like(np.asarray(x, dtype=float)))
-
-    def ddt(x, y, t, e=1e-5):
-        d1 = (theta(x, y, t + e) - theta(x, y, t - e)) / (2 * e)
-        d2 = (theta(x, y, t + 2 * e) - theta(x, y, t - 2 * e)) / (4 * e)
-        return (4 * d1 - d2) / 3.0
-
-    def diffusive(x, y, t, e=1e-4):
-        def flux_x(xx, yy):
-            return dfun(xx, yy) * (theta(xx + e, yy, t) - theta(xx - e, yy, t)) / (2 * e)
-
-        def flux_y(xx, yy):
-            return dfun(xx, yy) * (theta(xx, yy + e, t) - theta(xx, yy - e, t)) / (2 * e)
-
-        div = ((flux_x(x + e, y) - flux_x(x - e, y)) / (2 * e)
-               + (flux_y(x, y + e) - flux_y(x, y - e)) / (2 * e))
-        return div
-
-    def advective(x, y, t, e=1e-5):
-        def mom(xx, yy):
-            th = theta(xx, yy, t)
-            vx, vy = velocity(xx, yy, th)
-            return vx * th, vy * th
-
-        def div(step):
-            ax_p, _ = mom(x + step, y)
-            ax_m, _ = mom(x - step, y)
-            _, ay_p = mom(x, y + step)
-            _, ay_m = mom(x, y - step)
-            return (ax_p - ax_m + ay_p - ay_m) / (2 * step)
-
-        return (4 * div(e) - div(2 * e)) / 3.0
-
-    def f(x, y, t):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = ddt(x, y, t) - diffusive(x, y, t) + qfun(x, y) * theta(x, y, t)
-        if velocity is not None:
-            out = out + advective(x, y, t)
-        return out
-
-    return f
-
-
 ASSUMPTION_KEYS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7")
 
 

@@ -7,13 +7,15 @@ element numbering, quadrature point set, segment ordering) are the interface
 contract and are re-derived here from first principles; the assembly logic
 itself is independent.
 
-The dense assembly routines return dense numpy arrays.  The last two
+The dense assembly routines return dense numpy arrays.  The last three
 sections hold what only the tests use: record views of the dual mesh and of
 fields (the quadrature points as one array, control-volume areas, point
-evaluation, the raw FEM flux residuals), the exact integral of a bump well,
-and the forms the package replaced, kept as references: among them the
-bordered 5x5 LAPACK solve of the flux recovery's local systems, and the same
-systems solved exactly in rationals.
+evaluation, the raw FEM flux residuals), the exact integral of a bump well;
+the forms the package replaced, kept as references: among them the
+bordered 5x5 LAPACK solve of the flux recovery's local systems, the same
+systems solved exactly in rationals, and the assembled cell-average
+functionals; and checks on the scenarios and fields: the domain integral by
+the package's rule and a numerical forcing builder.
 """
 
 import math
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
+import scipy.integrate
 
 # Corner order on the unit square: SW, SE, NW, NE.
 _CORNER_XI = (0.0, 1.0, 0.0, 1.0)
@@ -505,7 +507,7 @@ def global_points(quad):
 def well_total(peak, radius):
     """Exact integral of a bump well (`scenarios.bump`), for audit against
     mesh quadrature."""
-    unit, _ = integrate.quad(lambda s: math.exp(1.0 - 1.0 / (1.0 - s)), 0.0, 1.0)
+    unit, _ = scipy.integrate.quad(lambda s: math.exp(1.0 - 1.0 / (1.0 - s)), 0.0, 1.0)
     return peak * math.pi * radius**2 * unit
 
 
@@ -863,7 +865,8 @@ def scatter_rows(mesh, local, rows):
     from porousda import linalg
 
     local = np.where(rows[mesh.elements][:, :, None], local, 0.0)
-    return linalg.stencil(mesh).scatter(local)
+    pattern = linalg.stencil(mesh)
+    return pattern.matrix(pattern.sum_blocks(local))
 
 
 def step_matrices_by_sums(coeffs, outflux, dt):
@@ -957,3 +960,66 @@ def exact_bordered_flux_solve(mesh, kappa_seg, rhs, p_c):
                       for s in range(4)]
     return psi, outflux
 
+
+# -- checks on the scenarios and fields -----------------------------------
+
+def integrate(mesh, source, t=None):
+    """Integral of a field or callable over the domain, by the package's
+    16-point rule."""
+    from porousda.fields import _values_at_quadrature, quadrature
+
+    quad = quadrature(mesh)
+    return float(np.sum(_values_at_quadrature(mesh, source, t=t)) * quad.weight)
+
+
+def manufactured_forcing(theta, velocity=None, diffusion=1.0, reaction=0.0):
+    """Numerical forcing builder f = dtheta/dt - div(D grad theta - v theta) + q theta.
+
+    Derivatives are Richardson-extrapolated central differences of the given
+    closed forms.  This is the independent check for hand-derived forcings,
+    accurate to roughly 1e-9 on smooth inputs; the scenarios carry analytic
+    forcings.
+    """
+    dfun = diffusion if callable(diffusion) else (lambda x, y: diffusion * np.ones_like(np.asarray(x, dtype=float)))
+    qfun = reaction if callable(reaction) else (lambda x, y: reaction * np.ones_like(np.asarray(x, dtype=float)))
+
+    def ddt(x, y, t, e=1e-5):
+        d1 = (theta(x, y, t + e) - theta(x, y, t - e)) / (2 * e)
+        d2 = (theta(x, y, t + 2 * e) - theta(x, y, t - 2 * e)) / (4 * e)
+        return (4 * d1 - d2) / 3.0
+
+    def diffusive(x, y, t, e=1e-4):
+        def flux_x(xx, yy):
+            return dfun(xx, yy) * (theta(xx + e, yy, t) - theta(xx - e, yy, t)) / (2 * e)
+
+        def flux_y(xx, yy):
+            return dfun(xx, yy) * (theta(xx, yy + e, t) - theta(xx, yy - e, t)) / (2 * e)
+
+        div = ((flux_x(x + e, y) - flux_x(x - e, y)) / (2 * e)
+               + (flux_y(x, y + e) - flux_y(x, y - e)) / (2 * e))
+        return div
+
+    def advective(x, y, t, e=1e-5):
+        def mom(xx, yy):
+            th = theta(xx, yy, t)
+            vx, vy = velocity(xx, yy, th)
+            return vx * th, vy * th
+
+        def div(step):
+            ax_p, _ = mom(x + step, y)
+            ax_m, _ = mom(x - step, y)
+            _, ay_p = mom(x, y + step)
+            _, ay_m = mom(x, y - step)
+            return (ax_p - ax_m + ay_p - ay_m) / (2 * step)
+
+        return (4 * div(e) - div(2 * e)) / 3.0
+
+    def f(x, y, t):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = ddt(x, y, t) - diffusive(x, y, t) + qfun(x, y) * theta(x, y, t)
+        if velocity is not None:
+            out = out + advective(x, y, t)
+        return out
+
+    return f

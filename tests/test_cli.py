@@ -313,6 +313,20 @@ def test_bad_mu_exits_2_before_writing(tmp_path, outroot, capsys, command,
     assert not (outroot / "badmu").exists()
 
 
+@pytest.mark.parametrize("mu", ["1 1", "1 1.0000001", "0 5 5.0000001"])
+def test_mu_values_that_share_a_run_directory_exit_2_before_writing(
+        tmp_path, outroot, capsys, mu):
+    """Both runs wrote mu_1/, the second over the first, and the exit code
+    was 0."""
+    cfg = _write(tmp_path, "samedir.ini", EX1_SMALL.format(mu=mu, dir="samedir"))
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "[assimilation] mu" in err
+    first, second = mu.split()[-2:]
+    assert f"{float(first)!r} and {float(second)!r}" in err
+    assert not (outroot / "samedir").exists()
+
+
 @pytest.mark.parametrize("setting", ["dt = 0", "fine_per_coarse = 0"])
 def test_zero_step_exits_2_before_writing(tmp_path, outroot, capsys, setting):
     text = EX1_SMALL.format(mu="10", dir="zerostep").replace(

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from dense_reference import (field_gradient, field_value, interp_const,
-                             l2_by_quadrature, locate)
+from dense_reference import (field_gradient, field_value, integrate,
+                             interp_const, l2_by_quadrature, locate)
 from porousda.fields import (DGField, NodalField, basis_gradients,
-                             basis_values, integrate, l2_diff, l2_norm,
-                             mass_matrix, quadrature)
+                             basis_values, l2_diff, l2_norm, mass_matrix,
+                             quadrature)
 from porousda.mesh import build_mesh
 
 

@@ -305,7 +305,9 @@ def test_gathered_blocks_equal_the_sliced_blocks_bitwise(factory):
     theta = NodalField.from_callable(mesh, sc.initial)
     a, rhs = assemble_pressure(prob, theta)
 
-    stiffness = linalg.stencil(mesh).scatter(element_kernel(prob, theta).stiffness)
+    pattern = linalg.stencil(mesh)
+    stiffness = pattern.matrix(
+        pattern.sum_blocks(element_kernel(prob, theta).stiffness))
     free = mesh.free_vertices
     fixed = np.flatnonzero(mesh.is_dirichlet)
     assert fixed.size

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter   # the oracle only
 
-from dense_reference import example1_closed_form, well_total
+from dense_reference import (example1_closed_form, integrate,
+                             manufactured_forcing, well_total)
 from porousda import scenarios
 from porousda.fields import quadrature
 from porousda.scenarios import (BUILTIN_SCENARIOS, DAY, PermeabilityRaster,
                                 assumption_report, bump, diffusion_reaction,
                                 example1, example2, example3, example4,
-                                gaussian_smooth, manufactured_forcing,
-                                mobility_closure, quarter_power_viscosity)
+                                gaussian_smooth, mobility_closure,
+                                quarter_power_viscosity)
 
 
 def _sample_points(n=13):
@@ -160,7 +161,6 @@ def test_example4_injection_schedule():
 
 def test_example4_well_balance():
     sc = example4(nx=16)
-    from porousda.fields import integrate
     mesh = sc.build_mesh(nx=96, ny=96)
     for (cx, cy, radius, peak) in sc.notes["wells"].values():
         total = integrate(mesh, lambda x, y: bump(x, y, cx, cy, radius, peak))

@@ -16,7 +16,7 @@ import pytest
 
 import dense_reference as dr
 from porousda import driver, linalg, scenarios
-from porousda.fields import NodalField, quadrature
+from porousda.fields import NodalField, mass_matrix, quadrature
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.observation import SparseGrid
 from porousda.pressure import PressureProblem, assemble_pressure, element_kernel
@@ -198,31 +198,19 @@ def test_diagonal_slots_own_their_data():
 
 
 def test_pattern_matrices_share_its_read_only_index_arrays():
-    """`sum_blocks` is the data that `scatter` puts in its matrix, bitwise;
-    `matrix` puts it on the pattern's own index arrays, which no matrix can
-    change."""
+    """`matrix` puts the data of `sum_blocks` on the pattern's own index
+    arrays, which no matrix can change; the mass matrix is such a matrix."""
     mesh = build_mesh(5, 4)
     pattern = linalg.stencil(mesh)
     local = np.random.default_rng(3).standard_normal((mesh.n_elements, 4, 4))
-    data = pattern.sum_blocks(local)
-    assert data.tobytes() == pattern.scatter(local).data.tobytes()
-    a = pattern.matrix(data)
-    assert np.shares_memory(a.indices, pattern.indices)
-    assert np.shares_memory(a.indptr, pattern.indptr)
+    a = pattern.matrix(pattern.sum_blocks(local))
+    for A in (a, mass_matrix(mesh)):
+        assert np.shares_memory(A.indices, pattern.indices)
+        assert np.shares_memory(A.indptr, pattern.indptr)
     assert not pattern.indices.flags.writeable
     assert not pattern.indptr.flags.writeable
     with pytest.raises(ValueError):
         a.eliminate_zeros()
-
-
-def test_scatter_leaves_the_pattern_intact():
-    mesh = build_mesh(3, 3)
-    pattern = linalg.stencil(mesh)
-    indices = pattern.indices.copy()
-    a = pattern.scatter(np.zeros((mesh.n_elements, 4, 4)))
-    a.eliminate_zeros()
-    assert a.nnz == 0
-    np.testing.assert_array_equal(pattern.indices, indices)
 
 
 # -- driver path -------------------------------------------------------------------

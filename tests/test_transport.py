@@ -3,7 +3,7 @@ import pytest
 
 import dense_reference as dr
 from porousda import transport
-from porousda.fields import NodalField, integrate
+from porousda.fields import NodalField
 from porousda.linalg import SolverConfig
 from porousda.mesh import build_mesh
 from porousda.observation import (ObservationGapError, ObservationStream,
@@ -106,7 +106,7 @@ def test_mass_conserved_under_advection():
         velocity_outflux=outflux)
     theta = NodalField.from_callable(
         mesh, lambda x, y: np.exp(-8.0 * ((x - 0.4) ** 2 + (y - 0.5) ** 2)))
-    quad_mass = lambda f: integrate(mesh, f)
+    quad_mass = lambda f: dr.integrate(mesh, f)
     m0 = quad_mass(theta)
     t = 0.0
     for _ in range(5):
@@ -124,12 +124,12 @@ def test_mass_balance_with_source_term():
         mesh, diffusion=lambda x, y: 0.05 * np.ones_like(x), source=source)
     theta = NodalField.from_callable(mesh, lambda x, y: x * (1.0 - x))
     dt = 0.02
-    m0 = integrate(mesh, theta)
+    m0 = dr.integrate(mesh, theta)
     theta, _ = step(theta, coeffs, TransportStep(0.0, dt),
                     solver=SolverConfig(rel_tol=1e-14))
-    m1 = integrate(mesh, theta)
-    gain = 0.5 * dt * (integrate(mesh, source, t=0.0)
-                       + integrate(mesh, source, t=dt))
+    m1 = dr.integrate(mesh, theta)
+    gain = 0.5 * dt * (dr.integrate(mesh, source, t=0.0)
+                          + dr.integrate(mesh, source, t=dt))
     assert m1 - m0 == pytest.approx(gain, abs=1e-12)
 
 

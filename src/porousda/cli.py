@@ -302,7 +302,7 @@ def cmd_run(cfg):
                                          mu=mu, reference=ref.trajectory,
                                          solver=solver,
                                          keep_times=snapshot_times)
-        except (*driver.RUN_FAILURES, ValueError) as exc:
+        except driver.RUN_FAILURES as exc:
             failures += 1
             (rundir / "report.txt").write_text(f"run failed: {exc}\n")
             print(f"mu={mu:g}: FAILED ({exc})", file=sys.stderr)

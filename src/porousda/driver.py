@@ -32,8 +32,8 @@ from . import transport
 from .fields import NodalField, QuadratureField, l2_diff, l2_norm
 from .flux_postprocess import postprocess_flux
 from .linalg import NoConvergenceError, SolverConfig
-from .observation import ObservationStream, SparseGrid
-from .pressure import PressureProblem, solve_pressure
+from .observation import AlignmentError, ObservationStream, SparseGrid
+from .pressure import CoefficientRangeError, PressureProblem, solve_pressure
 
 METRIC_COLUMNS = ("t", "R_percent", "Rtilde_percent", "mass_residual",
                   "range_min", "range_max")
@@ -49,9 +49,12 @@ class NonFiniteStateError(RuntimeError):
         self.step = step
 
 
-# What a run can fail with once it is under way; the CLI and parameter_sweep
-# report these as failed runs.
-RUN_FAILURES = (NoConvergenceError, NonFiniteStateError)
+# What a run can fail with once it is under way, a coefficient out of range
+# included, and the misaligned lattice a sweep meets when it builds a
+# spacing's grid.  The CLI and parameter_sweep report these, and only these,
+# as failed runs.
+RUN_FAILURES = (NoConvergenceError, NonFiniteStateError, CoefficientRangeError,
+                AlignmentError)
 
 
 @dataclass(frozen=True)
@@ -331,7 +334,8 @@ class _Comparator:
             return float("nan"), float("nan")
         r = 100.0 * (l2_diff(theta, truth) / denom)
         coarse = (self.grid.reconstruct(ref.functionals(i, self.grid))
-                  if ref is not None else self.grid.interpolate(target))
+                  if ref is not None else self.grid.interpolate(
+                      NodalField.from_callable(theta.mesh, target)))
         rtilde = 100.0 * (l2_diff(theta, coarse) / denom)
         return r, rtilde
 
@@ -451,9 +455,10 @@ def run_reference(scenario, partition=None, mesh=None, solver=None):
     comparator = _Comparator(scenario, grid)
     traj, report = _march(scenario, partition, mesh, theta0, 0.0, None, grid,
                           comparator, solver)
-    records = [(t, grid.sample(traj.at(t))) for t in partition.coarse_times]
-    stream = ObservationStream([t for t, _ in records],
-                               np.array([d for _, d in records]))
+    # The trajectory keeps these values, so nudged runs measured against it
+    # read the same ones for their Rtilde.
+    stream = ObservationStream(partition.coarse_times, np.array(
+        [traj.functionals(traj.index(t), grid) for t in partition.coarse_times]))
     return ReferenceRun(traj, stream, report)
 
 
@@ -566,7 +571,7 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
         part = partition or TimePartition.from_scenario(sc)
         try:
             ref = run_reference(sc, part, mesh, solver=solver)
-        except (*RUN_FAILURES, ValueError) as exc:
+        except RUN_FAILURES as exc:
             for mu in mu_values:
                 rows.append((mu, spacing, float("nan"), float("nan"),
                              f"failed: {exc}"))
@@ -581,7 +586,7 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
                 except ValueError:
                     rate = float("nan")
                 rows.append((mu, spacing, run.report.plateau_value(), rate, "ok"))
-            except (*RUN_FAILURES, ValueError) as exc:
+            except RUN_FAILURES as exc:
                 rows.append((mu, spacing, float("nan"), float("nan"),
                              f"failed: {exc}"))
     rows.sort(key=lambda r: (r[1], r[0]))

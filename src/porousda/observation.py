@@ -2,19 +2,21 @@
 
 A SparseGrid is a coarse tensor lattice whose points coincide with fine-mesh
 vertices (the spacing must be an integer multiple of the mesh spacing in both
-directions).  The grid turns a field into raw functional values (point values
-by default, coarse-cell averages as an alternative) and reconstructs a
-continuous field from such values with coarse bilinear interpolation.  An
-ObservationStream is a time-ordered sequence of functional-value vectors with
-linear interpolation between records.
+directions).  The grid is two sparse matrices.  The functionals F, shape
+(n_obs, nv), turn nodal values into raw functional values: point values at
+the lattice vertices by default, coarse control-volume averages as the
+alternative.  The prolongation P, shape (nv, n_obs), reconstructs a
+continuous field from such values by coarse bilinear interpolation.  Both
+are Kronecker products of 1-D factors in y and in x, built once, at
+construction.  An ObservationStream is a time-ordered sequence of
+functional-value vectors with linear interpolation between records.
 
-`bilinear_prolongation` P is the one owner of the coarse bilinear basis.  It
-is the Kronecker product of two 1-D linear interpolations, and column c holds
-the coarse hat of lattice point c at the fine vertices.  The lattice is
-aligned with the mesh, so that hat is exactly the fine bilinear field with
-those vertex values.  The grid's reconstruction, the transport nudging
-operator (mass @ P) and the pressure multigrid transfers are all built from
-it.  The grid builds its operators once, at construction.
+`bilinear_prolongation` P is the one owner of the coarse bilinear basis.
+Column c holds the coarse hat of lattice point c at the fine vertices.  The
+lattice is aligned with the mesh, so that hat is exactly the fine bilinear
+field with those vertex values.  The grid's reconstruction, the transport
+nudging operator (mass @ P) and the pressure multigrid transfers are all
+built from it; the nudging coupling (mass @ P) @ F also reads F.
 """
 
 import csv
@@ -113,52 +115,29 @@ def bilinear_prolongation(nx, ny, kx, ky):
 
 
 class SparseGrid:
-    """Coarse measurement lattice aligned with a fine mesh."""
+    """Coarse measurement lattice aligned with a fine mesh: the functionals
+    F and the prolongation P, both built at construction."""
 
     def __init__(self, mesh, spacing, kind="point"):
         self.kx, self.ky = check_lattice(mesh, spacing, kind)
         self.mesh = mesh
         self.spacing = float(spacing)
         self.kind = kind
-        self.ncx = mesh.nx // self.kx
-        self.ncy = mesh.ny // self.ky
-        self.n_obs = (self.ncx + 1) * (self.ncy + 1)
-
-        ii, jj = np.meshgrid(np.arange(self.ncx + 1), np.arange(self.ncy + 1))
-        ii, jj = ii.ravel(), jj.ravel()
-        self.point_vertex = (jj * self.ky) * (mesh.nx + 1) + ii * self.kx
-        self.points = mesh.vertices[self.point_vertex]
+        if kind == "point":
+            fy = sparse.eye(mesh.ny + 1, format="csr")[::self.ky]
+            fx = sparse.eye(mesh.nx + 1, format="csr")[::self.kx]
+        else:
+            fy, fx = _cv_averages(mesh.ny, self.ky), _cv_averages(mesh.nx, self.kx)
+        # Row by row, as P numbers its columns.
+        self.functionals = sparse.kron(fy, fx, format="csr")
+        self.n_obs = self.functionals.shape[0]
         self.prolong_matrix = bilinear_prolongation(mesh.nx, mesh.ny, self.kx, self.ky)
-        self._average = self._build_average() if kind == "average" else None
 
-    # -- operators ---------------------------------------------------------
-
-    def _build_average(self):
-        """Normalized coarse-CV average functionals as a (n_obs, nv) matrix:
-        the Kronecker product of the 1-D averages in y and in x, as
-        `bilinear_prolongation` is of the interpolations."""
-        return sparse.kron(_cv_averages(self.mesh.ny, self.ky),
-                           _cv_averages(self.mesh.nx, self.kx), format="csr")
-
-    # -- functionals and reconstruction -------------------------------------
-
-    def sample(self, source, t=None):
-        """Raw functional values of a field or callable, shape (n_obs,)."""
-        if isinstance(source, NodalField):
-            if self.kind == "point":
-                return source.values[self.point_vertex].copy()
-            return self._average @ source.values
-        if callable(source):
-            if self.kind == "point":
-                x, y = self.points[:, 0], self.points[:, 1]
-                vals = source(x, y) if t is None else source(x, y, t)
-                return np.asarray(vals, dtype=float) * np.ones(self.n_obs)
-            field = _field_from_callable(self.mesh, source, t)
-            return self._average @ field.values
-        values = np.asarray(source, dtype=float)
-        if values.shape == (self.mesh.n_vertices,):
-            return self.sample(NodalField(self.mesh, values), t)
-        raise ValueError("source must be a NodalField, callable, or nodal value array")
+    def sample(self, field):
+        """Raw functional values F @ field.values of a NodalField, (n_obs,)."""
+        if not isinstance(field, NodalField):
+            raise TypeError(f"expected a NodalField, got {type(field).__name__}")
+        return self.functionals @ field.values
 
     def reconstruct(self, functional_values):
         """Coarse bilinear field from raw functional values."""
@@ -167,24 +146,9 @@ class SparseGrid:
             raise ValueError(f"expected {self.n_obs} functional values, got {d.shape}")
         return NodalField(self.mesh, self.prolong_matrix @ d)
 
-    def interpolate(self, source, t=None):
-        """Sparse interpolant of a field: reconstruct(sample(source))."""
-        return self.reconstruct(self.sample(source, t=t))
-
-    def functional_matrix(self):
-        """The functionals as a sparse (n_obs, nv) matrix acting on nodal values."""
-        if self.kind == "point":
-            return linalg.SparseMatrix(
-                (np.ones(self.n_obs), self.point_vertex.astype(np.int32),
-                 np.arange(self.n_obs + 1, dtype=np.int32)),
-                shape=(self.n_obs, self.mesh.n_vertices))
-        return self._average
-
-
-def _field_from_callable(mesh, fn, t=None):
-    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    vals = fn(x, y) if t is None else fn(x, y, t)
-    return NodalField(mesh, np.asarray(vals, dtype=float) * np.ones(mesh.n_vertices))
+    def interpolate(self, field):
+        """Sparse interpolant of a NodalField: reconstruct(sample(field))."""
+        return self.reconstruct(self.sample(field))
 
 
 class ObservationStream:

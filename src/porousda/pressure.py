@@ -197,14 +197,18 @@ def element_kernel(problem, theta):
         rows = slice(lo, lo + x.shape[0])
         th = corners[rows] @ _KERNEL_PHI.T
         np.clip(th, 0.0, 1.0, out=th)
-        k = np.asarray(problem.kappa(th, x, y), dtype=float)
+        # An overflow or a NaN in kappa is reported by the range check
+        # below, not as a floating-point warning.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            k = np.asarray(problem.kappa(th, x, y), dtype=float)
         # A kappa that broadcasts, a constant say, is made whole, so the
         # stiffness product reads every block in one layout.
         if k.shape != th.shape or not k.flags.c_contiguous:
             k = np.broadcast_to(k, th.shape).copy()
-        if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-            bad = float(np.nanmin(k))
-            raise CoefficientRangeError(f"kappa must be positive, found {bad}")
+        bad = ~(np.isfinite(k) & (k > 0.0))
+        if np.any(bad):
+            raise CoefficientRangeError(
+                f"kappa must be positive and finite, found {float(k[bad][0])}")
         np.matmul(k[:, :16], grad_dot, out=stiffness[rows])
         stiffness[rows] *= quad.weight
         kappa_recovery[rows] = k[:, 16:]

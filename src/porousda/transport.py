@@ -245,7 +245,7 @@ class TransportCoefficients:
             self.nudge_cv.sort_indices()
             if self.mu > 0.0:
                 coupling = self.mu * (self.nudge_cv
-                                      @ self.grid.functional_matrix()).tocsr()
+                                      @ self.grid.functionals).tocsr()
                 coupling.sort_indices()
                 slots, coupling_slots = self._join(coupling, slots)
         self.k0 = self._scatter(slots, k0_blocks)

@@ -327,6 +327,14 @@ def dense_segment_outflux(mesh, kappa, psi, theta_values):
     return out
 
 
+def lattice_vertices(grid):
+    """Coordinates of the lattice points of `grid`, (n_obs, 2), row by row:
+    every kx-th vertex of every ky-th row of the mesh."""
+    mesh = grid.mesh
+    rows = mesh.vertices.reshape(mesh.ny + 1, mesh.nx + 1, 2)
+    return rows[::grid.ky, ::grid.kx].reshape(-1, 2)
+
+
 def coarse_basis(i, x, y, spacing, ncx):
     """Tensor hat function of coarse lattice point i at (x, y)."""
     ii, jj = i % (ncx + 1), i // (ncx + 1)
@@ -341,7 +349,7 @@ def nudge_by_assembly(mesh, grid):
     and corner of its coarse cell, summed by `linalg.assemble`."""
     from porousda import linalg
 
-    H, ncx, ncy = grid.spacing, grid.ncx, grid.ncy
+    H, ncx, ncy = grid.spacing, mesh.nx // grid.kx, mesh.ny // grid.ky
     weight = mesh.hx * mesh.hy / 16.0
     rows, cols, vals = [], [], []
     for e in range(mesh.n_elements):
@@ -725,11 +733,12 @@ def example1_closed_form():
 def metrics_two_calls(theta, fn, grid):
     """R and Rtilde against an analytic truth fn(x, y), which is evaluated at
     the quadrature points twice: once for the norm, once for the difference."""
-    from porousda.fields import l2_diff, l2_norm_callable
+    from porousda.fields import NodalField, l2_diff, l2_norm_callable
 
     denom = l2_norm_callable(theta.mesh, fn)
     r = 100.0 * (l2_diff(theta, fn) / denom)
-    rtilde = 100.0 * (l2_diff(theta, grid.interpolate(fn)) / denom)
+    coarse = grid.interpolate(NodalField.from_callable(theta.mesh, fn))
+    rtilde = 100.0 * (l2_diff(theta, coarse) / denom)
     return r, rtilde
 
 
@@ -791,9 +800,10 @@ def average_functionals_by_assembly(grid):
 
     mesh = grid.mesh
     quad = quadrature(mesh)
-    ox = np.clip(np.round(quad.x.ravel() / grid.spacing).astype(int), 0, grid.ncx)
-    oy = np.clip(np.round(quad.y.ravel() / grid.spacing).astype(int), 0, grid.ncy)
-    obs = oy * (grid.ncx + 1) + ox
+    ncx, ncy = mesh.nx // grid.kx, mesh.ny // grid.ky
+    ox = np.clip(np.round(quad.x.ravel() / grid.spacing).astype(int), 0, ncx)
+    oy = np.clip(np.round(quad.y.ravel() / grid.spacing).astype(int), 0, ncy)
+    obs = oy * (ncx + 1) + ox
     corners = np.repeat(mesh.elements, 16, axis=0)          # (ne*16, 4)
     phi = np.tile(quad.phi, (mesh.n_elements, 1))            # (ne*16, 4)
     gamma = linalg.assemble(np.repeat(obs, 4), corners.ravel(),
@@ -835,7 +845,7 @@ def transport_operators_by_sums(coeffs):
     ops["nudge"] = None
     if coeffs.mu > 0.0:
         nudge_cv = ops["mass"] @ coeffs.grid.prolong_matrix
-        ops["nudge"] = coeffs.mu * (nudge_cv @ coeffs.grid.functional_matrix()).tocsr()
+        ops["nudge"] = coeffs.mu * (nudge_cv @ coeffs.grid.functionals).tocsr()
     return ops
 
 

@@ -349,6 +349,38 @@ def test_non_finite_reference_run_reports_and_exits_1(tmp_path, outroot,
     assert report.startswith("reference run failed: non-finite concentration")
 
 
+def test_kappa_out_of_range_in_the_reference_run_reports_and_exits_1(
+        tmp_path, outroot, capsys):
+    """A conductivity raster of 1e307 overflows kappa to inf once the
+    concentration leaves 0.  The reference run fails as a run, as it does
+    in a sweep: report.txt names kappa and the command exits 1, not 2."""
+    raster = tmp_path / "huge.raster"
+    scenarios.write_raster(raster, np.full((4, 4), 1e307), (1.0, 1.0))
+    cfg = _write(tmp_path, "huge.ini", f"""
+[scenario]
+name = example3
+raster = {raster}
+
+[mesh]
+nx = 12
+
+[time]
+t_end = 0.004
+
+[assimilation]
+spacing = 0.25
+
+[output]
+dir = huge
+""")
+    assert main(["run", cfg]) == 1
+    assert "reference: FAILED (kappa must be positive and finite, found inf)" \
+        in capsys.readouterr().err
+    report = (outroot / "huge" / "report.txt").read_text()
+    assert report == ("reference run failed: kappa must be positive and "
+                      "finite, found inf\n")
+
+
 def test_mesh_ny_alone_overrides_the_scenario_rows(tmp_path):
     cfg = load_config(_write(tmp_path, "ny.ini", """
 [scenario]

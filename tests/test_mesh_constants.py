@@ -284,7 +284,8 @@ def test_metrics_evaluate_the_truth_once_and_match_two_calls():
     for t in (0.0, 0.1, 0.37):
         calls["exact"] = 0
         got = comparator.metrics(theta, t)
-        # One evaluation at the quadrature points, one at the lattice points.
+        # One evaluation at the quadrature points, one at the mesh vertices
+        # for the coarse interpolant.
         assert calls["exact"] == 2
         want = dr.metrics_two_calls(theta, lambda x, y: sc.exact(x, y, t), grid)
         assert got == want

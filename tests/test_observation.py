@@ -20,12 +20,29 @@ def test_constants_are_reproduced(kind):
 
 
 def test_point_sampling_reads_lattice_vertices():
-    mesh = build_mesh(10, 10)
-    grid = SparseGrid(mesh, 0.2)
+    """Point values are the field's values at the lattice vertices, read
+    exactly, on a lattice that skips a different number of cells in x (6)
+    than in y (3)."""
+    mesh = build_mesh(12, 6)
+    grid = SparseGrid(mesh, 0.5)
+    assert (grid.kx, grid.ky) == (6, 3)
     field = NodalField.from_callable(mesh, lambda x, y: x + 10.0 * y)
-    got = grid.sample(field)
-    want = grid.points[:, 0] + 10.0 * grid.points[:, 1]
-    np.testing.assert_allclose(got, want, atol=1e-13)
+    points = dr.lattice_vertices(grid)
+    np.testing.assert_array_equal(points[:3, 0], [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(points[::3, 1], [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(grid.sample(field),
+                                  points[:, 0] + 10.0 * points[:, 1])
+
+
+@pytest.mark.parametrize("source", [lambda x, y: x + y, np.zeros(36)])
+def test_sampling_takes_only_a_nodal_field(source):
+    """A callable or a bare value array is wrapped by the caller
+    (`NodalField.from_callable`, `NodalField`), not guessed at here."""
+    grid = SparseGrid(build_mesh(5, 5), 0.2)
+    with pytest.raises(TypeError, match="expected a NodalField"):
+        grid.sample(source)
+    with pytest.raises(TypeError, match="expected a NodalField"):
+        grid.interpolate(source)
 
 
 def test_idempotence_on_coarse_bilinear_fields():
@@ -44,7 +61,7 @@ def test_average_functionals_match_the_assembled_ones(nx, ny, lx, k):
     functionals assembled point by point, and their values to roundoff."""
     mesh = build_mesh(nx, ny, lx, lx * ny / nx)
     grid = SparseGrid(mesh, k * lx / nx, kind="average")
-    got = grid.functional_matrix()
+    got = grid.functionals
     want = dr.average_functionals_by_assembly(grid)
     assert got.has_canonical_format
     np.testing.assert_array_equal(got.indptr, want.indptr)
@@ -93,7 +110,7 @@ def test_average_vs_point_gap():
         pt = SparseGrid(mesh, sp, kind="point")
         av = SparseGrid(mesh, sp, kind="average")
         gap = np.abs(av.sample(f) - pt.sample(f))
-        x, y = pt.points[:, 0], pt.points[:, 1]
+        x, y = dr.lattice_vertices(pt).T
         on_edge = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
         interior = np.max(gap[~on_edge])
         assert 0.5 * sp ** 2 <= interior <= 1.0 * sp ** 2

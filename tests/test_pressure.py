@@ -125,6 +125,15 @@ def test_nonpositive_kappa_rejected():
                                 source=lambda x, y: 0.0 * x)
     with pytest.raises(CoefficientRangeError):
         assemble_pressure(nonfinite, theta)
+    # The message names the first offending value, not the smallest one,
+    # and an all-NaN kappa is a range error, not a warning.
+    for kappa, found in ((lambda th, x, y: np.where(x > 0.5, np.inf, 2.0), "inf"),
+                         (lambda th, x, y: np.nan + 0.0 * x, "nan"),
+                         (lambda th, x, y: 0.0 * x, "0.0")):
+        problem = PressureProblem(mesh, kappa=kappa, source=lambda x, y: 0.0 * x)
+        with pytest.raises(CoefficientRangeError,
+                           match=f"kappa must be positive and finite, found {found}$"):
+            assemble_pressure(problem, theta)
 
 
 def test_kappa_range_checked_at_flux_recovery_points():

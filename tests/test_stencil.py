@@ -139,7 +139,7 @@ def test_transport_operators_match_streams(case):
     pts = dr.global_points(quadrature(mesh))
     x, y = pts[:, :, 0], pts[:, :, 1]
     nudge = (dr.nudge_by_assembly(mesh, grid)
-             @ grid.functional_matrix()).tocsr()
+             @ grid.functionals).tocsr()
     _same_operator(coeffs.matrix(coeffs.mass),
                    _cv_stream(mesh, np.ones(x.size), free))
     _same_operator(coeffs.matrix(coeffs.k0),

@@ -37,6 +37,7 @@ run's first factor fixes where the CSC data of S[q][:, q] sit in S's, so
 each factor gathers its data and factors it in natural order.
 """
 
+import inspect
 import logging
 import math
 from dataclasses import dataclass
@@ -48,6 +49,7 @@ from scipy.sparse.linalg import splu as _superlu
 from . import linalg
 from .fields import NodalField, cv_flux_blocks, quadrature
 from .mesh import SEG_LEFT_CORNER, SEG_NORMAL_AXIS, SEG_RIGHT_CORNER
+from .scenarios import Separable
 
 _log = logging.getLogger("porousda")
 
@@ -161,8 +163,13 @@ class TransportCoefficients:
     The operator: `indices` and `indptr` (int32, read-only) are the pattern.
     Per segment, `advection_slots` (int32, ne * 16) holds the slots of the
     four entries its outflux enters, and the dump slot `nnz` for those in
-    Dirichlet rows.  `mass` and `k0` hold M and K0; `nudge_cv` and
-    `source_cv` serve the right-hand sides.  The factor state:
+    Dirichlet rows.  `mass` and `k0` hold M and K0; `nudge_cv` serves the
+    data term.  A general source has `source_cv`, the CV integrals of values
+    at the quadrature points as an (nv, 16 ne) matrix, applied on every
+    step.  A `Separable` source (`separable`, found also through
+    `functools.wraps` wrappers) has no such matrix: the run keeps only
+    `profile_cv`, the CV integrals of its profile, computed once, and scales
+    it by rate(t).  The factor state:
     `factor_at_once`, set while the run factors by cost (see `step`), and
     `order`, the ordering q of its factors, from its first factor on.
 
@@ -184,6 +191,7 @@ class TransportCoefficients:
         self.diffusion = diffusion
         self.reaction = reaction
         self.source = source
+        self.separable = _separable(source)
         self.mu = mu
         self.grid = grid
         self.velocity_outflux = velocity_outflux
@@ -216,8 +224,16 @@ class TransportCoefficients:
                   * np.ones_like(quad.x))
             k0_blocks = k0_blocks + np.einsum(
                 "eap,apb->eab", qv.reshape(-1, 4, 4), phi_quadrant)
-        self.source_cv = (_cv_integration(mesh, ~mesh.is_dirichlet)
-                          if self.source is not None else None)
+        # A separable source keeps its profile's CV integrals, the CSR
+        # product of the general path done once.
+        self.source_cv = self.profile_cv = None
+        if self.separable is not None:
+            profile = np.asarray(self.separable.profile(quad.x, quad.y),
+                                 dtype=float)
+            self.profile_cv = (_cv_integration(mesh, ~mesh.is_dirichlet)
+                               @ np.broadcast_to(profile, quad.x.shape).ravel())
+        elif self.source is not None:
+            self.source_cv = _cv_integration(mesh, ~mesh.is_dirichlet)
 
         stencil = linalg.stencil(mesh)
         dirichlet = mesh.is_dirichlet
@@ -339,10 +355,13 @@ class TransportCoefficients:
             return False
 
     def source_vector(self, t):
-        """CV integrals of the source f(., t) over free control volumes."""
+        """CV integrals of the source f(., t) over free control volumes; of
+        a separable source, rate(t) times its profile's."""
         if self._source[0] == t:
             return self._source[1]
-        if self.source is None:
+        if self.separable is not None:
+            out = self.separable.rate(t) * self.profile_cv
+        elif self.source is None:
             out = np.zeros(self.mesh.n_vertices)
         else:
             quad = quadrature(self.mesh)
@@ -361,6 +380,13 @@ class TransportCoefficients:
             return rows, np.zeros(rows.size)
         x, y = self.mesh.vertices[rows, 0], self.mesh.vertices[rows, 1]
         return rows, np.asarray(self.dirichlet(x, y, t), dtype=float) * np.ones(rows.size)
+
+
+def _separable(source):
+    """The `Separable` a source is, or wraps by `functools.wraps` (as a
+    tracer does), or None."""
+    inner = None if source is None else inspect.unwrap(source)
+    return inner if isinstance(inner, Separable) else None
 
 
 def _cv_integration(mesh, free):

@@ -671,15 +671,22 @@ def face_velocity(flux, segment):
 def source_vector_add_at(coeffs, t):
     """CV integrals of the transport source f(., t), scattered point by point
     with `np.add.at` over the free control volumes only."""
+    if coeffs.source is None:
+        return np.zeros(coeffs.mesh.n_vertices)
+    return cv_integrals_add_at(coeffs.mesh,
+                               lambda x, y: coeffs.source(x, y, t))
+
+
+def cv_integrals_add_at(mesh, fn):
+    """CV integrals of fn(x, y) over the free control volumes, evaluated at
+    fresh copies of the quadrature points and scattered point by point with
+    `np.add.at`."""
     from porousda.fields import quadrature
 
-    mesh = coeffs.mesh
     quad = quadrature(mesh)
     out = np.zeros(mesh.n_vertices)
-    if coeffs.source is None:
-        return out
     pts = global_points(quad)
-    fv = np.asarray(coeffs.source(pts[:, :, 0], pts[:, :, 1], t),
+    fv = np.asarray(fn(pts[:, :, 0], pts[:, :, 1]),
                     dtype=float) * np.ones(pts.shape[:2])
     rows = mesh.elements[:, quad.owner_corner].ravel()
     keep = ~mesh.is_dirichlet[rows]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -379,6 +381,31 @@ dir = huge
     report = (outroot / "huge" / "report.txt").read_text()
     assert report == ("reference run failed: kappa must be positive and "
                       "finite, found inf\n")
+
+
+def test_validate_reports_an_overflowing_kappa_without_a_warning(
+        tmp_path, capsys):
+    """The raster above makes kappa overflow to inf on validate's probe
+    lattice as well: the range shows it, and nothing reaches stderr."""
+    raster = tmp_path / "huge.raster"
+    scenarios.write_raster(raster, np.full((4, 4), 1e307), (1.0, 1.0))
+    cfg = _write(tmp_path, "huge.ini", f"""
+[scenario]
+name = example3
+raster = {raster}
+
+[mesh]
+nx = 12
+
+[assimilation]
+spacing = 0.25
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert "  A3: warn (conductivity range [1e+307, inf])\n" in out
+    assert err == ""
 
 
 def test_mesh_ny_alone_overrides_the_scenario_rows(tmp_path):

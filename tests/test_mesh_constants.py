@@ -9,6 +9,7 @@ analytic truth per metric row, the sorted-stream prolongation), bitwise.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import dense_reference as dr
 from porousda import driver, fields, pressure, scenarios
@@ -244,20 +245,41 @@ def test_scalar_source_is_spread_over_every_point():
                                   dr.source_vector_add_at(coeffs, 0.0))
 
 
+# Integrating a separable source's profile once and scaling it by rate(t)
+# rounds differently from integrating profile * rate at the points; every
+# profile and rate here is positive, so the two agree entry by entry.
+SEPARABLE_RTOL = 1e-14
+
+
 @pytest.mark.parametrize("factory, nx, times", [
     (scenarios.example1, 20, (0.0, 0.013, 0.5)),
-    (scenarios.example4, 24, (0.0, 7200.0, 1.3 * scenarios.DAY))])
+    (scenarios.example4, 24, (0.0, 7200.0, 1.3 * scenarios.DAY)),
+    (scenarios.example2, 12, (0.0, 0.02, 1.5)),
+    (scenarios.diffusion_reaction, 10, (0.0, 0.1, 0.75))])
 def test_example_source_vectors_equal_the_add_at_scatter_bitwise(factory, nx,
                                                                 times):
     """The scatter sums each CV in point order, as the `np.bincount` form
-    the CSR product replaced did, and evaluates the source at fresh copies
-    of the points, where no memo applies."""
+    the CSR product replaced did, and evaluates at fresh copies of the
+    points, where no memo applies.  example1's source is general and matches
+    the scatter of its values; a `Separable` source is rate(t) times the
+    scatter of its profile, bitwise, and the scatter of its values to
+    `SEPARABLE_RTOL`."""
     sc = factory(nx=nx)
-    coeffs = TransportCoefficients(sc.build_mesh(), sc.diffusion,
-                                   reaction=sc.reaction, source=sc.source)
+    mesh = sc.build_mesh()
+    coeffs = TransportCoefficients(mesh, sc.diffusion, reaction=sc.reaction,
+                                   source=sc.source)
+    separable = isinstance(sc.source, scenarios.Separable)
+    assert (coeffs.separable is not None) == separable
+    if separable:
+        profile = dr.cv_integrals_add_at(mesh, sc.source.profile)
     for t in times:
         got = coeffs.source_vector(t)
-        assert got.tobytes() == dr.source_vector_add_at(coeffs, t).tobytes()
+        general = dr.source_vector_add_at(coeffs, t)
+        if not separable:
+            assert got.tobytes() == general.tobytes()
+            continue
+        assert got.tobytes() == (sc.source.rate(t) * profile).tobytes()
+        np.testing.assert_allclose(got, general, rtol=SEPARABLE_RTOL, atol=0.0)
 
 
 def test_cv_integration_matrix_is_built_only_with_a_source():
@@ -270,6 +292,25 @@ def test_cv_integration_matrix_is_built_only_with_a_source():
                                                     16 * mesh.n_elements)
     np.testing.assert_array_equal(TransportCoefficients(mesh, diffusion)
                                   .source_vector(0.5), 0.0)
+
+
+def test_a_separable_source_keeps_no_integration_matrix():
+    """A `Separable` source keeps its profile's CV integrals, an nv-vector,
+    and no (nv, 16 ne) matrix; its profile is evaluated once, at build."""
+    mesh = build_mesh(6, 5)
+    calls = {"profile": 0}
+    profile = _counting(calls, "profile", lambda x, y: x + 2.0 * y)
+    coeffs = TransportCoefficients(
+        mesh, lambda x, y: np.ones_like(x),
+        source=scenarios.Separable(profile, lambda t: 1.0 + t))
+    assert coeffs.source_cv is None
+    assert coeffs.profile_cv.shape == (mesh.n_vertices,)
+    assert not any(sparse.issparse(v) and v.shape[1] == 16 * mesh.n_elements
+                   for v in vars(coeffs).values())
+    for t in (0.0, 0.5, 2.0):
+        np.testing.assert_array_equal(coeffs.source_vector(t),
+                                      (1.0 + t) * coeffs.profile_cv)
+    assert calls["profile"] == 1
 
 
 def test_metrics_evaluate_the_truth_once_and_match_two_calls():

@@ -374,15 +374,24 @@ def test_blocked_kernel_equals_the_whole_array_kernel_bitwise(factory, monkeypat
             assert got.tobytes() == expect.tobytes()
 
 
-def test_example4_well_source_is_evaluated_once_per_point_set(monkeypatch):
+def test_example4_well_profile_is_evaluated_once_per_run(monkeypatch):
+    """example4's well source is `Separable`: called, it is the injection
+    bump times the tidal concentration, bitwise, and a transport run
+    evaluates the bump once, when it builds, not on its steps."""
     sc = scenarios.example4(nx=16)
-    quad = quadrature(sc.build_mesh())
-    calls = _counting(monkeypatch, scenarios, "bump")
+    mesh = sc.build_mesh()
+    quad = quadrature(mesh)
     c = sc.notes["injected_concentration"]
     for t in (0.0, 3600.0, 0.3 * scenarios.DAY):
         got = sc.source(quad.x, quad.y, t)
         want = (scenarios.bump(quad.x.copy(), quad.y.copy(), 190.0, 190.0,
                                12.0, 0.0005) * c(t))
         assert got.tobytes() == want.tobytes()
-    # One memo fill at the quadrature points, one fresh copy per time.
-    assert len(calls) == 1 + 3
+    calls = _counting(monkeypatch, scenarios, "bump")
+    coeffs = TransportCoefficients(mesh, sc.diffusion, reaction=sc.reaction,
+                                   source=sc.source)
+    for t in np.arange(2 * sc.fine_per_coarse + 1) * sc.dt:
+        coeffs.source_vector(t)
+    injection = [args for args in calls
+                 if args[2:] == (190.0, 190.0, 12.0, 0.0005)]
+    assert len(injection) == 1

@@ -8,14 +8,19 @@ element integrals are built from the identical point set.  Surface integrals
 on control-volume faces use the midpoint rule per sub-segment.
 
 `quadrature(mesh)` is the one owner of the element point set, built once per
-mesh, on first use: one read-only (ne, 28) pair `points` holds every
-element's 16 quadrature points, its 8 edge quarter points (where the flux
-recovery averages the pressure's edge fluxes) and its 4 sub-segment
-midpoints, in the order of `POINT_LOCAL`.  Its column blocks are the views
-every module reads: `x` and `y`, (ne, 16), where each coefficient and source
-integrated with the rule is evaluated, and `seg_x` and `seg_y`, (ne, 4),
-the sub-segment midpoints.  The pressure evaluates kappa at row blocks of
-the whole pair (`pressure.kernel_point_blocks`).
+mesh, on first use: every element's 16 quadrature points, its 8 edge
+quarter points (where the flux recovery averages the pressure's edge
+fluxes) and its 4 sub-segment midpoints, in the order of `POINT_LOCAL`.  On
+the uniform mesh a point's x depends only on its element's column and its
+y only on its element's row, so the set is kept as two read-only tables,
+(nx, 28) and (ny, 28), and `points` is a pair of read-only broadcast views
+of them, (ny, nx, 28), elements row by row as the mesh numbers them.  Its
+column blocks are the views every module reads: `x` and `y`, (ny, nx, 16),
+where each coefficient and source integrated with the rule is evaluated,
+and `seg_x` and `seg_y`, (ny, nx, 4), the sub-segment midpoints.  A value
+computed at them is reshaped to the per-element layout, (ne, 16) or
+(ne, 4), by the caller.  The pressure evaluates kappa at blocks of whole
+element rows of the pair (`pressure.kernel_point_blocks`).
 
 L2 norms of nodal fields, and of differences of two nodal fields, are read
 from `mass_matrix(mesh)`, the consistent bilinear mass matrix on the mesh's
@@ -70,9 +75,12 @@ class Quadrature:
     Points are ordered quadrant by quadrant (SW, SE, NW, NE), four Gauss
     points each, so point k belongs to the control volume of local corner
     k // 4.  Weights are uniform: hx*hy/16 per point.  `points` holds the
-    global coordinates of every element's 28 points (`POINT_LOCAL`), a
-    read-only (ne, 28) pair; `x` and `y` are its quadrature columns and
-    `seg_x` and `seg_y` its sub-segment midpoints, segment types in order.
+    global coordinates of every element's 28 points (`POINT_LOCAL`), a pair
+    of read-only (ny, nx, 28) views: x broadcast from an (nx, 28) table of
+    i hx + POINT_LOCAL[:, 0] hx over the element rows, y from an (ny, 28)
+    table of j hy + POINT_LOCAL[:, 1] hy over the element columns.  `x` and
+    `y` are its quadrature columns and `seg_x` and `seg_y` its sub-segment
+    midpoints, segment types in order.
     """
 
     def __init__(self, mesh):
@@ -96,12 +104,15 @@ class Quadrature:
         # segment, -sign(a, s) |s| grad(phi_b) . n, flattened.
         self.unit_flux_blocks = -((SEG_SIGN * self.seg_len).T[:, :, None]
                                   * self.seg_dphi_n[:, None, :]).reshape(4, 16)
-        px = mesh.element_origins[:, 0, None] + POINT_LOCAL[:, 0] * mesh.hx
-        py = mesh.element_origins[:, 1, None] + POINT_LOCAL[:, 1] * mesh.hy
-        px.flags.writeable = py.flags.writeable = False
+        shape = (mesh.ny, mesh.nx, len(POINT_LOCAL))
+        columns = (np.arange(mesh.nx) * mesh.hx)[:, None] + POINT_LOCAL[:, 0] * mesh.hx
+        rows = (np.arange(mesh.ny) * mesh.hy)[:, None] + POINT_LOCAL[:, 1] * mesh.hy
+        columns.flags.writeable = rows.flags.writeable = False
+        px = np.broadcast_to(columns, shape)
+        py = np.broadcast_to(rows[:, None], shape)
         self.points = px, py
-        self.x, self.y = px[:, :16], py[:, :16]
-        self.seg_x, self.seg_y = px[:, 24:], py[:, 24:]
+        self.x, self.y = px[..., :16], py[..., :16]
+        self.seg_x, self.seg_y = px[..., 24:], py[..., 24:]
 
 
 def quadrature(mesh):
@@ -179,8 +190,8 @@ class DGField:
 # -- L2 norms: by the mass matrix for nodal fields, else by quadrature ------
 
 class QuadratureField:
-    """A function known by its values at the quadrature points, (ne, 16)
-    in the layout of `quadrature(mesh).x`.
+    """A function known by its values at the quadrature points, (ne, 16),
+    element by element.
 
     `sample` evaluates a callable there once, so several integrals of the
     same function (a norm and a difference, say) share one evaluation.
@@ -207,7 +218,7 @@ def _values_at_quadrature(mesh, source, t=None):
         return source.values
     x, y = quad.x, quad.y
     vals = source(x, y) if t is None else source(x, y, t)
-    return np.broadcast_to(np.asarray(vals, dtype=float), x.shape)
+    return np.broadcast_to(np.asarray(vals, dtype=float), x.shape).reshape(-1, 16)
 
 
 def _mass_norm(mesh, u):

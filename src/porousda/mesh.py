@@ -78,7 +78,6 @@ class StructuredMesh:
         ej = np.repeat(np.arange(ny), nx)
         sw = ej * (nx + 1) + ei
         self.elements = np.column_stack([sw, sw + 1, sw + nx + 1, sw + nx + 2])
-        self.element_origins = np.column_stack([ei * self.hx, ej * self.hy])
 
         self.n_segments = 4 * self.n_elements
         self._tag_vertices()

@@ -6,11 +6,11 @@ per concentration, at all 28 points per element of the mesh's one point set
 (`fields.POINT_LOCAL`): the quadrature points and the edge and sub-segment
 points the flux recovery needs, with the concentration clamped to [0, 1]
 first, so transient over/undershoots cannot push the coefficient out of its
-physical range.  It is evaluated one block of elements at a time, and the
-concentration's `ElementKernel` holds the element stiffness and kappa at the
-12 recovery points only, one (ne, 12) array.  Dirichlet values are imposed
-by row/column elimination with the symmetric right-hand-side correction,
-which keeps the free block SPD.
+physical range.  It is evaluated one block of whole element rows at a
+time, and the concentration's `ElementKernel` holds the element stiffness
+and kappa at the 12 recovery points only, one (ne, 12) array.  Dirichlet
+values are imposed by row/column elimination with the symmetric
+right-hand-side correction, which keeps the free block SPD.
 
 The free block is solved by CG preconditioned by a geometric multigrid
 V-cycle (`linalg.solve` with the mesh's transfers).  The levels follow from
@@ -20,8 +20,8 @@ level is solved directly.
 
 What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
-twin experiment): the row blocks of the point set at which kappa is
-evaluated (`kernel_point_blocks`, read-only views of the pair
+twin experiment): the blocks of element rows of the point set at which
+kappa is evaluated (`kernel_point_blocks`, read-only views of the pair
 `fields.quadrature(mesh).points`, so a coefficient such as a raster lookup
 can keep its value there for the run), the multigrid transfers
 (`multigrid_transfers`) and the gathers that take the free block and the
@@ -41,8 +41,9 @@ from .fields import POINT_LOCAL, NodalField, basis_values, quadrature
 from .observation import bilinear_prolongation
 
 MIN_COARSE_CELLS = 8
-# Elements per block of the kappa evaluation, which then makes a few
-# (KERNEL_BLOCK, 28) temporaries instead of (ne, 28) ones.
+# Elements per block of the kappa evaluation, rounded down to whole rows of
+# elements: a block is max(1, KERNEL_BLOCK // nx) rows, so the evaluation
+# makes a few (rows, nx, 28) temporaries instead of (ny, nx, 28) ones.
 KERNEL_BLOCK = 4096
 
 
@@ -88,16 +89,18 @@ _KERNEL_PHI = basis_values(POINT_LOCAL[:, 0], POINT_LOCAL[:, 1])
 
 def _build_kernel_blocks(mesh):
     x, y = quadrature(mesh).points
-    return [(lo, x[lo:lo + KERNEL_BLOCK], y[lo:lo + KERNEL_BLOCK])
-            for lo in range(0, mesh.n_elements, KERNEL_BLOCK)]
+    rows = max(1, KERNEL_BLOCK // mesh.nx)
+    return [(lo * mesh.nx, x[lo:lo + rows], y[lo:lo + rows])
+            for lo in range(0, mesh.ny, rows)]
 
 
 def kernel_point_blocks(mesh):
-    """The mesh's point set in blocks of `KERNEL_BLOCK` elements.
+    """The mesh's point set in blocks of max(1, `KERNEL_BLOCK` // nx)
+    element rows.
 
-    Returns a list of (first element, x, y), with x and y read-only row
-    blocks of `quadrature(mesh).points`, built once per mesh; kappa is
-    evaluated at exactly these arrays on every solve.
+    Returns a list of (first element, x, y), with x and y read-only
+    (rows, nx, 28) blocks of `quadrature(mesh).points`, built once per mesh;
+    kappa is evaluated at exactly these arrays on every solve.
     """
     return mesh.constant("kernel_point_blocks", _build_kernel_blocks)
 
@@ -154,7 +157,7 @@ class PressureProblem:
         mesh = self.mesh
         quad = quadrature(mesh)
         wg = quad.weight * (np.asarray(self.source(quad.x, quad.y), dtype=float)
-                            * np.ones(quad.x.shape))
+                            * np.ones(quad.x.shape)).reshape(-1, 16)
         element_load = wg @ quad.phi                              # (ne, 4)
         self.load = np.bincount(mesh.elements.ravel(),
                                 weights=element_load.ravel(),
@@ -178,11 +181,12 @@ def element_kernel(problem, theta):
 
     kappa is evaluated at the mesh's point set (all 28 points per element),
     one block of `kernel_point_blocks` at a time, with the concentration
-    clamped to [0, 1] first.  Each block must be positive and finite at
-    every point before its quadrature columns enter the block's stiffness
-    rows; its recovery columns are kept, the rest is dropped with the
-    block.  The kernel is kept on the problem, so the flux recovery at the
-    same concentration reuses it.
+    clamped to [0, 1] first and shaped like the block's points, and kappa
+    reshaped to one row per element.  Each block must be positive and
+    finite at every point before its quadrature columns enter the block's
+    stiffness rows; its recovery columns are kept, the rest is dropped with
+    the block.  The kernel is kept on the problem, so the flux recovery at
+    the same concentration reuses it.
     """
     kernel = problem.kernel
     if kernel is not None and np.array_equal(kernel.theta, theta.values):
@@ -194,8 +198,8 @@ def element_kernel(problem, theta):
     stiffness = np.empty((mesh.n_elements, 16))
     kappa_recovery = np.empty((mesh.n_elements, 12))
     for lo, x, y in kernel_point_blocks(mesh):
-        rows = slice(lo, lo + x.shape[0])
-        th = corners[rows] @ _KERNEL_PHI.T
+        rows = slice(lo, lo + x.shape[0] * x.shape[1])
+        th = (corners[rows] @ _KERNEL_PHI.T).reshape(x.shape)
         np.clip(th, 0.0, 1.0, out=th)
         # An overflow or a NaN in kappa is reported by the range check
         # below, not as a floating-point warning.
@@ -205,6 +209,7 @@ def element_kernel(problem, theta):
         # stiffness product reads every block in one layout.
         if k.shape != th.shape or not k.flags.c_contiguous:
             k = np.broadcast_to(k, th.shape).copy()
+        k = k.reshape(-1, len(POINT_LOCAL))
         bad = ~(np.isfinite(k) & (k > 0.0))
         if np.any(bad):
             raise CoefficientRangeError(

@@ -37,20 +37,22 @@ from .mesh import DIRICHLET, NEUMANN, build_mesh
 
 DAY = 86400.0
 
-_TINY = np.finfo(float).tiny
-
 
 def bump(x, y, cx, cy, radius, peak=1.0):
     """Smooth compactly supported bump, value `peak` at the center.
 
     exp(1 - 1/(1 - s)) with s the squared scaled distance; identically zero
-    outside the radius and infinitely differentiable across the edge.
+    outside the radius and infinitely differentiable across the edge.  The
+    exponential is evaluated inside the radius only, so a small well costs
+    little on a large point set; outside it the value is peak * 0.0.
     """
     x = np.asarray(x, dtype=float)
-    s = ((x - cx) ** 2 + (np.asarray(y, dtype=float) - cy) ** 2) / radius**2
-    with np.errstate(divide="ignore", over="ignore"):
-        val = np.exp(1.0 - 1.0 / np.maximum(1.0 - s, _TINY))
-    return peak * np.where(s < 1.0, val, 0.0)
+    s = np.asarray(((x - cx) ** 2 + (np.asarray(y, dtype=float) - cy) ** 2)
+                   / radius**2)
+    inside = s < 1.0
+    val = np.zeros(s.shape)
+    val[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
+    return peak * val
 
 
 def gaussian_smooth(values, sigma):
@@ -109,11 +111,14 @@ class FrozenPointMemo:
     """Values of functions of (x, y) kept at frozen point arrays.
 
     `memo(fn, x, y)` returns fn(x, y).  For a pair of frozen arrays
-    (`_frozen`), such as a mesh's quadrature or kernel points or row blocks
-    of them, it stores the value (read-only) and returns it whenever the
-    same two arrays come back: it keys on array identity, and an entry is
-    dropped when either array is freed.  Any other input is computed fresh.
-    One memo serves one function.
+    (`_frozen`), such as the views of a mesh's point set (its quadrature
+    points, or a kernel block of whole element rows, broadcast from the
+    mesh's read-only per-column and per-row tables), it stores the value
+    (read-only) and returns it whenever the same two arrays come back: it
+    keys on array identity, and an entry is dropped when either array is
+    freed.  Any other input is computed fresh.  The value has the points'
+    full shape, so a memo at a mesh's kernel blocks keeps (ne, 28) values
+    in all.  One memo serves one function.
     """
 
     def __init__(self):

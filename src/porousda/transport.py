@@ -217,11 +217,11 @@ class TransportCoefficients:
                                       (mesh.n_elements, 4, 4))
         # Diffusive flux term: -sum over CV faces of D grad(theta) . n.
         dq = (np.asarray(self.diffusion(quad.seg_x, quad.seg_y), dtype=float)
-              * np.ones(quad.seg_x.shape))
+              * np.ones(quad.seg_x.shape)).reshape(-1, 4)
         k0_blocks = cv_flux_blocks(mesh, dq)
         if self.reaction is not None:
             qv = (np.asarray(self.reaction(quad.x, quad.y), dtype=float)
-                  * np.ones_like(quad.x))
+                  * np.ones(quad.x.shape))
             k0_blocks = k0_blocks + np.einsum(
                 "eap,apb->eab", qv.reshape(-1, 4, 4), phi_quadrant)
         # A separable source keeps its profile's CV integrals, the CSR
@@ -522,6 +522,7 @@ def prescribed_outflux(mesh, velocity, theta_frozen):
     quad = quadrature(mesh)
     corners = theta_frozen.corner_values()[:, None, :]          # (ne, 1, 4)
     th = np.clip(np.sum(quad.seg_phi * corners, axis=2), 0.0, 1.0)   # (ne, 4)
+    th = th.reshape(quad.seg_x.shape)                           # (ny, nx, 4)
     vx, vy = velocity(quad.seg_x, quad.seg_y, th)
     vn = np.where(np.broadcast_to(SEG_NORMAL_AXIS == 0, th.shape), vx, vy)
     return (vn * quad.seg_len).ravel()

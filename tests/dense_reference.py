@@ -9,9 +9,10 @@ itself is independent.
 
 The dense assembly routines return dense numpy arrays.  The last three
 sections hold what only the tests use: record views of the dual mesh and of
-fields (the quadrature points as one array, control-volume areas, point
-evaluation, the raw FEM flux residuals), the exact integral of a bump well;
-the forms the package replaced, kept as references: among them the
+fields (the quadrature points as one array, the dense (ne, 28) point
+pair, control-volume areas, point evaluation, the raw FEM flux residuals),
+the bump as first written and the exact integral of a bump well; the forms
+the package replaced, kept as references: among them the
 bordered 5x5 LAPACK solve of the flux recovery's local systems, the same
 systems solved exactly in rationals, and the assembled cell-average
 functionals; and checks on the scenarios and fields: the domain integral by
@@ -73,6 +74,7 @@ def element_vertices(mesh, e):
 
 
 def element_origin(mesh, e):
+    """The lower-left corner of element e, or of each element of an array."""
     i, j = e % mesh.nx, e // mesh.nx
     return i * mesh.hx, j * mesh.hy
 
@@ -509,7 +511,29 @@ class ControlVolume:
 
 def global_points(quad):
     """A mesh's quadrature points as one (ne, 16, 2) array, a fresh copy."""
-    return np.stack([quad.x, quad.y], axis=-1)
+    return np.stack([quad.x, quad.y], axis=-1).reshape(-1, 16, 2)
+
+
+def dense_points(mesh):
+    """The mesh's point set as the dense (ne, 28) pair of element origin plus
+    local coordinate times h, `fields.POINT_LOCAL` in each row: the layout
+    the package kept before its per-column and per-row tables."""
+    from porousda.fields import POINT_LOCAL
+
+    ox, oy = element_origin(mesh, np.arange(mesh.n_elements))
+    return (ox[:, None] + POINT_LOCAL[:, 0] * mesh.hx,
+            oy[:, None] + POINT_LOCAL[:, 1] * mesh.hy)
+
+
+def bump_everywhere(x, y, cx, cy, radius, peak=1.0):
+    """`scenarios.bump` as first written: the exponential evaluated at every
+    point, its argument kept finite outside the radius by a floor at the
+    smallest normal double, and the outside set to zero afterwards."""
+    x = np.asarray(x, dtype=float)
+    s = ((x - cx) ** 2 + (np.asarray(y, dtype=float) - cy) ** 2) / radius**2
+    with np.errstate(divide="ignore", over="ignore"):
+        val = np.exp(1.0 - 1.0 / np.maximum(1.0 - s, np.finfo(float).tiny))
+    return peak * np.where(s < 1.0, val, 0.0)
 
 
 def well_total(peak, radius):
@@ -612,9 +636,9 @@ def _at_points(field, points):
     mesh = field.mesh
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     elems = locate(mesh, pts)
-    origins = mesh.element_origins[elems]
-    xi = (pts[:, 0] - origins[:, 0]) / mesh.hx
-    eta = (pts[:, 1] - origins[:, 1]) / mesh.hy
+    ox, oy = element_origin(mesh, elems)
+    xi = (pts[:, 0] - ox) / mesh.hx
+    eta = (pts[:, 1] - oy) / mesh.hy
     values = field.values
     corners = values[mesh.elements[elems]] if values.ndim == 1 else values[elems]
     return xi, eta, corners

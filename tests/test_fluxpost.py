@@ -218,7 +218,8 @@ def test_flux_source_equals_the_per_call_source_term_bitwise():
     source = lambda x, y: np.sin(2.0 * x) * np.exp(y)
     prob = PressureProblem(mesh, ONES, source)
     quad = quadrature(mesh)
-    gq = np.asarray(source(quad.x, quad.y), dtype=float) * np.ones(quad.x.shape)
+    gq = (np.asarray(source(quad.x, quad.y), dtype=float)
+          * np.ones(quad.x.shape)).reshape(-1, 16)
     quadrant_sums = (quad.weight * gq).reshape(mesh.n_elements, 4, 4).sum(axis=2)
     per_call = quadrant_sums - quad.weight * gq @ quad.phi
     assert np.array_equal(prob.flux_source, per_call)

@@ -50,12 +50,13 @@ def test_segment_endpoints_flank_midpoint():
     between them."""
     m = build_mesh(3, 2, Lx=1.5, Ly=1.0)
     quad = quadrature(m)
+    seg_x, seg_y = quad.seg_x.reshape(-1, 4), quad.seg_y.reshape(-1, 4)
     for e in range(m.n_elements):
         for s in range(4):
             left = m.vertices[m.elements[e, SEG_LEFT_CORNER[s]]]
             right = m.vertices[m.elements[e, SEG_RIGHT_CORNER[s]]]
             axis = SEG_NORMAL_AXIS[s]
-            mid = np.array([quad.seg_x[e, s], quad.seg_y[e, s]])
+            mid = np.array([seg_x[e, s], seg_y[e, s]])
             # midpoint lies on the axis-line halfway between the two vertices
             assert mid[axis] == pytest.approx(0.5 * (left[axis] + right[axis]))
             # the off-axis coordinates agree, and the midpoint halves the

@@ -28,6 +28,10 @@ def _counting(counts, key, fn):
     return counted
 
 
+def _mixed_faces(x, y):
+    return DIRICHLET if x == 0.0 or (y == 0.0 and x < 0.5) else NEUMANN
+
+
 @pytest.fixture(scope="module")
 def ex3_twin_builds():
     """example3 nx=30 over three coarse intervals, reference plus assimilated
@@ -70,16 +74,18 @@ def test_twin_builds_each_mesh_constant_once(ex3_twin_builds):
 
 def test_point_sets_are_views_of_one_read_only_pair(ex3_twin_builds):
     """The quadrature points, the kernel blocks and the sub-segment
-    midpoints are views of the one (ne, 28) pair of the mesh's quadrature,
-    frozen, so the memos keep them; the mesh holds no segment table."""
+    midpoints are views of the one pair of the mesh's quadrature, broadcast
+    from an (nx, 28) table of columns and an (ny, 28) table of rows, frozen,
+    so the memos keep them; the mesh holds no segment table."""
     mesh, _, _ = ex3_twin_builds
     quad = quadrature(mesh)
     px, py = quad.points
     blocks = kernel_point_blocks(mesh)
-    assert sum(x.shape[0] for _, x, _ in blocks) == mesh.n_elements
-    for base, views in ((px, [quad.x, quad.seg_x, *(x for _, x, _ in blocks)]),
-                        (py, [quad.y, quad.seg_y, *(y for _, _, y in blocks)])):
-        assert base.shape == (mesh.n_elements, 28) and base.flags.owndata
+    assert sum(x[..., 0].size for _, x, _ in blocks) == mesh.n_elements
+    for base, n, views in (
+            (px.base, mesh.nx, [px, quad.x, quad.seg_x, *(x for _, x, _ in blocks)]),
+            (py.base, mesh.ny, [py, quad.y, quad.seg_y, *(y for _, _, y in blocks)])):
+        assert base.shape == (n, 28) and base.flags.owndata
         for view in views:
             assert np.shares_memory(view, base) and view.base is base
             assert scenarios._frozen(view)
@@ -88,15 +94,67 @@ def test_point_sets_are_views_of_one_read_only_pair(ex3_twin_builds):
     assert not [name for name in vars(mesh) if name.startswith("seg_")]
     local = np.array([pt[:2] for pt in dr.quad_points()])
     segments = dr.segment_arrays(mesh)
+    x, y = quad.x.reshape(-1, 16), quad.y.reshape(-1, 16)
+    seg_x, seg_y = quad.seg_x.reshape(-1, 4), quad.seg_y.reshape(-1, 4)
     for e in (0, mesh.n_elements - 1):
         ox, oy = dr.element_origin(mesh, e)
-        np.testing.assert_allclose(quad.x[e], ox + local[:, 0] * mesh.hx,
+        np.testing.assert_allclose(x[e], ox + local[:, 0] * mesh.hx,
                                    rtol=1e-15, atol=0)
-        np.testing.assert_allclose(quad.y[e], oy + local[:, 1] * mesh.hy,
+        np.testing.assert_allclose(y[e], oy + local[:, 1] * mesh.hy,
                                    rtol=1e-15, atol=0)
         mid = segments.mid[4 * e:4 * e + 4]
-        np.testing.assert_array_equal(quad.seg_x[e], mid[:, 0])
-        np.testing.assert_array_equal(quad.seg_y[e], mid[:, 1])
+        np.testing.assert_array_equal(seg_x[e], mid[:, 0])
+        np.testing.assert_array_equal(seg_y[e], mid[:, 1])
+
+
+# Non-square meshes, one with mixed Dirichlet and Neumann faces.
+_RECTANGLES = [(12, 8, 1.5, 1.0, "all_dirichlet"), (5, 9, 1.0, 1.8, "all_neumann"),
+               (9, 6, 0.9, 0.6, _mixed_faces)]
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly, boundary", _RECTANGLES)
+def test_point_set_equals_the_dense_pair_bitwise(nx, ny, Lx, Ly, boundary,
+                                                 monkeypatch):
+    """Reshaped to (ne, 28), the point pair equals origin + local * h
+    element by element, bitwise; so do its column blocks, and the kernel
+    blocks, whole element rows with a short last block, in element order."""
+    mesh = build_mesh(nx, ny, Lx, Ly, boundary)
+    quad = quadrature(mesh)
+    dense = dr.dense_points(mesh)
+    for got, want in zip(quad.points, dense):
+        assert got.shape == (ny, nx, 28)
+        assert got.reshape(-1, 28).tobytes() == want.tobytes()
+    for got, want in ((quad.x, dense[0][:, :16]), (quad.y, dense[1][:, :16]),
+                      (quad.seg_x, dense[0][:, 24:]),
+                      (quad.seg_y, dense[1][:, 24:])):
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
+    monkeypatch.setattr(pressure, "KERNEL_BLOCK", 2 * nx + 1)
+    blocks = kernel_point_blocks(mesh)
+    assert [x.shape[0] for _, x, _ in blocks] == [2] * (ny // 2) + [1] * (ny % 2)
+    assert [lo for lo, _, _ in blocks] == list(range(0, mesh.n_elements, 2 * nx))
+    for i, want in enumerate(dense):
+        got = np.concatenate([b[1 + i].reshape(-1, 28) for b in blocks])
+        assert got.tobytes() == want.tobytes()
+
+
+def _owner(a):
+    while not a.flags.owndata:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly, boundary", _RECTANGLES)
+def test_point_set_owns_per_column_and_per_row_tables_only(nx, ny, Lx, Ly,
+                                                           boundary):
+    """Every view of the point set, the kernel blocks included, reads from
+    arrays that own at most 2 (nx + ny) 28 floats: no (ne, 28) array."""
+    mesh = build_mesh(nx, ny, Lx, Ly, boundary)
+    quad = quadrature(mesh)
+    views = [*quad.points, quad.x, quad.y, quad.seg_x, quad.seg_y]
+    for _, x, y in kernel_point_blocks(mesh):
+        views += [x, y]
+    owners = {id(o): o for o in map(_owner, views)}
+    assert sum(o.size for o in owners.values()) <= 2 * (nx + ny) * 28
 
 
 def test_problems_on_one_mesh_share_the_transfers():
@@ -217,10 +275,6 @@ def test_raster_kappa_reuses_the_factor_at_the_kernel_points(factory, monkeypatc
 
 
 # -- source and metric integrals ---------------------------------------------
-
-def _mixed_faces(x, y):
-    return DIRICHLET if x == 0.0 or (y == 0.0 and x < 0.5) else NEUMANN
-
 
 @pytest.mark.parametrize("boundary", ["all_dirichlet", "all_neumann", _mixed_faces])
 def test_source_vector_equals_the_add_at_scatter_bitwise(boundary):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter   # the oracle only
 
-from dense_reference import (example1_closed_form, integrate,
+from dense_reference import (bump_everywhere, example1_closed_form, integrate,
                              manufactured_forcing, well_total)
 from porousda import scenarios
 from porousda.fields import quadrature
+from porousda.mesh import build_mesh
 from porousda.scenarios import (BUILTIN_SCENARIOS, DAY, PermeabilityRaster,
                                 assumption_report, bump, diffusion_reaction,
                                 example1, example2, example3, example4,
@@ -256,6 +257,28 @@ def test_bump_compact_support():
     assert f(0.5, 0.5) == pytest.approx(3.0)
     assert f(0.71, 0.5) == 0.0
     assert f(0.69, 0.5) > 0.0
+
+
+@pytest.mark.parametrize("peak", [50.0, 0.8, -0.25])
+def test_bump_equals_the_everywhere_formula_bitwise(peak):
+    """Evaluated inside its radius only, the bump equals the formula that
+    evaluated the exponential at every point, bitwise: at the quadrature
+    points of a strip mesh, at points inside, outside, on the rim s = 1 and
+    just inside it, and at a scalar; a negative peak gives -0.0 outside."""
+    cx, cy, radius = 0.75, 0.5, 0.5
+    quad = quadrature(build_mesh(12, 8, 1.5, 1.0))
+    x = np.array([0.75, 1.25, 0.75, 0.25, 1.24, 0.75, 1.3, 3.0])
+    y = np.array([0.5, 0.5, 0.0, 0.5, 0.5, 1e-4, 0.9, -1.0])
+    s = ((x - cx) ** 2 + (y - cy) ** 2) / radius**2
+    assert (s == 1.0).sum() == 3 and (s < 1.0).sum() == 3
+    for px, py in ((quad.x, quad.y), (x, y), (0.9, 0.6), (2.0, 0.6)):
+        got = bump(px, py, cx, cy, radius, peak)
+        want = bump_everywhere(px, py, cx, cy, radius, peak)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    outside = bump(x, y, cx, cy, radius, peak)[s >= 1.0]
+    assert np.all(outside == 0.0)
+    assert np.all(np.signbit(outside) == (peak < 0.0))
 
 
 def test_manufactured_forcing_of_constant_is_reaction_only():

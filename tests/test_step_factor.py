@@ -337,7 +337,7 @@ def _whole_array_kernel(problem, theta):
     """The element kernel as one (ne, 28) evaluation, before blocking."""
     mesh = problem.mesh
     quad = quadrature(mesh)
-    x, y = (a.copy() for a in quad.points)
+    x, y = (a.reshape(-1, 28) for a in quad.points)
     th = np.clip(theta.corner_values() @ pressure._KERNEL_PHI.T, 0.0, 1.0)
     kq = problem.kappa(th, x, y) * np.ones_like(th)
     grad_dot = np.einsum("pad,pbd->pab", quad.dphi, quad.dphi)
@@ -351,7 +351,7 @@ def test_blocked_kernel_equals_the_whole_array_kernel_bitwise(factory, monkeypat
     sc = factory(nx=30)
     mesh = sc.build_mesh()
     blocks = pressure.kernel_point_blocks(mesh)
-    assert len(blocks) == 9                # 900 elements, 100 per block
+    assert len(blocks) == 10               # 30 element rows, 3 per block
     counts = {"bilinear": 0}
     bilinear = PermeabilityRaster._bilinear
 
@@ -372,6 +372,24 @@ def test_blocked_kernel_equals_the_whole_array_kernel_bitwise(factory, monkeypat
                                 kernel.stiffness), want):
             assert got.shape == expect.shape
             assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("nx, ny", [(12, 8), (5, 9), (9, 6)])
+def test_blocked_kernel_on_a_rectangle_equals_the_whole_array_kernel_bitwise(
+        nx, ny, monkeypatch):
+    """On non-square meshes, blocks of two element rows (the last one short
+    when ny is odd) give the kernel of one (ne, 28) evaluation, bitwise."""
+    monkeypatch.setattr(pressure, "KERNEL_BLOCK", 2 * nx + 1)
+    sc = scenarios.example3(nx=nx)
+    mesh = sc.build_mesh(nx, ny)
+    problem = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)
+    theta = NodalField.from_callable(mesh, lambda x, y: 1.5 * x - 0.2 * y)
+    kernel = pressure.element_kernel(problem, theta)
+    want = _whole_array_kernel(problem, theta)
+    for got, expect in zip((kernel.kappa_edge, kernel.kappa_seg,
+                            kernel.stiffness), want):
+        assert got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
 
 
 def test_example4_well_profile_is_evaluated_once_per_run(monkeypatch):

@@ -169,6 +169,24 @@ def test_prescribed_outflux_uniform_velocity():
     np.testing.assert_allclose(out[~vertical], 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("nx, ny", [(12, 8), (5, 9)])
+def test_prescribed_outflux_on_a_rectangle_matches_the_segment_oracle(nx, ny):
+    """The closure sees each segment's midpoint with the concentration
+    there, also when the x and y point tables differ in length."""
+    mesh = build_mesh(nx, ny, Lx=1.5, Ly=1.0)
+
+    def vel(x, y, th):
+        return 1.0 + x * y + th, y - 0.5 * th
+
+    theta = NodalField.from_callable(mesh, lambda x, y: 0.6 * x + 0.3 * y * y)
+    out = prescribed_outflux(mesh, vel, theta)
+    seg = dr.segment_arrays(mesh)
+    th = np.clip(dr.field_value(theta, seg.mid), 0.0, 1.0)
+    v = np.stack(vel(seg.mid[:, 0], seg.mid[:, 1], th), axis=-1)
+    want = v[np.arange(seg.axis.size), seg.axis] * seg.length
+    np.testing.assert_allclose(out, want, rtol=1e-14, atol=1e-15)
+
+
 def test_prescribed_outflux_clamps_concentration():
     mesh = build_mesh(3, 3)
     seen = {}

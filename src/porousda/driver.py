@@ -362,7 +362,7 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
     problem = None
     if needs_pressure:
         problem = PressureProblem(mesh, scenario.kappa,
-                                  scenario.pressure_source or (lambda x, y: np.zeros_like(np.asarray(x, dtype=float))),
+                                  scenario.pressure_source or (lambda x, y: np.zeros(np.shape(x))),
                                   dirichlet=scenario.pressure_dirichlet,
                                   solver=solver)
 

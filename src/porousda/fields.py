@@ -19,8 +19,18 @@ column blocks are the views every module reads: `x` and `y`, (ny, nx, 16),
 where each coefficient and source integrated with the rule is evaluated,
 and `seg_x` and `seg_y`, (ny, nx, 4), the sub-segment midpoints.  A value
 computed at them is reshaped to the per-element layout, (ne, 16) or
-(ne, 4), by the caller.  The pressure evaluates kappa at blocks of whole
-element rows of the pair (`pressure.kernel_point_blocks`).
+(ne, 4), by the caller.
+
+`kernel_point_blocks(mesh)`, also built once per mesh, slices the pair into
+blocks of max(1, `KERNEL_BLOCK` // nx) whole element rows.  Every pass that
+evaluates a coefficient at the point set or scatters per-element data over
+the whole mesh runs one block at a time: kappa, the pressure source and its
+control-volume integrals, the transport run's operator and its upwind
+advection, and the control-volume balance of the flux recovery.  A block
+scatters by `np.add.at`, which adds into a zeroed output in element order as
+one `np.bincount` over the whole mesh would, so the sums do not depend on
+the blocks; each pass makes a few (rows, nx, k) temporaries instead of
+(ny, nx, k) ones.
 
 L2 norms of nodal fields, and of differences of two nodal fields, are read
 from `mass_matrix(mesh)`, the consistent bilinear mass matrix on the mesh's
@@ -36,6 +46,9 @@ from . import linalg
 from .mesh import EDGE_QP_LOCAL, SEG_LOCAL_MID, SEG_NORMAL_AXIS, SEG_SIGN
 
 _G = 0.5 / np.sqrt(3.0)
+# Elements per block of `kernel_point_blocks`, rounded down to whole rows of
+# elements: a block is max(1, KERNEL_BLOCK // nx) rows.
+KERNEL_BLOCK = 4096
 
 
 def basis_values(xi, eta):
@@ -118,6 +131,25 @@ class Quadrature:
 def quadrature(mesh):
     """Quadrature tables and points of a mesh, built once per mesh."""
     return mesh.constant("quadrature", Quadrature)
+
+
+def _build_kernel_blocks(mesh):
+    x, y = quadrature(mesh).points
+    rows = max(1, KERNEL_BLOCK // mesh.nx)
+    return [(lo * mesh.nx, x[lo:lo + rows], y[lo:lo + rows])
+            for lo in range(0, mesh.ny, rows)]
+
+
+def kernel_point_blocks(mesh):
+    """The mesh's point set in blocks of max(1, `KERNEL_BLOCK` // nx)
+    element rows.
+
+    Returns a list of (first element, x, y), with x and y read-only
+    (rows, nx, 28) blocks of `quadrature(mesh).points`, built once per mesh;
+    kappa is evaluated at exactly these arrays on every solve, and the
+    blocked passes over the element data take their element ranges from it.
+    """
+    return mesh.constant("kernel_point_blocks", _build_kernel_blocks)
 
 
 def _build_mass_matrix(mesh):

@@ -44,14 +44,15 @@ assembly has just filled for the same concentration; the source term of r
 is the problem's run constant `flux_source`.  r and the flows are computed
 in place, in preallocated (ne, 4) arrays filled column by column, and each
 temporary is dropped once read.  The control-volume balances add the
-segment outfluxes per vertex in segment order, in one `np.bincount`.
+segment outfluxes per vertex in segment order, one block of element rows
+at a time (`fields.kernel_point_blocks`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DGField, basis_gradients
+from .fields import DGField, basis_gradients, kernel_point_blocks
 from .mesh import (EDGE_QP_AXIS, EDGE_QP_LOCAL, NEUMANN, SEG_LEFT_CORNER,
                    SEG_RIGHT_CORNER)
 from .pressure import element_kernel
@@ -161,18 +162,20 @@ def _loop_flows(mesh, kappa_seg, r, p_sum):
 def cv_balance_residuals(mesh, segment_outflux, cv_source):
     """Outflux sum minus source integral per CV; NaN at Dirichlet vertices.
 
-    One `np.bincount` adds each segment's outflux to its left CV and then
-    its negation to its right CV, in segment order.
+    Each segment's outflux is added to its left CV, over every block of
+    element rows in turn, and then subtracted from its right CV the same
+    way, by `np.add.at` and `np.subtract.at`: in segment order, as one
+    `np.add.at` over all left corners and one over all right corners would.
     """
     outflux = segment_outflux.reshape(-1, 4)
-    ends = np.empty((2,) + outflux.shape, dtype=mesh.elements.dtype)
-    np.take(mesh.elements, SEG_LEFT_CORNER, axis=1, out=ends[0])
-    np.take(mesh.elements, SEG_RIGHT_CORNER, axis=1, out=ends[1])
-    signed = np.empty(ends.shape)
-    signed[0] = outflux
-    np.negative(outflux, out=signed[1])
-    res = np.bincount(ends.ravel(), weights=signed.ravel(),
-                      minlength=mesh.n_vertices)
+    res = np.zeros(mesh.n_vertices)
+    blocks = [(lo, lo + x.shape[0] * x.shape[1])
+              for lo, x, _ in kernel_point_blocks(mesh)]
+    for scatter, corners in ((np.add.at, SEG_LEFT_CORNER),
+                             (np.subtract.at, SEG_RIGHT_CORNER)):
+        for lo, hi in blocks:
+            scatter(res, mesh.elements[lo:hi, corners].ravel(),
+                    outflux[lo:hi].ravel())
     res -= cv_source
     res[mesh.is_dirichlet] = np.nan
     return res

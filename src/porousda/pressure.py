@@ -20,15 +20,15 @@ level is solved directly.
 
 What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
-twin experiment): the blocks of element rows of the point set at which
-kappa is evaluated (`kernel_point_blocks`, read-only views of the pair
-`fields.quadrature(mesh).points`, so a coefficient such as a raster lookup
-can keep its value there for the run), the multigrid transfers
-(`multigrid_transfers`) and the gathers that take the free block and the
-Dirichlet block from the stiffness (`pressure_blocks`).  What depends on the
-problem's time-independent data is built once per problem: the source's
-load vector, its control-volume integrals and the source term of the flux
-recovery's local systems.
+twin experiment): the multigrid transfers (`multigrid_transfers`) and the
+gathers that take the free block and the Dirichlet block from the stiffness
+(`pressure_blocks`).  kappa is evaluated at the blocks of element rows of
+the point set that `fields.kernel_point_blocks` owns, read-only views of
+the pair `fields.quadrature(mesh).points`, so a coefficient such as a raster
+lookup can keep its value there for the run.  What depends on the
+problem's time-independent data is built once per problem, over the same
+blocks: the source's load vector, its control-volume integrals and the
+source term of the flux recovery's local systems.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -37,14 +37,11 @@ import numpy as np
 from scipy import sparse
 
 from . import linalg
-from .fields import POINT_LOCAL, NodalField, basis_values, quadrature
+from .fields import (POINT_LOCAL, NodalField, basis_values,
+                     kernel_point_blocks, quadrature)
 from .observation import bilinear_prolongation
 
 MIN_COARSE_CELLS = 8
-# Elements per block of the kappa evaluation, rounded down to whole rows of
-# elements: a block is max(1, KERNEL_BLOCK // nx) rows, so the evaluation
-# makes a few (rows, nx, 28) temporaries instead of (ny, nx, 28) ones.
-KERNEL_BLOCK = 4096
 
 
 class CoefficientRangeError(ValueError):
@@ -87,24 +84,6 @@ def _build_transfers(mesh):
 _KERNEL_PHI = basis_values(POINT_LOCAL[:, 0], POINT_LOCAL[:, 1])
 
 
-def _build_kernel_blocks(mesh):
-    x, y = quadrature(mesh).points
-    rows = max(1, KERNEL_BLOCK // mesh.nx)
-    return [(lo * mesh.nx, x[lo:lo + rows], y[lo:lo + rows])
-            for lo in range(0, mesh.ny, rows)]
-
-
-def kernel_point_blocks(mesh):
-    """The mesh's point set in blocks of max(1, `KERNEL_BLOCK` // nx)
-    element rows.
-
-    Returns a list of (first element, x, y), with x and y read-only
-    (rows, nx, 28) blocks of `quadrature(mesh).points`, built once per mesh;
-    kappa is evaluated at exactly these arrays on every solve.
-    """
-    return mesh.constant("kernel_point_blocks", _build_kernel_blocks)
-
-
 @dataclass
 class ElementKernel:
     """The per-element coefficient data of one pressure solve and its flux
@@ -136,7 +115,11 @@ class PressureProblem:
     `load`, its control-volume integrals into `cv_source` (nv,), and the
     source term of the flux recovery's local systems into `flux_source`
     (ne, 4), each corner quadrant's integral of g minus the element integral
-    of g times that corner's basis function.  `transfers` is the mesh's
+    of g times that corner's basis function.  g is evaluated one block of
+    `kernel_point_blocks` at a time into one (ne, 16) array of weighted
+    values, and each block is added into `cv_source` by `np.add.at`, point
+    by point in element order; the load is one product of that array with
+    the basis and one `np.bincount`.  `transfers` is the mesh's
     multigrid hierarchy, shared with every other problem on the mesh.  The
     element kernel of the latest concentration is kept for the flux recovery
     that follows the solve (`element_kernel`)."""
@@ -156,17 +139,21 @@ class PressureProblem:
     def __post_init__(self):
         mesh = self.mesh
         quad = quadrature(mesh)
-        wg = quad.weight * (np.asarray(self.source(quad.x, quad.y), dtype=float)
-                            * np.ones(quad.x.shape)).reshape(-1, 16)
+        wg = np.empty((mesh.n_elements, 16))
+        self.cv_source = np.zeros(mesh.n_vertices)
+        for lo, x, y in kernel_point_blocks(mesh):
+            hi = lo + x.shape[0] * x.shape[1]
+            g = np.asarray(self.source(x[..., :16], y[..., :16]), dtype=float)
+            np.multiply(quad.weight, g, out=wg[lo:hi].reshape(x[..., :16].shape))
+            np.add.at(self.cv_source,
+                      mesh.elements[lo:hi, quad.owner_corner].ravel(),
+                      wg[lo:hi].ravel())
         element_load = wg @ quad.phi                              # (ne, 4)
         self.load = np.bincount(mesh.elements.ravel(),
                                 weights=element_load.ravel(),
                                 minlength=mesh.n_vertices)
-        self.cv_source = np.bincount(mesh.elements[:, quad.owner_corner].ravel(),
-                                     weights=wg.ravel(),
-                                     minlength=mesh.n_vertices)
-        self.flux_source = (wg.reshape(mesh.n_elements, 4, 4).sum(axis=2)
-                            - element_load)
+        self.flux_source = wg.reshape(mesh.n_elements, 4, 4).sum(axis=2)
+        self.flux_source -= element_load
         self.transfers = multigrid_transfers(mesh)
 
     def dirichlet_values(self, vids):

@@ -348,7 +348,7 @@ def example1(nx=100, t_end=0.5, mu=100.0):
     return Scenario(
         name="example1", nx=nx, ny=nx,
         edge_tags="all_dirichlet",
-        diffusion=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
+        diffusion=lambda x, y: np.ones(np.shape(x)),
         velocity=velocity,
         source=source,
         initial=lambda x, y: (x - x**2) * (y - y**2),
@@ -370,15 +370,14 @@ def example2(nx=50, t_end=2.0, mu=100.0):
         return np.exp(t) * (x - x**2) * np.ones_like(np.asarray(y, dtype=float))
 
     def profile(x, y):
-        return ((x - x**2) + 2.0 + (1.0 - 2.0 * x)) \
-            * np.ones_like(np.asarray(y, dtype=float))
+        return ((x - x**2) + 2.0 + (1.0 - 2.0 * x)) * np.ones(np.shape(y))
 
     return Scenario(
         name="example2", nx=nx, ny=nx,
         edge_tags=_x_faces_dirichlet(1.0),
-        diffusion=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
+        diffusion=lambda x, y: np.ones(np.shape(x)),
         kappa=lambda theta, x, y: np.ones_like(np.asarray(theta, dtype=float)),
-        pressure_source=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        pressure_source=lambda x, y: np.zeros(np.shape(x)),
         source=Separable(profile, np.exp),
         pressure_dirichlet=lambda x, y: 1.0 - x,
         initial=lambda x, y: (x - x**2) * np.ones_like(np.asarray(y, dtype=float)),
@@ -424,7 +423,7 @@ def example3(nx=240, raster=None, seed=20260814, mu=1000.0, spacing=1.0 / 30.0,
     return Scenario(
         name="example3", nx=nx, ny=nx,
         edge_tags="all_dirichlet",
-        diffusion=lambda x, y: 0.01 * np.ones_like(np.asarray(x, dtype=float)),
+        diffusion=lambda x, y: np.full(np.shape(x), 0.01),
         kappa=mobility_closure(k),
         pressure_source=g,
         initial=theta0,
@@ -470,7 +469,7 @@ def example4(nx=240, raster=None, seed=20260814, mu=1e-5, spacing=40.0,
     return Scenario(
         name="example4", nx=nx, ny=nx, lengths=(L, L),
         edge_tags="all_dirichlet",
-        diffusion=lambda x, y: 1e-5 * np.ones_like(np.asarray(x, dtype=float)),
+        diffusion=lambda x, y: np.full(np.shape(x), 1e-5),
         kappa=kappa,
         pressure_source=lambda x, y: q_in(x, y) - q_out(x, y),
         source=Separable(q_in, injected_concentration),
@@ -496,8 +495,8 @@ def diffusion_reaction(nx=20, t_end=1.0, mu=10.0):
     return Scenario(
         name="diffusion_reaction", nx=nx, ny=nx,
         edge_tags="all_dirichlet",
-        diffusion=lambda x, y: 0.1 * np.ones_like(np.asarray(x, dtype=float)),
-        reaction=lambda x, y: 0.5 * np.ones_like(np.asarray(x, dtype=float)),
+        diffusion=lambda x, y: np.full(np.shape(x), 0.1),
+        reaction=lambda x, y: np.full(np.shape(x), 0.5),
         source=Separable(lambda x, y: bump(x, y, 0.5, 0.5, 0.3, 0.25),
                          lambda t: 1.0 + 0.8 * np.sin(2.0 * np.pi * t)),
         initial=lambda x, y: 0.9 * np.sin(np.pi * x) * np.sin(np.pi * y),

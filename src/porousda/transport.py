@@ -15,14 +15,15 @@ stencil in the free rows, joined, when mu > 0, with the columns that nudging
 couples them to, and the diagonal alone in the Dirichlet rows.  Mass,
 reaction, diffusion and advection are 4x4 blocks per element (a quadrant's
 Gauss points lie in its corner's CV; a dual-mesh segment, its two CVs and
-its upwind vertex lie in one element), summed into the pattern in element
-order by `np.bincount`.  A coarse hat is the fine bilinear field of its
-column of the prolongation P, so the CV integrals of the coarse basis are
-`mass @ P`.  The run keeps two data vectors, the mass M and K0 = diffusion +
-reaction + mu * nudging; with h = dt/2, a velocity with advection a has the
-step matrix S = M + h (K0 + a) plus the Dirichlet diagonal and the explicit
-operator E = M - h (K0 + a), so a step's right-hand side is one product,
-E @ theta.
+its upwind vertex lie in one element), made and summed into the pattern one
+block of element rows at a time (`fields.kernel_point_blocks`), each block
+by `np.add.at`, in element order as one `np.bincount` would.  A coarse hat
+is the fine bilinear field of its column of the prolongation P, so the CV
+integrals of the coarse basis are `mass @ P`.  The run keeps two data
+vectors, the mass M and K0 = diffusion + reaction + mu * nudging; with
+h = dt/2, a velocity with advection a has the step matrix S = M + h (K0 + a)
+plus the Dirichlet diagonal and the explicit operator E = M - h (K0 + a),
+so a step's right-hand side is one product, E @ theta.
 
 A run steps with one frozen velocity at a time, and every step takes the
 run's nominal size, so the run holds one slot: the segment outflux, the step
@@ -47,7 +48,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu as _superlu
 
 from . import linalg
-from .fields import NodalField, cv_flux_blocks, quadrature
+from .fields import NodalField, cv_flux_blocks, kernel_point_blocks, quadrature
 from .mesh import SEG_LEFT_CORNER, SEG_NORMAL_AXIS, SEG_RIGHT_CORNER
 from .scenarios import Separable
 
@@ -163,12 +164,14 @@ class TransportCoefficients:
     The operator: `indices` and `indptr` (int32, read-only) are the pattern.
     Per segment, `advection_slots` (int32, ne * 16) holds the slots of the
     four entries its outflux enters, and the dump slot `nnz` for those in
-    Dirichlet rows.  `mass` and `k0` hold M and K0; `nudge_cv` serves the
-    data term.  A general source has `source_cv`, the CV integrals of values
-    at the quadrature points as an (nv, 16 ne) matrix, applied on every
-    step.  A `Separable` source (`separable`, found also through
-    `functools.wraps` wrappers) has no such matrix: the run keeps only
-    `profile_cv`, the CV integrals of its profile, computed once, and scales
+    Dirichlet rows.  `mass` and `k0` hold M and K0, each summed from its
+    element blocks one block of element rows at a time, the coefficients
+    evaluated at that block's points; `nudge_cv` serves the data term.  A
+    general source has `source_cv`, the CV integrals of values at the
+    quadrature points as an (nv, 16 ne) matrix, applied on every step.  A
+    `Separable` source (`separable`, found also through `functools.wraps`
+    wrappers) has no such matrix: the run keeps only `profile_cv`, the CV
+    integrals of its profile, integrated once, block by block, and scales
     it by rate(t).  The factor state:
     `factor_at_once`, set while the run factors by cost (see `step`), and
     `order`, the ordering q of its factors, from its first factor on.
@@ -211,27 +214,25 @@ class TransportCoefficients:
     def _build_static(self):
         mesh = self.mesh
         quad = quadrature(mesh)
+        blocks = kernel_point_blocks(mesh)
         # The four Gauss points of quadrant a all sit in the CV of corner a.
         phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
-        mass_blocks = np.broadcast_to(phi_quadrant.sum(axis=1),
-                                      (mesh.n_elements, 4, 4))
-        # Diffusive flux term: -sum over CV faces of D grad(theta) . n.
-        dq = (np.asarray(self.diffusion(quad.seg_x, quad.seg_y), dtype=float)
-              * np.ones(quad.seg_x.shape)).reshape(-1, 4)
-        k0_blocks = cv_flux_blocks(mesh, dq)
-        if self.reaction is not None:
-            qv = (np.asarray(self.reaction(quad.x, quad.y), dtype=float)
-                  * np.ones(quad.x.shape))
-            k0_blocks = k0_blocks + np.einsum(
-                "eap,apb->eab", qv.reshape(-1, 4, 4), phi_quadrant)
+        mass_block = phi_quadrant.sum(axis=1).ravel()
         # A separable source keeps its profile's CV integrals, the CSR
-        # product of the general path done once.
+        # product of the general path done once, block by block.
         self.source_cv = self.profile_cv = None
         if self.separable is not None:
-            profile = np.asarray(self.separable.profile(quad.x, quad.y),
-                                 dtype=float)
-            self.profile_cv = (_cv_integration(mesh, ~mesh.is_dirichlet)
-                               @ np.broadcast_to(profile, quad.x.shape).ravel())
+            self.profile_cv = np.zeros(mesh.n_vertices)
+            for lo, x, y in blocks:
+                hi = lo + x.shape[0] * x.shape[1]
+                profile = np.asarray(self.separable.profile(x[..., :16],
+                                                            y[..., :16]),
+                                     dtype=float)
+                np.add.at(self.profile_cv,
+                          mesh.elements[lo:hi, quad.owner_corner].ravel(),
+                          np.multiply(quad.weight, np.broadcast_to(
+                              profile, x[..., :16].shape)).ravel())
+            self.profile_cv[mesh.is_dirichlet] = 0.0
         elif self.source is not None:
             self.source_cv = _cv_integration(mesh, ~mesh.is_dirichlet)
 
@@ -243,7 +244,8 @@ class TransportCoefficients:
         in_dirichlet_row = np.repeat(dirichlet, row_sizes)
         keep = ~in_dirichlet_row
         keep[diagonal] = True
-        to_kept = np.cumsum(keep) - 1
+        to_kept = np.cumsum(keep, dtype=np.int32)
+        to_kept -= 1
         self.n = stencil.n
         self.nnz = int(to_kept[-1]) + 1
         self.indices = stencil.indices[keep]
@@ -251,9 +253,16 @@ class TransportCoefficients:
         np.cumsum(np.where(dirichlet, 1, row_sizes), out=self.indptr[1:])
         self.dirichlet_slots = to_kept[diagonal]
         to_kept[in_dirichlet_row] = self.nnz
-        slots = to_kept[stencil.slots].reshape(-1, 16)   # of element entries
+        # The slots of the element entries, 16 per element.
+        slots = np.take(to_kept, stencil.slots)
+        del to_kept
 
-        self.mass = self._scatter(slots, mass_blocks)
+        mass = np.zeros(self.nnz + 1)
+        for lo, x, _ in blocks:
+            hi = lo + x.shape[0] * x.shape[1]
+            np.add.at(mass, slots[16 * lo:16 * hi],
+                      np.tile(mass_block, hi - lo))
+        self.mass = mass[:self.nnz]
         self.nudge_cv = coupling = None
         if self.grid is not None:
             # The product's columns come out unsorted.
@@ -263,11 +272,28 @@ class TransportCoefficients:
                 coupling = self.mu * (self.nudge_cv
                                       @ self.grid.functionals).tocsr()
                 coupling.sort_indices()
-                slots, coupling_slots = self._join(coupling, slots)
-        self.k0 = self._scatter(slots, k0_blocks)
+                coupling_slots = self._join(coupling, slots)
+        # K0: the diffusive flux, -sum over CV faces of D grad(theta) . n,
+        # plus the reaction.
+        k0 = np.zeros(self.nnz + 1)
+        for lo, x, y in blocks:
+            hi = lo + x.shape[0] * x.shape[1]
+            d = np.asarray(self.diffusion(x[..., 24:], y[..., 24:]),
+                           dtype=float)
+            k0_blocks = cv_flux_blocks(mesh, np.broadcast_to(
+                d, x[..., 24:].shape).reshape(-1, 4))
+            if self.reaction is not None:
+                r = np.asarray(self.reaction(x[..., :16], y[..., :16]),
+                               dtype=float)
+                k0_blocks += np.einsum(
+                    "eap,apb->eab",
+                    np.broadcast_to(r, x[..., :16].shape).reshape(-1, 4, 4),
+                    phi_quadrant)
+            np.add.at(k0, slots[16 * lo:16 * hi], k0_blocks.ravel())
+        self.k0 = k0[:self.nnz]
         if coupling is not None:
             self.k0[coupling_slots] += coupling.data
-        self.advection_slots = np.take(slots.astype(np.int32), _UPWIND_ENTRIES,
+        self.advection_slots = np.take(slots.reshape(-1, 16), _UPWIND_ENTRIES,
                                        axis=1).ravel()
         # Every matrix of the run shares these; scipy raises on an in-place
         # change, such as eliminate_zeros, instead of corrupting the run.
@@ -275,15 +301,16 @@ class TransportCoefficients:
 
     def _join(self, coupling, slots):
         """Join the entries of `coupling`, a canonical CSR matrix, to the
-        pattern, where `mass` holds the only data so far; returns the element
-        entries' `slots` in the joined pattern and the coupling's slots.  A
-        sum of canonical matrices keeps each one's entries in order; marking
-        the pattern's entries 1 and the coupling's 2 tells them apart."""
+        pattern, where `mass` holds the only data so far; remaps the element
+        entries' `slots` to the joined pattern in place and returns the
+        coupling's slots.  A sum of canonical matrices keeps each one's
+        entries in order; marking the pattern's entries 1 and the coupling's
+        2 tells them apart."""
         union = self.matrix(np.ones(self.nnz, dtype=np.int8)) + sparse.csr_matrix(
             (np.full(coupling.nnz, 2, dtype=np.int8), coupling.indices,
              coupling.indptr), shape=coupling.shape)
         moved = np.append(np.flatnonzero(union.data != 2), union.nnz)  # and the dump slot
-        slots = moved[slots]
+        np.take(moved, slots, out=slots)
         self.dirichlet_slots = moved[self.dirichlet_slots]
         self.nnz = union.nnz
         self.indices = union.indices.astype(np.int32, copy=False)
@@ -291,13 +318,7 @@ class TransportCoefficients:
         mass = np.zeros(self.nnz)
         mass[moved[:-1]] = self.mass
         self.mass = mass
-        return slots, np.flatnonzero(union.data >= 2)
-
-    def _scatter(self, slots, blocks):
-        """Element blocks (ne, 4, 4) summed into the pattern at their `slots`
-        (ne, 16) in element order; the rows of Dirichlet vertices drop out."""
-        return np.bincount(slots.ravel(), weights=np.ravel(blocks),
-                           minlength=self.nnz + 1)[:self.nnz]
+        return np.flatnonzero(union.data >= 2)
 
     def matrix(self, data):
         """The CSR matrix with these values on the run's pattern."""
@@ -307,17 +328,26 @@ class TransportCoefficients:
     def advection(self, outflux):
         """The upwind advection of a segment outflux, as data on the pattern:
         a positive outflux leaves the left CV and enters the right one in the
-        left vertex's column, a negative one in the right vertex's."""
+        left vertex's column, a negative one in the right vertex's.  The
+        weights are made and scattered one block of element rows at a
+        time."""
         U = np.asarray(outflux, dtype=float)
         if U.shape != (self.advection_slots.size // 4,):
             raise ValueError(f"expected {self.advection_slots.size // 4} "
                              f"segment outflux values")
-        weights = np.empty((U.size, 4))
-        np.maximum(U, 0.0, out=weights[:, 0])
-        np.minimum(U, 0.0, out=weights[:, 2])
-        np.negative(weights[:, 0::2], out=weights[:, 1::2])
-        return np.bincount(self.advection_slots, weights=weights.ravel(),
-                           minlength=self.nnz + 1)[:self.nnz]
+        out = np.zeros(self.nnz + 1)
+        blocks = kernel_point_blocks(self.mesh)
+        buffer = np.empty((4 * blocks[0][1].shape[0] * self.mesh.nx, 4))
+        for lo, x, _ in blocks:
+            hi = lo + x.shape[0] * x.shape[1]
+            u = U[4 * lo:4 * hi]
+            weights = buffer[:u.size]
+            np.maximum(u, 0.0, out=weights[:, 0])
+            np.minimum(u, 0.0, out=weights[:, 2])
+            np.negative(weights[:, 0::2], out=weights[:, 1::2])
+            np.add.at(out, self.advection_slots[16 * lo:16 * hi],
+                      weights.ravel())
+        return out[:self.nnz]
 
     def matrices(self, dt):
         """(S, E) of a step of size dt with the slot's velocity, built once
@@ -325,8 +355,12 @@ class TransportCoefficients:
         diagonal, and E = M - h (K0 + a)."""
         if dt != self.dt:
             U = self.velocity_outflux
-            hk = 0.5 * dt * (self.k0 if U is None
-                             else self.k0 + self.advection(U))
+            if U is None:
+                hk = np.multiply(0.5 * dt, self.k0)
+            else:
+                hk = self.advection(U)
+                hk += self.k0
+                hk *= 0.5 * dt
             lhs = self.mass + hk
             lhs[self.dirichlet_slots] = 1.0
             self.lhs = self.matrix(lhs)

@@ -899,6 +899,58 @@ def advection_by_scatter(mesh, outflux):
     return scatter_rows(mesh, local.reshape(-1, 4, 4), ~mesh.is_dirichlet)
 
 
+def run_operator_by_bincount(coeffs, outflux):
+    """The mass, K0 and the upwind advection of `outflux` of the run
+    `coeffs`, as data on its pattern, each scattered from whole-mesh element
+    arrays by one `np.bincount` in element order: the form the blocked
+    scatter replaced.  The coefficients are evaluated at the whole point
+    views, the element entries of Dirichlet rows go to the dump slot, and
+    the nudging coupling is added at its slots afterwards."""
+    from porousda.fields import cv_flux_blocks, quadrature
+    from porousda.transport import _UPWIND_ENTRIES
+
+    mesh = coeffs.mesh
+    quad = quadrature(mesh)
+    nnz = coeffs.nnz
+    where = coeffs.matrix(np.arange(1.0, nnz + 1))
+
+    def slots_of(rows, cols):
+        return np.asarray(where[rows, cols]).ravel().astype(np.intp) - 1
+
+    e = mesh.elements
+    rows = np.repeat(e, 4, axis=1).ravel()        # entry (a, b): row e[a]
+    slots = slots_of(rows, np.tile(e, (1, 4)).ravel())
+    slots[mesh.is_dirichlet[rows]] = nnz
+
+    def scatter(slots, weights):
+        return np.bincount(slots, weights=np.ravel(weights),
+                           minlength=nnz + 1)[:nnz]
+
+    phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)
+    mass = scatter(slots, np.broadcast_to(phi_quadrant.sum(axis=1),
+                                          (mesh.n_elements, 4, 4)))
+    d = np.asarray(coeffs.diffusion(quad.seg_x, quad.seg_y), dtype=float)
+    blocks = cv_flux_blocks(mesh, (d * np.ones(quad.seg_x.shape)).reshape(-1, 4))
+    if coeffs.reaction is not None:
+        r = np.asarray(coeffs.reaction(quad.x, quad.y), dtype=float)
+        blocks = blocks + np.einsum(
+            "eap,apb->eab", (r * np.ones(quad.x.shape)).reshape(-1, 4, 4),
+            phi_quadrant)
+    k0 = scatter(slots, blocks)
+    if coeffs.mu > 0.0:
+        coupling = (coeffs.mu * (coeffs.nudge_cv
+                                 @ coeffs.grid.functionals)).tocoo()
+        k0[slots_of(coupling.row, coupling.col)] += coupling.data
+    U = np.asarray(outflux, dtype=float)
+    weights = np.empty((U.size, 4))
+    np.maximum(U, 0.0, out=weights[:, 0])
+    np.minimum(U, 0.0, out=weights[:, 2])
+    np.negative(weights[:, 0::2], out=weights[:, 1::2])
+    advection = scatter(np.take(slots.reshape(-1, 16), _UPWIND_ENTRIES,
+                                axis=1).ravel(), weights)
+    return mass, k0, advection
+
+
 def scatter_rows(mesh, local, rows):
     """Element blocks (ne, 4, 4) scattered into the stencil pattern, only
     the rows in the boolean vertex mask `rows`; the others hold explicit

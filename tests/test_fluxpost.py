@@ -120,11 +120,15 @@ def test_singular_local_system_reports_element():
     assert "element" in str(info.value)
 
 
-@pytest.mark.parametrize("boundary", [_x_faces, "all_neumann"])
-def test_cv_balance_equals_the_add_at_form_bitwise(boundary):
-    """One `np.bincount` over the left and then the right segment corners
-    adds in the order of the two `np.add.at` calls it replaced."""
-    mesh = build_mesh(13, 9, boundary_spec=boundary)
+# nx = 72 splits into blocks of 56 and 16 element rows (`fields.KERNEL_BLOCK`).
+@pytest.mark.parametrize("nx, ny, boundary", [(13, 9, _x_faces),
+                                              (13, 9, "all_neumann"),
+                                              (72, 72, _x_faces)],
+                         ids=["_x_faces", "all_neumann", "72x72-blocks"])
+def test_cv_balance_equals_the_add_at_form_bitwise(nx, ny, boundary):
+    """The blocked passes over the left and then the right segment corners
+    add in the order of the two whole-mesh `np.add.at` calls."""
+    mesh = build_mesh(nx, ny, boundary_spec=boundary)
     rng = np.random.default_rng(7)
     outflux = rng.standard_normal(mesh.n_segments) * 10.0 ** rng.uniform(
         -8, 8, mesh.n_segments)
@@ -213,16 +217,23 @@ def test_recovery_matches_the_bordered_solve_of_the_dense_systems(boundary,
 
 def test_flux_source_equals_the_per_call_source_term_bitwise():
     """`flux_source` is the source term the recovery once rebuilt per call
-    from g at the quadrature points."""
-    mesh = build_mesh(6, 4, Lx=1.5, Ly=1.0)
+    from g at the quadrature points, also on a 72 x 72 mesh, where g is
+    evaluated in blocks of 56 and 16 element rows; `cv_source` is the
+    whole-mesh `np.add.at` scatter of the same weighted values."""
     source = lambda x, y: np.sin(2.0 * x) * np.exp(y)
-    prob = PressureProblem(mesh, ONES, source)
-    quad = quadrature(mesh)
-    gq = (np.asarray(source(quad.x, quad.y), dtype=float)
-          * np.ones(quad.x.shape)).reshape(-1, 16)
-    quadrant_sums = (quad.weight * gq).reshape(mesh.n_elements, 4, 4).sum(axis=2)
-    per_call = quadrant_sums - quad.weight * gq @ quad.phi
-    assert np.array_equal(prob.flux_source, per_call)
+    for mesh in (build_mesh(6, 4, Lx=1.5, Ly=1.0), build_mesh(72, 72)):
+        prob = PressureProblem(mesh, ONES, source)
+        quad = quadrature(mesh)
+        gq = (np.asarray(source(quad.x, quad.y), dtype=float)
+              * np.ones(quad.x.shape)).reshape(-1, 16)
+        quadrant_sums = (quad.weight * gq).reshape(mesh.n_elements, 4,
+                                                   4).sum(axis=2)
+        per_call = quadrant_sums - quad.weight * gq @ quad.phi
+        assert np.array_equal(prob.flux_source, per_call)
+        cv_source = np.zeros(mesh.n_vertices)
+        np.add.at(cv_source, mesh.elements[:, quad.owner_corner],
+                  quad.weight * gq)
+        assert prob.cv_source.tobytes() == cv_source.tobytes()
 
 
 def test_subnormal_kappa_raises_without_a_warning():

@@ -13,10 +13,10 @@ from scipy import sparse
 
 import dense_reference as dr
 from porousda import driver, fields, pressure, scenarios
-from porousda.fields import NodalField, quadrature
+from porousda.fields import NodalField, kernel_point_blocks, quadrature
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.observation import SparseGrid, bilinear_prolongation
-from porousda.pressure import kernel_point_blocks, multigrid_transfers
+from porousda.pressure import multigrid_transfers
 from porousda.scenarios import PermeabilityRaster
 from porousda.transport import TransportCoefficients
 
@@ -45,9 +45,9 @@ def ex3_twin_builds():
                    _counting(counts, "bilinear", PermeabilityRaster._bilinear))
         mp.setattr(fields, "Quadrature",
                    _counting(counts, "quadrature", fields.Quadrature))
-        mp.setattr(pressure, "_build_kernel_blocks",
+        mp.setattr(fields, "_build_kernel_blocks",
                    _counting(counts, "kernel_blocks",
-                             pressure._build_kernel_blocks))
+                             fields._build_kernel_blocks))
         mp.setattr(pressure, "_build_transfers",
                    _counting(counts, "transfers", pressure._build_transfers))
         part = driver.TimePartition.from_scenario(sc)
@@ -128,7 +128,7 @@ def test_point_set_equals_the_dense_pair_bitwise(nx, ny, Lx, Ly, boundary,
                       (quad.seg_x, dense[0][:, 24:]),
                       (quad.seg_y, dense[1][:, 24:])):
         assert got.reshape(want.shape).tobytes() == want.tobytes()
-    monkeypatch.setattr(pressure, "KERNEL_BLOCK", 2 * nx + 1)
+    monkeypatch.setattr(fields, "KERNEL_BLOCK", 2 * nx + 1)
     blocks = kernel_point_blocks(mesh)
     assert [x.shape[0] for _, x, _ in blocks] == [2] * (ny // 2) + [1] * (ny % 2)
     assert [lo for lo, _, _ in blocks] == list(range(0, mesh.n_elements, 2 * nx))
@@ -308,6 +308,8 @@ SEPARABLE_RTOL = 1e-14
 @pytest.mark.parametrize("factory, nx, times", [
     (scenarios.example1, 20, (0.0, 0.013, 0.5)),
     (scenarios.example4, 24, (0.0, 7200.0, 1.3 * scenarios.DAY)),
+    # Blocks of 56 and 16 element rows (`fields.KERNEL_BLOCK`).
+    (scenarios.example4, 72, (0.0, 7200.0)),
     (scenarios.example2, 12, (0.0, 0.02, 1.5)),
     (scenarios.diffusion_reaction, 10, (0.0, 0.1, 0.75))])
 def test_example_source_vectors_equal_the_add_at_scatter_bitwise(factory, nx,

@@ -9,9 +9,11 @@ from porousda.fields import NodalField, l2_diff
 from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
+from porousda.observation import SparseGrid
 from porousda.pressure import (CoefficientRangeError, PressureProblem,
                                assemble_pressure, element_kernel,
                                solve_pressure)
+from porousda.transport import TransportCoefficients
 
 
 def _x_faces(x, y):
@@ -396,3 +398,56 @@ def test_one_darcy_interval_allocates_at_most_80_element_arrays():
     finally:
         tracemalloc.stop()
     assert peak / (8 * mesh.n_elements) <= 80
+
+
+@pytest.fixture(scope="module")
+def ex3_set_up():
+    """example3 at nx = 240 with its mesh constants built, as a reference
+    run leaves them: the point set and its blocks, the stencil and the
+    multigrid transfers."""
+    sc = scenarios.example3(nx=240)
+    mesh = sc.build_mesh()
+    grid = SparseGrid(mesh, sc.spacing)
+    TransportCoefficients(mesh, sc.diffusion)
+    PressureProblem(mesh, sc.kappa, sc.pressure_source,
+                    dirichlet=sc.pressure_dirichlet)
+    return sc, mesh, grid
+
+
+def _nudged_run(sc, mesh, grid):
+    return lambda: TransportCoefficients(mesh, sc.diffusion, mu=sc.mu,
+                                         grid=grid)
+
+
+def _pressure_problem(sc, mesh, grid):
+    return lambda: PressureProblem(mesh, sc.kappa, sc.pressure_source,
+                                   dirichlet=sc.pressure_dirichlet)
+
+
+def _step_matrices(sc, mesh, grid):
+    coeffs = _nudged_run(sc, mesh, grid)()
+    coeffs.set_velocity(np.random.default_rng(5).standard_normal(
+        mesh.n_segments))
+    return lambda: coeffs.matrices(sc.dt)
+
+
+@pytest.mark.parametrize("call, above", [
+    (_nudged_run, 48), (_pressure_problem, 24), (_step_matrices, 4)],
+    ids=["transport-coefficients", "pressure-problem", "step-matrices"])
+def test_a_run_set_up_allocates_little_above_what_it_keeps(ex3_set_up, call,
+                                                           above):
+    """The peak a call allocates above its entry, less what it keeps, in
+    (ne,) float arrays at nx = 240: the nudged run's `TransportCoefficients`,
+    the `PressureProblem` and one `matrices(dt)` with a velocity.  Scattered
+    over the whole mesh at once they were about 69, 60 and 19 arrays above
+    what they keep; one block of element rows at a time they are 40, 20
+    and 0."""
+    call = call(*ex3_set_up)
+    tracemalloc.start()
+    try:
+        kept = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    assert (peak - current) / (8 * ex3_set_up[1].n_elements) <= above

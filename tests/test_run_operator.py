@@ -32,7 +32,12 @@ def _reaction(x, y):
     return 0.3 + 0.1 * y + 0.05 * np.cos(3.0 * x)
 
 
-@pytest.fixture(params=MESHES, ids=["9x6-mixed", "7x7-neumann", "4x10-dirichlet"])
+# nx = 72 splits into blocks of 56 and 16 element rows (`fields.KERNEL_BLOCK`).
+BLOCKS = (72, 72, 1.0, 1.0, "all_dirichlet", 0.25)
+
+
+@pytest.fixture(params=MESHES + [BLOCKS],
+                ids=["9x6-mixed", "7x7-neumann", "4x10-dirichlet", "72x72-blocks"])
 def mesh_and_grid(request):
     nx, ny, lx, ly, spec, spacing = request.param
     mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
@@ -54,11 +59,16 @@ def _close(got, want):
 @pytest.mark.parametrize("reaction", [None, _reaction], ids=["plain", "reaction"])
 @pytest.mark.parametrize("mu", [0.0, 10.0], ids=["free", "nudged"])
 def test_step_matrices_match_the_sums_of_matrices(mesh_and_grid, reaction, mu):
+    """The data of M, K0 and the advection, summed one block of element
+    rows at a time, also equal the whole-mesh `np.bincount` bitwise."""
     mesh, grid = mesh_and_grid
     coeffs = TransportCoefficients(mesh, _diffusion, reaction=reaction, mu=mu,
                                    grid=grid if mu > 0.0 else None)
     outflux = np.random.default_rng(mesh.n_vertices).standard_normal(
         mesh.n_segments)
+    for got, want in zip((coeffs.mass, coeffs.k0, coeffs.advection(outflux)),
+                         dr.run_operator_by_bincount(coeffs, outflux)):
+        assert got.tobytes() == want.tobytes()
     dt = 0.03
     for velocity in (None, outflux):
         coeffs.set_velocity(velocity)

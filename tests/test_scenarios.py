@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import subprocess
 import sys
 
@@ -8,8 +9,8 @@ from scipy.ndimage import gaussian_filter   # the oracle only
 
 from dense_reference import (bump_everywhere, example1_closed_form, integrate,
                              manufactured_forcing, well_total)
-from porousda import scenarios
-from porousda.fields import quadrature
+from porousda import fields, scenarios
+from porousda.fields import kernel_point_blocks, quadrature
 from porousda.mesh import build_mesh
 from porousda.scenarios import (BUILTIN_SCENARIOS, DAY, PermeabilityRaster,
                                 assumption_report, bump, diffusion_reaction,
@@ -299,6 +300,28 @@ def test_scenario_is_frozen():
 def test_builtin_registry_complete():
     assert set(BUILTIN_SCENARIOS) == {"example1", "example2", "example3",
                                       "example4", "diffusion_reaction"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_coefficients_at_a_point_block_come_back_row_major(name, monkeypatch):
+    """Each coefficient evaluated at a block of the point views, whose rows
+    repeat by a zero stride, returns an array of the block's shape laid out
+    row-major, so reshaping it to one row per element makes no copy."""
+    monkeypatch.setattr(fields, "KERNEL_BLOCK", 2 * 12 + 1)
+    sc = BUILTIN_SCENARIOS[name](nx=12)
+    _, x, y = kernel_point_blocks(sc.build_mesh())[1]
+    source = sc.source
+    if isinstance(source, scenarios.Separable):
+        source = source.profile
+    elif source is not None:
+        source = functools.partial(source, t=0.25)
+    calls = [(sc.diffusion, 24, 28)]
+    calls += [(fn, 0, 16) for fn in (sc.reaction, source, sc.pressure_source)
+              if fn is not None]
+    for fn, lo, hi in calls:
+        value = fn(x[..., lo:hi], y[..., lo:hi])
+        assert value.shape == x[..., lo:hi].shape
+        assert np.shares_memory(value.reshape(-1, hi - lo), value)
 
 
 # ---------------------------------------------------------------- assumptions

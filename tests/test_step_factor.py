@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from porousda import driver, linalg, pressure, scenarios, transport
+from porousda import driver, fields, linalg, pressure, scenarios, transport
 from porousda.fields import NodalField, quadrature
 from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
@@ -347,10 +347,10 @@ def _whole_array_kernel(problem, theta):
 
 @pytest.mark.parametrize("factory", [scenarios.example3, scenarios.example4])
 def test_blocked_kernel_equals_the_whole_array_kernel_bitwise(factory, monkeypatch):
-    monkeypatch.setattr(pressure, "KERNEL_BLOCK", 100)
+    monkeypatch.setattr(fields, "KERNEL_BLOCK", 100)
     sc = factory(nx=30)
     mesh = sc.build_mesh()
-    blocks = pressure.kernel_point_blocks(mesh)
+    blocks = fields.kernel_point_blocks(mesh)
     assert len(blocks) == 10               # 30 element rows, 3 per block
     counts = {"bilinear": 0}
     bilinear = PermeabilityRaster._bilinear
@@ -379,7 +379,7 @@ def test_blocked_kernel_on_a_rectangle_equals_the_whole_array_kernel_bitwise(
         nx, ny, monkeypatch):
     """On non-square meshes, blocks of two element rows (the last one short
     when ny is odd) give the kernel of one (ne, 28) evaluation, bitwise."""
-    monkeypatch.setattr(pressure, "KERNEL_BLOCK", 2 * nx + 1)
+    monkeypatch.setattr(fields, "KERNEL_BLOCK", 2 * nx + 1)
     sc = scenarios.example3(nx=nx)
     mesh = sc.build_mesh(nx, ny)
     problem = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)

@@ -8,10 +8,11 @@ never touched, so a reference run and a zero-strength assimilated run from
 the same initial data produce identical floating-point trajectories.
 
 Metrics follow the twin-experiment convention: R is the percent relative
-l2 difference against the comparator (analytic solution when known, else the
-reference trajectory), Rtilde compares against the coarse interpolant of the
-comparator, so a reference run's Rtilde column doubles as the interpolation
-quality of the sparse data themselves.
+l2 difference against the truth, Rtilde against its coarse interpolant.
+The truth is the reference trajectory whenever a run is given one, as
+`porousda run` and `sweep` always do, and otherwise the scenario's analytic
+solution (R is NaN with neither).  A reference run's Rtilde column doubles
+as the interpolation quality of the sparse data themselves.
 
 A run stores only the fine levels it is asked to keep.  The reference run
 keeps every level, because a nudged run's metrics read the reference state
@@ -76,10 +77,11 @@ class TimePartition:
             raise ValueError("need at least one fine step per coarse interval")
 
     @classmethod
-    def uniform(cls, t_end, n_coarse, fine_per_coarse, t_start=0.0):
-        if t_end <= t_start:
+    def uniform(cls, t_end, n_coarse, fine_per_coarse):
+        """n_coarse equal coarse intervals from 0 to t_end."""
+        if t_end <= 0.0:
             raise ValueError("empty time span")
-        return cls(tuple(np.linspace(t_start, t_end, n_coarse + 1)),
+        return cls(tuple(np.linspace(0.0, t_end, n_coarse + 1)),
                    fine_per_coarse)
 
     @classmethod
@@ -239,24 +241,25 @@ class RunReport:
         return 0.0 + max(float(np.max(-lo, initial=0.0)),
                          float(np.max(hi - 1.0, initial=0.0)))
 
-    def plateau_start(self, rel_change=0.05):
-        """First sample index after which R never moves more than rel_change."""
+    def plateau_start(self):
+        """First sample index after which no step moves R by more than 5 %
+        of its value."""
         r = self.r_percent
         if r.size < 2:
             return 0
-        steps = np.abs(np.diff(r)) > rel_change * np.maximum(np.abs(r[:-1]), 1e-300)
+        steps = np.abs(np.diff(r)) > 0.05 * np.maximum(np.abs(r[:-1]), 1e-300)
         moving = np.flatnonzero(steps)
         return 0 if moving.size == 0 else int(moving[-1]) + 1
 
-    def plateau_value(self, rel_change=0.05):
-        return float(np.mean(self.r_percent[self.plateau_start(rel_change):]))
+    def plateau_value(self):
+        return float(np.mean(self.r_percent[self.plateau_start():]))
 
     def asymptote(self):
         return float(self.r_percent[-1])
 
-    def fit_window(self, rel_change=0.05):
+    def fit_window(self):
         t = self.times
-        return (float(t[0]), float(t[self.plateau_start(rel_change)]))
+        return (float(t[0]), float(t[self.plateau_start()]))
 
     def post_update_improvement_fraction(self):
         """Share of coarse measurement times where the next fine step lowers R.
@@ -492,23 +495,43 @@ def run_assimilated(scenario, stream, partition=None, mesh=None, mu=None,
                     keep_times=()):
     """Nudged run driven by an observation stream.
 
-    `reference` may be a Trajectory for twin-experiment metrics; otherwise the
-    scenario's analytic solution is used when present.  With mu = 0 the data
-    stream is ignored entirely and the marching reduces to the plain scheme.
-    `solver` is as in `run_reference`.  The returned trajectory holds the
-    fine levels at `keep_times` only, none by default; a time that is not a
-    fine level of the run raises ValueError before the first step.
+    `reference` may be a Trajectory for twin-experiment metrics, and the run
+    then steps on its mesh; otherwise the scenario's analytic solution is
+    used when present.  With mu = 0 the data stream is ignored entirely and
+    the marching reduces to the plain scheme.  `solver` is as in
+    `run_reference`.  The returned trajectory holds the fine levels at
+    `keep_times` only, none by default.  A time that is not a fine level of
+    the run, a `mesh` of other size or lengths than the reference's, and a
+    stream of other length than the lattice's functionals raise ValueError
+    before the run is set up.
     """
     partition = partition or TimePartition.from_scenario(scenario)
     keep = partition.fine_levels(keep_times, "keep time")
+    if reference is not None:
+        shape = _describe(reference.mesh)
+        if mesh is not None and _describe(mesh) != shape:
+            raise ValueError(f"mesh {_describe(mesh)} is not the reference's "
+                             f"mesh {shape}")
+        mesh = reference.mesh
     mesh = mesh or scenario.build_mesh()
     mu = scenario.mu if mu is None else float(mu)
     grid = SparseGrid(mesh, scenario.spacing, kind=scenario.observation_kind)
+    if stream is not None and stream.n_obs != grid.n_obs:
+        raise ValueError(
+            f"the stream holds {stream.n_obs} functionals per record, the "
+            f"lattice of spacing {grid.spacing!r} on mesh {_describe(mesh)} "
+            f"has {grid.n_obs}")
     theta0 = initial_guess(scenario, mesh, grid, stream, theta0_policy)
     comparator = _Comparator(scenario, grid, reference=reference)
     traj, report = _march(scenario, partition, mesh, theta0, mu, stream, grid,
                           comparator, solver, keep=np.array(keep, dtype=int))
     return AssimilationRun(traj, report)
+
+
+def _describe(mesh):
+    """nx x ny on Lx x Ly, exact: two meshes of one size and lengths, and
+    only those, read the same."""
+    return f"{mesh.nx} x {mesh.ny} on {mesh.Lx!r} x {mesh.Ly!r}"
 
 
 @dataclass

@@ -234,13 +234,13 @@ class QuadratureField:
         self.values = values
 
     @classmethod
-    def sample(cls, mesh, fn, t=None):
-        return cls(mesh, _values_at_quadrature(mesh, fn, t))
+    def sample(cls, mesh, fn):
+        return cls(mesh, _values_at_quadrature(mesh, fn))
 
 
-def _values_at_quadrature(mesh, source, t=None):
-    """Values of a field, QuadratureField or callable at the quadrature
-    points, (ne, 16)."""
+def _values_at_quadrature(mesh, source):
+    """Values of a field, QuadratureField or callable f(x, y) at the
+    quadrature points, (ne, 16)."""
     quad = quadrature(mesh)
     if isinstance(source, NodalField):
         return source.corner_values() @ quad.phi.T
@@ -249,8 +249,8 @@ def _values_at_quadrature(mesh, source, t=None):
     if isinstance(source, QuadratureField):
         return source.values
     x, y = quad.x, quad.y
-    vals = source(x, y) if t is None else source(x, y, t)
-    return np.broadcast_to(np.asarray(vals, dtype=float), x.shape).reshape(-1, 16)
+    return np.broadcast_to(np.asarray(source(x, y), dtype=float),
+                           x.shape).reshape(-1, 16)
 
 
 def _mass_norm(mesh, u):
@@ -276,15 +276,15 @@ def l2_norm(field):
     return _quadrature_norm(field.mesh, _values_at_quadrature(field.mesh, field))
 
 
-def l2_diff(field, other, t=None):
+def l2_diff(field, other):
     """L2 norm of (field - other); other is a field, a QuadratureField or a
-    callable f(x, y[, t]).  Two nodal fields are compared by the mass matrix."""
+    callable f(x, y).  Two nodal fields are compared by the mass matrix."""
     mesh = field.mesh
     if isinstance(field, NodalField) and isinstance(other, NodalField):
         return _mass_norm(mesh, field.values - other.values)
     return _quadrature_norm(mesh, _values_at_quadrature(mesh, field)
-                            - _values_at_quadrature(mesh, other, t=t))
+                            - _values_at_quadrature(mesh, other))
 
 
-def l2_norm_callable(mesh, fn, t=None):
-    return _quadrature_norm(mesh, _values_at_quadrature(mesh, fn, t=t))
+def l2_norm_callable(mesh, fn):
+    return _quadrature_norm(mesh, _values_at_quadrature(mesh, fn))

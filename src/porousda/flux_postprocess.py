@@ -78,7 +78,7 @@ class ConservativeFlux:
     max_residual: float
 
 
-def _edge_averaged_flux(mesh, w_one, tags_zero=NEUMANN):
+def _edge_averaged_flux(mesh, w_one):
     """Average one-sided edge fluxes across elements; returns (avg_y, avg_x).
 
     w_one is (ne, 8): kappa * (grad p . +axis) at the edge quarter points.
@@ -90,15 +90,15 @@ def _edge_averaged_flux(mesh, w_one, tags_zero=NEUMANN):
 
     avg_y = np.zeros((ny + 1, nx, 2))
     avg_y[1:ny] = 0.5 * (W[:-1, :, 2:4] + W[1:, :, 0:2])
-    bottom_tags = np.asarray(mesh.edge_tags["bottom"]) != tags_zero
-    top_tags = np.asarray(mesh.edge_tags["top"]) != tags_zero
+    bottom_tags = np.asarray(mesh.edge_tags["bottom"]) != NEUMANN
+    top_tags = np.asarray(mesh.edge_tags["top"]) != NEUMANN
     avg_y[0] = W[0, :, 0:2] * bottom_tags[:, None]
     avg_y[ny] = W[ny - 1, :, 2:4] * top_tags[:, None]
 
     avg_x = np.zeros((ny, nx + 1, 2))
     avg_x[:, 1:nx] = 0.5 * (W[:, :-1, 6:8] + W[:, 1:, 4:6])
-    left_tags = np.asarray(mesh.edge_tags["left"]) != tags_zero
-    right_tags = np.asarray(mesh.edge_tags["right"]) != tags_zero
+    left_tags = np.asarray(mesh.edge_tags["left"]) != NEUMANN
+    right_tags = np.asarray(mesh.edge_tags["right"]) != NEUMANN
     avg_x[:, 0] = W[:, 0, 4:6] * left_tags[:, None]
     avg_x[:, nx] = W[:, nx - 1, 6:8] * right_tags[:, None]
     return avg_y, avg_x

@@ -19,7 +19,6 @@ nudging operator (mass @ P) and the pressure multigrid transfers are all
 built from it; the nudging coupling (mass @ P) @ F also reads F.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -181,26 +180,3 @@ class ObservationStream:
         lo, hi = idx - 1, idx
         w = (t - self.times[lo]) / (self.times[hi] - self.times[lo])
         return (1.0 - w) * self.values[lo] + w * self.values[hi]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"gamma_{k}" for k in range(self.n_obs)])
-            for t, row in zip(self.times, self.values):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if not header or header[0].strip() != "t" \
-                    or any(not h.strip().startswith("gamma_") for h in header[1:]):
-                raise ValueError(f"not an observation CSV: header {header!r}")
-            times, rows = [], []
-            for rec in reader:
-                if not rec:
-                    continue
-                times.append(float(rec[0]))
-                rows.append([float(v) for v in rec[1:]])
-        return cls(np.array(times), np.array(rows))

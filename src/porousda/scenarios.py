@@ -83,10 +83,11 @@ def gaussian_smooth(values, sigma):
     return out
 
 
-def quarter_power_viscosity(theta, mu_solvent=0.00108, mu_water=0.001):
-    """Koval quarter-power mixing rule; endpoints are the pure viscosities."""
+def quarter_power_viscosity(theta):
+    """Koval quarter-power mixing rule; endpoints are the pure viscosities,
+    0.00108 Pa s for the solvent and 0.001 Pa s for water."""
     th = np.clip(theta, 0.0, 1.0)
-    return (th / mu_solvent**0.25 + (1.0 - th) / mu_water**0.25) ** -4
+    return (th / 0.00108**0.25 + (1.0 - th) / 0.001**0.25) ** -4
 
 
 def write_raster(path, values, lengths):
@@ -221,9 +222,6 @@ class PermeabilityRaster:
         return PermeabilityRaster(np.exp(math.log(lo) + u * (math.log(hi) - math.log(lo))),
                                   self.lengths)
 
-    def save(self, path):
-        write_raster(path, self.values, self.lengths)
-
     @classmethod
     def load(cls, path):
         with open(path) as fh:
@@ -240,11 +238,12 @@ class PermeabilityRaster:
 
     @classmethod
     def standin(cls, nx=60, ny=60, lengths=(1.0, 1.0), lo=1e-2, hi=1.0,
-                seed=20260814, smoothness=0.12):
-        """Deterministic smoothed-noise permeability in a log range."""
+                seed=20260814):
+        """Deterministic smoothed-noise permeability in a log range: seeded
+        normal noise, smoothed with sigma 0.12 max(nx, ny)."""
         rng = np.random.default_rng(seed)
         noise = gaussian_smooth(rng.standard_normal((ny, nx)),
-                                smoothness * max(nx, ny))
+                                0.12 * max(nx, ny))
         lsp = noise.max() - noise.min()
         u = (noise - noise.min()) / lsp if lsp > 0 else np.full_like(noise, 0.5)
         return cls(np.exp(math.log(lo) + u * (math.log(hi) - math.log(lo))),
@@ -270,7 +269,6 @@ class Scenario:
     pressure_dirichlet: object = 0.0
     initial: object = None              # theta_0(x, y)
     exact: object = None                # analytic theta(x, y, t) when known
-    exact_pressure: object = None
     dt: float = 0.01
     fine_per_coarse: int = 1
     t_end: float = 1.0
@@ -282,9 +280,10 @@ class Scenario:
     snapshot_times: tuple = ()
     notes: dict = field(default_factory=dict)
 
-    def build_mesh(self, nx=None, ny=None):
-        return build_mesh(nx or self.nx, ny or self.ny, self.lengths[0],
-                          self.lengths[1], self.edge_tags)
+    def build_mesh(self):
+        """The scenario's mesh; `with_overrides(nx=..., ny=...)` resizes."""
+        return build_mesh(self.nx, self.ny, self.lengths[0], self.lengths[1],
+                          self.edge_tags)
 
     def with_overrides(self, **kw):
         return replace(self, **kw)
@@ -382,7 +381,6 @@ def example2(nx=50, t_end=2.0, mu=100.0):
         pressure_dirichlet=lambda x, y: 1.0 - x,
         initial=lambda x, y: (x - x**2) * np.ones_like(np.asarray(y, dtype=float)),
         exact=exact,
-        exact_pressure=lambda x, y: 1.0 - x,
         dt=0.02, fine_per_coarse=1, t_end=t_end,
         mu=mu, spacing=0.1, theta0_policy="zero", static_velocity=True,
         notes={"range": "manufactured concentration exceeds 1 by design"},
@@ -518,8 +516,9 @@ ASSUMPTION_KEYS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7")
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def assumption_report(scenario, samples=101, time_samples=9):
-    """Evaluate the seven model assumptions on a probe lattice.
+def assumption_report(scenario):
+    """Evaluate the seven model assumptions on a probe lattice of 101 x 101
+    points, at 9 times from 0 to t_end.
 
     Returns {key: (holds, note)}.  A1 initial range in [0, 1]; A2 diffusion
     bounded away from zero; A3 conductivity (or velocity closure) positive
@@ -529,10 +528,8 @@ def assumption_report(scenario, samples=101, time_samples=9):
     the range it reports.
     """
     Lx, Ly = scenario.lengths
-    xs = np.linspace(0.0, Lx, samples)
-    ys = np.linspace(0.0, Ly, samples)
-    X, Y = np.meshgrid(xs, ys)
-    times = np.linspace(0.0, scenario.t_end, time_samples)
+    X, Y = np.meshgrid(np.linspace(0.0, Lx, 101), np.linspace(0.0, Ly, 101))
+    times = np.linspace(0.0, scenario.t_end, 9)
     zeros = np.zeros_like(X)
 
     def sample(fn, *extra):

@@ -176,17 +176,18 @@ class TransportCoefficients:
     `factor_at_once`, set while the run factors by cost (see `step`), and
     `order`, the ordering q of its factors, from its first factor on.
 
-    The slot: the segment outflux `velocity_outflux` (None for none), the
-    step size `dt`, S (`lhs`), E (`explicit`) and `factor`, a `StepFactor`,
-    False where BiCGStab keeps S, or None while undecided.  A step of
-    another size replaces S, E and the factor; `set_velocity` replaces the
-    slot.  The one-entry source cache, (t, vector), outlives the velocities.
+    The slot, empty until `set_velocity` fills it: the segment outflux
+    `velocity_outflux` (None for none), the step size `dt`, S (`lhs`), E
+    (`explicit`) and `factor`, a `StepFactor`, False where BiCGStab keeps S,
+    or None while undecided.  A step of another size replaces S, E and the
+    factor; `set_velocity` replaces the slot.  The one-entry source cache,
+    (t, vector), outlives the velocities.
     """
 
-    dt = lhs = explicit = factor = None
+    velocity_outflux = dt = lhs = explicit = factor = None
 
     def __init__(self, mesh, diffusion, reaction=None, source=None, mu=0.0,
-                 grid=None, velocity_outflux=None, dirichlet=None):
+                 grid=None, dirichlet=None):
         mu = check_mu(mu)
         if mu > 0 and grid is None:
             raise ValueError("nudging (mu > 0) requires an observation grid")
@@ -197,7 +198,6 @@ class TransportCoefficients:
         self.separable = _separable(source)
         self.mu = mu
         self.grid = grid
-        self.velocity_outflux = velocity_outflux
         self.dirichlet = dirichlet
         self._build_static()
         self.lattice = None if mu == 0.0 else (grid.kx, grid.ky)

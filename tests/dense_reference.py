@@ -1058,11 +1058,12 @@ def exact_bordered_flux_solve(mesh, kappa_seg, rhs, p_c):
 
 def integrate(mesh, source, t=None):
     """Integral of a field or callable over the domain, by the package's
-    16-point rule."""
+    16-point rule; a callable f(x, y, t) when t is given, else f(x, y)."""
     from porousda.fields import _values_at_quadrature, quadrature
 
     quad = quadrature(mesh)
-    return float(np.sum(_values_at_quadrature(mesh, source, t=t)) * quad.weight)
+    fn = source if t is None else (lambda x, y: source(x, y, t))
+    return float(np.sum(_values_at_quadrature(mesh, fn)) * quad.weight)
 
 
 def manufactured_forcing(theta, velocity=None, diffusion=1.0, reaction=0.0):

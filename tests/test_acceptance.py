@@ -245,9 +245,8 @@ def test_criterion_7():
     flux = postprocess_flux(prob, p, theta)
     coeffs = TransportCoefficients(mesh, diffusion=diffusion,
                                    reaction=reaction, source=source, mu=mu,
-                                   grid=grid,
-                                   velocity_outflux=flux.segment_outflux,
-                                   dirichlet=th_dir)
+                                   grid=grid, dirichlet=th_dir)
+    coeffs.set_velocity(flux.segment_outflux)
     a_t, rhs_t = assemble_step(theta, coeffs, TransportStep(0.0, 0.02),
                                observations=stream)
     from porousda.linalg import solve

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,30 @@ def test_run_writes_metrics_and_report(tmp_path, outroot, capsys):
     assert "max flux conservation residual" in report
     assert "solved by a sparse LU factor: 2 of 2" in report
     assert "recovered from a bicgstab breakdown" not in report
+
+
+def test_run_and_sweep_measure_r_against_the_reference_run(tmp_path,
+                                                           outroot):
+    """example1 has an analytic solution, yet `run` and `sweep` measure R
+    against the reference run.  A free run from the true start equals the
+    reference run, so every R row is 0.0; against the analytic solution
+    the same run reaches 4.009 % in its two coarse steps."""
+    text = (EX1_SMALL.format(mu="0", dir="truth")
+            .replace("mu = 0\n", "mu = 0\ntheta0 = true\n")
+            + "\n[sweep]\nmu = 0\n")
+    cfg = _write(tmp_path, "truth.ini", text)
+    assert main(["run", cfg]) == 0
+    rows = (outroot / "truth" / "metrics.csv").read_text().splitlines()[1:]
+    assert len(rows) == 21
+    assert all(float(row.split(",")[1]) == 0.0 for row in rows)
+    assert main(["sweep", cfg]) == 0
+    sweep = (outroot / "truth" / "sweep.csv").read_text().splitlines()
+    assert float(sweep[1].split(",")[2]) == 0.0
+
+    sc = build_scenario(load_config(cfg))
+    ref = driver.run_reference(sc)
+    analytic = driver.run_assimilated(sc, ref.stream)
+    assert analytic.report.r_percent.max() == pytest.approx(4.009, abs=5e-4)
 
 
 def test_run_splits_mu_list_into_subdirs(tmp_path, outroot):
@@ -136,6 +161,16 @@ def test_run_rejects_snapshots_off_the_run_levels_before_running(
     assert main(["run", cfg]) == 2
     assert "error: snapshot time" in capsys.readouterr().err
     assert not (outroot / "badsnap" / "reference_metrics.csv").exists()
+
+
+SMOKE_CONFIGS = sorted((Path(__file__).parent / "smoke").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", SMOKE_CONFIGS, ids=lambda p: p.stem)
+def test_every_ci_smoke_config_validates(path, capsys):
+    """The configs that CI's console-script smoke step runs."""
+    assert main(["validate", str(path)]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_validate_reports_assumptions_and_alignment(tmp_path, capsys):

@@ -12,7 +12,8 @@ from porousda.driver import (METRIC_COLUMNS, NonFiniteStateError, RunReport,
                              parameter_sweep, run_assimilated, run_reference,
                              sweep_csv)
 from porousda.fields import NodalField
-from porousda.observation import SparseGrid
+from porousda.mesh import build_mesh
+from porousda.observation import ObservationStream, SparseGrid
 from porousda.pressure import multigrid_transfers
 from porousda.transport import TransportCoefficients
 
@@ -293,6 +294,49 @@ def test_a_keep_time_off_the_levels_raises_before_any_step(tiny_ex1,
         run_assimilated(sc, ref.stream, part, mesh, mu=10.0,
                         keep_times=[part.coarse_times[1], t])
     assert steps == []
+
+
+def test_a_nudged_run_steps_on_its_reference_mesh(tiny_ex1):
+    """Given a reference, a run without `mesh` builds none: it steps on the
+    reference's, with the rows of a run given that mesh."""
+    sc, mesh, part, ref = tiny_ex1
+    run = run_assimilated(sc, ref.stream, part, mu=10.0,
+                          reference=ref.trajectory)
+    assert run.trajectory.mesh is mesh
+    given = run_assimilated(sc, ref.stream, part, mesh, mu=10.0,
+                            reference=ref.trajectory)
+    assert np.array_equal(np.asarray(run.report.rows),
+                          np.asarray(given.report.rows), equal_nan=True)
+
+
+def _no_set_up(*args, **kwargs):
+    raise AssertionError("the run was set up")
+
+
+@pytest.mark.parametrize("nx, lx, shown", [
+    (10, 1.0, "mesh 10 x 10 on 1.0 x 1.0"),
+    (20, 2.0, "mesh 20 x 20 on 2.0 x 1.0")])
+def test_a_mesh_other_than_the_reference_s_raises_before_set_up(
+        tiny_ex1, monkeypatch, nx, lx, shown):
+    sc, mesh, part, ref = tiny_ex1
+    monkeypatch.setattr(transport, "TransportCoefficients", _no_set_up)
+    other = build_mesh(nx, nx, lx, 1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{shown} is not the reference's mesh 20 x 20 on 1.0 x 1.0")):
+        run_assimilated(sc, ref.stream, part, other, mu=10.0,
+                        reference=ref.trajectory)
+
+
+def test_a_stream_of_other_length_than_the_lattice_raises_before_set_up(
+        tiny_ex1, monkeypatch):
+    sc, mesh, part, ref = tiny_ex1
+    monkeypatch.setattr(transport, "TransportCoefficients", _no_set_up)
+    short = ObservationStream(ref.stream.times, ref.stream.values[:, :-1])
+    with pytest.raises(ValueError, match=re.escape(
+            "the stream holds 120 functionals per record, the lattice of "
+            "spacing 0.1 on mesh 20 x 20 on 1.0 x 1.0 has 121")):
+        run_assimilated(sc, short, part, mesh, mu=10.0,
+                        reference=ref.trajectory)
 
 
 def test_a_run_that_keeps_nothing_does_not_grow_with_t_end():

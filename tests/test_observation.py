@@ -179,22 +179,3 @@ def test_stream_time_interpolation_bound():
     for t in np.linspace(0.0, 1.0, 101):
         gap = np.abs(stream.interpolate(t) - np.exp(-t) * gamma0)
         assert np.all(gap <= bound * 1.0001)
-
-
-def test_stream_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    stream = ObservationStream([0.0, 0.125, 0.25], rng.random((3, 4)))
-    path = tmp_path / "obs.csv"
-    stream.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,gamma_0,gamma_1,gamma_2,gamma_3"
-    back = ObservationStream.from_csv(path)
-    assert np.array_equal(back.times, stream.times)
-    assert np.array_equal(back.values, stream.values)
-
-
-def test_stream_csv_header_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("time,g0\n0.0,1.0\n")
-    with pytest.raises(ValueError):
-        ObservationStream.from_csv(path)

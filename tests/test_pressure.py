@@ -84,7 +84,7 @@ def test_manufactured_convergence_rate():
                                source=source,
                                solver=SolverConfig(rel_tol=1e-13))
         p, _ = solve_pressure(prob, NodalField.zeros(mesh))
-        errs.append(l2_diff(p, lambda x, y, t: exact(x, y), t=0.0))
+        errs.append(l2_diff(p, exact))
     slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
     assert -slope == pytest.approx(2.0, abs=0.15)
 

@@ -16,7 +16,7 @@ from porousda.scenarios import (BUILTIN_SCENARIOS, DAY, PermeabilityRaster,
                                 assumption_report, bump, diffusion_reaction,
                                 example1, example2, example3, example4,
                                 gaussian_smooth, mobility_closure,
-                                quarter_power_viscosity)
+                                quarter_power_viscosity, write_raster)
 
 
 def _sample_points(n=13):
@@ -107,7 +107,7 @@ def test_example2_exact_growth_and_pressure():
         == pytest.approx(np.e, rel=1e-12)
     # driving head p = 1 - x gives unit rightward Darcy velocity
     x, y = _sample_points(5)
-    np.testing.assert_allclose(sc.exact_pressure(x, y), 1.0 - x, atol=1e-13)
+    np.testing.assert_allclose(sc.pressure_dirichlet(x, y), 1.0 - x, atol=1e-13)
     assert sc.static_velocity is True
     assert sc.kappa(0.7, 0.2, 0.2) == 1.0
 
@@ -163,7 +163,7 @@ def test_example4_injection_schedule():
 
 def test_example4_well_balance():
     sc = example4(nx=16)
-    mesh = sc.build_mesh(nx=96, ny=96)
+    mesh = sc.with_overrides(nx=96, ny=96).build_mesh()
     for (cx, cy, radius, peak) in sc.notes["wells"].values():
         total = integrate(mesh, lambda x, y: bump(x, y, cx, cy, radius, peak))
         assert total == pytest.approx(well_total(peak, radius), rel=5e-3)
@@ -198,7 +198,7 @@ def test_raster_clamps_outside():
 def test_raster_round_trip(tmp_path):
     raster = PermeabilityRaster.standin(6, 5, lengths=(240.0, 240.0), seed=11)
     path = tmp_path / "perm.raster"
-    raster.save(path)
+    write_raster(path, raster.values, raster.lengths)
     back = PermeabilityRaster.load(path)
     assert np.array_equal(back.values, raster.values)
     assert back.lengths == raster.lengths

@@ -58,12 +58,13 @@ def case(request):
 
 
 def _coefficients(mesh, grid, rng):
-    return TransportCoefficients(
+    coeffs = TransportCoefficients(
         mesh,
         diffusion=lambda x, y: 0.05 + 0.02 * x * y + 0.01 * np.sin(5.0 * y),
         reaction=lambda x, y: 0.3 + 0.1 * y + 0.05 * np.cos(3.0 * x),
-        mu=10.0, grid=grid,
-        velocity_outflux=rng.standard_normal(mesh.n_segments))
+        mu=10.0, grid=grid)
+    coeffs.set_velocity(rng.standard_normal(mesh.n_segments))
+    return coeffs
 
 
 # -- contribution streams ------------------------------------------------------

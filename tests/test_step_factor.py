@@ -135,8 +135,8 @@ def _example4_interval(nx=48):
     p, _ = pressure.solve_pressure(problem, theta)
     flux = postprocess_flux(problem, p, theta)
     coeffs = TransportCoefficients(mesh, sc.diffusion, sc.reaction, sc.source,
-                                   velocity_outflux=flux.segment_outflux,
                                    dirichlet=sc.theta_dirichlet)
+    coeffs.set_velocity(flux.segment_outflux)
     return coeffs, theta, sc.dt
 
 
@@ -380,8 +380,8 @@ def test_blocked_kernel_on_a_rectangle_equals_the_whole_array_kernel_bitwise(
     """On non-square meshes, blocks of two element rows (the last one short
     when ny is odd) give the kernel of one (ne, 28) evaluation, bitwise."""
     monkeypatch.setattr(fields, "KERNEL_BLOCK", 2 * nx + 1)
-    sc = scenarios.example3(nx=nx)
-    mesh = sc.build_mesh(nx, ny)
+    sc = scenarios.example3(nx=nx).with_overrides(ny=ny)
+    mesh = sc.build_mesh()
     problem = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)
     theta = NodalField.from_callable(mesh, lambda x, y: 1.5 * x - 0.2 * y)
     kernel = pressure.element_kernel(problem, theta)

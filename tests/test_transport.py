@@ -84,8 +84,8 @@ def test_full_system_matches_dense_oracle():
     mu = 50.0
     coeffs = TransportCoefficients(mesh, diffusion=diffusion,
                                    reaction=reaction, source=source, mu=mu,
-                                   grid=grid, velocity_outflux=outflux,
-                                   dirichlet=dirichlet)
+                                   grid=grid, dirichlet=dirichlet)
+    coeffs.set_velocity(outflux)
     a, rhs = assemble_step(theta, coeffs, TransportStep(0.0, 0.02),
                            observations=stream)
     a_ref, rhs_ref = dr.dense_transport_system(
@@ -102,8 +102,8 @@ def test_mass_conserved_under_advection():
                                                          np.zeros_like(x)),
                                  NodalField.zeros(mesh))
     coeffs = TransportCoefficients(
-        mesh, diffusion=lambda x, y: 0.01 * np.ones_like(x),
-        velocity_outflux=outflux)
+        mesh, diffusion=lambda x, y: 0.01 * np.ones_like(x))
+    coeffs.set_velocity(outflux)
     theta = NodalField.from_callable(
         mesh, lambda x, y: np.exp(-8.0 * ((x - 0.4) ** 2 + (y - 0.5) ** 2)))
     quad_mass = lambda f: dr.integrate(mesh, f)

@@ -581,16 +581,17 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
                     solver=None):
     """Independent assimilated runs over mu and observation-spacing grids.
 
-    One reference run is shared per spacing, and it holds the only stored
-    trajectory: the nudged runs keep no level.  Rows come back sorted by
-    (spacing, mu); failed runs are recorded, not raised.
+    Every run steps on one mesh, built once, since the spacing does not
+    change it.  One reference run is shared per spacing, and it holds the
+    only stored trajectory: the nudged runs keep no level.  Rows come back
+    sorted by (spacing, mu); failed runs are recorded, not raised.
     """
     mu_values = sorted(set(mu_values if mu_values is not None else [scenario.mu]))
     spacings = sorted(set(spacings if spacings is not None else [scenario.spacing]))
+    mesh = scenario.build_mesh()
     rows = []
     for spacing in spacings:
         sc = scenario.with_overrides(spacing=spacing)
-        mesh = sc.build_mesh()
         part = partition or TimePartition.from_scenario(sc)
         try:
             ref = run_reference(sc, part, mesh, solver=solver)

@@ -24,10 +24,13 @@ computed at them is reshaped to the per-element layout, (ne, 16) or
 `kernel_point_blocks(mesh)`, also built once per mesh, slices the pair into
 blocks of max(1, `KERNEL_BLOCK` // nx) whole element rows.  Every pass that
 evaluates a coefficient at the point set or scatters per-element data over
-the whole mesh runs one block at a time: kappa, the pressure source and its
-control-volume integrals, the transport run's operator and its upwind
-advection, and the control-volume balance of the flux recovery.  A block
-scatters by `np.add.at`, which adds into a zeroed output in element order as
+the whole mesh runs one block at a time: kappa (with a raster's lookup,
+which keeps no values at the blocks), the pressure source and its
+control-volume integrals, the sums into the stencil pattern
+(`linalg.StencilPattern.sum_blocks`: the stiffness and the mass matrix),
+the transport run's operator and its upwind advection, and the
+control-volume balance of the flux recovery.  A block scatters by
+`np.add.at`, which adds into a zeroed output in element order as
 one `np.bincount` over the whole mesh would, so the sums do not depend on
 the blocks; each pass makes a few (rows, nx, k) temporaries instead of
 (ny, nx, k) ones.

@@ -3,9 +3,11 @@
 Storage is scipy CSR.  Square operators on a mesh's vertices live on one
 fixed sparsity pattern, the 9-point vertex graph, owned by `stencil(mesh)`:
 each operator is reduced to an element-local 4x4 block first and scattered
-into the pattern by `np.bincount`, which sums each entry's contributions (one
-per element sharing it) in element order.  That order is fixed, so assembly
-is deterministic; it is not value-sorted.  `assemble` turns an unordered
+into the pattern one block of element rows at a time by `np.add.at`, which
+sums each entry's contributions (one per element sharing it) in element
+order, as one `np.bincount` over the whole mesh would.  That order is
+fixed, so assembly is deterministic; it is not value-sorted.  The pattern
+keeps its slots in int32.  `assemble` turns an unordered
 contribution stream into a canonical matrix of any shape, summing duplicate
 (row, col) entries in value-sorted order, so its result is bitwise
 independent of the stream order; it serves the tests as the reference.
@@ -121,10 +123,11 @@ class StencilPattern:
     """CSR pattern of a structured mesh's 9-point vertex graph.
 
     Row v holds v and its up to eight lattice neighbours in column order,
-    which are exactly the vertices sharing an element with v.  `slots` maps
-    every element-local entry (ne, 4, 4), rows and columns in element corner
-    order, to its position in the CSR data; it is built from index arithmetic
-    on the lattice, without sorting.
+    which are exactly the vertices sharing an element with v.  `slots`
+    (int32) maps every element-local entry (ne, 4, 4), rows and columns in
+    element corner order, to its position in the CSR data, and
+    `diagonal_slots` (int32) each row's diagonal entry; both are built from
+    index arithmetic on the lattice, without sorting.
     """
 
     def __init__(self, mesh):
@@ -142,7 +145,9 @@ class StencilPattern:
         np.cumsum(present.sum(axis=1), out=self.indptr[1:])
         self.indices = (jj * nvx + ii)[present].astype(np.int32)
         self.nnz = self.indices.size
-        position = self.indptr[:-1, None] + np.cumsum(present, axis=1) - 1
+        position = (self.indptr[:-1, None]
+                    + np.cumsum(present, axis=1, dtype=np.int32))
+        position -= 1
         # A copy, so that `position` goes once the slots are built.
         self.diagonal_slots = position[:, 4].copy()
         # Corners SW, SE, NW, NE sit at lattice offsets (0|1, 0|1); the entry
@@ -151,6 +156,10 @@ class StencilPattern:
         cy = np.array([0, 0, 1, 1])
         offset = (cy - cy[:, None] + 1) * 3 + (cx - cx[:, None] + 1)
         self.slots = position[mesh.elements[:, :, None], offset].ravel()
+        # Elements per scatter of `sum_blocks`: one block of
+        # `fields.kernel_point_blocks` (fields imports this module).
+        from .fields import KERNEL_BLOCK
+        self.block = max(1, KERNEL_BLOCK // mesh.nx) * mesh.nx
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
     def matrix(self, data):
@@ -162,8 +171,16 @@ class StencilPattern:
 
     def sum_blocks(self, local):
         """Element-local blocks (ne, 4, 4) summed into the pattern's data,
-        each entry's contributions added in element order."""
-        return np.bincount(self.slots, weights=np.ravel(local), minlength=self.nnz)
+        each entry's contributions added in element order: one block of
+        element rows at a time by `np.add.at`, which adds as one
+        `np.bincount` over the whole mesh would, without casting all the
+        int32 slots to intp at once."""
+        local = np.reshape(local, (-1, 16))
+        data = np.zeros(self.nnz)
+        for lo in range(0, len(local), self.block):
+            hi = lo + self.block
+            np.add.at(data, self.slots[16 * lo:16 * hi], local[lo:hi].ravel())
+        return data
 
 
 def stencil(mesh):

@@ -23,9 +23,10 @@ shared by every problem on it (the reference and the assimilated run of a
 twin experiment): the multigrid transfers (`multigrid_transfers`) and the
 gathers that take the free block and the Dirichlet block from the stiffness
 (`pressure_blocks`).  kappa is evaluated at the blocks of element rows of
-the point set that `fields.kernel_point_blocks` owns, read-only views of
-the pair `fields.quadrature(mesh).points`, so a coefficient such as a raster
-lookup can keep its value there for the run.  What depends on the
+the point set that `fields.kernel_point_blocks` owns, read-only broadcast
+views of the per-column and per-row tables behind
+`fields.quadrature(mesh).points`; a raster lookup blends the raster at
+those compact tables on every solve and keeps nothing.  What depends on the
 problem's time-independent data is built once per problem, over the same
 blocks: the source's load vector, its control-volume integrals and the
 source term of the flux recovery's local systems.

@@ -14,17 +14,18 @@ these fields are pictures only, so runs against them are property-checked,
 not curve-matched.
 
 The raster-backed conductivities (example3's `mobility_closure`, example4's
-kappa) take the raster factor from `PermeabilityRaster.lookup`, which keeps
-its value at the mesh's read-only kernel points, block by block
-(`FrozenPointMemo`): the bilinear lookup runs once per mesh, and only the
-concentration-dependent factor is evaluated on every pressure solve.
-example1's spatial factors are kept the same way at the quadrature points,
-so its source costs a few products per step.  The sources of example2,
-example4 (its injection well) and diffusion_reaction are `Separable`, a
-fixed profile times a function of time: a transport run integrates the
-profile over its control volumes once and scales that vector on every
-step, so no profile is kept at the quadrature points.  Every callable keeps
-its call form, kappa(theta, x, y) and f(x, y[, t]).
+kappa) take the raster factor from `PermeabilityRaster.lookup` on every
+pressure solve, one kernel block at a time, and scale it in place by the
+concentration-dependent factor.  The lookup keeps nothing: it blends the
+raster at the block's compact per-row and per-column point tables, so a
+whole-mesh lookup costs a fraction of the bilinear formula at every point.
+example1's spatial factors are kept at the quadrature points
+(`FrozenPointMemo`), so its source costs a few products per step.  The
+sources of example2, example4 (its injection well) and diffusion_reaction
+are `Separable`, a fixed profile times a function of time: a transport run
+integrates the profile over its control volumes once and scales that
+vector on every step, so no profile is kept at the quadrature points.
+Every callable keeps its call form, kappa(theta, x, y) and f(x, y[, t]).
 """
 
 import math
@@ -112,14 +113,13 @@ class FrozenPointMemo:
     """Values of functions of (x, y) kept at frozen point arrays.
 
     `memo(fn, x, y)` returns fn(x, y).  For a pair of frozen arrays
-    (`_frozen`), such as the views of a mesh's point set (its quadrature
-    points, or a kernel block of whole element rows, broadcast from the
-    mesh's read-only per-column and per-row tables), it stores the value
+    (`_frozen`), such as the quadrature points of a mesh's point set, views
+    of its read-only per-column and per-row tables, it stores the value
     (read-only) and returns it whenever the same two arrays come back: it
     keys on array identity, and an entry is dropped when either array is
     freed.  Any other input is computed fresh.  The value has the points'
-    full shape, so a memo at a mesh's kernel blocks keeps (ne, 28) values
-    in all.  One memo serves one function.
+    full shape.  One memo serves one function; example1 keeps its spatial
+    factors at the quadrature points in one.
     """
 
     def __init__(self):
@@ -137,6 +137,34 @@ class FrozenPointMemo:
             for a in (x, y):
                 weakref.finalize(a, self.values.pop, key, None)
         return value
+
+
+# Output points per pass of `PermeabilityRaster.lookup`, which bounds its
+# temporaries: a few element rows of a kernel block at nx = 240.
+_LOOKUP_POINTS = 1 << 14
+
+
+def _compact(a):
+    """`a` with every stride-0 axis cut to length 1: a broadcast view of a
+    table is a view of the table's own values again."""
+    return a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides)]
+
+
+def _leading(a, at):
+    """The rows `at` of `a`'s leading axis, or `a` when that axis is
+    broadcast (length 1)."""
+    return a if len(a) == 1 else a[at]
+
+
+def _cells(coord, length, n):
+    """The raster cell at or left of `coord` along an axis of `n` cell
+    centers over `length`, clamped to the outer centers, and the weight of
+    the cell after it: (i, f).  On a 1-wide axis i and f are 0."""
+    g = np.clip(coord / (length / n) - 0.5, 0.0, n - 1.0)
+    if n == 1:
+        return np.zeros(g.shape, dtype=np.intp), np.zeros(g.shape)
+    i = np.minimum(g.astype(np.intp), n - 2)
+    return i, g - i
 
 
 @dataclass(frozen=True)
@@ -163,11 +191,10 @@ class PermeabilityRaster:
     File format: one header line `nx ny Lx Ly`, then ny rows of nx values,
     row-major from the bottom row up.
 
-    The raster factor of a run's coefficient is a run constant: kappa is
-    evaluated at the mesh's read-only kernel points on every pressure solve,
-    block by block.  `lookup` keeps its result at every pair of frozen input
-    arrays (`FrozenPointMemo`), so the bilinear formula runs once per block
-    per mesh.
+    The raster keeps no values at any point set: kappa is evaluated at the
+    mesh's kernel blocks on every pressure solve, and `lookup` blends the
+    raster there afresh, from the blocks' compact (per-row and per-column)
+    tables, at a fraction of the cost of the bilinear formula per point.
     """
 
     def __init__(self, values, lengths=(1.0, 1.0)):
@@ -179,7 +206,6 @@ class PermeabilityRaster:
         self.values = values
         self.lengths = (float(lengths[0]), float(lengths[1]))
         self.ny, self.nx = values.shape
-        self._memo = FrozenPointMemo()
 
     @property
     def value_range(self):
@@ -187,28 +213,53 @@ class PermeabilityRaster:
 
     def lookup(self, x, y):
         """Bilinear interpolation on the center lattice, clamped at edges;
-        memoized at frozen point arrays (`FrozenPointMemo`)."""
-        return self._memo(self._bilinear, x, y)
+        a new array of the broadcast shape of x and y.
 
-    def _bilinear(self, x, y):
-        Lx, Ly = self.lengths
-        gx = np.clip(np.asarray(x, dtype=float) / (Lx / self.nx) - 0.5,
-                     0.0, self.nx - 1.0)
-        gy = np.clip(np.asarray(y, dtype=float) / (Ly / self.ny) - 0.5,
-                     0.0, self.ny - 1.0)
-        ix = np.minimum(gx.astype(int), self.nx - 2) if self.nx > 1 else np.zeros_like(gx, dtype=int)
-        iy = np.minimum(gy.astype(int), self.ny - 2) if self.ny > 1 else np.zeros_like(gy, dtype=int)
-        fx = gx - ix
-        fy = gy - iy
-        if self.nx == 1:
-            fx = np.zeros_like(fx)
-        if self.ny == 1:
-            fy = np.zeros_like(fy)
-        v = self.values
-        jx = np.minimum(ix + 1, self.nx - 1)
-        jy = np.minimum(iy + 1, self.ny - 1)
-        return ((1 - fx) * (1 - fy) * v[iy, ix] + fx * (1 - fy) * v[iy, jx]
-                + (1 - fx) * fy * v[jy, ix] + fx * fy * v[jy, jx])
+        Each input is cut to its compact form first (`_compact`), so a
+        kernel block's y is its (rows, 1, 28) table and its x the (1, nx,
+        28) one.  The raster is blended along y at y's compact points over
+        every raster column, a = v[iy] + fy (v[jy] - v[iy]), and then along
+        x by two gathers of that blend at x's columns, out = a + fx (b - a).
+        The output is filled `_LOOKUP_POINTS` points or fewer at a time,
+        whole leading rows (element rows of a kernel block) each.  Every
+        value is the same arithmetic on its own point whatever the layout
+        of the inputs, so compact, broadcast and contiguous points give
+        bitwise-equal values.
+        """
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+        out = np.empty(x.shape)
+        target = np.atleast_1d(out)
+        x, y = (_compact(np.atleast_1d(a)) for a in (x, y))
+        ix, fx = _cells(x, self.lengths[0], self.nx)
+        iy, fy = _cells(y, self.lengths[1], self.ny)
+        up_x, up_y = int(self.nx > 1), int(self.ny > 1)
+        row = max(math.prod(target.shape[1:]),
+                  math.prod(y.shape[1:]) * self.nx)
+        step = max(1, _LOOKUP_POINTS // max(row, 1))
+        for lo in range(0, len(target), step):
+            at = slice(lo, lo + step)
+            i, f = _leading(iy, at), _leading(fy, at)
+            below = self.values[i]              # (y's points, raster nx)
+            blend = self.values[i + up_y]
+            blend -= below
+            blend *= f[..., None]
+            blend += below
+            # Where each point's left column sits in the flat blend.
+            a = target[at]
+            left = np.empty(a.shape, dtype=np.intp)
+            np.add(np.arange(0, blend.size, self.nx).reshape(i.shape),
+                   _leading(ix, at), out=left)
+            flat = blend.reshape(-1)
+            # Every index is in range; with `out`, the default mode would
+            # gather into a buffered copy first.
+            np.take(flat, left, out=a, mode="clip")
+            b = np.take(flat[up_x:], left)
+            b -= a
+            b *= _leading(fx, at)
+            a += b
+            del left, b      # before the next pass makes its own
+        return out
 
     def rescaled_log(self, lo, hi):
         """Affine map in log space sending the value range onto [lo, hi]."""
@@ -391,8 +442,18 @@ def mobility_closure(raster):
     """Concentration-dependent conductivity k(x) (1 - theta + theta/16)^-4."""
 
     def kappa(theta, x, y):
-        th = np.clip(theta, 0.0, 1.0)
-        return raster.lookup(x, y) * (1.0 - th + th / 16.0) ** -4
+        # The factor first, in place, over the clamped copy of theta, so
+        # that it and the lookup's output are the only arrays of the
+        # points' size that kappa holds at once.
+        th = np.clip(np.asarray(theta, dtype=float), 0.0, 1.0)
+        mobility = np.subtract(1.0, th)
+        th /= 16.0
+        mobility += th
+        del th
+        mobility **= -4
+        k = raster.lookup(*np.broadcast_arrays(x, y, theta)[:2])
+        k *= mobility
+        return k
 
     return kappa
 
@@ -453,7 +514,10 @@ def example4(nx=240, raster=None, seed=20260814, mu=1e-5, spacing=40.0,
         k = PermeabilityRaster.load(raster).rescaled_log(1e-9, 1e-7)
 
     def kappa(theta, x, y):
-        return k.lookup(x, y) / quarter_power_viscosity(theta)
+        viscosity = quarter_power_viscosity(theta)
+        out = k.lookup(*np.broadcast_arrays(x, y, theta)[:2])
+        out /= viscosity
+        return out
 
     def q_in(x, y):
         return bump(x, y, 190.0, 190.0, 12.0, 0.0005)

@@ -257,12 +257,15 @@ class TransportCoefficients:
         slots = np.take(to_kept, stencil.slots)
         del to_kept
 
-        mass = np.zeros(self.nnz + 1)
-        for lo, x, _ in blocks:
-            hi = lo + x.shape[0] * x.shape[1]
-            np.add.at(mass, slots[16 * lo:16 * hi],
-                      np.tile(mass_block, hi - lo))
-        self.mass = mass[:self.nnz]
+        def summed_mass():
+            mass = np.zeros(self.nnz + 1)
+            for lo, x, _ in blocks:
+                hi = lo + x.shape[0] * x.shape[1]
+                np.add.at(mass, slots[16 * lo:16 * hi],
+                          np.tile(mass_block, hi - lo))
+            return mass[:self.nnz]
+
+        self.mass = summed_mass()
         self.nudge_cv = coupling = None
         if self.grid is not None:
             # The product's columns come out unsorted.
@@ -272,7 +275,11 @@ class TransportCoefficients:
                 coupling = self.mu * (self.nudge_cv
                                       @ self.grid.functionals).tocsr()
                 coupling.sort_indices()
+                # The mass goes before the pattern is joined and is summed
+                # again on the joined one, so it never has two copies.
+                self.mass = None
                 coupling_slots = self._join(coupling, slots)
+                self.mass = summed_mass()
         # K0: the diffusive flux, -sum over CV faces of D grad(theta) . n,
         # plus the reaction.
         k0 = np.zeros(self.nnz + 1)
@@ -301,24 +308,22 @@ class TransportCoefficients:
 
     def _join(self, coupling, slots):
         """Join the entries of `coupling`, a canonical CSR matrix, to the
-        pattern, where `mass` holds the only data so far; remaps the element
-        entries' `slots` to the joined pattern in place and returns the
-        coupling's slots.  A sum of canonical matrices keeps each one's
-        entries in order; marking the pattern's entries 1 and the coupling's
-        2 tells them apart."""
+        pattern; remaps the element entries' `slots` to the joined pattern
+        in place and returns the coupling's slots, both int32.  A sum of
+        canonical matrices keeps each one's entries in order; marking the
+        pattern's entries 1 and the coupling's 2 tells them apart."""
         union = self.matrix(np.ones(self.nnz, dtype=np.int8)) + sparse.csr_matrix(
             (np.full(coupling.nnz, 2, dtype=np.int8), coupling.indices,
              coupling.indptr), shape=coupling.shape)
-        moved = np.append(np.flatnonzero(union.data != 2), union.nnz)  # and the dump slot
+        position = np.arange(union.nnz + 1, dtype=np.int32)
+        from_pattern = np.append(union.data != 2, True)   # and the dump slot
+        moved = position[from_pattern]
         np.take(moved, slots, out=slots)
         self.dirichlet_slots = moved[self.dirichlet_slots]
         self.nnz = union.nnz
         self.indices = union.indices.astype(np.int32, copy=False)
         self.indptr = union.indptr.astype(np.int32, copy=False)
-        mass = np.zeros(self.nnz)
-        mass[moved[:-1]] = self.mass
-        self.mass = mass
-        return np.flatnonzero(union.data >= 2)
+        return position[:-1][union.data >= 2]
 
     def matrix(self, data):
         """The CSR matrix with these values on the run's pattern."""

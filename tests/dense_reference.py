@@ -12,8 +12,8 @@ sections hold what only the tests use: record views of the dual mesh and of
 fields (the quadrature points as one array, the dense (ne, 28) point
 pair, control-volume areas, point evaluation, the raw FEM flux residuals),
 the bump as first written and the exact integral of a bump well; the forms
-the package replaced, kept as references: among them the
-bordered 5x5 LAPACK solve of the flux recovery's local systems, the same
+the package replaced, kept as references: among them the raster's
+bilinear formula per point, the bordered 5x5 LAPACK solve of the flux recovery's local systems, the same
 systems solved exactly in rationals, and the assembled cell-average
 functionals; and checks on the scenarios and fields: the domain integral by
 the package's rule and a numerical forcing builder.
@@ -691,6 +691,29 @@ def face_velocity(flux, segment):
 
 
 # -- forms the package replaced, kept as bitwise references ------------------
+
+def raster_bilinear(raster, x, y):
+    """`PermeabilityRaster.lookup` as the formula of four weighted corner
+    values per point, (1 - fx)(1 - fy) v00 + fx (1 - fy) v01 + (1 - fx) fy
+    v10 + fx fy v11, evaluated at the full shape of the points: the form
+    the raster kept in a memo at the kernel points."""
+    Lx, Ly = raster.lengths
+    gx = np.clip(np.asarray(x, dtype=float) / (Lx / raster.nx) - 0.5,
+                 0.0, raster.nx - 1.0)
+    gy = np.clip(np.asarray(y, dtype=float) / (Ly / raster.ny) - 0.5,
+                 0.0, raster.ny - 1.0)
+    ix = (np.minimum(gx.astype(int), raster.nx - 2) if raster.nx > 1
+          else np.zeros_like(gx, dtype=int))
+    iy = (np.minimum(gy.astype(int), raster.ny - 2) if raster.ny > 1
+          else np.zeros_like(gy, dtype=int))
+    fx = gx - ix if raster.nx > 1 else np.zeros_like(gx)
+    fy = gy - iy if raster.ny > 1 else np.zeros_like(gy)
+    v = raster.values
+    jx = np.minimum(ix + 1, raster.nx - 1)
+    jy = np.minimum(iy + 1, raster.ny - 1)
+    return ((1 - fx) * (1 - fy) * v[iy, ix] + fx * (1 - fy) * v[iy, jx]
+            + (1 - fx) * fy * v[jy, ix] + fx * fy * v[jy, jx])
+
 
 def source_vector_add_at(coeffs, t):
     """CV integrals of the transport source f(., t), scattered point by point

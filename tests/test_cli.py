@@ -226,6 +226,49 @@ dir = sw
     assert mus == sorted(mus)
 
 
+def test_sweep_builds_one_mesh_for_every_spacing(tmp_path, outroot,
+                                                 monkeypatch):
+    """`sweep` builds the mesh once to check the lattices and once for all
+    its runs, since a spacing does not change the mesh; its rows equal
+    those of one sweep per spacing, each on its own mesh, bitwise."""
+    cfg = _write(tmp_path, "meshes.ini", """
+[scenario]
+name = example1
+
+[mesh]
+nx = 20
+
+[time]
+t_end = 0.04
+
+[sweep]
+mu = 10
+spacing = 0.1 0.2
+
+[output]
+dir = meshes
+""")
+    built = []
+    build_mesh = scenarios.build_mesh
+
+    def counted(*args, **kwargs):
+        mesh = build_mesh(*args, **kwargs)
+        built.append((mesh.nx, mesh.ny))
+        return mesh
+
+    monkeypatch.setattr(scenarios, "build_mesh", counted)
+    assert main(["sweep", cfg]) == 0
+    assert built == [(20, 20)] * 2
+    got = (outroot / "meshes" / "sweep.csv").read_text().splitlines()
+    sc = build_scenario(load_config(cfg))
+    part = driver.TimePartition.from_scenario(sc)
+    want = [row for spacing in (0.1, 0.2)
+            for row in driver.parameter_sweep(sc, [10.0], [spacing],
+                                              partition=part)]
+    driver.sweep_csv(want, tmp_path / "want.csv")
+    assert got == (tmp_path / "want.csv").read_text().splitlines()
+
+
 def test_sweep_failure_sets_exit_code(tmp_path, outroot):
     """A run that fails once under way (here the reference run, at the
     solver's iteration cap) is a `failed:` row and exit 1; a bad spacing is

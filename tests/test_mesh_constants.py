@@ -35,14 +35,10 @@ def _mixed_faces(x, y):
 @pytest.fixture(scope="module")
 def ex3_twin_builds():
     """example3 nx=30 over three coarse intervals, reference plus assimilated
-    run on one mesh, counting the builds of every mesh constant and every
-    run of the raster's bilinear formula."""
+    run on one mesh, counting the builds of every mesh constant."""
     sc = scenarios.example3(nx=30, spacing=0.1, t_end=0.006)
-    counts = dict.fromkeys(("bilinear", "quadrature", "kernel_blocks",
-                            "transfers"), 0)
+    counts = dict.fromkeys(("quadrature", "kernel_blocks", "transfers"), 0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PermeabilityRaster, "_bilinear",
-                   _counting(counts, "bilinear", PermeabilityRaster._bilinear))
         mp.setattr(fields, "Quadrature",
                    _counting(counts, "quadrature", fields.Quadrature))
         mp.setattr(fields, "_build_kernel_blocks",
@@ -59,14 +55,9 @@ def ex3_twin_builds():
     return mesh, counts, solves
 
 
-def test_twin_runs_the_raster_formula_once_per_mesh(ex3_twin_builds):
+def test_twin_builds_each_mesh_constant_once(ex3_twin_builds):
     _, counts, solves = ex3_twin_builds
     assert solves == 6
-    assert counts["bilinear"] == 1
-
-
-def test_twin_builds_each_mesh_constant_once(ex3_twin_builds):
-    _, counts, _ = ex3_twin_builds
     assert counts["quadrature"] == 1
     assert counts["kernel_blocks"] == 1
     assert counts["transfers"] == 1
@@ -76,7 +67,7 @@ def test_point_sets_are_views_of_one_read_only_pair(ex3_twin_builds):
     """The quadrature points, the kernel blocks and the sub-segment
     midpoints are views of the one pair of the mesh's quadrature, broadcast
     from an (nx, 28) table of columns and an (ny, 28) table of rows, frozen,
-    so the memos keep them; the mesh holds no segment table."""
+    so a memo keeps them; the mesh holds no segment table."""
     mesh, _, _ = ex3_twin_builds
     quad = quadrature(mesh)
     px, py = quad.points
@@ -201,7 +192,7 @@ def test_twin_builds_the_mass_matrix_once_per_mesh(ex1_twin_builds):
     assert ex1_twin_builds["mass"] == 1
 
 
-# -- the raster memo ------------------------------------------------------------
+# -- the raster lookup and the point memo ---------------------------------------
 
 def _frozen_points(n=40, seed=3):
     rng = np.random.default_rng(seed)
@@ -211,40 +202,98 @@ def _frozen_points(n=40, seed=3):
     return x, y
 
 
-def test_lookup_memo_returns_the_stored_value_for_the_same_arrays(monkeypatch):
-    raster = PermeabilityRaster.standin(nx=12, ny=9, seed=5)
-    counts = {"bilinear": 0}
-    monkeypatch.setattr(PermeabilityRaster, "_bilinear",
-                        _counting(counts, "bilinear", PermeabilityRaster._bilinear))
-    x, y = _frozen_points()
-    first = raster.lookup(x, y)
-    again = raster.lookup(x, y)
-    assert again is first and counts["bilinear"] == 1
-    assert not first.flags.writeable
-    np.testing.assert_array_equal(first, raster._bilinear(x.copy(), y.copy()))
-    # Equal but different arrays are computed fresh, and become the memo.
-    x2, y2 = _frozen_points()
-    assert raster.lookup(x2, y2) is not first
-    assert counts["bilinear"] == 3
+# The lookup blends along y and then along x, a + fx (b - a); the oracle
+# sums four weighted corners.  Both round to a few ulp of the value.
+LOOKUP_RTOL = 1e-15
 
 
-def test_lookup_memo_ignores_arrays_that_can_change(monkeypatch):
-    raster = PermeabilityRaster.standin(nx=12, ny=9, seed=5)
-    counts = {"bilinear": 0}
-    monkeypatch.setattr(PermeabilityRaster, "_bilinear",
-                        _counting(counts, "bilinear", PermeabilityRaster._bilinear))
-    x, y = _frozen_points()
-    writable = x.copy(), y.copy()
-    base = x.copy()
-    view = base.view()
-    view.flags.writeable = False         # read-only, but base can change it
-    for args in (writable, writable, (view, y), (view, y)):
-        value = raster.lookup(*args)
-        assert value.flags.writeable
-    assert counts["bilinear"] == 4
-    base[0, 0] = 0.5
-    np.testing.assert_array_equal(raster.lookup(view, y),
-                                  raster._bilinear(base, y))
+def test_lookup_equals_the_bilinear_oracle_at_the_kernel_blocks():
+    """example3 at nx = 240: 14 blocks of 17 element rows and one of 2."""
+    sc = scenarios.example3(nx=240)
+    mesh = sc.build_mesh()
+    raster = sc.notes["raster"]
+    for _, x, y in kernel_point_blocks(mesh):
+        got = raster.lookup(x, y)
+        assert got.shape == x.shape and got.flags.c_contiguous
+        np.testing.assert_allclose(got, dr.raster_bilinear(raster, x, y),
+                                   rtol=LOOKUP_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(9, 12), (1, 12), (9, 1), (1, 1)],
+                         ids=["9x12", "1-tall", "1-wide", "1x1"])
+def test_lookup_equals_the_bilinear_oracle_on_a_strip(shape, monkeypatch):
+    """A 12 x 8 strip of lengths (2, 1) in blocks of 3 element rows, and
+    points beyond every edge of the raster, where the lookup clamps; on
+    rasters of one row, one column or one value too."""
+    values = np.random.default_rng(7).uniform(0.5, 2.0, shape)
+    raster = PermeabilityRaster(values, lengths=(2.0, 1.0))
+    monkeypatch.setattr(fields, "KERNEL_BLOCK", 3 * 12)
+    mesh = build_mesh(12, 8, 2.0, 1.0)
+    blocks = kernel_point_blocks(mesh)
+    assert [x.shape[0] for _, x, _ in blocks] == [3, 3, 2]
+    outside = np.meshgrid(np.linspace(-0.3, 2.3, 11), np.linspace(-0.2, 1.2, 9))
+    for x, y in [b[1:] for b in blocks] + [outside]:
+        np.testing.assert_allclose(raster.lookup(x, y),
+                                   dr.raster_bilinear(raster, x, y),
+                                   rtol=LOOKUP_RTOL, atol=0.0)
+    edge = raster.lookup(np.array([-1.0, 5.0]), np.array([-1.0, 5.0]))
+    np.testing.assert_array_equal(edge, [values[0, 0], values[-1, -1]])
+
+
+@pytest.mark.parametrize("factory", [scenarios.example3, scenarios.example4])
+def test_lookup_is_bitwise_equal_on_compact_broadcast_and_contiguous_points(
+        factory):
+    """A kernel block, its compact (1, nx, 28) and (rows, 1, 28) tables and
+    contiguous copies of it, whole or as (ne, 28) rows, give the same
+    values, bitwise; so does one point given as two floats."""
+    sc = factory(nx=36)
+    mesh = sc.build_mesh()
+    raster = sc.notes["raster"]
+    px, py = quadrature(mesh).points
+    x, y = px[:5], py[:5]
+    want = raster.lookup(x, y)
+    compact = raster.lookup(scenarios._compact(x), scenarios._compact(y))
+    assert compact.tobytes() == want.tobytes()
+    copies = raster.lookup(x.copy(), y.copy())
+    assert copies.tobytes() == want.tobytes()
+    rows = raster.lookup(x.reshape(-1, 28), y.reshape(-1, 28))
+    assert rows.tobytes() == want.tobytes()
+    point = raster.lookup(float(x[2, 3, 7]), float(y[2, 3, 7]))
+    assert point.shape == () and point == want[2, 3, 7]
+
+
+def test_a_reference_run_leaves_no_whole_point_array():
+    """The raster keeps nothing of the points it was looked up at, and the
+    mesh's constants hold no array of ne x 28 values after a run."""
+    sc = scenarios.example3(nx=30, spacing=0.1, t_end=0.004)
+    mesh = sc.build_mesh()
+    ref = driver.run_reference(sc, driver.TimePartition.from_scenario(sc),
+                               mesh)
+    assert len(ref.report.solver_iterations["pressure"]) == 2
+    raster = sc.notes["raster"]
+    assert set(vars(raster)) == {"values", "lengths", "nx", "ny"}
+
+    seen = set()
+
+    def arrays(value):
+        if id(value) in seen or value is mesh:
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            yield _owner(value)
+        elif sparse.issparse(value):
+            yield from arrays([value.data, value.indices, value.indptr])
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+        elif isinstance(value, dict):
+            yield from arrays(list(value.values()))
+        elif hasattr(value, "__dict__"):
+            yield from arrays(list(vars(value).values()))
+
+    held = list(arrays(mesh._constants))
+    assert held
+    assert max(a.size for a in held) < 28 * mesh.n_elements
 
 
 def test_memo_keeps_one_entry_per_pair_and_drops_it_with_its_arrays():
@@ -261,17 +310,15 @@ def test_memo_keeps_one_entry_per_pair_and_drops_it_with_its_arrays():
 
 
 @pytest.mark.parametrize("factory", [scenarios.example3, scenarios.example4])
-def test_raster_kappa_reuses_the_factor_at_the_kernel_points(factory, monkeypatch):
+def test_raster_kappa_reuses_the_factor_at_the_kernel_points(factory):
+    """kappa at the mesh's broadcast point views equals kappa at contiguous
+    copies of them, bitwise, for scalar and whole-array concentrations."""
     sc = factory(nx=16)
     mesh = sc.build_mesh()
     x, y = quadrature(mesh).points
-    counts = {"bilinear": 0}
-    monkeypatch.setattr(PermeabilityRaster, "_bilinear",
-                        _counting(counts, "bilinear", PermeabilityRaster._bilinear))
     for theta in (0.0, 0.3, np.linspace(0.0, 1.0, x.size).reshape(x.shape)):
         got = sc.kappa(theta, x, y)
         np.testing.assert_array_equal(got, sc.kappa(theta, x.copy(), y.copy()))
-    assert counts["bilinear"] == 1 + 3       # one memo fill, three fresh copies
 
 
 # -- source and metric integrals ---------------------------------------------

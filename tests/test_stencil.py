@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dr
-from porousda import driver, linalg, scenarios
+from porousda import driver, fields, linalg, scenarios
 from porousda.fields import NodalField, mass_matrix, quadrature
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.observation import SparseGrid
@@ -196,6 +196,29 @@ def test_diagonal_slots_own_their_data():
     pattern = linalg.stencil(build_mesh(6, 4))
     assert pattern.diagonal_slots.base is None
     assert pattern.diagonal_slots.shape == (pattern.n,)
+
+
+@pytest.mark.parametrize("nx, ny", [(6, 4), (7, 5)])
+def test_slots_are_int32_and_blocked_sums_equal_one_bincount(nx, ny,
+                                                            monkeypatch):
+    """`slots` and `diagonal_slots` are int32, and `sum_blocks`, one block
+    of two element rows at a time (the last one short when ny is odd), sums
+    as one `np.bincount` over the whole mesh, bitwise; a broadcast block,
+    as the mass matrix passes, too."""
+    monkeypatch.setattr(fields, "KERNEL_BLOCK", 2 * nx + 1)
+    mesh = build_mesh(nx, ny)
+    pattern = linalg.stencil(mesh)
+    assert pattern.slots.dtype == np.int32
+    assert pattern.diagonal_slots.dtype == np.int32
+    assert pattern.slots.shape == (16 * mesh.n_elements,)
+    assert pattern.block == 2 * nx
+    rng = np.random.default_rng(11)
+    for local in (rng.standard_normal((mesh.n_elements, 4, 4)),
+                  np.broadcast_to(rng.standard_normal((4, 4)),
+                                  (mesh.n_elements, 4, 4))):
+        want = np.bincount(pattern.slots, weights=np.ravel(local),
+                           minlength=pattern.nnz)
+        assert pattern.sum_blocks(local).tobytes() == want.tobytes()
 
 
 def test_pattern_matrices_share_its_read_only_index_arrays():

@@ -26,7 +26,6 @@ from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
 from porousda.mesh import build_mesh
 from porousda.observation import SparseGrid
-from porousda.scenarios import PermeabilityRaster
 from porousda.transport import TransportCoefficients, TransportStep
 
 BICGSTAB = SolverConfig(rel_tol=1e-12)
@@ -352,20 +351,11 @@ def test_blocked_kernel_equals_the_whole_array_kernel_bitwise(factory, monkeypat
     mesh = sc.build_mesh()
     blocks = fields.kernel_point_blocks(mesh)
     assert len(blocks) == 10               # 30 element rows, 3 per block
-    counts = {"bilinear": 0}
-    bilinear = PermeabilityRaster._bilinear
-
-    def counted(self, x, y):
-        counts["bilinear"] += 1
-        return bilinear(self, x, y)
-
-    monkeypatch.setattr(PermeabilityRaster, "_bilinear", counted)
     problem = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)
     kernels = []
     for theta in (NodalField.from_callable(mesh, sc.initial),
                   NodalField.from_callable(mesh, lambda x, y: 1.5 * x - 0.2 * y)):
         kernels.append((pressure.element_kernel(problem, theta), theta))
-    assert counts["bilinear"] == len(blocks)     # once per block per mesh
     for kernel, theta in kernels:
         want = _whole_array_kernel(problem, theta)
         for got, expect in zip((kernel.kappa_edge, kernel.kappa_seg,

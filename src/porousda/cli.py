@@ -43,7 +43,11 @@ def load_config(path):
 
 
 def _floats(text):
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    """One or more numbers, separated by blanks or commas."""
+    values = [float(tok) for tok in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError(text)
+    return values
 
 
 def _boolean(text):
@@ -196,23 +200,35 @@ def _run_dirs(mu_values):
     return list(names)
 
 
-def output_dir(cfg):
+def _output_dir(cfg):
+    """`[output] dir` under POROUSDA_OUTPUT_ROOT (else the working
+    directory), made with its parents; one that cannot be made raises
+    ValueError naming the setting at fault."""
     root = Path(os.environ.get("POROUSDA_OUTPUT_ROOT", "."))
     sub = cfg.get("output", "dir", fallback=None) if cfg.has_section("output") else None
-    return root / sub if sub else root
+    path = root / sub if sub else root
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        name = "[output] dir" if sub and root.is_dir() else "POROUSDA_OUTPUT_ROOT"
+        raise ValueError(f"{name}: cannot make directory {str(path)!r} "
+                         f"({exc.strerror})") from None
+    return path
 
 
 def _snapshot_times(cfg, scenario, partition):
     """Snapshot times of a run, checked before it starts.
 
     Explicit `[output] snapshots` must be fine time levels of the run, and
-    anything else is a configuration error; scenario defaults that are not
-    (they lie beyond a shortened `t_end`) are dropped.
+    anything else is a configuration error.  The scenario's defaults that
+    are not (beyond a shortened `t_end`) are dropped; an empty value drops all.
     """
     if not cfg.has_option("output", "snapshots"):
         times = scenario.snapshot_times
         return [t for t, i in zip(times, partition.level_indices(times))
                 if i is not None]
+    if not cfg.get("output", "snapshots"):
+        return []
     times = _option(cfg, "output", "snapshots", _floats)
     partition.fine_levels(times, "snapshot time")
     return times
@@ -278,8 +294,7 @@ def cmd_run(cfg):
     mesh = scenario.build_mesh()
     _check_lattices(cfg, mesh, scenario.observation_kind, [scenario.spacing],
                     "assimilation")
-    outroot = output_dir(cfg)
-    outroot.mkdir(parents=True, exist_ok=True)
+    outroot = _output_dir(cfg)
     print(f"{scenario.name}: {scenario.nx}x{scenario.ny} mesh, "
           f"{partition.n_coarse} coarse steps of {scenario.fine_per_coarse} "
           f"fine steps, spacing {scenario.spacing!r}")
@@ -367,8 +382,7 @@ def cmd_sweep(cfg):
     partition = _partition(scenario, mu_values)
     _check_lattices(cfg, scenario.build_mesh(), scenario.observation_kind,
                     spacings, "sweep")
-    outroot = output_dir(cfg)
-    outroot.mkdir(parents=True, exist_ok=True)
+    outroot = _output_dir(cfg)
 
     rows = driver.parameter_sweep(scenario, mu_values, spacings,
                                   partition=partition, solver=solver)

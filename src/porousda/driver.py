@@ -60,59 +60,50 @@ RUN_FAILURES = (NoConvergenceError, NonFiniteStateError, CoefficientRangeError,
 
 @dataclass(frozen=True)
 class TimePartition:
-    """Nested uniform partition: coarse measurement times, m fine substeps."""
+    """Nested uniform partition of [0, t_end]: n_coarse equal coarse
+    intervals, each of fine_per_coarse equal fine steps."""
 
-    coarse_times: tuple
+    t_end: float
+    n_coarse: int
     fine_per_coarse: int
 
     def __post_init__(self):
-        ct = np.asarray(self.coarse_times, dtype=float)
-        if ct.size < 2 or np.any(np.diff(ct) <= 0):
-            raise ValueError("coarse times must be strictly increasing")
-        # The steps of a linspace differ in the last bits, not more.
-        if not np.allclose(np.diff(ct), (ct[-1] - ct[0]) / (ct.size - 1),
-                           rtol=1e-9, atol=0.0):
-            raise ValueError("coarse times must be uniformly spaced")
-        if self.fine_per_coarse < 1:
-            raise ValueError("need at least one fine step per coarse interval")
+        if not (0.0 < self.t_end < math.inf and self.n_coarse >= 1
+                and self.fine_per_coarse >= 1):
+            raise ValueError(f"need a finite positive span and at least one "
+                             f"coarse and one fine step, got {self}")
 
     @classmethod
-    def uniform(cls, t_end, n_coarse, fine_per_coarse):
-        """n_coarse equal coarse intervals from 0 to t_end."""
-        if t_end <= 0.0:
-            raise ValueError("empty time span")
-        return cls(tuple(np.linspace(0.0, t_end, n_coarse + 1)),
-                   fine_per_coarse)
-
-    @classmethod
-    def from_scenario(cls, scenario, t_end=None):
+    def from_scenario(cls, scenario):
+        """[0, t_end] of the scenario, in whole coarse steps of its own."""
         if not (math.isfinite(scenario.dt) and scenario.dt > 0.0):
             raise ValueError(f"time step dt must be finite and positive, "
                              f"got {scenario.dt!r}")
         if not scenario.fine_per_coarse >= 1:
             raise ValueError(f"fine_per_coarse must be at least 1, "
                              f"got {scenario.fine_per_coarse!r}")
-        t_end = scenario.t_end if t_end is None else t_end
+        t_end = scenario.t_end
         steps = t_end / scenario.coarse_dt
         n = round(steps) if math.isfinite(steps) else 0
         if n < 1 or abs(n * scenario.coarse_dt - t_end) > 1e-9 * max(1.0, t_end):
             raise ValueError(
                 f"span {t_end} is not a whole number of coarse steps "
                 f"of {scenario.coarse_dt}")
-        return cls.uniform(t_end, n, scenario.fine_per_coarse)
+        return cls(t_end, n, scenario.fine_per_coarse)
 
     @property
-    def n_coarse(self):
-        return len(self.coarse_times) - 1
+    def coarse_times(self):
+        """The measurement times, 0 to t_end."""
+        return np.linspace(0.0, self.t_end, self.n_coarse + 1)
 
     def fine_times(self, n):
         """Times of the n-th coarse interval, endpoints included."""
-        return np.linspace(self.coarse_times[n], self.coarse_times[n + 1],
-                           self.fine_per_coarse + 1)
+        ct = self.coarse_times
+        return np.linspace(ct[n], ct[n + 1], self.fine_per_coarse + 1)
 
     def all_times(self):
         """Every fine level once, coarse endpoints not duplicated."""
-        out = [self.coarse_times[0]]
+        out = [0.0]
         for n in range(self.n_coarse):
             out.extend(self.fine_times(n)[1:])
         return np.array(out)
@@ -120,8 +111,7 @@ class TimePartition:
     @property
     def fine_step(self):
         """The run's nominal fine step; see `transport.TransportStep`."""
-        span = self.coarse_times[-1] - self.coarse_times[0]
-        return span / (self.n_coarse * self.fine_per_coarse)
+        return self.t_end / (self.n_coarse * self.fine_per_coarse)
 
     def level_indices(self, times):
         """Index of the fine level at each of `times`, None where a time is
@@ -135,10 +125,9 @@ class TimePartition:
         indices = self.level_indices(times)
         for t, i in zip(times, indices):
             if i is None:
-                span = self.coarse_times
                 raise ValueError(
                     f"{name} {float(t)!r} is not a fine time level of the run "
-                    f"from {float(span[0])!r} to {float(span[-1])!r} in steps "
+                    f"from 0.0 to {float(self.t_end)!r} in steps "
                     f"of {float(self.fine_step)!r}")
         return indices
 
@@ -275,20 +264,17 @@ class RunReport:
             return float("nan")
         return float(np.mean(r[idx + 1] <= r[idx]))
 
-    def write_csv(self, path_or_handle):
-        _write_csv(path_or_handle, METRIC_COLUMNS,
+    def write_csv(self, path):
+        _write_csv(path, METRIC_COLUMNS,
                    ([repr(float(v)) for v in row] for row in self.rows))
 
 
-def _write_csv(path_or_handle, header, rows):
-    """Write a header and rows of strings to a path or an open handle."""
-    if not hasattr(path_or_handle, "write"):
-        with open(path_or_handle, "w", newline="") as fh:
-            _write_csv(fh, header, rows)
-        return
-    writer = csv.writer(path_or_handle)
-    writer.writerow(header)
-    writer.writerows(rows)
+def _write_csv(path, header, rows):
+    """Write a header and rows of strings to the file at `path`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass
@@ -343,22 +329,25 @@ class _Comparator:
         return r, rtilde
 
 
-def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
-           comparator, solver, keep=None):
-    """Shared coarse/fine marching core; returns (Trajectory, RunReport).
+def _march(scenario, partition, grid, theta0_values, mu, stream, reference,
+           solver, keep=None):
+    """Shared coarse/fine marching core on the mesh of `grid`, measured
+    against `reference` (see `_Comparator`); returns (Trajectory, RunReport).
 
     `solver`, a `SolverConfig` or None for the default one, holds the
     tolerances of both the pressure and the transport solves.  `keep`, the
     indices of the fine levels to store, None for all of them, sizes the
     trajectory's storage; the other levels are never stored."""
     solver = solver or SolverConfig()
+    mesh = grid.mesh
+    comparator = _Comparator(scenario, grid, reference)
     coeffs = transport.TransportCoefficients(
         mesh,
         diffusion=scenario.diffusion,
         reaction=scenario.reaction,
         source=scenario.source,
         mu=mu,
-        grid=grid if mu > 0.0 else None,
+        grid=grid,
         dirichlet=scenario.theta_dirichlet,
     )
     needs_pressure = scenario.kappa is not None
@@ -371,9 +360,10 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
 
     report = RunReport(partition)
     theta = NodalField(mesh, np.array(theta0_values, dtype=float))
-    levels = partition.n_coarse * partition.fine_per_coarse + 1
-    keep = np.arange(levels) if keep is None else np.unique(keep)
-    slot = np.full(levels, -1)        # level -> its row in the storage
+    m = partition.fine_per_coarse
+    steps = partition.n_coarse * m
+    keep = np.arange(steps + 1) if keep is None else np.unique(keep)
+    slot = np.full(steps + 1, -1)     # level -> its row in the storage
     slot[keep] = np.arange(keep.size)
     times = np.empty(keep.size)
     values = np.empty((keep.size, mesh.n_vertices))
@@ -387,15 +377,13 @@ def _march(scenario, partition, mesh, theta0_values, mu, stream, grid,
         report.append(t, r, rtilde, mass_residual,
                       float(theta.values.min()), float(theta.values.max()))
 
-    record(partition.coarse_times[0], float("nan"))
+    record(0.0, float("nan"))
 
     # The run steps with one velocity at a time: for the whole run when there
     # is none or it is computed once, else for one interval.
     static = scenario.velocity is None and (scenario.static_velocity
                                             or not needs_pressure)
     mass_residual, pressure_guess = float("nan"), None
-    m = partition.fine_per_coarse
-    steps = partition.n_coarse * m
     h = partition.fine_step
     for n in range(partition.n_coarse):
         if n == 0 or not static:
@@ -455,9 +443,8 @@ def run_reference(scenario, partition=None, mesh=None, solver=None):
     mesh = mesh or scenario.build_mesh()
     grid = SparseGrid(mesh, scenario.spacing, kind=scenario.observation_kind)
     theta0 = NodalField.from_callable(mesh, scenario.initial).values
-    comparator = _Comparator(scenario, grid)
-    traj, report = _march(scenario, partition, mesh, theta0, 0.0, None, grid,
-                          comparator, solver)
+    traj, report = _march(scenario, partition, grid, theta0, 0.0, None, None,
+                          solver)
     # The trajectory keeps these values, so nudged runs measured against it
     # read the same ones for their Rtilde.
     stream = ObservationStream(partition.coarse_times, np.array(
@@ -477,23 +464,23 @@ def check_initial_policy(policy):
     return policy
 
 
-def initial_guess(scenario, mesh, grid, stream, policy=None):
-    """Starting concentration per policy: zero, interpolant, or true."""
-    policy = check_initial_policy(policy or scenario.theta0_policy)
+def initial_guess(scenario, grid, stream):
+    """Starting concentration on the mesh of `grid` per the scenario's
+    `theta0_policy`: zero, interpolant, or true."""
+    policy = check_initial_policy(scenario.theta0_policy)
     if policy == "zero":
-        return np.zeros(mesh.n_vertices)
+        return np.zeros(grid.mesh.n_vertices)
     if policy == "interpolant":
         if stream is None:
             raise ValueError("interpolant start requires observations")
-        t0 = stream.times[0]
-        return grid.reconstruct(stream.interpolate(t0)).values
-    return NodalField.from_callable(mesh, scenario.initial).values
+        return grid.reconstruct(stream.interpolate(stream.times[0])).values
+    return NodalField.from_callable(grid.mesh, scenario.initial).values
 
 
 def run_assimilated(scenario, stream, partition=None, mesh=None, mu=None,
-                    theta0_policy=None, reference=None, solver=None,
-                    keep_times=()):
-    """Nudged run driven by an observation stream.
+                    reference=None, solver=None, keep_times=()):
+    """Nudged run driven by an observation stream, from the start that the
+    scenario's `theta0_policy` names.
 
     `reference` may be a Trajectory for twin-experiment metrics, and the run
     then steps on its mesh; otherwise the scenario's analytic solution is
@@ -521,10 +508,9 @@ def run_assimilated(scenario, stream, partition=None, mesh=None, mu=None,
             f"the stream holds {stream.n_obs} functionals per record, the "
             f"lattice of spacing {grid.spacing!r} on mesh {_describe(mesh)} "
             f"has {grid.n_obs}")
-    theta0 = initial_guess(scenario, mesh, grid, stream, theta0_policy)
-    comparator = _Comparator(scenario, grid, reference=reference)
-    traj, report = _march(scenario, partition, mesh, theta0, mu, stream, grid,
-                          comparator, solver, keep=np.array(keep, dtype=int))
+    theta0 = initial_guess(scenario, grid, stream)
+    traj, report = _march(scenario, partition, grid, theta0, mu, stream,
+                          reference, solver, keep=np.array(keep, dtype=int))
     return AssimilationRun(traj, report)
 
 
@@ -558,8 +544,6 @@ def fit_decay_rate(times, values=None, window=None):
     if window is not None:
         keep = (times >= window[0] - 1e-12) & (times <= window[1] + 1e-12)
         times, values = times[keep], values[keep]
-    else:
-        window = (float(times[0]), float(times[-1])) if times.size else (0.0, 0.0)
     if times.size < 3:
         raise ValueError("need at least three samples to fit a rate")
     if np.any(values <= 0.0):
@@ -617,7 +601,7 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
     return rows
 
 
-def sweep_csv(rows, path_or_handle):
-    _write_csv(path_or_handle, SWEEP_COLUMNS,
+def sweep_csv(rows, path):
+    _write_csv(path, SWEEP_COLUMNS,
                ([repr(float(v)) for v in (mu, spacing, plateau, rate)] + [status]
                 for mu, spacing, plateau, rate, status in rows))

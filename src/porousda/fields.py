@@ -32,8 +32,11 @@ the transport run's operator and its upwind advection, and the
 control-volume balance of the flux recovery.  A block scatters by
 `np.add.at`, which adds into a zeroed output in element order as
 one `np.bincount` over the whole mesh would, so the sums do not depend on
-the blocks; each pass makes a few (rows, nx, k) temporaries instead of
-(ny, nx, k) ones.
+the blocks; each such pass makes a few (rows, nx, k) temporaries instead of
+(ny, nx, k) ones.  Not blocked: the pressure set-up's (ne, 16) weighted
+source (`pressure.PressureProblem`, whose product with the basis, blocked,
+is not bitwise equal on every mesh), and a general transport source or an
+analytic truth, evaluated at every quadrature point on each call.
 
 L2 norms of nodal fields, and of differences of two nodal fields, are read
 from `mass_matrix(mesh)`, the consistent bilinear mass matrix on the mesh's

@@ -363,7 +363,7 @@ def example1_factors(x, y):
         gx * gy, -2.0 * (gy + gx), (1.0 - 2.0 * x) * gy + gx * (1.0 - 2.0 * y)))
 
 
-def example1(nx=100, t_end=0.5, mu=100.0):
+def example1(nx=100, t_end=0.5):
     """Manufactured decaying hump with a concentration-dependent velocity.
 
     The velocity is prescribed directly as (w, w), w = 1/(1 + theta), so no
@@ -404,12 +404,12 @@ def example1(nx=100, t_end=0.5, mu=100.0):
         initial=lambda x, y: (x - x**2) * (y - y**2),
         exact=exact,
         dt=0.002, fine_per_coarse=10, t_end=t_end,
-        mu=mu, spacing=0.1, theta0_policy="zero",
+        mu=100.0, spacing=0.1, theta0_policy="zero",
         notes={"velocity": "prescribed closure, refreshed every coarse step"},
     )
 
 
-def example2(nx=50, t_end=2.0, mu=100.0):
+def example2(nx=50):
     """Decoupled pressure: constant conductivity, exact linear pressure.
 
     The Darcy velocity is (1, 0) everywhere and is computed once.  The
@@ -432,8 +432,8 @@ def example2(nx=50, t_end=2.0, mu=100.0):
         pressure_dirichlet=lambda x, y: 1.0 - x,
         initial=lambda x, y: (x - x**2) * np.ones_like(np.asarray(y, dtype=float)),
         exact=exact,
-        dt=0.02, fine_per_coarse=1, t_end=t_end,
-        mu=mu, spacing=0.1, theta0_policy="zero", static_velocity=True,
+        dt=0.02, fine_per_coarse=1, t_end=2.0,
+        mu=100.0, spacing=0.1, theta0_policy="zero", static_velocity=True,
         notes={"range": "manufactured concentration exceeds 1 by design"},
     )
 
@@ -465,11 +465,10 @@ def example3(nx=240, raster=None, seed=20260814, mu=1000.0, spacing=1.0 / 30.0,
     The published source, log-permeability, and initial-condition profiles are
     pictures, so deterministic stand-ins are generated: a seeded smoothed
     noise raster and smooth bumps for the wells and initial pockets.
+    `raster`, the path of a raster file, replaces the seeded stand-in.
     """
     if raster is None:
         k = PermeabilityRaster.standin(nx=60, ny=60, lo=1e-2, hi=1.0, seed=seed)
-    elif isinstance(raster, PermeabilityRaster):
-        k = raster
     else:
         k = PermeabilityRaster.load(raster)
 
@@ -502,14 +501,13 @@ def example4(nx=240, raster=None, seed=20260814, mu=1e-5, spacing=40.0,
     viscosity.  The injection well carries concentration 0.45 sin(B t) + 0.5
     with a one-day period; sink strength feeds both the pressure source and
     the reaction term.  Two initial pockets sit in the upper-left and
-    lower-right corners.
+    lower-right corners.  `raster`, a raster file's path, replaces the
+    stand-in, rescaled to its log range [1e-9, 1e-7].
     """
     L = 240.0
     if raster is None:
         k = PermeabilityRaster.standin(nx=60, ny=60, lengths=(L, L),
                                        lo=1e-9, hi=1e-7, seed=seed)
-    elif isinstance(raster, PermeabilityRaster):
-        k = raster.rescaled_log(1e-9, 1e-7)
     else:
         k = PermeabilityRaster.load(raster).rescaled_log(1e-9, 1e-7)
 
@@ -546,7 +544,7 @@ def example4(nx=240, raster=None, seed=20260814, mu=1e-5, spacing=40.0,
     )
 
 
-def diffusion_reaction(nx=20, t_end=1.0, mu=10.0):
+def diffusion_reaction(nx=20):
     """Advection-free configuration whose data keep every source bound met.
 
     Time step sits at the positivity limit of the trapezoidal rule for the
@@ -562,8 +560,8 @@ def diffusion_reaction(nx=20, t_end=1.0, mu=10.0):
         source=Separable(lambda x, y: bump(x, y, 0.5, 0.5, 0.3, 0.25),
                          lambda t: 1.0 + 0.8 * np.sin(2.0 * np.pi * t)),
         initial=lambda x, y: 0.9 * np.sin(np.pi * x) * np.sin(np.pi * y),
-        dt=0.02, fine_per_coarse=5, t_end=t_end,
-        mu=mu, spacing=0.1, theta0_policy="interpolant", static_velocity=True,
+        dt=0.02, fine_per_coarse=5, t_end=1.0,
+        mu=10.0, spacing=0.1, theta0_policy="interpolant",
     )
 
 

@@ -166,9 +166,10 @@ class TransportCoefficients:
     four entries its outflux enters, and the dump slot `nnz` for those in
     Dirichlet rows.  `mass` and `k0` hold M and K0, each summed from its
     element blocks one block of element rows at a time, the coefficients
-    evaluated at that block's points; `nudge_cv` serves the data term.  A
-    general source has `source_cv`, the CV integrals of values at the
-    quadrature points as an (nv, 16 ne) matrix, applied on every step.  A
+    evaluated at that block's points; `nudge_cv`, None unless mu > 0,
+    serves the data term.  A general source has `source_cv`, the CV
+    integrals of values at the quadrature points as an (nv, 16 ne) matrix,
+    applied on every step.  A
     `Separable` source (`separable`, found also through `functools.wraps`
     wrappers) has no such matrix: the run keeps only `profile_cv`, the CV
     integrals of its profile, integrated once, block by block, and scales
@@ -267,19 +268,18 @@ class TransportCoefficients:
 
         self.mass = summed_mass()
         self.nudge_cv = coupling = None
-        if self.grid is not None:
+        if self.mu > 0.0:
             # The product's columns come out unsorted.
             self.nudge_cv = self.matrix(self.mass) @ self.grid.prolong_matrix
             self.nudge_cv.sort_indices()
-            if self.mu > 0.0:
-                coupling = self.mu * (self.nudge_cv
-                                      @ self.grid.functionals).tocsr()
-                coupling.sort_indices()
-                # The mass goes before the pattern is joined and is summed
-                # again on the joined one, so it never has two copies.
-                self.mass = None
-                coupling_slots = self._join(coupling, slots)
-                self.mass = summed_mass()
+            coupling = self.mu * (self.nudge_cv
+                                  @ self.grid.functionals).tocsr()
+            coupling.sort_indices()
+            # The mass goes before the pattern is joined and is summed
+            # again on the joined one, so it never has two copies.
+            self.mass = None
+            coupling_slots = self._join(coupling, slots)
+            self.mass = summed_mass()
         # K0: the diffusive flux, -sum over CV faces of D grad(theta) . n,
         # plus the reaction.
         k0 = np.zeros(self.nnz + 1)

@@ -77,10 +77,9 @@ def ex3_runs():
     for sp in (0.2, 0.1, 1.0 / 30.0):
         sc = scenarios.example3(nx=60).with_overrides(spacing=sp)
         mesh = sc.build_mesh()
-        part = TimePartition.from_scenario(sc, t_end=0.2)
+        part = TimePartition.from_scenario(sc.with_overrides(t_end=0.2))
         ref = run_reference(sc, part, mesh)
         run = run_assimilated(sc, ref.stream, part, mesh, mu=sc.mu,
-                              theta0_policy="interpolant",
                               reference=ref.trajectory)
         out[sp] = (sc, mesh, ref, run)
     return out
@@ -205,7 +204,6 @@ def test_criterion_6(ex3_runs):
     part = TimePartition.from_scenario(sc)
     ref = run_reference(sc, part, mesh)
     run = run_assimilated(sc, ref.stream, part, mesh, mu=sc.mu,
-                          theta0_policy="interpolant",
                           reference=ref.trajectory)
     lo = min(row[4] for row in run.report.rows)
     hi = max(row[5] for row in run.report.rows)
@@ -280,10 +278,10 @@ def test_criterion_7():
 def test_criterion_8():
     sc = scenarios.example1(nx=20)
     mesh = sc.build_mesh()
-    part = TimePartition.from_scenario(sc, t_end=0.04)
+    part = TimePartition.from_scenario(sc.with_overrides(t_end=0.04))
     ref = run_reference(sc, part, mesh)
-    run = run_assimilated(sc, ref.stream, part, mesh, mu=0.0,
-                          theta0_policy="true", reference=ref.trajectory,
+    run = run_assimilated(sc.with_overrides(theta0_policy="true"), ref.stream,
+                          part, mesh, mu=0.0, reference=ref.trajectory,
                           keep_times=part.all_times())
     same_states = np.array_equal(run.trajectory.values,
                                  ref.trajectory.values)
@@ -296,10 +294,10 @@ def test_criterion_8():
 def test_criterion_9():
     sc = scenarios.example4(nx=48)
     mesh = sc.build_mesh()
-    part = TimePartition.from_scenario(sc, t_end=30.0 * scenarios.DAY)
+    part = TimePartition.from_scenario(
+        sc.with_overrides(t_end=30.0 * scenarios.DAY))
     ref = run_reference(sc, part, mesh)
     run = run_assimilated(sc, ref.stream, part, mesh, mu=sc.mu,
-                          theta0_policy="interpolant",
                           reference=ref.trajectory)
     rt0 = run.report.rows[0][2]
     frac = run.report.post_update_improvement_fraction()

@@ -10,7 +10,6 @@ run evaluates the source once per fine time level.
 """
 
 import numpy as np
-import pytest
 
 from porousda import driver, scenarios, transport
 from porousda.transport import TransportCoefficients
@@ -100,11 +99,3 @@ def test_example1_evaluates_the_source_once_per_time_level():
     driver.run_assimilated(sc, ref.stream, part, sc.build_mesh(),
                            reference=ref.trajectory)
     assert len(calls) == steps + 1
-
-
-def test_time_partition_rejects_nonuniform_coarse_times():
-    with pytest.raises(ValueError, match="uniformly spaced"):
-        driver.TimePartition((0.0, 0.1, 0.3), 2)
-    # A linspace's steps differ in the last bit only, and are accepted.
-    part = driver.TimePartition(tuple(np.linspace(0.0, 0.7, 8)), 3)
-    assert len(np.unique(np.diff(part.coarse_times))) > 1

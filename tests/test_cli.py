@@ -173,6 +173,19 @@ def test_every_ci_smoke_config_validates(path, capsys):
     assert "error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).parent / "smoke" / "bad").glob("*.ini")),
+    ids=lambda p: p.stem)
+def test_every_bad_ci_smoke_config_exits_2_and_writes_nothing(
+        path, tmp_path, outroot, capsys):
+    """The configs that CI's console-script smoke step runs expecting exit
+    2; one names README.md, a file in the directory CI runs from."""
+    (outroot / "README.md").write_text("a file\n")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in outroot.iterdir()] == ["README.md"]
+
+
 def test_validate_reports_assumptions_and_alignment(tmp_path, capsys):
     cfg = _write(tmp_path, "val.ini", """
 [scenario]
@@ -391,6 +404,62 @@ def test_bad_mu_exits_2_before_writing(tmp_path, outroot, capsys, command,
     assert main([command, cfg]) == 2
     assert "mu must be finite and nonnegative" in capsys.readouterr().err
     assert not (outroot / "badmu").exists()
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("run", "assimilation", "mu"), ("validate", "assimilation", "mu"),
+    ("sweep", "sweep", "mu"), ("sweep", "sweep", "spacing")])
+def test_an_empty_list_exits_2_before_writing(tmp_path, outroot, capsys,
+                                              command, section, key):
+    """`[assimilation] mu =` ran the reference alone, wrote its metrics and
+    exited 0; an empty `[sweep]` list wrote a sweep.csv of the header alone
+    and exited 0."""
+    text = EX1_SMALL.format(mu="10", dir="empty")
+    if section == "assimilation":
+        text = text.replace("mu = 10\n", "mu =\n")
+    else:
+        text += f"\n[sweep]\n{key} =\n"
+    cfg = _write(tmp_path, "empty.ini", text)
+    assert main([command, cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [{section}] {key} = '' is not a list of numbers\n")
+    assert not (outroot / "empty").exists()
+
+
+def test_an_empty_snapshot_list_turns_the_default_snapshots_off(tmp_path,
+                                                                outroot):
+    text = ("[scenario]\nname = example3\n[mesh]\nnx = 12\n"
+            "[time]\nt_end = 0.004\n[assimilation]\nspacing = 0.25\n"
+            "[output]\ndir = {dir}\n")
+    for name, extra in (("default", ""), ("none", "snapshots =\n")):
+        cfg = _write(tmp_path, f"{name}.ini", text.format(dir=name) + extra)
+        assert main(["run", cfg]) == 0
+    assert (outroot / "default" / "theta_t0.002.raster").exists()
+    assert (outroot / "none" / "metrics.csv").exists()
+    assert not list((outroot / "none").glob("*.raster"))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("where, setting", [
+    ("dir", "taken"), ("dir", "taken/sub"), ("root", "sub")])
+def test_an_output_dir_that_cannot_be_made_exits_2_before_running(
+        tmp_path, monkeypatch, capsys, command, where, setting):
+    """`[output] dir` naming a file raised FileExistsError from `run`, and
+    a directory under a file NotADirectoryError from `sweep`; both exited 1
+    with a traceback.  A POROUSDA_OUTPUT_ROOT that is a file did the same."""
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    root, name = ((tmp_path, "[output] dir") if where == "dir"
+                  else (taken, "POROUSDA_OUTPUT_ROOT"))
+    monkeypatch.setenv("POROUSDA_OUTPUT_ROOT", str(root))
+    cfg = _write(tmp_path, "taken.ini", EX1_SMALL.format(mu="10", dir=setting)
+                 + "\n[sweep]\nmu = 10\n")
+    assert main([command, cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name}: cannot make directory ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "taken.ini"]
+    assert taken.read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("mu", ["1 1", "1 1.0000001", "0 5 5.0000001"])

@@ -1,4 +1,3 @@
-import io
 import re
 import tracemalloc
 from pathlib import Path
@@ -22,7 +21,7 @@ from porousda.transport import TransportCoefficients
 def tiny_ex1():
     sc = scenarios.example1(nx=20)
     mesh = sc.build_mesh()
-    part = TimePartition.from_scenario(sc, t_end=0.04)
+    part = TimePartition.from_scenario(sc.with_overrides(t_end=0.04))
     ref = run_reference(sc, part, mesh)
     return sc, mesh, part, ref
 
@@ -34,7 +33,8 @@ def tiny_ex4():
     sc = scenarios.example4(nx=48)
     mesh = sc.build_mesh()
     assert len(multigrid_transfers(mesh)) >= 2
-    part = TimePartition.from_scenario(sc, t_end=4.0 * scenarios.DAY)
+    part = TimePartition.from_scenario(
+        sc.with_overrides(t_end=4.0 * scenarios.DAY))
     ref = run_reference(sc, part, mesh)
     assert len(ref.report.solver_iterations["pressure"]) == 2
     return sc, mesh, part, ref
@@ -48,7 +48,7 @@ def nan_source_after_start(sc):
 
 
 def test_partition_layout():
-    part = TimePartition.uniform(t_end=1.0, n_coarse=4, fine_per_coarse=5)
+    part = TimePartition(t_end=1.0, n_coarse=4, fine_per_coarse=5)
     assert part.n_coarse == 4
     assert len(part.coarse_times) == 5
     assert part.coarse_times[1] - part.coarse_times[0] == pytest.approx(0.25)
@@ -61,7 +61,7 @@ def test_partition_layout():
 def test_partition_rejects_ragged_horizon():
     sc = scenarios.example1(nx=10)       # coarse step 0.02
     with pytest.raises(ValueError):
-        TimePartition.from_scenario(sc, t_end=0.03)
+        TimePartition.from_scenario(sc.with_overrides(t_end=0.03))
 
 
 @pytest.mark.parametrize("key, value", [("dt", 0.0), ("dt", -0.01),
@@ -109,7 +109,7 @@ def test_reference_run_zero_forcing_stays_zero():
         source=lambda x, y, t: 0.0 * x,
         exact=None)
     mesh = sc.build_mesh()
-    part = TimePartition.from_scenario(sc, t_end=0.04)
+    part = TimePartition.from_scenario(sc.with_overrides(t_end=0.04))
     ref = run_reference(sc, part, mesh)
     for t in part.coarse_times:
         np.testing.assert_allclose(ref.trajectory.at(t).values, 0.0,
@@ -124,16 +124,17 @@ def test_r_starts_at_exactly_100_with_zero_guess(tiny_ex1):
 
 def test_rtilde_starts_at_exactly_zero_with_interpolant_guess(tiny_ex1):
     sc, mesh, part, ref = tiny_ex1
-    run = run_assimilated(sc, ref.stream, part, mesh, mu=10.0,
-                          theta0_policy="interpolant",
+    run = run_assimilated(sc.with_overrides(theta0_policy="interpolant"),
+                          ref.stream, part, mesh, mu=10.0,
                           reference=ref.trajectory)
     assert run.report.rows[0][2] == 0.0
 
 
 def test_mu_zero_matches_reference_bitwise(tiny_ex1, tiny_ex4):
     for sc, mesh, part, ref in (tiny_ex1, tiny_ex4):
-        run = run_assimilated(sc, ref.stream, part, mesh, mu=0.0,
-                              theta0_policy="true", reference=ref.trajectory,
+        run = run_assimilated(sc.with_overrides(theta0_policy="true"),
+                              ref.stream, part, mesh, mu=0.0,
+                              reference=ref.trajectory,
                               keep_times=part.all_times())
         for t in part.coarse_times:
             assert np.array_equal(run.trajectory.at(t).values,
@@ -155,7 +156,7 @@ def test_free_run_keeps_large_error_at_short_horizon(tiny_ex1):
     """Without relaxation the initial 100% discrepancy cannot vanish within
     one coarse window; it only shrinks by the flow's own decay."""
     sc, mesh, part, ref = tiny_ex1
-    short = TimePartition.from_scenario(sc, t_end=0.02)
+    short = TimePartition.from_scenario(sc.with_overrides(t_end=0.02))
     run = run_assimilated(sc, ref.stream, short, mesh, mu=0.0)
     assert run.report.asymptote() > 30.0
 
@@ -170,15 +171,15 @@ def test_assimilated_beats_free_run(tiny_ex1):
 def test_unknown_policy_rejected(tiny_ex1):
     sc, mesh, part, ref = tiny_ex1
     with pytest.raises(ValueError):
-        run_assimilated(sc, ref.stream, part, mesh, mu=1.0,
-                        theta0_policy="oracle")
+        run_assimilated(sc.with_overrides(theta0_policy="oracle"),
+                        ref.stream, part, mesh, mu=1.0)
 
 
 def test_interpolant_policy_needs_observations(tiny_ex1):
     sc, mesh, part, _ = tiny_ex1
     with pytest.raises(ValueError):
-        run_assimilated(sc, None, part, mesh, mu=0.0,
-                        theta0_policy="interpolant")
+        run_assimilated(sc.with_overrides(theta0_policy="interpolant"),
+                        None, part, mesh, mu=0.0)
 
 
 def test_trajectory_lookup_tolerance(tiny_ex1):
@@ -231,11 +232,10 @@ def test_non_finite_state_raises_with_time_and_step():
     assert rows[0][4].startswith("failed: non-finite concentration")
 
 
-def test_sweep_csv_format():
+def test_sweep_csv_format(tmp_path):
     rows = [(1.0, 0.1, 2.5, -3.0, "ok")]
-    buf = io.StringIO()
-    sweep_csv(rows, buf)
-    text = buf.getvalue().splitlines()
+    sweep_csv(rows, tmp_path / "sweep.csv")
+    text = (tmp_path / "sweep.csv").read_text().splitlines()
     assert text[0] == "mu,spacing,plateau_R_percent,rate,status"
     assert text[1].endswith(",ok")
 
@@ -344,11 +344,12 @@ def test_a_run_that_keeps_nothing_does_not_grow_with_t_end():
     4, 8 and 16 days; storing every level would add 1.9 MB per 4 days."""
     sc = scenarios.example4(nx=48)
     mesh = sc.build_mesh()
-    ref = run_reference(sc, TimePartition.from_scenario(sc, 16 * scenarios.DAY),
-                        mesh)
+    ref = run_reference(sc, TimePartition.from_scenario(
+        sc.with_overrides(t_end=16 * scenarios.DAY)), mesh)
 
     def peak(days):
-        part = TimePartition.from_scenario(sc, days * scenarios.DAY)
+        part = TimePartition.from_scenario(
+            sc.with_overrides(t_end=days * scenarios.DAY))
         tracemalloc.start()
         try:
             run_assimilated(sc, ref.stream, part, mesh,
@@ -368,7 +369,7 @@ def test_a_sweep_reads_each_reference_level_once(monkeypatch):
     report row is bitwise equal to that of a run that computes them
     itself."""
     sc = scenarios.example1(nx=20)
-    part = TimePartition.from_scenario(sc, t_end=0.1)
+    part = TimePartition.from_scenario(sc.with_overrides(t_end=0.1))
     mu_values = [1.0, 10.0, 100.0]
     norms, samples, reports, refs = [], [], [], []
     l2_norm, sample = driver.l2_norm, SparseGrid.sample

@@ -212,7 +212,7 @@ def test_default_solver_is_the_driver_pressure_solver(monkeypatch):
 
     monkeypatch.setattr(linalg, "solve", recorded)
     sc = scenarios.example3(nx=30)
-    driver.run_reference(sc, driver.TimePartition.uniform(sc.coarse_dt, 1, 1))
+    driver.run_reference(sc, driver.TimePartition(sc.coarse_dt, 1, 1))
     assert configs == [(prob.solver, True), (prob.solver, False)]
 
 

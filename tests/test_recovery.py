@@ -23,7 +23,7 @@ DAY = scenarios.DAY
 
 
 def _reference(sc, t_end):
-    part = driver.TimePartition.from_scenario(sc, t_end=t_end)
+    part = driver.TimePartition.from_scenario(sc.with_overrides(t_end=t_end))
     return driver.run_reference(sc, part, sc.build_mesh())
 
 
@@ -198,7 +198,7 @@ def test_factored_intervals_counts_a_breakdown_factor(monkeypatch):
     """One fine step per interval: the cost rule never factors, so only the
     breakdown's factor counts."""
     sc = scenarios.example1(nx=10)
-    part = driver.TimePartition.uniform(0.04, 4, 1)
+    part = driver.TimePartition(0.04, 4, 1)
     _broken_bicgstab(monkeypatch, breaks={2})
     ref = driver.run_reference(sc, part, sc.build_mesh())
     assert ref.report.recoveries == [(pytest.approx(0.02), "lu")]
@@ -210,7 +210,7 @@ def test_a_breakdown_factor_does_not_skip_the_next_probe(monkeypatch):
     step is solved by a factor, which serves that interval only: every
     later interval still starts with a BiCGStab probe, and stays on it."""
     sc = scenarios.example3(nx=60, spacing=1.0 / 30.0)
-    part = driver.TimePartition.from_scenario(sc, t_end=0.006)
+    part = driver.TimePartition.from_scenario(sc.with_overrides(t_end=0.006))
     _broken_bicgstab(monkeypatch, breaks={2})     # 1 is the pressure solve
     factors = _counted_splu(monkeypatch)
     ref = _reference(sc, 0.006)

@@ -5,8 +5,8 @@ README for the full grammar.  Three commands:
 
   run <config>       twin-experiment run(s); writes metrics.csv, report.txt,
                      optional theta_t<time>.raster snapshots per run directory
-  validate <config>  assumption flags, observation-lattice alignment, and the
-                     relaxation-stability proxy; prints pass/warn lines
+  validate <config>  assumption flags, the per-step factor of nudging, lattice
+                     alignment and the relaxation-stability proxy; pass/warn
   sweep <config>     grid of (mu, spacing) runs; writes one sorted sweep.csv
 
 The output root defaults to the working directory and can be moved with the
@@ -295,6 +295,10 @@ def cmd_run(cfg):
     _check_lattices(cfg, mesh, scenario.observation_kind, [scenario.spacing],
                     "assimilation")
     outroot = _output_dir(cfg)
+    for path in (outroot / name for name in run_dirs):
+        if os.path.lexists(path) and not path.is_dir():
+            raise ValueError(f"[assimilation] mu: run directory {str(path)!r} "
+                             f"exists and is not a directory")
     print(f"{scenario.name}: {scenario.nx}x{scenario.ny} mesh, "
           f"{partition.n_coarse} coarse steps of {scenario.fine_per_coarse} "
           f"fine steps, spacing {scenario.spacing!r}")
@@ -343,14 +347,24 @@ def _estimate_c0(mesh, grid, lengths):
     return err / (grid.spacing * seminorm)
 
 
+# The per-step factor of a nudged mode, past mu*dt = 2, above which
+# `validate` warns; chosen from measured runs (README, "validate output").
+STEP_FACTOR_BOUND = 0.9
+
+
 def cmd_validate(cfg):
     scenario = build_scenario(cfg)
-    _partition(scenario, [scenario.mu])
+    partition = _partition(scenario, [scenario.mu])
     print(f"scenario {scenario.name}")
     report = scenarios.assumption_report(scenario)
     for key in scenarios.ASSUMPTION_KEYS:
         holds, note = report[key]
         print(f"  {key}: {'pass' if holds else 'warn'} ({note})")
+    mu_dt = scenario.mu * partition.fine_step
+    factor = abs(1.0 - mu_dt / 2.0) / (1.0 + mu_dt / 2.0)
+    verdict = "warn" if mu_dt > 2.0 and factor > STEP_FACTOR_BOUND else "pass"
+    print(f"  step: {verdict} (mu*dt = {mu_dt:.6g}, per-step factor |1 - "
+          f"mu*dt/2| / (1 + mu*dt/2) = {factor:.6g} vs {STEP_FACTOR_BOUND:g})")
 
     mesh = scenario.build_mesh()
     try:

@@ -20,7 +20,8 @@ at each of its levels; a nudged run keeps none unless given times to keep
 (`run_assimilated`'s `keep_times`), so its memory does not grow with the
 number of levels.  The reference trajectory owns what every run compared
 against it needs per level, its L2 norm and its observation functionals,
-and computes each once.
+and computes each once; `observe` reads a stream on a lattice from them.
+A reference run has no data term, so a sweep runs one for all lattices.
 """
 
 import csv
@@ -33,7 +34,8 @@ from . import transport
 from .fields import NodalField, QuadratureField, l2_diff, l2_norm
 from .flux_postprocess import postprocess_flux
 from .linalg import NoConvergenceError, SolverConfig
-from .observation import AlignmentError, ObservationStream, SparseGrid
+from .observation import (AlignmentError, ObservationStream, SparseGrid,
+                          check_lattice)
 from .pressure import CoefficientRangeError, PressureProblem, solve_pressure
 
 METRIC_COLUMNS = ("t", "R_percent", "Rtilde_percent", "mass_residual",
@@ -51,11 +53,9 @@ class NonFiniteStateError(RuntimeError):
 
 
 # What a run can fail with once it is under way, a coefficient out of range
-# included, and the misaligned lattice a sweep meets when it builds a
-# spacing's grid.  The CLI and parameter_sweep report these, and only these,
-# as failed runs.
-RUN_FAILURES = (NoConvergenceError, NonFiniteStateError, CoefficientRangeError,
-                AlignmentError)
+# included.  The CLI and parameter_sweep report these, and only these, as
+# failed runs (a sweep checks its lattices before any run).
+RUN_FAILURES = (NoConvergenceError, NonFiniteStateError, CoefficientRangeError)
 
 
 @dataclass(frozen=True)
@@ -430,13 +430,23 @@ def _march(scenario, partition, grid, theta0_values, mu, stream, reference,
     return Trajectory(mesh, times, values), report
 
 
+def observe(trajectory, grid, partition):
+    """The observation stream of `trajectory`: its functionals on `grid`, a
+    SparseGrid on its mesh, at every coarse time of `partition`.  The
+    trajectory keeps these values, so nudged runs measured against it read
+    the same ones for their Rtilde."""
+    return ObservationStream(partition.coarse_times, np.array(
+        [trajectory.functionals(trajectory.index(t), grid)
+         for t in partition.coarse_times]))
+
+
 def run_reference(scenario, partition=None, mesh=None, solver=None):
     """Advance the plain scheme from the scenario's true initial condition.
 
-    Returns the trajectory of every fine level, an observation stream
-    sampled at every coarse time, and the metric report (R measured against
-    the analytic solution when the scenario has one; Rtilde doubles as
-    interpolation quality).  `solver` is the `SolverConfig` of both
+    Returns the trajectory of every fine level, its observation stream on
+    the scenario's lattice (`observe`), and the metric report (R measured
+    against the analytic solution when the scenario has one; Rtilde doubles
+    as interpolation quality).  `solver` is the `SolverConfig` of both
     systems, the default when None.
     """
     partition = partition or TimePartition.from_scenario(scenario)
@@ -445,11 +455,7 @@ def run_reference(scenario, partition=None, mesh=None, solver=None):
     theta0 = NodalField.from_callable(mesh, scenario.initial).values
     traj, report = _march(scenario, partition, grid, theta0, 0.0, None, None,
                           solver)
-    # The trajectory keeps these values, so nudged runs measured against it
-    # read the same ones for their Rtilde.
-    stream = ObservationStream(partition.coarse_times, np.array(
-        [traj.functionals(traj.index(t), grid) for t in partition.coarse_times]))
-    return ReferenceRun(traj, stream, report)
+    return ReferenceRun(traj, observe(traj, grid, partition), report)
 
 
 INITIAL_POLICIES = ("zero", "interpolant", "true")
@@ -565,28 +571,42 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
                     solver=None):
     """Independent assimilated runs over mu and observation-spacing grids.
 
-    Every run steps on one mesh, built once, since the spacing does not
-    change it.  One reference run is shared per spacing, and it holds the
-    only stored trajectory: the nudged runs keep no level.  Rows come back
-    sorted by (spacing, mu); failed runs are recorded, not raised.
+    Every run steps on one mesh and one partition, built once.  One
+    reference run, on the first spacing whose lattice aligns, serves every
+    spacing, since it has no data term, and is observed on each lattice
+    (`observe`); it holds the only stored trajectory.  Rows come back
+    sorted by (spacing, mu); failures are recorded, not raised: a misaligned
+    spacing's and a failed reference's in each row they stop.
     """
     mu_values = sorted(set(mu_values if mu_values is not None else [scenario.mu]))
     spacings = sorted(set(spacings if spacings is not None else [scenario.spacing]))
     mesh = scenario.build_mesh()
-    rows = []
+    partition = partition or TimePartition.from_scenario(scenario)
+    rows, aligned = [], []
+
+    def failed(mu, spacing, exc):
+        return (mu, spacing, float("nan"), float("nan"), f"failed: {exc}")
+
     for spacing in spacings:
-        sc = scenario.with_overrides(spacing=spacing)
-        part = partition or TimePartition.from_scenario(sc)
         try:
-            ref = run_reference(sc, part, mesh, solver=solver)
+            check_lattice(mesh, spacing, scenario.observation_kind)
+            aligned.append(spacing)
+        except AlignmentError as exc:
+            rows += [failed(mu, spacing, exc) for mu in mu_values]
+    if aligned:
+        try:
+            ref = run_reference(scenario.with_overrides(spacing=aligned[0]),
+                                partition, mesh, solver=solver)
         except RUN_FAILURES as exc:
-            for mu in mu_values:
-                rows.append((mu, spacing, float("nan"), float("nan"),
-                             f"failed: {exc}"))
-            continue
+            rows += [failed(mu, sp, exc) for sp in aligned for mu in mu_values]
+            aligned = []
+    for spacing in aligned:
+        sc = scenario.with_overrides(spacing=spacing)
+        stream = observe(ref.trajectory, SparseGrid(
+            mesh, spacing, kind=sc.observation_kind), partition)
         for mu in mu_values:
             try:
-                run = run_assimilated(sc, ref.stream, part, mesh, mu=mu,
+                run = run_assimilated(sc, stream, partition, mesh, mu=mu,
                                       reference=ref.trajectory,
                                       solver=solver)
                 try:
@@ -595,8 +615,7 @@ def parameter_sweep(scenario, mu_values=None, spacings=None, partition=None,
                     rate = float("nan")
                 rows.append((mu, spacing, run.report.plateau_value(), rate, "ok"))
             except RUN_FAILURES as exc:
-                rows.append((mu, spacing, float("nan"), float("nan"),
-                             f"failed: {exc}"))
+                rows.append(failed(mu, spacing, exc))
     rows.sort(key=lambda r: (r[1], r[0]))
     return rows
 

@@ -72,14 +72,17 @@ def ex1_runs():
 
 @pytest.fixture(scope="module")
 def ex3_runs():
-    """Example-3 stand-in on the CI tier at three observation spacings."""
+    """Example-3 stand-in on the CI tier at three observation spacings,
+    measured against one reference run: no lattice changes it."""
+    base = scenarios.example3(nx=60)
+    mesh = base.build_mesh()
+    part = TimePartition.from_scenario(base.with_overrides(t_end=0.2))
+    ref = run_reference(base, part, mesh)
     out = {}
     for sp in (0.2, 0.1, 1.0 / 30.0):
-        sc = scenarios.example3(nx=60).with_overrides(spacing=sp)
-        mesh = sc.build_mesh()
-        part = TimePartition.from_scenario(sc.with_overrides(t_end=0.2))
-        ref = run_reference(sc, part, mesh)
-        run = run_assimilated(sc, ref.stream, part, mesh, mu=sc.mu,
+        sc = base.with_overrides(spacing=sp)
+        stream = driver.observe(ref.trajectory, SparseGrid(mesh, sp), part)
+        run = run_assimilated(sc, stream, part, mesh, mu=sc.mu,
                               reference=ref.trajectory)
         out[sp] = (sc, mesh, ref, run)
     return out

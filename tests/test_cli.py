@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from porousda import driver, scenarios
-from porousda.cli import _write_snapshots, build_scenario, load_config, main
+from porousda.cli import (STEP_FACTOR_BOUND, _write_snapshots,
+                          build_scenario, load_config, main)
 from test_driver import nan_source_after_start
 
 
@@ -474,6 +475,66 @@ def test_mu_values_that_share_a_run_directory_exit_2_before_writing(
     first, second = mu.split()[-2:]
     assert f"{float(first)!r} and {float(second)!r}" in err
     assert not (outroot / "samedir").exists()
+
+
+def test_a_run_directory_that_is_a_file_exits_2_before_writing(
+        tmp_path, outroot, capsys):
+    """With a file named mu_0 in the output directory, `run` wrote
+    reference_metrics.csv and then stopped with a FileExistsError
+    traceback."""
+    cfg = _write(tmp_path, "clash.ini", EX1_SMALL.format(mu="0 100",
+                                                         dir="clash"))
+    (outroot / "clash").mkdir()
+    (outroot / "clash" / "mu_0").write_text("a file\n")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [assimilation] mu: run directory ")
+    assert "mu_0" in err and "is not a directory" in err
+    assert [p.name for p in (outroot / "clash").iterdir()] == ["mu_0"]
+    assert (outroot / "clash" / "mu_0").read_text() == "a file\n"
+
+
+def test_validate_step_line_ranks_runs_as_the_step_factor_does(tmp_path,
+                                                               capsys):
+    """example1 at nx = 20 and dt = 0.002: R after 10 fine steps ranks as
+    the per-step factor |1 - mu dt/2| / (1 + mu dt/2) of a nudged mode
+    predicts, and `validate` warns exactly where the factor, past
+    mu dt = 2, exceeds its bound."""
+    sc = scenarios.example1(nx=20).with_overrides(t_end=0.02, spacing=0.1)
+    part = driver.TimePartition.from_scenario(sc)
+    assert part.n_coarse * part.fine_per_coarse == 10
+    ref = driver.run_reference(sc, part)
+    r10, factor = {}, {}
+    for mu_dt in (0.2, 2.0, 20.0, 200.0):
+        mu = mu_dt / part.fine_step
+        run = driver.run_assimilated(sc, ref.stream, part, mu=mu,
+                                     reference=ref.trajectory)
+        r10[mu_dt] = run.report.r_percent[10]
+        cfg = _write(tmp_path, "step.ini", f"""
+[scenario]
+name = example1
+[mesh]
+nx = 20
+[time]
+t_end = 0.02
+[assimilation]
+mu = {mu!r}
+spacing = 0.1
+""")
+        assert main(["validate", cfg]) == 0
+        line = next(text for text in capsys.readouterr().out.splitlines()
+                    if text.startswith("  step: "))
+        factor[mu_dt] = float(line.split("= ")[-1].split()[0])
+        assert factor[mu_dt] == pytest.approx(
+            abs(1.0 - mu_dt / 2.0) / (1.0 + mu_dt / 2.0), rel=1e-5)
+        warns = mu_dt > 2.0 and factor[mu_dt] > STEP_FACTOR_BOUND
+        assert line.startswith("  step: warn" if warns else "  step: pass")
+    assert [mu_dt for mu_dt in factor if factor[mu_dt] > STEP_FACTOR_BOUND] \
+        == [200.0]
+    for a in r10:
+        for b in r10:
+            if factor[a] < factor[b] - 1e-6:
+                assert r10[a] < r10[b], (a, b, r10)
 
 
 @pytest.mark.parametrize("setting", ["dt = 0", "fine_per_coarse = 0"])

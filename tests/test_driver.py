@@ -232,6 +232,57 @@ def test_non_finite_state_raises_with_time_and_step():
     assert rows[0][4].startswith("failed: non-finite concentration")
 
 
+def _counted_references(monkeypatch):
+    calls = []
+    run_ref = driver.run_reference
+
+    def counted(*args, **kw):
+        calls.append(args[0].spacing)
+        return run_ref(*args, **kw)
+
+    monkeypatch.setattr(driver, "run_reference", counted)
+    return calls
+
+
+def test_a_sweep_runs_one_reference_for_all_its_spacings(monkeypatch):
+    calls = _counted_references(monkeypatch)
+    sc = scenarios.example1(nx=10, t_end=0.04)
+    rows = parameter_sweep(sc, mu_values=[1.0, 10.0], spacings=[0.5, 0.2, 0.1])
+    assert calls == [0.1]
+    assert [(r[1], r[0]) for r in rows] == [
+        (sp, mu) for sp in (0.1, 0.2, 0.5) for mu in (1.0, 10.0)]
+    assert all(r[4] == "ok" for r in rows)
+
+
+def test_a_failed_reference_fails_every_aligned_row(monkeypatch):
+    calls = _counted_references(monkeypatch)
+    sc = nan_source_after_start(scenarios.example1(nx=10, t_end=0.04))
+    rows = parameter_sweep(sc, mu_values=[1.0, 10.0],
+                           spacings=[0.5, 0.15, 0.1])
+    assert calls == [0.1]
+    status = {(r[1], r[0]): r[4] for r in rows}
+    assert len(status) == 6
+    for (spacing, _), text in status.items():
+        want = ("failed: lattice spacing 0.15 " if spacing == 0.15
+                else "failed: non-finite concentration at t = ")
+        assert text.startswith(want)
+
+
+def test_the_reference_does_not_depend_on_the_lattice():
+    """What lets a sweep share one reference: references on two lattices
+    are bitwise equal, and observing one on the other's lattice gives the
+    other's stream."""
+    sc = scenarios.example1(nx=20, t_end=0.04)
+    part = TimePartition.from_scenario(sc)
+    mesh = sc.build_mesh()
+    coarse, fine = (run_reference(sc.with_overrides(spacing=sp), part, mesh)
+                    for sp in (0.5, 0.1))
+    assert np.array_equal(coarse.trajectory.values, fine.trajectory.values)
+    stream = driver.observe(coarse.trajectory, SparseGrid(mesh, 0.1), part)
+    assert np.array_equal(stream.times, fine.stream.times)
+    assert np.array_equal(stream.values, fine.stream.values)
+
+
 def test_sweep_csv_format(tmp_path):
     rows = [(1.0, 0.1, 2.5, -3.0, "ok")]
     sweep_csv(rows, tmp_path / "sweep.csv")

@@ -86,9 +86,9 @@ def gaussian_smooth(values, sigma):
 
 def quarter_power_viscosity(theta):
     """Koval quarter-power mixing rule; endpoints are the pure viscosities,
-    0.00108 Pa s for the solvent and 0.001 Pa s for water."""
-    th = np.clip(theta, 0.0, 1.0)
-    return (th / 0.00108**0.25 + (1.0 - th) / 0.001**0.25) ** -4
+    0.00108 Pa s for the solvent and 0.001 Pa s for water.  theta arrives
+    clamped to [0, 1] (`pressure.element_kernel` clamps it)."""
+    return (theta / 0.00108**0.25 + (1.0 - theta) / 0.001**0.25) ** -4
 
 
 def write_raster(path, values, lengths):
@@ -439,17 +439,14 @@ def example2(nx=50):
 
 
 def mobility_closure(raster):
-    """Concentration-dependent conductivity k(x) (1 - theta + theta/16)^-4."""
+    """Concentration-dependent conductivity k(x) (1 - theta + theta/16)^-4;
+    theta arrives clamped to [0, 1] (`pressure.element_kernel` clamps it)."""
 
     def kappa(theta, x, y):
-        # The factor first, in place, over the clamped copy of theta, so
-        # that it and the lookup's output are the only arrays of the
-        # points' size that kappa holds at once.
-        th = np.clip(np.asarray(theta, dtype=float), 0.0, 1.0)
-        mobility = np.subtract(1.0, th)
-        th /= 16.0
-        mobility += th
-        del th
+        # The factor first, in place, so that it and the lookup's output
+        # are the only arrays of the points' size that kappa keeps.
+        mobility = np.subtract(1.0, theta)
+        mobility += np.divide(theta, 16.0)
         mobility **= -4
         k = raster.lookup(*np.broadcast_arrays(x, y, theta)[:2])
         k *= mobility

@@ -354,17 +354,19 @@ STEP_FACTOR_BOUND = 0.9
 
 def cmd_validate(cfg):
     scenario = build_scenario(cfg)
-    partition = _partition(scenario, [scenario.mu])
+    mu_values = _option(cfg, "assimilation", "mu", _floats, fallback=[scenario.mu])
+    partition = _partition(scenario, mu_values)
     print(f"scenario {scenario.name}")
     report = scenarios.assumption_report(scenario)
     for key in scenarios.ASSUMPTION_KEYS:
         holds, note = report[key]
         print(f"  {key}: {'pass' if holds else 'warn'} ({note})")
-    mu_dt = scenario.mu * partition.fine_step
-    factor = abs(1.0 - mu_dt / 2.0) / (1.0 + mu_dt / 2.0)
-    verdict = "warn" if mu_dt > 2.0 and factor > STEP_FACTOR_BOUND else "pass"
-    print(f"  step: {verdict} (mu*dt = {mu_dt:.6g}, per-step factor |1 - "
-          f"mu*dt/2| / (1 + mu*dt/2) = {factor:.6g} vs {STEP_FACTOR_BOUND:g})")
+    for mu in mu_values:
+        mu_dt = mu * partition.fine_step
+        factor = abs(1.0 - mu_dt / 2.0) / (1.0 + mu_dt / 2.0)
+        verdict = "warn" if mu_dt > 2.0 and factor > STEP_FACTOR_BOUND else "pass"
+        print(f"  step: {verdict} (mu = {mu:g}, mu*dt = {mu_dt:.6g}, per-step factor"
+              f" |1 - mu*dt/2| / (1 + mu*dt/2) = {factor:.6g} vs {STEP_FACTOR_BOUND:g})")
 
     mesh = scenario.build_mesh()
     try:
@@ -380,10 +382,11 @@ def cmd_validate(cfg):
     ys = np.linspace(0.0, scenario.lengths[1], 201)
     X, Y = np.meshgrid(xs, ys)
     d_star = float(np.min(scenario.diffusion(X, Y)))
-    proxy = scenario.mu * c0**2 * scenario.spacing**2
-    verdict = "pass" if proxy < d_star else "warn"
-    print(f"  stability proxy: {verdict} (mu*c0^2*spacing^2 = {proxy:.6g} "
-          f"vs min diffusion {d_star:.6g}, c0 = {c0:.6g})")
+    for mu in mu_values:
+        proxy = mu * c0**2 * scenario.spacing**2
+        verdict = "pass" if proxy < d_star else "warn"
+        print(f"  stability proxy: {verdict} (mu = {mu:g}, mu*c0^2*spacing^2 "
+              f"= {proxy:.6g} vs min diffusion {d_star:.6g}, c0 = {c0:.6g})")
     return 0
 
 

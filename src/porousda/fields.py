@@ -26,29 +26,28 @@ blocks of max(1, `KERNEL_BLOCK` // nx) whole element rows.  Every pass that
 evaluates a coefficient at the point set or scatters per-element data over
 the whole mesh runs one block at a time: kappa (with a raster's lookup,
 which keeps no values at the blocks), the pressure source and its
-control-volume integrals, the sums into the stencil pattern
-(`linalg.StencilPattern.sum_blocks`: the stiffness and the mass matrix),
-the transport run's operator and its upwind advection, and the
-control-volume balance of the flux recovery.  A block scatters by
-`np.add.at`, which adds into a zeroed output in element order as
-one `np.bincount` over the whole mesh would, so the sums do not depend on
-the blocks; each such pass makes a few (rows, nx, k) temporaries instead of
-(ny, nx, k) ones.  Not blocked: the pressure set-up's (ne, 16) weighted
-source (`pressure.PressureProblem`, whose product with the basis, blocked,
-is not bitwise equal on every mesh), and a general transport source or an
-analytic truth, evaluated at every quadrature point on each call.
+control-volume integrals, the stiffness's sum into the stencil pattern
+(`linalg.StencilPattern.sum_blocks`), the transport run's operator and its
+upwind advection, and the control-volume balance of the flux recovery.  A
+block scatters by `np.add.at`, which adds into a zeroed output in element
+order as one `np.bincount` over the whole mesh would, so the sums do not
+depend on the blocks; each such pass makes a few (rows, nx, k) temporaries
+instead of (ny, nx, k) ones.  Not blocked: the pressure set-up's (ne, 16)
+weighted source (`pressure.PressureProblem`, whose product with the basis,
+blocked, is not bitwise equal on every mesh), and a general transport source
+or an analytic truth, evaluated at every quadrature point on each call.
 
-L2 norms of nodal fields, and of differences of two nodal fields, are read
-from `mass_matrix(mesh)`, the consistent bilinear mass matrix on the mesh's
-stencil pattern, also built once per mesh: ||u|| = sqrt(u^T M u).  The rule
-integrates products of bilinears exactly, so this equals the quadrature sum up
-to roundoff.  A norm that involves a discontinuous field, a callable or a
-`QuadratureField` is summed over the quadrature points.
+The L2 norm of a nodal field, or of the difference of two, is sqrt(u^T M u),
+M = m_y (x) m_x the consistent mass matrix, never formed
+(`_build_mass_factors`, once per mesh); the rule is exact for M, so this is
+the quadrature sum up to roundoff.  A norm that involves a discontinuous
+field, a callable or a `QuadratureField` is summed over the quadrature
+points.
 """
 
 import numpy as np
+from scipy import sparse
 
-from . import linalg
 from .mesh import EDGE_QP_LOCAL, SEG_LOCAL_MID, SEG_NORMAL_AXIS, SEG_SIGN
 
 _G = 0.5 / np.sqrt(3.0)
@@ -83,6 +82,10 @@ def _quad_local():
 
 # Local coordinates of the 16 quadrature points of the unit element.
 QUAD_LOCAL = _quad_local()
+# The rule's 1-D factor: the two hats of a unit cell at its four Gauss
+# points, two on each half, (hat, point); each point weighs a quarter cell.
+CELL_HATS = np.stack([1.0 - np.unique(QUAD_LOCAL[:, 0]),
+                      np.unique(QUAD_LOCAL[:, 0])])
 # The element point set: the quadrature points, the edge quarter points and
 # the sub-segment midpoints, columns 0:16, 16:24 and 24:28 of `points`.
 POINT_LOCAL = np.concatenate([QUAD_LOCAL, EDGE_QP_LOCAL, SEG_LOCAL_MID])
@@ -158,21 +161,23 @@ def kernel_point_blocks(mesh):
     return mesh.constant("kernel_point_blocks", _build_kernel_blocks)
 
 
-def _build_mass_matrix(mesh):
-    quad = quadrature(mesh)
-    block = quad.weight * (quad.phi.T @ quad.phi)               # (4, 4)
-    stencil = linalg.stencil(mesh)
-    return stencil.matrix(stencil.sum_blocks(
-        np.broadcast_to(block, (mesh.n_elements, 4, 4))))
+def cell_sum(block, n):
+    """The (n+1, n+1) CSR sum of a 2 x 2 block over n cells in a row."""
+    k = np.arange(n)[:, None]
+    a, b = np.divmod(np.arange(4), 2)
+    return sparse.csr_matrix((np.tile(block.ravel(), n), (
+        (k + a).ravel(), (k + b).ravel())), shape=(n + 1, n + 1))
 
 
-def mass_matrix(mesh):
-    """Consistent bilinear mass matrix, (nv, nv) on the stencil pattern.
-
-    Entry (a, b) is the integral of phi_a phi_b by the 16-point rule, which
-    is exact for it; built once per mesh.
-    """
-    return mesh.constant("mass_matrix", _build_mass_matrix)
+def _build_mass_factors(mesh):
+    """((d_y, o_y), (d_x, o_x)): the diagonal d and off-diagonal entry o of
+    each tridiagonal factor of the consistent mass matrix m_y (x) m_x, by
+    the rule's 1-D factor, which is exact for them; kept on the mesh."""
+    factors = []
+    for n, h in ((mesh.ny, mesh.hy), (mesh.nx, mesh.hx)):
+        m = cell_sum(0.25 * h * (CELL_HATS @ CELL_HATS.T), n)
+        factors.append((m.diagonal(), m[0, 1]))
+    return tuple(factors)
 
 
 def cv_flux_blocks(mesh, coeff):
@@ -225,7 +230,7 @@ class DGField:
         self.values = values
 
 
-# -- L2 norms: by the mass matrix for nodal fields, else by quadrature ------
+# -- L2 norms: by the mass factors for nodal fields, else by quadrature -----
 
 class QuadratureField:
     """A function known by its values at the quadrature points, (ne, 16),
@@ -260,7 +265,18 @@ def _values_at_quadrature(mesh, source):
 
 
 def _mass_norm(mesh, u):
-    return float(np.sqrt(u @ (mass_matrix(mesh) @ u)))
+    """sqrt(u^T M u) = sqrt(sum_j d_y[j] (U_j, U_j) + 2 o_y (U_j, U_j+1)),
+    U_j row j of the nodal values and (a, b) = a^T m_x b; each sum is one
+    `np.einsum` over shifted slices of U and U d_x, calling no BLAS."""
+    (dy, oy), (dx, ox) = mesh.constant("mass_factors", _build_mass_factors)
+    U = u.reshape(mesh.ny + 1, mesh.nx + 1)
+    P = U * dx
+    rows = np.einsum("ij,ij->i", U, P)
+    rows += 2.0 * ox * np.einsum("ij,ij->i", U[:, :-1], U[:, 1:])
+    across = (np.einsum("ij,ij->", U[:-1], P[1:])
+              + ox * (np.einsum("ij,ij->", U[:-1, :-1], U[1:, 1:])
+                      + np.einsum("ij,ij->", U[:-1, 1:], U[1:, :-1])))
+    return float(np.sqrt(np.dot(dy, rows) + 2.0 * oy * across))
 
 
 def _quadrature_norm(mesh, v):
@@ -284,7 +300,7 @@ def l2_norm(field):
 
 def l2_diff(field, other):
     """L2 norm of (field - other); other is a field, a QuadratureField or a
-    callable f(x, y).  Two nodal fields are compared by the mass matrix."""
+    callable f(x, y).  Two nodal fields are compared by the mass factors."""
     mesh = field.mesh
     if isinstance(field, NodalField) and isinstance(other, NodalField):
         return _mass_norm(mesh, field.values - other.values)

@@ -13,12 +13,13 @@ contribution stream into a canonical matrix of any shape, summing duplicate
 independent of the stream order; it serves the tests as the reference.
 
 Both linear systems of a coarse interval go through `solve`, which wraps
-scipy's Krylov methods.  The SPD pressure block, which comes with a multigrid
-hierarchy, is solved by CG preconditioned by a symmetric V-cycle over that
-hierarchy; the nonsymmetric transport step, which comes without one, by
-Jacobi-BiCGStab.  Both stop when ||b - A x|| < max(rel_tol * ||b||,
-abs_tol), the one `SolverConfig` of a run.  The transport step may instead
-solve by a sparse LU factor that it keeps for a coarse interval
+scipy's Krylov methods.  The SPD pressure block, which comes with a
+multigrid hierarchy, is solved by CG preconditioned by a symmetric V-cycle
+over that hierarchy; the nonsymmetric transport step, which comes without
+one, by Jacobi-BiCGStab.  Both stop when ||b - A x|| < max(rel_tol * ||b||,
+ABS_TOL), with rel_tol from the one `SolverConfig` of a run and the module
+constant ABS_TOL = 1e-14.  The transport step may instead solve by
+a sparse LU factor that it keeps for a coarse interval
 (`transport.StepFactor`), chosen for its cost or made after a BiCGStab
 breakdown; it checks each such solve against the same tolerances and marks
 its report `factored`.
@@ -41,6 +42,8 @@ from scipy.sparse.linalg import LinearOperator, bicgstab, cg, splu
 # weighted Jacobi diverges on stretched elements, where entries turn positive.
 _SMOOTH_SCALE = 1.6
 _SMOOTH_SWEEPS = 2
+# The absolute floor of every solve's tolerance, whatever ||b||.
+ABS_TOL = 1e-14
 
 SparseMatrix = sparse.csr_matrix
 
@@ -59,18 +62,15 @@ class NoConvergenceError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Tolerances of both systems of a run."""
+    """Tolerances of both systems of a run; the absolute floor is ABS_TOL."""
 
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
     max_iter: int | None = None   # default 10 * n
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"solver {name} must be finite and "
-                                 f"nonnegative, got {value!r}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
+            raise ValueError(f"solver rel_tol must be finite and "
+                             f"nonnegative, got {self.rel_tol!r}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"solver max_iter must be at least 1, "
                              f"got {self.max_iter!r}")
@@ -270,7 +270,7 @@ def _krylov(method, A, b, x0, config, M):
         count[0] += 1
 
     maxiter = config.max_iter if config.max_iter is not None else 10 * b.size
-    x, info = method(A, b, x0=x0, rtol=config.rel_tol, atol=config.abs_tol,
+    x, info = method(A, b, x0=x0, rtol=config.rel_tol, atol=ABS_TOL,
                      maxiter=maxiter, M=M, callback=counted)
     residual = float(np.linalg.norm(b - A @ x))
     report = SolveReport(count[0], residual, info == 0)

@@ -114,9 +114,9 @@ class StructuredMesh:
 
         This is the one cache of what a mesh determines on its own (the
         quadrature tables and point set, the stencil pattern, the kernel
-        point blocks, the multigrid transfers, the transport factor's
-        ordering per observation lattice); it is filled lazily, inside the
-        run that first needs each entry.
+        point blocks, the 1-D mass factors, the multigrid transfers, the
+        transport factor's ordering per observation lattice); it is filled
+        lazily, inside the run that first needs each entry.
         """
         value = self._constants.get(key)
         if value is None:

@@ -2,21 +2,23 @@
 
 A SparseGrid is a coarse tensor lattice whose points coincide with fine-mesh
 vertices (the spacing must be an integer multiple of the mesh spacing in both
-directions).  The grid is two sparse matrices.  The functionals F, shape
-(n_obs, nv), turn nodal values into raw functional values: point values at
-the lattice vertices by default, coarse control-volume averages as the
-alternative.  The prolongation P, shape (nv, n_obs), reconstructs a
-continuous field from such values by coarse bilinear interpolation.  Both
-are Kronecker products of 1-D factors in y and in x, built once, at
-construction.  An ObservationStream is a time-ordered sequence of
-functional-value vectors with linear interpolation between records.
+directions).  The functionals F, shape (n_obs, nv), turn nodal values into
+raw functional values: point values at the lattice vertices by default,
+coarse control-volume averages as the alternative.  The prolongation P,
+shape (nv, n_obs), reconstructs a continuous field from such values by
+coarse bilinear interpolation.  F = f_y (x) f_x and P = p_y (x) p_x, and
+the grid keeps only these 1-D factors, built at construction, and applies
+each product by `kron_apply`.  An ObservationStream is a time-ordered
+sequence of functional-value vectors with linear interpolation between
+records.
 
-`bilinear_prolongation` P is the one owner of the coarse bilinear basis.
-Column c holds the coarse hat of lattice point c at the fine vertices.  The
-lattice is aligned with the mesh, so that hat is exactly the fine bilinear
-field with those vertex values.  The grid's reconstruction, the transport
-nudging operator (mass @ P) and the pressure multigrid transfers are all
-built from it; the nudging coupling (mass @ P) @ F also reads F.
+`_linear_interpolation` p is the one owner of the coarse bilinear basis:
+the hat of lattice point (cy, cx) is column cy of p_y times column cx of
+p_x at the fine vertices.  The lattice is aligned with the mesh, so that
+hat is exactly the fine bilinear field with those vertex values.  The
+grid's reconstruction, the transport nudging operator (p's CV integrals)
+and the pressure multigrid transfers (`bilinear_prolongation`) are all
+built from it; the nudging coupling also reads f_y and f_x.
 """
 
 import math
@@ -25,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from . import linalg
-from .fields import QUAD_LOCAL, NodalField
+from .fields import CELL_HATS, NodalField
 
 
 class AlignmentError(ValueError):
@@ -87,7 +89,7 @@ def _cv_averages(n, k):
     Coarse CV c is [c - 1/2, c + 1/2] coarse cells, clipped to the domain;
     the rule is the 1-D factor of the shared quadrature, two Gauss points on
     each half of a cell, and a point belongs to the coarse CV it lies in."""
-    xi = np.unique(QUAD_LOCAL[:, 0])                # a cell's four points
+    xi = CELL_HATS[1]                               # a cell's four points
     cell = np.repeat(np.arange(n), xi.size)
     xi = np.tile(xi, n)
     owner = np.round((cell + xi) / k).astype(np.int32)
@@ -99,51 +101,53 @@ def _cv_averages(n, k):
 
 
 def bilinear_prolongation(nx, ny, kx, ky):
-    """Bilinear interpolation from a coarse lattice to a fine one, as CSR.
-
-    The fine lattice has nx-by-ny cells; the coarse one keeps every kx-th
-    vertical and every ky-th horizontal line, so it has (nx/kx)-by-(ny/ky)
-    cells.  Row v holds the coarse basis at fine vertex v, so the matrix is
-    ((nx+1)(ny+1), (nx/kx+1)(ny/ky+1)).  Both lattices number their points
-    row by row, so the matrix is the Kronecker product of the 1-D
-    interpolations in y and in x: every row holds the four corners of one
-    coarse cell in column order, explicit zeros included.
-    """
+    """Bilinear interpolation to a lattice of nx-by-ny cells from the one
+    of every kx-th vertical and ky-th horizontal line, as CSR
+    ((nx+1)(ny+1), (nx/kx+1)(ny/ky+1)): the Kronecker product of the 1-D
+    interpolations in y and in x, both lattices numbered row by row, so
+    row v holds the four corners of one coarse cell in column order,
+    explicit zeros included."""
     return sparse.kron(_linear_interpolation(ny, ky), _linear_interpolation(nx, kx),
                        format="csr")
 
 
+def kron_apply(a, b, values):
+    """(a (x) b) @ values, never formed: a X b^T raveled, X the values row
+    by row (Van Loan, J. Comput. Appl. Math. 123, 2000)."""
+    X = np.reshape(values, (a.shape[1], b.shape[1]))
+    return (b @ (a @ X).T).T.ravel()
+
+
 class SparseGrid:
-    """Coarse measurement lattice aligned with a fine mesh: the functionals
-    F and the prolongation P, both built at construction."""
+    """Coarse measurement lattice aligned with a fine mesh, kept as the 1-D
+    factors of its functionals, `fy` and `fx`, and of its prolongation,
+    `py` and `px`, all built at construction."""
 
     def __init__(self, mesh, spacing, kind="point"):
         self.kx, self.ky = check_lattice(mesh, spacing, kind)
         self.mesh = mesh
         self.spacing = float(spacing)
         self.kind = kind
+        axes = ((mesh.ny, self.ky), (mesh.nx, self.kx))
         if kind == "point":
-            fy = sparse.eye(mesh.ny + 1, format="csr")[::self.ky]
-            fx = sparse.eye(mesh.nx + 1, format="csr")[::self.kx]
+            self.fy, self.fx = (sparse.eye(n + 1, format="csr")[::k] for n, k in axes)
         else:
-            fy, fx = _cv_averages(mesh.ny, self.ky), _cv_averages(mesh.nx, self.kx)
-        # Row by row, as P numbers its columns.
-        self.functionals = sparse.kron(fy, fx, format="csr")
-        self.n_obs = self.functionals.shape[0]
-        self.prolong_matrix = bilinear_prolongation(mesh.nx, mesh.ny, self.kx, self.ky)
+            self.fy, self.fx = (_cv_averages(n, k) for n, k in axes)
+        self.py, self.px = (_linear_interpolation(n, k) for n, k in axes)
+        self.n_obs = self.fy.shape[0] * self.fx.shape[0]
 
     def sample(self, field):
         """Raw functional values F @ field.values of a NodalField, (n_obs,)."""
         if not isinstance(field, NodalField):
             raise TypeError(f"expected a NodalField, got {type(field).__name__}")
-        return self.functionals @ field.values
+        return kron_apply(self.fy, self.fx, field.values)
 
     def reconstruct(self, functional_values):
-        """Coarse bilinear field from raw functional values."""
+        """Coarse bilinear field from raw functional values, P @ values."""
         d = np.asarray(functional_values, dtype=float)
         if d.shape != (self.n_obs,):
             raise ValueError(f"expected {self.n_obs} functional values, got {d.shape}")
-        return NodalField(self.mesh, self.prolong_matrix @ d)
+        return NodalField(self.mesh, kron_apply(self.py, self.px, d))
 
     def interpolate(self, field):
         """Sparse interpolant of a NodalField: reconstruct(sample(field))."""

@@ -9,21 +9,23 @@ implicit in the unknown and explicit in the data.  All but accumulation carry
 the trapezoidal weight 1/2 at both ends.  Dirichlet vertices are constrained
 rows; Neumann faces of clipped control volumes carry zero total flux.
 
-One object per run (`TransportCoefficients`) holds its operator, built
-once: every matrix of a run's steps lies on one CSR pattern, the mesh's
-stencil in the free rows, joined, when mu > 0, with the columns that nudging
-couples them to, and the diagonal alone in the Dirichlet rows.  Mass,
-reaction, diffusion and advection are 4x4 blocks per element (a quadrant's
-Gauss points lie in its corner's CV; a dual-mesh segment, its two CVs and
-its upwind vertex lie in one element), made and summed into the pattern one
+One object per run (`TransportCoefficients`) holds its operator, built once:
+every matrix of a run's steps lies on one CSR pattern, the mesh's stencil in
+the free rows, joined, when mu > 0, with the columns that nudging couples
+them to, and the diagonal alone in the Dirichlet rows.  Mass, reaction,
+diffusion and advection are 4x4 blocks per element (a quadrant's Gauss
+points lie in its corner's CV; a dual-mesh segment, its two CVs and its
+upwind vertex lie in one element), made and summed into the pattern one
 block of element rows at a time (`fields.kernel_point_blocks`), each block
-by `np.add.at`, in element order as one `np.bincount` would.  A coarse hat
-is the fine bilinear field of its column of the prolongation P, so the CV
-integrals of the coarse basis are `mass @ P`.  The run keeps two data
+by `np.add.at`, in element order as one `np.bincount` would.  The CV mass is
+c_y (x) c_x, c the 1-D CV integrals of the hats (`_cv_block` per cell, the
+owner of the CV mass).  A coarse hat is the fine bilinear field of its
+column of P = p_y (x) p_x, so the CV integrals of the coarse basis, M P, are
+A_y (x) A_x with A = c p; the run keeps A_y and A_x.  The run keeps two data
 vectors, the mass M and K0 = diffusion + reaction + mu * nudging; with
-h = dt/2, a velocity with advection a has the step matrix S = M + h (K0 + a)
-plus the Dirichlet diagonal and the explicit operator E = M - h (K0 + a),
-so a step's right-hand side is one product, E @ theta.
+h = dt/2, a velocity with advection a has the step matrix
+S = M + h (K0 + a) plus the Dirichlet diagonal and the explicit operator
+E = M - h (K0 + a), so a step's right-hand side is one product, E @ theta.
 
 A run steps with one frozen velocity at a time, and every step takes the
 run's nominal size, so the run holds one slot: the segment outflux, the step
@@ -48,8 +50,10 @@ from scipy import sparse
 from scipy.sparse.linalg import splu as _superlu
 
 from . import linalg
-from .fields import NodalField, cv_flux_blocks, kernel_point_blocks, quadrature
+from .fields import (CELL_HATS, NodalField, cell_sum, cv_flux_blocks,
+                     kernel_point_blocks, quadrature)
 from .mesh import SEG_LEFT_CORNER, SEG_NORMAL_AXIS, SEG_RIGHT_CORNER
+from .observation import kron_apply
 from .scenarios import Separable
 
 _log = logging.getLogger("porousda")
@@ -166,14 +170,13 @@ class TransportCoefficients:
     four entries its outflux enters, and the dump slot `nnz` for those in
     Dirichlet rows.  `mass` and `k0` hold M and K0, each summed from its
     element blocks one block of element rows at a time, the coefficients
-    evaluated at that block's points; `nudge_cv`, None unless mu > 0,
-    serves the data term.  A general source has `source_cv`, the CV
-    integrals of values at the quadrature points as an (nv, 16 ne) matrix,
-    applied on every step.  A
-    `Separable` source (`separable`, found also through `functools.wraps`
-    wrappers) has no such matrix: the run keeps only `profile_cv`, the CV
-    integrals of its profile, integrated once, block by block, and scales
-    it by rate(t).  The factor state:
+    evaluated at that block's points; `nudge_factors`, None unless mu > 0,
+    holds M P's 1-D factors (A_y, A_x).  A general source has `source_cv`,
+    the CV integrals of values at the quadrature points as an (nv, 16 ne)
+    matrix, applied on every step.  A `Separable` source (`separable`, found
+    also through `functools.wraps` wrappers) has no such matrix: the run
+    keeps only `profile_cv`, the CV integrals of its profile, integrated
+    once, block by block, and scales it by rate(t).  The factor state:
     `factor_at_once`, set while the run factors by cost (see `step`), and
     `order`, the ordering q of its factors, from its first factor on.
 
@@ -218,7 +221,9 @@ class TransportCoefficients:
         blocks = kernel_point_blocks(mesh)
         # The four Gauss points of quadrant a all sit in the CV of corner a.
         phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
-        mass_block = phi_quadrant.sum(axis=1).ravel()
+        # Corner a (SW, SE, NW, NE) is x end a % 2 and y end a // 2.
+        cy, cx = _cv_block(mesh.hy), _cv_block(mesh.hx)
+        mass_block = np.kron(cy, cx).ravel()
         # A separable source keeps its profile's CV integrals, the CSR
         # product of the general path done once, block by block.
         self.source_cv = self.profile_cv = None
@@ -258,28 +263,20 @@ class TransportCoefficients:
         slots = np.take(to_kept, stencil.slots)
         del to_kept
 
-        def summed_mass():
-            mass = np.zeros(self.nnz + 1)
-            for lo, x, _ in blocks:
-                hi = lo + x.shape[0] * x.shape[1]
-                np.add.at(mass, slots[16 * lo:16 * hi],
-                          np.tile(mass_block, hi - lo))
-            return mass[:self.nnz]
-
-        self.mass = summed_mass()
-        self.nudge_cv = coupling = None
+        self.nudge_factors = coupling = None
         if self.mu > 0.0:
-            # The product's columns come out unsorted.
-            self.nudge_cv = self.matrix(self.mass) @ self.grid.prolong_matrix
-            self.nudge_cv.sort_indices()
-            coupling = self.mu * (self.nudge_cv
-                                  @ self.grid.functionals).tocsr()
-            coupling.sort_indices()
-            # The mass goes before the pattern is joined and is summed
-            # again on the joined one, so it never has two copies.
-            self.mass = None
+            ay, ax = self.nudge_factors = (cell_sum(cy, mesh.ny) @ self.grid.py,
+                                           cell_sum(cx, mesh.nx) @ self.grid.px)
+            # mu M P F, its Dirichlet rows dropped, canonical.
+            coupling = sparse.kron(ay @ self.grid.fy, ax @ self.grid.fx, format="csr")
+            coupling.data *= np.repeat(self.mu * ~dirichlet, np.diff(coupling.indptr))
+            coupling.eliminate_zeros()
             coupling_slots = self._join(coupling, slots)
-            self.mass = summed_mass()
+        mass = np.zeros(self.nnz + 1)
+        for lo, x, _ in blocks:
+            hi = lo + x.shape[0] * x.shape[1]
+            np.add.at(mass, slots[16 * lo:16 * hi], np.tile(mass_block, hi - lo))
+        self.mass = mass[:self.nnz]
         # K0: the diffusive flux, -sum over CV faces of D grad(theta) . n,
         # plus the reaction.
         k0 = np.zeros(self.nnz + 1)
@@ -410,8 +407,9 @@ class TransportCoefficients:
         return out
 
     def data_vector(self, functional_values):
-        """Nudging data term mu * integral of the reconstructed measurements."""
-        return self.mu * (self.nudge_cv @ functional_values)
+        """Nudging data term mu * integral of the reconstructed measurements
+        over each CV, mu (A_y (x) A_x) d, Dirichlet rows included."""
+        return self.mu * kron_apply(*self.nudge_factors, functional_values)
 
     def dirichlet_values(self, t):
         rows = self.dirichlet_rows
@@ -419,6 +417,12 @@ class TransportCoefficients:
             return rows, np.zeros(rows.size)
         x, y = self.mesh.vertices[rows, 0], self.mesh.vertices[rows, 1]
         return rows, np.asarray(self.dirichlet(x, y, t), dtype=float) * np.ones(rows.size)
+
+
+def _cv_block(h):
+    """(2, 2): entry (a, b) is the integral of hat b of a cell of length h
+    over the cell's half at end a, by the rule's 1-D factor."""
+    return 0.25 * h * CELL_HATS.reshape(2, 2, 2).sum(axis=2).T
 
 
 def _separable(source):
@@ -540,13 +544,13 @@ class StepFactor:
 
     def solve(self, A, rhs, solver):
         """(x, SolveReport), or None when the residual against A misses the
-        solver's tolerance, max(rel_tol * ||rhs||, abs_tol), as BiCGStab's
-        does."""
+        solver's tolerance, max(rel_tol * ||rhs||, `linalg.ABS_TOL`), as
+        BiCGStab's does."""
         x = np.empty_like(rhs)
         x[self.order] = self.lu.solve(rhs[self.order])
         residual = float(np.linalg.norm(rhs - A @ x))
         if not residual <= max(solver.rel_tol * float(np.linalg.norm(rhs)),
-                               solver.abs_tol):
+                               linalg.ABS_TOL):
             return None
         return x, linalg.SolveReport(0, residual, True, factored=True)
 

@@ -767,6 +767,49 @@ def l2_by_quadrature(field, other=None):
     return float(np.sqrt(np.sum(v * v) * quad.weight))
 
 
+def consistent_mass(mesh):
+    """The consistent bilinear mass matrix on the stencil pattern, each
+    element's block the 16-point rule's sum of phi_a phi_b, summed by
+    `StencilPattern.sum_blocks`: the assembled form of the package's 1-D
+    mass factors."""
+    from porousda import linalg
+    from porousda.fields import quadrature
+
+    quad = quadrature(mesh)
+    block = quad.weight * (quad.phi.T @ quad.phi)               # (4, 4)
+    stencil = linalg.stencil(mesh)
+    return stencil.matrix(stencil.sum_blocks(
+        np.broadcast_to(block, (mesh.n_elements, 4, 4))))
+
+
+def mass_from_factors(mesh):
+    """m_y (x) m_x formed from the 1-D factors the mesh keeps for its L2
+    norms (`fields._build_mass_factors`), as CSR."""
+    from scipy import sparse
+
+    from porousda.fields import _build_mass_factors
+
+    (dy, oy), (dx, ox) = mesh.constant("mass_factors", _build_mass_factors)
+    my, mx = (sparse.diags([np.full(d.size - 1, o), d, np.full(d.size - 1, o)],
+                           [-1, 0, 1]) for d, o in ((dy, oy), (dx, ox)))
+    return sparse.kron(my, mx, format="csr")
+
+
+def functionals_by_assembly(grid):
+    """The functionals F of `grid`, (n_obs, nv): for point values, a 1 at
+    each lattice vertex, found from its coordinates; for averages,
+    `average_functionals_by_assembly`."""
+    from porousda import linalg
+
+    if grid.kind == "average":
+        return average_functionals_by_assembly(grid)
+    mesh = grid.mesh
+    vertex = {tuple(p): v for v, p in enumerate(mesh.vertices)}
+    columns = [vertex[tuple(p)] for p in lattice_vertices(grid)]
+    return linalg.assemble(np.arange(grid.n_obs), np.array(columns),
+                           np.ones(grid.n_obs), (grid.n_obs, mesh.n_vertices))
+
+
 def example1_closed_form():
     """example1's exact solution and forcing (exact, source), each written
     out in full at every call."""
@@ -898,8 +941,13 @@ def transport_operators_by_sums(coeffs):
     ops["dir_diag"] = pattern.matrix(dir_data)
     ops["nudge"] = None
     if coeffs.mu > 0.0:
-        nudge_cv = ops["mass"] @ coeffs.grid.prolong_matrix
-        ops["nudge"] = coeffs.mu * (nudge_cv @ coeffs.grid.functionals).tocsr()
+        from porousda.observation import bilinear_prolongation
+
+        grid = coeffs.grid
+        nudge_cv = ops["mass"] @ bilinear_prolongation(
+            mesh.nx, mesh.ny, grid.kx, grid.ky)
+        ops["nudge"] = coeffs.mu * (nudge_cv
+                                    @ functionals_by_assembly(grid)).tocsr()
     return ops
 
 
@@ -928,9 +976,13 @@ def run_operator_by_bincount(coeffs, outflux):
     arrays by one `np.bincount` in element order: the form the blocked
     scatter replaced.  The coefficients are evaluated at the whole point
     views, the element entries of Dirichlet rows go to the dump slot, and
-    the nudging coupling is added at its slots afterwards."""
+    the nudging coupling mu (A_y f_y) (x) (A_x f_x), from the run's and the
+    grid's factors, is added at its slots afterwards.  The element mass
+    block is the run's, the outer product of the 1-D CV blocks."""
+    from scipy import sparse
+
     from porousda.fields import cv_flux_blocks, quadrature
-    from porousda.transport import _UPWIND_ENTRIES
+    from porousda.transport import _UPWIND_ENTRIES, _cv_block
 
     mesh = coeffs.mesh
     quad = quadrature(mesh)
@@ -950,7 +1002,8 @@ def run_operator_by_bincount(coeffs, outflux):
                            minlength=nnz + 1)[:nnz]
 
     phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)
-    mass = scatter(slots, np.broadcast_to(phi_quadrant.sum(axis=1),
+    mass = scatter(slots, np.broadcast_to(np.kron(_cv_block(mesh.hy),
+                                                  _cv_block(mesh.hx)),
                                           (mesh.n_elements, 4, 4)))
     d = np.asarray(coeffs.diffusion(quad.seg_x, quad.seg_y), dtype=float)
     blocks = cv_flux_blocks(mesh, (d * np.ones(quad.seg_x.shape)).reshape(-1, 4))
@@ -961,8 +1014,12 @@ def run_operator_by_bincount(coeffs, outflux):
             phi_quadrant)
     k0 = scatter(slots, blocks)
     if coeffs.mu > 0.0:
-        coupling = (coeffs.mu * (coeffs.nudge_cv
-                                 @ coeffs.grid.functionals)).tocoo()
+        (ay, ax), grid = coeffs.nudge_factors, coeffs.grid
+        coupling = sparse.kron(ay @ grid.fy, ax @ grid.fx, format="coo")
+        coupling.data *= coeffs.mu
+        free = ~mesh.is_dirichlet[coupling.row]
+        coupling = sparse.coo_matrix((coupling.data[free], (
+            coupling.row[free], coupling.col[free])), shape=coupling.shape)
         k0[slots_of(coupling.row, coupling.col)] += coupling.data
     U = np.asarray(outflux, dtype=float)
     weights = np.empty((U.size, 4))

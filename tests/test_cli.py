@@ -537,6 +537,20 @@ spacing = 0.1
                 assert r10[a] < r10[b], (a, b, r10)
 
 
+def test_validate_judges_every_listed_mu(capsys):
+    """With two mu values (example1 at nx = 20, spacing 0.1, the config CI
+    checks), each gets its own step and proxy line, naming it; before,
+    both lines judged the scenario's default mu = 100."""
+    cfg = Path(__file__).parent / "smoke" / "validate" / "two-mu.ini"
+    assert main(["validate", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for prefix in ("  step: ", "  stability proxy: "):
+        judged = [line for line in lines if line.startswith(prefix)]
+        assert len(judged) == 2
+        assert judged[0].startswith(prefix + "pass (mu = 1, ")
+        assert judged[1].startswith(prefix + "warn (mu = 1e+06, ")
+
+
 @pytest.mark.parametrize("setting", ["dt = 0", "fine_per_coarse = 0"])
 def test_zero_step_exits_2_before_writing(tmp_path, outroot, capsys, setting):
     text = EX1_SMALL.format(mu="10", dir="zerostep").replace(
@@ -725,6 +739,7 @@ def test_a_seed_reaches_a_scenario_that_takes_one(tmp_path):
 
 @pytest.mark.parametrize("setting", ["[time]\nt_end = inf", "[time]\nt_end = -1e308",
                                      "[assimilation]\nmu = nan",
+                                     "[assimilation]\nmu = 10 -1",
                                      "[assimilation]\ntheta0 = bogus"])
 def test_validate_checks_the_partition_mu_and_policy(tmp_path, capsys, setting):
     """`validate` with t_end = inf raised a RuntimeWarning from its

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import dense_reference as dr
 from dense_reference import (field_gradient, field_value, integrate,
                              interp_const, l2_by_quadrature, locate)
 from porousda.fields import (DGField, NodalField, basis_gradients,
-                             basis_values, l2_diff, l2_norm, mass_matrix,
+                             basis_values, l2_diff, l2_norm,
                              quadrature)
 from porousda.mesh import build_mesh
 
@@ -101,7 +102,8 @@ def test_l2_diff_against_time_callable():
 
 
 @pytest.mark.parametrize("nx, ny, lx, ly", [(12, 12, 1.0, 1.0),    # square cells
-                                            (8, 10, 4.0, 1.25)])  # 4:1 cells
+                                            (8, 10, 4.0, 1.25),   # 4:1 cells
+                                            (24, 9, 1.2, 0.9)])   # 1:2 cells
 def test_nodal_l2_by_mass_matrix_matches_the_quadrature_sum(nx, ny, lx, ly):
     m = build_mesh(nx, ny, Lx=lx, Ly=ly)
     rng = np.random.default_rng(nx)
@@ -116,11 +118,16 @@ def test_nodal_l2_by_mass_matrix_matches_the_quadrature_sum(nx, ny, lx, ly):
 
 
 def test_mass_matrix_is_a_symmetric_mesh_constant_with_the_domain_area():
+    """The Kronecker product of the 1-D factors the mesh keeps, formed here,
+    is symmetric, sums to the domain area and is the consistent mass matrix
+    assembled from the 16-point rule (the twin builds the factors once per
+    mesh: `test_mesh_constants.py`)."""
     m = build_mesh(5, 3, Lx=2.0, Ly=0.75)
-    M = mass_matrix(m)
-    assert mass_matrix(m) is M
+    M = dr.mass_from_factors(m)
     assert abs(M - M.T).max() == 0.0
     assert M.sum() == pytest.approx(1.5, rel=1e-14)
+    want = dr.consistent_mass(m)
+    assert abs(M - want).max() <= 1e-15 * abs(want).max()
 
 
 def test_nodal_field_shape_validation():

@@ -132,7 +132,7 @@ def test_cg_error_is_monotone_in_energy_norm():
     """Successive iterate errors shrink in the A-norm, the CG invariant."""
     a, b, transfers = _pressure_system()
     x_true = spsolve(a.tocsc(), b)
-    cfg = SolverConfig(rel_tol=0.0, abs_tol=0.0)
+    cfg = SolverConfig(rel_tol=0.0)
     energies = []
     for k in range(1, 9):
         with pytest.raises(NoConvergenceError) as info:
@@ -145,7 +145,7 @@ def test_cg_error_is_monotone_in_energy_norm():
 
 def test_nonconvergence_carries_best_iterate():
     a, b, transfers = _pressure_system()
-    cfg = SolverConfig(rel_tol=0.0, abs_tol=0.0, max_iter=3)
+    cfg = SolverConfig(rel_tol=0.0, max_iter=3)
     with pytest.raises(NoConvergenceError) as info:
         solve(a, b, cfg, transfers=transfers)
     exc = info.value
@@ -161,11 +161,10 @@ def test_nonconvergence_carries_best_iterate():
 
 def test_solver_config_validation():
     for bad in ({"rel_tol": float("nan")}, {"rel_tol": -1e-12},
-                {"rel_tol": float("inf")}, {"abs_tol": float("nan")},
-                {"abs_tol": -1.0}, {"max_iter": 0}, {"max_iter": -5}):
+                {"rel_tol": float("inf")}, {"max_iter": 0}, {"max_iter": -5}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
-    assert SolverConfig(rel_tol=0.0, abs_tol=0.0, max_iter=1).max_iter == 1
+    assert SolverConfig(rel_tol=0.0, max_iter=1).max_iter == 1
 
 
 def test_multigrid_needs_hierarchy_and_nonsingular_coarsest_level():

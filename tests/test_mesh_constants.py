@@ -160,8 +160,9 @@ def test_problems_on_one_mesh_share_the_transfers():
 @pytest.fixture(scope="module")
 def ex1_twin_builds():
     """example1 nx=10 over two coarse intervals, reference plus assimilated
-    run on one mesh, counting the builds of the mass matrix and the
-    evaluations of example1's spatial factors at the quadrature points."""
+    run on one mesh, counting the builds of the mass matrix's 1-D factors
+    and the evaluations of example1's spatial factors at the quadrature
+    points."""
     sc = scenarios.example1(nx=10, t_end=0.04)
     mesh = sc.build_mesh()
     quad = quadrature(mesh)
@@ -173,8 +174,8 @@ def ex1_twin_builds():
         return factors(x, y)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "_build_mass_matrix",
-                   _counting(counts, "mass", fields._build_mass_matrix))
+        mp.setattr(fields, "_build_mass_factors",
+                   _counting(counts, "mass", fields._build_mass_factors))
         mp.setattr(scenarios, "example1_factors", counted_factors)
         part = driver.TimePartition.from_scenario(sc)
         ref = driver.run_reference(sc, part, mesh)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import dense_reference as dr
 from porousda.fields import NodalField, l2_diff, l2_norm
@@ -61,7 +62,7 @@ def test_average_functionals_match_the_assembled_ones(nx, ny, lx, k):
     functionals assembled point by point, and their values to roundoff."""
     mesh = build_mesh(nx, ny, lx, lx * ny / nx)
     grid = SparseGrid(mesh, k * lx / nx, kind="average")
-    got = grid.functionals
+    got = sparse.kron(grid.fy, grid.fx, format="csr")
     want = dr.average_functionals_by_assembly(grid)
     assert got.has_canonical_format
     np.testing.assert_array_equal(got.indptr, want.indptr)
@@ -72,7 +73,7 @@ def test_average_functionals_match_the_assembled_ones(nx, ny, lx, k):
 def test_prolongation_partition_of_unity():
     mesh = build_mesh(12, 12)
     grid = SparseGrid(mesh, 0.25)
-    ones = grid.prolong_matrix @ np.ones(grid.n_obs)
+    ones = grid.reconstruct(np.ones(grid.n_obs)).values
     np.testing.assert_allclose(ones, 1.0, atol=1e-13)
 
 

@@ -5,18 +5,20 @@ here as the unordered (row, col, value) stream of its quadrature points or
 dual-mesh segments and assembled with `linalg.assemble`, which sums in
 value-sorted order.  The two differ only in summation order, so they agree to
 roundoff and, once explicit zeros are dropped, in structure.  The nudging
-operator `mass @ P` is checked the same way against the stream of the coarse
-basis at the quadrature points (`dense_reference.nudge_by_assembly`).  The
+operator M P, formed here from the run's 1-D factors, is checked the same
+way against the stream of the coarse basis at the quadrature points
+(`dense_reference.nudge_by_assembly`).  The
 driver-path tests check that a twin experiment builds the pattern once per
 mesh, evaluates kappa once per pressure solve and assembles no stream.
 """
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import dense_reference as dr
 from porousda import driver, fields, linalg, scenarios
-from porousda.fields import NodalField, mass_matrix, quadrature
+from porousda.fields import NodalField, quadrature
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.observation import SparseGrid
 from porousda.pressure import PressureProblem, assemble_pressure, element_kernel
@@ -140,7 +142,7 @@ def test_transport_operators_match_streams(case):
     pts = dr.global_points(quadrature(mesh))
     x, y = pts[:, :, 0], pts[:, :, 1]
     nudge = (dr.nudge_by_assembly(mesh, grid)
-             @ grid.functionals).tocsr()
+             @ dr.functionals_by_assembly(grid)).tocsr()
     _same_operator(coeffs.matrix(coeffs.mass),
                    _cv_stream(mesh, np.ones(x.size), free))
     _same_operator(coeffs.matrix(coeffs.k0),
@@ -156,7 +158,11 @@ def test_transport_operators_match_streams(case):
                    _diffusion_stream(mesh, coeffs.diffusion, free))
     _same_operator(coeffs.matrix(coeffs.advection(coeffs.velocity_outflux)),
                    _advection_stream(mesh, coeffs.velocity_outflux, free))
-    _same_operator(coeffs.nudge_cv, dr.nudge_by_assembly(mesh, grid))
+    # M P from the run's factors, its Dirichlet rows dropped.
+    nudge_cv = (sparse.diags(free.astype(float))
+                @ sparse.kron(*coeffs.nudge_factors, format="csr"))
+    nudge_cv.sort_indices()
+    _same_operator(nudge_cv, dr.nudge_by_assembly(mesh, grid))
     dirichlet = np.flatnonzero(mesh.is_dirichlet)
     diagonal = np.zeros(coeffs.nnz)
     diagonal[coeffs.dirichlet_slots] = 1.0
@@ -203,8 +209,8 @@ def test_slots_are_int32_and_blocked_sums_equal_one_bincount(nx, ny,
                                                             monkeypatch):
     """`slots` and `diagonal_slots` are int32, and `sum_blocks`, one block
     of two element rows at a time (the last one short when ny is odd), sums
-    as one `np.bincount` over the whole mesh, bitwise; a broadcast block,
-    as the mass matrix passes, too."""
+    as one `np.bincount` over the whole mesh, bitwise; a broadcast block
+    too."""
     monkeypatch.setattr(fields, "KERNEL_BLOCK", 2 * nx + 1)
     mesh = build_mesh(nx, ny)
     pattern = linalg.stencil(mesh)
@@ -223,14 +229,13 @@ def test_slots_are_int32_and_blocked_sums_equal_one_bincount(nx, ny,
 
 def test_pattern_matrices_share_its_read_only_index_arrays():
     """`matrix` puts the data of `sum_blocks` on the pattern's own index
-    arrays, which no matrix can change; the mass matrix is such a matrix."""
+    arrays, which no matrix can change."""
     mesh = build_mesh(5, 4)
     pattern = linalg.stencil(mesh)
     local = np.random.default_rng(3).standard_normal((mesh.n_elements, 4, 4))
     a = pattern.matrix(pattern.sum_blocks(local))
-    for A in (a, mass_matrix(mesh)):
-        assert np.shares_memory(A.indices, pattern.indices)
-        assert np.shares_memory(A.indptr, pattern.indptr)
+    assert np.shares_memory(a.indices, pattern.indices)
+    assert np.shares_memory(a.indptr, pattern.indptr)
     assert not pattern.indices.flags.writeable
     assert not pattern.indptr.flags.writeable
     with pytest.raises(ValueError):

@@ -282,4 +282,4 @@ def test_step_without_a_solver_uses_the_driver_transport_default(monkeypatch):
     coeffs = TransportCoefficients(mesh, diffusion=lambda x, y: 0.1 * np.ones_like(x))
     theta = NodalField.from_callable(mesh, lambda x, y: x * (1 - x) * y)
     step(theta, coeffs, TransportStep(0.0, 0.01))
-    assert configs == [SolverConfig(rel_tol=1e-12, abs_tol=1e-14)]
+    assert configs == [SolverConfig(rel_tol=1e-12)]

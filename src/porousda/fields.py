@@ -266,8 +266,8 @@ def _values_at_quadrature(mesh, source):
 
 def _mass_norm(mesh, u):
     """sqrt(u^T M u) = sqrt(sum_j d_y[j] (U_j, U_j) + 2 o_y (U_j, U_j+1)),
-    U_j row j of the nodal values and (a, b) = a^T m_x b; each sum is one
-    `np.einsum` over shifted slices of U and U d_x, calling no BLAS."""
+    U_j row j of the nodal values and (a, b) = a^T m_x b; each sum over a
+    row is one `np.einsum`, no BLAS, over shifted slices of U and U d_x."""
     (dy, oy), (dx, ox) = mesh.constant("mass_factors", _build_mass_factors)
     U = u.reshape(mesh.ny + 1, mesh.nx + 1)
     P = U * dx

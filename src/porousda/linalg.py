@@ -188,6 +188,23 @@ def stencil(mesh):
     return mesh.constant("stencil", StencilPattern)
 
 
+class CoupledOperator:
+    """matrix @ x + coupling(x, scale), a CSR matrix plus a term applied from
+    its factors: a nudged transport step's S.  scipy reads its `matvec`."""
+
+    def __init__(self, matrix, scale, coupling):
+        self.matrix, self.scale, self.coupling = matrix, scale, coupling
+        self.shape, self.dtype = matrix.shape, matrix.dtype
+
+    def __matmul__(self, x):
+        return self.matrix @ x + self.coupling(x, self.scale)
+
+    matvec = __matmul__
+
+    def diagonal(self):
+        return self.matrix.diagonal() + self.scale * self.coupling.diagonal
+
+
 def _jacobi_inverse(A):
     d = A.diagonal().copy()
     d[d == 0.0] = 1.0
@@ -288,10 +305,10 @@ def solve(A, b, config=None, x0=None, transfers=None, constant_nullspace=False):
     With `transfers`, the prolongation hierarchy of `multigrid_cycle`
     (which also takes `constant_nullspace`), A is SPD and is solved by CG
     preconditioned by the V-cycle; an empty hierarchy makes the cycle an
-    exact solve.  Without one, A is solved by Jacobi-BiCGStab.  A system
-    with a non-finite entry comes back at once as a NaN solution with
-    `converged` False: no iteration can fix it, and iterating to the cap
-    would only take time.
+    exact solve.  Without one, A (CSR or a `CoupledOperator`) is solved by
+    Jacobi-BiCGStab.  A system with a non-finite entry comes back at once
+    as a NaN solution with `converged` False: no iteration can fix it, and
+    iterating to the cap would only take time.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -300,7 +317,7 @@ def solve(A, b, config=None, x0=None, transfers=None, constant_nullspace=False):
         raise ValueError(f"matrix shape {A.shape} does not match rhs length {n}")
     if n == 0:
         return np.zeros(0), SolveReport(0, 0.0, True)
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(A.data))):
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(getattr(A, "matrix", A).data))):
         return np.full(n, np.nan), SolveReport(0, float("nan"), False)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if transfers is None:

@@ -18,7 +18,7 @@ p_x at the fine vertices.  The lattice is aligned with the mesh, so that
 hat is exactly the fine bilinear field with those vertex values.  The
 grid's reconstruction, the transport nudging operator (p's CV integrals)
 and the pressure multigrid transfers (`bilinear_prolongation`) are all
-built from it; the nudging coupling also reads f_y and f_x.
+built from it; the nudging coupling also reads f_y, f_x and F's product.
 """
 
 import math
@@ -113,9 +113,12 @@ def bilinear_prolongation(nx, ny, kx, ky):
 
 def kron_apply(a, b, values):
     """(a (x) b) @ values, never formed: a X b^T raveled, X the values row
-    by row (Van Loan, J. Comput. Appl. Math. 123, 2000)."""
+    by row (Van Loan, J. Comput. Appl. Math. 123, 2000); a reducing `a`
+    goes first, else `b`, so a large result needs no transposed copy."""
     X = np.reshape(values, (a.shape[1], b.shape[1]))
-    return (b @ (a @ X).T).T.ravel()
+    if a.shape[0] < a.shape[1]:
+        return (b @ (a @ X).T).T.ravel()
+    return (a @ (b @ X.T).T).ravel()
 
 
 class SparseGrid:
@@ -140,7 +143,13 @@ class SparseGrid:
         """Raw functional values F @ field.values of a NodalField, (n_obs,)."""
         if not isinstance(field, NodalField):
             raise TypeError(f"expected a NodalField, got {type(field).__name__}")
-        return kron_apply(self.fy, self.fx, field.values)
+        return self.functional_values(field.values)
+
+    def functional_values(self, values):
+        """F @ values; point values slice the lattice's rows and columns."""
+        if self.kind == "point":
+            return values.reshape(self.mesh.ny + 1, -1)[::self.ky, ::self.kx].flatten()
+        return kron_apply(self.fy, self.fx, values)
 
     def reconstruct(self, functional_values):
         """Coarse bilinear field from raw functional values, P @ values."""

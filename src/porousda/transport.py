@@ -11,8 +11,7 @@ rows; Neumann faces of clipped control volumes carry zero total flux.
 
 One object per run (`TransportCoefficients`) holds its operator, built once:
 every matrix of a run's steps lies on one CSR pattern, the mesh's stencil in
-the free rows, joined, when mu > 0, with the columns that nudging couples
-them to, and the diagonal alone in the Dirichlet rows.  Mass, reaction,
+the free rows and the diagonal alone in the Dirichlet rows.  Mass, reaction,
 diffusion and advection are 4x4 blocks per element (a quadrant's Gauss
 points lie in its corner's CV; a dual-mesh segment, its two CVs and its
 upwind vertex lie in one element), made and summed into the pattern one
@@ -22,10 +21,10 @@ c_y (x) c_x, c the 1-D CV integrals of the hats (`_cv_block` per cell, the
 owner of the CV mass).  A coarse hat is the fine bilinear field of its
 column of P = p_y (x) p_x, so the CV integrals of the coarse basis, M P, are
 A_y (x) A_x with A = c p; the run keeps A_y and A_x.  The run keeps two data
-vectors, the mass M and K0 = diffusion + reaction + mu * nudging; with
-h = dt/2, a velocity with advection a has the step matrix
-S = M + h (K0 + a) plus the Dirichlet diagonal and the explicit operator
-E = M - h (K0 + a), so a step's right-hand side is one product, E @ theta.
+vectors, M and K0 = diffusion + reaction; with h = dt/2, advection a gives
+S0 = M + h (K0 + a) plus the Dirichlet diagonal and E0 = M - h (K0 + a).  A
+nudged run's S is S0 + h C, C its rank-n_obs coupling applied from its
+factors (`NudgingCoupling`), and its E = E0 - h C applies C with the data.
 
 A run steps with one frozen velocity at a time, and every step takes the
 run's nominal size, so the run holds one slot: the segment outflux, the step
@@ -36,8 +35,8 @@ velocities: a step reads the source at its start, where the step before
 read it.  Every factor takes one ordering q of the mesh's vertex lattice, a
 nested dissection whose split lines, when the run nudges, follow the
 observation lattice (`dissection`, built once per mesh and lattice).  The
-run's first factor fixes where the CSC data of S[q][:, q] sit in S's, so
-each factor gathers its data and factors it in natural order.
+run's first factor fixes where the CSC data of S[q][:, q] sit in S0's and
+C's, so each factor gathers (and only it joins) its data in natural order.
 """
 
 import inspect
@@ -170,19 +169,20 @@ class TransportCoefficients:
     four entries its outflux enters, and the dump slot `nnz` for those in
     Dirichlet rows.  `mass` and `k0` hold M and K0, each summed from its
     element blocks one block of element rows at a time, the coefficients
-    evaluated at that block's points; `nudge_factors`, None unless mu > 0,
-    holds M P's 1-D factors (A_y, A_x).  A general source has `source_cv`,
-    the CV integrals of values at the quadrature points as an (nv, 16 ne)
-    matrix, applied on every step.  A `Separable` source (`separable`, found
-    also through `functools.wraps` wrappers) has no such matrix: the run
-    keeps only `profile_cv`, the CV integrals of its profile, integrated
-    once, block by block, and scales it by rate(t).  The factor state:
+    evaluated at that block's points; `coupling`, None unless mu > 0, is C
+    and holds M P's 1-D factors (A_y, A_x) as `coupling.factors`.  A
+    general source has `source_cv`, the CV integrals of values at the
+    quadrature points as an (nv, 16 ne) matrix, applied on every step.  A
+    `Separable` source (`separable`, found also through `functools.wraps`
+    wrappers) has no such matrix: the run keeps only `profile_cv`, the CV
+    integrals of its profile, integrated once, block by block, and scales
+    it by rate(t).  The factor state:
     `factor_at_once`, set while the run factors by cost (see `step`), and
     `order`, the ordering q of its factors, from its first factor on.
 
     The slot, empty until `set_velocity` fills it: the segment outflux
     `velocity_outflux` (None for none), the step size `dt`, S (`lhs`), E
-    (`explicit`) and `factor`, a `StepFactor`, False where BiCGStab keeps S,
+    (`explicit`, E0) and `factor`, a `StepFactor`, False where BiCGStab keeps S,
     or None while undecided.  A step of another size replaces S, E and the
     factor; `set_velocity` replaces the slot.  The one-entry source cache,
     (t, vector), outlives the velocities.
@@ -263,15 +263,11 @@ class TransportCoefficients:
         slots = np.take(to_kept, stencil.slots)
         del to_kept
 
-        self.nudge_factors = coupling = None
+        self.coupling = None
         if self.mu > 0.0:
-            ay, ax = self.nudge_factors = (cell_sum(cy, mesh.ny) @ self.grid.py,
-                                           cell_sum(cx, mesh.nx) @ self.grid.px)
-            # mu M P F, its Dirichlet rows dropped, canonical.
-            coupling = sparse.kron(ay @ self.grid.fy, ax @ self.grid.fx, format="csr")
-            coupling.data *= np.repeat(self.mu * ~dirichlet, np.diff(coupling.indptr))
-            coupling.eliminate_zeros()
-            coupling_slots = self._join(coupling, slots)
+            self.coupling = NudgingCoupling(self.mu, (
+                cell_sum(cy, mesh.ny) @ self.grid.py,
+                cell_sum(cx, mesh.nx) @ self.grid.px), self.grid)
         mass = np.zeros(self.nnz + 1)
         for lo, x, _ in blocks:
             hi = lo + x.shape[0] * x.shape[1]
@@ -295,32 +291,11 @@ class TransportCoefficients:
                     phi_quadrant)
             np.add.at(k0, slots[16 * lo:16 * hi], k0_blocks.ravel())
         self.k0 = k0[:self.nnz]
-        if coupling is not None:
-            self.k0[coupling_slots] += coupling.data
         self.advection_slots = np.take(slots.reshape(-1, 16), _UPWIND_ENTRIES,
                                        axis=1).ravel()
         # Every matrix of the run shares these; scipy raises on an in-place
         # change, such as eliminate_zeros, instead of corrupting the run.
         self.indices.flags.writeable = self.indptr.flags.writeable = False
-
-    def _join(self, coupling, slots):
-        """Join the entries of `coupling`, a canonical CSR matrix, to the
-        pattern; remaps the element entries' `slots` to the joined pattern
-        in place and returns the coupling's slots, both int32.  A sum of
-        canonical matrices keeps each one's entries in order; marking the
-        pattern's entries 1 and the coupling's 2 tells them apart."""
-        union = self.matrix(np.ones(self.nnz, dtype=np.int8)) + sparse.csr_matrix(
-            (np.full(coupling.nnz, 2, dtype=np.int8), coupling.indices,
-             coupling.indptr), shape=coupling.shape)
-        position = np.arange(union.nnz + 1, dtype=np.int32)
-        from_pattern = np.append(union.data != 2, True)   # and the dump slot
-        moved = position[from_pattern]
-        np.take(moved, slots, out=slots)
-        self.dirichlet_slots = moved[self.dirichlet_slots]
-        self.nnz = union.nnz
-        self.indices = union.indices.astype(np.int32, copy=False)
-        self.indptr = union.indptr.astype(np.int32, copy=False)
-        return position[:-1][union.data >= 2]
 
     def matrix(self, data):
         """The CSR matrix with these values on the run's pattern."""
@@ -352,9 +327,9 @@ class TransportCoefficients:
         return out[:self.nnz]
 
     def matrices(self, dt):
-        """(S, E) of a step of size dt with the slot's velocity, built once
-        per step size: with h = dt/2, S = M + h (K0 + a) plus the Dirichlet
-        diagonal, and E = M - h (K0 + a)."""
+        """(S, E0) of a step of size dt with the slot's velocity, built once
+        per step size: with h = dt/2, S0 = M + h (K0 + a) plus the Dirichlet
+        diagonal, S = S0 + h C if nudged, else S0, and E0 = M - h (K0 + a)."""
         if dt != self.dt:
             U = self.velocity_outflux
             if U is None:
@@ -367,28 +342,42 @@ class TransportCoefficients:
             lhs[self.dirichlet_slots] = 1.0
             self.lhs = self.matrix(lhs)
             self.explicit = self.matrix(np.subtract(self.mass, hk, out=hk))
+            if self.coupling is not None:
+                self.lhs = linalg.CoupledOperator(self.lhs, 0.5 * dt, self.coupling)
             self.dt, self.factor = dt, None
         return self.lhs, self.explicit
 
     def factorize(self, A):
         """A `StepFactor` of the step matrix A, or False (BiCGStab keeps A)
         when SuperLU finds A singular.  Each factor takes A[q][:, q], q the
-        run's `dissection`, its CSC data gathered from A's at positions that
-        the run's first factor fixes."""
+        run's `dissection`: h times C's data, put in that order by the run's
+        first factor, plus S0's, added at the int32 positions it fixes."""
         if self.order is None:
-            q = self.order = dissection(self.mesh, self.lattice)
-            # Slot numbers as data, permuted once: where A[q][:, q]'s CSC
-            # data sit in A's CSR data.
-            where = self.matrix(np.arange(1.0, self.nnz + 1))[q][:, q].tocsc()
-            self._csc = (where.data.astype(np.intp) - 1, where.indices,
-                         where.indptr)
-        positions, indices, indptr = self._csc
-        permuted = sparse.csc_matrix((A.data[positions], indices, indptr),
-                                     shape=A.shape)
+            self._csc = self._first_factor_order()
+        to_s, coupled, indices, indptr = self._csc
+        data = np.zeros(indices.size) if coupled is None else A.scale * coupled
+        np.add.at(data, to_s, getattr(A, "matrix", A).data)
+        permuted = sparse.csc_matrix((data, indices, indptr), shape=A.shape)
         try:
             return StepFactor(splu(permuted), self.order)
         except RuntimeError:
             return False
+
+    def _first_factor_order(self):
+        """`factorize`'s (to_s, coupled, indices, indptr); temporaries die here."""
+        q = self.order = dissection(self.mesh, self.lattice)
+        # Slot numbers, permuted once: S0's slot + 1 plus (nnz + 1) (C's + 1).
+        where = self.matrix(np.arange(1, self.nnz + 1))
+        if self.coupling is not None:
+            C = self.coupling.matrix()
+            where = where + sparse.csr_matrix(((self.nnz + 1) * np.arange(
+                1, C.nnz + 1), C.indices, C.indptr), shape=C.shape)
+        where = where[q][:, q].tocsc()
+        coupled = None if self.coupling is None else np.append(C.data, 0.0)[
+            where.data // (self.nnz + 1) - 1]
+        where.data %= self.nnz + 1                 # S0's slot + 1, 0 for none
+        to_s = np.argsort(where.data)[-self.nnz:].astype(np.int32)
+        return to_s, coupled, where.indices, where.indptr
 
     def source_vector(self, t):
         """CV integrals of the source f(., t) over free control volumes; of
@@ -409,7 +398,7 @@ class TransportCoefficients:
     def data_vector(self, functional_values):
         """Nudging data term mu * integral of the reconstructed measurements
         over each CV, mu (A_y (x) A_x) d, Dirichlet rows included."""
-        return self.mu * kron_apply(*self.nudge_factors, functional_values)
+        return self.mu * kron_apply(*self.coupling.factors, functional_values)
 
     def dirichlet_values(self, t):
         rows = self.dirichlet_rows
@@ -417,6 +406,29 @@ class TransportCoefficients:
             return rows, np.zeros(rows.size)
         x, y = self.mesh.vertices[rows, 0], self.mesh.vertices[rows, 1]
         return rows, np.asarray(self.dirichlet(x, y, t), dtype=float) * np.ones(rows.size)
+
+
+class NudgingCoupling:
+    """C = mu (A_y f_y) (x) (A_x f_x), Dirichlet rows zero: coupling(x, h) is h C x,
+    h mu (A_y (x) A_x) F x; `diagonal` is diag(C); `matrix()` is C as canonical CSR."""
+
+    def __init__(self, mu, factors, grid):
+        self.mu, self.factors, self.grid = mu, factors, grid
+        self.dirichlet_rows = np.flatnonzero(grid.mesh.is_dirichlet)
+        self.products = tuple(a @ f for a, f in zip(factors, (grid.fy, grid.fx)))
+        self.diagonal = mu * np.outer(*(p.diagonal() for p in self.products)).ravel()
+        self.diagonal[self.dirichlet_rows] = 0.0
+
+    def __call__(self, x, scale):
+        out = kron_apply(*self.factors, scale * self.mu * self.grid.functional_values(x))
+        out[self.dirichlet_rows] = 0.0
+        return out
+
+    def matrix(self):
+        C = sparse.kron(*self.products, format="csr")
+        C.data *= np.repeat(self.mu * ~self.grid.mesh.is_dirichlet, np.diff(C.indptr))
+        C.eliminate_zeros()
+        return C
 
 
 def _cv_block(h):
@@ -459,6 +471,8 @@ def assemble_step(theta_old, coeffs, step, observations=None):
         if observations is None:
             raise ValueError("nudging requires an observation stream")
         d = observations.interpolate(step.t_start) + observations.interpolate(step.t_end)
+        # E's -h C theta joins the data term: h mu (A_y (x) A_x)(d - F theta).
+        d -= coeffs.grid.functional_values(theta_old.values)
         rhs += 0.5 * dt * coeffs.data_vector(d)
     dir_rows, dir_vals = coeffs.dirichlet_values(step.t_end)
     rhs[dir_rows] = dir_vals

@@ -975,12 +975,9 @@ def run_operator_by_bincount(coeffs, outflux):
     `coeffs`, as data on its pattern, each scattered from whole-mesh element
     arrays by one `np.bincount` in element order: the form the blocked
     scatter replaced.  The coefficients are evaluated at the whole point
-    views, the element entries of Dirichlet rows go to the dump slot, and
-    the nudging coupling mu (A_y f_y) (x) (A_x f_x), from the run's and the
-    grid's factors, is added at its slots afterwards.  The element mass
-    block is the run's, the outer product of the 1-D CV blocks."""
-    from scipy import sparse
-
+    views and the element entries of Dirichlet rows go to the dump slot.
+    The element mass block is the run's, the outer product of the 1-D CV
+    blocks."""
     from porousda.fields import cv_flux_blocks, quadrature
     from porousda.transport import _UPWIND_ENTRIES, _cv_block
 
@@ -1013,14 +1010,6 @@ def run_operator_by_bincount(coeffs, outflux):
             "eap,apb->eab", (r * np.ones(quad.x.shape)).reshape(-1, 4, 4),
             phi_quadrant)
     k0 = scatter(slots, blocks)
-    if coeffs.mu > 0.0:
-        (ay, ax), grid = coeffs.nudge_factors, coeffs.grid
-        coupling = sparse.kron(ay @ grid.fy, ax @ grid.fx, format="coo")
-        coupling.data *= coeffs.mu
-        free = ~mesh.is_dirichlet[coupling.row]
-        coupling = sparse.coo_matrix((coupling.data[free], (
-            coupling.row[free], coupling.col[free])), shape=coupling.shape)
-        k0[slots_of(coupling.row, coupling.col)] += coupling.data
     U = np.asarray(outflux, dtype=float)
     weights = np.empty((U.size, 4))
     np.maximum(U, 0.0, out=weights[:, 0])
@@ -1056,6 +1045,18 @@ def step_matrices_by_sums(coeffs, outflux, dt):
             K = K + ops[name]
     lhs = (ops["mass"] + 0.5 * dt * K + ops["dir_diag"]).tocsr()
     return lhs, (ops["mass"] - 0.5 * dt * K).tocsr()
+
+
+def joined(A):
+    """A step operator as one CSR matrix: a nudged run's S0 + h C (a
+    `linalg.CoupledOperator`) summed on the union of their patterns, the
+    form the package kept before it applied C from its factors, and any
+    other matrix as it is."""
+    from porousda.linalg import CoupledOperator
+
+    if isinstance(A, CoupledOperator):
+        return (A.matrix + A.scale * A.coupling.matrix()).tocsr()
+    return A
 
 
 def segment_outflux_from(mesh, kappa_seg, corner_values):

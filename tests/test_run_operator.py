@@ -2,26 +2,31 @@
 replaced.
 
 A run's step matrices and explicit operators are data on one CSR pattern,
-fixed when the run starts: S = M + dt/2 (K0 + a) plus the Dirichlet diagonal
-and E = M - dt/2 (K0 + a).  The oracle is the earlier construction
-(`dense_reference.step_matrices_by_sums`), which summed the mass, diffusion,
-reaction, advection, nudging and Dirichlet matrices on the stencil; the two
-differ in summation order only.
+fixed when the run starts: S0 = M + dt/2 (K0 + a) plus the Dirichlet
+diagonal and E0 = M - dt/2 (K0 + a).  A nudged run adds dt/2 times the
+coupling C, applied from its factors: S = S0 + dt/2 C and E = E0 - dt/2 C,
+whose coupling the step applies with the data term.  The oracle is the
+earlier construction (`dense_reference.step_matrices_by_sums`), which summed
+the mass, diffusion, reaction, advection, nudging and Dirichlet matrices on
+the stencil; the two differ in summation order only, so a nudged run's
+products S v and E v match the oracle's to roundoff.
 """
 
 import numpy as np
 import pytest
 
 import dense_reference as dr
-from porousda import scenarios, transport
+from porousda import linalg, scenarios, transport
 from porousda.fields import NodalField
-from porousda.linalg import SolverConfig
+from porousda.linalg import CoupledOperator, SolverConfig
 from porousda.mesh import build_mesh
-from porousda.observation import SparseGrid
+from porousda.observation import ObservationStream, SparseGrid
 from porousda.transport import TransportCoefficients, TransportStep, step
 from test_stencil import MESHES
 
 REL_TOL = 1e-14
+# Of the largest entry of the oracle's product, for S v and E v.
+PRODUCT_RTOL = 1e-13
 
 
 def _diffusion(x, y):
@@ -56,6 +61,32 @@ def _close(got, want):
     np.testing.assert_array_equal(got.indices, want.indices)
 
 
+def _same_products(got, want, seed=0):
+    """got v equals want v to PRODUCT_RTOL of its largest entry, for three
+    random vectors v."""
+    for v in np.random.default_rng(seed).standard_normal((3, want.shape[0])):
+        w = want @ v
+        assert np.abs(got @ v - w).max() <= PRODUCT_RTOL * np.abs(w).max()
+
+
+def _same_step_operator(got, want):
+    """A mu = 0 run's CSR step matrix matches the oracle's entry for entry,
+    a nudged run's operator in its products."""
+    if isinstance(got, CoupledOperator):
+        _same_products(got, want)
+    else:
+        _close(got, want)
+
+
+def _explicit(coeffs, dt):
+    """E = E0 - dt/2 C of the run's slot, as an operator: E0 from
+    `matrices`, C the run's coupling (the step applies it with the data)."""
+    _, explicit = coeffs.matrices(dt)
+    if coeffs.coupling is None:
+        return explicit
+    return CoupledOperator(explicit, -0.5 * dt, coeffs.coupling)
+
+
 @pytest.mark.parametrize("reaction", [None, _reaction], ids=["plain", "reaction"])
 @pytest.mark.parametrize("mu", [0.0, 10.0], ids=["free", "nudged"])
 def test_step_matrices_match_the_sums_of_matrices(mesh_and_grid, reaction, mu):
@@ -72,15 +103,15 @@ def test_step_matrices_match_the_sums_of_matrices(mesh_and_grid, reaction, mu):
     dt = 0.03
     for velocity in (None, outflux):
         coeffs.set_velocity(velocity)
-        lhs, explicit = coeffs.matrices(dt)
+        lhs, _ = coeffs.matrices(dt)
         want_lhs, want_explicit = dr.step_matrices_by_sums(coeffs, velocity, dt)
-        _close(lhs, want_lhs)
-        _close(explicit, want_explicit)
+        _same_step_operator(lhs, want_lhs)
+        _same_step_operator(_explicit(coeffs, dt), want_explicit)
 
 
 def test_cell_average_nudging_matches_the_sums_of_matrices():
     """Average functionals couple each CV to whole coarse cells, not to
-    lattice points: another pattern to join."""
+    lattice points: another coupling to apply from its factors."""
     nx, ny, lx, ly, spec, spacing = MESHES[0]
     mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
     grid = SparseGrid(mesh, spacing, kind="average")
@@ -88,19 +119,26 @@ def test_cell_average_nudging_matches_the_sums_of_matrices():
                                    mu=10.0, grid=grid)
     outflux = np.random.default_rng(5).standard_normal(mesh.n_segments)
     coeffs.set_velocity(outflux)
-    lhs, explicit = coeffs.matrices(0.03)
+    lhs, _ = coeffs.matrices(0.03)
     want_lhs, want_explicit = dr.step_matrices_by_sums(coeffs, outflux, 0.03)
-    _close(lhs, want_lhs)
-    _close(explicit, want_explicit)
+    _same_products(lhs, want_lhs)
+    _same_products(_explicit(coeffs, 0.03), want_explicit)
 
 
 def test_the_pattern_is_the_step_matrix_of_the_sums(mesh_and_grid):
-    """Free rows hold the stencil and the nudging columns, Dirichlet rows
-    their diagonal only: the pattern of the canonical sum, with no entry
-    more."""
+    """A nudged run's pattern is the mu = 0 run's: free rows hold the
+    stencil, Dirichlet rows their diagonal only, the pattern of the
+    canonical sum without nudging, with no entry more.  The coupling is
+    applied from its factors, and S and E match the nudged sums in their
+    products."""
     mesh, grid = mesh_and_grid
     coeffs = TransportCoefficients(mesh, _diffusion, mu=10.0, grid=grid)
-    want, _ = dr.step_matrices_by_sums(coeffs, None, 0.03)
+    lhs, _ = coeffs.matrices(0.03)
+    want_lhs, want_explicit = dr.step_matrices_by_sums(coeffs, None, 0.03)
+    _same_products(lhs, want_lhs)
+    _same_products(_explicit(coeffs, 0.03), want_explicit)
+    want, _ = dr.step_matrices_by_sums(TransportCoefficients(mesh, _diffusion),
+                                       None, 0.03)
     want.eliminate_zeros()
     want.sort_indices()
     np.testing.assert_array_equal(coeffs.indptr, want.indptr)
@@ -121,6 +159,8 @@ def test_every_matrix_of_a_run_shares_its_index_arrays():
     for _ in range(2):
         coeffs.set_velocity(rng.standard_normal(mesh.n_segments))
         matrices += coeffs.matrices(0.01)
+    assert all(isinstance(S, CoupledOperator) for S in matrices[::2])
+    matrices = [getattr(A, "matrix", A) for A in matrices]
     for A in matrices:
         assert A.indices.dtype == A.indptr.dtype == np.int32
         assert np.shares_memory(A.indices, coeffs.indices)
@@ -132,9 +172,10 @@ def test_every_matrix_of_a_run_shares_its_index_arrays():
 
 
 def test_a_later_factor_takes_the_permuted_matrix_at_fixed_positions():
-    """After the first factor fixes the positions of q, the mesh's
-    dissection, a later step matrix's data gathered at them is the CSC form
-    of A[q][:, q], entry for entry."""
+    """After the first factor puts the coupling's data in the order of q,
+    the mesh's dissection, and fixes the int32 positions of S0's entries
+    there, h times that data plus a later S0's data added at them is the
+    CSC form of A[q][:, q], A = S0 + h C joined, entry for entry."""
     sc = scenarios.example1(nx=20)
     mesh = sc.build_mesh()
     coeffs = TransportCoefficients(mesh, sc.diffusion, mu=50.0,
@@ -146,13 +187,16 @@ def test_a_later_factor_takes_the_permuted_matrix_at_fixed_positions():
     assert q is coeffs.order is transport.dissection(mesh, (2, 2))
     coeffs.set_velocity(rng.standard_normal(mesh.n_segments))
     later, _ = coeffs.matrices(0.01)
-    want = later.toarray()[q][:, q]
-    positions, indices, indptr = coeffs._csc
+    want = dr.joined(later).toarray()[q][:, q]
+    to_s, coupled, indices, indptr = coeffs._csc
+    assert to_s.dtype == np.int32 and to_s.size == coeffs.nnz
+    data = later.scale * coupled
+    data[to_s] += later.matrix.data
     got = np.zeros_like(want)
     for j in range(coeffs.n):
         rows = indices[indptr[j]:indptr[j + 1]]
         assert np.all(np.diff(rows) > 0)
-        got[rows, j] = later.data[positions[indptr[j]:indptr[j + 1]]]
+        got[rows, j] = data[indptr[j]:indptr[j + 1]]
     np.testing.assert_array_equal(got, want)
     factor = coeffs.factorize(later)
     rhs = later @ NodalField.from_callable(mesh, sc.initial).values
@@ -178,3 +222,103 @@ def test_a_run_without_velocity_keeps_its_step_matrices():
     step(theta, coeffs, TransportStep(0.0, 0.01))
     lhs, explicit = coeffs.matrices(0.01)
     assert coeffs.dt == 0.01 and coeffs.lhs is lhs and coeffs.explicit is explicit
+
+
+KINDS = ["point", "average"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("solver", ["factor", "bicgstab"])
+@pytest.mark.parametrize("case", MESHES + [BLOCKS],
+                         ids=["9x6-mixed", "7x7-neumann", "4x10-dirichlet",
+                              "72x72-blocks"])
+def test_each_solver_path_takes_the_operator_of_the_sums(monkeypatch, case,
+                                                         kind, solver):
+    """A nudged step hands its solver the operator of the joined sums: the
+    factor the CSC form of S[q][:, q], BiCGStab S itself, with the Jacobi
+    diagonal of the sums; E, S and the step's solution match the oracle.
+    BiCGStab is forced by a singular factor, as in `test_recovery.py`."""
+    nx, ny, lx, ly, spec, spacing = case
+    mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
+    grid = SparseGrid(mesh, spacing, kind=kind)
+    coeffs = TransportCoefficients(mesh, _diffusion, reaction=_reaction,
+                                   mu=10.0, grid=grid)
+    rng = np.random.default_rng(mesh.n_vertices)
+    outflux = rng.standard_normal(mesh.n_segments)
+    coeffs.set_velocity(outflux)
+    dt = 0.03
+    want_lhs, want_explicit = dr.step_matrices_by_sums(coeffs, outflux, dt)
+    factored, solved = [], []
+    splu, solve = transport.splu, linalg.solve
+
+    def recorded_splu(A):
+        factored.append(A)
+        if solver == "bicgstab":
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A)
+
+    def recorded_solve(A, b, config=None, **kw):
+        solved.append(A)
+        return solve(A, b, config, **kw)
+
+    monkeypatch.setattr(transport, "splu", recorded_splu)
+    monkeypatch.setattr(linalg, "solve", recorded_solve)
+    coeffs.factor_at_once = True
+    theta = NodalField(mesh, rng.random(mesh.n_vertices))
+    d = rng.random(grid.n_obs)
+    stream = ObservationStream([0.0, dt], np.vstack([d, 0.5 * d]))
+    x, report = step(theta, coeffs, TransportStep(0.0, dt), stream,
+                     later_steps=1)
+    assert len(factored) == 1 and report.factored == (solver == "factor")
+    q = coeffs.order
+    _same_products(factored[0], want_lhs[q][:, q])
+    if solver == "bicgstab":
+        assert len(solved) == 1 and isinstance(solved[0], CoupledOperator)
+        _same_products(solved[0], want_lhs)
+        np.testing.assert_allclose(solved[0].diagonal(), want_lhs.diagonal(),
+                                   rtol=0, atol=REL_TOL * abs(want_lhs).max())
+    _same_products(_explicit(coeffs, dt), want_explicit)
+    _, rhs = transport.assemble_step(theta, coeffs, TransportStep(0.0, dt),
+                                     stream)
+    # E theta plus the data term, in the free rows.
+    free = ~mesh.is_dirichlet
+    want_rhs = want_explicit @ theta.values + 0.5 * dt * coeffs.mu * (
+        dr.nudge_by_assembly(mesh, grid) @ (1.5 * d))
+    assert (np.abs(rhs - want_rhs)[free].max()
+            <= PRODUCT_RTOL * np.abs(want_rhs).max())
+    assert (np.linalg.norm(want_lhs @ x.values - rhs)
+            <= 1e-11 * np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_nudged_run_keeps_the_arrays_of_a_run_without_nudging(kind):
+    """No array of a nudged run grows with the coupling's entries: its
+    mass, K0 and pattern have the sizes of the mu = 0 run's."""
+    nx, ny, lx, ly, spec, spacing = MESHES[0]
+    mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
+    plain = TransportCoefficients(mesh, _diffusion, reaction=_reaction)
+    nudged = TransportCoefficients(mesh, _diffusion, reaction=_reaction,
+                                   mu=10.0,
+                                   grid=SparseGrid(mesh, spacing, kind=kind))
+    for name in ("mass", "k0", "indices", "indptr", "advection_slots",
+                 "dirichlet_slots"):
+        assert getattr(nudged, name).shape == getattr(plain, name).shape, name
+    assert nudged.nnz == plain.nnz
+
+
+def test_a_coupled_operator_keeps_the_finite_check_and_the_true_residual():
+    """BiCGStab on a nudged S reports ||b - S x|| with S's own product, and
+    a non-finite entry of S0 comes back at once as a NaN solution."""
+    nx, ny, lx, ly, spec, spacing = MESHES[0]
+    mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
+    coeffs = TransportCoefficients(mesh, _diffusion, mu=10.0,
+                                   grid=SparseGrid(mesh, spacing))
+    S, _ = coeffs.matrices(0.03)
+    b = np.random.default_rng(1).random(mesh.n_vertices)
+    x, report = linalg.solve(S, b, SolverConfig())
+    assert report.converged and report.iterations > 0
+    assert report.residual == float(np.linalg.norm(b - S @ x))
+    assert report.residual <= 1e-12 * np.linalg.norm(b)
+    S.matrix.data[0] = np.nan
+    x, report = linalg.solve(S, b, SolverConfig())
+    assert np.all(np.isnan(x)) and not report.converged

@@ -132,10 +132,11 @@ def test_pressure_matches_stream(case):
 
 
 def test_transport_operators_match_streams(case):
-    """The run's mass, K0 = diffusion + reaction + mu * nudging, advection
-    and Dirichlet diagonal, each as a matrix on the run's pattern; K0 of a
-    run without diffusion or nudging is the reaction alone, and of one
-    without reaction or nudging the diffusion alone."""
+    """The run's mass, K0 = diffusion + reaction, advection and Dirichlet
+    diagonal, each as a matrix on the run's pattern, and the coupling C,
+    mu times the nudging with its Dirichlet rows dropped, formed from its
+    factors; K0 of a run without diffusion is the reaction alone, and of
+    one without reaction the diffusion alone."""
     mesh, grid, rng = case
     coeffs = _coefficients(mesh, grid, rng)
     free = ~mesh.is_dirichlet
@@ -147,8 +148,11 @@ def test_transport_operators_match_streams(case):
                    _cv_stream(mesh, np.ones(x.size), free))
     _same_operator(coeffs.matrix(coeffs.k0),
                    _diffusion_stream(mesh, coeffs.diffusion, free)
-                   + _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free)
-                   + coeffs.mu * nudge)
+                   + _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free))
+    _same_operator(coeffs.coupling.matrix(), coeffs.mu * nudge)
+    np.testing.assert_allclose(coeffs.coupling.diagonal,
+                               coeffs.mu * nudge.diagonal(), rtol=REL_TOL,
+                               atol=REL_TOL * abs(coeffs.mu * nudge).max())
     reaction = TransportCoefficients(mesh, lambda x, y: np.zeros_like(x),
                                      reaction=coeffs.reaction)
     _same_operator(reaction.matrix(reaction.k0),
@@ -160,7 +164,7 @@ def test_transport_operators_match_streams(case):
                    _advection_stream(mesh, coeffs.velocity_outflux, free))
     # M P from the run's factors, its Dirichlet rows dropped.
     nudge_cv = (sparse.diags(free.astype(float))
-                @ sparse.kron(*coeffs.nudge_factors, format="csr"))
+                @ sparse.kron(*coeffs.coupling.factors, format="csr"))
     nudge_cv.sort_indices()
     _same_operator(nudge_cv, dr.nudge_by_assembly(mesh, grid))
     dirichlet = np.flatnonzero(mesh.is_dirichlet)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+import dense_reference as dr
 from porousda import driver, fields, linalg, pressure, scenarios, transport
 from porousda.fields import NodalField, quadrature
 from porousda.flux_postprocess import postprocess_flux
@@ -263,7 +264,8 @@ def test_a_reused_ordering_factors_with_the_fill_of_a_fresh_one():
         grid=coeffs.grid, dirichlet=sc.theta_dirichlet)
     reused, fresh = coeffs.factorize(A), fresh_run.factorize(A)
     assert reused.order is fresh.order       # one per mesh and lattice
-    mmd = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+    mmd = splu(dr.joined(A).tocsc(), permc_spec="MMD_AT_PLUS_A",
+               diag_pivot_thresh=0.1,
                options={"SymmetricMode": True})
 
     def fill(lu):

@@ -17,7 +17,7 @@ from scipy import sparse
 import dense_reference as dr
 from porousda.fields import NodalField
 from porousda.mesh import build_mesh
-from porousda.observation import SparseGrid, bilinear_prolongation
+from porousda.observation import SparseGrid, bilinear_prolongation, kron_apply
 from porousda.transport import TransportCoefficients
 from test_stencil import _mixed_faces
 
@@ -62,6 +62,23 @@ def test_sample_is_the_assembled_functionals(grid):
     _close(grid.sample(NodalField(mesh, u)), dr.functionals_by_assembly(grid) @ u)
 
 
+@pytest.mark.parametrize("nx, ny, lx, ly, spacing", [
+    (60, 60, 1.0, 1.0, 0.1), (24, 9, 1.2, 0.9, 0.3), (7, 7, 1.0, 1.0, 1 / 7)],
+    ids=["square", "strip", "every-vertex"])
+def test_point_sample_is_the_product_of_the_factors_bitwise(nx, ny, lx, ly,
+                                                            spacing):
+    """Point values select F's rows and columns of the lattice: `sample`
+    slices them, bitwise equal to the product of the factors, and returns
+    a copy, also when the lattice holds every vertex."""
+    mesh = build_mesh(nx, ny, lx, ly)
+    grid = SparseGrid(mesh, spacing)
+    u = np.random.default_rng(nx).standard_normal(mesh.n_vertices)
+    got = grid.sample(NodalField(mesh, u))
+    assert got.tobytes() == kron_apply(grid.fy, grid.fx, u).tobytes()
+    got[:] = np.nan
+    assert np.all(np.isfinite(u))
+
+
 def test_data_term_is_the_assembled_nudging_of_the_data(grid):
     """mu (M P) d in the free rows, M P assembled point by point; the step
     overwrites the Dirichlet rows."""
@@ -81,13 +98,14 @@ def _held(owner):
 
 @pytest.mark.parametrize("kind", ["point", "average"])
 def test_no_vertex_by_lattice_matrix_is_kept(kind):
-    """Neither a grid nor a nudged run holds a sparse matrix with a row per
-    vertex and a column per functional, or the transpose: the factors
-    stand in for F, P and M P."""
+    """Neither a grid nor a nudged run nor its coupling holds a matrix,
+    sparse or dense, with a row per vertex and a column per functional, or
+    the transpose: the factors stand in for F, P and M P."""
     mesh = build_mesh(120, 120)
     grid = SparseGrid(mesh, 0.1, kind=kind)
     coeffs = TransportCoefficients(mesh, _diffusion, mu=10.0, grid=grid)
     full = {(mesh.n_vertices, grid.n_obs), (grid.n_obs, mesh.n_vertices)}
-    for owner in (grid, coeffs):
-        held = [v.shape for v in _held(owner) if sparse.issparse(v)]
+    for owner in (grid, coeffs, coeffs.coupling):
+        held = [v.shape for v in _held(owner)
+                if sparse.issparse(v) or isinstance(v, np.ndarray)]
         assert held and not full.intersection(held)

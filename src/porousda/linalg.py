@@ -33,6 +33,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab, cg, splu
 
+from . import fields
+
 # V-cycle smoother: z += _SMOOTH_SCALE * (r - A z) / l1, where l1 holds the
 # absolute row sums of A, with this many sweeps both before and after the
 # coarse correction, so the cycle stays symmetric.  On rows with nonpositive
@@ -157,9 +159,8 @@ class StencilPattern:
         offset = (cy - cy[:, None] + 1) * 3 + (cx - cx[:, None] + 1)
         self.slots = position[mesh.elements[:, :, None], offset].ravel()
         # Elements per scatter of `sum_blocks`: one block of
-        # `fields.kernel_point_blocks` (fields imports this module).
-        from .fields import KERNEL_BLOCK
-        self.block = max(1, KERNEL_BLOCK // mesh.nx) * mesh.nx
+        # `fields.kernel_point_blocks`.
+        self.block = max(1, fields.KERNEL_BLOCK // mesh.nx) * mesh.nx
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
     def matrix(self, data):

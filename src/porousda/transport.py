@@ -10,8 +10,8 @@ the trapezoidal weight 1/2 at both ends.  Dirichlet vertices are constrained
 rows; Neumann faces of clipped control volumes carry zero total flux.
 
 One object per run (`TransportCoefficients`) holds its operator, built once:
-every matrix of a run's steps lies on one CSR pattern, the mesh's stencil in
-the free rows and the diagonal alone in the Dirichlet rows.  Mass, reaction,
+every matrix of a run's steps lies on the mesh's stencil (`linalg.stencil`),
+zero in a Dirichlet row but for S0's unit diagonal.  Mass, reaction,
 diffusion and advection are 4x4 blocks per element (a quadrant's Gauss
 points lie in its corner's CV; a dual-mesh segment, its two CVs and its
 upwind vertex lie in one element), made and summed into the pattern one
@@ -164,15 +164,17 @@ class TransportCoefficients:
     """The transport step of one run: its coefficients, its operator, built
     once (`_build_static`), and the slot of the one velocity it steps with.
 
-    The operator: `indices` and `indptr` (int32, read-only) are the pattern.
+    The operator is data on `linalg.stencil(mesh)`, whose read-only index
+    arrays every matrix of the run shares; `dirichlet_entries` (int32) are
+    the positions of the Dirichlet rows, zero in M, K0 and every advection.
     Per segment, `advection_slots` (int32, ne * 16) holds the slots of the
-    four entries its outflux enters, and the dump slot `nnz` for those in
-    Dirichlet rows.  `mass` and `k0` hold M and K0, each summed from its
-    element blocks one block of element rows at a time, the coefficients
-    evaluated at that block's points; `coupling`, None unless mu > 0, is C
-    and holds M P's 1-D factors (A_y, A_x) as `coupling.factors`.  A
-    general source has `source_cv`, the CV integrals of values at the
-    quadrature points as an (nv, 16 ne) matrix, applied on every step.  A
+    four entries its outflux enters.  `mass` and `k0` hold M and K0, each
+    summed from its element blocks one block of element rows at a time (M
+    by `StencilPattern.sum_blocks`), the coefficients evaluated at that
+    block's points; `coupling`, None unless mu > 0, is C and holds M P's
+    1-D factors (A_y, A_x) as `coupling.factors`.  A general source has
+    `source_cv`, the CV integrals of values at the quadrature points as an
+    (nv, 16 ne) matrix, applied on every step.  A
     `Separable` source (`separable`, found also through `functools.wraps`
     wrappers) has no such matrix: the run keeps only `profile_cv`, the CV
     integrals of its profile, integrated once, block by block, and scales
@@ -243,39 +245,20 @@ class TransportCoefficients:
             self.source_cv = _cv_integration(mesh, ~mesh.is_dirichlet)
 
         stencil = linalg.stencil(mesh)
-        dirichlet = mesh.is_dirichlet
-        self.dirichlet_rows = np.flatnonzero(dirichlet)
-        diagonal = stencil.diagonal_slots[self.dirichlet_rows]
-        row_sizes = np.diff(stencil.indptr)
-        in_dirichlet_row = np.repeat(dirichlet, row_sizes)
-        keep = ~in_dirichlet_row
-        keep[diagonal] = True
-        to_kept = np.cumsum(keep, dtype=np.int32)
-        to_kept -= 1
-        self.n = stencil.n
-        self.nnz = int(to_kept[-1]) + 1
-        self.indices = stencil.indices[keep]
-        self.indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(np.where(dirichlet, 1, row_sizes), out=self.indptr[1:])
-        self.dirichlet_slots = to_kept[diagonal]
-        to_kept[in_dirichlet_row] = self.nnz
-        # The slots of the element entries, 16 per element.
-        slots = np.take(to_kept, stencil.slots)
-        del to_kept
+        self.dirichlet_rows = np.flatnonzero(mesh.is_dirichlet)
+        self.dirichlet_entries = np.flatnonzero(np.repeat(
+            mesh.is_dirichlet, np.diff(stencil.indptr))).astype(np.int32)
 
         self.coupling = None
         if self.mu > 0.0:
             self.coupling = NudgingCoupling(self.mu, (
                 cell_sum(cy, mesh.ny) @ self.grid.py,
                 cell_sum(cx, mesh.nx) @ self.grid.px), self.grid)
-        mass = np.zeros(self.nnz + 1)
-        for lo, x, _ in blocks:
-            hi = lo + x.shape[0] * x.shape[1]
-            np.add.at(mass, slots[16 * lo:16 * hi], np.tile(mass_block, hi - lo))
-        self.mass = mass[:self.nnz]
+        self.mass = stencil.sum_blocks(np.broadcast_to(
+            mass_block, (mesh.n_elements, 16)))
         # K0: the diffusive flux, -sum over CV faces of D grad(theta) . n,
         # plus the reaction.
-        k0 = np.zeros(self.nnz + 1)
+        k0 = self.k0 = np.zeros(stencil.nnz)
         for lo, x, y in blocks:
             hi = lo + x.shape[0] * x.shape[1]
             d = np.asarray(self.diffusion(x[..., 24:], y[..., 24:]),
@@ -289,18 +272,10 @@ class TransportCoefficients:
                     "eap,apb->eab",
                     np.broadcast_to(r, x[..., :16].shape).reshape(-1, 4, 4),
                     phi_quadrant)
-            np.add.at(k0, slots[16 * lo:16 * hi], k0_blocks.ravel())
-        self.k0 = k0[:self.nnz]
-        self.advection_slots = np.take(slots.reshape(-1, 16), _UPWIND_ENTRIES,
-                                       axis=1).ravel()
-        # Every matrix of the run shares these; scipy raises on an in-place
-        # change, such as eliminate_zeros, instead of corrupting the run.
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
-
-    def matrix(self, data):
-        """The CSR matrix with these values on the run's pattern."""
-        return sparse.csr_matrix((data, self.indices, self.indptr),
-                                 shape=(self.n, self.n))
+            np.add.at(k0, stencil.slots[16 * lo:16 * hi], k0_blocks.ravel())
+        self.mass[self.dirichlet_entries] = k0[self.dirichlet_entries] = 0.0
+        self.advection_slots = np.take(stencil.slots.reshape(-1, 16),
+                                       _UPWIND_ENTRIES, axis=1).ravel()
 
     def advection(self, outflux):
         """The upwind advection of a segment outflux, as data on the pattern:
@@ -312,7 +287,7 @@ class TransportCoefficients:
         if U.shape != (self.advection_slots.size // 4,):
             raise ValueError(f"expected {self.advection_slots.size // 4} "
                              f"segment outflux values")
-        out = np.zeros(self.nnz + 1)
+        out = np.zeros(linalg.stencil(self.mesh).nnz)
         blocks = kernel_point_blocks(self.mesh)
         buffer = np.empty((4 * blocks[0][1].shape[0] * self.mesh.nx, 4))
         for lo, x, _ in blocks:
@@ -324,7 +299,8 @@ class TransportCoefficients:
             np.negative(weights[:, 0::2], out=weights[:, 1::2])
             np.add.at(out, self.advection_slots[16 * lo:16 * hi],
                       weights.ravel())
-        return out[:self.nnz]
+        out[self.dirichlet_entries] = 0.0
+        return out
 
     def matrices(self, dt):
         """(S, E0) of a step of size dt with the slot's velocity, built once
@@ -338,10 +314,11 @@ class TransportCoefficients:
                 hk = self.advection(U)
                 hk += self.k0
                 hk *= 0.5 * dt
+            pattern = linalg.stencil(self.mesh)
             lhs = self.mass + hk
-            lhs[self.dirichlet_slots] = 1.0
-            self.lhs = self.matrix(lhs)
-            self.explicit = self.matrix(np.subtract(self.mass, hk, out=hk))
+            lhs[pattern.diagonal_slots[self.dirichlet_rows]] = 1.0
+            self.lhs = pattern.matrix(lhs)
+            self.explicit = pattern.matrix(np.subtract(self.mass, hk, out=hk))
             if self.coupling is not None:
                 self.lhs = linalg.CoupledOperator(self.lhs, 0.5 * dt, self.coupling)
             self.dt, self.factor = dt, None
@@ -351,13 +328,14 @@ class TransportCoefficients:
         """A `StepFactor` of the step matrix A, or False (BiCGStab keeps A)
         when SuperLU finds A singular.  Each factor takes A[q][:, q], q the
         run's `dissection`: h times C's data, put in that order by the run's
-        first factor, plus S0's, added at the int32 positions it fixes."""
+        first factor, plus S0's, added at the int32 positions it fixes; the
+        zeros of S0's Dirichlet rows go to a dump entry past the end."""
         if self.order is None:
             self._csc = self._first_factor_order()
         to_s, coupled, indices, indptr = self._csc
-        data = np.zeros(indices.size) if coupled is None else A.scale * coupled
+        data = np.zeros(indices.size + 1) if coupled is None else A.scale * coupled
         np.add.at(data, to_s, getattr(A, "matrix", A).data)
-        permuted = sparse.csc_matrix((data, indices, indptr), shape=A.shape)
+        permuted = sparse.csc_matrix((data[:-1], indices, indptr), shape=A.shape)
         try:
             return StepFactor(splu(permuted), self.order)
         except RuntimeError:
@@ -366,18 +344,27 @@ class TransportCoefficients:
     def _first_factor_order(self):
         """`factorize`'s (to_s, coupled, indices, indptr); temporaries die here."""
         q = self.order = dissection(self.mesh, self.lattice)
-        # Slot numbers, permuted once: S0's slot + 1 plus (nnz + 1) (C's + 1).
-        where = self.matrix(np.arange(1, self.nnz + 1))
+        pattern = linalg.stencil(self.mesh)
+        nnz = pattern.nnz
+        # Slot numbers, permuted once: S0's slot + 1 (0 for the zeros of a
+        # Dirichlet row) plus (nnz + 1) (C's + 1).
+        where = pattern.matrix(np.arange(1, nnz + 1))
+        diagonal = pattern.diagonal_slots[self.dirichlet_rows]
+        where.data[self.dirichlet_entries] = 0
+        where.data[diagonal] = diagonal + 1
         if self.coupling is not None:
             C = self.coupling.matrix()
-            where = where + sparse.csr_matrix(((self.nnz + 1) * np.arange(
+            where = where + sparse.csr_matrix(((nnz + 1) * np.arange(
                 1, C.nnz + 1), C.indices, C.indptr), shape=C.shape)
         where = where[q][:, q].tocsc()
-        coupled = None if self.coupling is None else np.append(C.data, 0.0)[
-            where.data // (self.nnz + 1) - 1]
-        where.data %= self.nnz + 1                 # S0's slot + 1, 0 for none
-        to_s = np.argsort(where.data)[-self.nnz:].astype(np.int32)
-        return to_s, coupled, where.indices, where.indptr
+        where.eliminate_zeros()
+        coupled = None if self.coupling is None else np.append(np.append(
+            C.data, 0.0)[where.data // (nnz + 1) - 1], 0.0)   # then the dump
+        where.data %= nnz + 1                      # S0's slot + 1, 0 for none
+        # Each S0 slot's position; the trimmed zeros keep the dump past the end.
+        to_s = np.full(nnz + 1, where.nnz, dtype=np.int32)
+        to_s[where.data] = np.arange(where.nnz, dtype=np.int32)
+        return to_s[1:], coupled, where.indices, where.indptr
 
     def source_vector(self, t):
         """CV integrals of the source f(., t) over free control volumes; of

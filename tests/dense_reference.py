@@ -972,19 +972,21 @@ def advection_by_scatter(mesh, outflux):
 
 def run_operator_by_bincount(coeffs, outflux):
     """The mass, K0 and the upwind advection of `outflux` of the run
-    `coeffs`, as data on its pattern, each scattered from whole-mesh element
-    arrays by one `np.bincount` in element order: the form the blocked
-    scatter replaced.  The coefficients are evaluated at the whole point
-    views and the element entries of Dirichlet rows go to the dump slot.
-    The element mass block is the run's, the outer product of the 1-D CV
-    blocks."""
+    `coeffs`, as data on the mesh's stencil, each scattered from whole-mesh
+    element arrays by one `np.bincount` in element order: the form the
+    blocked scatter replaced.  The coefficients are evaluated at the whole
+    point views, and the entries of Dirichlet rows are set to zero after
+    the sum.  The element mass block is the run's, the outer product of the
+    1-D CV blocks."""
+    from porousda import linalg
     from porousda.fields import cv_flux_blocks, quadrature
     from porousda.transport import _UPWIND_ENTRIES, _cv_block
 
     mesh = coeffs.mesh
     quad = quadrature(mesh)
-    nnz = coeffs.nnz
-    where = coeffs.matrix(np.arange(1.0, nnz + 1))
+    pattern = linalg.stencil(mesh)
+    where = pattern.matrix(np.arange(1.0, pattern.nnz + 1))
+    in_dirichlet_row = np.repeat(mesh.is_dirichlet, np.diff(pattern.indptr))
 
     def slots_of(rows, cols):
         return np.asarray(where[rows, cols]).ravel().astype(np.intp) - 1
@@ -992,11 +994,12 @@ def run_operator_by_bincount(coeffs, outflux):
     e = mesh.elements
     rows = np.repeat(e, 4, axis=1).ravel()        # entry (a, b): row e[a]
     slots = slots_of(rows, np.tile(e, (1, 4)).ravel())
-    slots[mesh.is_dirichlet[rows]] = nnz
 
     def scatter(slots, weights):
-        return np.bincount(slots, weights=np.ravel(weights),
-                           minlength=nnz + 1)[:nnz]
+        out = np.bincount(slots, weights=np.ravel(weights),
+                          minlength=pattern.nnz)
+        out[in_dirichlet_row] = 0.0
+        return out
 
     phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)
     mass = scatter(slots, np.broadcast_to(np.kron(_cv_block(mesh.hy),

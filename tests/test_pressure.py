@@ -434,7 +434,7 @@ def _step_matrices(sc, mesh, grid):
 
 
 @pytest.mark.parametrize("call, above", [
-    (_nudged_run, 11), (_pressure_problem, 24), (_step_matrices, 4)],
+    (_nudged_run, 0.25), (_pressure_problem, 24), (_step_matrices, 4)],
     ids=["transport-coefficients", "pressure-problem", "step-matrices"])
 def test_a_run_set_up_allocates_little_above_what_it_keeps(ex3_set_up, call,
                                                            above):
@@ -445,7 +445,8 @@ def test_a_run_set_up_allocates_little_above_what_it_keeps(ex3_set_up, call,
     what they keep; one block of element rows at a time they were 40, 20
     and 0.  With the nudging coupling joined to the pattern in int32 and
     the mass summed only on the joined pattern, the first was 27; with the
-    coupling kept as its factors and no join, it is 10.9."""
+    coupling kept as its factors and no join, 10.9; summed on the stencil's
+    own slots, with no trimmed copy of them, it is 0.17."""
     call = call(*ex3_set_up)
     tracemalloc.start()
     try:

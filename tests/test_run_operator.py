@@ -1,9 +1,10 @@
 """One transport operator per run, against the sums of sparse matrices it
 replaced.
 
-A run's step matrices and explicit operators are data on one CSR pattern,
-fixed when the run starts: S0 = M + dt/2 (K0 + a) plus the Dirichlet
-diagonal and E0 = M - dt/2 (K0 + a).  A nudged run adds dt/2 times the
+A run's step matrices and explicit operators are data on the mesh's
+stencil pattern (`linalg.stencil`): S0 = M + dt/2 (K0 + a) plus the
+Dirichlet diagonal and E0 = M - dt/2 (K0 + a), each zero elsewhere in a
+Dirichlet row.  A nudged run adds dt/2 times the
 coupling C, applied from its factors: S = S0 + dt/2 C and E = E0 - dt/2 C,
 whose coupling the step applies with the data term.  The oracle is the
 earlier construction (`dense_reference.step_matrices_by_sums`), which summed
@@ -14,6 +15,7 @@ products S v and E v match the oracle's to roundoff.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import dense_reference as dr
 from porousda import linalg, scenarios, transport
@@ -126,14 +128,15 @@ def test_cell_average_nudging_matches_the_sums_of_matrices():
 
 
 def test_the_pattern_is_the_step_matrix_of_the_sums(mesh_and_grid):
-    """A nudged run's pattern is the mu = 0 run's: free rows hold the
-    stencil, Dirichlet rows their diagonal only, the pattern of the
-    canonical sum without nudging, with no entry more.  The coupling is
-    applied from its factors, and S and E match the nudged sums in their
-    products."""
+    """A nudged run's S0 and E0 lie on the mesh's stencil, as the mu = 0
+    run's do: free rows hold the pattern of the canonical sum without
+    nudging, with no entry more, a Dirichlet row of S exactly 1.0 on its
+    diagonal and zeros elsewhere, and E's Dirichlet rows zeros.  The
+    coupling is applied from its factors, and S and E match the nudged sums
+    in their products."""
     mesh, grid = mesh_and_grid
     coeffs = TransportCoefficients(mesh, _diffusion, mu=10.0, grid=grid)
-    lhs, _ = coeffs.matrices(0.03)
+    lhs, explicit = coeffs.matrices(0.03)
     want_lhs, want_explicit = dr.step_matrices_by_sums(coeffs, None, 0.03)
     _same_products(lhs, want_lhs)
     _same_products(_explicit(coeffs, 0.03), want_explicit)
@@ -141,32 +144,46 @@ def test_the_pattern_is_the_step_matrix_of_the_sums(mesh_and_grid):
                                        None, 0.03)
     want.eliminate_zeros()
     want.sort_indices()
-    np.testing.assert_array_equal(coeffs.indptr, want.indptr)
-    np.testing.assert_array_equal(coeffs.indices, want.indices)
+    pattern = linalg.stencil(mesh)
+    got = lhs.matrix.copy()
+    got.eliminate_zeros()
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    for A in (lhs.matrix, explicit):
+        assert np.shares_memory(A.indices, pattern.indices)
+        assert np.shares_memory(A.indptr, pattern.indptr)
     dirichlet = np.flatnonzero(mesh.is_dirichlet)
-    np.testing.assert_array_equal(np.diff(coeffs.indptr)[dirichlet], 1)
-    np.testing.assert_array_equal(coeffs.indices[coeffs.dirichlet_slots],
-                                  dirichlet)
+    rows = np.repeat(mesh.is_dirichlet, np.diff(pattern.indptr))
+    diagonal = np.zeros(pattern.nnz, dtype=bool)
+    diagonal[pattern.diagonal_slots[dirichlet]] = True
+    assert np.all(lhs.matrix.data[rows & diagonal] == 1.0)
+    assert np.all(lhs.matrix.data[rows & ~diagonal] == 0.0)
+    assert np.all(explicit.data[rows] == 0.0)
 
 
 def test_every_matrix_of_a_run_shares_its_index_arrays():
+    """Every S0 and E0 of a reference run and of a nudged run on one mesh
+    lies on the stencil's own read-only index arrays."""
     sc = scenarios.example1(nx=20)
     mesh = sc.build_mesh()
-    coeffs = TransportCoefficients(mesh, sc.diffusion, source=sc.source,
-                                   mu=50.0, grid=SparseGrid(mesh, sc.spacing))
+    pattern = linalg.stencil(mesh)
     rng = np.random.default_rng(3)
-    matrices = list(coeffs.matrices(0.01))
-    for _ in range(2):
-        coeffs.set_velocity(rng.standard_normal(mesh.n_segments))
+    matrices = []
+    for mu in (0.0, 50.0):
+        coeffs = TransportCoefficients(mesh, sc.diffusion, source=sc.source,
+                                       mu=mu, grid=SparseGrid(mesh, sc.spacing))
         matrices += coeffs.matrices(0.01)
-    assert all(isinstance(S, CoupledOperator) for S in matrices[::2])
+        for _ in range(2):
+            coeffs.set_velocity(rng.standard_normal(mesh.n_segments))
+            matrices += coeffs.matrices(0.01)
+    assert all(isinstance(S, CoupledOperator) for S in matrices[6::2])
     matrices = [getattr(A, "matrix", A) for A in matrices]
     for A in matrices:
         assert A.indices.dtype == A.indptr.dtype == np.int32
-        assert np.shares_memory(A.indices, coeffs.indices)
-        assert np.shares_memory(A.indptr, coeffs.indptr)
-    assert not coeffs.indices.flags.writeable
-    assert not coeffs.indptr.flags.writeable
+        assert np.shares_memory(A.indices, pattern.indices)
+        assert np.shares_memory(A.indptr, pattern.indptr)
+    assert not pattern.indices.flags.writeable
+    assert not pattern.indptr.flags.writeable
     with pytest.raises(ValueError):
         matrices[0].eliminate_zeros()
 
@@ -175,9 +192,11 @@ def test_a_later_factor_takes_the_permuted_matrix_at_fixed_positions():
     """After the first factor puts the coupling's data in the order of q,
     the mesh's dissection, and fixes the int32 positions of S0's entries
     there, h times that data plus a later S0's data added at them is the
-    CSC form of A[q][:, q], A = S0 + h C joined, entry for entry."""
+    CSC form of A[q][:, q], A = S0 + h C joined, entry for entry.  The
+    zeros of S0's Dirichlet rows go to the dump position past the end."""
     sc = scenarios.example1(nx=20)
     mesh = sc.build_mesh()
+    pattern = linalg.stencil(mesh)
     coeffs = TransportCoefficients(mesh, sc.diffusion, mu=50.0,
                                    grid=SparseGrid(mesh, sc.spacing))
     rng = np.random.default_rng(4)
@@ -189,11 +208,17 @@ def test_a_later_factor_takes_the_permuted_matrix_at_fixed_positions():
     later, _ = coeffs.matrices(0.01)
     want = dr.joined(later).toarray()[q][:, q]
     to_s, coupled, indices, indptr = coeffs._csc
-    assert to_s.dtype == np.int32 and to_s.size == coeffs.nnz
+    assert to_s.dtype == np.int32 and to_s.size == pattern.nnz
+    rows = np.repeat(mesh.is_dirichlet, np.diff(pattern.indptr))
+    trimmed = rows & (pattern.indices != np.repeat(np.arange(pattern.n),
+                                                   np.diff(pattern.indptr)))
+    np.testing.assert_array_equal(np.flatnonzero(to_s == indices.size),
+                                  np.flatnonzero(trimmed))
+    assert coupled.size == indices.size + 1 and coupled[-1] == 0.0
     data = later.scale * coupled
     data[to_s] += later.matrix.data
     got = np.zeros_like(want)
-    for j in range(coeffs.n):
+    for j in range(pattern.n):
         rows = indices[indptr[j]:indptr[j + 1]]
         assert np.all(np.diff(rows) > 0)
         got[rows, j] = data[indptr[j]:indptr[j + 1]]
@@ -203,6 +228,51 @@ def test_a_later_factor_takes_the_permuted_matrix_at_fixed_positions():
     x, report = factor.solve(later, rhs, SolverConfig())
     assert report.factored
     np.testing.assert_allclose(later @ x, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("kind", ["point", "average", None],
+                         ids=["point", "average", "mu0"])
+@pytest.mark.parametrize("case", MESHES + [BLOCKS],
+                         ids=["9x6-mixed", "7x7-neumann", "4x10-dirichlet",
+                              "72x72-blocks"])
+def test_superlu_takes_the_trimmed_joined_matrix(monkeypatch, case, kind):
+    """The CSC matrix a step hands SuperLU is S[q][:, q], S = S0 + h C
+    joined (S0 alone when mu = 0), with the zeros of its Dirichlet rows left
+    out: no off-diagonal entry in a Dirichlet row, the pattern of the joined
+    oracle so trimmed, and its values to 1e-13 relative."""
+    nx, ny, lx, ly, spec, spacing = case
+    mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
+    coeffs = TransportCoefficients(
+        mesh, _diffusion, reaction=_reaction, mu=0.0 if kind is None else 10.0,
+        grid=kind and SparseGrid(mesh, spacing, kind=kind))
+    coeffs.set_velocity(np.random.default_rng(mesh.n_vertices)
+                        .standard_normal(mesh.n_segments))
+    S, _ = coeffs.matrices(0.03)
+    handed = []
+    splu = transport.splu
+
+    def recorded_splu(A):
+        handed.append(A)
+        return splu(A)
+
+    monkeypatch.setattr(transport, "splu", recorded_splu)
+    assert coeffs.factorize(S)
+    (got,) = handed
+    q = coeffs.order
+    dirichlet = mesh.is_dirichlet[q]           # of the permuted rows
+    entries = got.tocoo()
+    assert not np.any(dirichlet[entries.row] & (entries.row != entries.col))
+    want = dr.joined(S)[q][:, q].tocoo()
+    keep = ~dirichlet[want.row] | (want.row == want.col)
+    want = sparse.csc_matrix((want.data[keep], (want.row[keep],
+                                                want.col[keep])),
+                             shape=want.shape)
+    want.eliminate_zeros()
+    want.sort_indices()
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert (np.abs(got.data - want.data).max()
+            <= 1e-13 * np.abs(want.data).max())
 
 
 @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1.0])
@@ -293,17 +363,17 @@ def test_each_solver_path_takes_the_operator_of_the_sums(monkeypatch, case,
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_nudged_run_keeps_the_arrays_of_a_run_without_nudging(kind):
     """No array of a nudged run grows with the coupling's entries: its
-    mass, K0 and pattern have the sizes of the mu = 0 run's."""
+    mass, K0, advection slots and Dirichlet entries have the sizes of the
+    mu = 0 run's, and its data one entry per stencil slot."""
     nx, ny, lx, ly, spec, spacing = MESHES[0]
     mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
     plain = TransportCoefficients(mesh, _diffusion, reaction=_reaction)
     nudged = TransportCoefficients(mesh, _diffusion, reaction=_reaction,
                                    mu=10.0,
                                    grid=SparseGrid(mesh, spacing, kind=kind))
-    for name in ("mass", "k0", "indices", "indptr", "advection_slots",
-                 "dirichlet_slots"):
+    for name in ("mass", "k0", "advection_slots", "dirichlet_entries"):
         assert getattr(nudged, name).shape == getattr(plain, name).shape, name
-    assert nudged.nnz == plain.nnz
+    assert nudged.mass.size == linalg.stencil(mesh).nnz
 
 
 def test_a_coupled_operator_keeps_the_finite_check_and_the_true_residual():

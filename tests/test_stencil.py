@@ -132,21 +132,22 @@ def test_pressure_matches_stream(case):
 
 
 def test_transport_operators_match_streams(case):
-    """The run's mass, K0 = diffusion + reaction, advection and Dirichlet
-    diagonal, each as a matrix on the run's pattern, and the coupling C,
+    """The run's mass, K0 = diffusion + reaction, advection and the
+    Dirichlet rows of S0, each as a matrix on the stencil, and the coupling C,
     mu times the nudging with its Dirichlet rows dropped, formed from its
     factors; K0 of a run without diffusion is the reaction alone, and of
     one without reaction the diffusion alone."""
     mesh, grid, rng = case
     coeffs = _coefficients(mesh, grid, rng)
+    pattern = linalg.stencil(mesh)
     free = ~mesh.is_dirichlet
     pts = dr.global_points(quadrature(mesh))
     x, y = pts[:, :, 0], pts[:, :, 1]
     nudge = (dr.nudge_by_assembly(mesh, grid)
              @ dr.functionals_by_assembly(grid)).tocsr()
-    _same_operator(coeffs.matrix(coeffs.mass),
+    _same_operator(pattern.matrix(coeffs.mass),
                    _cv_stream(mesh, np.ones(x.size), free))
-    _same_operator(coeffs.matrix(coeffs.k0),
+    _same_operator(pattern.matrix(coeffs.k0),
                    _diffusion_stream(mesh, coeffs.diffusion, free)
                    + _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free))
     _same_operator(coeffs.coupling.matrix(), coeffs.mu * nudge)
@@ -155,12 +156,12 @@ def test_transport_operators_match_streams(case):
                                atol=REL_TOL * abs(coeffs.mu * nudge).max())
     reaction = TransportCoefficients(mesh, lambda x, y: np.zeros_like(x),
                                      reaction=coeffs.reaction)
-    _same_operator(reaction.matrix(reaction.k0),
+    _same_operator(pattern.matrix(reaction.k0),
                    _cv_stream(mesh, coeffs.reaction(x, y).ravel(), free))
     plain = TransportCoefficients(mesh, coeffs.diffusion)
-    _same_operator(plain.matrix(plain.k0),
+    _same_operator(pattern.matrix(plain.k0),
                    _diffusion_stream(mesh, coeffs.diffusion, free))
-    _same_operator(coeffs.matrix(coeffs.advection(coeffs.velocity_outflux)),
+    _same_operator(pattern.matrix(coeffs.advection(coeffs.velocity_outflux)),
                    _advection_stream(mesh, coeffs.velocity_outflux, free))
     # M P from the run's factors, its Dirichlet rows dropped.
     nudge_cv = (sparse.diags(free.astype(float))
@@ -168,9 +169,8 @@ def test_transport_operators_match_streams(case):
     nudge_cv.sort_indices()
     _same_operator(nudge_cv, dr.nudge_by_assembly(mesh, grid))
     dirichlet = np.flatnonzero(mesh.is_dirichlet)
-    diagonal = np.zeros(coeffs.nnz)
-    diagonal[coeffs.dirichlet_slots] = 1.0
-    _same_operator(coeffs.matrix(diagonal),
+    S0 = coeffs.matrices(0.03)[0].matrix
+    _same_operator(sparse.diags(mesh.is_dirichlet.astype(float)) @ S0,
                    linalg.assemble(dirichlet, dirichlet, np.ones(dirichlet.size),
                                    (mesh.n_vertices, mesh.n_vertices)))
 
@@ -182,7 +182,7 @@ def test_advection_skips_zero_outflux(case):
     U = rng.standard_normal(mesh.n_segments)
     U[rng.random(U.size) < 0.5] = 0.0
     coeffs = _coefficients(mesh, grid, rng)
-    _same_operator(coeffs.matrix(coeffs.advection(U)),
+    _same_operator(linalg.stencil(mesh).matrix(coeffs.advection(U)),
                    _advection_stream(mesh, U, ~mesh.is_dirichlet))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dr
-from porousda import transport
+from porousda import linalg, transport
 from porousda.fields import NodalField
 from porousda.linalg import SolverConfig
 from porousda.mesh import build_mesh
@@ -202,19 +202,23 @@ def test_prescribed_outflux_clamps_concentration():
 
 def test_set_velocity_keeps_the_static_operators():
     """A new velocity empties the slot, step matrices and factor, and keeps
-    the run's pattern and data vectors."""
+    the run's data vectors; both velocities' matrices lie on the stencil."""
     mesh = build_mesh(5, 5)
     coeffs = TransportCoefficients(mesh,
                                    diffusion=lambda x, y: np.ones_like(x))
     a_none, _ = coeffs.matrices(0.1)
-    static = coeffs.indices, coeffs.indptr, coeffs.mass, coeffs.k0
+    static = coeffs.mass, coeffs.k0, coeffs.dirichlet_entries
     outflux = np.ones(mesh.n_segments)
     coeffs.set_velocity(outflux)
     assert coeffs.velocity_outflux is outflux
     assert coeffs.dt is coeffs.lhs is coeffs.explicit is coeffs.factor is None
     a_new, _ = coeffs.matrices(0.1)
-    assert all(x is y for x, y in zip(static, (coeffs.indices, coeffs.indptr,
-                                              coeffs.mass, coeffs.k0)))
+    assert all(x is y for x, y in zip(static, (coeffs.mass, coeffs.k0,
+                                              coeffs.dirichlet_entries)))
+    pattern = linalg.stencil(mesh)
+    for a in (a_none, a_new):
+        assert np.shares_memory(a.indices, pattern.indices)
+        assert np.shares_memory(a.indptr, pattern.indptr)
     assert (a_none != a_new).nnz > 0  # advection entered
 
 

@@ -68,6 +68,9 @@ class TimePartition:
     fine_per_coarse: int
 
     def __post_init__(self):
+        for name in ("n_coarse", "fine_per_coarse"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {self}")
         if not (0.0 < self.t_end < math.inf and self.n_coarse >= 1
                 and self.fine_per_coarse >= 1):
             raise ValueError(f"need a finite positive span and at least one "

@@ -22,7 +22,8 @@ computed at them is reshaped to the per-element layout, (ne, 16) or
 (ne, 4), by the caller.
 
 `kernel_point_blocks(mesh)`, also built once per mesh, slices the pair into
-blocks of max(1, `KERNEL_BLOCK` // nx) whole element rows.  Every pass that
+blocks of max(1, `KERNEL_BLOCK` // nx) whole element rows, each with its
+element range lo:hi, the one owner of that rule.  Every pass that
 evaluates a coefficient at the point set or scatters per-element data over
 the whole mesh runs one block at a time: kappa (with a raster's lookup,
 which keeps no values at the blocks), the pressure source and its
@@ -145,7 +146,8 @@ def quadrature(mesh):
 def _build_kernel_blocks(mesh):
     x, y = quadrature(mesh).points
     rows = max(1, KERNEL_BLOCK // mesh.nx)
-    return [(lo * mesh.nx, x[lo:lo + rows], y[lo:lo + rows])
+    return [(lo * mesh.nx, min(lo + rows, mesh.ny) * mesh.nx,
+             x[lo:lo + rows], y[lo:lo + rows])
             for lo in range(0, mesh.ny, rows)]
 
 
@@ -153,10 +155,11 @@ def kernel_point_blocks(mesh):
     """The mesh's point set in blocks of max(1, `KERNEL_BLOCK` // nx)
     element rows.
 
-    Returns a list of (first element, x, y), with x and y read-only
-    (rows, nx, 28) blocks of `quadrature(mesh).points`, built once per mesh;
-    kappa is evaluated at exactly these arrays on every solve, and the
-    blocked passes over the element data take their element ranges from it.
+    Returns a list of (lo, hi, x, y): the block's elements lo:hi and x and
+    y, read-only (rows, nx, 28) blocks of `quadrature(mesh).points`, built
+    once per mesh.  kappa is evaluated at exactly these arrays on every
+    solve, and every blocked pass over the element data, the stencil's
+    `sum_blocks` among them, takes its element ranges from it.
     """
     return mesh.constant("kernel_point_blocks", _build_kernel_blocks)
 

@@ -169,11 +169,9 @@ def cv_balance_residuals(mesh, segment_outflux, cv_source):
     """
     outflux = segment_outflux.reshape(-1, 4)
     res = np.zeros(mesh.n_vertices)
-    blocks = [(lo, lo + x.shape[0] * x.shape[1])
-              for lo, x, _ in kernel_point_blocks(mesh)]
     for scatter, corners in ((np.add.at, SEG_LEFT_CORNER),
                              (np.subtract.at, SEG_RIGHT_CORNER)):
-        for lo, hi in blocks:
+        for lo, hi, _, _ in kernel_point_blocks(mesh):
             scatter(res, mesh.elements[lo:hi, corners].ravel(),
                     outflux[lo:hi].ravel())
     res -= cv_source

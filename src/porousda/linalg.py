@@ -73,9 +73,10 @@ class SolverConfig:
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
             raise ValueError(f"solver rel_tol must be finite and "
                              f"nonnegative, got {self.rel_tol!r}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"solver max_iter must be at least 1, "
-                             f"got {self.max_iter!r}")
+        if self.max_iter is not None and not (isinstance(
+                self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError(f"solver max_iter must be an integer of at "
+                             f"least 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -127,9 +128,11 @@ class StencilPattern:
     Row v holds v and its up to eight lattice neighbours in column order,
     which are exactly the vertices sharing an element with v.  `slots`
     (int32) maps every element-local entry (ne, 4, 4), rows and columns in
-    element corner order, to its position in the CSR data, and
-    `diagonal_slots` (int32) each row's diagonal entry; both are built from
-    index arithmetic on the lattice, without sorting.
+    element corner order, to its position in the CSR data,
+    `diagonal_slots` (int32) each row's diagonal entry and
+    `dirichlet_entries` (int32) every entry of a Dirichlet row; all are
+    built from index arithmetic on the lattice, without sorting.  `ranges`
+    are the element ranges of the mesh's `fields.kernel_point_blocks`.
     """
 
     def __init__(self, mesh):
@@ -158,9 +161,9 @@ class StencilPattern:
         cy = np.array([0, 0, 1, 1])
         offset = (cy - cy[:, None] + 1) * 3 + (cx - cx[:, None] + 1)
         self.slots = position[mesh.elements[:, :, None], offset].ravel()
-        # Elements per scatter of `sum_blocks`: one block of
-        # `fields.kernel_point_blocks`.
-        self.block = max(1, fields.KERNEL_BLOCK // mesh.nx) * mesh.nx
+        self.dirichlet_entries = np.flatnonzero(np.repeat(
+            mesh.is_dirichlet, np.diff(self.indptr))).astype(np.int32)
+        self.ranges = [b[:2] for b in fields.kernel_point_blocks(mesh)]
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
     def matrix(self, data):
@@ -178,8 +181,7 @@ class StencilPattern:
         int32 slots to intp at once."""
         local = np.reshape(local, (-1, 16))
         data = np.zeros(self.nnz)
-        for lo in range(0, len(local), self.block):
-            hi = lo + self.block
+        for lo, hi in self.ranges:
             np.add.at(data, self.slots[16 * lo:16 * hi], local[lo:hi].ravel())
         return data
 

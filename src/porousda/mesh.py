@@ -56,7 +56,8 @@ class MeshError(ValueError):
 
 
 class StructuredMesh:
-    """Uniform rectangular mesh, its boundary tags and its constants."""
+    """Uniform rectangular mesh, its boundary tags and its constants; the
+    one owner of the index lists `dirichlet_vertices` and `free_vertices`."""
 
     def __init__(self, nx, ny, Lx, Ly, edge_tags):
         self.nx = nx
@@ -105,6 +106,7 @@ class StructuredMesh:
             mark(endpoints[1], tags)
 
         self.is_dirichlet = dir_vertex
+        self.dirichlet_vertices = np.flatnonzero(dir_vertex)
         self.free_vertices = np.flatnonzero(~dir_vertex)
 
     # -- convenience -------------------------------------------------------

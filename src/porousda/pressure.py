@@ -142,8 +142,7 @@ class PressureProblem:
         quad = quadrature(mesh)
         wg = np.empty((mesh.n_elements, 16))
         self.cv_source = np.zeros(mesh.n_vertices)
-        for lo, x, y in kernel_point_blocks(mesh):
-            hi = lo + x.shape[0] * x.shape[1]
+        for lo, hi, x, y in kernel_point_blocks(mesh):
             g = np.asarray(self.source(x[..., :16], y[..., :16]), dtype=float)
             np.multiply(quad.weight, g, out=wg[lo:hi].reshape(x[..., :16].shape))
             np.add.at(self.cv_source,
@@ -185,9 +184,8 @@ def element_kernel(problem, theta):
     grad_dot = np.einsum("pad,pbd->pab", quad.dphi, quad.dphi).reshape(16, 16)
     stiffness = np.empty((mesh.n_elements, 16))
     kappa_recovery = np.empty((mesh.n_elements, 12))
-    for lo, x, y in kernel_point_blocks(mesh):
-        rows = slice(lo, lo + x.shape[0] * x.shape[1])
-        th = (corners[rows] @ _KERNEL_PHI.T).reshape(x.shape)
+    for lo, hi, x, y in kernel_point_blocks(mesh):
+        th = (corners[lo:hi] @ _KERNEL_PHI.T).reshape(x.shape)
         np.clip(th, 0.0, 1.0, out=th)
         # An overflow or a NaN in kappa is reported by the range check
         # below, not as a floating-point warning.
@@ -202,9 +200,9 @@ def element_kernel(problem, theta):
         if np.any(bad):
             raise CoefficientRangeError(
                 f"kappa must be positive and finite, found {float(k[bad][0])}")
-        np.matmul(k[:, :16], grad_dot, out=stiffness[rows])
-        stiffness[rows] *= quad.weight
-        kappa_recovery[rows] = k[:, 16:]
+        np.matmul(k[:, :16], grad_dot, out=stiffness[lo:hi])
+        stiffness[lo:hi] *= quad.weight
+        kappa_recovery[lo:hi] = k[:, 16:]
     kernel = ElementKernel(theta.values.copy(), kappa_recovery,
                            stiffness.reshape(-1, 4, 4))
     problem.kernel = kernel
@@ -268,10 +266,9 @@ def assemble_pressure(problem, theta):
     data = linalg.stencil(mesh).sum_blocks(kernel.stiffness)
     free_block, dirichlet_block = pressure_blocks(mesh)
 
-    fixed = np.flatnonzero(mesh.is_dirichlet)
     rhs = problem.load[mesh.free_vertices]
-    if fixed.size:
-        p_d = problem.dirichlet_values(fixed)
+    if mesh.dirichlet_vertices.size:
+        p_d = problem.dirichlet_values(mesh.dirichlet_vertices)
         rhs = rhs - dirichlet_block.matrix(data) @ p_d
     return free_block.matrix(data), rhs
 
@@ -290,7 +287,7 @@ def solve_pressure(problem, theta, x0=None):
                              constant_nullspace=not mesh.is_dirichlet.any())
     values = np.zeros(mesh.n_vertices)
     values[free] = x
-    fixed = np.flatnonzero(mesh.is_dirichlet)
+    fixed = mesh.dirichlet_vertices
     if fixed.size:
         values[fixed] = problem.dirichlet_values(fixed)
     return NodalField(mesh, values), report

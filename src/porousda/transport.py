@@ -165,10 +165,10 @@ class TransportCoefficients:
     once (`_build_static`), and the slot of the one velocity it steps with.
 
     The operator is data on `linalg.stencil(mesh)`, whose read-only index
-    arrays every matrix of the run shares; `dirichlet_entries` (int32) are
-    the positions of the Dirichlet rows, zero in M, K0 and every advection.
-    Per segment, `advection_slots` (int32, ne * 16) holds the slots of the
-    four entries its outflux enters.  `mass` and `k0` hold M and K0, each
+    arrays every matrix of the run shares; the run holds no index array of
+    its own: the stencil's `dirichlet_entries`, zero in M, K0 and every
+    advection, and `slots`, and the mesh's `dirichlet_vertices` serve every
+    run on the mesh.  `mass` and `k0` hold M and K0, each
     summed from its element blocks one block of element rows at a time (M
     by `StencilPattern.sum_blocks`), the coefficients evaluated at that
     block's points; `coupling`, None unless mu > 0, is C and holds M P's
@@ -231,8 +231,7 @@ class TransportCoefficients:
         self.source_cv = self.profile_cv = None
         if self.separable is not None:
             self.profile_cv = np.zeros(mesh.n_vertices)
-            for lo, x, y in blocks:
-                hi = lo + x.shape[0] * x.shape[1]
+            for lo, hi, x, y in blocks:
                 profile = np.asarray(self.separable.profile(x[..., :16],
                                                             y[..., :16]),
                                      dtype=float)
@@ -245,10 +244,6 @@ class TransportCoefficients:
             self.source_cv = _cv_integration(mesh, ~mesh.is_dirichlet)
 
         stencil = linalg.stencil(mesh)
-        self.dirichlet_rows = np.flatnonzero(mesh.is_dirichlet)
-        self.dirichlet_entries = np.flatnonzero(np.repeat(
-            mesh.is_dirichlet, np.diff(stencil.indptr))).astype(np.int32)
-
         self.coupling = None
         if self.mu > 0.0:
             self.coupling = NudgingCoupling(self.mu, (
@@ -259,8 +254,7 @@ class TransportCoefficients:
         # K0: the diffusive flux, -sum over CV faces of D grad(theta) . n,
         # plus the reaction.
         k0 = self.k0 = np.zeros(stencil.nnz)
-        for lo, x, y in blocks:
-            hi = lo + x.shape[0] * x.shape[1]
+        for lo, hi, x, y in blocks:
             d = np.asarray(self.diffusion(x[..., 24:], y[..., 24:]),
                            dtype=float)
             k0_blocks = cv_flux_blocks(mesh, np.broadcast_to(
@@ -273,33 +267,34 @@ class TransportCoefficients:
                     np.broadcast_to(r, x[..., :16].shape).reshape(-1, 4, 4),
                     phi_quadrant)
             np.add.at(k0, stencil.slots[16 * lo:16 * hi], k0_blocks.ravel())
-        self.mass[self.dirichlet_entries] = k0[self.dirichlet_entries] = 0.0
-        self.advection_slots = np.take(stencil.slots.reshape(-1, 16),
-                                       _UPWIND_ENTRIES, axis=1).ravel()
+        self.mass[stencil.dirichlet_entries] = 0.0
+        k0[stencil.dirichlet_entries] = 0.0
 
     def advection(self, outflux):
         """The upwind advection of a segment outflux, as data on the pattern:
         a positive outflux leaves the left CV and enters the right one in the
-        left vertex's column, a negative one in the right vertex's.  The
-        weights are made and scattered one block of element rows at a
-        time."""
+        left vertex's column, a negative one in the right vertex's; made and
+        scattered one block of element rows at a time, at that block's
+        `_UPWIND_ENTRIES` of the stencil's slots, taken by `np.take` without
+        a bounds check (its columns are fixed)."""
         U = np.asarray(outflux, dtype=float)
-        if U.shape != (self.advection_slots.size // 4,):
-            raise ValueError(f"expected {self.advection_slots.size // 4} "
+        if U.shape != (self.mesh.n_segments,):
+            raise ValueError(f"expected {self.mesh.n_segments} "
                              f"segment outflux values")
-        out = np.zeros(linalg.stencil(self.mesh).nnz)
+        stencil = linalg.stencil(self.mesh)
+        slots = stencil.slots.reshape(-1, 16)
+        out = np.zeros(stencil.nnz)
         blocks = kernel_point_blocks(self.mesh)
-        buffer = np.empty((4 * blocks[0][1].shape[0] * self.mesh.nx, 4))
-        for lo, x, _ in blocks:
-            hi = lo + x.shape[0] * x.shape[1]
+        buffer = np.empty((4 * blocks[0][1], 4))   # the first, largest block
+        for lo, hi, _, _ in blocks:
             u = U[4 * lo:4 * hi]
             weights = buffer[:u.size]
             np.maximum(u, 0.0, out=weights[:, 0])
             np.minimum(u, 0.0, out=weights[:, 2])
             np.negative(weights[:, 0::2], out=weights[:, 1::2])
-            np.add.at(out, self.advection_slots[16 * lo:16 * hi],
-                      weights.ravel())
-        out[self.dirichlet_entries] = 0.0
+            up = np.take(slots[lo:hi], _UPWIND_ENTRIES, axis=1, mode="clip")
+            np.add.at(out, up.ravel(), weights.ravel())
+        out[stencil.dirichlet_entries] = 0.0
         return out
 
     def matrices(self, dt):
@@ -316,7 +311,7 @@ class TransportCoefficients:
                 hk *= 0.5 * dt
             pattern = linalg.stencil(self.mesh)
             lhs = self.mass + hk
-            lhs[pattern.diagonal_slots[self.dirichlet_rows]] = 1.0
+            lhs[pattern.diagonal_slots[self.mesh.dirichlet_vertices]] = 1.0
             self.lhs = pattern.matrix(lhs)
             self.explicit = pattern.matrix(np.subtract(self.mass, hk, out=hk))
             if self.coupling is not None:
@@ -349,8 +344,8 @@ class TransportCoefficients:
         # Slot numbers, permuted once: S0's slot + 1 (0 for the zeros of a
         # Dirichlet row) plus (nnz + 1) (C's + 1).
         where = pattern.matrix(np.arange(1, nnz + 1))
-        diagonal = pattern.diagonal_slots[self.dirichlet_rows]
-        where.data[self.dirichlet_entries] = 0
+        diagonal = pattern.diagonal_slots[self.mesh.dirichlet_vertices]
+        where.data[pattern.dirichlet_entries] = 0
         where.data[diagonal] = diagonal + 1
         if self.coupling is not None:
             C = self.coupling.matrix()
@@ -388,7 +383,7 @@ class TransportCoefficients:
         return self.mu * kron_apply(*self.coupling.factors, functional_values)
 
     def dirichlet_values(self, t):
-        rows = self.dirichlet_rows
+        rows = self.mesh.dirichlet_vertices
         if self.dirichlet is None:
             return rows, np.zeros(rows.size)
         x, y = self.mesh.vertices[rows, 0], self.mesh.vertices[rows, 1]
@@ -401,14 +396,13 @@ class NudgingCoupling:
 
     def __init__(self, mu, factors, grid):
         self.mu, self.factors, self.grid = mu, factors, grid
-        self.dirichlet_rows = np.flatnonzero(grid.mesh.is_dirichlet)
         self.products = tuple(a @ f for a, f in zip(factors, (grid.fy, grid.fx)))
         self.diagonal = mu * np.outer(*(p.diagonal() for p in self.products)).ravel()
-        self.diagonal[self.dirichlet_rows] = 0.0
+        self.diagonal[grid.mesh.dirichlet_vertices] = 0.0
 
     def __call__(self, x, scale):
         out = kron_apply(*self.factors, scale * self.mu * self.grid.functional_values(x))
-        out[self.dirichlet_rows] = 0.0
+        out[self.grid.mesh.dirichlet_vertices] = 0.0
         return out
 
     def matrix(self):

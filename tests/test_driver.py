@@ -74,6 +74,23 @@ def test_partition_rejects_a_zero_step_by_name(key, value):
         TimePartition.from_scenario(sc)
 
 
+@pytest.mark.parametrize("key, value", [("n_coarse", 8.0),
+                                        ("fine_per_coarse", 2.5)])
+def test_partition_rejects_a_non_integer_count_by_name(key, value):
+    """A float count reached `np.linspace`, whose bare TypeError was the
+    first sign of it; example1 with 2.5 fine steps per coarse step passes
+    `from_scenario` with 8 coarse steps."""
+    counts = {"n_coarse": 8, "fine_per_coarse": 2, key: value}
+    with pytest.raises(ValueError, match=key):
+        TimePartition(0.04, **counts)
+    assert TimePartition(0.04, np.int64(8), 2).n_coarse == 8
+    if key == "fine_per_coarse":
+        sc = scenarios.example1(nx=10, t_end=0.04).with_overrides(
+            fine_per_coarse=value)
+        with pytest.raises(ValueError, match=key):
+            driver.run_reference(sc)
+
+
 @pytest.mark.parametrize("t_end", [float("inf"), float("nan")])
 def test_partition_rejects_a_non_finite_span(t_end):
     """round() of the span's step count raised OverflowError or ValueError."""

@@ -161,8 +161,9 @@ def test_nonconvergence_carries_best_iterate():
 
 def test_solver_config_validation():
     for bad in ({"rel_tol": float("nan")}, {"rel_tol": -1e-12},
-                {"rel_tol": float("inf")}, {"max_iter": 0}, {"max_iter": -5}):
-        with pytest.raises(ValueError):
+                {"rel_tol": float("inf")}, {"max_iter": 0}, {"max_iter": -5},
+                {"max_iter": 2.5}, {"max_iter": 3.0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             SolverConfig(**bad)
     assert SolverConfig(rel_tol=0.0, max_iter=1).max_iter == 1
 

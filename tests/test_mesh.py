@@ -113,6 +113,8 @@ def test_mixed_boundary_tagging():
     x = m.vertices[:, 0]
     np.testing.assert_array_equal(m.is_dirichlet, (x == 0.0) | (x == 1.0))
     assert m.free_vertices.size == m.n_vertices - 2 * 5
+    np.testing.assert_array_equal(m.dirichlet_vertices,
+                                  np.flatnonzero(m.is_dirichlet))
 
 
 def test_all_dirichlet_free_interior():
@@ -153,3 +155,7 @@ def test_counts_and_partition_property(nx, ny):
     assert m.n_segments == 4 * nx * ny
     assert abs(cv_areas(m).sum() - 1.0) < 1e-12
     assert m.free_vertices.size + m.is_dirichlet.sum() == m.n_vertices
+    both = np.sort(np.concatenate([m.dirichlet_vertices, m.free_vertices]))
+    np.testing.assert_array_equal(both, np.arange(m.n_vertices))
+    np.testing.assert_array_equal(m.dirichlet_vertices,
+                                  np.flatnonzero(m.is_dirichlet))

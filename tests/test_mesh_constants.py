@@ -72,10 +72,10 @@ def test_point_sets_are_views_of_one_read_only_pair(ex3_twin_builds):
     quad = quadrature(mesh)
     px, py = quad.points
     blocks = kernel_point_blocks(mesh)
-    assert sum(x[..., 0].size for _, x, _ in blocks) == mesh.n_elements
+    assert sum(x[..., 0].size for _, _, x, _ in blocks) == mesh.n_elements
     for base, n, views in (
-            (px.base, mesh.nx, [px, quad.x, quad.seg_x, *(x for _, x, _ in blocks)]),
-            (py.base, mesh.ny, [py, quad.y, quad.seg_y, *(y for _, _, y in blocks)])):
+            (px.base, mesh.nx, [px, quad.x, quad.seg_x, *(b[2] for b in blocks)]),
+            (py.base, mesh.ny, [py, quad.y, quad.seg_y, *(b[3] for b in blocks)])):
         assert base.shape == (n, 28) and base.flags.owndata
         for view in views:
             assert np.shares_memory(view, base) and view.base is base
@@ -121,10 +121,12 @@ def test_point_set_equals_the_dense_pair_bitwise(nx, ny, Lx, Ly, boundary,
         assert got.reshape(want.shape).tobytes() == want.tobytes()
     monkeypatch.setattr(fields, "KERNEL_BLOCK", 2 * nx + 1)
     blocks = kernel_point_blocks(mesh)
-    assert [x.shape[0] for _, x, _ in blocks] == [2] * (ny // 2) + [1] * (ny % 2)
-    assert [lo for lo, _, _ in blocks] == list(range(0, mesh.n_elements, 2 * nx))
+    assert [x.shape[0] for _, _, x, _ in blocks] == [2] * (ny // 2) + [1] * (ny % 2)
+    starts = list(range(0, mesh.n_elements, 2 * nx))
+    assert [(lo, hi) for lo, hi, _, _ in blocks] == list(zip(
+        starts, starts[1:] + [mesh.n_elements]))
     for i, want in enumerate(dense):
-        got = np.concatenate([b[1 + i].reshape(-1, 28) for b in blocks])
+        got = np.concatenate([b[2 + i].reshape(-1, 28) for b in blocks])
         assert got.tobytes() == want.tobytes()
 
 
@@ -142,7 +144,7 @@ def test_point_set_owns_per_column_and_per_row_tables_only(nx, ny, Lx, Ly,
     mesh = build_mesh(nx, ny, Lx, Ly, boundary)
     quad = quadrature(mesh)
     views = [*quad.points, quad.x, quad.y, quad.seg_x, quad.seg_y]
-    for _, x, y in kernel_point_blocks(mesh):
+    for _, _, x, y in kernel_point_blocks(mesh):
         views += [x, y]
     owners = {id(o): o for o in map(_owner, views)}
     assert sum(o.size for o in owners.values()) <= 2 * (nx + ny) * 28
@@ -213,7 +215,7 @@ def test_lookup_equals_the_bilinear_oracle_at_the_kernel_blocks():
     sc = scenarios.example3(nx=240)
     mesh = sc.build_mesh()
     raster = sc.notes["raster"]
-    for _, x, y in kernel_point_blocks(mesh):
+    for _, _, x, y in kernel_point_blocks(mesh):
         got = raster.lookup(x, y)
         assert got.shape == x.shape and got.flags.c_contiguous
         np.testing.assert_allclose(got, dr.raster_bilinear(raster, x, y),
@@ -231,9 +233,9 @@ def test_lookup_equals_the_bilinear_oracle_on_a_strip(shape, monkeypatch):
     monkeypatch.setattr(fields, "KERNEL_BLOCK", 3 * 12)
     mesh = build_mesh(12, 8, 2.0, 1.0)
     blocks = kernel_point_blocks(mesh)
-    assert [x.shape[0] for _, x, _ in blocks] == [3, 3, 2]
+    assert [x.shape[0] for _, _, x, _ in blocks] == [3, 3, 2]
     outside = np.meshgrid(np.linspace(-0.3, 2.3, 11), np.linspace(-0.2, 1.2, 9))
-    for x, y in [b[1:] for b in blocks] + [outside]:
+    for x, y in [b[2:] for b in blocks] + [outside]:
         np.testing.assert_allclose(raster.lookup(x, y),
                                    dr.raster_bilinear(raster, x, y),
                                    rtol=LOOKUP_RTOL, atol=0.0)

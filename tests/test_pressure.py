@@ -433,20 +433,24 @@ def _step_matrices(sc, mesh, grid):
     return lambda: coeffs.matrices(sc.dt)
 
 
-@pytest.mark.parametrize("call, above", [
-    (_nudged_run, 0.25), (_pressure_problem, 24), (_step_matrices, 4)],
+@pytest.mark.parametrize("call, less_kept, above", [
+    (_nudged_run, False, 22), (_pressure_problem, True, 24),
+    (_step_matrices, True, 4)],
     ids=["transport-coefficients", "pressure-problem", "step-matrices"])
 def test_a_run_set_up_allocates_little_above_what_it_keeps(ex3_set_up, call,
-                                                           above):
-    """The peak a call allocates above its entry, less what it keeps, in
-    (ne,) float arrays at nx = 240: the nudged run's `TransportCoefficients`,
-    the `PressureProblem` and one `matrices(dt)` with a velocity.  Scattered
-    over the whole mesh at once they were about 69, 60 and 19 arrays above
-    what they keep; one block of element rows at a time they were 40, 20
-    and 0.  With the nudging coupling joined to the pattern in int32 and
-    the mass summed only on the joined pattern, the first was 27; with the
-    coupling kept as its factors and no join, 10.9; summed on the stencil's
-    own slots, with no trimmed copy of them, it is 0.17."""
+                                                           less_kept, above):
+    """The peak a call allocates above its entry, in (ne,) float arrays at
+    nx = 240: the nudged run's `TransportCoefficients` whole, and less what
+    it keeps, the `PressureProblem` and one `matrices(dt)` with a velocity.
+    Scattered over the whole mesh at once, the last two were about 60 and
+    19 arrays above what they keep; one block of element rows at a time,
+    20 and 0.  Less what it keeps, the run was 69, 40, 27 (the coupling
+    joined to the pattern in int32), 10.9 (kept as its factors) and 0.17
+    (summed on the stencil's own slots); that 0.17 held only while its
+    per-run upwind slots, 16 ne int32, came after a one-block transient
+    that it then covered.  With the slots taken from the stencil, the run
+    keeps 19.1 and peaks at 21.7 above its entry, where it peaked at 27.4
+    with them, so the bound is on the peak."""
     call = call(*ex3_set_up)
     tracemalloc.start()
     try:
@@ -455,4 +459,5 @@ def test_a_run_set_up_allocates_little_above_what_it_keeps(ex3_set_up, call,
     finally:
         tracemalloc.stop()
     del kept
-    assert (peak - current) / (8 * ex3_set_up[1].n_elements) <= above
+    held = peak - current if less_kept else peak
+    assert held / (8 * ex3_set_up[1].n_elements) <= above

@@ -363,17 +363,22 @@ def test_each_solver_path_takes_the_operator_of_the_sums(monkeypatch, case,
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_nudged_run_keeps_the_arrays_of_a_run_without_nudging(kind):
     """No array of a nudged run grows with the coupling's entries: its
-    mass, K0, advection slots and Dirichlet entries have the sizes of the
-    mu = 0 run's, and its data one entry per stencil slot."""
+    mass and K0 have the sizes of the mu = 0 run's, one entry per stencil
+    slot, and at set-up neither run nor its coupling holds an integer
+    array: the index arrays are the stencil's and the mesh's."""
     nx, ny, lx, ly, spec, spacing = MESHES[0]
     mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
     plain = TransportCoefficients(mesh, _diffusion, reaction=_reaction)
     nudged = TransportCoefficients(mesh, _diffusion, reaction=_reaction,
                                    mu=10.0,
                                    grid=SparseGrid(mesh, spacing, kind=kind))
-    for name in ("mass", "k0", "advection_slots", "dirichlet_entries"):
+    for name in ("mass", "k0"):
         assert getattr(nudged, name).shape == getattr(plain, name).shape, name
     assert nudged.mass.size == linalg.stencil(mesh).nnz
+    for held in (plain, nudged, nudged.coupling):
+        assert not [name for name, value in vars(held).items()
+                    if isinstance(value, np.ndarray)
+                    and np.issubdtype(value.dtype, np.integer)], held
 
 
 def test_a_coupled_operator_keeps_the_finite_check_and_the_true_residual():

@@ -309,7 +309,7 @@ def test_coefficients_at_a_point_block_come_back_row_major(name, monkeypatch):
     row-major, so reshaping it to one row per element makes no copy."""
     monkeypatch.setattr(fields, "KERNEL_BLOCK", 2 * 12 + 1)
     sc = BUILTIN_SCENARIOS[name](nx=12)
-    _, x, y = kernel_point_blocks(sc.build_mesh())[1]
+    _, _, x, y = kernel_point_blocks(sc.build_mesh())[1]
     source = sc.source
     if isinstance(source, scenarios.Separable):
         source = source.profile

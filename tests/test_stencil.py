@@ -201,6 +201,19 @@ def test_pattern_is_the_vertex_graph():
                                   np.arange(mesh.n_vertices))
 
 
+@pytest.mark.parametrize("boundary", ["all_dirichlet", "all_neumann",
+                                      _mixed_faces])
+def test_dirichlet_entries_are_the_entries_of_the_dirichlet_rows(boundary):
+    """`dirichlet_entries` (int32) are the CSR positions of every entry in
+    a row of `mesh.dirichlet_vertices`, in storage order."""
+    mesh = build_mesh(6, 5, boundary_spec=boundary)
+    pattern = linalg.stencil(mesh)
+    want = [k for v in mesh.dirichlet_vertices
+            for k in range(pattern.indptr[v], pattern.indptr[v + 1])]
+    assert pattern.dirichlet_entries.dtype == np.int32
+    np.testing.assert_array_equal(pattern.dirichlet_entries, want)
+
+
 def test_diagonal_slots_own_their_data():
     """A view would keep the (nv, 9) slot table of the build alive."""
     pattern = linalg.stencil(build_mesh(6, 4))
@@ -214,14 +227,16 @@ def test_slots_are_int32_and_blocked_sums_equal_one_bincount(nx, ny,
     """`slots` and `diagonal_slots` are int32, and `sum_blocks`, one block
     of two element rows at a time (the last one short when ny is odd), sums
     as one `np.bincount` over the whole mesh, bitwise; a broadcast block
-    too."""
+    too.  The pattern's `ranges` are those of `kernel_point_blocks`."""
     monkeypatch.setattr(fields, "KERNEL_BLOCK", 2 * nx + 1)
     mesh = build_mesh(nx, ny)
     pattern = linalg.stencil(mesh)
     assert pattern.slots.dtype == np.int32
     assert pattern.diagonal_slots.dtype == np.int32
     assert pattern.slots.shape == (16 * mesh.n_elements,)
-    assert pattern.block == 2 * nx
+    starts = list(range(0, mesh.n_elements, 2 * nx))
+    assert pattern.ranges == list(zip(starts, starts[1:] + [mesh.n_elements]))
+    assert pattern.ranges == [b[:2] for b in fields.kernel_point_blocks(mesh)]
     rng = np.random.default_rng(11)
     for local in (rng.standard_normal((mesh.n_elements, 4, 4)),
                   np.broadcast_to(rng.standard_normal((4, 4)),

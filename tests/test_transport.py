@@ -207,14 +207,13 @@ def test_set_velocity_keeps_the_static_operators():
     coeffs = TransportCoefficients(mesh,
                                    diffusion=lambda x, y: np.ones_like(x))
     a_none, _ = coeffs.matrices(0.1)
-    static = coeffs.mass, coeffs.k0, coeffs.dirichlet_entries
+    static = coeffs.mass, coeffs.k0
     outflux = np.ones(mesh.n_segments)
     coeffs.set_velocity(outflux)
     assert coeffs.velocity_outflux is outflux
     assert coeffs.dt is coeffs.lhs is coeffs.explicit is coeffs.factor is None
     a_new, _ = coeffs.matrices(0.1)
-    assert all(x is y for x, y in zip(static, (coeffs.mass, coeffs.k0,
-                                              coeffs.dirichlet_entries)))
+    assert all(x is y for x, y in zip(static, (coeffs.mass, coeffs.k0)))
     pattern = linalg.stencil(mesh)
     for a in (a_none, a_new):
         assert np.shares_memory(a.indices, pattern.indices)

@@ -273,9 +273,10 @@ class RunReport:
 
 
 def _write_csv(path, header, rows):
-    """Write a header and rows of strings to the file at `path`."""
+    """Write a header and rows of strings to the file at `path`, each line
+    ending in a bare newline."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 

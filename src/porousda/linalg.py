@@ -12,13 +12,14 @@ contribution stream into a canonical matrix of any shape, summing duplicate
 (row, col) entries in value-sorted order, so its result is bitwise
 independent of the stream order; it serves the tests as the reference.
 
-Both linear systems of a coarse interval go through `solve`, which wraps
-scipy's Krylov methods.  The SPD pressure block, which comes with a
-multigrid hierarchy, is solved by CG preconditioned by a symmetric V-cycle
-over that hierarchy; the nonsymmetric transport step, which comes without
-one, by Jacobi-BiCGStab.  Both stop when ||b - A x|| < max(rel_tol * ||b||,
-ABS_TOL), with rel_tol from the one `SolverConfig` of a run and the module
-constant ABS_TOL = 1e-14.  The transport step may instead solve by
+Both linear systems of a coarse interval lie on that pattern, with unit
+Dirichlet rows, and go through `solve`, which wraps scipy's Krylov methods.
+The symmetric pressure system, which comes with a multigrid hierarchy and
+whose Dirichlet columns are zero too, is solved by CG preconditioned by a
+symmetric V-cycle over that hierarchy; the nonsymmetric transport step,
+which comes without one, by Jacobi-BiCGStab.  Both stop when
+||b - A x|| < max(rel_tol * ||b||, ABS_TOL), with rel_tol from the one
+`SolverConfig` of a run and the module constant ABS_TOL = 1e-14.  The transport step may instead solve by
 a sparse LU factor that it keeps for a coarse interval
 (`transport.StepFactor`), chosen for its cost or made after a BiCGStab
 breakdown; it checks each such solve against the same tolerances and marks
@@ -129,8 +130,9 @@ class StencilPattern:
     which are exactly the vertices sharing an element with v.  `slots`
     (int32) maps every element-local entry (ne, 4, 4), rows and columns in
     element corner order, to its position in the CSR data,
-    `diagonal_slots` (int32) each row's diagonal entry and
-    `dirichlet_entries` (int32) every entry of a Dirichlet row; all are
+    `diagonal_slots` (int32) each row's diagonal entry,
+    `dirichlet_entries` (int32) every entry of a Dirichlet row and
+    `dirichlet_columns` (int32) every entry of a Dirichlet column; all are
     built from index arithmetic on the lattice, without sorting.  `ranges`
     are the element ranges of the mesh's `fields.kernel_point_blocks`.
     """
@@ -163,6 +165,8 @@ class StencilPattern:
         self.slots = position[mesh.elements[:, :, None], offset].ravel()
         self.dirichlet_entries = np.flatnonzero(np.repeat(
             mesh.is_dirichlet, np.diff(self.indptr))).astype(np.int32)
+        self.dirichlet_columns = np.flatnonzero(
+            mesh.is_dirichlet[self.indices]).astype(np.int32)
         self.ranges = [b[:2] for b in fields.kernel_point_blocks(mesh)]
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 

@@ -8,21 +8,23 @@ points the flux recovery needs, with the concentration clamped to [0, 1]
 first, so transient over/undershoots cannot push the coefficient out of its
 physical range.  It is evaluated one block of whole element rows at a
 time, and the concentration's `ElementKernel` holds the element stiffness
-and kappa at the 12 recovery points only, one (ne, 12) array.  Dirichlet
-values are imposed by row/column elimination with the symmetric
-right-hand-side correction, which keeps the free block SPD.
+and kappa at the 12 recovery points only, one (ne, 12) array.  The system
+lies on the mesh's stencil pattern (`linalg.stencil`): the Dirichlet values
+are lifted into the right-hand side, and then the Dirichlet rows become
+unit rows and the Dirichlet columns zero.  The system stays symmetric, its
+free block SPD, and its solution is zero on the Dirichlet vertices, where
+the values are written after the solve.
 
-The free block is solved by CG preconditioned by a geometric multigrid
-V-cycle (`linalg.solve` with the mesh's transfers).  The levels follow from
-the mesh: it is halved while nx and ny are both even and the coarse mesh
-keeps at least `MIN_COARSE_CELLS` cells per direction, and the coarsest
-level is solved directly.
+The system is solved by CG preconditioned by a geometric multigrid V-cycle
+(`linalg.solve` with the mesh's transfers).  The levels follow from the
+mesh: it is halved while nx and ny are both even and the coarse mesh keeps
+at least `MIN_COARSE_CELLS` cells per direction, and the coarsest level is
+solved directly.
 
 What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
-twin experiment): the multigrid transfers (`multigrid_transfers`) and the
-gathers that take the free block and the Dirichlet block from the stiffness
-(`pressure_blocks`).  kappa is evaluated at the blocks of element rows of
+twin experiment): the stencil and the multigrid transfers
+(`multigrid_transfers`).  kappa is evaluated at the blocks of element rows of
 the point set that `fields.kernel_point_blocks` owns, read-only broadcast
 views of the per-column and per-row tables behind
 `fields.quadrature(mesh).points`; a raster lookup blends the raster at
@@ -52,30 +54,37 @@ class CoefficientRangeError(ValueError):
 def multigrid_transfers(mesh):
     """2:1 bilinear prolongations between nested lattices, finest first.
 
-    Each is restricted to the free vertices of both levels (a coarse vertex
-    is free when the fine vertex under it is), with explicit zeros dropped;
-    returns a list of (P, P^T) pairs in CSR.  Every level keeps a Dirichlet
-    vertex when the mesh has one, because each Dirichlet boundary edge has an
-    endpoint on the next coarser lattice.  Built once per mesh.
+    Each is the whole-lattice prolongation without the entries of fixed rows
+    and columns (a coarse vertex is fixed when the fine vertex under it is)
+    but for the injection of each fixed coarse vertex into the fixed fine
+    vertex on it, so a Galerkin level P^T A P keeps A's unit Dirichlet rows
+    and zero Dirichlet columns, and its free block is the free blocks'
+    Galerkin product.  Returns a list of (P, P^T) pairs in CSR.  Every level
+    keeps a Dirichlet vertex when the mesh has one, because each Dirichlet
+    boundary edge has an endpoint on the next coarser lattice.  Built once
+    per mesh.
     """
     return mesh.constant("multigrid_transfers", _build_transfers)
 
 
 def _build_transfers(mesh):
     nx, ny = mesh.nx, mesh.ny
-    free = ~mesh.is_dirichlet
+    fixed = mesh.is_dirichlet
     transfers = []
     while nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) // 2 >= MIN_COARSE_CELLS:
-        coarse_free = free.reshape(ny + 1, nx + 1)[::2, ::2].ravel()
-        P = bilinear_prolongation(nx, ny, 2, 2)[free][:, coarse_free].tocsr()
+        coarse_fixed = fixed.reshape(ny + 1, nx + 1)[::2, ::2].ravel()
+        P = bilinear_prolongation(nx, ny, 2, 2)
+        row = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        # A fine vertex on a coarse one has weight 1 there and 0 elsewhere.
+        P.data *= np.where(fixed[row], P.data == 1.0, ~coarse_fixed[P.indices])
         P.eliminate_zeros()
         transfers.append((P, P.T.tocsr()))
-        free, nx, ny = coarse_free, nx // 2, ny // 2
+        fixed, nx, ny = coarse_fixed, nx // 2, ny // 2
     if not mesh.is_dirichlet.any():
         # All-Neumann: p, and every Galerkin level, is fixed only up to a
         # constant.  A last level without the first coarsest vertex keeps
         # the direct solve nonsingular.
-        n = int(free.sum())
+        n = fixed.size
         pin = sparse.eye(n, n - 1, k=-1, format="csr")
         transfers.append((pin, pin.T.tocsr()))
     return transfers
@@ -209,85 +218,46 @@ def element_kernel(problem, theta):
     return kernel
 
 
-class BlockGather:
-    """The block of a stencil-pattern matrix in the free rows and the
-    columns `cols` (a boolean mask over vertices), as a gather of the
-    matrix's CSR data at fixed positions.
-
-    The block keeps each row's entries in the pattern's column order, so it
-    equals the sliced `A[free][:, cols]` entry for entry.  Every block it
-    makes shares its read-only int32 `indices` and `indptr`.
-    """
-
-    def __init__(self, mesh, cols):
-        pattern = linalg.stencil(mesh)
-        free = ~mesh.is_dirichlet
-        row = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
-        take = free[row] & cols[pattern.indices]
-        self.positions = np.flatnonzero(take).astype(np.int32)
-        renumber = np.cumsum(cols) - 1           # vertex -> column in block
-        self.indices = renumber[pattern.indices[take]].astype(np.int32)
-        counts = np.bincount(row[take], minlength=pattern.n)[free]
-        self.indptr = np.zeros(counts.size + 1, dtype=np.int32)
-        np.cumsum(counts, out=self.indptr[1:])
-        self.shape = (counts.size, int(np.count_nonzero(cols)))
-        # scipy raises on an in-place change of a block's pattern, such as
-        # eliminate_zeros, instead of corrupting the next block.
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
-
-    def matrix(self, data):
-        """The block of the stencil matrix with CSR data `data`."""
-        return sparse.csr_matrix((data[self.positions], self.indices,
-                                  self.indptr), shape=self.shape)
-
-
-def _build_blocks(mesh):
-    return BlockGather(mesh, ~mesh.is_dirichlet), BlockGather(mesh, mesh.is_dirichlet)
-
-
-def pressure_blocks(mesh):
-    """The gathers of the free block and of the free-rows, Dirichlet-columns
-    block, built once per mesh."""
-    return mesh.constant("pressure_blocks", _build_blocks)
-
-
 def assemble_pressure(problem, theta):
-    """Assemble the free-vertex system; returns (matrix, rhs).
+    """The homogeneous system on the mesh's stencil pattern, (matrix, rhs).
 
-    The element stiffness comes from `element_kernel` and is summed into
-    the data of the mesh's stencil pattern, from which the free block and the
-    Dirichlet block are gathered (`pressure_blocks`).  Nonhomogeneous
-    Dirichlet data is lifted into the right-hand side, so the returned
-    matrix is the SPD free block and the rhs already carries the boundary
-    contribution.
+    The element stiffness (`element_kernel`) is summed into the pattern's
+    data, which becomes the matrix's.  Dirichlet data g is lifted into the
+    rhs by one product, load - A g; then, in place, A's Dirichlet rows
+    become unit rows and its Dirichlet columns zero, and the rhs is zero in
+    the Dirichlet rows.  On the free vertices this is the SPD free block and
+    the lifted load; the solution is zero on the Dirichlet vertices.
     """
     mesh = problem.mesh
     kernel = element_kernel(problem, theta)
-    data = linalg.stencil(mesh).sum_blocks(kernel.stiffness)
-    free_block, dirichlet_block = pressure_blocks(mesh)
-
-    rhs = problem.load[mesh.free_vertices]
-    if mesh.dirichlet_vertices.size:
-        p_d = problem.dirichlet_values(mesh.dirichlet_vertices)
-        rhs = rhs - dirichlet_block.matrix(data) @ p_d
-    return free_block.matrix(data), rhs
+    pattern = linalg.stencil(mesh)
+    data = pattern.sum_blocks(kernel.stiffness)
+    A = pattern.matrix(data)
+    rhs = problem.load.copy()
+    fixed = mesh.dirichlet_vertices
+    if fixed.size:
+        lift = np.zeros(mesh.n_vertices)
+        lift[fixed] = problem.dirichlet_values(fixed)
+        rhs -= A @ lift
+        rhs[fixed] = 0.0
+        data[pattern.dirichlet_entries] = 0.0
+        data[pattern.dirichlet_columns] = 0.0
+        data[pattern.diagonal_slots[fixed]] = 1.0
+    return A, rhs
 
 
 def solve_pressure(problem, theta, x0=None):
     """Solve for the pressure field; returns (NodalField, SolveReport).
 
-    Dirichlet vertices carry exactly the prescribed values.
+    CG solves `assemble_pressure`'s homogeneous system from `x0` zeroed on
+    the Dirichlet vertices, which then take exactly the prescribed values.
     """
     mesh = problem.mesh
     A, b = assemble_pressure(problem, theta)
-    free = mesh.free_vertices
-    guess = None if x0 is None else np.asarray(x0, dtype=float)[free]
+    fixed = mesh.dirichlet_vertices
+    guess = None if x0 is None else np.where(mesh.is_dirichlet, 0.0, x0)
     x, report = linalg.solve(A, b, problem.solver, x0=guess,
                              transfers=problem.transfers,
-                             constant_nullspace=not mesh.is_dirichlet.any())
-    values = np.zeros(mesh.n_vertices)
-    values[free] = x
-    fixed = mesh.dirichlet_vertices
-    if fixed.size:
-        values[fixed] = problem.dirichlet_values(fixed)
-    return NodalField(mesh, values), report
+                             constant_nullspace=not fixed.size)
+    x[fixed] = problem.dirichlet_values(fixed)
+    return NodalField(mesh, x), report

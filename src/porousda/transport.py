@@ -20,11 +20,13 @@ by `np.add.at`, in element order as one `np.bincount` would.  The CV mass is
 c_y (x) c_x, c the 1-D CV integrals of the hats (`_cv_block` per cell, the
 owner of the CV mass).  A coarse hat is the fine bilinear field of its
 column of P = p_y (x) p_x, so the CV integrals of the coarse basis, M P, are
-A_y (x) A_x with A = c p; the run keeps A_y and A_x.  The run keeps two data
-vectors, M and K0 = diffusion + reaction; with h = dt/2, advection a gives
-S0 = M + h (K0 + a) plus the Dirichlet diagonal and E0 = M - h (K0 + a).  A
-nudged run's S is S0 + h C, C its rank-n_obs coupling applied from its
-factors (`NudgingCoupling`), and its E = E0 - h C applies C with the data.
+A_y (x) A_x with A = c p; the run keeps A_y and A_x.  The run keeps one data
+vector, K0 = diffusion + reaction; with h = dt/2, advection a gives
+S0 = M + h (K0 + a) plus the Dirichlet diagonal and E0 = M - h (K0 + a),
+and M, a mesh's sum of one constant block (`cv_mass`), is summed anew into
+S0's array for each step size, not kept.  A nudged run's S is S0 + h C, C
+its rank-n_obs coupling applied from its factors (`NudgingCoupling`), and
+its E = E0 - h C applies C with the data.
 
 A run steps with one frozen velocity at a time, and every step takes the
 run's nominal size, so the run holds one slot: the segment outflux, the step
@@ -62,6 +64,9 @@ _log = logging.getLogger("porousda")
 _L, _R = SEG_LEFT_CORNER, SEG_RIGHT_CORNER
 _UPWIND_ENTRIES = np.stack([4 * _L + _L, 4 * _R + _L, 4 * _L + _R, 4 * _R + _R],
                            axis=-1).ravel()
+
+# The entries of S0 and E0 formed at a time from M and h (K0 + a).
+_CHUNK = 1 << 16
 
 # Boxes of the dissection at most this many vertices wide and tall are
 # numbered row by row.
@@ -168,11 +173,11 @@ class TransportCoefficients:
     arrays every matrix of the run shares; the run holds no index array of
     its own: the stencil's `dirichlet_entries`, zero in M, K0 and every
     advection, and `slots`, and the mesh's `dirichlet_vertices` serve every
-    run on the mesh.  `mass` and `k0` hold M and K0, each
-    summed from its element blocks one block of element rows at a time (M
-    by `StencilPattern.sum_blocks`), the coefficients evaluated at that
-    block's points; `coupling`, None unless mu > 0, is C and holds M P's
-    1-D factors (A_y, A_x) as `coupling.factors`.  A general source has
+    run on the mesh.  `k0` holds K0, summed from its element blocks one
+    block of element rows at a time, the coefficients evaluated at that
+    block's points; M is not kept (see `matrices`).  `coupling`, None
+    unless mu > 0, is C and holds M P's 1-D factors (A_y, A_x) as
+    `coupling.factors`.  A general source has
     `source_cv`, the CV integrals of values at the quadrature points as an
     (nv, 16 ne) matrix, applied on every step.  A
     `Separable` source (`separable`, found also through `functools.wraps`
@@ -223,9 +228,7 @@ class TransportCoefficients:
         blocks = kernel_point_blocks(mesh)
         # The four Gauss points of quadrant a all sit in the CV of corner a.
         phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
-        # Corner a (SW, SE, NW, NE) is x end a % 2 and y end a // 2.
         cy, cx = _cv_block(mesh.hy), _cv_block(mesh.hx)
-        mass_block = np.kron(cy, cx).ravel()
         # A separable source keeps its profile's CV integrals, the CSR
         # product of the general path done once, block by block.
         self.source_cv = self.profile_cv = None
@@ -249,8 +252,6 @@ class TransportCoefficients:
             self.coupling = NudgingCoupling(self.mu, (
                 cell_sum(cy, mesh.ny) @ self.grid.py,
                 cell_sum(cx, mesh.nx) @ self.grid.px), self.grid)
-        self.mass = stencil.sum_blocks(np.broadcast_to(
-            mass_block, (mesh.n_elements, 16)))
         # K0: the diffusive flux, -sum over CV faces of D grad(theta) . n,
         # plus the reaction.
         k0 = self.k0 = np.zeros(stencil.nnz)
@@ -267,7 +268,6 @@ class TransportCoefficients:
                     np.broadcast_to(r, x[..., :16].shape).reshape(-1, 4, 4),
                     phi_quadrant)
             np.add.at(k0, stencil.slots[16 * lo:16 * hi], k0_blocks.ravel())
-        self.mass[stencil.dirichlet_entries] = 0.0
         k0[stencil.dirichlet_entries] = 0.0
 
     def advection(self, outflux):
@@ -300,7 +300,10 @@ class TransportCoefficients:
     def matrices(self, dt):
         """(S, E0) of a step of size dt with the slot's velocity, built once
         per step size: with h = dt/2, S0 = M + h (K0 + a) plus the Dirichlet
-        diagonal, S = S0 + h C if nudged, else S0, and E0 = M - h (K0 + a)."""
+        diagonal, S = S0 + h C if nudged, else S0, and E0 = M - h (K0 + a).
+        M is summed anew (`cv_mass`) into the array that becomes S0's data,
+        and S0 and E0 are formed from it and h (K0 + a) one chunk at a
+        time, in place, so no third pattern-sized array is made."""
         if dt != self.dt:
             U = self.velocity_outflux
             if U is None:
@@ -310,10 +313,15 @@ class TransportCoefficients:
                 hk += self.k0
                 hk *= 0.5 * dt
             pattern = linalg.stencil(self.mesh)
-            lhs = self.mass + hk
+            lhs = cv_mass(self.mesh)
+            for lo in range(0, lhs.size, _CHUNK):
+                s0, e0 = lhs[lo:lo + _CHUNK], hk[lo:lo + _CHUNK]
+                mass = s0.copy()
+                s0 += e0                           # M + h (K0 + a)
+                np.subtract(mass, e0, out=e0)      # M - h (K0 + a)
             lhs[pattern.diagonal_slots[self.mesh.dirichlet_vertices]] = 1.0
             self.lhs = pattern.matrix(lhs)
-            self.explicit = pattern.matrix(np.subtract(self.mass, hk, out=hk))
+            self.explicit = pattern.matrix(hk)
             if self.coupling is not None:
                 self.lhs = linalg.CoupledOperator(self.lhs, 0.5 * dt, self.coupling)
             self.dt, self.factor = dt, None
@@ -410,6 +418,18 @@ class NudgingCoupling:
         C.data *= np.repeat(self.mu * ~self.grid.mesh.is_dirichlet, np.diff(C.indptr))
         C.eliminate_zeros()
         return C
+
+
+def cv_mass(mesh):
+    """The CV mass M on `linalg.stencil(mesh)`, Dirichlet rows zero: the
+    constant block c_y (x) c_x (corner a, SW, SE, NW, NE, is x end a % 2 and
+    y end a // 2) summed anew by `sum_blocks`, 2 ms at nx = 240."""
+    pattern = linalg.stencil(mesh)
+    mass = pattern.sum_blocks(np.broadcast_to(
+        np.kron(_cv_block(mesh.hy), _cv_block(mesh.hx)).ravel(),
+        (mesh.n_elements, 16)))
+    mass[pattern.dirichlet_entries] = 0.0
+    return mass
 
 
 def _cv_block(h):

@@ -170,6 +170,19 @@ def dense_pressure_system(mesh, kappa, source, dirichlet, theta_values):
     return A_ff, rhs, A, b
 
 
+def homogeneous_system(mesh, a_free, rhs_free):
+    """The dense full-lattice system that `pressure.assemble_pressure`
+    returns for the free-vertex system (a_free, rhs_free): the free block in
+    the free rows and columns, unit Dirichlet rows, zero Dirichlet columns
+    and a zero rhs in the Dirichlet rows."""
+    free = ~mesh.is_dirichlet
+    A = np.diag(mesh.is_dirichlet.astype(float))
+    A[np.ix_(free, free)] = a_free
+    b = np.zeros(mesh.n_vertices)
+    b[free] = rhs_free
+    return A, b
+
+
 def dense_pressure_solve(mesh, kappa, source, dirichlet, theta_values):
     """Nodal pressure values via numpy.linalg.solve on the free block."""
     A_ff, rhs, _, _ = dense_pressure_system(mesh, kappa, source, dirichlet,
@@ -862,8 +875,9 @@ def prolongation_by_assembly(nx, ny, kx, ky):
 
 def jacobi_cg_pressure(problem, theta):
     """Nodal pressure values, and the iteration count, of scipy's CG with a
-    Jacobi preconditioner on the package's free block: an oracle for the
-    package's multigrid CG that shares its assembly but not its solver."""
+    Jacobi preconditioner on the free block of the package's system: an
+    oracle for the package's multigrid CG that shares its assembly but not
+    its solver."""
     from scipy.sparse import diags
     from scipy.sparse.linalg import cg
 
@@ -871,6 +885,8 @@ def jacobi_cg_pressure(problem, theta):
 
     mesh = problem.mesh
     A, b = assemble_pressure(problem, theta)
+    free = mesh.free_vertices
+    A, b = A[free][:, free], b[free]
     count = [0]
 
     def counted(_xk):
@@ -880,7 +896,7 @@ def jacobi_cg_pressure(problem, theta):
                  M=diags(1.0 / A.diagonal()), callback=counted)
     assert info == 0, f"Jacobi-CG oracle stopped with info={info}"
     values = np.zeros(mesh.n_vertices)
-    values[mesh.free_vertices] = x
+    values[free] = x
     fixed = np.flatnonzero(mesh.is_dirichlet)
     values[fixed] = problem.dirichlet_values(fixed)
     return values, count[0]

@@ -256,8 +256,8 @@ def test_criterion_7():
                          x0=theta.values)
 
     # independent dense loop build of the same coarse step
-    a_dense, rhs_dense, _, _ = dr.dense_pressure_system(mesh, kappa, g, p_dir,
-                                                        theta.values)
+    a_dense, rhs_dense = dr.homogeneous_system(mesh, *dr.dense_pressure_system(
+        mesh, kappa, g, p_dir, theta.values)[:2])
     oracle = dr.dense_coarse_step(mesh, kappa, g, p_dir, diffusion,
                                   theta.values, 0.02, 0.0, 0.02, mu, spacing,
                                   d0, d1, reaction=reaction, source=source,

@@ -749,3 +749,26 @@ def test_validate_checks_the_partition_mu_and_policy(tmp_path, capsys, setting):
     assert main(["validate", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_the_default_size_configs_name_every_scenario():
+    """tests/smoke/defaults holds one config per built-in scenario, each
+    with only its name and an output directory of its own, and the
+    default-size check records R for each."""
+    import importlib.util
+
+    here = Path(__file__).parent / "smoke" / "defaults"
+    spec = importlib.util.spec_from_file_location(
+        "run_defaults", here / "run_defaults.py")
+    run_defaults = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_defaults)
+    names, dirs = [], set()
+    for ini in sorted(here.glob("*.ini")):
+        cfg = load_config(str(ini))
+        assert {s: dict(cfg[s]) for s in cfg.sections()} == {
+            "scenario": {"name": ini.stem}, "output": {"dir": cfg["output"]["dir"]}}
+        names.append(ini.stem)
+        dirs.add(cfg["output"]["dir"])
+    assert sorted(names) == sorted(scenarios.BUILTIN_SCENARIOS)
+    assert len(dirs) == len(names)
+    assert sorted(run_defaults.EXPECTED) == sorted(names)

@@ -214,6 +214,7 @@ def test_metrics_csv_round_trip(tmp_path, tiny_ex1):
     path = tmp_path / "metrics.csv"
     run.report.write_csv(path)
     lines = path.read_text().splitlines()
+    assert b"\r" not in path.read_bytes()
     assert lines[0] == ",".join(METRIC_COLUMNS)
     parsed = np.array([[float(v) for v in line.split(",")]
                        for line in lines[1:]])
@@ -306,6 +307,9 @@ def test_sweep_csv_format(tmp_path):
     text = (tmp_path / "sweep.csv").read_text().splitlines()
     assert text[0] == "mu,spacing,plateau_R_percent,rate,status"
     assert text[1].endswith(",ok")
+    # Each line ends in a bare newline, so `grep -c ',ok$'` counts the row.
+    assert (tmp_path / "sweep.csv").read_bytes() == (
+        b"mu,spacing,plateau_R_percent,rate,status\n1.0,0.1,2.5,-3.0,ok\n")
 
 
 def test_static_operators_built_once_per_run(monkeypatch):

@@ -9,7 +9,7 @@ from porousda.fields import NodalField, l2_diff
 from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
-from porousda.observation import SparseGrid
+from porousda.observation import SparseGrid, bilinear_prolongation
 from porousda.pressure import (CoefficientRangeError, PressureProblem,
                                assemble_pressure, element_kernel,
                                solve_pressure)
@@ -61,8 +61,8 @@ def test_heterogeneous_assembly_matches_dense_oracle():
     prob = PressureProblem(mesh, kappa=kappa, source=source,
                            dirichlet=dirichlet)
     a, rhs = assemble_pressure(prob, theta)
-    a_ref, rhs_ref, _, _ = dr.dense_pressure_system(
-        mesh, kappa, source, dirichlet, theta.values)
+    a_ref, rhs_ref = dr.homogeneous_system(mesh, *dr.dense_pressure_system(
+        mesh, kappa, source, dirichlet, theta.values)[:2])
     np.testing.assert_allclose(a.toarray(), a_ref, atol=1e-12)
     np.testing.assert_allclose(rhs, rhs_ref, atol=1e-12)
 
@@ -109,8 +109,9 @@ def test_energy_stays_below_frozen_bound():
     theta = NodalField.from_callable(mesh, lambda x, y: x * (1.0 - y))
     a, rhs = assemble_pressure(prob, theta)
     p, _ = solve_pressure(prob, theta)
-    free = p.values[mesh.free_vertices]
-    energy = float(np.sqrt(free @ (a @ free)))
+    free = mesh.free_vertices
+    p_free = p.values[free]
+    energy = float(np.sqrt(p_free @ (a[free][:, free] @ p_free)))
     from porousda.fields import l2_norm_callable
     # measured 0.183..0.186 across variants; freeze a one-sided bound
     assert energy <= 0.28 * l2_norm_callable(mesh, src)
@@ -304,35 +305,104 @@ def test_multigrid_cg_converges_on_all_neumann_meshes(nx):
                                atol=1e-9 * np.max(np.abs(p_jac)))
 
 
-@pytest.mark.parametrize("factory", [scenarios.example3, scenarios.example4])
-def test_gathered_blocks_equal_the_sliced_blocks_bitwise(factory):
-    """The free block and the Dirichlet block, gathered from the stiffness
-    data at positions built once per mesh, equal slices of the assembled
-    stiffness entry for entry, and so does the pressure they solve for."""
-    sc = factory(nx=32)
+# (factory, nx, CG iterations of the two solves of `_darcy_system`), the
+# counts measured with the free-vertex system and its free-vertex transfers.
+DARCY_MESHES = [(scenarios.example3, 48, (9, 12)),
+                (scenarios.example4, 24, (7, 7))]
+
+
+def _darcy_system(factory, nx):
+    sc = factory(nx=nx)
     mesh = sc.build_mesh()
     prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
                            dirichlet=sc.pressure_dirichlet)
-    theta = NodalField.from_callable(mesh, sc.initial)
-    a, rhs = assemble_pressure(prob, theta)
+    return mesh, prob, NodalField.from_callable(mesh, sc.initial)
 
+
+def _unit_dirichlet(A, fixed):
+    """Unit rows and zero columns at the boolean mask `fixed`."""
+    unit = np.eye(A.shape[0])[fixed]
+    return (np.array_equal(A[fixed].toarray(), unit)
+            and np.array_equal(A[:, fixed].toarray(), unit.T))
+
+
+@pytest.mark.parametrize("factory, nx, iterations", DARCY_MESHES,
+                         ids=["example3", "example4"])
+def test_pressure_system_is_the_free_system_with_unit_dirichlet_rows(
+        factory, nx, iterations):
+    """The pressure system lies on the stencil pattern: its free block and
+    the rhs in the free rows equal, bitwise, the free block of the summed
+    stiffness and the load lifted by its free-rows, Dirichlet-columns block
+    (the free-vertex system solved before); its Dirichlet rows are unit
+    rows, its Dirichlet columns zero, and its rhs zero in the Dirichlet
+    rows."""
+    mesh, prob, theta = _darcy_system(factory, nx)
+    a, rhs = assemble_pressure(prob, theta)
     pattern = linalg.stencil(mesh)
+    assert np.shares_memory(a.indices, pattern.indices)
+    assert np.shares_memory(a.indptr, pattern.indptr)
+    with pytest.raises(ValueError):
+        a.eliminate_zeros()
     stiffness = pattern.matrix(
         pattern.sum_blocks(element_kernel(prob, theta).stiffness))
-    free = mesh.free_vertices
-    fixed = np.flatnonzero(mesh.is_dirichlet)
+    free, fixed = mesh.free_vertices, mesh.dirichlet_vertices
     assert fixed.size
-    sliced = stiffness[free][:, free].tocsr()
+    got, want = a[free][:, free], stiffness[free][:, free]
     for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(a, name), getattr(sliced, name))
-    sliced_rhs = (prob.load[free]
-                  - stiffness[free][:, fixed] @ prob.dirichlet_values(fixed))
-    assert np.array_equal(rhs, sliced_rhs)
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    lifted = (prob.load[free]
+              - stiffness[free][:, fixed] @ prob.dirichlet_values(fixed))
+    assert rhs[free].tobytes() == lifted.tobytes()
+    assert not rhs[fixed].any()
+    assert _unit_dirichlet(a, mesh.is_dirichlet)
+    assert pattern.dirichlet_columns.dtype == np.int32
+    np.testing.assert_array_equal(
+        pattern.dirichlet_columns,
+        np.flatnonzero(mesh.is_dirichlet[pattern.indices]))
 
-    p, _ = solve_pressure(prob, theta)
-    x, _ = linalg.solve(sliced, sliced_rhs, prob.solver,
-                        transfers=prob.transfers)
-    assert np.array_equal(p.values[free], x)
+
+@pytest.mark.parametrize("factory, nx, iterations", DARCY_MESHES,
+                         ids=["example3", "example4"])
+def test_every_galerkin_level_keeps_unit_dirichlet_rows(factory, nx,
+                                                        iterations):
+    """Each coarse level P^T A P has unit rows and zero columns at the
+    coarse vertices on fixed fine ones, and its free block equals the
+    Galerkin product of the free blocks with the free-vertex prolongation
+    (the level solved before) value for value."""
+    mesh, prob, theta = _darcy_system(factory, nx)
+    a, _ = assemble_pressure(prob, theta)
+    fixed = mesh.is_dirichlet
+    lattice = (mesh.nx, mesh.ny)
+    assert prob.transfers
+    for P, R in prob.transfers:
+        coarse = fixed.reshape(lattice[1] + 1, lattice[0] + 1)[::2, ::2].ravel()
+        # The free-vertex prolongation, built as it was built before.
+        P_free = bilinear_prolongation(*lattice, 2, 2)[~fixed][:, ~coarse].tocsr()
+        P_free.eliminate_zeros()
+        free_product = P_free.T.tocsr() @ a[~fixed][:, ~fixed] @ P_free
+        a = (R @ a @ P).tocsr()
+        assert coarse.any() and _unit_dirichlet(a, coarse)
+        assert (a[~coarse][:, ~coarse] != free_product).nnz == 0
+        fixed, lattice = coarse, (lattice[0] // 2, lattice[1] // 2)
+
+
+@pytest.mark.parametrize("factory, nx, iterations", DARCY_MESHES,
+                         ids=["example3", "example4"])
+def test_multigrid_cg_takes_the_free_systems_iterations(factory, nx,
+                                                        iterations):
+    """Multigrid CG on the homogeneous stencil system takes, at the
+    scenario's initial concentration and then from that pressure at
+    1 - theta, the iterations it took on the free-vertex system, and the
+    Dirichlet values are exact."""
+    mesh, prob, theta = _darcy_system(factory, nx)
+    p, first = solve_pressure(prob, theta)
+    q, second = solve_pressure(prob, NodalField(mesh, 1.0 - theta.values),
+                               x0=p.values)
+    assert (first.iterations, second.iterations) == iterations
+    fixed = mesh.dirichlet_vertices
+    for field in (p, q):
+        assert np.array_equal(field.values[fixed],
+                              prob.dirichlet_values(fixed))
 
 
 # -- what one Darcy interval allocates ---------------------------------------
@@ -357,21 +427,6 @@ def test_element_kernel_pins_no_whole_point_array():
     assert _base(kernel.kappa_seg) is kernel.kappa_recovery
     for array in (kernel.kappa_recovery, kernel.stiffness):
         assert _base(array).size <= 16 * ne
-
-
-def test_pressure_blocks_share_their_pattern():
-    sc = scenarios.example3(nx=16)
-    mesh = sc.build_mesh()
-    prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
-                           dirichlet=sc.pressure_dirichlet)
-    theta = NodalField.from_callable(mesh, sc.initial)
-    a, _ = assemble_pressure(prob, theta)
-    b, _ = assemble_pressure(prob, NodalField(mesh, 0.5 * theta.values))
-    assert np.shares_memory(a.indices, b.indices)
-    assert np.shares_memory(a.indptr, b.indptr)
-    assert not a.indices.flags.writeable
-    with pytest.raises(ValueError):
-        a.eliminate_zeros()
 
 
 def test_one_darcy_interval_allocates_at_most_80_element_arrays():
@@ -426,6 +481,14 @@ def _pressure_problem(sc, mesh, grid):
                                    dirichlet=sc.pressure_dirichlet)
 
 
+def _pressure_solve(sc, mesh, grid):
+    prob = _pressure_problem(sc, mesh, grid)()
+    theta = NodalField.from_callable(mesh, sc.initial)
+    p, _ = solve_pressure(prob, theta)
+    prob.kernel = None
+    return lambda: solve_pressure(prob, theta, x0=p.values)
+
+
 def _step_matrices(sc, mesh, grid):
     coeffs = _nudged_run(sc, mesh, grid)()
     coeffs.set_velocity(np.random.default_rng(5).standard_normal(
@@ -434,23 +497,31 @@ def _step_matrices(sc, mesh, grid):
 
 
 @pytest.mark.parametrize("call, less_kept, above", [
-    (_nudged_run, False, 22), (_pressure_problem, True, 24),
-    (_step_matrices, True, 4)],
-    ids=["transport-coefficients", "pressure-problem", "step-matrices"])
+    (_nudged_run, False, 13), (_pressure_problem, True, 24),
+    (_pressure_solve, False, 57), (_step_matrices, True, 4)],
+    ids=["transport-coefficients", "pressure-problem", "pressure-solve",
+         "step-matrices"])
 def test_a_run_set_up_allocates_little_above_what_it_keeps(ex3_set_up, call,
                                                            less_kept, above):
     """The peak a call allocates above its entry, in (ne,) float arrays at
     nx = 240: the nudged run's `TransportCoefficients` whole, and less what
-    it keeps, the `PressureProblem` and one `matrices(dt)` with a velocity.
-    Scattered over the whole mesh at once, the last two were about 60 and
-    19 arrays above what they keep; one block of element rows at a time,
-    20 and 0.  Less what it keeps, the run was 69, 40, 27 (the coupling
-    joined to the pattern in int32), 10.9 (kept as its factors) and 0.17
-    (summed on the stencil's own slots); that 0.17 held only while its
-    per-run upwind slots, 16 ne int32, came after a one-block transient
-    that it then covered.  With the slots taken from the stencil, the run
-    keeps 19.1 and peaks at 21.7 above its entry, where it peaked at 27.4
-    with them, so the bound is on the peak."""
+    it keeps, the `PressureProblem` and one `matrices(dt)` with a velocity;
+    and a pressure solve whole, after a first solve on the mesh.
+    Scattered over the whole mesh at once, the problem and the matrices
+    were about 60 and 19 arrays above what they keep; one block of element
+    rows at a time, 20 and 0.  Less what it keeps, the run was 69, 40, 27
+    (the coupling joined to the pattern in int32), 10.9 (kept as its
+    factors) and 0.17 (summed on the stencil's own slots); that 0.17 held
+    only while its per-run upwind slots, 16 ne int32, came after a
+    one-block transient that it then covered.  With the slots taken from
+    the stencil, the run kept 19.1 and peaked at 21.7 above its entry, where
+    it peaked at 27.4 with them, so the bound is on the peak; with M summed
+    by `matrices` instead of kept, it keeps 10.1 and peaks at 12.7.
+    `matrices` sums M one block at a time into S0's array, 2.3 arrays above
+    what it keeps, where it was 0.03 with M kept.  The pressure solve peaks
+    at 55.9 in its multigrid set-up; on the free-vertex system, gathered
+    from the stiffness data at every solve, it peaked at 55.5, and the
+    first solve on a mesh also built the gathers, 9.9 arrays kept."""
     call = call(*ex3_set_up)
     tracemalloc.start()
     try:

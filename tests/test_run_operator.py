@@ -99,7 +99,8 @@ def test_step_matrices_match_the_sums_of_matrices(mesh_and_grid, reaction, mu):
                                    grid=grid if mu > 0.0 else None)
     outflux = np.random.default_rng(mesh.n_vertices).standard_normal(
         mesh.n_segments)
-    for got, want in zip((coeffs.mass, coeffs.k0, coeffs.advection(outflux)),
+    for got, want in zip((transport.cv_mass(mesh), coeffs.k0,
+                          coeffs.advection(outflux)),
                          dr.run_operator_by_bincount(coeffs, outflux)):
         assert got.tobytes() == want.tobytes()
     dt = 0.03
@@ -109,6 +110,31 @@ def test_step_matrices_match_the_sums_of_matrices(mesh_and_grid, reaction, mu):
         want_lhs, want_explicit = dr.step_matrices_by_sums(coeffs, velocity, dt)
         _same_step_operator(lhs, want_lhs)
         _same_step_operator(_explicit(coeffs, dt), want_explicit)
+
+
+@pytest.mark.parametrize("chunk", [1000, transport._CHUNK])
+def test_step_matrices_are_the_mass_plus_and_minus_hk_bitwise(
+        mesh_and_grid, monkeypatch, chunk):
+    """S0 and E0, formed in place one chunk at a time from M summed into
+    S0's array, equal M + h (K0 + a) with S0's Dirichlet diagonal and
+    M - h (K0 + a), each formed whole, bitwise; a chunk of 1,000 entries
+    makes chunk boundaries on every mesh."""
+    mesh, grid = mesh_and_grid
+    monkeypatch.setattr(transport, "_CHUNK", chunk)
+    coeffs = TransportCoefficients(mesh, _diffusion, reaction=_reaction,
+                                   mu=10.0, grid=grid)
+    outflux = np.random.default_rng(7).standard_normal(mesh.n_segments)
+    dt = 0.03
+    mass = transport.cv_mass(mesh)
+    for velocity in (None, outflux):
+        coeffs.set_velocity(velocity)
+        lhs, explicit = coeffs.matrices(dt)
+        hk = coeffs.k0 if velocity is None else coeffs.advection(velocity) + coeffs.k0
+        hk = hk * (0.5 * dt)
+        s0 = mass + hk
+        s0[linalg.stencil(mesh).diagonal_slots[mesh.dirichlet_vertices]] = 1.0
+        assert np.array_equal(lhs.matrix.data, s0)
+        assert np.array_equal(explicit.data, mass - hk)
 
 
 def test_cell_average_nudging_matches_the_sums_of_matrices():
@@ -362,19 +388,21 @@ def test_each_solver_path_takes_the_operator_of_the_sums(monkeypatch, case,
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_nudged_run_keeps_the_arrays_of_a_run_without_nudging(kind):
-    """No array of a nudged run grows with the coupling's entries: its
-    mass and K0 have the sizes of the mu = 0 run's, one entry per stencil
-    slot, and at set-up neither run nor its coupling holds an integer
-    array: the index arrays are the stencil's and the mesh's."""
+    """No array of a nudged run grows with the coupling's entries: K0 is
+    the one array of either run with an entry per stencil slot (M is summed
+    per step size, not kept), and at set-up neither run nor its coupling
+    holds an integer array: the index arrays are the stencil's and the
+    mesh's."""
     nx, ny, lx, ly, spec, spacing = MESHES[0]
     mesh = build_mesh(nx, ny, lx, ly, boundary_spec=spec)
     plain = TransportCoefficients(mesh, _diffusion, reaction=_reaction)
     nudged = TransportCoefficients(mesh, _diffusion, reaction=_reaction,
                                    mu=10.0,
                                    grid=SparseGrid(mesh, spacing, kind=kind))
-    for name in ("mass", "k0"):
-        assert getattr(nudged, name).shape == getattr(plain, name).shape, name
-    assert nudged.mass.size == linalg.stencil(mesh).nnz
+    nnz = linalg.stencil(mesh).nnz
+    for run in (plain, nudged):
+        assert [name for name, value in vars(run).items()
+                if isinstance(value, np.ndarray) and value.size >= nnz] == ["k0"]
     for held in (plain, nudged, nudged.coupling):
         assert not [name for name, value in vars(held).items()
                     if isinstance(value, np.ndarray)

@@ -22,7 +22,7 @@ from porousda.fields import NodalField, quadrature
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.observation import SparseGrid
 from porousda.pressure import PressureProblem, assemble_pressure, element_kernel
-from porousda.transport import TransportCoefficients
+from porousda.transport import TransportCoefficients, cv_mass
 
 REL_TOL = 1e-15
 
@@ -124,15 +124,18 @@ def test_pressure_matches_stream(case):
                            np.tile(e, (1, 4)).ravel(),
                            element_kernel(prob, theta).stiffness.ravel(),
                            (mesh.n_vertices, mesh.n_vertices))
-    free = mesh.free_vertices
-    fixed = np.flatnonzero(mesh.is_dirichlet)
-    _same_operator(a, full[free][:, free])
-    want = prob.load[free] - full[free][:, fixed] @ prob.dirichlet_values(fixed)
+    free = sparse.diags((~mesh.is_dirichlet).astype(float))
+    _same_operator(a, free @ full @ free + sparse.diags(
+        mesh.is_dirichlet.astype(float)))
+    fixed = mesh.dirichlet_vertices
+    lift = np.zeros(mesh.n_vertices)
+    lift[fixed] = prob.dirichlet_values(fixed)
+    want = free @ (prob.load - full @ lift)
     np.testing.assert_allclose(rhs, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_transport_operators_match_streams(case):
-    """The run's mass, K0 = diffusion + reaction, advection and the
+    """The CV mass, the run's K0 = diffusion + reaction, advection and the
     Dirichlet rows of S0, each as a matrix on the stencil, and the coupling C,
     mu times the nudging with its Dirichlet rows dropped, formed from its
     factors; K0 of a run without diffusion is the reaction alone, and of
@@ -145,7 +148,7 @@ def test_transport_operators_match_streams(case):
     x, y = pts[:, :, 0], pts[:, :, 1]
     nudge = (dr.nudge_by_assembly(mesh, grid)
              @ dr.functionals_by_assembly(grid)).tocsr()
-    _same_operator(pattern.matrix(coeffs.mass),
+    _same_operator(pattern.matrix(cv_mass(mesh)),
                    _cv_stream(mesh, np.ones(x.size), free))
     _same_operator(pattern.matrix(coeffs.k0),
                    _diffusion_stream(mesh, coeffs.diffusion, free)

@@ -202,18 +202,18 @@ def test_prescribed_outflux_clamps_concentration():
 
 def test_set_velocity_keeps_the_static_operators():
     """A new velocity empties the slot, step matrices and factor, and keeps
-    the run's data vectors; both velocities' matrices lie on the stencil."""
+    the run's K0; both velocities' matrices lie on the stencil."""
     mesh = build_mesh(5, 5)
     coeffs = TransportCoefficients(mesh,
                                    diffusion=lambda x, y: np.ones_like(x))
     a_none, _ = coeffs.matrices(0.1)
-    static = coeffs.mass, coeffs.k0
+    k0 = coeffs.k0
     outflux = np.ones(mesh.n_segments)
     coeffs.set_velocity(outflux)
     assert coeffs.velocity_outflux is outflux
     assert coeffs.dt is coeffs.lhs is coeffs.explicit is coeffs.factor is None
     a_new, _ = coeffs.matrices(0.1)
-    assert all(x is y for x, y in zip(static, (coeffs.mass, coeffs.k0)))
+    assert coeffs.k0 is k0
     pattern = linalg.stencil(mesh)
     for a in (a_none, a_new):
         assert np.shares_memory(a.indices, pattern.indices)

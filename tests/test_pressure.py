@@ -328,21 +328,15 @@ def _unit_dirichlet(A, fixed):
 
 @pytest.mark.parametrize("factory, nx, iterations", DARCY_MESHES,
                          ids=["example3", "example4"])
-def test_pressure_system_is_the_free_system_with_unit_dirichlet_rows(
-        factory, nx, iterations):
-    """The pressure system lies on the stencil pattern: its free block and
-    the rhs in the free rows equal, bitwise, the free block of the summed
-    stiffness and the load lifted by its free-rows, Dirichlet-columns block
-    (the free-vertex system solved before); its Dirichlet rows are unit
-    rows, its Dirichlet columns zero, and its rhs zero in the Dirichlet
-    rows."""
+def test_gathered_blocks_equal_the_sliced_blocks_bitwise(factory, nx,
+                                                         iterations):
+    """The free block of the pressure system and its rhs in the free rows
+    equal, bitwise, the free block of the summed stiffness and the load
+    lifted by its free-rows, Dirichlet-columns block: the free-vertex
+    system that was gathered from the stiffness data before."""
     mesh, prob, theta = _darcy_system(factory, nx)
     a, rhs = assemble_pressure(prob, theta)
     pattern = linalg.stencil(mesh)
-    assert np.shares_memory(a.indices, pattern.indices)
-    assert np.shares_memory(a.indptr, pattern.indptr)
-    with pytest.raises(ValueError):
-        a.eliminate_zeros()
     stiffness = pattern.matrix(
         pattern.sum_blocks(element_kernel(prob, theta).stiffness))
     free, fixed = mesh.free_vertices, mesh.dirichlet_vertices
@@ -353,12 +347,44 @@ def test_pressure_system_is_the_free_system_with_unit_dirichlet_rows(
     lifted = (prob.load[free]
               - stiffness[free][:, fixed] @ prob.dirichlet_values(fixed))
     assert rhs[free].tobytes() == lifted.tobytes()
-    assert not rhs[fixed].any()
+
+
+@pytest.mark.parametrize("factory, nx, iterations", DARCY_MESHES,
+                         ids=["example3", "example4"])
+def test_pressure_system_has_unit_dirichlet_rows_and_zero_columns(
+        factory, nx, iterations):
+    """The pressure system's Dirichlet rows are unit rows, its Dirichlet
+    columns zero, and its rhs zero in the Dirichlet rows; the stencil's
+    `dirichlet_columns` are the int32 slots of every Dirichlet column."""
+    mesh, prob, theta = _darcy_system(factory, nx)
+    a, rhs = assemble_pressure(prob, theta)
+    pattern = linalg.stencil(mesh)
+    assert mesh.dirichlet_vertices.size
+    assert not rhs[mesh.dirichlet_vertices].any()
     assert _unit_dirichlet(a, mesh.is_dirichlet)
     assert pattern.dirichlet_columns.dtype == np.int32
     np.testing.assert_array_equal(
         pattern.dirichlet_columns,
         np.flatnonzero(mesh.is_dirichlet[pattern.indices]))
+
+
+def test_pressure_blocks_share_their_pattern():
+    """Two pressure matrices of one mesh share the stencil's read-only
+    index arrays, so neither can be compacted in place."""
+    sc = scenarios.example3(nx=16)
+    mesh = sc.build_mesh()
+    prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
+                           dirichlet=sc.pressure_dirichlet)
+    theta = NodalField.from_callable(mesh, sc.initial)
+    a, _ = assemble_pressure(prob, theta)
+    b, _ = assemble_pressure(prob, NodalField(mesh, 0.5 * theta.values))
+    pattern = linalg.stencil(mesh)
+    for m in (a, b):
+        assert np.shares_memory(m.indices, pattern.indices)
+        assert np.shares_memory(m.indptr, pattern.indptr)
+    assert not a.indices.flags.writeable
+    with pytest.raises(ValueError):
+        a.eliminate_zeros()
 
 
 @pytest.mark.parametrize("factory, nx, iterations", DARCY_MESHES,

@@ -33,10 +33,12 @@ upwind advection, and the control-volume balance of the flux recovery.  A
 block scatters by `np.add.at`, which adds into a zeroed output in element
 order as one `np.bincount` over the whole mesh would, so the sums do not
 depend on the blocks; each such pass makes a few (rows, nx, k) temporaries
-instead of (ny, nx, k) ones.  Not blocked: the pressure set-up's (ne, 16)
-weighted source (`pressure.PressureProblem`, whose product with the basis,
-blocked, is not bitwise equal on every mesh), and a general transport source
-or an analytic truth, evaluated at every quadrature point on each call.
+instead of (ny, nx, k) ones.  The pressure set-up's weighted source
+(`pressure.PressureProblem`) is blocked too: its product with the basis is
+an `np.einsum`, which adds in a fixed order without BLAS, so the blocks
+give the whole array's product bitwise.  Not blocked: a general transport
+source or an analytic truth, evaluated at every quadrature point on each
+call.
 
 The L2 norm of a nodal field, or of the difference of two, is sqrt(u^T M u),
 M = m_y (x) m_x the consistent mass matrix, never formed

@@ -220,12 +220,37 @@ def _jacobi_inverse(A):
 
 def _abs_row_sums(A):
     """The absolute row sums of a CSR matrix, each row's abs(A.data) added
-    in storage order as `abs(A).sum(axis=1)` adds them, without copying
-    the matrix."""
-    rows = np.flatnonzero(np.diff(A.indptr))
+    in storage order as `abs(A).sum(axis=1)` adds them, `fields.KERNEL_BLOCK`
+    rows at a time, so only one chunk's abs(A.data) is copied at once."""
     l1 = np.zeros(A.shape[0])
-    l1[rows] = np.add.reduceat(np.abs(A.data), A.indptr[rows])
+    for lo in range(0, A.shape[0], fields.KERNEL_BLOCK):
+        ptr = A.indptr[lo:lo + fields.KERNEL_BLOCK + 1]
+        rows = np.flatnonzero(np.diff(ptr))
+        if rows.size:
+            l1[lo + rows] = np.add.reduceat(
+                np.abs(A.data[ptr[0]:ptr[-1]]), ptr[rows] - ptr[0])
     return l1
+
+
+def _galerkin_product(R, A, P):
+    """R @ A @ P as CSR.  Where R has more than `fields.KERNEL_BLOCK` rows,
+    the product is formed for that many rows of R at a time, each a CSR
+    view of R's arrays, and the blocks are stacked, so the whole R @ A is
+    never made.  A row of a sparse product depends on its own row of the
+    left factor alone, so the stacked arrays, unsorted, are the whole
+    product's bitwise."""
+    n, block = R.shape[0], fields.KERNEL_BLOCK
+    if n <= block:
+        return R @ A @ P
+    products = []
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        start, stop = R.indptr[lo], R.indptr[hi]
+        rows = sparse.csr_matrix((R.data[start:stop], R.indices[start:stop],
+                                  R.indptr[lo:hi + 1] - start),
+                                 shape=(hi - lo, R.shape[1]))
+        products.append(rows @ A @ P)
+    return sparse.vstack(products, format="csr")
 
 
 def _v_cycle(levels, coarse_solve, r, k=0):
@@ -257,8 +282,11 @@ def multigrid_cycle(A, transfers, constant_nullspace=False):
     """The V-cycle r -> z ~ A^-1 r for SPD A over nested prolongations.
 
     `transfers` lists (P, P^T) pairs from the finest level down; the coarse
-    operators are the Galerkin products P^T A P, and the coarsest one is
-    factored with SuperLU.  An empty list makes the cycle an exact solve.
+    operators are the Galerkin products P^T A P, formed a block of coarse
+    rows at a time (`_galerkin_product`), and the coarsest one is factored
+    with SuperLU.  Each level's smoother reads its l1 row sums, also summed
+    a chunk of rows at a time (`_abs_row_sums`); so the set-up keeps the
+    levels and makes no whole-level temporary beyond them.  An empty list makes the cycle an exact solve.
     A singular coarsest operator raises `RuntimeError` from SuperLU.  Row
     sums that underflow (a subnormal kappa, say) make the smoother scale
     infinite without a warning; the coarsest operator is then singular.
@@ -272,7 +300,7 @@ def multigrid_cycle(A, transfers, constant_nullspace=False):
         l1 = _abs_row_sums(A)
         with np.errstate(divide="ignore", over="ignore"):
             levels.append((A, _SMOOTH_SCALE / l1, P, R))
-        A = (R @ A @ P).tocsr()
+        A = _galerkin_product(R, A, P)
     cycle = partial(_v_cycle, levels, splu(A.tocsc()).solve)
     if constant_nullspace:
         return partial(_project_constants_out, cycle)

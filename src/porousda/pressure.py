@@ -62,7 +62,7 @@ def multigrid_transfers(mesh):
     Galerkin product.  Returns a list of (P, P^T) pairs in CSR.  Every level
     keeps a Dirichlet vertex when the mesh has one, because each Dirichlet
     boundary edge has an endpoint on the next coarser lattice.  Built once
-    per mesh.
+    per mesh; each array owns a buffer of its own size.
     """
     return mesh.constant("multigrid_transfers", _build_transfers)
 
@@ -78,6 +78,9 @@ def _build_transfers(mesh):
         # A fine vertex on a coarse one has weight 1 there and 0 elsewhere.
         P.data *= np.where(fixed[row], P.data == 1.0, ~coarse_fixed[P.indices])
         P.eliminate_zeros()
+        # eliminate_zeros leaves the data and indices views of the kron's
+        # larger buffers; the mesh keeps compact copies.
+        P.data, P.indices = P.data.copy(), P.indices.copy()
         transfers.append((P, P.T.tocsr()))
         fixed, nx, ny = coarse_fixed, nx // 2, ny // 2
     if not mesh.is_dirichlet.any():
@@ -125,14 +128,18 @@ class PressureProblem:
     `load`, its control-volume integrals into `cv_source` (nv,), and the
     source term of the flux recovery's local systems into `flux_source`
     (ne, 4), each corner quadrant's integral of g minus the element integral
-    of g times that corner's basis function.  g is evaluated one block of
-    `kernel_point_blocks` at a time into one (ne, 16) array of weighted
-    values, and each block is added into `cv_source` by `np.add.at`, point
-    by point in element order; the load is one product of that array with
-    the basis and one `np.bincount`.  `transfers` is the mesh's
-    multigrid hierarchy, shared with every other problem on the mesh.  The
-    element kernel of the latest concentration is kept for the flux recovery
-    that follows the solve (`element_kernel`)."""
+    of g times that corner's basis function.  All three are built one block
+    of `kernel_point_blocks` at a time, from that block's (rows * nx, 16)
+    weighted values of g: added into `cv_source` by `np.add.at`, point by
+    point in element order; multiplied with the basis by `np.einsum`, which
+    adds in a fixed order without BLAS, into the block's element loads,
+    added into `load` by `np.add.at` in element order as one `np.bincount`
+    over the mesh would; and summed per quadrant into `flux_source[lo:hi]`.
+    So no (ne, 16) array is made, and the result is the whole-array build's
+    bitwise.  `transfers` is the mesh's multigrid hierarchy, shared with
+    every other problem on the mesh.  The element kernel of the latest
+    concentration is kept for the flux recovery that follows the solve
+    (`element_kernel`)."""
 
     mesh: object
     kappa: object                  # callable(theta, x, y) -> permeability
@@ -149,20 +156,22 @@ class PressureProblem:
     def __post_init__(self):
         mesh = self.mesh
         quad = quadrature(mesh)
-        wg = np.empty((mesh.n_elements, 16))
+        self.load = np.zeros(mesh.n_vertices)
         self.cv_source = np.zeros(mesh.n_vertices)
+        self.flux_source = np.empty((mesh.n_elements, 4))
         for lo, hi, x, y in kernel_point_blocks(mesh):
             g = np.asarray(self.source(x[..., :16], y[..., :16]), dtype=float)
-            np.multiply(quad.weight, g, out=wg[lo:hi].reshape(x[..., :16].shape))
+            wg = np.empty((hi - lo, 16))
+            np.multiply(quad.weight, g, out=wg.reshape(x[..., :16].shape))
             np.add.at(self.cv_source,
                       mesh.elements[lo:hi, quad.owner_corner].ravel(),
-                      wg[lo:hi].ravel())
-        element_load = wg @ quad.phi                              # (ne, 4)
-        self.load = np.bincount(mesh.elements.ravel(),
-                                weights=element_load.ravel(),
-                                minlength=mesh.n_vertices)
-        self.flux_source = wg.reshape(mesh.n_elements, 4, 4).sum(axis=2)
-        self.flux_source -= element_load
+                      wg.ravel())
+            element_load = np.einsum("ek,ka->ea", wg, quad.phi)
+            np.add.at(self.load, mesh.elements[lo:hi].ravel(),
+                      element_load.ravel())
+            flux = self.flux_source[lo:hi]
+            np.sum(wg.reshape(-1, 4, 4), axis=2, out=flux)
+            flux -= element_load
         self.transfers = multigrid_transfers(mesh)
 
     def dirichlet_values(self, vids):

@@ -23,8 +23,9 @@ column of P = p_y (x) p_x, so the CV integrals of the coarse basis, M P, are
 A_y (x) A_x with A = c p; the run keeps A_y and A_x.  The run keeps one data
 vector, K0 = diffusion + reaction; with h = dt/2, advection a gives
 S0 = M + h (K0 + a) plus the Dirichlet diagonal and E0 = M - h (K0 + a),
-and M, a mesh's sum of one constant block (`cv_mass`), is summed anew into
-S0's array for each step size, not kept.  A nudged run's S is S0 + h C, C
+and M, a mesh's sum of one constant block (`cv_mass`, copied into place from
+the sums of the 1-D blocks' terms), is written anew into S0's array for
+each step size, not kept.  A nudged run's S is S0 + h C, C
 its rank-n_obs coupling applied from its factors (`NudgingCoupling`), and
 its E = E0 - h C applies C with the data.
 
@@ -301,9 +302,10 @@ class TransportCoefficients:
         """(S, E0) of a step of size dt with the slot's velocity, built once
         per step size: with h = dt/2, S0 = M + h (K0 + a) plus the Dirichlet
         diagonal, S = S0 + h C if nudged, else S0, and E0 = M - h (K0 + a).
-        M is summed anew (`cv_mass`) into the array that becomes S0's data,
+        M is written anew (`cv_mass`) into the array that becomes S0's data,
         and S0 and E0 are formed from it and h (K0 + a) one chunk at a
-        time, in place, so no third pattern-sized array is made."""
+        time, in place, through one chunk-sized copy of M, so no third
+        pattern-sized array is made."""
         if dt != self.dt:
             U = self.velocity_outflux
             if U is None:
@@ -314,9 +316,11 @@ class TransportCoefficients:
                 hk *= 0.5 * dt
             pattern = linalg.stencil(self.mesh)
             lhs = cv_mass(self.mesh)
+            buffer = np.empty(min(_CHUNK, lhs.size))   # one chunk of M
             for lo in range(0, lhs.size, _CHUNK):
                 s0, e0 = lhs[lo:lo + _CHUNK], hk[lo:lo + _CHUNK]
-                mass = s0.copy()
+                mass = buffer[:s0.size]
+                mass[:] = s0
                 s0 += e0                           # M + h (K0 + a)
                 np.subtract(mass, e0, out=e0)      # M - h (K0 + a)
             lhs[pattern.diagonal_slots[self.mesh.dirichlet_vertices]] = 1.0
@@ -421,15 +425,55 @@ class NudgingCoupling:
 
 
 def cv_mass(mesh):
-    """The CV mass M on `linalg.stencil(mesh)`, Dirichlet rows zero: the
-    constant block c_y (x) c_x (corner a, SW, SE, NW, NE, is x end a % 2 and
-    y end a // 2) summed anew by `sum_blocks`, 2 ms at nx = 240."""
+    """The CV mass M on `linalg.stencil(mesh)`, Dirichlet rows zero, as
+    `sum_blocks` of the constant block c_y (x) c_x would sum it, bitwise.
+    Entry (v, w) adds c_y[a_y, b_y] c_x[a_x, b_x] over the up to four
+    elements that hold v and w, in element order, with a_y the y end of v
+    in the element and so on (`_cv_terms`).  That sum depends only on
+    whether v is first, inner or last in its lattice row and column, so a
+    lattice row's data is its first vertex's, nx - 1 copies of an inner
+    vertex's and its last vertex's, and every inner lattice row's data is
+    the same; they are copied into place, not summed per element."""
     pattern = linalg.stencil(mesh)
-    mass = pattern.sum_blocks(np.broadcast_to(
-        np.kron(_cv_block(mesh.hy), _cv_block(mesh.hx)).ravel(),
-        (mesh.n_elements, 16)))
+    ys, xs = _cv_terms(_cv_block(mesh.hy)), _cv_terms(_cv_block(mesh.hx))
+
+    def vertex(y, x):
+        # A vertex's row: its neighbours in column order, row below first.
+        return [_sum_in_order(a * b for a in ty for b in tx)
+                for ty in y for tx in x]
+
+    def lattice_row(y):
+        first, inner, last = (vertex(y, x) for x in xs)
+        return np.concatenate([first, np.tile(inner, mesh.nx - 1), last])
+
+    first, inner, last = (lattice_row(y) for y in ys)
+    mass = np.empty(pattern.nnz)
+    mass[:first.size] = first
+    mass[first.size:-last.size].reshape(-1, inner.size)[:] = inner
+    mass[-last.size:] = last
     mass[pattern.dirichlet_entries] = 0.0
     return mass
+
+
+def _sum_in_order(terms):
+    """The sum of `terms` added one at a time from 0.0, as `np.add.at`
+    adds them into a zeroed array; the builtin `sum` of floats compensates
+    its roundoff from Python 3.12 on."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _cv_terms(c):
+    """For a lattice vertex that is first, inner or last along one axis,
+    the terms of the 1-D CV block c (`_cv_block`) it takes from each
+    neighbour at offset -1, 0 and +1 that it has, one term per cell that
+    holds both, cells in increasing order: entry (a, b) of c, a the
+    vertex's end of the cell and b the neighbour's."""
+    return ([[c[0, 0]], [c[0, 1]]],
+            [[c[1, 0]], [c[1, 1], c[0, 0]], [c[0, 1]]],
+            [[c[1, 0]], [c[1, 1]]])
 
 
 def _cv_block(h):

@@ -754,6 +754,28 @@ def cv_integrals_add_at(mesh, fn):
     return out
 
 
+def pressure_source_integrals(mesh, source):
+    """(load, cv_source, flux_source) of a `PressureProblem` with source g,
+    built from one (ne, 16) array of weighted values of g at the whole
+    quadrature point views: the load by one `np.einsum` with the basis and
+    one `np.bincount` in element order, the CV integrals by one
+    `np.bincount` point by point, and the flux source as each quadrant's
+    sum less the element load.  The form the blocked build replaced."""
+    from porousda.fields import quadrature
+
+    quad = quadrature(mesh)
+    wg = (quad.weight * np.broadcast_to(
+        np.asarray(source(quad.x, quad.y), dtype=float),
+        quad.x.shape)).reshape(-1, 16)
+    element_load = np.einsum("ek,ka->ea", wg, quad.phi)
+    load = np.bincount(mesh.elements.ravel(), weights=element_load.ravel(),
+                       minlength=mesh.n_vertices)
+    cv_source = np.bincount(mesh.elements[:, quad.owner_corner].ravel(),
+                            weights=wg.ravel(), minlength=mesh.n_vertices)
+    flux_source = wg.reshape(-1, 4, 4).sum(axis=2) - element_load
+    return load, cv_source, flux_source
+
+
 def cv_balance_by_add_at(mesh, segment_outflux, cv_source):
     """The control-volume balance residuals as two `np.add.at` calls, over
     the left and then the right corners of every segment."""

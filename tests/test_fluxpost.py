@@ -217,7 +217,8 @@ def test_recovery_matches_the_bordered_solve_of_the_dense_systems(boundary,
 
 def test_flux_source_equals_the_per_call_source_term_bitwise():
     """`flux_source` is the source term the recovery once rebuilt per call
-    from g at the quadrature points, also on a 72 x 72 mesh, where g is
+    from g at the quadrature points, its element load the `np.einsum` of
+    the weighted values with the basis, also on a 72 x 72 mesh, where g is
     evaluated in blocks of 56 and 16 element rows; `cv_source` is the
     whole-mesh `np.add.at` scatter of the same weighted values."""
     source = lambda x, y: np.sin(2.0 * x) * np.exp(y)
@@ -228,7 +229,8 @@ def test_flux_source_equals_the_per_call_source_term_bitwise():
               * np.ones(quad.x.shape)).reshape(-1, 16)
         quadrant_sums = (quad.weight * gq).reshape(mesh.n_elements, 4,
                                                    4).sum(axis=2)
-        per_call = quadrant_sums - quad.weight * gq @ quad.phi
+        per_call = quadrant_sums - np.einsum("ek,ka->ea", quad.weight * gq,
+                                             quad.phi)
         assert np.array_equal(prob.flux_source, per_call)
         cv_source = np.zeros(mesh.n_vertices)
         np.add.at(cv_source, mesh.elements[:, quad.owner_corner],

@@ -8,6 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 import dense_reference as dr
+from porousda import fields
 from porousda.fields import NodalField
 from porousda.linalg import (NoConvergenceError, SolverConfig, _abs_row_sums,
                              assemble, solve)
@@ -226,4 +227,24 @@ def test_abs_row_sums_equal_the_sums_of_abs_a_bitwise():
     dense[[0, 17, 39]] = 0.0
     A = csr_matrix(dense)
     want = np.asarray(abs(A).sum(axis=1)).ravel()
+    assert _abs_row_sums(A).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, fields.KERNEL_BLOCK])
+def test_chunked_abs_row_sums_equal_the_whole_computation_bitwise(
+        monkeypatch, block):
+    """`_abs_row_sums`, `fields.KERNEL_BLOCK` rows at a time, equals one
+    `np.add.reduceat` over the whole abs(A.data) bitwise: with chunks of 1
+    and 7 rows, chunks that begin and end on empty rows and a chunk of 7
+    empty rows (14 to 20)."""
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((100, 30)) * 10.0 ** rng.uniform(-6, 6, (100, 30))
+    dense[rng.random(dense.shape) < 0.6] = 0.0
+    dense[[0, 6, 7, 39, 99]] = 0.0
+    dense[14:21] = 0.0
+    A = csr_matrix(dense)
+    rows = np.flatnonzero(np.diff(A.indptr))
+    want = np.zeros(A.shape[0])
+    want[rows] = np.add.reduceat(np.abs(A.data), A.indptr[rows])
+    monkeypatch.setattr(fields, "KERNEL_BLOCK", block)
     assert _abs_row_sums(A).tobytes() == want.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dr
-from porousda import driver, linalg, scenarios
+from porousda import driver, fields, linalg, scenarios
 from porousda.fields import NodalField, l2_diff
 from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
@@ -12,7 +12,7 @@ from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.observation import SparseGrid, bilinear_prolongation
 from porousda.pressure import (CoefficientRangeError, PressureProblem,
                                assemble_pressure, element_kernel,
-                               solve_pressure)
+                               multigrid_transfers, solve_pressure)
 from porousda.transport import TransportCoefficients
 
 
@@ -431,6 +431,71 @@ def test_multigrid_cg_takes_the_free_systems_iterations(factory, nx,
                               prob.dirichlet_values(fixed))
 
 
+def _galerkin_case(case):
+    """(pressure matrix, transfers) of a mesh whose hierarchy is blocked:
+    example3 at nx = 240, example4 at nx = 24, 34 x 18, which halves once to
+    the odd 17 x 9, and 64 x 64 without Dirichlet vertices, which halves
+    three times and pins one coarsest vertex."""
+    if case == "example3":
+        mesh, prob, theta = _darcy_system(scenarios.example3, 240)
+    elif case == "example4":
+        mesh, prob, theta = _darcy_system(scenarios.example4, 24)
+    else:
+        mesh = (build_mesh(34, 18, 1.7, 0.9) if case == "odd" else
+                build_mesh(64, 64, boundary_spec="all_neumann"))
+        prob = PressureProblem(mesh, _hetero_kappa, _wavy_source)
+        theta = NodalField.from_callable(mesh, lambda x, y: x * (1.0 - y))
+    return assemble_pressure(prob, theta)[0], prob.transfers
+
+
+@pytest.mark.parametrize("case, block", [
+    ("example3", fields.KERNEL_BLOCK), ("example4", 50), ("odd", 50),
+    ("all-neumann", 50)])
+def test_blocked_galerkin_levels_equal_the_whole_product_bitwise(
+        monkeypatch, case, block):
+    """Every coarse level formed `fields.KERNEL_BLOCK` coarse rows at a
+    time (`linalg._galerkin_product`) has the indptr, indices and data,
+    unsorted and of the same dtypes, of the whole product R @ A @ P, and
+    every level's l1 row sums, a chunk of rows at a time, those of one
+    `np.add.reduceat` over its whole abs(A.data): at example3 nx = 240
+    with the package's block, and with blocks of 50 rows at example4
+    nx = 24, on a mesh that halves to an odd lattice and on an all-Neumann
+    mesh."""
+    A, transfers = _galerkin_case(case)
+    monkeypatch.setattr(fields, "KERNEL_BLOCK", block)
+    assert any(R.shape[0] > block for _, R in transfers)
+    for P, R in transfers:
+        rows = np.flatnonzero(np.diff(A.indptr))
+        l1 = np.zeros(A.shape[0])
+        l1[rows] = np.add.reduceat(np.abs(A.data), A.indptr[rows])
+        assert linalg._abs_row_sums(A).tobytes() == l1.tobytes()
+        got, want = linalg._galerkin_product(R, A, P), R @ A @ P
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        A = want
+
+
+@pytest.mark.parametrize("factory, nx", [(scenarios.example3, 240),
+                                         (scenarios.example4, 120)],
+                         ids=["example3", "example4"])
+def test_blocked_pressure_problem_equals_a_whole_array_build_bitwise(
+        factory, nx):
+    """The load, `cv_source` and `flux_source`, built one block of
+    `kernel_point_blocks` at a time, equal the whole-array build (one
+    (ne, 16) array of weighted source values, its `np.einsum` with the
+    basis and whole-mesh `np.bincount`s) bitwise."""
+    sc = factory(nx=nx)
+    mesh = sc.build_mesh()
+    prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
+                           dirichlet=sc.pressure_dirichlet)
+    assert len(fields.kernel_point_blocks(mesh)) > 1
+    want = dr.pressure_source_integrals(mesh, sc.pressure_source)
+    for got, array in zip((prob.load, prob.cv_source, prob.flux_source), want):
+        assert got.shape == array.shape and got.tobytes() == array.tobytes()
+
+
 # -- what one Darcy interval allocates ---------------------------------------
 
 def _base(array):
@@ -497,6 +562,17 @@ def ex3_set_up():
     return sc, mesh, grid
 
 
+def test_the_multigrid_transfers_hold_no_buffer_larger_than_they_use(
+        ex3_set_up):
+    """Each array of every (P, P^T) pair at nx = 240 owns a buffer of its
+    own size.  `eliminate_zeros` left P's data and indices views of the
+    kron's buffers, 1.86 MB holding 1.02 MB of data at the finest level."""
+    for pair in multigrid_transfers(ex3_set_up[1]):
+        for matrix in pair:
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                assert _base(array).nbytes == array.nbytes
+
+
 def _nudged_run(sc, mesh, grid):
     return lambda: TransportCoefficients(mesh, sc.diffusion, mu=sc.mu,
                                          grid=grid)
@@ -523,8 +599,8 @@ def _step_matrices(sc, mesh, grid):
 
 
 @pytest.mark.parametrize("call, less_kept, above", [
-    (_nudged_run, False, 13), (_pressure_problem, True, 24),
-    (_pressure_solve, False, 57), (_step_matrices, True, 4)],
+    (_nudged_run, False, 13), (_pressure_problem, True, 8),
+    (_pressure_solve, False, 54), (_step_matrices, True, 2)],
     ids=["transport-coefficients", "pressure-problem", "pressure-solve",
          "step-matrices"])
 def test_a_run_set_up_allocates_little_above_what_it_keeps(ex3_set_up, call,
@@ -543,11 +619,17 @@ def test_a_run_set_up_allocates_little_above_what_it_keeps(ex3_set_up, call,
     the stencil, the run kept 19.1 and peaked at 21.7 above its entry, where
     it peaked at 27.4 with them, so the bound is on the peak; with M summed
     by `matrices` instead of kept, it keeps 10.1 and peaks at 12.7.
-    `matrices` sums M one block at a time into S0's array, 2.3 arrays above
-    what it keeps, where it was 0.03 with M kept.  The pressure solve peaks
-    at 55.9 in its multigrid set-up; on the free-vertex system, gathered
-    from the stiffness data at every solve, it peaked at 55.5, and the
-    first solve on a mesh also built the gathers, 9.9 arrays kept."""
+    `matrices` held 2.3 arrays above what it keeps, where it was 0.03 with
+    M kept: two chunk copies of M were alive at a chunk's turn; with one
+    chunk buffer, and M copied into place from its 1-D factors, 1.2.  The
+    problem was 20.1 above what it keeps while it filled one (ne, 16)
+    array of weighted source values, and is 7.2 built one block at a time.
+    The pressure solve peaks in its multigrid set-up: at 55.5 on the
+    free-vertex system, gathered from the stiffness data at every solve
+    (the first solve on a mesh also built the gathers, 9.9 arrays kept),
+    at 55.9 on the stencil system with the whole R @ A formed at each
+    level and abs(A.data) copied whole, and at 52.9 with both formed a
+    block of rows at a time."""
     call = call(*ex3_set_up)
     tracemalloc.start()
     try:

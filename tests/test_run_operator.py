@@ -137,6 +137,24 @@ def test_step_matrices_are_the_mass_plus_and_minus_hk_bitwise(
         assert np.array_equal(explicit.data, mass - hk)
 
 
+@pytest.mark.parametrize("nx, ny, spec", [
+    (1, 1, "all_dirichlet"), (1, 3, "all_dirichlet"), (3, 1, "all_neumann"),
+    (7, 5, "all_dirichlet"), (12, 8, "all_neumann"), (240, 240, "all_neumann")])
+def test_cv_mass_from_its_1d_terms_equals_the_summed_block_bitwise(nx, ny,
+                                                                   spec):
+    """`cv_mass`, copied into place from the 1-D blocks' terms, equals
+    `sum_blocks` of the constant block c_y (x) c_x over every element, with
+    the Dirichlet rows zeroed, bitwise: on meshes one element wide or tall,
+    stretched and all-Neumann, and at nx = 240."""
+    mesh = build_mesh(nx, ny, 1.3, 0.7, boundary_spec=spec)
+    pattern = linalg.stencil(mesh)
+    want = pattern.sum_blocks(np.broadcast_to(np.kron(
+        transport._cv_block(mesh.hy), transport._cv_block(mesh.hx)).ravel(),
+        (mesh.n_elements, 16)))
+    want[pattern.dirichlet_entries] = 0.0
+    assert transport.cv_mass(mesh).tobytes() == want.tobytes()
+
+
 def test_cell_average_nudging_matches_the_sums_of_matrices():
     """Average functionals couple each CV to whole coarse cells, not to
     lattice points: another coupling to apply from its factors."""

@@ -285,11 +285,12 @@ def multigrid_cycle(A, transfers, constant_nullspace=False):
     operators are the Galerkin products P^T A P, formed a block of coarse
     rows at a time (`_galerkin_product`), and the coarsest one is factored
     with SuperLU.  Each level's smoother reads its l1 row sums, also summed
-    a chunk of rows at a time (`_abs_row_sums`); so the set-up keeps the
-    levels and makes no whole-level temporary beyond them.  An empty list makes the cycle an exact solve.
-    A singular coarsest operator raises `RuntimeError` from SuperLU.  Row
-    sums that underflow (a subnormal kappa, say) make the smoother scale
-    infinite without a warning; the coarsest operator is then singular.
+    a chunk of rows at a time (`_abs_row_sums`), so the set-up makes no
+    whole P^T A and no whole copy of abs(A.data).  An empty list makes the
+    cycle an exact solve.  A singular coarsest operator raises
+    `RuntimeError` from SuperLU.  Row sums that underflow (a subnormal
+    kappa, say) make the smoother scale infinite without a warning; the
+    coarsest operator is then singular.
     When A is only semidefinite with the constants as its null space
     (`constant_nullspace`), constants are projected out of the cycle's input
     and output; otherwise the cycle feeds constant components into the

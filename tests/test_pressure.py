@@ -528,7 +528,7 @@ def test_one_darcy_interval_allocates_at_most_80_element_arrays():
     108 arrays, at nx = 120 as at 240, when the kernel kept kappa at all 28
     points and the recovery made its temporaries whole, and 72 (56 at
     nx = 240) with the raster's values kept at the kernel points; it is 69
-    now (56 at nx = 240)."""
+    now (55 at nx = 240, 56 before the multigrid set-up was blocked)."""
     sc = scenarios.example3(nx=120)
     mesh = sc.build_mesh()
     prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,

@@ -29,14 +29,16 @@ the whole mesh runs one block at a time: kappa (with a raster's lookup,
 which keeps no values at the blocks), the pressure source and its
 control-volume integrals, the stiffness's sum into the stencil pattern
 (`linalg.StencilPattern.sum_blocks`), the transport run's operator and its
-upwind advection, and the control-volume balance of the flux recovery.  A
+upwind advection, and the flux recovery's stiffness action and
+control-volume balance.  A
 block scatters by `np.add.at`, which adds into a zeroed output in element
 order as one `np.bincount` over the whole mesh would, so the sums do not
 depend on the blocks; each such pass makes a few (rows, nx, k) temporaries
 instead of (ny, nx, k) ones.  The pressure set-up's weighted source
 (`pressure.PressureProblem`) is blocked too: its product with the basis is
-an `np.einsum`, which adds in a fixed order without BLAS, so the blocks
-give the whole array's product bitwise.  Not blocked: a general transport
+an `np.einsum`, which calls no BLAS, and the blocks' products equal the
+whole array's bitwise in the tests, for the block layouts used (numpy does
+not promise einsum's summation order).  Not blocked: a general transport
 source or an analytic truth, evaluated at every quadrature point on each
 call.
 

@@ -38,11 +38,16 @@ identity cancels term by term instead of up to quadrature error.  Boundary
 handling: zero normal flux is imposed on Neumann edges, the one-sided trace
 is used on Dirichlet edges.
 
-The recovery builds no global matrix.  kappa at every point it needs and the
-element stiffness come from `pressure.element_kernel`, which the pressure
-assembly has just filled for the same concentration; the source term of r
-is the problem's run constant `flux_source`.  r and the flows are computed
-in place, in preallocated (ne, 4) arrays filled column by column, and each
+The recovery builds no global matrix.  The element stiffness comes from
+`pressure.element_kernel`, which the pressure assembly has just filled for
+the same concentration; the source term of r is the problem's run constant
+`flux_source`.  kappa at the 8 edge quarter points and 4 sub-segment
+midpoints is evaluated here a block of element rows at a time
+(`pressure.kappa_blocks`); the edge values scale the edge fluxes in place
+and only the (ne, 4) midpoint values are kept.  The stiffness action adds
+each row's products in the fixed order (b0 + b2) + (b1 + b3), the whole
+`np.einsum`'s with numpy 2.4 on x86-64.  r and the flows are computed in
+place, in preallocated (ne, 4) arrays filled column by column, and each
 temporary is dropped once read.  The control-volume balances add the
 segment outfluxes per vertex in segment order, one block of element rows
 at a time (`fields.kernel_point_blocks`).
@@ -55,7 +60,8 @@ import numpy as np
 from .fields import DGField, basis_gradients, kernel_point_blocks
 from .mesh import (EDGE_QP_AXIS, EDGE_QP_LOCAL, NEUMANN, SEG_LEFT_CORNER,
                    SEG_RIGHT_CORNER)
-from .pressure import element_kernel
+from .pressure import (BLOCK_ENTRIES, RECOVERY_POINTS, element_kernel,
+                       kappa_blocks)
 
 
 class LocalSolveError(RuntimeError):
@@ -179,10 +185,10 @@ def cv_balance_residuals(mesh, segment_outflux, cv_source):
     return res
 
 
-def _local_rhs(problem, kernel, pressure):
+def _local_rhs(problem, kernel, pressure, theta):
     """The right-hand side r (ne, 4) of every element's local system, built
-    in place one corner column at a time, and the sum (ne,) of the
-    pressure's corner values."""
+    in place one corner column at a time, the sum (ne,) of the pressure's
+    corner values and kappa (ne, 4) at the sub-segment midpoints."""
     mesh = problem.mesh
     p_c = pressure.corner_values()                                  # (ne, 4)
 
@@ -192,7 +198,10 @@ def _local_rhs(problem, kernel, pressure):
     dphi_axis = np.take_along_axis(
         dphi_edge, EDGE_QP_AXIS[:, None, None], axis=2)[:, :, 0]    # (8, 4)
     w_one = p_c @ dphi_axis.T
-    w_one *= kernel.kappa_edge
+    kappa_seg = np.empty((mesh.n_elements, 4))
+    for lo, hi, k in kappa_blocks(problem, theta, RECOVERY_POINTS):
+        w_one[lo:hi] *= k[:, :8]
+        kappa_seg[lo:hi] = k[:, 8:]
     avg_y, avg_x = _edge_averaged_flux(mesh, w_one)
     del w_one
 
@@ -216,26 +225,28 @@ def _local_rhs(problem, kernel, pressure):
         dy *= cy
         np.add(dx, dy, out=r_grid[..., corner])
 
-    # The source term is a run constant; the stiffness action is one einsum.
+    # The source term is a run constant; the stiffness action goes by blocks.
     r += problem.flux_source
-    r += np.einsum("eab,eb->ea", kernel.stiffness, p_c)
-    return r, p_c.sum(axis=1)
+    for lo, hi, _, _ in kernel_point_blocks(mesh):
+        t = kernel.stiffness[lo:hi, BLOCK_ENTRIES] * p_c[lo:hi, None, :]
+        r[lo:hi] += (t[..., 0] + t[..., 2]) + (t[..., 1] + t[..., 3])
+    return r, p_c.sum(axis=1), kappa_seg
 
 
 def postprocess_flux(problem, pressure, theta):
     """Recover the locally conservative flux from a pressure solution.
 
-    kappa and the element stiffness come from `pressure.element_kernel`, so a
-    recovery that follows the solve at the same concentration evaluates
-    neither again.  Returns a ConservativeFlux whose per-CV balance residual
-    is at roundoff level for every non-Dirichlet vertex.
+    The element stiffness comes from `pressure.element_kernel`, so a
+    recovery that follows the solve at the same concentration does not
+    build it again.  Returns a ConservativeFlux whose per-CV balance
+    residual is at roundoff level for every non-Dirichlet vertex.
     """
     mesh = problem.mesh
     kernel = element_kernel(problem, theta)
-    r, p_sum = _local_rhs(problem, kernel, pressure)
+    r, p_sum, kappa_seg = _local_rhs(problem, kernel, pressure, theta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        flows, psi = _loop_flows(mesh, kernel.kappa_seg, r, p_sum)
-    del r, p_sum
+        flows, psi = _loop_flows(mesh, kappa_seg, r, p_sum)
+    del r, p_sum, kappa_seg
     if not np.isfinite(psi).all():
         raise LocalSolveError(np.argmin(np.isfinite(psi).all(axis=1)))
 

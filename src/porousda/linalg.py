@@ -177,16 +177,19 @@ class StencilPattern:
         return sparse.csr_matrix((data, self.indices, self.indptr),
                                  shape=(self.n, self.n))
 
-    def sum_blocks(self, local):
+    def sum_blocks(self, local, entries=None):
         """Element-local blocks (ne, 4, 4) summed into the pattern's data,
         each entry's contributions added in element order: one block of
         element rows at a time by `np.add.at`, which adds as one
         `np.bincount` over the whole mesh would, without casting all the
-        int32 slots to intp at once."""
-        local = np.reshape(local, (-1, 16))
+        int32 slots to intp at once.  With `entries` (4, 4), `local` is
+        (ne, k) and its column entries[a, b] holds entry (a, b)."""
+        local = np.reshape(local, (len(self.slots) // 16, -1))
+        entries = np.arange(16) if entries is None else np.ravel(entries)
         data = np.zeros(self.nnz)
         for lo, hi in self.ranges:
-            np.add.at(data, self.slots[16 * lo:16 * hi], local[lo:hi].ravel())
+            np.add.at(data, self.slots[16 * lo:16 * hi],
+                      local[lo:hi, entries].ravel())
         return data
 
 

@@ -1,14 +1,13 @@
 """Bilinear FEM for the elliptic pressure equation.
 
 The pressure solve -div(kappa(theta) grad p) = g uses continuous bilinears on
-the primal mesh.  The mobility-weighted permeability kappa is evaluated once
-per concentration, at all 28 points per element of the mesh's one point set
-(`fields.POINT_LOCAL`): the quadrature points and the edge and sub-segment
-points the flux recovery needs, with the concentration clamped to [0, 1]
-first, so transient over/undershoots cannot push the coefficient out of its
-physical range.  It is evaluated one block of whole element rows at a
-time, and the concentration's `ElementKernel` holds the element stiffness
-and kappa at the 12 recovery points only, one (ne, 12) array.  The system
+the primal mesh.  The mobility-weighted permeability kappa is evaluated by
+`kappa_blocks`, one block of whole element rows at a time, with the
+concentration clamped to [0, 1] first, so transient over/undershoots cannot
+push the coefficient out of its physical range: here at the 16 quadrature
+points, and by the flux recovery at its other 12 points.  The
+concentration's `ElementKernel` holds only the element stiffness, each
+symmetric block by its 10 distinct entries, one (ne, 10) array.  The system
 lies on the mesh's stencil pattern (`linalg.stencil`): the Dirichlet values
 are lifted into the right-hand side, and then the Dirichlet rows become
 unit rows and the Dirichlet columns zero.  The system stays symmetric, its
@@ -93,32 +92,53 @@ def _build_transfers(mesh):
     return transfers
 
 
-# The basis at the 28 points of the element point set.
+# The basis at the 28 points of the element point set (`POINT_LOCAL`), and
+# the columns where the stiffness and the flux recovery read kappa.
 _KERNEL_PHI = basis_values(POINT_LOCAL[:, 0], POINT_LOCAL[:, 1])
+QUADRATURE_POINTS, RECOVERY_POINTS = slice(0, 16), slice(16, 28)
+
+# A symmetric element block is kept by its 10 upper-triangle entries, row by
+# row; BLOCK_ENTRIES[a, b] is the column that holds entry (a, b).
+_UPPER = np.triu_indices(4)
+BLOCK_ENTRIES = np.empty((4, 4), dtype=np.intp)
+BLOCK_ENTRIES[_UPPER] = BLOCK_ENTRIES[_UPPER[::-1]] = np.arange(10)
+
+
+def kappa_blocks(problem, theta, points):
+    """Yields (lo, hi, kappa) for each block of `kernel_point_blocks`:
+    kappa (hi - lo, k) at the columns `points` of the point set, at the
+    block's own corner values of theta, interpolated and clamped to [0, 1].
+    A value that is not positive and finite raises CoefficientRangeError."""
+    mesh = problem.mesh
+    phi = _KERNEL_PHI[points].T
+    for lo, hi, x, y in kernel_point_blocks(mesh):
+        x, y = x[..., points], y[..., points]
+        th = (theta.values[mesh.elements[lo:hi]] @ phi).reshape(x.shape)
+        np.clip(th, 0.0, 1.0, out=th)
+        # An overflow or a NaN in kappa is reported by the range check
+        # below, not as a floating-point warning.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            k = np.asarray(problem.kappa(th, x, y), dtype=float)
+        # A kappa that broadcasts, a constant say, is made whole, so every
+        # block is read in one layout.
+        if k.shape != th.shape or not k.flags.c_contiguous:
+            k = np.broadcast_to(k, th.shape).copy()
+        k = k.reshape(hi - lo, -1)
+        bad = ~(np.isfinite(k) & (k > 0.0))
+        if np.any(bad):
+            raise CoefficientRangeError(
+                f"kappa must be positive and finite, found {float(k[bad][0])}")
+        yield lo, hi, k
 
 
 @dataclass
 class ElementKernel:
-    """The per-element coefficient data of one pressure solve and its flux
-    recovery, for one concentration: the element stiffness matrices (from
-    kappa at the 16 quadrature points), and kappa at the 12 recovery points
-    only, one (ne, 12) array whose column blocks are the 8 edge quarter
-    points (`kappa_edge`) and the 4 sub-segment midpoints (`kappa_seg`).
-    kappa at the quadrature points is not kept."""
+    """The element stiffness matrices of one concentration, each kept by
+    its 10 distinct entries (`BLOCK_ENTRIES`).  No kappa is kept; the flux
+    recovery evaluates its own (`kappa_blocks`)."""
 
     theta: np.ndarray             # nodal concentration it was built from
-    kappa_recovery: np.ndarray    # (ne, 12), at POINT_LOCAL[16:]
-    stiffness: np.ndarray         # (ne, 4, 4)
-
-    @property
-    def kappa_edge(self):
-        """(ne, 8), at mesh.EDGE_QP_LOCAL."""
-        return self.kappa_recovery[:, :8]
-
-    @property
-    def kappa_seg(self):
-        """(ne, 4), at mesh.SEG_LOCAL_MID."""
-        return self.kappa_recovery[:, 8:]
+    stiffness: np.ndarray         # (ne, 10)
 
 
 @dataclass
@@ -132,14 +152,14 @@ class PressureProblem:
     of `kernel_point_blocks` at a time, from that block's (rows * nx, 16)
     weighted values of g: added into `cv_source` by `np.add.at`, point by
     point in element order; multiplied with the basis by `np.einsum`, which
-    adds in a fixed order without BLAS, into the block's element loads,
-    added into `load` by `np.add.at` in element order as one `np.bincount`
-    over the mesh would; and summed per quadrant into `flux_source[lo:hi]`.
-    So no (ne, 16) array is made, and the result is the whole-array build's
-    bitwise.  `transfers` is the mesh's multigrid hierarchy, shared with
-    every other problem on the mesh.  The element kernel of the latest
-    concentration is kept for the flux recovery that follows the solve
-    (`element_kernel`)."""
+    calls no BLAS, into the block's element loads, added into `load` by
+    `np.add.at` in element order as one `np.bincount` over the mesh would;
+    and summed per quadrant into `flux_source[lo:hi]`.  So no (ne, 16)
+    array is made; the blocks' products equal the whole array's einsum
+    bitwise in the tests (numpy does not promise its summation order).
+    `transfers` is the mesh's multigrid hierarchy, shared with every other
+    problem on the mesh.  The stiffness of the latest concentration is kept
+    for the flux recovery that follows the solve (`element_kernel`)."""
 
     mesh: object
     kappa: object                  # callable(theta, x, y) -> permeability
@@ -184,45 +204,23 @@ class PressureProblem:
 def element_kernel(problem, theta):
     """The ElementKernel of `problem` at concentration `theta`.
 
-    kappa is evaluated at the mesh's point set (all 28 points per element),
-    one block of `kernel_point_blocks` at a time, with the concentration
-    clamped to [0, 1] first and shaped like the block's points, and kappa
-    reshaped to one row per element.  Each block must be positive and
-    finite at every point before its quadrature columns enter the block's
-    stiffness rows; its recovery columns are kept, the rest is dropped with
-    the block.  The kernel is kept on the problem, so the flux recovery at
-    the same concentration reuses it.
+    Each block's whole stiffness is one product of kappa at its quadrature
+    points with the basis gradients, of which the upper triangle is kept;
+    the blocks are symmetric bitwise.  The kernel is kept on the problem,
+    so the flux recovery at the same concentration reuses it.
     """
     kernel = problem.kernel
     if kernel is not None and np.array_equal(kernel.theta, theta.values):
         return kernel
     mesh = problem.mesh
     quad = quadrature(mesh)
-    corners = theta.corner_values()
     grad_dot = np.einsum("pad,pbd->pab", quad.dphi, quad.dphi).reshape(16, 16)
-    stiffness = np.empty((mesh.n_elements, 16))
-    kappa_recovery = np.empty((mesh.n_elements, 12))
-    for lo, hi, x, y in kernel_point_blocks(mesh):
-        th = (corners[lo:hi] @ _KERNEL_PHI.T).reshape(x.shape)
-        np.clip(th, 0.0, 1.0, out=th)
-        # An overflow or a NaN in kappa is reported by the range check
-        # below, not as a floating-point warning.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            k = np.asarray(problem.kappa(th, x, y), dtype=float)
-        # A kappa that broadcasts, a constant say, is made whole, so the
-        # stiffness product reads every block in one layout.
-        if k.shape != th.shape or not k.flags.c_contiguous:
-            k = np.broadcast_to(k, th.shape).copy()
-        k = k.reshape(-1, len(POINT_LOCAL))
-        bad = ~(np.isfinite(k) & (k > 0.0))
-        if np.any(bad):
-            raise CoefficientRangeError(
-                f"kappa must be positive and finite, found {float(k[bad][0])}")
-        np.matmul(k[:, :16], grad_dot, out=stiffness[lo:hi])
+    upper = np.ravel_multi_index(_UPPER, (4, 4))
+    stiffness = np.empty((mesh.n_elements, 10))
+    for lo, hi, k in kappa_blocks(problem, theta, QUADRATURE_POINTS):
+        np.take(k @ grad_dot, upper, axis=1, out=stiffness[lo:hi])
         stiffness[lo:hi] *= quad.weight
-        kappa_recovery[lo:hi] = k[:, 16:]
-    kernel = ElementKernel(theta.values.copy(), kappa_recovery,
-                           stiffness.reshape(-1, 4, 4))
+    kernel = ElementKernel(theta.values.copy(), stiffness)
     problem.kernel = kernel
     return kernel
 
@@ -231,16 +229,17 @@ def assemble_pressure(problem, theta):
     """The homogeneous system on the mesh's stencil pattern, (matrix, rhs).
 
     The element stiffness (`element_kernel`) is summed into the pattern's
-    data, which becomes the matrix's.  Dirichlet data g is lifted into the
-    rhs by one product, load - A g; then, in place, A's Dirichlet rows
-    become unit rows and its Dirichlet columns zero, and the rhs is zero in
-    the Dirichlet rows.  On the free vertices this is the SPD free block and
-    the lifted load; the solution is zero on the Dirichlet vertices.
+    data, expanded to whole blocks a block of rows at a time, and becomes
+    the matrix's.  Dirichlet data g is lifted into the rhs by one product,
+    load - A g; then, in place, A's Dirichlet rows become unit rows and its
+    Dirichlet columns zero, and the rhs is zero in the Dirichlet rows.  On
+    the free vertices this is the SPD free block and the lifted load; the
+    solution is zero on the Dirichlet vertices.
     """
     mesh = problem.mesh
     kernel = element_kernel(problem, theta)
     pattern = linalg.stencil(mesh)
-    data = pattern.sum_blocks(kernel.stiffness)
+    data = pattern.sum_blocks(kernel.stiffness, BLOCK_ENTRIES)
     A = pattern.matrix(data)
     rhs = problem.load.copy()
     fixed = mesh.dirichlet_vertices

@@ -672,14 +672,31 @@ def field_gradient(field, points):
                for c in range(4))
 
 
+def full_stiffness(stiffness):
+    """The whole element blocks (ne, 4, 4) of an `ElementKernel`'s
+    stiffness, kept by its 10 distinct entries (ne, 10)."""
+    from porousda.pressure import BLOCK_ENTRIES
+
+    return stiffness[:, BLOCK_ENTRIES]
+
+
+def recovery_kappa(problem, theta):
+    """kappa (ne, 12) at the flux recovery's points, the 8 edge quarter
+    points and then the 4 sub-segment midpoints, as the recovery evaluates
+    it block by block (`pressure.kappa_blocks`)."""
+    from porousda.pressure import RECOVERY_POINTS, kappa_blocks
+
+    return np.concatenate([k for _, _, k in kappa_blocks(
+        problem, theta, RECOVERY_POINTS)])
+
+
 def raw_pressure_residuals(problem, pressure, theta):
     """CV balance residuals of the unprocessed FEM pressure flux, for
     contrast with the recovered one (typically O(h), not zero)."""
     from porousda.flux_postprocess import cv_balance_residuals
-    from porousda.pressure import element_kernel
 
     mesh = problem.mesh
-    kappa_seg = element_kernel(problem, theta).kappa_seg
+    kappa_seg = recovery_kappa(problem, theta)[:, 8:]
     outflux = segment_outflux_from(mesh, kappa_seg, pressure.corner_values())
     return cv_balance_residuals(mesh, outflux, problem.cv_source)
 

@@ -10,7 +10,7 @@ from porousda import scenarios
 from porousda.flux_postprocess import (LocalSolveError, _loop_flows,
                                        cv_balance_residuals, postprocess_flux)
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
-from porousda.pressure import PressureProblem, element_kernel, solve_pressure
+from porousda.pressure import PressureProblem, solve_pressure
 
 ONES = lambda th, x, y: np.ones_like(x)
 ZERO = lambda x, y: np.zeros_like(x)
@@ -208,7 +208,7 @@ def test_recovery_matches_the_bordered_solve_of_the_dense_systems(boundary,
 
     _, rhs, _ = dr.dense_flux_systems(mesh, kappa, source, p.values,
                                       theta.values)
-    kappa_seg = element_kernel(prob, theta).kappa_seg
+    kappa_seg = dr.recovery_kappa(prob, theta)[:, 8:]
     psi_ref, flows_ref = dr.bordered_flux_solve(mesh, kappa_seg, rhs,
                                                 p.corner_values())
     assert _relative_gap(flux.potential.values, psi_ref) <= 1e-12

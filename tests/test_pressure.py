@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import dense_reference as dr
-from porousda import driver, fields, linalg, scenarios
+from porousda import driver, fields, linalg, scenarios, transport
 from porousda.fields import NodalField, l2_diff
 from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
@@ -139,17 +140,40 @@ def test_nonpositive_kappa_rejected():
             assemble_pressure(problem, theta)
 
 
-def test_kappa_range_checked_at_flux_recovery_points():
-    """kappa vanishing only on the bottom boundary edge is caught: the check
-    covers the edge quarter points, not just the quadrature points."""
+def test_kappa_range_checked_at_flux_recovery_points(monkeypatch):
+    """kappa vanishing only on the bottom boundary edge is caught: the
+    recovery checks its edge quarter points, where the pressure assembly,
+    which reads the quadrature points only, does not look.  On the driver's
+    path, the flux recovery of interval 1 raises after its pressure solve
+    and before any transport step."""
+    def edge_zero(th, x, y):
+        return np.where(y == 0.0, 0.0, 1.0)
+
     mesh = build_mesh(3, 3)
     theta = NodalField.zeros(mesh)
-    edge_zero = PressureProblem(mesh, kappa=lambda th, x, y: np.where(y == 0.0, 0.0, 1.0),
-                                source=lambda x, y: 0.0 * x)
+    problem = PressureProblem(mesh, kappa=edge_zero,
+                              source=lambda x, y: 0.0 * x)
     with pytest.raises(CoefficientRangeError):
-        assemble_pressure(edge_zero, theta)
+        postprocess_flux(problem, NodalField.zeros(mesh), theta)
+
+    calls = {"solves": 0, "steps": 0}
+    solve = driver.solve_pressure
+
+    def counted_solve(*args, **kwargs):
+        calls["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def no_step(*args, **kwargs):
+        calls["steps"] += 1
+        raise AssertionError("a transport step ran")
+
+    monkeypatch.setattr(driver, "solve_pressure", counted_solve)
+    monkeypatch.setattr(transport, "step", no_step)
+    sc = scenarios.example3(nx=30).with_overrides(kappa=edge_zero)
     with pytest.raises(CoefficientRangeError):
-        postprocess_flux(edge_zero, NodalField.zeros(mesh), theta)
+        driver.run_reference(sc, driver.TimePartition.from_scenario(sc),
+                             sc.build_mesh())
+    assert calls == {"solves": 1, "steps": 0}
 
 
 def test_theta_clamped_before_kappa():
@@ -338,7 +362,8 @@ def test_gathered_blocks_equal_the_sliced_blocks_bitwise(factory, nx,
     a, rhs = assemble_pressure(prob, theta)
     pattern = linalg.stencil(mesh)
     stiffness = pattern.matrix(
-        pattern.sum_blocks(element_kernel(prob, theta).stiffness))
+        pattern.sum_blocks(dr.full_stiffness(
+            element_kernel(prob, theta).stiffness)))
     free, fixed = mesh.free_vertices, mesh.dirichlet_vertices
     assert fixed.size
     got, want = a[free][:, free], stiffness[free][:, free]
@@ -505,31 +530,34 @@ def _base(array):
 
 
 def test_element_kernel_pins_no_whole_point_array():
-    """The kernel keeps the stiffness and kappa at the 12 recovery points;
-    kappa at all 28 points per element lives one block at a time."""
+    """The kernel keeps the theta it was built from and the stiffness by
+    its 10 distinct entries per element, 11 arrays, and no kappa: kappa at
+    the quadrature points lives one block at a time, and the flux recovery
+    evaluates its own points.  It kept 29 arrays with the whole 4 x 4
+    stiffness and kappa at the 12 recovery points."""
     sc = scenarios.example3(nx=30)
     mesh = sc.build_mesh()
     prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
                            dirichlet=sc.pressure_dirichlet)
     kernel = element_kernel(prob, NodalField.from_callable(mesh, sc.initial))
     ne = mesh.n_elements
-    assert kernel.kappa_recovery.shape == (ne, 12)
-    assert _base(kernel.kappa_edge) is kernel.kappa_recovery
-    assert _base(kernel.kappa_seg) is kernel.kappa_recovery
-    for array in (kernel.kappa_recovery, kernel.stiffness):
-        assert _base(array).size <= 16 * ne
+    kept = [getattr(kernel, f.name) for f in dataclasses.fields(kernel)]
+    assert [f.name for f in dataclasses.fields(kernel)] == ["theta",
+                                                           "stiffness"]
+    assert kernel.theta.shape == (mesh.n_vertices,)
+    assert kernel.stiffness.shape == (ne, 10)
+    for array in kept:
+        assert _base(array).nbytes == array.nbytes
+    assert sum(array.size // len(array) for array in kept) <= 11
 
 
-def test_one_darcy_interval_allocates_at_most_80_element_arrays():
+def _darcy_interval_peak(nx):
     """The peak that a pressure solve and its flux recovery allocate above
-    what is live at the interval's start, in (ne,) float arrays.  The mesh
-    constants are built by a first interval; the raster lookup keeps
-    nothing, so it is made inside the traced one, block by block.  It was
-    108 arrays, at nx = 120 as at 240, when the kernel kept kappa at all 28
-    points and the recovery made its temporaries whole, and 72 (56 at
-    nx = 240) with the raster's values kept at the kernel points; it is 69
-    now (55 at nx = 240, 56 before the multigrid set-up was blocked)."""
-    sc = scenarios.example3(nx=120)
+    what is live at the interval's start, in (ne,) float arrays, on
+    example3.  The mesh constants are built by a first interval; the raster
+    lookup keeps nothing, so it is made inside the traced one, block by
+    block."""
+    sc = scenarios.example3(nx=nx)
     mesh = sc.build_mesh()
     prob = PressureProblem(mesh, sc.kappa, sc.pressure_source,
                            dirichlet=sc.pressure_dirichlet)
@@ -545,7 +573,26 @@ def test_one_darcy_interval_allocates_at_most_80_element_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * mesh.n_elements) <= 80
+    return peak / (8 * mesh.n_elements)
+
+
+def test_one_darcy_interval_allocates_at_most_80_element_arrays():
+    """One Darcy interval at nx = 120.  It was 108 arrays, at nx = 120 as
+    at 240, when the kernel kept kappa at all 28 points and the recovery
+    made its temporaries whole; 72 (56 at nx = 240) with the raster's
+    values kept at the kernel points; 69 (55 at nx = 240, 56 before the
+    multigrid set-up was blocked) while the kernel kept the whole 4 x 4
+    stiffness and kappa at the 12 recovery points; it is 46.2 now, with
+    the stiffness kept by its 10 distinct entries and the recovery
+    evaluating kappa at its own points."""
+    assert _darcy_interval_peak(120) <= 49
+
+
+def test_one_darcy_interval_at_nx_240_allocates_at_most_40_element_arrays():
+    """One Darcy interval at the paper's nx = 240, where the pressure
+    solve sets the peak: 52.9 arrays while the kernel kept 29 arrays
+    through the multigrid set-up and CG, 37.0 now."""
+    assert _darcy_interval_peak(240) <= 40
 
 
 @pytest.fixture(scope="module")
@@ -600,7 +647,7 @@ def _step_matrices(sc, mesh, grid):
 
 @pytest.mark.parametrize("call, less_kept, above", [
     (_nudged_run, False, 13), (_pressure_problem, True, 8),
-    (_pressure_solve, False, 54), (_step_matrices, True, 2)],
+    (_pressure_solve, False, 37), (_step_matrices, True, 2)],
     ids=["transport-coefficients", "pressure-problem", "pressure-solve",
          "step-matrices"])
 def test_a_run_set_up_allocates_little_above_what_it_keeps(ex3_set_up, call,
@@ -628,8 +675,9 @@ def test_a_run_set_up_allocates_little_above_what_it_keeps(ex3_set_up, call,
     free-vertex system, gathered from the stiffness data at every solve
     (the first solve on a mesh also built the gathers, 9.9 arrays kept),
     at 55.9 on the stencil system with the whole R @ A formed at each
-    level and abs(A.data) copied whole, and at 52.9 with both formed a
-    block of rows at a time."""
+    level and abs(A.data) copied whole, at 52.9 with both formed a block
+    of rows at a time, and at 34.9 with the element kernel down from 29
+    arrays (the whole stiffness and kappa at the recovery points) to 11."""
     call = call(*ex3_set_up)
     tracemalloc.start()
     try:

@@ -122,7 +122,8 @@ def test_pressure_matches_stream(case):
     e = mesh.elements
     full = linalg.assemble(np.repeat(e, 4, axis=1).ravel(),
                            np.tile(e, (1, 4)).ravel(),
-                           element_kernel(prob, theta).stiffness.ravel(),
+                           dr.full_stiffness(
+                               element_kernel(prob, theta).stiffness).ravel(),
                            (mesh.n_vertices, mesh.n_vertices))
     free = sparse.diags((~mesh.is_dirichlet).astype(float))
     _same_operator(a, free @ full @ free + sparse.diags(
@@ -342,7 +343,7 @@ def test_twin_flux_recovery_stiffness_action_matches_quadrature(ex3_twin):
     for kernel, pressure, theta in seen["recoveries"]:
         np.testing.assert_array_equal(kernel.theta, theta.values)
         p_c = pressure.corner_values()
-        r3 = (kernel.stiffness @ p_c[:, :, None])[:, :, 0]
+        r3 = (dr.full_stiffness(kernel.stiffness) @ p_c[:, :, None])[:, :, 0]
         th = np.clip(theta.corner_values() @ quad.phi.T, 0.0, 1.0)
         kq = kappa(th, pts[:, :, 0], pts[:, :, 1])
         grad_p = np.einsum("pcd,ec->epd", quad.dphi, p_c)

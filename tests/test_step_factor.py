@@ -346,6 +346,14 @@ def _whole_array_kernel(problem, theta):
     return kq[:, 16:24], kq[:, 24:], stiffness * quad.weight
 
 
+def _blocked_kernel(problem, kernel, theta):
+    """The flux recovery's kappa at the edge quarter points and at the
+    sub-segment midpoints, evaluated block by block, and the kernel's
+    stiffness expanded to whole blocks."""
+    kappa = dr.recovery_kappa(problem, theta)
+    return kappa[:, :8], kappa[:, 8:], dr.full_stiffness(kernel.stiffness)
+
+
 @pytest.mark.parametrize("factory", [scenarios.example3, scenarios.example4])
 def test_blocked_kernel_equals_the_whole_array_kernel_bitwise(factory, monkeypatch):
     monkeypatch.setattr(fields, "KERNEL_BLOCK", 100)
@@ -360,8 +368,7 @@ def test_blocked_kernel_equals_the_whole_array_kernel_bitwise(factory, monkeypat
         kernels.append((pressure.element_kernel(problem, theta), theta))
     for kernel, theta in kernels:
         want = _whole_array_kernel(problem, theta)
-        for got, expect in zip((kernel.kappa_edge, kernel.kappa_seg,
-                                kernel.stiffness), want):
+        for got, expect in zip(_blocked_kernel(problem, kernel, theta), want):
             assert got.shape == expect.shape
             assert got.tobytes() == expect.tobytes()
 
@@ -378,8 +385,7 @@ def test_blocked_kernel_on_a_rectangle_equals_the_whole_array_kernel_bitwise(
     theta = NodalField.from_callable(mesh, lambda x, y: 1.5 * x - 0.2 * y)
     kernel = pressure.element_kernel(problem, theta)
     want = _whole_array_kernel(problem, theta)
-    for got, expect in zip((kernel.kappa_edge, kernel.kappa_seg,
-                            kernel.stiffness), want):
+    for got, expect in zip(_blocked_kernel(problem, kernel, theta), want):
         assert got.shape == expect.shape
         assert got.tobytes() == expect.tobytes()
 

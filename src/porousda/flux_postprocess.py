@@ -228,8 +228,13 @@ def _local_rhs(problem, kernel, pressure, theta):
     # The source term is a run constant; the stiffness action goes by blocks.
     r += problem.flux_source
     for lo, hi, _, _ in kernel_point_blocks(mesh):
-        t = kernel.stiffness[lo:hi, BLOCK_ENTRIES] * p_c[lo:hi, None, :]
-        r[lo:hi] += (t[..., 0] + t[..., 2]) + (t[..., 1] + t[..., 3])
+        s, p = kernel.stiffness[lo:hi], p_c[lo:hi]
+        t0, t1, t2, t3 = (s[:, BLOCK_ENTRIES[b]] * p[:, b:b + 1]
+                          for b in range(4))
+        t0 += t2
+        t1 += t3
+        t0 += t1
+        r[lo:hi] += t0
     return r, p_c.sum(axis=1), kappa_seg
 
 

@@ -30,11 +30,10 @@ which keeps no values at the blocks), the pressure source and its
 control-volume integrals, the stiffness's sum into the stencil pattern
 (`linalg.StencilPattern.sum_blocks`), the transport run's operator and its
 upwind advection, and the flux recovery's stiffness action and
-control-volume balance.  A
-block scatters by `np.add.at`, which adds into a zeroed output in element
-order as one `np.bincount` over the whole mesh would, so the sums do not
-depend on the blocks; each such pass makes a few (rows, nx, k) temporaries
-instead of (ny, nx, k) ones.  The pressure set-up's weighted source
+control-volume balance.  A block scatters by `np.add.at`, which adds into a
+zeroed output in element order as one `np.bincount` over the whole mesh
+would, so the sums do not depend on the blocks; each such pass makes a few
+(rows, nx, k) temporaries instead of (ny, nx, k) ones.  The pressure set-up's weighted source
 (`pressure.PressureProblem`) is blocked too: its product with the basis is
 an `np.einsum`, which calls no BLAS, and the blocks' products equal the
 whole array's bitwise in the tests, for the block layouts used (numpy does
@@ -161,8 +160,8 @@ def kernel_point_blocks(mesh):
 
     Returns a list of (lo, hi, x, y): the block's elements lo:hi and x and
     y, read-only (rows, nx, 28) blocks of `quadrature(mesh).points`, built
-    once per mesh.  kappa is evaluated at exactly these arrays on every
-    solve, and every blocked pass over the element data, the stencil's
+    once per mesh.  kappa is evaluated at column slices of these arrays on
+    every solve, and every blocked pass over the element data, the stencil's
     `sum_blocks` among them, takes its element ranges from it.
     """
     return mesh.constant("kernel_point_blocks", _build_kernel_blocks)

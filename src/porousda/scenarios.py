@@ -216,8 +216,8 @@ class PermeabilityRaster:
         a new array of the broadcast shape of x and y.
 
         Each input is cut to its compact form first (`_compact`), so a
-        kernel block's y is its (rows, 1, 28) table and its x the (1, nx,
-        28) one.  The raster is blended along y at y's compact points over
+        kernel block's y is its (rows, 1, k) table and its x the (1, nx, k)
+        one, k of its 28 point columns.  The raster is blended along y at y's compact points over
         every raster column, a = v[iy] + fy (v[jy] - v[iy]), and then along
         x by two gathers of that blend at x's columns, out = a + fx (b - a).
         The output is filled `_LOOKUP_POINTS` points or fewer at a time,

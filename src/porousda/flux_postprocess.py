@@ -225,11 +225,12 @@ def _local_rhs(problem, kernel, pressure, theta):
         dy *= cy
         np.add(dx, dy, out=r_grid[..., corner])
 
-    # The source term is a run constant; the stiffness action goes by blocks.
+    # The source term is a run constant.  The stiffness action goes by
+    # blocks, column b of S times p_b, each row's terms (b0 + b2) + (b1 + b3).
     r += problem.flux_source
     for lo, hi, _, _ in kernel_point_blocks(mesh):
         s, p = kernel.stiffness[lo:hi], p_c[lo:hi]
-        t0, t1, t2, t3 = (s[:, BLOCK_ENTRIES[b]] * p[:, b:b + 1]
+        t0, t1, t2, t3 = (s[:, BLOCK_ENTRIES[:, b]] * p[:, b:b + 1]
                           for b in range(4))
         t0 += t2
         t1 += t3

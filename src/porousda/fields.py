@@ -217,9 +217,19 @@ class NodalField:
     def zeros(cls, mesh):
         return cls(mesh, np.zeros(mesh.n_vertices))
 
-    def corner_values(self):
-        """Values at element corners, shape (ne, 4)."""
-        return self.values[self.mesh.elements]
+    def corner_values(self, lo=0, hi=None):
+        """Values at the corners of elements lo:hi, whole element rows (all
+        by default), shape (hi - lo, 4): four shifted slices of the
+        (ny + 1, nx + 1) value grid copied into place, no gather."""
+        nx = self.mesh.nx
+        rows = self.values.reshape(-1, nx + 1)[
+            lo // nx:(self.mesh.n_elements if hi is None else hi) // nx + 1]
+        out = np.empty((rows.shape[0] - 1, nx, 4))
+        out[..., 0] = rows[:-1, :-1]
+        out[..., 1] = rows[:-1, 1:]
+        out[..., 2] = rows[1:, :-1]
+        out[..., 3] = rows[1:, 1:]
+        return out.reshape(-1, 4)
 
     def copy(self):
         return NodalField(self.mesh, self.values.copy())

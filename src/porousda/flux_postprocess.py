@@ -178,7 +178,7 @@ def cv_balance_residuals(mesh, segment_outflux, cv_source):
     for scatter, corners in ((np.add.at, SEG_LEFT_CORNER),
                              (np.subtract.at, SEG_RIGHT_CORNER)):
         for lo, hi, _, _ in kernel_point_blocks(mesh):
-            scatter(res, mesh.elements[lo:hi, corners].ravel(),
+            scatter(res, mesh.element_corners(lo, hi)[:, corners].ravel(),
                     outflux[lo:hi].ravel())
     res -= cv_source
     res[mesh.is_dirichlet] = np.nan
@@ -258,5 +258,6 @@ def postprocess_flux(problem, pressure, theta):
 
     outflux = flows.ravel()
     residuals = cv_balance_residuals(mesh, outflux, problem.cv_source)
-    max_res = float(np.nanmax(np.abs(residuals))) if mesh.free_vertices.size else 0.0
+    free = mesh.dirichlet_vertices.size < mesh.n_vertices
+    max_res = float(np.nanmax(np.abs(residuals))) if free else 0.0
     return ConservativeFlux(mesh, DGField(mesh, psi), outflux, residuals, max_res)

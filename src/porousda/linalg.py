@@ -7,7 +7,9 @@ into the pattern one block of element rows at a time by `np.add.at`, which
 sums each entry's contributions (one per element sharing it) in element
 order, as one `np.bincount` over the whole mesh would.  That order is
 fixed, so assembly is deterministic; it is not value-sorted.  The pattern
-keeps its slots in int32.  `assemble` turns an unordered
+keeps its CSR index arrays in int32 and no whole-mesh slot table: the
+slots of a block of element rows are derived from those of three rows it
+keeps (`RowSlots`).  `assemble` turns an unordered
 contribution stream into a canonical matrix of any shape, summing duplicate
 (row, col) entries in value-sorted order, so its result is bitwise
 independent of the stream order; it serves the tests as the reference.
@@ -127,19 +129,22 @@ class StencilPattern:
     """CSR pattern of a structured mesh's 9-point vertex graph.
 
     Row v holds v and its up to eight lattice neighbours in column order,
-    which are exactly the vertices sharing an element with v.  `slots`
-    (int32) maps every element-local entry (ne, 4, 4), rows and columns in
-    element corner order, to its position in the CSR data,
-    `diagonal_slots` (int32) each row's diagonal entry,
-    `dirichlet_entries` (int32) every entry of a Dirichlet row and
-    `dirichlet_columns` (int32) every entry of a Dirichlet column; all are
-    built from index arithmetic on the lattice, without sorting.  `ranges`
-    are the element ranges of the mesh's `fields.kernel_point_blocks`.
+    which are exactly the vertices sharing an element with v.  The slot of
+    an element-local entry (e, a, b), rows and columns in element corner
+    order, is its position in the CSR data; `row_slots` (`RowSlots`) gives
+    the slots of any block of whole element rows from those of three rows.
+    `dirichlet_diagonal` (int32) holds the diagonal slot of each row of
+    `mesh.dirichlet_vertices`, `dirichlet_entries` (int32) every entry of
+    a Dirichlet row and `dirichlet_columns` (int32) every entry of a
+    Dirichlet column; all are built from index arithmetic on the lattice,
+    without sorting.  `ranges` are the element ranges of the mesh's
+    `fields.kernel_point_blocks`.
     """
 
     def __init__(self, mesh):
         nvx, nvy = mesh.nx + 1, mesh.ny + 1
         self.n = nvx * nvy
+        self.n_elements = mesh.n_elements
         i = np.tile(np.arange(nvx), nvy)
         j = np.repeat(np.arange(nvy), nvx)
         # Neighbour offsets in increasing column order: row below, same row,
@@ -155,14 +160,21 @@ class StencilPattern:
         position = (self.indptr[:-1, None]
                     + np.cumsum(present, axis=1, dtype=np.int32))
         position -= 1
-        # A copy, so that `position` goes once the slots are built.
-        self.diagonal_slots = position[:, 4].copy()
+        self.dirichlet_diagonal = position[mesh.dirichlet_vertices, 4]
         # Corners SW, SE, NW, NE sit at lattice offsets (0|1, 0|1); the entry
         # (a, b) is the neighbour of corner a at offset b - a.
         cx = np.array([0, 1, 0, 1])
         cy = np.array([0, 0, 1, 1])
         offset = (cy - cy[:, None] + 1) * 3 + (cx - cx[:, None] + 1)
-        self.slots = position[mesh.elements[:, :, None], offset].ravel()
+        # The first, second and last element rows; every inner lattice row
+        # holds as many entries as lattice row 1.
+        kept = [0, min(1, mesh.ny - 1), mesh.ny - 1]
+        corners = [mesh.element_corners(r * mesh.nx, (r + 1) * mesh.nx)
+                   for r in kept]
+        tables = position[np.stack(corners)[..., None], offset]
+        stride = self.indptr[2 * nvx] - self.indptr[nvx] if mesh.ny > 1 else 0
+        self.row_slots = RowSlots(tables.reshape(3, -1).astype(np.intp),
+                             int(stride), mesh.nx, mesh.ny)
         self.dirichlet_entries = np.flatnonzero(np.repeat(
             mesh.is_dirichlet, np.diff(self.indptr))).astype(np.int32)
         self.dirichlet_columns = np.flatnonzero(
@@ -180,17 +192,61 @@ class StencilPattern:
     def sum_blocks(self, local, entries=None):
         """Element-local blocks (ne, 4, 4) summed into the pattern's data,
         each entry's contributions added in element order: one block of
-        element rows at a time by `np.add.at`, which adds as one
-        `np.bincount` over the whole mesh would, without casting all the
-        int32 slots to intp at once.  With `entries` (4, 4), `local` is
-        (ne, k) and its column entries[a, b] holds entry (a, b)."""
-        local = np.reshape(local, (len(self.slots) // 16, -1))
+        element rows at a time by `np.add.at` at that block's slots
+        (`row_slots.block`), which adds as one `np.bincount` over the whole
+        mesh would.  With `entries` (4, 4), `local` is (ne, k) and its column
+        entries[a, b] holds entry (a, b)."""
+        local = np.reshape(local, (self.n_elements, -1))
         entries = np.arange(16) if entries is None else np.ravel(entries)
         data = np.zeros(self.nnz)
         for lo, hi in self.ranges:
-            np.add.at(data, self.slots[16 * lo:16 * hi],
+            np.add.at(data, self.row_slots.block(lo, hi),
                       local[lo:hi, entries].ravel())
         return data
+
+
+class RowSlots:
+    """The slots of every element's entries, k per element in a fixed
+    order, kept for three element rows: `tables` (3, k nx), the first row,
+    the second and the last.  Lattice rows 1 to ny - 1 each hold `stride`
+    entries, so an inner element row j (0 < j < ny - 1) has the second
+    row's slots shifted by (j - 1) stride; `block` builds a block's slots
+    from them."""
+
+    def __init__(self, tables, stride, nx, ny):
+        self.tables, self.stride, self.nx, self.ny = tables, stride, nx, ny
+
+    def select(self, entries):
+        """The same rows with each element's entries `entries` of these, in
+        that order."""
+        k = self.tables.shape[1] // self.nx
+        return RowSlots(np.ascontiguousarray(self.tables.reshape(
+            3, self.nx, k)[:, :, entries].reshape(3, -1)),
+            self.stride, self.nx, self.ny)
+
+    def block(self, lo, hi):
+        """The slots (intp) of elements lo:hi, whole element rows, element
+        by element.  The inner rows are the second row's shifted to the
+        block's first inner row, then doubled: each pass adds a scalar
+        shift to the rows made so far, which is faster than adding a
+        column of shifts to every row."""
+        first, inner, last = self.tables
+        r0, r1 = lo // self.nx, hi // self.nx
+        a, b = max(r0, 1) - r0, max(min(r1, self.ny - 1), 1) - r0
+        out = np.empty((r1 - r0, first.size), dtype=np.intp)
+        if b > a:
+            np.add(inner, (a + r0 - 1) * self.stride, out=out[a])
+        done = 1
+        while a + done < b:
+            n = min(done, b - a - done)
+            np.add(out[a:a + n], done * self.stride,
+                   out=out[a + done:a + done + n])
+            done += n
+        if r0 == 0:
+            out[0] = first
+        if r1 == self.ny:
+            out[-1] = last
+        return out.ravel()
 
 
 def stencil(mesh):

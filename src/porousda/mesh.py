@@ -57,7 +57,9 @@ class MeshError(ValueError):
 
 class StructuredMesh:
     """Uniform rectangular mesh, its boundary tags and its constants; the
-    one owner of the index lists `dirichlet_vertices` and `free_vertices`."""
+    one owner of the index list `dirichlet_vertices`.  It keeps no element
+    table: `element_corners` gives the corner vertex ids of a range of
+    elements by index arithmetic on the lattice."""
 
     def __init__(self, nx, ny, Lx, Ly, edge_tags):
         self.nx = nx
@@ -74,11 +76,6 @@ class StructuredMesh:
         j = np.arange(ny + 1)
         xx, yy = np.meshgrid(i * self.hx, j * self.hy)
         self.vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-        ei = np.tile(np.arange(nx), ny)
-        ej = np.repeat(np.arange(ny), nx)
-        sw = ej * (nx + 1) + ei
-        self.elements = np.column_stack([sw, sw + 1, sw + nx + 1, sw + nx + 2])
 
         self.n_segments = 4 * self.n_elements
         self._tag_vertices()
@@ -107,7 +104,17 @@ class StructuredMesh:
 
         self.is_dirichlet = dir_vertex
         self.dirichlet_vertices = np.flatnonzero(dir_vertex)
-        self.free_vertices = np.flatnonzero(~dir_vertex)
+
+    # -- element corners ---------------------------------------------------
+
+    def element_corners(self, lo=0, hi=None):
+        """The vertex ids of the corners SW, SE, NW, NE of elements lo:hi
+        (all by default), (hi - lo, 4): element e = j nx + i has its SW
+        corner at vertex j (nx + 1) + i = e + j."""
+        nx = self.nx
+        e = np.arange(lo, self.n_elements if hi is None else hi)
+        sw = e + e // nx
+        return sw[:, None] + np.array([0, 1, nx + 1, nx + 2])
 
     # -- convenience -------------------------------------------------------
 
@@ -117,8 +124,9 @@ class StructuredMesh:
         This is the one cache of what a mesh determines on its own (the
         quadrature tables and point set, the stencil pattern, the kernel
         point blocks, the 1-D mass factors, the multigrid transfers, the
-        transport factor's ordering per observation lattice); it is filled
-        lazily, inside the run that first needs each entry.
+        advection's upwind slot rows, the transport factor's ordering per
+        observation lattice); it is filled lazily, inside the run that
+        first needs each entry.
         """
         value = self._constants.get(key)
         if value is None:

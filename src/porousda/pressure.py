@@ -113,7 +113,7 @@ def kappa_blocks(problem, theta, points):
     phi = _KERNEL_PHI[points].T
     for lo, hi, x, y in kernel_point_blocks(mesh):
         x, y = x[..., points], y[..., points]
-        th = (theta.values[mesh.elements[lo:hi]] @ phi).reshape(x.shape)
+        th = (theta.corner_values(lo, hi) @ phi).reshape(x.shape)
         np.clip(th, 0.0, 1.0, out=th)
         # An overflow or a NaN in kappa is reported by the range check
         # below, not as a floating-point warning.
@@ -183,12 +183,11 @@ class PressureProblem:
             g = np.asarray(self.source(x[..., :16], y[..., :16]), dtype=float)
             wg = np.empty((hi - lo, 16))
             np.multiply(quad.weight, g, out=wg.reshape(x[..., :16].shape))
-            np.add.at(self.cv_source,
-                      mesh.elements[lo:hi, quad.owner_corner].ravel(),
+            corners = mesh.element_corners(lo, hi)
+            np.add.at(self.cv_source, corners[:, quad.owner_corner].ravel(),
                       wg.ravel())
             element_load = np.einsum("ek,ka->ea", wg, quad.phi)
-            np.add.at(self.load, mesh.elements[lo:hi].ravel(),
-                      element_load.ravel())
+            np.add.at(self.load, corners.ravel(), element_load.ravel())
             flux = self.flux_source[lo:hi]
             np.sum(wg.reshape(-1, 4, 4), axis=2, out=flux)
             flux -= element_load
@@ -250,7 +249,7 @@ def assemble_pressure(problem, theta):
         rhs[fixed] = 0.0
         data[pattern.dirichlet_entries] = 0.0
         data[pattern.dirichlet_columns] = 0.0
-        data[pattern.diagonal_slots[fixed]] = 1.0
+        data[pattern.dirichlet_diagonal] = 1.0
     return A, rhs
 
 

@@ -173,12 +173,13 @@ class TransportCoefficients:
     The operator is data on `linalg.stencil(mesh)`, whose read-only index
     arrays every matrix of the run shares; the run holds no index array of
     its own: the stencil's `dirichlet_entries`, zero in M, K0 and every
-    advection, and `slots`, and the mesh's `dirichlet_vertices` serve every
-    run on the mesh.  `k0` holds K0, summed from its element blocks one
-    block of element rows at a time, the coefficients evaluated at that
-    block's points; M is not kept (see `matrices`).  `coupling`, None
-    unless mu > 0, is C and holds M P's 1-D factors (A_y, A_x) as
-    `coupling.factors`.  A general source has
+    advection, its `dirichlet_diagonal` and the block slots of its kept
+    rows (`row_slots`, and `upwind_slots` for the advection), and the
+    mesh's `dirichlet_vertices` serve every run on the mesh.  `k0` holds
+    K0, summed from its element blocks one block of element rows at a
+    time, the coefficients evaluated at that block's points; M is not kept
+    (see `matrices`).  `coupling`, None unless mu > 0, is C and holds M P's
+    1-D factors (A_y, A_x) as `coupling.factors`.  A general source has
     `source_cv`, the CV integrals of values at the quadrature points as an
     (nv, 16 ne) matrix, applied on every step.  A
     `Separable` source (`separable`, found also through `functools.wraps`
@@ -240,7 +241,8 @@ class TransportCoefficients:
                                                             y[..., :16]),
                                      dtype=float)
                 np.add.at(self.profile_cv,
-                          mesh.elements[lo:hi, quad.owner_corner].ravel(),
+                          mesh.element_corners(lo, hi)[:, quad.owner_corner]
+                          .ravel(),
                           np.multiply(quad.weight, np.broadcast_to(
                               profile, x[..., :16].shape)).ravel())
             self.profile_cv[mesh.is_dirichlet] = 0.0
@@ -268,7 +270,7 @@ class TransportCoefficients:
                     "eap,apb->eab",
                     np.broadcast_to(r, x[..., :16].shape).reshape(-1, 4, 4),
                     phi_quadrant)
-            np.add.at(k0, stencil.slots[16 * lo:16 * hi], k0_blocks.ravel())
+            np.add.at(k0, stencil.row_slots.block(lo, hi), k0_blocks.ravel())
         k0[stencil.dirichlet_entries] = 0.0
 
     def advection(self, outflux):
@@ -276,14 +278,14 @@ class TransportCoefficients:
         a positive outflux leaves the left CV and enters the right one in the
         left vertex's column, a negative one in the right vertex's; made and
         scattered one block of element rows at a time, at that block's
-        `_UPWIND_ENTRIES` of the stencil's slots, taken by `np.take` without
-        a bounds check (its columns are fixed)."""
+        upwind slots (`upwind_slots`), one shift of the kept rows' slots
+        per element row."""
         U = np.asarray(outflux, dtype=float)
         if U.shape != (self.mesh.n_segments,):
             raise ValueError(f"expected {self.mesh.n_segments} "
                              f"segment outflux values")
         stencil = linalg.stencil(self.mesh)
-        slots = stencil.slots.reshape(-1, 16)
+        upwind = upwind_slots(self.mesh)
         out = np.zeros(stencil.nnz)
         blocks = kernel_point_blocks(self.mesh)
         buffer = np.empty((4 * blocks[0][1], 4))   # the first, largest block
@@ -293,8 +295,7 @@ class TransportCoefficients:
             np.maximum(u, 0.0, out=weights[:, 0])
             np.minimum(u, 0.0, out=weights[:, 2])
             np.negative(weights[:, 0::2], out=weights[:, 1::2])
-            up = np.take(slots[lo:hi], _UPWIND_ENTRIES, axis=1, mode="clip")
-            np.add.at(out, up.ravel(), weights.ravel())
+            np.add.at(out, upwind.block(lo, hi), weights.ravel())
         out[stencil.dirichlet_entries] = 0.0
         return out
 
@@ -323,7 +324,7 @@ class TransportCoefficients:
                 mass[:] = s0
                 s0 += e0                           # M + h (K0 + a)
                 np.subtract(mass, e0, out=e0)      # M - h (K0 + a)
-            lhs[pattern.diagonal_slots[self.mesh.dirichlet_vertices]] = 1.0
+            lhs[pattern.dirichlet_diagonal] = 1.0
             self.lhs = pattern.matrix(lhs)
             self.explicit = pattern.matrix(hk)
             if self.coupling is not None:
@@ -356,7 +357,7 @@ class TransportCoefficients:
         # Slot numbers, permuted once: S0's slot + 1 (0 for the zeros of a
         # Dirichlet row) plus (nnz + 1) (C's + 1).
         where = pattern.matrix(np.arange(1, nnz + 1))
-        diagonal = pattern.diagonal_slots[self.mesh.dirichlet_vertices]
+        diagonal = pattern.dirichlet_diagonal
         where.data[pattern.dirichlet_entries] = 0
         where.data[diagonal] = diagonal + 1
         if self.coupling is not None:
@@ -422,6 +423,13 @@ class NudgingCoupling:
         C.data *= np.repeat(self.mu * ~self.grid.mesh.is_dirichlet, np.diff(C.indptr))
         C.eliminate_zeros()
         return C
+
+
+def upwind_slots(mesh):
+    """The stencil's `RowSlots` of each element's `_UPWIND_ENTRIES`, in
+    that order, built once per mesh."""
+    return mesh.constant("upwind_slots", lambda m: linalg.stencil(
+        m).row_slots.select(_UPWIND_ENTRIES))
 
 
 def cv_mass(mesh):
@@ -495,7 +503,7 @@ def _cv_integration(mesh, free):
     the weight at every point of v's CV in point order, so a product sums as
     `np.bincount` over the points would; Dirichlet rows are empty."""
     quad = quadrature(mesh)
-    rows = mesh.elements[:, quad.owner_corner].ravel()         # CV of each point
+    rows = mesh.element_corners()[:, quad.owner_corner].ravel()   # CV of each point
     points = np.flatnonzero(free[rows])
     return linalg.SparseMatrix(
         (np.full(points.size, quad.weight), (rows[points], points)),
@@ -604,14 +612,20 @@ class StepFactor:
     def solve(self, A, rhs, solver):
         """(x, SolveReport), or None when the residual against A misses the
         solver's tolerance, max(rel_tol * ||rhs||, `linalg.ABS_TOL`), as
-        BiCGStab's does."""
+        BiCGStab's does.  Both norms are `np.einsum` reductions, which call
+        no BLAS: OpenBLAS's dot product wakes a second thread above 10,000
+        entries, and in some processes a call then takes milliseconds."""
         x = np.empty_like(rhs)
         x[self.order] = self.lu.solve(rhs[self.order])
-        residual = float(np.linalg.norm(rhs - A @ x))
-        if not residual <= max(solver.rel_tol * float(np.linalg.norm(rhs)),
-                               linalg.ABS_TOL):
+        residual = _norm(rhs - A @ x)
+        if not residual <= max(solver.rel_tol * _norm(rhs), linalg.ABS_TOL):
             return None
         return x, linalg.SolveReport(0, residual, True, factored=True)
+
+
+def _norm(v):
+    """The Euclidean norm of a vector by one `np.einsum` reduction."""
+    return float(np.sqrt(np.einsum("i,i->", v, v)))
 
 
 def prescribed_outflux(mesh, velocity, theta_frozen):

@@ -73,6 +73,51 @@ def element_vertices(mesh, e):
     return [sw, sw + 1, sw + mesh.nx + 1, sw + mesh.nx + 2]
 
 
+def element_table(mesh):
+    """The corner vertex ids (ne, 4) of every element, built as the mesh
+    kept them as a whole table: the element lattice tiled and repeated."""
+    nx, ny = mesh.nx, mesh.ny
+    ei = np.tile(np.arange(nx), ny)
+    ej = np.repeat(np.arange(ny), nx)
+    sw = ej * (nx + 1) + ei
+    return np.column_stack([sw, sw + 1, sw + nx + 1, sw + nx + 2])
+
+
+def free_vertices(mesh):
+    """The vertices not on a Dirichlet edge, in increasing order."""
+    return np.flatnonzero(~mesh.is_dirichlet)
+
+
+def _stencil_positions(mesh):
+    """(nv, 9) int32: the CSR position of each vertex's neighbour at each
+    lattice offset (row below, same row, row above, each left to right),
+    as the stencil built it before it kept three element rows."""
+    nvx, nvy = mesh.nx + 1, mesh.ny + 1
+    i = np.tile(np.arange(nvx), nvy)
+    j = np.repeat(np.arange(nvy), nvx)
+    ii = i[:, None] + np.tile([-1, 0, 1], 3)
+    jj = j[:, None] + np.repeat([-1, 0, 1], 3)
+    present = (ii >= 0) & (ii < nvx) & (jj >= 0) & (jj < nvy)
+    indptr = np.zeros(nvx * nvy + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    return indptr[:-1, None] + np.cumsum(present, axis=1, dtype=np.int32) - 1
+
+
+def stencil_slots(mesh):
+    """The whole (16 ne,) int32 slot table of the stencil, entry (e, a, b)
+    at 16 e + 4 a + b: the neighbour of corner a at lattice offset b - a."""
+    cx = np.array([0, 1, 0, 1])
+    cy = np.array([0, 0, 1, 1])
+    offset = (cy - cy[:, None] + 1) * 3 + (cx - cx[:, None] + 1)
+    return _stencil_positions(mesh)[element_table(mesh)[:, :, None],
+                                    offset].ravel()
+
+
+def diagonal_slots(mesh):
+    """The (nv,) int32 slot of every row's diagonal entry."""
+    return _stencil_positions(mesh)[:, 4].copy()
+
+
 def element_origin(mesh, e):
     """The lower-left corner of element e, or of each element of an array."""
     i, j = e % mesh.nx, e // mesh.nx
@@ -653,7 +698,7 @@ def _at_points(field, points):
     xi = (pts[:, 0] - ox) / mesh.hx
     eta = (pts[:, 1] - oy) / mesh.hy
     values = field.values
-    corners = values[mesh.elements[elems]] if values.ndim == 1 else values[elems]
+    corners = values[element_table(mesh)[elems]] if values.ndim == 1 else values[elems]
     return xi, eta, corners
 
 
@@ -765,7 +810,7 @@ def cv_integrals_add_at(mesh, fn):
     pts = global_points(quad)
     fv = np.asarray(fn(pts[:, :, 0], pts[:, :, 1]),
                     dtype=float) * np.ones(pts.shape[:2])
-    rows = mesh.elements[:, quad.owner_corner].ravel()
+    rows = element_table(mesh)[:, quad.owner_corner].ravel()
     keep = ~mesh.is_dirichlet[rows]
     np.add.at(out, rows[keep], (quad.weight * fv).ravel()[keep])
     return out
@@ -785,9 +830,9 @@ def pressure_source_integrals(mesh, source):
         np.asarray(source(quad.x, quad.y), dtype=float),
         quad.x.shape)).reshape(-1, 16)
     element_load = np.einsum("ek,ka->ea", wg, quad.phi)
-    load = np.bincount(mesh.elements.ravel(), weights=element_load.ravel(),
+    load = np.bincount(element_table(mesh).ravel(), weights=element_load.ravel(),
                        minlength=mesh.n_vertices)
-    cv_source = np.bincount(mesh.elements[:, quad.owner_corner].ravel(),
+    cv_source = np.bincount(element_table(mesh)[:, quad.owner_corner].ravel(),
                             weights=wg.ravel(), minlength=mesh.n_vertices)
     flux_source = wg.reshape(-1, 4, 4).sum(axis=2) - element_load
     return load, cv_source, flux_source
@@ -800,8 +845,8 @@ def cv_balance_by_add_at(mesh, segment_outflux, cv_source):
 
     res = np.zeros(mesh.n_vertices)
     outflux = segment_outflux.reshape(-1, 4)
-    np.add.at(res, mesh.elements[:, SEG_LEFT_CORNER], outflux)
-    np.add.at(res, mesh.elements[:, SEG_RIGHT_CORNER], -outflux)
+    np.add.at(res, element_table(mesh)[:, SEG_LEFT_CORNER], outflux)
+    np.add.at(res, element_table(mesh)[:, SEG_RIGHT_CORNER], -outflux)
     res -= cv_source
     res[mesh.is_dirichlet] = np.nan
     return res
@@ -924,7 +969,7 @@ def jacobi_cg_pressure(problem, theta):
 
     mesh = problem.mesh
     A, b = assemble_pressure(problem, theta)
-    free = mesh.free_vertices
+    free = free_vertices(mesh)
     A, b = A[free][:, free], b[free]
     count = [0]
 
@@ -956,7 +1001,7 @@ def average_functionals_by_assembly(grid):
     ox = np.clip(np.round(quad.x.ravel() / grid.spacing).astype(int), 0, ncx)
     oy = np.clip(np.round(quad.y.ravel() / grid.spacing).astype(int), 0, ncy)
     obs = oy * (ncx + 1) + ox
-    corners = np.repeat(mesh.elements, 16, axis=0)          # (ne*16, 4)
+    corners = np.repeat(element_table(mesh), 16, axis=0)          # (ne*16, 4)
     phi = np.tile(quad.phi, (mesh.n_elements, 1))            # (ne*16, 4)
     gamma = linalg.assemble(np.repeat(obs, 4), corners.ravel(),
                             (phi * quad.weight).ravel(),
@@ -992,7 +1037,7 @@ def transport_operators_by_sums(coeffs):
                     dtype=float) * np.ones(mesh.n_segments)
     ops["diff"] = scatter_rows(mesh, cv_flux_blocks(mesh, dq.reshape(-1, 4)), free)
     dir_data = np.zeros(pattern.nnz)
-    dir_data[pattern.diagonal_slots[mesh.is_dirichlet]] = 1.0
+    dir_data[diagonal_slots(mesh)[mesh.is_dirichlet]] = 1.0
     ops["dir_diag"] = pattern.matrix(dir_data)
     ops["nudge"] = None
     if coeffs.mu > 0.0:
@@ -1046,7 +1091,7 @@ def run_operator_by_bincount(coeffs, outflux):
     def slots_of(rows, cols):
         return np.asarray(where[rows, cols]).ravel().astype(np.intp) - 1
 
-    e = mesh.elements
+    e = element_table(mesh)
     rows = np.repeat(e, 4, axis=1).ravel()        # entry (a, b): row e[a]
     slots = slots_of(rows, np.tile(e, (1, 4)).ravel())
 
@@ -1084,7 +1129,7 @@ def scatter_rows(mesh, local, rows):
     zeros."""
     from porousda import linalg
 
-    local = np.where(rows[mesh.elements][:, :, None], local, 0.0)
+    local = np.where(rows[element_table(mesh)][:, :, None], local, 0.0)
     pattern = linalg.stencil(mesh)
     return pattern.matrix(pattern.sum_blocks(local))
 

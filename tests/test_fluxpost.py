@@ -233,7 +233,7 @@ def test_flux_source_equals_the_per_call_source_term_bitwise():
                                              quad.phi)
         assert np.array_equal(prob.flux_source, per_call)
         cv_source = np.zeros(mesh.n_vertices)
-        np.add.at(cv_source, mesh.elements[:, quad.owner_corner],
+        np.add.at(cv_source, dr.element_table(mesh)[:, quad.owner_corner],
                   quad.weight * gq)
         assert prob.cv_source.tobytes() == cv_source.tobytes()
 

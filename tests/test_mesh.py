@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import control_volumes, cv_areas, cv_bounds
+from dense_reference import (control_volumes, cv_areas, cv_bounds,
+                             element_table, free_vertices)
 from porousda.fields import quadrature
 from porousda.mesh import (DIRICHLET, NEUMANN, SEG_LEFT_CORNER, SEG_NORMAL_AXIS,
                            SEG_RIGHT_CORNER, MeshError, build_mesh)
@@ -21,7 +22,8 @@ def test_element_vertex_ordering():
     """Row-major numbering, corners ordered SW, SE, NW, NE."""
     m = build_mesh(2, 2)
     expected = [[0, 1, 3, 4], [1, 2, 4, 5], [3, 4, 6, 7], [4, 5, 7, 8]]
-    assert m.elements.tolist() == expected
+    assert element_table(m).tolist() == expected
+    assert m.element_corners().tolist() == expected
     np.testing.assert_allclose(m.vertices[4], [0.5, 0.5])
 
 
@@ -53,8 +55,8 @@ def test_segment_endpoints_flank_midpoint():
     seg_x, seg_y = quad.seg_x.reshape(-1, 4), quad.seg_y.reshape(-1, 4)
     for e in range(m.n_elements):
         for s in range(4):
-            left = m.vertices[m.elements[e, SEG_LEFT_CORNER[s]]]
-            right = m.vertices[m.elements[e, SEG_RIGHT_CORNER[s]]]
+            left = m.vertices[m.element_corners(e, e + 1)[0, SEG_LEFT_CORNER[s]]]
+            right = m.vertices[m.element_corners(e, e + 1)[0, SEG_RIGHT_CORNER[s]]]
             axis = SEG_NORMAL_AXIS[s]
             mid = np.array([seg_x[e, s], seg_y[e, s]])
             # midpoint lies on the axis-line halfway between the two vertices
@@ -112,14 +114,14 @@ def test_mixed_boundary_tagging():
     m = build_mesh(4, 4, boundary_spec=rule)
     x = m.vertices[:, 0]
     np.testing.assert_array_equal(m.is_dirichlet, (x == 0.0) | (x == 1.0))
-    assert m.free_vertices.size == m.n_vertices - 2 * 5
+    assert free_vertices(m).size == m.n_vertices - 2 * 5
     np.testing.assert_array_equal(m.dirichlet_vertices,
                                   np.flatnonzero(m.is_dirichlet))
 
 
 def test_all_dirichlet_free_interior():
     m = build_mesh(4, 3)
-    assert m.free_vertices.size == (4 - 1) * (3 - 1)
+    assert free_vertices(m).size == (4 - 1) * (3 - 1)
     x, y = m.vertices[:, 0], m.vertices[:, 1]
     on_boundary = (x == 0.0) | (y == 0.0) | (x == m.Lx) | (y == m.Ly)
     assert np.all(on_boundary == m.is_dirichlet)
@@ -129,7 +131,7 @@ def test_deterministic_rebuild():
     a = build_mesh(5, 4, Lx=2.0)
     b = build_mesh(5, 4, Lx=2.0)
     assert np.array_equal(a.vertices, b.vertices)
-    assert np.array_equal(a.elements, b.elements)
+    assert np.array_equal(a.element_corners(), b.element_corners())
     for pa, pb in zip(quadrature(a).points, quadrature(b).points):
         assert np.array_equal(pa, pb)
 
@@ -154,8 +156,8 @@ def test_counts_and_partition_property(nx, ny):
     assert m.n_vertices == (nx + 1) * (ny + 1)
     assert m.n_segments == 4 * nx * ny
     assert abs(cv_areas(m).sum() - 1.0) < 1e-12
-    assert m.free_vertices.size + m.is_dirichlet.sum() == m.n_vertices
-    both = np.sort(np.concatenate([m.dirichlet_vertices, m.free_vertices]))
+    assert free_vertices(m).size + m.is_dirichlet.sum() == m.n_vertices
+    both = np.sort(np.concatenate([m.dirichlet_vertices, free_vertices(m)]))
     np.testing.assert_array_equal(both, np.arange(m.n_vertices))
     np.testing.assert_array_equal(m.dirichlet_vertices,
                                   np.flatnonzero(m.is_dirichlet))

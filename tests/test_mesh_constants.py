@@ -299,6 +299,63 @@ def test_a_reference_run_leaves_no_whole_point_array():
     assert max(a.size for a in held) < 28 * mesh.n_elements
 
 
+def test_no_mesh_attribute_or_constant_holds_a_whole_mesh_index_table():
+    """After a nudged twin and a transport factor on one mesh, no attribute
+    of the mesh and no mesh constant holds an integer array of ne or more
+    entries but the stencil's CSR `indices` and `indptr`, the multigrid
+    transfers and the `dissection` orders: element corners and stencil
+    slots are derived from the lattice where they are read.  The three
+    element rows of slots the stencil keeps, 48 nx entries, are fewer than
+    ne from ny = 49 on."""
+    sc = scenarios.example3(nx=60, spacing=0.1, t_end=0.004)
+    part = driver.TimePartition.from_scenario(sc)
+    mesh = sc.build_mesh()
+    ref = driver.run_reference(sc, part, mesh)
+    run = driver.run_assimilated(sc, ref.stream, part, mesh,
+                                 reference=ref.trajectory)
+    assert len(run.report.solver_iterations["pressure"]) == 2
+    grid = SparseGrid(mesh, 0.1)
+    coeffs = TransportCoefficients(mesh, lambda x, y: 0.01 + 0.0 * x,
+                                   mu=10.0, grid=grid)
+    coeffs.set_velocity(np.random.default_rng(5).standard_normal(
+        mesh.n_segments))
+    assert coeffs.factorize(coeffs.matrices(1e-3)[0])
+    assert ("dissection", (grid.kx, grid.ky)) in mesh._constants
+
+    seen = set()
+
+    def arrays(value, path):
+        if id(value) in seen or value is mesh:
+            return
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            yield path, value
+        elif sparse.issparse(value):
+            for name in ("data", "indices", "indptr"):
+                yield from arrays(getattr(value, name), path + (name,))
+        elif isinstance(value, (list, tuple)):
+            for k, item in enumerate(value):
+                yield from arrays(item, path + (k,))
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                yield from arrays(item, path + (key,))
+        elif hasattr(value, "__dict__"):
+            for name, item in vars(value).items():
+                yield from arrays(item, path + (name,))
+
+    def allowed(path):
+        key = path[1]
+        return (key == "multigrid_transfers"
+                or (isinstance(key, tuple) and key[0] == "dissection")
+                or path[1:] in (("stencil", "indices"), ("stencil", "indptr")))
+
+    whole = [path for path, a in arrays(vars(mesh), ())
+             if np.issubdtype(a.dtype, np.integer) and a.size >= mesh.n_elements
+             and not (path[0] == "_constants" and allowed(path))]
+    assert whole == []
+    assert "stencil" in mesh._constants and "upwind_slots" in mesh._constants
+
+
 def test_memo_keeps_one_entry_per_pair_and_drops_it_with_its_arrays():
     memo = scenarios.FrozenPointMemo()
     x, y = _frozen_points()

@@ -110,7 +110,7 @@ def test_energy_stays_below_frozen_bound():
     theta = NodalField.from_callable(mesh, lambda x, y: x * (1.0 - y))
     a, rhs = assemble_pressure(prob, theta)
     p, _ = solve_pressure(prob, theta)
-    free = mesh.free_vertices
+    free = dr.free_vertices(mesh)
     p_free = p.values[free]
     energy = float(np.sqrt(p_free @ (a[free][:, free] @ p_free)))
     from porousda.fields import l2_norm_callable
@@ -364,7 +364,7 @@ def test_gathered_blocks_equal_the_sliced_blocks_bitwise(factory, nx,
     stiffness = pattern.matrix(
         pattern.sum_blocks(dr.full_stiffness(
             element_kernel(prob, theta).stiffness)))
-    free, fixed = mesh.free_vertices, mesh.dirichlet_vertices
+    free, fixed = dr.free_vertices(mesh), mesh.dirichlet_vertices
     assert fixed.size
     got, want = a[free][:, free], stiffness[free][:, free]
     for name in ("data", "indices", "indptr"):

@@ -132,7 +132,7 @@ def test_step_matrices_are_the_mass_plus_and_minus_hk_bitwise(
         hk = coeffs.k0 if velocity is None else coeffs.advection(velocity) + coeffs.k0
         hk = hk * (0.5 * dt)
         s0 = mass + hk
-        s0[linalg.stencil(mesh).diagonal_slots[mesh.dirichlet_vertices]] = 1.0
+        s0[dr.diagonal_slots(mesh)[mesh.dirichlet_vertices]] = 1.0
         assert np.array_equal(lhs.matrix.data, s0)
         assert np.array_equal(explicit.data, mass - hk)
 
@@ -199,7 +199,7 @@ def test_the_pattern_is_the_step_matrix_of_the_sums(mesh_and_grid):
     dirichlet = np.flatnonzero(mesh.is_dirichlet)
     rows = np.repeat(mesh.is_dirichlet, np.diff(pattern.indptr))
     diagonal = np.zeros(pattern.nnz, dtype=bool)
-    diagonal[pattern.diagonal_slots[dirichlet]] = True
+    diagonal[dr.diagonal_slots(mesh)[dirichlet]] = True
     assert np.all(lhs.matrix.data[rows & diagonal] == 1.0)
     assert np.all(lhs.matrix.data[rows & ~diagonal] == 0.0)
     assert np.all(explicit.data[rows] == 0.0)

@@ -17,7 +17,7 @@ import pytest
 from scipy import sparse
 
 import dense_reference as dr
-from porousda import driver, fields, linalg, scenarios
+from porousda import driver, fields, linalg, scenarios, transport
 from porousda.fields import NodalField, quadrature
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.observation import SparseGrid
@@ -74,9 +74,10 @@ def _coefficients(mesh, grid, rng):
 def _cv_stream(mesh, weight_values, free):
     """Mass-type operator: one stream entry per quadrature point and column."""
     quad = quadrature(mesh)
-    cv_rows = mesh.elements[:, quad.owner_corner]
+    elements = dr.element_table(mesh)
+    cv_rows = elements[:, quad.owner_corner]
     rows = np.repeat(cv_rows.ravel(), 4)
-    cols = np.repeat(mesh.elements, 16, axis=0).reshape(-1, 4).ravel()
+    cols = np.repeat(elements, 16, axis=0).reshape(-1, 4).ravel()
     phi = np.tile(quad.phi, (mesh.n_elements, 1))
     vals = (quad.weight * weight_values.reshape(-1, 1) * phi).ravel()
     keep = free[rows]
@@ -89,7 +90,7 @@ def _diffusion_stream(mesh, diffusion, free):
     seg = dr.segment_arrays(mesh)
     dq = diffusion(seg.mid[:, 0], seg.mid[:, 1])
     flux = dq[:, None] * quad.seg_dphi_n[seg.type] * seg.length[:, None]
-    cols = mesh.elements[seg.elem]
+    cols = dr.element_table(mesh)[seg.elem]
     rows = np.concatenate([np.repeat(seg.left, 4), np.repeat(seg.right, 4)])
     cc = np.concatenate([cols.ravel(), cols.ravel()])
     vv = np.concatenate([(-flux).ravel(), flux.ravel()])
@@ -119,7 +120,7 @@ def test_pressure_matches_stream(case):
         lambda x, y: np.cos(x) * y, dirichlet=lambda x, y: 1.0 + x - y)
     theta = NodalField(mesh, rng.random(mesh.n_vertices))
     a, rhs = assemble_pressure(prob, theta)
-    e = mesh.elements
+    e = dr.element_table(mesh)
     full = linalg.assemble(np.repeat(e, 4, axis=1).ravel(),
                            np.tile(e, (1, 4)).ravel(),
                            dr.full_stiffness(
@@ -196,13 +197,15 @@ def test_pattern_is_the_vertex_graph():
     pattern = linalg.stencil(mesh)
     assert linalg.stencil(mesh) is pattern
     adjacency = np.zeros((mesh.n_vertices,) * 2, dtype=bool)
-    for corners in mesh.elements:
+    for corners in dr.element_table(mesh):
         adjacency[np.ix_(corners, corners)] = True
     graph = pattern.matrix(np.ones(pattern.nnz))
     assert graph.has_canonical_format          # sorted, no duplicates
     np.testing.assert_array_equal(graph.toarray() != 0, adjacency)
-    np.testing.assert_array_equal(pattern.indices[pattern.diagonal_slots],
+    np.testing.assert_array_equal(pattern.indices[dr.diagonal_slots(mesh)],
                                   np.arange(mesh.n_vertices))
+    np.testing.assert_array_equal(pattern.indices[pattern.dirichlet_diagonal],
+                                  mesh.dirichlet_vertices)
 
 
 @pytest.mark.parametrize("boundary", ["all_dirichlet", "all_neumann",
@@ -219,25 +222,38 @@ def test_dirichlet_entries_are_the_entries_of_the_dirichlet_rows(boundary):
 
 
 def test_diagonal_slots_own_their_data():
-    """A view would keep the (nv, 9) slot table of the build alive."""
-    pattern = linalg.stencil(build_mesh(6, 4))
-    assert pattern.diagonal_slots.base is None
-    assert pattern.diagonal_slots.shape == (pattern.n,)
+    """The diagonal slots of the Dirichlet rows, the only diagonal slots
+    the stencil keeps; a view would keep the (nv, 9) slot table of the
+    build alive."""
+    mesh = build_mesh(6, 4)
+    pattern = linalg.stencil(mesh)
+    assert pattern.dirichlet_diagonal.base is None
+    assert pattern.dirichlet_diagonal.shape == mesh.dirichlet_vertices.shape
+    np.testing.assert_array_equal(
+        pattern.dirichlet_diagonal,
+        dr.diagonal_slots(mesh)[mesh.dirichlet_vertices])
 
 
 @pytest.mark.parametrize("nx, ny", [(6, 4), (7, 5)])
 def test_slots_are_int32_and_blocked_sums_equal_one_bincount(nx, ny,
                                                             monkeypatch):
-    """`slots` and `diagonal_slots` are int32, and `sum_blocks`, one block
-    of two element rows at a time (the last one short when ny is odd), sums
-    as one `np.bincount` over the whole mesh, bitwise; a broadcast block
-    too.  The pattern's `ranges` are those of `kernel_point_blocks`."""
+    """The stencil keeps the int32 `dirichlet_diagonal` and the slots of
+    three element rows, no whole slot table; the whole int32 table of the
+    old build (`dense_reference.stencil_slots`) is what its blocks give, and
+    `sum_blocks`, one block of two element rows at a time (the last one
+    short when ny is odd), sums as one `np.bincount` over that table,
+    bitwise; a broadcast block too.  The pattern's `ranges` are those of
+    `kernel_point_blocks`."""
     monkeypatch.setattr(fields, "KERNEL_BLOCK", 2 * nx + 1)
     mesh = build_mesh(nx, ny)
     pattern = linalg.stencil(mesh)
-    assert pattern.slots.dtype == np.int32
-    assert pattern.diagonal_slots.dtype == np.int32
-    assert pattern.slots.shape == (16 * mesh.n_elements,)
+    slots = dr.stencil_slots(mesh)
+    assert slots.dtype == np.int32
+    assert pattern.dirichlet_diagonal.dtype == np.int32
+    assert slots.shape == (16 * mesh.n_elements,)
+    assert pattern.row_slots.tables.shape == (3, 16 * nx)
+    assert not hasattr(pattern, "slots")
+    assert not hasattr(pattern, "diagonal_slots")
     starts = list(range(0, mesh.n_elements, 2 * nx))
     assert pattern.ranges == list(zip(starts, starts[1:] + [mesh.n_elements]))
     assert pattern.ranges == [b[:2] for b in fields.kernel_point_blocks(mesh)]
@@ -245,9 +261,63 @@ def test_slots_are_int32_and_blocked_sums_equal_one_bincount(nx, ny,
     for local in (rng.standard_normal((mesh.n_elements, 4, 4)),
                   np.broadcast_to(rng.standard_normal((4, 4)),
                                   (mesh.n_elements, 4, 4))):
-        want = np.bincount(pattern.slots, weights=np.ravel(local),
+        want = np.bincount(slots, weights=np.ravel(local),
                            minlength=pattern.nnz)
         assert pattern.sum_blocks(local).tobytes() == want.tobytes()
+
+
+# (nx, ny, boundary): single rows and columns, odd sizes, all-Neumann and
+# the size of `ex3_darcy`.
+LATTICE_MESHES = [(1, 1, "all_dirichlet"), (1, 3, "all_dirichlet"),
+                  (3, 1, "all_dirichlet"), (2, 2, "all_dirichlet"),
+                  (7, 5, _mixed_faces), (12, 8, "all_neumann"),
+                  (240, 240, "all_dirichlet")]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["kernel-blocks",
+                                                      "row-blocks"])
+@pytest.mark.parametrize("nx, ny, boundary", LATTICE_MESHES,
+                         ids=["1x1", "1x3", "3x1", "2x2", "7x5-mixed",
+                              "12x8-neumann", "240x240"])
+def test_block_slots_and_corners_equal_the_whole_tables(nx, ny, boundary,
+                                                        split, monkeypatch):
+    """Over every block of `kernel_point_blocks`, and with
+    `fields.KERNEL_BLOCK` patched to 1 so that every element row is a block
+    of its own, the stencil's block slots, its upwind block slots and the
+    mesh's element corners equal the whole tables the old build kept
+    (`dense_reference.stencil_slots`, `element_table`), and `corner_values`
+    equals the fancy-index gather through that element table, bitwise; so
+    do the whole mesh's corners and corner values, and the Dirichlet rows'
+    diagonal slots."""
+    if split:
+        monkeypatch.setattr(fields, "KERNEL_BLOCK", 1)
+    mesh = build_mesh(nx, ny, boundary_spec=boundary)
+    pattern = linalg.stencil(mesh)
+    upwind = transport.upwind_slots(mesh)
+    slots = dr.stencil_slots(mesh).reshape(-1, 16)
+    elements = dr.element_table(mesh)
+    values = np.random.default_rng(nx * ny).standard_normal(mesh.n_vertices)
+    theta = NodalField(mesh, values)
+    blocks = fields.kernel_point_blocks(mesh)
+    if split:
+        assert len(blocks) == ny
+    for lo, hi, _, _ in blocks:
+        got = pattern.row_slots.block(lo, hi)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, slots[lo:hi].ravel())
+        np.testing.assert_array_equal(
+            upwind.block(lo, hi),
+            slots[lo:hi][:, transport._UPWIND_ENTRIES].ravel())
+        corners = mesh.element_corners(lo, hi)
+        assert corners.dtype == elements.dtype
+        np.testing.assert_array_equal(corners, elements[lo:hi])
+        assert (theta.corner_values(lo, hi).tobytes()
+                == values[elements[lo:hi]].tobytes())
+    np.testing.assert_array_equal(mesh.element_corners(), elements)
+    assert theta.corner_values().tobytes() == values[elements].tobytes()
+    np.testing.assert_array_equal(
+        pattern.dirichlet_diagonal,
+        dr.diagonal_slots(mesh)[mesh.dirichlet_vertices])
 
 
 def test_pattern_matrices_share_its_read_only_index_arrays():

@@ -228,8 +228,9 @@ class RowSlots:
         """The slots (intp) of elements lo:hi, whole element rows, element
         by element.  The inner rows are the second row's shifted to the
         block's first inner row, then doubled: each pass adds a scalar
-        shift to the rows made so far, which is faster than adding a
-        column of shifts to every row."""
+        shift to the rows made so far.  numpy adds a column of shifts to
+        rows of under about 2,900 slots at half that speed (nx = 60 and
+        120), and about a fifth faster at nx = 240."""
         first, inner, last = self.tables
         r0, r1 = lo // self.nx, hi // self.nx
         a, b = max(r0, 1) - r0, max(min(r1, self.ny - 1), 1) - r0

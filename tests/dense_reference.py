@@ -12,7 +12,9 @@ sections hold what only the tests use: record views of the dual mesh and of
 fields (the quadrature points as one array, the dense (ne, 28) point
 pair, control-volume areas, point evaluation, the raw FEM flux residuals),
 the bump as first written and the exact integral of a bump well; the forms
-the package replaced, kept as references: among them the raster's
+the package replaced, kept as references: among them the whole index
+tables the mesh and stencil no longer keep (element corners, stencil
+slots, every row's diagonal slot, the free vertices), the raster's
 bilinear formula per point, the bordered 5x5 LAPACK solve of the flux recovery's local systems, the same
 systems solved exactly in rationals, and the assembled cell-average
 functionals; and checks on the scenarios and fields: the domain integral by
@@ -698,7 +700,8 @@ def _at_points(field, points):
     xi = (pts[:, 0] - ox) / mesh.hx
     eta = (pts[:, 1] - oy) / mesh.hy
     values = field.values
-    corners = values[element_table(mesh)[elems]] if values.ndim == 1 else values[elems]
+    corners = (values[element_table(mesh)[elems]] if values.ndim == 1
+               else values[elems])
     return xi, eta, corners
 
 
@@ -830,9 +833,10 @@ def pressure_source_integrals(mesh, source):
         np.asarray(source(quad.x, quad.y), dtype=float),
         quad.x.shape)).reshape(-1, 16)
     element_load = np.einsum("ek,ka->ea", wg, quad.phi)
-    load = np.bincount(element_table(mesh).ravel(), weights=element_load.ravel(),
+    elements = element_table(mesh)
+    load = np.bincount(elements.ravel(), weights=element_load.ravel(),
                        minlength=mesh.n_vertices)
-    cv_source = np.bincount(element_table(mesh)[:, quad.owner_corner].ravel(),
+    cv_source = np.bincount(elements[:, quad.owner_corner].ravel(),
                             weights=wg.ravel(), minlength=mesh.n_vertices)
     flux_source = wg.reshape(-1, 4, 4).sum(axis=2) - element_load
     return load, cv_source, flux_source
@@ -845,8 +849,9 @@ def cv_balance_by_add_at(mesh, segment_outflux, cv_source):
 
     res = np.zeros(mesh.n_vertices)
     outflux = segment_outflux.reshape(-1, 4)
-    np.add.at(res, element_table(mesh)[:, SEG_LEFT_CORNER], outflux)
-    np.add.at(res, element_table(mesh)[:, SEG_RIGHT_CORNER], -outflux)
+    elements = element_table(mesh)
+    np.add.at(res, elements[:, SEG_LEFT_CORNER], outflux)
+    np.add.at(res, elements[:, SEG_RIGHT_CORNER], -outflux)
     res -= cv_source
     res[mesh.is_dirichlet] = np.nan
     return res
@@ -1001,7 +1006,7 @@ def average_functionals_by_assembly(grid):
     ox = np.clip(np.round(quad.x.ravel() / grid.spacing).astype(int), 0, ncx)
     oy = np.clip(np.round(quad.y.ravel() / grid.spacing).astype(int), 0, ncy)
     obs = oy * (ncx + 1) + ox
-    corners = np.repeat(element_table(mesh), 16, axis=0)          # (ne*16, 4)
+    corners = np.repeat(element_table(mesh), 16, axis=0)     # (ne*16, 4)
     phi = np.tile(quad.phi, (mesh.n_elements, 1))            # (ne*16, 4)
     gamma = linalg.assemble(np.repeat(obs, 4), corners.ravel(),
                             (phi * quad.weight).ravel(),

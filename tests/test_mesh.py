@@ -53,10 +53,11 @@ def test_segment_endpoints_flank_midpoint():
     m = build_mesh(3, 2, Lx=1.5, Ly=1.0)
     quad = quadrature(m)
     seg_x, seg_y = quad.seg_x.reshape(-1, 4), quad.seg_y.reshape(-1, 4)
+    corners = m.element_corners()
     for e in range(m.n_elements):
         for s in range(4):
-            left = m.vertices[m.element_corners(e, e + 1)[0, SEG_LEFT_CORNER[s]]]
-            right = m.vertices[m.element_corners(e, e + 1)[0, SEG_RIGHT_CORNER[s]]]
+            left = m.vertices[corners[e, SEG_LEFT_CORNER[s]]]
+            right = m.vertices[corners[e, SEG_RIGHT_CORNER[s]]]
             axis = SEG_NORMAL_AXIS[s]
             mid = np.array([seg_x[e, s], seg_y[e, s]])
             # midpoint lies on the axis-line halfway between the two vertices

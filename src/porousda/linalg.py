@@ -7,9 +7,10 @@ into the pattern one block of element rows at a time by `np.add.at`, which
 sums each entry's contributions (one per element sharing it) in element
 order, as one `np.bincount` over the whole mesh would.  That order is
 fixed, so assembly is deterministic; it is not value-sorted.  The pattern
-keeps its CSR index arrays in int32 and no whole-mesh slot table: the
-slots of a block of element rows are derived from those of three rows it
-keeps (`RowSlots`).  `assemble` turns an unordered
+keeps its CSR index arrays in int32, built from its first, an inner and
+its last lattice row (`lattice_pattern`), and no whole-mesh slot table:
+the slots of a block of element rows are derived from those of three rows
+it keeps (`RowSlots`).  `assemble` turns an unordered
 contribution stream into a canonical matrix of any shape, summing duplicate
 (row, col) entries in value-sorted order, so its result is bitwise
 independent of the stream order; it serves the tests as the reference.
@@ -19,7 +20,12 @@ Dirichlet rows, and go through `solve`, which wraps scipy's Krylov methods.
 The symmetric pressure system, which comes with a multigrid hierarchy and
 whose Dirichlet columns are zero too, is solved by CG preconditioned by a
 symmetric V-cycle over that hierarchy; the nonsymmetric transport step,
-which comes without one, by Jacobi-BiCGStab.  Both stop when
+which comes without one, by Jacobi-BiCGStab.  The hierarchy is a list of
+nested lattices (`Lattice`), and every level is data on its lattice's
+9-point pattern: each coarse operator is summed from the finer one's nine
+offset arrays by strided slices, the stencil form of P^T A P, and the 2:1
+transfers are applied by strided slices of the value grids, so no transfer
+matrix is stored.  Both stop when
 ||b - A x|| < max(rel_tol * ||b||, ABS_TOL), with rel_tol from the one
 `SolverConfig` of a run and the module constant ABS_TOL = 1e-14.  The transport step may instead solve by
 a sparse LU factor that it keeps for a coarse interval
@@ -125,56 +131,96 @@ def assemble(rows, cols, values, shape):
     return sparse.csr_matrix((summed, (r[starts], c[starts])), shape=shape)
 
 
+def lattice_pattern(nx, ny):
+    """The CSR index arrays (indptr, indices), both int32, of the 9-point
+    vertex graph of a lattice of nx-by-ny cells, vertices numbered row by
+    row: row v holds v and its up to eight lattice neighbours in column
+    order.  A lattice row's columns, less its first vertex, depend only on
+    whether it is the first, an inner or the last row, so those three rows
+    are built once, each from its first, inner and last vertex, and the
+    inner row is shifted into every inner lattice row; nothing of the
+    whole lattice is made but the two arrays and one (nv,) int32 count."""
+    nvx = nx + 1
+    rows = [_lattice_row(nx, dys) for dys in ((0, 1), (-1, 0, 1), (-1, 0))]
+    (first, first_counts), (inner, inner_counts), (last, last_counts) = rows
+    indices = np.empty(first.size + (ny - 1) * inner.size + last.size,
+                       dtype=np.int32)
+    indices[:first.size] = first
+    np.add(inner, (nvx * np.arange(1, ny, dtype=np.int32))[:, None],
+           out=indices[first.size:indices.size - last.size].reshape(
+               ny - 1, inner.size))
+    np.add(last, ny * nvx, out=indices[indices.size - last.size:])
+    counts = np.empty((ny + 1, nvx), dtype=np.int32)
+    counts[:] = inner_counts
+    counts[0], counts[-1] = first_counts, last_counts
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, indices
+
+
+def _lattice_row(nx, dys):
+    """The columns of a lattice row whose vertices have the row offsets
+    `dys`, relative to its first vertex, in column order (int32), and each
+    vertex's count of them."""
+    nvx = nx + 1
+    first, inner, last = ([dy * nvx + dx for dy in dys for dx in dxs]
+                          for dxs in ((0, 1), (-1, 0, 1), (-1, 0)))
+    columns = np.concatenate([first, (np.arange(1, nx)[:, None]
+                                      + inner).ravel(), np.add(last, nx)])
+    counts = np.full(nvx, len(inner))
+    counts[0], counts[-1] = len(first), len(last)
+    return columns.astype(np.int32), counts
+
+
+def lattice_slots(indptr, nx, v, dy, dx):
+    """The CSR slot in a `lattice_pattern` of row v's entry at lattice
+    offset (dy, dx), which must be present: the row's first slot plus the
+    entries before it, in the rows below and then to its left."""
+    j, i = np.divmod(v, nx + 1)
+    first = i == 0
+    width = 3 - first - (i == nx)
+    return indptr[v] + (dy + (j > 0)) * width + dx + 1 - first
+
+
 class StencilPattern:
     """CSR pattern of a structured mesh's 9-point vertex graph.
 
     Row v holds v and its up to eight lattice neighbours in column order,
-    which are exactly the vertices sharing an element with v.  The slot of
-    an element-local entry (e, a, b), rows and columns in element corner
-    order, is its position in the CSR data; `row_slots` (`RowSlots`) gives
-    the slots of any block of whole element rows from those of three rows.
-    `dirichlet_diagonal` (int32) holds the diagonal slot of each row of
-    `mesh.dirichlet_vertices`, `dirichlet_entries` (int32) every entry of
-    a Dirichlet row and `dirichlet_columns` (int32) every entry of a
-    Dirichlet column; all are built from index arithmetic on the lattice,
-    without sorting.  `ranges` are the element ranges of the mesh's
-    `fields.kernel_point_blocks`.
+    which are exactly the vertices sharing an element with v
+    (`lattice_pattern`).  The slot of an element-local entry (e, a, b),
+    rows and columns in element corner order, is its position in the CSR
+    data; `row_slots` (`RowSlots`) gives the slots of any block of whole
+    element rows from those of three rows.  `dirichlet_diagonal` (int32)
+    holds the diagonal slot of each row of `mesh.dirichlet_vertices`,
+    `dirichlet_entries` (int32) every entry of a Dirichlet row and
+    `dirichlet_columns` (int32) every entry of a Dirichlet column; all are
+    built from index arithmetic on the lattice (`lattice_slots`), without
+    sorting and without a table over the whole mesh.  `ranges` are the
+    element ranges of the mesh's `fields.kernel_point_blocks`.
     """
 
     def __init__(self, mesh):
-        nvx, nvy = mesh.nx + 1, mesh.ny + 1
-        self.n = nvx * nvy
+        self.n = mesh.n_vertices
         self.n_elements = mesh.n_elements
-        i = np.tile(np.arange(nvx), nvy)
-        j = np.repeat(np.arange(nvy), nvx)
-        # Neighbour offsets in increasing column order: row below, same row,
-        # row above, each from left to right.
-        di = np.tile([-1, 0, 1], 3)
-        dj = np.repeat([-1, 0, 1], 3)
-        ii, jj = i[:, None] + di, j[:, None] + dj
-        present = (ii >= 0) & (ii < nvx) & (jj >= 0) & (jj < nvy)
-        self.indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(present.sum(axis=1), out=self.indptr[1:])
-        self.indices = (jj * nvx + ii)[present].astype(np.int32)
+        self.indptr, self.indices = lattice_pattern(mesh.nx, mesh.ny)
         self.nnz = self.indices.size
-        position = (self.indptr[:-1, None]
-                    + np.cumsum(present, axis=1, dtype=np.int32))
-        position -= 1
-        self.dirichlet_diagonal = position[mesh.dirichlet_vertices, 4]
+        self.dirichlet_diagonal = lattice_slots(
+            self.indptr, mesh.nx, mesh.dirichlet_vertices, 0, 0).astype(np.int32)
         # Corners SW, SE, NW, NE sit at lattice offsets (0|1, 0|1); the entry
         # (a, b) is the neighbour of corner a at offset b - a.
         cx = np.array([0, 1, 0, 1])
         cy = np.array([0, 0, 1, 1])
-        offset = (cy - cy[:, None] + 1) * 3 + (cx - cx[:, None] + 1)
         # The first, second and last element rows; every inner lattice row
         # holds as many entries as lattice row 1.
         kept = [0, min(1, mesh.ny - 1), mesh.ny - 1]
-        corners = [mesh.element_corners(r * mesh.nx, (r + 1) * mesh.nx)
-                   for r in kept]
-        tables = position[np.stack(corners)[..., None], offset]
+        corners = np.stack([mesh.element_corners(r * mesh.nx, (r + 1) * mesh.nx)
+                            for r in kept])
+        tables = lattice_slots(self.indptr, mesh.nx, corners[..., None],
+                               cy - cy[:, None], cx - cx[:, None])
+        nvx = mesh.nx + 1
         stride = self.indptr[2 * nvx] - self.indptr[nvx] if mesh.ny > 1 else 0
         self.row_slots = RowSlots(tables.reshape(3, -1).astype(np.intp),
-                             int(stride), mesh.nx, mesh.ny)
+                                  int(stride), mesh.nx, mesh.ny)
         self.dirichlet_entries = np.flatnonzero(np.repeat(
             mesh.is_dirichlet, np.diff(self.indptr))).astype(np.int32)
         self.dirichlet_columns = np.flatnonzero(
@@ -292,41 +338,228 @@ def _abs_row_sums(A):
     return l1
 
 
-def _galerkin_product(R, A, P):
-    """R @ A @ P as CSR.  Where R has more than `fields.KERNEL_BLOCK` rows,
-    the product is formed for that many rows of R at a time, each a CSR
-    view of R's arrays, and the blocks are stacked, so the whole R @ A is
-    never made.  A row of a sparse product depends on its own row of the
-    left factor alone, so the stacked arrays, unsorted, are the whole
-    product's bitwise."""
-    n, block = R.shape[0], fields.KERNEL_BLOCK
-    if n <= block:
-        return R @ A @ P
-    products = []
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        start, stop = R.indptr[lo], R.indptr[hi]
-        rows = sparse.csr_matrix((R.data[start:stop], R.indices[start:stop],
-                                  R.indptr[lo:hi + 1] - start),
-                                 shape=(hi - lo, R.shape[1]))
-        products.append(rows @ A @ P)
-    return sparse.vstack(products, format="csr")
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """A level of a multigrid hierarchy: a vertex lattice of nx-by-ny cells,
+    numbered row by row, and `fixed` (ny + 1, nx + 1) bool, its vertices
+    with unit rows and zero columns."""
+
+    nx: int
+    ny: int
+    fixed: np.ndarray
+
+
+# The value at a midpoint of the hat of either end of a 2:1 lattice cell:
+# the weight of the transfers' slices, held by the tests to the 2:1
+# product of `observation._linear_interpolation`.
+_MID = 0.5
+
+
+class _Transfer:
+    """The 2:1 bilinear prolongation P from the lattice `coarse` to `fine`
+    and its transpose, applied by strided slices of the (ny + 1, nx + 1)
+    value grids.  P is masked at the fixed vertices: each fixed fine vertex
+    takes the value of the coarse vertex on it (fixed too) and nothing
+    else, and no weight runs between a free vertex and a fixed one.  P's
+    slices sum the products of a CSR row of P in its (column) order; P^T
+    is applied as the two 1-D transposes, in another order."""
+
+    def __init__(self, fine, coarse):
+        self.fine = (fine.ny + 1, fine.nx + 1)
+        self.coarse = (coarse.ny + 1, coarse.nx + 1)
+        self.fine_fixed = np.flatnonzero(fine.fixed)
+        self.coarse_fixed = np.flatnonzero(coarse.fixed)
+        j, i = np.divmod(self.coarse_fixed, self.coarse[1])
+        self.under = 2 * j * self.fine[1] + 2 * i   # the fine vertex under each
+
+    def prolong(self, values):
+        """P @ values, (nv_fine,).  The result is allocated before the
+        coarse temporaries: allocated after them, at nx = 240, it left the
+        allocator handing pages back to the system and faulting them in
+        again, about 200 times a call."""
+        out = np.empty(self.fine)
+        z = values.reshape(self.coarse)
+        if self.coarse_fixed.size:
+            z = z.copy()
+            z.flat[self.coarse_fixed] = 0.0
+        out[::2, ::2] = z
+        part = _MID * z
+        np.add(part[:, :-1], part[:, 1:], out=out[::2, 1::2])
+        np.add(part[:-1], part[1:], out=out[1::2, ::2])
+        part *= _MID
+        centre = out[1::2, 1::2]
+        np.add(part[:-1, :-1], part[:-1, 1:], out=centre)
+        centre += part[1:, :-1]
+        centre += part[1:, 1:]
+        out = out.ravel()
+        out[self.fine_fixed] = 0.0
+        out[self.under] = values[self.coarse_fixed]
+        return out
+
+    def restrict(self, values):
+        """P^T @ values, (nv_coarse,), the tensor product's two 1-D
+        transposes applied along x and then along y.  The fixed fine
+        vertices are zeroed in a copy, which the V-cycle, whose residuals
+        vanish there, never needs."""
+        fine = values.reshape(self.fine)
+        if values[self.fine_fixed].any():
+            fine = fine.copy()
+            fine.flat[self.fine_fixed] = 0.0
+        rows = fine[:, ::2].copy()
+        half = _MID * fine[:, 1::2]
+        rows[:, :-1] += half
+        rows[:, 1:] += half
+        out = rows[::2].copy()
+        half = _MID * rows[1::2]
+        out[:-1] += half
+        out[1:] += half
+        out = out.ravel()
+        out[self.coarse_fixed] = values[self.under]
+        return out
+
+
+def _row_kinds(indptr, nx, ny, r0, r1):
+    """Lattice rows r0:r1 of a `lattice_pattern`, by kind: (a, b, dy, lo,
+    hi, width) for rows a:b that have the row offsets dy (a slice of
+    -1, 0, 1, shifted by one) and hold the CSR data lo:hi, `width`
+    entries a row: 2 len(dy) of their first vertex, 3 len(dy) of each
+    inner vertex and 2 len(dy) of their last vertex."""
+    for a, b, dy in ((0, 1, slice(1, 3)), (1, ny, slice(0, 3)),
+                     (ny, ny + 1, slice(0, 2))):
+        a, b = max(a, r0), min(b, r1)
+        if a < b:
+            yield (a, b, dy, int(indptr[a * (nx + 1)]),
+                   int(indptr[b * (nx + 1)]),
+                   (dy.stop - dy.start) * (3 * nx + 1))
+
+
+def _split_rows(A, fine, c0, c1, fixed, X):
+    """Fine rows 2 c0 - 1 to 2 c1 - 1 of A into X (3, 2, 2, 3, R, W):
+    X[dx, p, q, dy, k, j] is the entry at lattice offset (dy - 1, dx - 1)
+    of fine vertex (2 (c0 + k) - q, 2 j - p), zero outside the lattice and
+    in the rows of `fixed`, the (row, column) arrays of the fixed fine
+    vertices.  Split by the parity of the row and the column, every
+    1-D pass of `_coarsen` reads contiguous arrays."""
+    nx, mx = fine.nx, fine.nx // 2
+    X.fill(0.0)
+    lo, hi = max(2 * c0 - 1, 0), min(2 * c1, fine.ny + 1)
+    for a, b, dy, start, stop, width in _row_kinds(A.indptr, nx, fine.ny,
+                                                    lo, hi):
+        n = dy.stop - dy.start
+        rows = A.data[start:stop].reshape(b - a, width)
+        for q in (0, 1):
+            r = a + (a - q) % 2                # the first row of parity q
+            data = rows[r - a::2]
+            k = slice((r + q) // 2 - c0, (r + q) // 2 - c0 + len(data))
+            inner = data[:, 2 * n:width - 2 * n].reshape(len(data), nx - 1, n, 3)
+            X[1:, 0, q, dy, k, 0] = data[:, :2 * n].reshape(-1, n, 2).T
+            X[:, 0, q, dy, k, 1:mx] = inner[:, 1::2].transpose(3, 2, 0, 1)
+            X[:, 1, q, dy, k, 1:mx + 1] = inner[:, ::2].transpose(3, 2, 0, 1)
+            X[:2, 0, q, dy, k, mx] = data[:, width - 2 * n:].reshape(
+                -1, n, 2).T
+    r, x = fixed
+    band = slice(*np.searchsorted(r, (lo, hi)))
+    r, x = r[band], x[band]
+    X[:, x % 2, r % 2, :, (r + 1) // 2 - c0, (x + 1) // 2] = 0.0
+
+
+def _coarsen(even, odd, out, shift):
+    """One 1-D pass of the Galerkin product P^T B P at every coarse point
+    C at once, for B tridiagonal and P the 2:1 interpolation, whose column
+    C is 1 at fine point 2 C and `_MID` at 2 C -+ 1.  even and odd hold
+    B's (sub, main, super) diagonals at the fine points 2 C and 2 C - 1,
+    out gets the product's (sub, main, super) diagonals at C; all are flat
+    contiguous arrays of one length, the next point `shift` entries on,
+    and what lies past the last point is junk.  The row of an odd point
+    enters the coarse rows on either side of it with weight `_MID`: beta
+    to the main and sub diagonal of the one after it, gamma to the main
+    and super diagonal of the one before."""
+    (le, me, ue), (lo, mo, uo), (L, M, U) = even, odd, out
+    quarter = (_MID * _MID) * mo
+    beta = _MID * lo
+    beta += quarter
+    gamma = _MID * uo
+    gamma += quarter
+    np.multiply(_MID, le, out=L)
+    np.multiply(_MID, ue, out=U)
+    np.add(L, me, out=M)
+    M += U
+    M += gamma
+    M[:-shift] += beta[shift:]
+    L += beta
+    U[:-shift] += gamma[shift:]
+
+
+def _galerkin_level(A, fine, coarse):
+    """P^T A P on the coarse lattice's `lattice_pattern`, as CSR, for A on
+    the fine lattice's pattern with unit rows and zero columns at its fixed
+    vertices, and P the masked prolongation of `_Transfer`.
+
+    That product is the plain bilinear one of A with its fixed rows zeroed,
+    with the fixed coarse rows and columns zeroed and then unit diagonals
+    there.  P is the tensor product of 1-D interpolations, so each of its
+    nine offset arrays is summed from A's by two 1-D passes (`_coarsen`):
+    along x, each (fine row, row offset) a tridiagonal matrix, and then
+    along y, each (coarse column, column offset) one.  A band of coarse
+    rows at a time, each from the fine rows under it (`_split_rows`):
+    about 2 `fields.KERNEL_BLOCK` fine vertices, so a band's arrays stay
+    in a core's cache and no offset form of the whole fine operator is
+    made."""
+    band = max(1, fields.KERNEL_BLOCK // (fine.nx + 1))
+    width = coarse.nx + 2                      # a junk column past the last
+    fixed = np.nonzero(fine.fixed)
+    indptr, indices = lattice_pattern(coarse.nx, coarse.ny)
+    data = np.empty(indices.size)
+    size = (band + 1) * width
+    buffers = np.empty(36 * size), np.empty(18 * size), np.empty(9 * size)
+    for c0 in range(0, coarse.ny + 1, band):
+        c1 = min(c0 + band, coarse.ny + 1)
+        size = (c1 - c0 + 1) * width
+        X, T, G = (b[:k * size].reshape(shape + (c1 - c0 + 1, width))
+                   for b, k, shape in zip(buffers, (36, 18, 9),
+                                          ((3, 2, 2, 3), (3, 2, 3), (3, 3))))
+        _split_rows(A, fine, c0, c1, fixed, X)
+        _coarsen([X[d, 0].ravel() for d in range(3)],
+                 [X[d, 1].ravel() for d in range(3)],
+                 [T[d].ravel() for d in range(3)], 1)
+        for d in range(3):
+            _coarsen([T[d, 0, e].ravel() for e in range(3)],
+                     [T[d, 1, e].ravel() for e in range(3)],
+                     [G[e, d].ravel() for e in range(3)], width)
+        # G[dy, dx, k, j] is row (c0 + k, j)'s entry at offset (dy - 1, dx - 1).
+        G = G.transpose(2, 3, 0, 1)
+        for a, b, dy, start, stop, span in _row_kinds(indptr, coarse.nx,
+                                                      coarse.ny, c0, c1):
+            n, k = dy.stop - dy.start, slice(a - c0, b - c0)
+            rows = data[start:stop].reshape(b - a, span)
+            rows[:, :2 * n].reshape(-1, n, 2)[:] = G[k, 0, dy, 1:]
+            rows[:, 2 * n:span - 2 * n].reshape(b - a, coarse.nx - 1, n, 3)[
+                :] = G[k, 1:coarse.nx, dy]
+            rows[:, span - 2 * n:].reshape(-1, n, 2)[:] = G[k, coarse.nx, dy, :2]
+    fixed = coarse.fixed.ravel()
+    if fixed.any():
+        data[np.repeat(fixed, np.diff(indptr)) | fixed[indices]] = 0.0
+        data[lattice_slots(indptr, coarse.nx, np.flatnonzero(fixed), 0, 0)] = 1.0
+    n = indptr.size - 1
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _v_cycle(levels, coarse_solve, r, k=0):
     """One symmetric V-cycle from a zero guess: z ~ A_k^-1 r.
 
-    levels[k] is (A_k, smoother scale over the l1 row sums of A_k, P_k,
-    P_k^T); below the last level the system is solved directly.  Equal pre-
-    and post-sweeps make the cycle symmetric positive definite.
+    levels[k] is (A_k, smoother scale over the l1 row sums of A_k, the
+    `_Transfer` to the next level); below the last level the system is
+    solved directly.  Equal pre- and post-sweeps make the cycle symmetric
+    positive definite.
     """
     if k == len(levels):
         return coarse_solve(r)
-    A, smooth, P, R = levels[k]
+    A, smooth, transfer = levels[k]
     z = smooth * r
     for _ in range(_SMOOTH_SWEEPS - 1):
         z += smooth * (r - A @ z)
-    z += P @ _v_cycle(levels, coarse_solve, R @ (r - A @ z), k + 1)
+    z += transfer.prolong(_v_cycle(levels, coarse_solve,
+                                   transfer.restrict(r - A @ z), k + 1))
     for _ in range(_SMOOTH_SWEEPS):
         z += smooth * (r - A @ z)
     return z
@@ -338,34 +571,45 @@ def _project_constants_out(cycle, r):
     return z - z.mean()
 
 
-def multigrid_cycle(A, transfers, constant_nullspace=False):
-    """The V-cycle r -> z ~ A^-1 r for SPD A over nested prolongations.
+def _pinned_solve(solve, r):
+    """The solution that is 0 at vertex 0 of a singular system whose null
+    space is the constants, from `solve` of its other rows and columns."""
+    z = np.zeros(r.size)
+    z[1:] = solve(r[1:])
+    return z
 
-    `transfers` lists (P, P^T) pairs from the finest level down; the coarse
-    operators are the Galerkin products P^T A P, formed a block of coarse
-    rows at a time (`_galerkin_product`), and the coarsest one is factored
-    with SuperLU.  Each level's smoother reads its l1 row sums, also summed
-    a chunk of rows at a time (`_abs_row_sums`), so the set-up makes no
-    whole P^T A and no whole copy of abs(A.data).  An empty list makes the
-    cycle an exact solve.  A singular coarsest operator raises
-    `RuntimeError` from SuperLU.  Row sums that underflow (a subnormal
-    kappa, say) make the smoother scale infinite without a warning; the
-    coarsest operator is then singular.
+
+def multigrid_cycle(A, hierarchy, constant_nullspace=False):
+    """The V-cycle r -> z ~ A^-1 r for SPD A over a hierarchy of lattices.
+
+    `hierarchy` lists the `Lattice` of A and then each 2:1 coarser one;
+    A lies on the first one's `lattice_pattern`.  Each coarse operator is
+    the Galerkin product P^T A P on its lattice's pattern, summed in
+    stencil form (`_galerkin_level`), and the transfers are applied by
+    slices (`_Transfer`); the coarsest operator is factored with SuperLU.
+    Each level's smoother reads its l1 row sums, summed a chunk of rows at
+    a time (`_abs_row_sums`).  An empty hierarchy makes the cycle an exact
+    solve.  A singular coarsest operator raises `RuntimeError` from
+    SuperLU.  Row sums that underflow (a subnormal kappa, say) make the
+    smoother scale infinite without a warning; the coarsest operator is
+    then singular.
     When A is only semidefinite with the constants as its null space
-    (`constant_nullspace`), constants are projected out of the cycle's input
-    and output; otherwise the cycle feeds constant components into the
-    search directions, and CG stalls once the residual reaches them.
+    (`constant_nullspace`), the coarsest solve pins its first vertex to 0
+    and constants are projected out of the cycle's input and output;
+    otherwise the cycle feeds constant components into the search
+    directions, and CG stalls once the residual reaches them.
     """
     levels = []
-    for P, R in transfers:
+    for fine, coarse in zip(hierarchy, hierarchy[1:]):
         l1 = _abs_row_sums(A)
         with np.errstate(divide="ignore", over="ignore"):
-            levels.append((A, _SMOOTH_SCALE / l1, P, R))
-        A = _galerkin_product(R, A, P)
-    cycle = partial(_v_cycle, levels, splu(A.tocsc()).solve)
+            levels.append((A, _SMOOTH_SCALE / l1, _Transfer(fine, coarse)))
+        A = _galerkin_level(A, fine, coarse)
     if constant_nullspace:
-        return partial(_project_constants_out, cycle)
-    return cycle
+        coarse_solve = partial(_pinned_solve, splu(A[1:, 1:].tocsc()).solve)
+        return partial(_project_constants_out,
+                       partial(_v_cycle, levels, coarse_solve))
+    return partial(_v_cycle, levels, splu(A.tocsc()).solve)
 
 
 def _krylov(method, A, b, x0, config, M):
@@ -395,13 +639,14 @@ def _krylov(method, A, b, x0, config, M):
     return x, report
 
 
-def solve(A, b, config=None, x0=None, transfers=None, constant_nullspace=False):
+def solve(A, b, config=None, x0=None, hierarchy=None,
+          constant_nullspace=False):
     """Solve A x = b to the config's tolerances; returns (x, SolveReport).
 
-    With `transfers`, the prolongation hierarchy of `multigrid_cycle`
-    (which also takes `constant_nullspace`), A is SPD and is solved by CG
-    preconditioned by the V-cycle; an empty hierarchy makes the cycle an
-    exact solve.  Without one, A (CSR or a `CoupledOperator`) is solved by
+    With a `hierarchy`, the lattices of `multigrid_cycle` (which also takes
+    `constant_nullspace`), A is SPD and is solved by CG preconditioned by
+    the V-cycle; an empty hierarchy makes the cycle an exact solve.
+    Without one, A (CSR or a `CoupledOperator`) is solved by
     Jacobi-BiCGStab.  A system with a non-finite entry comes back at once
     as a NaN solution with `converged` False: no iteration can fix it, and
     iterating to the cap would only take time.
@@ -416,11 +661,11 @@ def solve(A, b, config=None, x0=None, transfers=None, constant_nullspace=False):
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(getattr(A, "matrix", A).data))):
         return np.full(n, np.nan), SolveReport(0, float("nan"), False)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if transfers is None:
+    if hierarchy is None:
         return _krylov(bicgstab, A, b, x0, config,
                        sparse.diags(_jacobi_inverse(A)))
     try:
-        cycle = multigrid_cycle(A, transfers, constant_nullspace)
+        cycle = multigrid_cycle(A, hierarchy, constant_nullspace)
     except RuntimeError as exc:   # SuperLU: singular coarsest operator
         residual = float(np.linalg.norm(b - A @ x0))
         raise NoConvergenceError(

@@ -123,10 +123,11 @@ class StructuredMesh:
 
         This is the one cache of what a mesh determines on its own (the
         quadrature tables and point set, the stencil pattern, the kernel
-        point blocks, the 1-D mass factors, the multigrid transfers, the
-        advection's upwind slot rows, the transport factor's ordering per
-        observation lattice); it is filled lazily, inside the run that
-        first needs each entry.
+        point blocks, the 1-D factors of the consistent and the CV mass,
+        the advection's upwind slot rows, the transport factor's ordering
+        per observation lattice); it is filled lazily, inside the run that
+        first needs each entry.  The pressure multigrid keeps no constant:
+        its transfers are slices of the value grids.
         """
         value = self._constants.get(key)
         if value is None:

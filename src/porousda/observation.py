@@ -16,9 +16,11 @@ records.
 the hat of lattice point (cy, cx) is column cy of p_y times column cx of
 p_x at the fine vertices.  The lattice is aligned with the mesh, so that
 hat is exactly the fine bilinear field with those vertex values.  The
-grid's reconstruction, the transport nudging operator (p's CV integrals)
-and the pressure multigrid transfers (`bilinear_prolongation`) are all
-built from it; the nudging coupling also reads f_y, f_x and F's product.
+grid's reconstruction and the transport nudging operator (p's CV
+integrals) are built from it; the nudging coupling also reads f_y, f_x and
+F's product.  The pressure multigrid applies the 2:1 case by slices of the
+value grid (`linalg._MID`), whose weights the tests hold to the Kronecker
+product of p at k = 2.
 """
 
 import math
@@ -98,17 +100,6 @@ def _cv_averages(n, k):
          (np.tile(owner, 2), np.concatenate([cell, cell + 1]))),
         shape=(n // k + 1, n + 1))
     return sparse.diags(1.0 / np.asarray(gamma.sum(axis=1)).ravel()) @ gamma
-
-
-def bilinear_prolongation(nx, ny, kx, ky):
-    """Bilinear interpolation to a lattice of nx-by-ny cells from the one
-    of every kx-th vertical and ky-th horizontal line, as CSR
-    ((nx+1)(ny+1), (nx/kx+1)(ny/ky+1)): the Kronecker product of the 1-D
-    interpolations in y and in x, both lattices numbered row by row, so
-    row v holds the four corners of one coarse cell in column order,
-    explicit zeros included."""
-    return sparse.kron(_linear_interpolation(ny, ky), _linear_interpolation(nx, kx),
-                       format="csr")
 
 
 def kron_apply(a, b, values):

@@ -15,15 +15,18 @@ free block SPD, and its solution is zero on the Dirichlet vertices, where
 the values are written after the solve.
 
 The system is solved by CG preconditioned by a geometric multigrid V-cycle
-(`linalg.solve` with the mesh's transfers).  The levels follow from the
-mesh: it is halved while nx and ny are both even and the coarse mesh keeps
-at least `MIN_COARSE_CELLS` cells per direction, and the coarsest level is
-solved directly.
+(`linalg.solve` with the problem's `hierarchy`).  The levels follow from
+the mesh: its lattice is halved while nx and ny are both even and the
+coarse lattice keeps at least `MIN_COARSE_CELLS` cells per direction, and
+the coarsest level is solved directly.  The hierarchy holds only the
+lattices' sizes and their fixed vertices, strided views of the mesh's
+Dirichlet mask (`multigrid_hierarchy`): the transfers are applied by
+slices of the value grids and the coarse operators summed in stencil form
+on every solve (`linalg.multigrid_cycle`), so nothing mesh-sized is kept.
 
 What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
-twin experiment): the stencil and the multigrid transfers
-(`multigrid_transfers`).  kappa is evaluated at the blocks of element rows of
+twin experiment): the stencil.  kappa is evaluated at the blocks of element rows of
 the point set that `fields.kernel_point_blocks` owns, read-only broadcast
 views of the per-column and per-row tables behind
 `fields.quadrature(mesh).points`; a raster lookup blends the raster at
@@ -36,12 +39,10 @@ source term of the flux recovery's local systems.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import sparse
 
 from . import linalg
 from .fields import (POINT_LOCAL, NodalField, basis_values,
                      kernel_point_blocks, quadrature)
-from .observation import bilinear_prolongation
 
 MIN_COARSE_CELLS = 8
 
@@ -50,46 +51,22 @@ class CoefficientRangeError(ValueError):
     """Permeability evaluated to a non-positive value."""
 
 
-def multigrid_transfers(mesh):
-    """2:1 bilinear prolongations between nested lattices, finest first.
-
-    Each is the whole-lattice prolongation without the entries of fixed rows
-    and columns (a coarse vertex is fixed when the fine vertex under it is)
-    but for the injection of each fixed coarse vertex into the fixed fine
-    vertex on it, so a Galerkin level P^T A P keeps A's unit Dirichlet rows
-    and zero Dirichlet columns, and its free block is the free blocks'
-    Galerkin product.  Returns a list of (P, P^T) pairs in CSR.  Every level
-    keeps a Dirichlet vertex when the mesh has one, because each Dirichlet
-    boundary edge has an endpoint on the next coarser lattice.  Built once
-    per mesh; each array owns a buffer of its own size.
-    """
-    return mesh.constant("multigrid_transfers", _build_transfers)
-
-
-def _build_transfers(mesh):
+def multigrid_hierarchy(mesh):
+    """The lattices of the pressure V-cycle (`linalg.Lattice`), the mesh's
+    first: halved while nx and ny are both even and the coarse lattice
+    keeps at least `MIN_COARSE_CELLS` cells per direction, and empty when
+    the mesh does not halve.  A coarse vertex is fixed when the fine vertex
+    under it is, so each level's `fixed` is a strided view of
+    `mesh.is_dirichlet` and the hierarchy holds no array of its own.  Every
+    level keeps a Dirichlet vertex when the mesh has one, because each
+    Dirichlet boundary edge has an endpoint on the next coarser lattice."""
     nx, ny = mesh.nx, mesh.ny
-    fixed = mesh.is_dirichlet
-    transfers = []
+    fixed = mesh.is_dirichlet.reshape(ny + 1, nx + 1)
+    levels = [linalg.Lattice(nx, ny, fixed)]
     while nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) // 2 >= MIN_COARSE_CELLS:
-        coarse_fixed = fixed.reshape(ny + 1, nx + 1)[::2, ::2].ravel()
-        P = bilinear_prolongation(nx, ny, 2, 2)
-        row = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
-        # A fine vertex on a coarse one has weight 1 there and 0 elsewhere.
-        P.data *= np.where(fixed[row], P.data == 1.0, ~coarse_fixed[P.indices])
-        P.eliminate_zeros()
-        # eliminate_zeros leaves the data and indices views of the kron's
-        # larger buffers; the mesh keeps compact copies.
-        P.data, P.indices = P.data.copy(), P.indices.copy()
-        transfers.append((P, P.T.tocsr()))
-        fixed, nx, ny = coarse_fixed, nx // 2, ny // 2
-    if not mesh.is_dirichlet.any():
-        # All-Neumann: p, and every Galerkin level, is fixed only up to a
-        # constant.  A last level without the first coarsest vertex keeps
-        # the direct solve nonsingular.
-        n = fixed.size
-        pin = sparse.eye(n, n - 1, k=-1, format="csr")
-        transfers.append((pin, pin.T.tocsr()))
-    return transfers
+        nx, ny, fixed = nx // 2, ny // 2, fixed[::2, ::2]
+        levels.append(linalg.Lattice(nx, ny, fixed))
+    return levels if len(levels) > 1 else []
 
 
 # The basis at the 28 points of the element point set (`POINT_LOCAL`), and
@@ -157,9 +134,10 @@ class PressureProblem:
     and summed per quadrant into `flux_source[lo:hi]`.  So no (ne, 16)
     array is made; the blocks' products equal the whole array's einsum
     bitwise in the tests (numpy does not promise its summation order).
-    `transfers` is the mesh's multigrid hierarchy, shared with every other
-    problem on the mesh.  The stiffness of the latest concentration is kept
-    for the flux recovery that follows the solve (`element_kernel`)."""
+    `hierarchy` lists the lattices of the multigrid V-cycle
+    (`multigrid_hierarchy`), which hold no array of their own.  The
+    stiffness of the latest concentration is kept for the flux recovery
+    that follows the solve (`element_kernel`)."""
 
     mesh: object
     kappa: object                  # callable(theta, x, y) -> permeability
@@ -169,7 +147,7 @@ class PressureProblem:
     load: np.ndarray = dc_field(init=False, repr=False)
     cv_source: np.ndarray = dc_field(init=False, repr=False)
     flux_source: np.ndarray = dc_field(init=False, repr=False)
-    transfers: list = dc_field(init=False, repr=False)
+    hierarchy: list = dc_field(init=False, repr=False)
     kernel: ElementKernel | None = dc_field(default=None, init=False,
                                             repr=False, compare=False)
 
@@ -191,7 +169,7 @@ class PressureProblem:
             flux = self.flux_source[lo:hi]
             np.sum(wg.reshape(-1, 4, 4), axis=2, out=flux)
             flux -= element_load
-        self.transfers = multigrid_transfers(mesh)
+        self.hierarchy = multigrid_hierarchy(mesh)
 
     def dirichlet_values(self, vids):
         x, y = self.mesh.vertices[vids, 0], self.mesh.vertices[vids, 1]
@@ -264,7 +242,7 @@ def solve_pressure(problem, theta, x0=None):
     fixed = mesh.dirichlet_vertices
     guess = None if x0 is None else np.where(mesh.is_dirichlet, 0.0, x0)
     x, report = linalg.solve(A, b, problem.solver, x0=guess,
-                             transfers=problem.transfers,
+                             hierarchy=problem.hierarchy,
                              constant_nullspace=not fixed.size)
     x[fixed] = problem.dirichlet_values(fixed)
     return NodalField(mesh, x), report

@@ -17,15 +17,16 @@ points lie in its corner's CV; a dual-mesh segment, its two CVs and its
 upwind vertex lie in one element), made and summed into the pattern one
 block of element rows at a time (`fields.kernel_point_blocks`), each block
 by `np.add.at`, in element order as one `np.bincount` would.  The CV mass is
-c_y (x) c_x, c the 1-D CV integrals of the hats (`_cv_block` per cell, the
-owner of the CV mass).  A coarse hat is the fine bilinear field of its
-column of P = p_y (x) p_x, so the CV integrals of the coarse basis, M P, are
-A_y (x) A_x with A = c p; the run keeps A_y and A_x.  The run keeps one data
+M = m_y (x) m_x, m the 1-D CV masses, each summed over its cells from the
+1-D CV integrals of the hats (`_cv_block` per cell, the owner of the CV
+mass) and kept per mesh (`cv_mass_factors`).  A coarse hat is the fine
+bilinear field of its column of P = p_y (x) p_x, so the CV integrals of the
+coarse basis, M P, are A_y (x) A_x with A = m p; the run keeps A_y and A_x.  The run keeps one data
 vector, K0 = diffusion + reaction; with h = dt/2, advection a gives
 S0 = M + h (K0 + a) plus the Dirichlet diagonal and E0 = M - h (K0 + a),
 and M, a mesh's sum of one constant block (`cv_mass`, copied into place from
-the sums of the 1-D blocks' terms), is written anew into S0's array for
-each step size, not kept.  A nudged run's S is S0 + h C, C
+the products of the 1-D CV masses, `cv_mass_factors`), is written anew into
+S0's array for each step size, not kept.  A nudged run's S is S0 + h C, C
 its rank-n_obs coupling applied from its factors (`NudgingCoupling`), and
 its E = E0 - h C applies C with the data.
 
@@ -230,7 +231,6 @@ class TransportCoefficients:
         blocks = kernel_point_blocks(mesh)
         # The four Gauss points of quadrant a all sit in the CV of corner a.
         phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
-        cy, cx = _cv_block(mesh.hy), _cv_block(mesh.hx)
         # A separable source keeps its profile's CV integrals, the CSR
         # product of the general path done once, block by block.
         self.source_cv = self.profile_cv = None
@@ -252,9 +252,9 @@ class TransportCoefficients:
         stencil = linalg.stencil(mesh)
         self.coupling = None
         if self.mu > 0.0:
+            my, mx = cv_mass_factors(mesh)
             self.coupling = NudgingCoupling(self.mu, (
-                cell_sum(cy, mesh.ny) @ self.grid.py,
-                cell_sum(cx, mesh.nx) @ self.grid.px), self.grid)
+                my @ self.grid.py, mx @ self.grid.px), self.grid)
         # K0: the diffusive flux, -sum over CV faces of D grad(theta) . n,
         # plus the reaction.
         k0 = self.k0 = np.zeros(stencil.nnz)
@@ -432,26 +432,30 @@ def upwind_slots(mesh):
         m).row_slots.select(_UPWIND_ENTRIES))
 
 
-def cv_mass(mesh):
-    """The CV mass M on `linalg.stencil(mesh)`, Dirichlet rows zero, as
-    `sum_blocks` of the constant block c_y (x) c_x would sum it, bitwise.
-    Entry (v, w) adds c_y[a_y, b_y] c_x[a_x, b_x] over the up to four
-    elements that hold v and w, in element order, with a_y the y end of v
-    in the element and so on (`_cv_terms`).  That sum depends only on
-    whether v is first, inner or last in its lattice row and column, so a
-    lattice row's data is its first vertex's, nx - 1 copies of an inner
-    vertex's and its last vertex's, and every inner lattice row's data is
-    the same; they are copied into place, not summed per element."""
-    pattern = linalg.stencil(mesh)
-    ys, xs = _cv_terms(_cv_block(mesh.hy)), _cv_terms(_cv_block(mesh.hx))
+def cv_mass_factors(mesh):
+    """(m_y, m_x), the 1-D CV masses `cell_sum` of the blocks `_cv_block`
+    over the ny and the nx cells, tridiagonal CSR: M = m_y (x) m_x, and the
+    CV integrals of the coarse basis are m_y p_y (x) m_x p_x.  Built once
+    per mesh."""
+    return mesh.constant("cv_mass_factors", lambda m: (
+        cell_sum(_cv_block(m.hy), m.ny), cell_sum(_cv_block(m.hx), m.nx)))
 
-    def vertex(y, x):
-        # A vertex's row: its neighbours in column order, row below first.
-        return [_sum_in_order(a * b for a in ty for b in tx)
-                for ty in y for tx in x]
+
+def cv_mass(mesh):
+    """The CV mass M on `linalg.stencil(mesh)`, Dirichlet rows zero: entry
+    (v, w), w at lattice offset (dy, dx) from v = (j, i), is
+    m_y[j, j + dy] m_x[i, i + dx] (`cv_mass_factors`), which equals
+    `sum_blocks` of the constant block c_y (x) c_x bitwise on every mesh
+    tested.  A row of m depends only on whether its point is first, inner
+    or last, so a lattice row's data is its first vertex's, nx - 1 copies
+    of an inner vertex's and its last vertex's, and every inner lattice
+    row's data is the same; they are copied into place."""
+    pattern = linalg.stencil(mesh)
+    ys, xs = ([m.data[m.indptr[r]:m.indptr[r + 1]] for r in (0, 1, m.shape[0] - 1)]
+              for m in cv_mass_factors(mesh))
 
     def lattice_row(y):
-        first, inner, last = (vertex(y, x) for x in xs)
+        first, inner, last = (np.outer(y, x).ravel() for x in xs)
         return np.concatenate([first, np.tile(inner, mesh.nx - 1), last])
 
     first, inner, last = (lattice_row(y) for y in ys)
@@ -461,27 +465,6 @@ def cv_mass(mesh):
     mass[-last.size:] = last
     mass[pattern.dirichlet_entries] = 0.0
     return mass
-
-
-def _sum_in_order(terms):
-    """The sum of `terms` added one at a time from 0.0, as `np.add.at`
-    adds them into a zeroed array; the builtin `sum` of floats compensates
-    its roundoff from Python 3.12 on."""
-    total = 0.0
-    for term in terms:
-        total += term
-    return total
-
-
-def _cv_terms(c):
-    """For a lattice vertex that is first, inner or last along one axis,
-    the terms of the 1-D CV block c (`_cv_block`) it takes from each
-    neighbour at offset -1, 0 and +1 that it has, one term per cell that
-    holds both, cells in increasing order: entry (a, b) of c, a the
-    vertex's end of the cell and b the neighbour's."""
-    return ([[c[0, 0]], [c[0, 1]]],
-            [[c[1, 0]], [c[1, 1], c[0, 0]], [c[0, 1]]],
-            [[c[1, 0]], [c[1, 1]]])
 
 
 def _cv_block(h):

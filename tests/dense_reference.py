@@ -14,7 +14,9 @@ pair, control-volume areas, point evaluation, the raw FEM flux residuals),
 the bump as first written and the exact integral of a bump well; the forms
 the package replaced, kept as references: among them the whole index
 tables the mesh and stencil no longer keep (element corners, stencil
-slots, every row's diagonal slot, the free vertices), the raster's
+slots, every row's diagonal slot, the free vertices), the stencil pattern
+built from whole-mesh tables, the multigrid transfers as CSR matrices and
+their Galerkin products, the raster's
 bilinear formula per point, the bordered 5x5 LAPACK solve of the flux recovery's local systems, the same
 systems solved exactly in rationals, and the assembled cell-average
 functionals; and checks on the scenarios and fields: the domain integral by
@@ -118,6 +120,107 @@ def stencil_slots(mesh):
 def diagonal_slots(mesh):
     """The (nv,) int32 slot of every row's diagonal entry."""
     return _stencil_positions(mesh)[:, 4].copy()
+
+
+def stencil_pattern_by_tables(mesh):
+    """The stencil's arrays as `linalg.StencilPattern` built them from
+    (nv, 9) tables of neighbours: indptr, indices, dirichlet_diagonal,
+    dirichlet_entries and dirichlet_columns (int32), the three element rows
+    of slots `tables` (intp) and their `stride`."""
+    from types import SimpleNamespace
+
+    nvx, nvy = mesh.nx + 1, mesh.ny + 1
+    n = nvx * nvy
+    i = np.tile(np.arange(nvx), nvy)
+    j = np.repeat(np.arange(nvy), nvx)
+    ii = i[:, None] + np.tile([-1, 0, 1], 3)
+    jj = j[:, None] + np.repeat([-1, 0, 1], 3)
+    present = (ii >= 0) & (ii < nvx) & (jj >= 0) & (jj < nvy)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    indices = (jj * nvx + ii)[present].astype(np.int32)
+    position = indptr[:-1, None] + np.cumsum(present, axis=1, dtype=np.int32)
+    position -= 1
+    cx = np.array([0, 1, 0, 1])
+    cy = np.array([0, 0, 1, 1])
+    offset = (cy - cy[:, None] + 1) * 3 + (cx - cx[:, None] + 1)
+    kept = [0, min(1, mesh.ny - 1), mesh.ny - 1]
+    corners = [mesh.element_corners(r * mesh.nx, (r + 1) * mesh.nx)
+               for r in kept]
+    tables = position[np.stack(corners)[..., None], offset]
+    return SimpleNamespace(
+        indptr=indptr, indices=indices,
+        dirichlet_diagonal=position[mesh.dirichlet_vertices, 4],
+        tables=tables.reshape(3, -1).astype(np.intp),
+        stride=int(indptr[2 * nvx] - indptr[nvx]) if mesh.ny > 1 else 0,
+        dirichlet_entries=np.flatnonzero(np.repeat(
+            mesh.is_dirichlet, np.diff(indptr))).astype(np.int32),
+        dirichlet_columns=np.flatnonzero(
+            mesh.is_dirichlet[indices]).astype(np.int32))
+
+
+def bilinear_prolongation(nx, ny, kx, ky):
+    """Bilinear interpolation to a lattice of nx-by-ny cells from the one
+    of every kx-th vertical and ky-th horizontal line, as CSR
+    ((nx+1)(ny+1), (nx/kx+1)(ny/ky+1)): the Kronecker product of the 1-D
+    interpolations `observation._linear_interpolation` in y and in x, both
+    lattices numbered row by row, so row v holds the four corners of one
+    coarse cell in column order, explicit zeros included."""
+    from scipy import sparse
+
+    from porousda.observation import _linear_interpolation
+
+    return sparse.kron(_linear_interpolation(ny, ky),
+                       _linear_interpolation(nx, kx), format="csr")
+
+
+def multigrid_transfers(mesh):
+    """The pressure multigrid's 2:1 bilinear prolongations as CSR pairs
+    (P, P^T), finest first, as the package built them: the whole-lattice
+    prolongation without the entries of fixed rows and columns but for the
+    injection of each fixed coarse vertex into the fixed fine vertex on
+    it.  On a mesh without a Dirichlet vertex a last pair drops the first
+    coarsest vertex (the pin)."""
+    from scipy import sparse
+
+    from porousda.pressure import MIN_COARSE_CELLS
+
+    nx, ny = mesh.nx, mesh.ny
+    fixed = mesh.is_dirichlet
+    transfers = []
+    while nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) // 2 >= MIN_COARSE_CELLS:
+        coarse_fixed = fixed.reshape(ny + 1, nx + 1)[::2, ::2].ravel()
+        P = bilinear_prolongation(nx, ny, 2, 2)
+        row = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        P.data *= np.where(fixed[row], P.data == 1.0, ~coarse_fixed[P.indices])
+        P.eliminate_zeros()
+        transfers.append((P, P.T.tocsr()))
+        fixed, nx, ny = coarse_fixed, nx // 2, ny // 2
+    if not mesh.is_dirichlet.any():
+        n = fixed.size
+        pin = sparse.eye(n, n - 1, k=-1, format="csr")
+        transfers.append((pin, pin.T.tocsr()))
+    return transfers
+
+
+def galerkin_product(R, A, P, block=4096):
+    """R @ A @ P as CSR, formed `block` rows of R at a time and stacked, as
+    the package formed its coarse levels before they were summed in
+    stencil form."""
+    from scipy import sparse
+
+    n = R.shape[0]
+    if n <= block:
+        return R @ A @ P
+    products = []
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        start, stop = R.indptr[lo], R.indptr[hi]
+        rows = sparse.csr_matrix((R.data[start:stop], R.indices[start:stop],
+                                  R.indptr[lo:hi + 1] - start),
+                                 shape=(hi - lo, R.shape[1]))
+        products.append(rows @ A @ P)
+    return sparse.vstack(products, format="csr")
 
 
 def element_origin(mesh, e):
@@ -1046,7 +1149,6 @@ def transport_operators_by_sums(coeffs):
     ops["dir_diag"] = pattern.matrix(dir_data)
     ops["nudge"] = None
     if coeffs.mu > 0.0:
-        from porousda.observation import bilinear_prolongation
 
         grid = coeffs.grid
         nudge_cv = ops["mass"] @ bilinear_prolongation(

@@ -13,7 +13,7 @@ from porousda.driver import (METRIC_COLUMNS, NonFiniteStateError, RunReport,
 from porousda.fields import NodalField
 from porousda.mesh import build_mesh
 from porousda.observation import ObservationStream, SparseGrid
-from porousda.pressure import multigrid_transfers
+from porousda.pressure import multigrid_hierarchy
 from porousda.transport import TransportCoefficients
 
 
@@ -32,7 +32,7 @@ def tiny_ex4():
     the second from the first one's pressure."""
     sc = scenarios.example4(nx=48)
     mesh = sc.build_mesh()
-    assert len(multigrid_transfers(mesh)) >= 2
+    assert len(multigrid_hierarchy(mesh)) >= 3     # two coarse levels
     part = TimePartition.from_scenario(
         sc.with_overrides(t_end=4.0 * scenarios.DAY))
     ref = run_reference(sc, part, mesh)

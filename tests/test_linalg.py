@@ -8,10 +8,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 import dense_reference as dr
-from porousda import fields
+from porousda import fields, linalg
 from porousda.fields import NodalField
-from porousda.linalg import (NoConvergenceError, SolverConfig, _abs_row_sums,
-                             assemble, solve)
+from porousda.linalg import (Lattice, NoConvergenceError, SolverConfig,
+                             _abs_row_sums, assemble, lattice_slots, solve)
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.pressure import PressureProblem, assemble_pressure
 
@@ -78,44 +78,50 @@ def test_stiffness_assembly_matches_dense_loops():
 
 
 def _pressure_system():
-    """The SPD pressure block of a 32x32 mesh and its 2-level hierarchy."""
+    """The SPD pressure block of a 32x32 mesh and its 3-lattice hierarchy."""
     mesh = build_mesh(32, 32, boundary_spec=lambda x, y: (
         DIRICHLET if x == 0.0 else NEUMANN))
     prob = PressureProblem(mesh, lambda th, x, y: 1.0 + x * y + 0.0 * th,
                            lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y),
                            dirichlet=1.0)
     A, b = assemble_pressure(prob, NodalField.zeros(mesh))
-    assert len(prob.transfers) == 2          # 32 -> 16 -> 8 cells
-    return A, b, prob.transfers
+    assert len(prob.hierarchy) == 3          # 32 -> 16 -> 8 cells
+    return A, b, prob.hierarchy
 
 
-def _aggregation(n):
-    """A two-level hierarchy for an n x n matrix: pairs of unknowns
-    aggregated into one coarse unknown."""
-    P = csr_matrix((np.ones(n), (np.arange(n), np.arange(n) // 2)),
-                   shape=(n, (n + 1) // 2))
-    return [(P, P.T.tocsr())]
+def _lattice_system(n=16, seed=11):
+    """A random SPD matrix on the 9-point pattern of an n x n-cell lattice,
+    random SPD element blocks summed plus the identity, a right-hand side,
+    and the lattices of a two-level hierarchy without fixed vertices."""
+    mesh = build_mesh(n, n, boundary_spec="all_neumann")
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((mesh.n_elements, 4, 4))
+    pattern = linalg.stencil(mesh)
+    data = pattern.sum_blocks(np.einsum("eab,ecb->eac", blocks, blocks))
+    data[lattice_slots(pattern.indptr, n, np.arange(pattern.n), 0, 0)] += 1.0
+    fixed = np.zeros((n + 1, n + 1), dtype=bool)
+    return pattern.matrix(data), rng.standard_normal(pattern.n), [
+        Lattice(n, n, fixed), Lattice(n // 2, n // 2, fixed[::2, ::2])]
 
 
 # The two systems of a run: SPD with a multigrid hierarchy goes to CG, any
 # other system to Jacobi-BiCGStab.
-SYSTEMS = [pytest.param(_aggregation, id="cg"),
-           pytest.param(lambda n: None, id="bicgstab")]
+SYSTEMS = [pytest.param(True, id="cg"), pytest.param(False, id="bicgstab")]
 
 
 def test_two_by_two_cg_solve():
     a = assemble([0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 2.0], (2, 2))
-    x, report = solve(a, np.array([2.0, 1.0]), SolverConfig(), transfers=[])
+    x, report = solve(a, np.array([2.0, 1.0]), SolverConfig(), hierarchy=[])
     np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-10)
     assert report.converged and report.iterations == 1
 
 
-@pytest.mark.parametrize("hierarchy", SYSTEMS)
-def test_random_spd_matches_dense_solve(hierarchy):
-    a_dense, b = _random_spd(50, seed=11)
-    x_ref = np.linalg.solve(a_dense, b)
-    x, report = solve(csr_matrix(a_dense), b, SolverConfig(),
-                      transfers=hierarchy(50))
+@pytest.mark.parametrize("multigrid", SYSTEMS)
+def test_random_spd_matches_dense_solve(multigrid):
+    a, b, hierarchy = _lattice_system()
+    x_ref = np.linalg.solve(a.toarray(), b)
+    x, report = solve(a, b, SolverConfig(),
+                      hierarchy=hierarchy if multigrid else None)
     assert report.converged and report.iterations > 1
     assert report.residual <= 1e-12 * np.linalg.norm(b)
     assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
@@ -131,13 +137,13 @@ def test_exact_initial_guess_returns_immediately():
 
 def test_cg_error_is_monotone_in_energy_norm():
     """Successive iterate errors shrink in the A-norm, the CG invariant."""
-    a, b, transfers = _pressure_system()
+    a, b, hierarchy = _pressure_system()
     x_true = spsolve(a.tocsc(), b)
     cfg = SolverConfig(rel_tol=0.0)
     energies = []
     for k in range(1, 9):
         with pytest.raises(NoConvergenceError) as info:
-            solve(a, b, replace(cfg, max_iter=k), transfers=transfers)
+            solve(a, b, replace(cfg, max_iter=k), hierarchy=hierarchy)
         e = info.value.best - x_true
         energies.append(float(e @ (a @ e)))
     diffs = np.diff(energies)
@@ -145,10 +151,10 @@ def test_cg_error_is_monotone_in_energy_norm():
 
 
 def test_nonconvergence_carries_best_iterate():
-    a, b, transfers = _pressure_system()
+    a, b, hierarchy = _pressure_system()
     cfg = SolverConfig(rel_tol=0.0, max_iter=3)
     with pytest.raises(NoConvergenceError) as info:
-        solve(a, b, cfg, transfers=transfers)
+        solve(a, b, cfg, hierarchy=hierarchy)
     exc = info.value
     assert exc.best.shape == b.shape
     assert exc.report.converged is False and not exc.breakdown
@@ -178,7 +184,7 @@ def test_multigrid_needs_hierarchy_and_nonsingular_coarsest_level():
     x, _ = solve(singular, b, SolverConfig())
     np.testing.assert_allclose(singular @ x, b, atol=1e-12)
     with pytest.raises(NoConvergenceError) as info:
-        solve(singular, b, SolverConfig(), transfers=[])
+        solve(singular, b, SolverConfig(), hierarchy=[])
     assert "singular" in str(info.value)
     assert info.value.report.iterations == 0
 
@@ -193,14 +199,14 @@ def test_subnormal_kappa_fails_typed_without_a_warning():
                               lambda x, y: np.ones_like(x))
     a, b = assemble_pressure(problem, NodalField.zeros(mesh))
     with pytest.raises(NoConvergenceError, match="singular"):
-        solve(a, b, SolverConfig(), transfers=problem.transfers)
+        solve(a, b, SolverConfig(), hierarchy=problem.hierarchy)
 
 
-@pytest.mark.parametrize("hierarchy", SYSTEMS)
-def test_non_finite_system_returns_nan_without_iterating(hierarchy):
+@pytest.mark.parametrize("multigrid", SYSTEMS)
+def test_non_finite_system_returns_nan_without_iterating(multigrid):
     a = csr_matrix(np.eye(3) * 2.0)
     x, report = solve(a, np.array([1.0, np.nan, 1.0]), SolverConfig(),
-                      transfers=hierarchy(3))
+                      hierarchy=[] if multigrid else None)
     assert np.all(np.isnan(x))
     assert not report.converged and report.iterations == 0
 

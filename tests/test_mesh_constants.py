@@ -15,8 +15,7 @@ import dense_reference as dr
 from porousda import driver, fields, pressure, scenarios
 from porousda.fields import NodalField, kernel_point_blocks, quadrature
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
-from porousda.observation import SparseGrid, bilinear_prolongation
-from porousda.pressure import multigrid_transfers
+from porousda.observation import SparseGrid
 from porousda.scenarios import PermeabilityRaster
 from porousda.transport import TransportCoefficients
 
@@ -37,15 +36,13 @@ def ex3_twin_builds():
     """example3 nx=30 over three coarse intervals, reference plus assimilated
     run on one mesh, counting the builds of every mesh constant."""
     sc = scenarios.example3(nx=30, spacing=0.1, t_end=0.006)
-    counts = dict.fromkeys(("quadrature", "kernel_blocks", "transfers"), 0)
+    counts = dict.fromkeys(("quadrature", "kernel_blocks"), 0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fields, "Quadrature",
                    _counting(counts, "quadrature", fields.Quadrature))
         mp.setattr(fields, "_build_kernel_blocks",
                    _counting(counts, "kernel_blocks",
                              fields._build_kernel_blocks))
-        mp.setattr(pressure, "_build_transfers",
-                   _counting(counts, "transfers", pressure._build_transfers))
         part = driver.TimePartition.from_scenario(sc)
         mesh = sc.build_mesh()
         ref = driver.run_reference(sc, part, mesh)
@@ -60,7 +57,19 @@ def test_twin_builds_each_mesh_constant_once(ex3_twin_builds):
     assert solves == 6
     assert counts["quadrature"] == 1
     assert counts["kernel_blocks"] == 1
-    assert counts["transfers"] == 1
+
+
+def test_twin_builds_no_transfer_constant(ex3_twin_builds):
+    """The multigrid transfers are slices of the value grids, so after six
+    multigrid pressure solves the mesh keeps no transfer constant and no
+    sparse matrix but the 1-D factors of the CV mass, one lattice line
+    long; the stencil's CSR arrays are its pattern."""
+    mesh, _, _ = ex3_twin_builds
+    assert not any("transfer" in str(key) for key in mesh._constants)
+    line = max(mesh.nx, mesh.ny) + 1
+    for value in mesh._constants.values():
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            assert not sparse.issparse(item) or max(item.shape) <= line
 
 
 def test_point_sets_are_views_of_one_read_only_pair(ex3_twin_builds):
@@ -151,12 +160,19 @@ def test_point_set_owns_per_column_and_per_row_tables_only(nx, ny, Lx, Ly,
 
 
 def test_problems_on_one_mesh_share_the_transfers():
+    """The transfers are defined by the hierarchy's lattices, whose fixed
+    vertices are strided views of the mesh's one `is_dirichlet`: problems
+    on one mesh share them and hold no array of their own."""
     sc = scenarios.example3(nx=32)
     mesh = sc.build_mesh()
     a = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)
     b = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)
-    assert a.transfers is b.transfers is multigrid_transfers(mesh)
-    assert len(a.transfers) == 2
+    assert [(h.nx, h.ny) for h in a.hierarchy] == [(32, 32), (16, 16), (8, 8)]
+    for p, q in zip(a.hierarchy, b.hierarchy):
+        assert (p.nx, p.ny) == (q.nx, q.ny)
+        for level in (p, q):
+            assert level.fixed.base is mesh.is_dirichlet
+        assert np.array_equal(p.fixed, q.fixed)
 
 
 @pytest.fixture(scope="module")
@@ -302,9 +318,9 @@ def test_a_reference_run_leaves_no_whole_point_array():
 def test_no_mesh_attribute_or_constant_holds_a_whole_mesh_index_table():
     """After a nudged twin and a transport factor on one mesh, no attribute
     of the mesh and no mesh constant holds an integer array of ne or more
-    entries but the stencil's CSR `indices` and `indptr`, the multigrid
-    transfers and the `dissection` orders: element corners and stencil
-    slots are derived from the lattice where they are read.  The three
+    entries but the stencil's CSR `indices` and `indptr` and the
+    `dissection` orders: element corners, stencil slots and the multigrid
+    transfers are derived from the lattice where they are read.  The three
     element rows of slots the stencil keeps, 48 nx entries, are fewer than
     ne from ny = 49 on."""
     sc = scenarios.example3(nx=60, spacing=0.1, t_end=0.004)
@@ -345,8 +361,7 @@ def test_no_mesh_attribute_or_constant_holds_a_whole_mesh_index_table():
 
     def allowed(path):
         key = path[1]
-        return (key == "multigrid_transfers"
-                or (isinstance(key, tuple) and key[0] == "dissection")
+        return ((isinstance(key, tuple) and key[0] == "dissection")
                 or path[1:] in (("stencil", "indices"), ("stencil", "indptr")))
 
     whole = [path for path, a in arrays(vars(mesh), ())
@@ -500,7 +515,7 @@ def test_metrics_evaluate_the_truth_once_and_match_two_calls():
 @pytest.mark.parametrize("nx, ny, kx, ky", [(240, 240, 8, 8), (240, 240, 2, 2),
                                             (60, 60, 6, 6), (9, 6, 3, 2)])
 def test_prolongation_equals_the_assembled_stream_bitwise(nx, ny, kx, ky):
-    got = bilinear_prolongation(nx, ny, kx, ky)
+    got = dr.bilinear_prolongation(nx, ny, kx, ky)
     want = dr.prolongation_by_assembly(nx, ny, kx, ky)
     assert got.shape == want.shape
     for a, b in ((got.data, want.data), (got.indices, want.indices),

@@ -10,10 +10,10 @@ from porousda.fields import NodalField, l2_diff
 from porousda.flux_postprocess import postprocess_flux
 from porousda.linalg import NoConvergenceError, SolverConfig
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
-from porousda.observation import SparseGrid, bilinear_prolongation
+from porousda.observation import SparseGrid, _linear_interpolation
 from porousda.pressure import (CoefficientRangeError, PressureProblem,
                                assemble_pressure, element_kernel,
-                               multigrid_transfers, solve_pressure)
+                               solve_pressure)
 from porousda.transport import TransportCoefficients
 
 
@@ -197,7 +197,7 @@ def test_solver_failure_propagates():
     prob = PressureProblem(mesh, kappa=lambda th, x, y: np.ones_like(x),
                            source=lambda x, y: np.ones_like(x),
                            solver=SolverConfig(rel_tol=1e-14, max_iter=1))
-    assert len(prob.transfers) == 2
+    assert len(prob.hierarchy) == 3
     with pytest.raises(NoConvergenceError):
         solve_pressure(prob, NodalField.zeros(mesh))
 
@@ -232,7 +232,7 @@ def test_default_solver_is_the_driver_pressure_solver(monkeypatch):
     solve = linalg.solve
 
     def recorded(A, b, config=None, **kw):
-        configs.append((config, kw.get("transfers") is not None))
+        configs.append((config, kw.get("hierarchy") is not None))
         return solve(A, b, config, **kw)
 
     monkeypatch.setattr(linalg, "solve", recorded)
@@ -243,9 +243,9 @@ def test_default_solver_is_the_driver_pressure_solver(monkeypatch):
 
 def test_v_cycle_is_symmetric_positive_definite():
     _, prob, theta = _mixed_problem(32)
-    assert len(prob.transfers) == 2          # 32 -> 16 -> 8 cells
+    assert len(prob.hierarchy) == 3          # 32 -> 16 -> 8 cells
     a, _ = assemble_pressure(prob, theta)
-    precondition = linalg.multigrid_cycle(a, prob.transfers)
+    precondition = linalg.multigrid_cycle(a, prob.hierarchy)
     rng = np.random.default_rng(3)
     r1, r2 = rng.standard_normal((2, a.shape[0]))
     z1, z2 = precondition(r1), precondition(r2)
@@ -255,7 +255,7 @@ def test_v_cycle_is_symmetric_positive_definite():
 
 def test_multigrid_cg_matches_jacobi_cg_and_dense_oracle():
     mesh, prob, theta = _mixed_problem(16)
-    assert len(prob.transfers) == 1          # 16 -> 8 cells
+    assert len(prob.hierarchy) == 2          # 16 -> 8 cells
     p_mg, rep_mg = solve_pressure(prob, theta)
     p_jac, jac_iterations = dr.jacobi_cg_pressure(prob, theta)
     p_ref = dr.dense_pressure_solve(mesh, _hetero_kappa, _wavy_source,
@@ -306,7 +306,7 @@ def test_multigrid_without_halving_or_dirichlet_solves_or_raises_typed(nx, spec)
         return
     p_jac, _ = dr.jacobi_cg_pressure(prob, theta)
     if spec == "all_dirichlet":
-        assert prob.transfers == [] and report.iterations <= 1
+        assert prob.hierarchy == [] and report.iterations <= 1
     shift = np.mean(p.values - p_jac)   # 0 unless all-Neumann
     np.testing.assert_allclose(p.values - shift, p_jac, atol=1e-10)
 
@@ -419,22 +419,23 @@ def test_every_galerkin_level_keeps_unit_dirichlet_rows(factory, nx,
     """Each coarse level P^T A P has unit rows and zero columns at the
     coarse vertices on fixed fine ones, and its free block equals the
     Galerkin product of the free blocks with the free-vertex prolongation
-    (the level solved before) value for value."""
+    (the level solved before) to 1e-14 relative: the stencil form sums the
+    same products in another order."""
     mesh, prob, theta = _darcy_system(factory, nx)
     a, _ = assemble_pressure(prob, theta)
-    fixed = mesh.is_dirichlet
-    lattice = (mesh.nx, mesh.ny)
-    assert prob.transfers
-    for P, R in prob.transfers:
-        coarse = fixed.reshape(lattice[1] + 1, lattice[0] + 1)[::2, ::2].ravel()
+    hierarchy = prob.hierarchy
+    assert len(hierarchy) > 1
+    for fine, coarse in zip(hierarchy, hierarchy[1:]):
+        fixed, fixed_coarse = fine.fixed.ravel(), coarse.fixed.ravel()
         # The free-vertex prolongation, built as it was built before.
-        P_free = bilinear_prolongation(*lattice, 2, 2)[~fixed][:, ~coarse].tocsr()
+        P_free = dr.bilinear_prolongation(fine.nx, fine.ny, 2, 2)[~fixed][
+            :, ~fixed_coarse].tocsr()
         P_free.eliminate_zeros()
         free_product = P_free.T.tocsr() @ a[~fixed][:, ~fixed] @ P_free
-        a = (R @ a @ P).tocsr()
-        assert coarse.any() and _unit_dirichlet(a, coarse)
-        assert (a[~coarse][:, ~coarse] != free_product).nnz == 0
-        fixed, lattice = coarse, (lattice[0] // 2, lattice[1] // 2)
+        a = linalg._galerkin_level(a, fine, coarse)
+        assert fixed_coarse.any() and _unit_dirichlet(a, fixed_coarse)
+        gap = abs(a[~fixed_coarse][:, ~fixed_coarse] - free_product).max()
+        assert gap <= 1e-14 * abs(free_product).max()
 
 
 @pytest.mark.parametrize("factory, nx, iterations", DARCY_MESHES,
@@ -457,49 +458,100 @@ def test_multigrid_cg_takes_the_free_systems_iterations(factory, nx,
 
 
 def _galerkin_case(case):
-    """(pressure matrix, transfers) of a mesh whose hierarchy is blocked:
-    example3 at nx = 240, example4 at nx = 24, 34 x 18, which halves once to
-    the odd 17 x 9, and 64 x 64 without Dirichlet vertices, which halves
-    three times and pins one coarsest vertex."""
+    """(mesh, pressure matrix, hierarchy) of the four boundary cases of the
+    stencil hierarchy: example3 at nx = 240, all-Dirichlet and blocked;
+    example2 at nx = 50, Dirichlet on the x faces only, which halves to
+    the odd 25 x 25; 34 x 18, which halves once to the odd 17 x 9; and
+    64 x 64 without Dirichlet vertices, which halves three times and pins
+    one coarsest vertex."""
     if case == "example3":
         mesh, prob, theta = _darcy_system(scenarios.example3, 240)
-    elif case == "example4":
-        mesh, prob, theta = _darcy_system(scenarios.example4, 24)
     else:
-        mesh = (build_mesh(34, 18, 1.7, 0.9) if case == "odd" else
-                build_mesh(64, 64, boundary_spec="all_neumann"))
+        mesh = {"example2": lambda: scenarios.example2(nx=50).build_mesh(),
+                "odd": lambda: build_mesh(34, 18, 1.7, 0.9),
+                "all-neumann": lambda: build_mesh(
+                    64, 64, boundary_spec="all_neumann")}[case]()
         prob = PressureProblem(mesh, _hetero_kappa, _wavy_source)
         theta = NodalField.from_callable(mesh, lambda x, y: x * (1.0 - y))
-    return assemble_pressure(prob, theta)[0], prob.transfers
+    return mesh, assemble_pressure(prob, theta)[0], prob.hierarchy
 
 
-@pytest.mark.parametrize("case, block", [
-    ("example3", fields.KERNEL_BLOCK), ("example4", 50), ("odd", 50),
-    ("all-neumann", 50)])
-def test_blocked_galerkin_levels_equal_the_whole_product_bitwise(
-        monkeypatch, case, block):
-    """Every coarse level formed `fields.KERNEL_BLOCK` coarse rows at a
-    time (`linalg._galerkin_product`) has the indptr, indices and data,
-    unsorted and of the same dtypes, of the whole product R @ A @ P, and
-    every level's l1 row sums, a chunk of rows at a time, those of one
-    `np.add.reduceat` over its whole abs(A.data): at example3 nx = 240
-    with the package's block, and with blocks of 50 rows at example4
-    nx = 24, on a mesh that halves to an odd lattice and on an all-Neumann
-    mesh."""
-    A, transfers = _galerkin_case(case)
-    monkeypatch.setattr(fields, "KERNEL_BLOCK", block)
-    assert any(R.shape[0] > block for _, R in transfers)
-    for P, R in transfers:
-        rows = np.flatnonzero(np.diff(A.indptr))
-        l1 = np.zeros(A.shape[0])
-        l1[rows] = np.add.reduceat(np.abs(A.data), A.indptr[rows])
-        assert linalg._abs_row_sums(A).tobytes() == l1.tobytes()
-        got, want = linalg._galerkin_product(R, A, P), R @ A @ P
+GALERKIN_CASES = ["example3", "example2", "odd", "all-neumann"]
+
+
+@pytest.mark.parametrize("case", GALERKIN_CASES)
+def test_slice_transfers_equal_the_csr_products(case):
+    """The slice-applied P of every level equals the masked CSR
+    prolongation the package kept before (`dense_reference
+    .multigrid_transfers`) bitwise: each fine value sums the same products
+    in the same order.  P^T, applied along x and then along y, sums another
+    order and equals the CSR product to roundoff, within 9 eps of the sum
+    of its terms' magnitudes; both for random values and for values zero
+    at the fixed vertices, as the V-cycle's residuals are."""
+    mesh, _, hierarchy = _galerkin_case(case)
+    oracle = dr.multigrid_transfers(mesh)
+    assert len(oracle) == len(hierarchy) - 1 + (not mesh.is_dirichlet.any())
+    rng = np.random.default_rng(7)
+    for (P, R), fine, coarse in zip(oracle, hierarchy, hierarchy[1:]):
+        transfer = linalg._Transfer(fine, coarse)
+        coarse_values = rng.standard_normal(P.shape[1])
+        assert transfer.prolong(coarse_values).tobytes() == (
+            P @ coarse_values).tobytes()
+        fine_values = rng.standard_normal(P.shape[0])
+        for values in (fine_values, np.where(fine.fixed.ravel(), 0.0,
+                                             fine_values)):
+            bound = 9 * np.finfo(float).eps * (abs(R) @ abs(values))
+            assert np.all(abs(transfer.restrict(values) - R @ values) <= bound)
+
+
+@pytest.mark.parametrize("case", GALERKIN_CASES)
+def test_stencil_galerkin_levels_equal_the_csr_products(case):
+    """Every coarse level summed in stencil form (`linalg._galerkin_level`)
+    equals the Galerkin product R @ A @ P of the CSR transfers, formed a
+    block of rows at a time as the package formed it
+    (`dense_reference.galerkin_product`), to 1e-14 relative, on the coarse
+    lattice's pattern; at example3 nx = 240 the level is summed in bands.
+    On the all-Neumann mesh the coarsest solve factors the coarsest level
+    less its first row and column, the product with the pin that the
+    hierarchy used to end with, bitwise."""
+    mesh, A, hierarchy = _galerkin_case(case)
+    oracle = dr.multigrid_transfers(mesh)
+    if case == "example3":
+        assert fields.KERNEL_BLOCK // (hierarchy[0].nx + 1) < hierarchy[1].ny
+    for (P, R), fine, coarse in zip(oracle, hierarchy, hierarchy[1:]):
+        got = linalg._galerkin_level(A, fine, coarse)
+        want = dr.galerkin_product(R, A, P)
+        pattern = linalg.lattice_pattern(coarse.nx, coarse.ny)
+        assert got.indptr.tobytes() == pattern[0].tobytes()
+        assert got.indices.tobytes() == pattern[1].tobytes()
         assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        A = want
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
+        A = got
+    if not mesh.is_dirichlet.any():
+        P, R = oracle[-1]
+        pinned = (R @ A @ P).tocsr()
+        pinned.sort_indices()
+        assert (A[1:, 1:] != pinned).nnz == 0
+
+
+def test_slice_weights_are_the_2to1_product_of_the_linear_interpolation():
+    """P applied to each coarse unit vector, on a lattice without fixed
+    vertices, is the column of the Kronecker product of the 2:1
+    `observation._linear_interpolation`, the one owner of the coarse
+    bilinear basis, exactly, and P^T applied to each fine unit vector its
+    row; `linalg._MID` is the interpolation's weight at a cell's midpoint."""
+    assert _linear_interpolation(2, 2).toarray().tolist() == [
+        [1.0, 0.0], [linalg._MID, linalg._MID], [0.0, 1.0]]
+    nx, ny = 6, 4
+    free = np.zeros((ny + 1, nx + 1), dtype=bool)
+    transfer = linalg._Transfer(linalg.Lattice(nx, ny, free),
+                                linalg.Lattice(nx // 2, ny // 2, free[::2, ::2]))
+    want = dr.bilinear_prolongation(nx, ny, 2, 2).toarray()
+    assert np.array_equal(want, np.kron(_linear_interpolation(ny, 2).toarray(),
+                                        _linear_interpolation(nx, 2).toarray()))
+    columns = np.column_stack([transfer.prolong(e) for e in np.eye(want.shape[1])])
+    rows = np.column_stack([transfer.restrict(e) for e in np.eye(want.shape[0])])
+    assert np.array_equal(columns, want) and np.array_equal(rows, want.T)
 
 
 @pytest.mark.parametrize("factory, nx", [(scenarios.example3, 240),
@@ -598,8 +650,7 @@ def test_one_darcy_interval_at_nx_240_allocates_at_most_40_element_arrays():
 @pytest.fixture(scope="module")
 def ex3_set_up():
     """example3 at nx = 240 with its mesh constants built, as a reference
-    run leaves them: the point set and its blocks, the stencil and the
-    multigrid transfers."""
+    run leaves them: the point set and its blocks and the stencil."""
     sc = scenarios.example3(nx=240)
     mesh = sc.build_mesh()
     grid = SparseGrid(mesh, sc.spacing)
@@ -607,17 +658,6 @@ def ex3_set_up():
     PressureProblem(mesh, sc.kappa, sc.pressure_source,
                     dirichlet=sc.pressure_dirichlet)
     return sc, mesh, grid
-
-
-def test_the_multigrid_transfers_hold_no_buffer_larger_than_they_use(
-        ex3_set_up):
-    """Each array of every (P, P^T) pair at nx = 240 owns a buffer of its
-    own size.  `eliminate_zeros` left P's data and indices views of the
-    kron's buffers, 1.86 MB holding 1.02 MB of data at the finest level."""
-    for pair in multigrid_transfers(ex3_set_up[1]):
-        for matrix in pair:
-            for array in (matrix.data, matrix.indices, matrix.indptr):
-                assert _base(array).nbytes == array.nbytes
 
 
 def _nudged_run(sc, mesh, grid):

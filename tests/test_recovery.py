@@ -250,10 +250,10 @@ def test_example4_default_size_breakdown_makes_the_run_factor_at_once(
     transport_solves = []
     solve = linalg.solve
 
-    def counted(A, b, config=None, transfers=None, **kw):
-        if transfers is None:
+    def counted(A, b, config=None, hierarchy=None, **kw):
+        if hierarchy is None:
             transport_solves.append(b.size)
-        return solve(A, b, config, transfers=transfers, **kw)
+        return solve(A, b, config, hierarchy=hierarchy, **kw)
 
     monkeypatch.setattr(linalg, "solve", counted)
     ref = _reference(scenarios.example4(), 4 * DAY)

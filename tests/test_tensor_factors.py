@@ -17,7 +17,7 @@ from scipy import sparse
 import dense_reference as dr
 from porousda.fields import NodalField
 from porousda.mesh import build_mesh
-from porousda.observation import SparseGrid, bilinear_prolongation, kron_apply
+from porousda.observation import SparseGrid, kron_apply
 from porousda.transport import TransportCoefficients
 from test_stencil import _mixed_faces
 
@@ -52,7 +52,7 @@ def _close(got, want):
 def test_reconstruct_is_the_assembled_prolongation(grid):
     mesh = grid.mesh
     d = np.random.default_rng(grid.n_obs).standard_normal(grid.n_obs)
-    P = bilinear_prolongation(mesh.nx, mesh.ny, grid.kx, grid.ky)
+    P = dr.bilinear_prolongation(mesh.nx, mesh.ny, grid.kx, grid.ky)
     _close(grid.reconstruct(d).values, P @ d)
 
 

@@ -26,9 +26,9 @@ on every solve (`linalg.multigrid_cycle`), so nothing mesh-sized is kept.
 
 What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
-twin experiment): the stencil.  kappa is evaluated at the blocks of element rows of
-the point set that `fields.kernel_point_blocks` owns, read-only broadcast
-views of the per-column and per-row tables behind
+twin experiment): the stencil.  kappa is evaluated at the blocks of
+element rows of the point set that `fields.kernel_point_blocks` owns,
+read-only broadcast views of the per-column and per-row tables behind
 `fields.quadrature(mesh).points`; a raster lookup blends the raster at
 those compact tables on every solve and keeps nothing.  What depends on the
 problem's time-independent data is built once per problem, over the same

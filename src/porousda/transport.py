@@ -21,12 +21,12 @@ M = m_y (x) m_x, m the 1-D CV masses, each summed over its cells from the
 1-D CV integrals of the hats (`_cv_block` per cell, the owner of the CV
 mass) and kept per mesh (`cv_mass_factors`).  A coarse hat is the fine
 bilinear field of its column of P = p_y (x) p_x, so the CV integrals of the
-coarse basis, M P, are A_y (x) A_x with A = m p; the run keeps A_y and A_x.  The run keeps one data
-vector, K0 = diffusion + reaction; with h = dt/2, advection a gives
-S0 = M + h (K0 + a) plus the Dirichlet diagonal and E0 = M - h (K0 + a),
-and M, a mesh's sum of one constant block (`cv_mass`, copied into place from
-the products of the 1-D CV masses, `cv_mass_factors`), is written anew into
-S0's array for each step size, not kept.  A nudged run's S is S0 + h C, C
+coarse basis, M P, are A_y (x) A_x with A = m p; the run keeps A_y and A_x.
+The run keeps one data vector, K0 = diffusion + reaction; with h = dt/2,
+advection a gives S0 = M + h (K0 + a) plus the Dirichlet diagonal and
+E0 = M - h (K0 + a), and M, a mesh's sum of one constant block (`cv_mass`,
+copied into place from the products of the 1-D CV masses), is written anew
+into S0's array for each step size, not kept.  A nudged run's S is S0 + h C, C
 its rank-n_obs coupling applied from its factors (`NudgingCoupling`), and
 its E = E0 - h C applies C with the data.
 
@@ -451,8 +451,9 @@ def cv_mass(mesh):
     of an inner vertex's and its last vertex's, and every inner lattice
     row's data is the same; they are copied into place."""
     pattern = linalg.stencil(mesh)
-    ys, xs = ([m.data[m.indptr[r]:m.indptr[r + 1]] for r in (0, 1, m.shape[0] - 1)]
-              for m in cv_mass_factors(mesh))
+    # The first, an inner and the last row of each 1-D mass.
+    ys, xs = ([m.data[m.indptr[r]:m.indptr[r + 1]]
+               for r in (0, 1, m.shape[0] - 1)] for m in cv_mass_factors(mesh))
 
     def lattice_row(y):
         first, inner, last = (np.outer(y, x).ravel() for x in xs)

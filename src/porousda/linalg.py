@@ -324,18 +324,39 @@ def _jacobi_inverse(A):
     return 1.0 / d
 
 
-def _abs_row_sums(A):
-    """The absolute row sums of a CSR matrix, each row's abs(A.data) added
-    in storage order as `abs(A).sum(axis=1)` adds them, `fields.KERNEL_BLOCK`
-    rows at a time, so only one chunk's abs(A.data) is copied at once."""
-    l1 = np.zeros(A.shape[0])
-    for lo in range(0, A.shape[0], fields.KERNEL_BLOCK):
-        ptr = A.indptr[lo:lo + fields.KERNEL_BLOCK + 1]
-        rows = np.flatnonzero(np.diff(ptr))
-        if rows.size:
-            l1[lo + rows] = np.add.reduceat(
-                np.abs(A.data[ptr[0]:ptr[-1]]), ptr[rows] - ptr[0])
-    return l1
+def _abs_row_sums(A, lattice):
+    """The absolute row sums of A on a lattice's `lattice_pattern`, each
+    row's abs(A.data) added as `abs(A).sum(axis=1)` adds them (one
+    `np.add.reduceat`): its first entry plus numpy's pairwise sum of the
+    rest (`_pairwise_rest`).  A band of lattice rows at a time, each kind of
+    vertex (first, inner, last in its row) as one array, so no call is
+    made per row and only one band's abs(A.data) is copied at once."""
+    nx, ny = lattice.nx, lattice.ny
+    l1 = np.empty((ny + 1, nx + 1))
+    band = max(1, fields.KERNEL_BLOCK // (nx + 1))
+    for r0 in range(0, ny + 1, band):
+        for a, b, dy, start, stop, width in _row_kinds(
+                A.indptr, nx, ny, r0, min(r0 + band, ny + 1)):
+            k = dy.stop - dy.start
+            entries = np.abs(A.data[start:stop]).reshape(b - a, width)
+            inner = entries[:, 2 * k:width - 2 * k].reshape(b - a, nx - 1, 3 * k)
+            for i, e in ((0, entries[:, :2 * k]), (slice(1, nx), inner),
+                         (nx, entries[:, width - 2 * k:])):
+                l1[a:b, i] = e[..., 0] + _pairwise_rest(e)
+    return l1.ravel()
+
+
+def _pairwise_rest(e):
+    """The sum of e[..., 1:] (at most 8 entries a row) as numpy's pairwise
+    sum adds it: one at a time below 8 entries, and 8 in a tree."""
+    m = e.shape[-1]
+    if m == 9:
+        return (((e[..., 1] + e[..., 2]) + (e[..., 3] + e[..., 4]))
+                + ((e[..., 5] + e[..., 6]) + (e[..., 7] + e[..., 8])))
+    total = e[..., 1].copy()
+    for j in range(2, m):
+        total += e[..., j]
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,61 +454,51 @@ def _row_kinds(indptr, nx, ny, r0, r1):
                    (dy.stop - dy.start) * (3 * nx + 1))
 
 
-def _split_rows(A, fine, c0, c1, fixed, X):
-    """Fine rows 2 c0 - 1 to 2 c1 - 1 of A into X (3, 2, 2, 3, R, W):
-    X[dx, p, q, dy, k, j] is the entry at lattice offset (dy - 1, dx - 1)
-    of fine vertex (2 (c0 + k) - q, 2 j - p), zero outside the lattice and
-    in the rows of `fixed`, the (row, column) arrays of the fixed fine
-    vertices.  Split by the parity of the row and the column, every
-    1-D pass of `_coarsen` reads contiguous arrays."""
-    nx, mx = fine.nx, fine.nx // 2
-    X.fill(0.0)
-    lo, hi = max(2 * c0 - 1, 0), min(2 * c1, fine.ny + 1)
-    for a, b, dy, start, stop, width in _row_kinds(A.indptr, nx, fine.ny,
-                                                    lo, hi):
-        n = dy.stop - dy.start
-        rows = A.data[start:stop].reshape(b - a, width)
-        for q in (0, 1):
-            r = a + (a - q) % 2                # the first row of parity q
-            data = rows[r - a::2]
-            k = slice((r + q) // 2 - c0, (r + q) // 2 - c0 + len(data))
-            inner = data[:, 2 * n:width - 2 * n].reshape(len(data), nx - 1, n, 3)
-            X[1:, 0, q, dy, k, 0] = data[:, :2 * n].reshape(-1, n, 2).T
-            X[:, 0, q, dy, k, 1:mx] = inner[:, 1::2].transpose(3, 2, 0, 1)
-            X[:, 1, q, dy, k, 1:mx + 1] = inner[:, ::2].transpose(3, 2, 0, 1)
-            X[:2, 0, q, dy, k, mx] = data[:, width - 2 * n:].reshape(
-                -1, n, 2).T
-    r, x = fixed
-    band = slice(*np.searchsorted(r, (lo, hi)))
-    r, x = r[band], x[band]
-    X[:, x % 2, r % 2, :, (r + 1) // 2 - c0, (x + 1) // 2] = 0.0
+def _pair_weights():
+    """The 1-D Galerkin product P^T B P of a tridiagonal B, P the 2:1
+    interpolation (1 at fine point 2 C, `_MID` at 2 C -+ 1), by pairs of
+    fine points: (6, 6), row (a, d) the entry of B's row at point 2 C + a
+    that couples it to point 2 C + a + d - 1, column (s, o) the entry of the
+    product's row C + s at offset o - 1.  Entry P[f, C + s] P[f + d - 1,
+    C + s + o - 1] with f = 2 C + a."""
+    w = {0: 1.0, 1: _MID, -1: _MID}
+    out = np.zeros((2, 3, 2, 3))
+    for a, d, s, o in np.ndindex(out.shape):
+        out[a, d, s, o] = (w.get(a - 2 * s, 0.0)
+                           * w.get(a + d - 1 - 2 * s - 2 * (o - 1), 0.0))
+    return out.reshape(6, 6)
 
 
-def _coarsen(even, odd, out, shift):
-    """One 1-D pass of the Galerkin product P^T B P at every coarse point
-    C at once, for B tridiagonal and P the 2:1 interpolation, whose column
-    C is 1 at fine point 2 C and `_MID` at 2 C -+ 1.  even and odd hold
-    B's (sub, main, super) diagonals at the fine points 2 C and 2 C - 1,
-    out gets the product's (sub, main, super) diagonals at C; all are flat
-    contiguous arrays of one length, the next point `shift` entries on,
-    and what lies past the last point is junk.  The row of an odd point
-    enters the coarse rows on either side of it with weight `_MID`: beta
-    to the main and sub diagonal of the one after it, gamma to the main
-    and super diagonal of the one before."""
-    (le, me, ue), (lo, mo, uo), (L, M, U) = even, odd, out
-    quarter = (_MID * _MID) * mo
-    beta = _MID * lo
-    beta += quarter
-    gamma = _MID * uo
-    gamma += quarter
-    np.multiply(_MID, le, out=L)
-    np.multiply(_MID, ue, out=U)
-    np.add(L, me, out=M)
-    M += U
-    M += gamma
-    M[:-shift] += beta[shift:]
-    L += beta
-    U[:-shift] += gamma[shift:]
+# The pair weights along x, for a CSR row's (vertex, dy, dx) entries of a
+# pair of fine vertices to the (side, dy, dx) entries of two coarse
+# columns, and along y, for the (dy, dx) entries of one fine row to those
+# of one coarse row: from an even row to its own, from an odd row to the
+# one below it and to the one above it.
+_PAIR = _pair_weights()
+_PAIR_X = np.einsum("adso,yz->aydszo", _PAIR.reshape(2, 3, 2, 3),
+                    np.eye(3)).reshape(18, 18)
+_PAIR_Y = (np.kron(_PAIR[:3, :3], np.eye(3)), np.kron(_PAIR[3:, :3], np.eye(3)),
+           np.kron(_PAIR[3:, 3:], np.eye(3)))
+
+
+def _x_weights(dys):
+    """`_PAIR_X` cut to the CSR layout of a lattice row kind whose rows have
+    the row offsets `dys` (0: -1, 1: 0, 2: +1): the rows of its first pair
+    (the first vertex, without dx = -1, and an inner one) and of an inner
+    pair, each split by coarse side, and those of its last vertex (without
+    dx = +1) to the first side.  All contiguous, so numpy's matmul runs
+    them through BLAS."""
+    def rows(v, dxs):
+        return [9 * v + 3 * y + x for y in dys for x in dxs]
+    first = _PAIR_X[rows(0, (1, 2)) + rows(1, (0, 1, 2))]
+    inner = _PAIR_X[rows(0, (0, 1, 2)) + rows(1, (0, 1, 2))]
+    return (first[:, :9].copy(), first[:, 9:].copy(), inner[:, :9].copy(),
+            inner[:, 9:].copy(), _PAIR_X[rows(0, (0, 1)), :9])
+
+
+# `_x_weights` of the first, an inner and the last lattice row.
+_X_WEIGHTS = {(dys[0], dys[-1] + 1): _x_weights(dys)
+              for dys in ((1, 2), (0, 1, 2), (0, 1))}
 
 
 def _galerkin_level(A, fine, coarse):
@@ -497,51 +508,80 @@ def _galerkin_level(A, fine, coarse):
 
     That product is the plain bilinear one of A with its fixed rows zeroed,
     with the fixed coarse rows and columns zeroed and then unit diagonals
-    there.  P is the tensor product of 1-D interpolations, so each of its
-    nine offset arrays is summed from A's by two 1-D passes (`_coarsen`):
-    along x, each (fine row, row offset) a tridiagonal matrix, and then
-    along y, each (coarse column, column offset) one.  A band of coarse
-    rows at a time, each from the fine rows under it (`_split_rows`):
-    about 2 `fields.KERNEL_BLOCK` fine vertices, so a band's arrays stay
-    in a core's cache and no offset form of the whole fine operator is
-    made."""
-    band = max(1, fields.KERNEL_BLOCK // (fine.nx + 1))
-    width = coarse.nx + 2                      # a junk column past the last
-    fixed = np.nonzero(fine.fixed)
-    indptr, indices = lattice_pattern(coarse.nx, coarse.ny)
+    there.  P is the tensor product of 1-D interpolations, so it is two
+    1-D passes (`_pair_weights`), each a product by a small matrix of the
+    entries of pairs of fine points: along x, a pair of vertices of a
+    fine row is 18 consecutive CSR entries, to the (dy, dx) entries of two
+    coarse columns of that row (T, fine row by coarse column); along y,
+    three products of T's even and odd rows give the coarse rows (G,
+    coarse row by coarse column), whose entries are then the coarse CSR
+    rows' own order.  A band of coarse rows at a time, each from the fine
+    rows under it, so no offset form of the whole fine operator is made."""
+    nx, mx = fine.nx, coarse.nx
+    band = max(1, fields.KERNEL_BLOCK // (nx + 1))
+    indptr, indices = lattice_pattern(mx, coarse.ny)
     data = np.empty(indices.size)
-    size = (band + 1) * width
-    buffers = np.empty(36 * size), np.empty(18 * size), np.empty(9 * size)
+    fixed = np.flatnonzero(fine.fixed)
+    fixed_diagonal = lattice_slots(A.indptr, nx, fixed, 0, 0)
+    drop = _dropped_entries(coarse.fixed)
+    rows_buffer = np.empty((2 * band + 1) * 3 * (3 * nx + 1))
+    T, S = np.empty((2, 2 * band + 1, mx + 1, 9))
+    G = np.empty((band, mx + 1, 9))
     for c0 in range(0, coarse.ny + 1, band):
         c1 = min(c0 + band, coarse.ny + 1)
-        size = (c1 - c0 + 1) * width
-        X, T, G = (b[:k * size].reshape(shape + (c1 - c0 + 1, width))
-                   for b, k, shape in zip(buffers, (36, 18, 9),
-                                          ((3, 2, 2, 3), (3, 2, 3), (3, 3))))
-        _split_rows(A, fine, c0, c1, fixed, X)
-        _coarsen([X[d, 0].ravel() for d in range(3)],
-                 [X[d, 1].ravel() for d in range(3)],
-                 [T[d].ravel() for d in range(3)], 1)
-        for d in range(3):
-            _coarsen([T[d, 0, e].ravel() for e in range(3)],
-                     [T[d, 1, e].ravel() for e in range(3)],
-                     [G[e, d].ravel() for e in range(3)], width)
-        # G[dy, dx, k, j] is row (c0 + k, j)'s entry at offset (dy - 1, dx - 1).
-        G = G.transpose(2, 3, 0, 1)
-        for a, b, dy, start, stop, span in _row_kinds(indptr, coarse.nx,
-                                                      coarse.ny, c0, c1):
-            n, k = dy.stop - dy.start, slice(a - c0, b - c0)
-            rows = data[start:stop].reshape(b - a, span)
-            rows[:, :2 * n].reshape(-1, n, 2)[:] = G[k, 0, dy, 1:]
-            rows[:, 2 * n:span - 2 * n].reshape(b - a, coarse.nx - 1, n, 3)[
-                :] = G[k, 1:coarse.nx, dy]
-            rows[:, span - 2 * n:].reshape(-1, n, 2)[:] = G[k, coarse.nx, dy, :2]
-    fixed = coarse.fixed.ravel()
-    if fixed.any():
-        data[np.repeat(fixed, np.diff(indptr)) | fixed[indices]] = 0.0
-        data[lattice_slots(indptr, coarse.nx, np.flatnonzero(fixed), 0, 0)] = 1.0
+        n, r0 = c1 - c0, 2 * c0 - 1
+        lo, hi = max(r0, 0), min(r0 + 2 * n + 1, fine.ny + 1)
+        start, stop = A.indptr[lo * (nx + 1)], A.indptr[hi * (nx + 1)]
+        rows = rows_buffer[:stop - start]
+        rows[:] = A.data[start:stop]
+        ends = np.searchsorted(fixed_diagonal, (start, stop))
+        rows[fixed_diagonal[ends[0]:ends[1]] - start] = 0.0
+        t = T[:2 * n + 1]
+        t[:lo - r0] = 0.0
+        t[hi - r0:] = 0.0
+        for a, b, dy, first, last, width in _row_kinds(A.indptr, nx, fine.ny,
+                                                      lo, hi):
+            k, tk = dy.stop - dy.start, t[a - r0:b - r0]
+            kind = rows[first - start:last - start].reshape(b - a, width)
+            pairs = kind[:, 5 * k:width - 2 * k].reshape(b - a, mx - 1, 6 * k)
+            w0, w1, v0, v1, wn = _X_WEIGHTS[dy.start, dy.stop]
+            np.matmul(kind[:, :5 * k], w0, out=tk[:, 0])
+            np.matmul(pairs, v0, out=tk[:, 1:mx])
+            np.matmul(kind[:, width - 2 * k:], wn, out=tk[:, mx])
+            tk[:, 1] += kind[:, :5 * k] @ w1
+            tk[:, 2:] += np.matmul(pairs, v1, out=S[:b - a, :mx - 1])
+        g = G[:n]
+        np.matmul(t[1::2], _PAIR_Y[0], out=g)
+        g += np.matmul(t[2::2], _PAIR_Y[1], out=S[:n])
+        g += np.matmul(t[:-1:2], _PAIR_Y[2], out=S[:n])
+        g = g.reshape(n, mx + 1, 3, 3)
+        if drop is not None:
+            np.copyto(g, 0.0, where=drop[c0:c1])
+            g[..., 1, 1][coarse.fixed[c0:c1]] = 1.0
+        for a, b, dy, first, last, span in _row_kinds(indptr, mx, coarse.ny,
+                                                      c0, c1):
+            k, gk = dy.stop - dy.start, g[a - c0:b - c0, :, dy]
+            out = data[first:last].reshape(b - a, span)
+            out[:, :2 * k].reshape(-1, k, 2)[:] = gk[:, 0, :, 1:]
+            out[:, 2 * k:span - 2 * k].reshape(b - a, mx - 1, k, 3)[:] = gk[:, 1:mx]
+            out[:, span - 2 * k:].reshape(-1, k, 2)[:] = gk[:, mx, :, :2]
     n = indptr.size - 1
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _dropped_entries(fixed):
+    """(ny + 1, nx + 1, 3, 3) bool: the entries at lattice offset (dy - 1,
+    dx - 1) of each vertex of a lattice whose row or column vertex is
+    `fixed`, or None when no vertex is."""
+    if not fixed.any():
+        return None
+    ny, nx = fixed.shape
+    padded = np.pad(fixed, 1)
+    drop = np.empty((ny, nx, 3, 3), dtype=bool)
+    for dy, dx in np.ndindex(3, 3):
+        np.logical_or(fixed, padded[dy:dy + ny, dx:dx + nx],
+                      out=drop[:, :, dy, dx])
+    return drop
 
 
 def _v_cycle(levels, coarse_solve, r, k=0):
@@ -601,7 +641,7 @@ def multigrid_cycle(A, hierarchy, constant_nullspace=False):
     """
     levels = []
     for fine, coarse in zip(hierarchy, hierarchy[1:]):
-        l1 = _abs_row_sums(A)
+        l1 = _abs_row_sums(A, fine)
         with np.errstate(divide="ignore", over="ignore"):
             levels.append((A, _SMOOTH_SCALE / l1, _Transfer(fine, coarse)))
         A = _galerkin_level(A, fine, coarse)

@@ -36,7 +36,7 @@ its report `factored`.
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse
@@ -324,50 +324,34 @@ def _jacobi_inverse(A):
     return 1.0 / d
 
 
-def _abs_row_sums(A, lattice):
-    """The absolute row sums of A on a lattice's `lattice_pattern`, each
-    row's abs(A.data) added as `abs(A).sum(axis=1)` adds them (one
-    `np.add.reduceat`): its first entry plus numpy's pairwise sum of the
-    rest (`_pairwise_rest`).  A band of lattice rows at a time, each kind of
-    vertex (first, inner, last in its row) as one array, so no call is
-    made per row and only one band's abs(A.data) is copied at once."""
-    nx, ny = lattice.nx, lattice.ny
-    l1 = np.empty((ny + 1, nx + 1))
-    band = max(1, fields.KERNEL_BLOCK // (nx + 1))
-    for r0 in range(0, ny + 1, band):
-        for a, b, dy, start, stop, width in _row_kinds(
-                A.indptr, nx, ny, r0, min(r0 + band, ny + 1)):
-            k = dy.stop - dy.start
-            entries = np.abs(A.data[start:stop]).reshape(b - a, width)
-            inner = entries[:, 2 * k:width - 2 * k].reshape(b - a, nx - 1, 3 * k)
-            for i, e in ((0, entries[:, :2 * k]), (slice(1, nx), inner),
-                         (nx, entries[:, width - 2 * k:])):
-                l1[a:b, i] = e[..., 0] + _pairwise_rest(e)
-    return l1.ravel()
-
-
-def _pairwise_rest(e):
-    """The sum of e[..., 1:] (at most 8 entries a row) as numpy's pairwise
-    sum adds it: one at a time below 8 entries, and 8 in a tree."""
-    m = e.shape[-1]
-    if m == 9:
-        return (((e[..., 1] + e[..., 2]) + (e[..., 3] + e[..., 4]))
-                + ((e[..., 5] + e[..., 6]) + (e[..., 7] + e[..., 8])))
-    total = e[..., 1].copy()
-    for j in range(2, m):
-        total += e[..., j]
-    return total
+def _abs_row_sums(A):
+    """The absolute row sums of a CSR matrix, each row's abs(A.data) added
+    in storage order as `abs(A).sum(axis=1)` adds them, `fields.KERNEL_BLOCK`
+    rows at a time, so only one chunk's abs(A.data) is copied at once."""
+    l1 = np.zeros(A.shape[0])
+    for lo in range(0, A.shape[0], fields.KERNEL_BLOCK):
+        ptr = A.indptr[lo:lo + fields.KERNEL_BLOCK + 1]
+        rows = np.flatnonzero(np.diff(ptr))
+        if rows.size:
+            l1[lo + rows] = np.add.reduceat(
+                np.abs(A.data[ptr[0]:ptr[-1]]), ptr[rows] - ptr[0])
+    return l1
 
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """A level of a multigrid hierarchy: a vertex lattice of nx-by-ny cells,
     numbered row by row, and `fixed` (ny + 1, nx + 1) bool, its vertices
-    with unit rows and zero columns."""
+    with unit rows and zero columns; `fixed_vertices` lists them, found
+    once per lattice."""
 
     nx: int
     ny: int
     fixed: np.ndarray
+
+    @cached_property
+    def fixed_vertices(self):
+        return np.flatnonzero(self.fixed)
 
 
 # The value at a midpoint of the hat of either end of a 2:1 lattice cell:
@@ -388,8 +372,8 @@ class _Transfer:
     def __init__(self, fine, coarse):
         self.fine = (fine.ny + 1, fine.nx + 1)
         self.coarse = (coarse.ny + 1, coarse.nx + 1)
-        self.fine_fixed = np.flatnonzero(fine.fixed)
-        self.coarse_fixed = np.flatnonzero(coarse.fixed)
+        self.fine_fixed = fine.fixed_vertices
+        self.coarse_fixed = coarse.fixed_vertices
         j, i = np.divmod(self.coarse_fixed, self.coarse[1])
         self.under = 2 * j * self.fine[1] + 2 * i   # the fine vertex under each
 
@@ -521,9 +505,7 @@ def _galerkin_level(A, fine, coarse):
     band = max(1, fields.KERNEL_BLOCK // (nx + 1))
     indptr, indices = lattice_pattern(mx, coarse.ny)
     data = np.empty(indices.size)
-    fixed = np.flatnonzero(fine.fixed)
-    fixed_diagonal = lattice_slots(A.indptr, nx, fixed, 0, 0)
-    drop = _dropped_entries(coarse.fixed)
+    fixed_diagonal = lattice_slots(A.indptr, nx, fine.fixed_vertices, 0, 0)
     rows_buffer = np.empty((2 * band + 1) * 3 * (3 * nx + 1))
     T, S = np.empty((2, 2 * band + 1, mx + 1, 9))
     G = np.empty((band, mx + 1, 9))
@@ -555,9 +537,6 @@ def _galerkin_level(A, fine, coarse):
         g += np.matmul(t[2::2], _PAIR_Y[1], out=S[:n])
         g += np.matmul(t[:-1:2], _PAIR_Y[2], out=S[:n])
         g = g.reshape(n, mx + 1, 3, 3)
-        if drop is not None:
-            np.copyto(g, 0.0, where=drop[c0:c1])
-            g[..., 1, 1][coarse.fixed[c0:c1]] = 1.0
         for a, b, dy, first, last, span in _row_kinds(indptr, mx, coarse.ny,
                                                       c0, c1):
             k, gk = dy.stop - dy.start, g[a - c0:b - c0, :, dy]
@@ -565,23 +544,29 @@ def _galerkin_level(A, fine, coarse):
             out[:, :2 * k].reshape(-1, k, 2)[:] = gk[:, 0, :, 1:]
             out[:, 2 * k:span - 2 * k].reshape(b - a, mx - 1, k, 3)[:] = gk[:, 1:mx]
             out[:, span - 2 * k:].reshape(-1, k, 2)[:] = gk[:, mx, :, :2]
+    if coarse.fixed_vertices.size:
+        rows, columns, diagonal = _fixed_slots(indptr, coarse)
+        data[rows] = data[columns] = 0.0
+        data[diagonal] = 1.0
     n = indptr.size - 1
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _dropped_entries(fixed):
-    """(ny + 1, nx + 1, 3, 3) bool: the entries at lattice offset (dy - 1,
-    dx - 1) of each vertex of a lattice whose row or column vertex is
-    `fixed`, or None when no vertex is."""
-    if not fixed.any():
-        return None
-    ny, nx = fixed.shape
-    padded = np.pad(fixed, 1)
-    drop = np.empty((ny, nx, 3, 3), dtype=bool)
-    for dy, dx in np.ndindex(3, 3):
-        np.logical_or(fixed, padded[dy:dy + ny, dx:dx + nx],
-                      out=drop[:, :, dy, dx])
-    return drop
+def _fixed_slots(indptr, lattice):
+    """The CSR slots, in a lattice's `lattice_pattern`, of the entries in
+    the rows of its fixed vertices, of those in their columns (each row
+    entry seen from its neighbour) and of their diagonals, from index
+    arithmetic on the fixed vertices alone (`lattice_slots`)."""
+    nx, ny = lattice.nx, lattice.ny
+    v = lattice.fixed_vertices[:, None]
+    dy, dx = np.divmod(np.arange(9), 3)
+    dy, dx = dy - 1, dx - 1
+    j, i = np.divmod(v, nx + 1)
+    inside = (j + dy >= 0) & (j + dy <= ny) & (i + dx >= 0) & (i + dx <= nx)
+    v, dy, dx = (np.broadcast_to(a, inside.shape)[inside] for a in (v, dy, dx))
+    return (lattice_slots(indptr, nx, v, dy, dx),
+            lattice_slots(indptr, nx, v + dy * (nx + 1) + dx, -dy, -dx),
+            lattice_slots(indptr, nx, lattice.fixed_vertices, 0, 0))
 
 
 def _v_cycle(levels, coarse_solve, r, k=0):
@@ -641,7 +626,7 @@ def multigrid_cycle(A, hierarchy, constant_nullspace=False):
     """
     levels = []
     for fine, coarse in zip(hierarchy, hierarchy[1:]):
-        l1 = _abs_row_sums(A, fine)
+        l1 = _abs_row_sums(A)
         with np.errstate(divide="ignore", over="ignore"):
             levels.append((A, _SMOOTH_SCALE / l1, _Transfer(fine, coarse)))
         A = _galerkin_level(A, fine, coarse)

@@ -11,8 +11,7 @@ import dense_reference as dr
 from porousda import fields, linalg
 from porousda.fields import NodalField
 from porousda.linalg import (Lattice, NoConvergenceError, SolverConfig,
-                             _abs_row_sums, assemble, lattice_pattern,
-                             lattice_slots, solve)
+                             _abs_row_sums, assemble, lattice_slots, solve)
 from porousda.mesh import DIRICHLET, NEUMANN, build_mesh
 from porousda.pressure import PressureProblem, assemble_pressure
 
@@ -225,34 +224,33 @@ def test_empty_system():
     assert report.converged
 
 
-def _random_lattice_operator(rng, nx, ny):
-    """Random values on a `lattice_pattern`, a third of them zero and their
-    magnitudes spread over 12 decades."""
-    indptr, indices = lattice_pattern(nx, ny)
-    data = rng.standard_normal(indices.size) * 10.0 ** rng.uniform(-6, 6, indices.size)
-    data[rng.random(data.size) < 0.3] = 0.0
-    return csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
-
-
 def test_abs_row_sums_equal_the_sums_of_abs_a_bitwise():
-    """The smoother's l1 row sums, read from abs(A.data) per row and kind
-    of vertex, equal scipy's `abs(A).sum(axis=1)` on lattice operators:
-    rows of 4, 6 and 9 entries, and lattices of one cell row or column."""
+    """The smoother's l1 row sums, read from abs(A.data) per row, equal
+    scipy's `abs(A).sum(axis=1)`, empty rows included."""
     rng = np.random.default_rng(3)
-    for nx, ny in [(1, 1), (1, 3), (3, 1), (7, 5), (30, 30)]:
-        A = _random_lattice_operator(rng, nx, ny)
-        want = np.asarray(abs(A).sum(axis=1)).ravel()
-        got = _abs_row_sums(A, Lattice(nx, ny, None))
-        assert got.tobytes() == want.tobytes(), (nx, ny)
+    dense = rng.standard_normal((40, 30)) * 10.0 ** rng.uniform(-6, 6, (40, 30))
+    dense[rng.random(dense.shape) < 0.7] = 0.0
+    dense[[0, 17, 39]] = 0.0
+    A = csr_matrix(dense)
+    want = np.asarray(abs(A).sum(axis=1)).ravel()
+    assert _abs_row_sums(A).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("block", [1, 7, 40, fields.KERNEL_BLOCK])
 def test_chunked_abs_row_sums_equal_the_whole_computation_bitwise(
         monkeypatch, block):
-    """`_abs_row_sums`, bands of `fields.KERNEL_BLOCK` vertices' lattice rows
-    at a time (one row for blocks of 1, 7 and 40 vertices), equals one
-    `np.add.reduceat` over the whole abs(A.data) bitwise."""
-    A = _random_lattice_operator(np.random.default_rng(11), 12, 9)
-    want = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
+    """`_abs_row_sums`, `fields.KERNEL_BLOCK` rows at a time, equals one
+    `np.add.reduceat` over the whole abs(A.data) bitwise: with chunks of 1
+    and 7 rows, chunks that begin and end on empty rows and a chunk of 7
+    empty rows (14 to 20)."""
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((100, 30)) * 10.0 ** rng.uniform(-6, 6, (100, 30))
+    dense[rng.random(dense.shape) < 0.6] = 0.0
+    dense[[0, 6, 7, 39, 99]] = 0.0
+    dense[14:21] = 0.0
+    A = csr_matrix(dense)
+    rows = np.flatnonzero(np.diff(A.indptr))
+    want = np.zeros(A.shape[0])
+    want[rows] = np.add.reduceat(np.abs(A.data), A.indptr[rows])
     monkeypatch.setattr(fields, "KERNEL_BLOCK", block)
-    assert _abs_row_sums(A, Lattice(12, 9, None)).tobytes() == want.tobytes()
+    assert _abs_row_sums(A).tobytes() == want.tobytes()

@@ -22,10 +22,11 @@ whose Dirichlet columns are zero too, is solved by CG preconditioned by a
 symmetric V-cycle over that hierarchy; the nonsymmetric transport step,
 which comes without one, by Jacobi-BiCGStab.  The hierarchy is a list of
 nested lattices (`Lattice`), and every level is data on its lattice's
-9-point pattern: each coarse operator is summed from the finer one's nine
-offset arrays by strided slices, the stencil form of P^T A P, and the 2:1
-transfers are applied by strided slices of the value grids, so no transfer
-matrix is stored.  Both stop when
+9-point pattern: each coarse operator P^T A P is summed from the finer
+one's CSR rows by two 1-D Galerkin passes, products of pairs of fine
+points by small matrices (`_galerkin_level`), and the 2:1 transfers are
+applied by strided slices of the value grids, so no transfer matrix is
+stored.  Both stop when
 ||b - A x|| < max(rel_tol * ||b||, ABS_TOL), with rel_tol from the one
 `SolverConfig` of a run and the module constant ABS_TOL = 1e-14.  The transport step may instead solve by
 a sparse LU factor that it keeps for a coarse interval
@@ -545,8 +546,8 @@ def _galerkin_level(A, fine, coarse):
             out[:, 2 * k:span - 2 * k].reshape(b - a, mx - 1, k, 3)[:] = gk[:, 1:mx]
             out[:, span - 2 * k:].reshape(-1, k, 2)[:] = gk[:, mx, :, :2]
     if coarse.fixed_vertices.size:
-        rows, columns, diagonal = _fixed_slots(indptr, coarse)
-        data[rows] = data[columns] = 0.0
+        in_rows, in_columns, diagonal = _fixed_slots(indptr, coarse)
+        data[in_rows] = data[in_columns] = 0.0
         data[diagonal] = 1.0
     n = indptr.size - 1
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))

@@ -343,8 +343,9 @@ def _abs_row_sums(A):
 class Lattice:
     """A level of a multigrid hierarchy: a vertex lattice of nx-by-ny cells,
     numbered row by row, and `fixed` (ny + 1, nx + 1) bool, its vertices
-    with unit rows and zero columns; `fixed_vertices` lists them, found
-    once per lattice."""
+    with unit rows and zero columns.  `fixed_vertices` lists them and
+    `fixed_slots` finds their entries in the lattice's pattern, each once
+    per lattice: a boundary's worth of indices, kept by the problem."""
 
     nx: int
     ny: int
@@ -353,6 +354,25 @@ class Lattice:
     @cached_property
     def fixed_vertices(self):
         return np.flatnonzero(self.fixed)
+
+    @cached_property
+    def fixed_slots(self):
+        """(in_rows, in_columns, diagonal): the CSR slots, in the lattice's
+        `lattice_pattern`, of the entries in the rows of its fixed vertices,
+        of those in their columns (each row entry seen from its neighbour)
+        and of their diagonals, from index arithmetic on the fixed vertices
+        alone (`lattice_slots`)."""
+        nx, ny = self.nx, self.ny
+        indptr = lattice_pattern(nx, ny)[0]
+        v = self.fixed_vertices[:, None]
+        dy, dx = np.divmod(np.arange(9), 3)
+        dy, dx = dy - 1, dx - 1
+        j, i = np.divmod(v, nx + 1)
+        inside = (j + dy >= 0) & (j + dy <= ny) & (i + dx >= 0) & (i + dx <= nx)
+        v, dy, dx = (np.broadcast_to(a, inside.shape)[inside] for a in (v, dy, dx))
+        return (lattice_slots(indptr, nx, v, dy, dx),
+                lattice_slots(indptr, nx, v + dy * (nx + 1) + dx, -dy, -dx),
+                lattice_slots(indptr, nx, self.fixed_vertices, 0, 0))
 
 
 # The value at a midpoint of the hat of either end of a 2:1 lattice cell:
@@ -467,18 +487,11 @@ _PAIR_Y = (np.kron(_PAIR[:3, :3], np.eye(3)), np.kron(_PAIR[3:, :3], np.eye(3)),
 
 
 def _x_weights(dys):
-    """`_PAIR_X` cut to the CSR layout of a lattice row kind whose rows have
-    the row offsets `dys` (0: -1, 1: 0, 2: +1): the rows of its first pair
-    (the first vertex, without dx = -1, and an inner one) and of an inner
-    pair, each split by coarse side, and those of its last vertex (without
-    dx = +1) to the first side.  All contiguous, so numpy's matmul runs
-    them through BLAS."""
-    def rows(v, dxs):
-        return [9 * v + 3 * y + x for y in dys for x in dxs]
-    first = _PAIR_X[rows(0, (1, 2)) + rows(1, (0, 1, 2))]
-    inner = _PAIR_X[rows(0, (0, 1, 2)) + rows(1, (0, 1, 2))]
-    return (first[:, :9].copy(), first[:, 9:].copy(), inner[:, :9].copy(),
-            inner[:, 9:].copy(), _PAIR_X[rows(0, (0, 1)), :9])
+    """`_PAIR_X`'s rows for a pair of vertices of a lattice row kind whose
+    rows have the row offsets `dys` (0: -1, 1: 0, 2: +1), split by coarse
+    side, each contiguous, so numpy's matmul runs them through BLAS."""
+    rows = [9 * v + 3 * y + x for v in (0, 1) for y in dys for x in range(3)]
+    return _PAIR_X[rows, :9].copy(), _PAIR_X[rows, 9:].copy()
 
 
 # `_x_weights` of the first, an inner and the last lattice row.
@@ -506,33 +519,42 @@ def _galerkin_level(A, fine, coarse):
     band = max(1, fields.KERNEL_BLOCK // (nx + 1))
     indptr, indices = lattice_pattern(mx, coarse.ny)
     data = np.empty(indices.size)
-    fixed_diagonal = lattice_slots(A.indptr, nx, fine.fixed_vertices, 0, 0)
-    rows_buffer = np.empty((2 * band + 1) * 3 * (3 * nx + 1))
+    fixed = fine.fixed_vertices
+    pairs_buffer = np.empty((2 * band + 1) * (mx + 1) * 18)
     T, S = np.empty((2, 2 * band + 1, mx + 1, 9))
     G = np.empty((band, mx + 1, 9))
     for c0 in range(0, coarse.ny + 1, band):
         c1 = min(c0 + band, coarse.ny + 1)
         n, r0 = c1 - c0, 2 * c0 - 1
         lo, hi = max(r0, 0), min(r0 + 2 * n + 1, fine.ny + 1)
-        start, stop = A.indptr[lo * (nx + 1)], A.indptr[hi * (nx + 1)]
-        rows = rows_buffer[:stop - start]
-        rows[:] = A.data[start:stop]
-        ends = np.searchsorted(fixed_diagonal, (start, stop))
-        rows[fixed_diagonal[ends[0]:ends[1]] - start] = 0.0
         t = T[:2 * n + 1]
         t[:lo - r0] = 0.0
         t[hi - r0:] = 0.0
         for a, b, dy, first, last, width in _row_kinds(A.indptr, nx, fine.ny,
                                                       lo, hi):
-            k, tk = dy.stop - dy.start, t[a - r0:b - r0]
-            kind = rows[first - start:last - start].reshape(b - a, width)
-            pairs = kind[:, 5 * k:width - 2 * k].reshape(b - a, mx - 1, 6 * k)
-            w0, w1, v0, v1, wn = _X_WEIGHTS[dy.start, dy.stop]
-            np.matmul(kind[:, :5 * k], w0, out=tk[:, 0])
-            np.matmul(pairs, v0, out=tk[:, 1:mx])
-            np.matmul(kind[:, width - 2 * k:], wn, out=tk[:, mx])
-            tk[:, 1] += kind[:, :5 * k] @ w1
-            tk[:, 2:] += np.matmul(pairs, v1, out=S[:b - a, :mx - 1])
+            k, m = dy.stop - dy.start, b - a
+            kind = A.data[first:last].reshape(m, width)
+            # Pairs (vertex 2 C, vertex 2 C + 1) for C = 0..mx, the first
+            # vertex padded with dx = -1 and the last with dx = +1 and a
+            # vertex nx + 1, all zero, and the fixed rows' unit diagonals
+            # zeroed.
+            pairs = pairs_buffer[:m * (mx + 1) * 6 * k].reshape(m, mx + 1, 2, k, 3)
+            pairs[:, 0, 0, :, 0] = 0.0
+            pairs[:, 0, 0, :, 1:] = kind[:, :2 * k].reshape(m, k, 2)
+            pairs[:, 0, 1] = kind[:, 2 * k:5 * k].reshape(m, k, 3)
+            pairs[:, 1:mx] = kind[:, 5 * k:width - 2 * k].reshape(m, mx - 1, 2, k, 3)
+            pairs[:, mx, 0, :, :2] = kind[:, width - 2 * k:].reshape(m, k, 2)
+            pairs[:, mx, 0, :, 2] = 0.0
+            pairs[:, mx, 1] = 0.0
+            j, i = np.divmod(fixed[slice(*np.searchsorted(
+                fixed, (a * (nx + 1), b * (nx + 1))))], nx + 1)
+            pairs[j - a, i // 2, i % 2, 1 - dy.start, 1] = 0.0
+            pairs = pairs.reshape(-1, 6 * k)
+            own, next_side = _X_WEIGHTS[dy.start, dy.stop]
+            tk = t[a - r0:b - r0]
+            np.matmul(pairs, own, out=tk.reshape(-1, 9))
+            side = np.matmul(pairs, next_side, out=S[:m].reshape(-1, 9))
+            tk[:, 1:] += side.reshape(m, mx + 1, 9)[:, :-1]
         g = G[:n]
         np.matmul(t[1::2], _PAIR_Y[0], out=g)
         g += np.matmul(t[2::2], _PAIR_Y[1], out=S[:n])
@@ -546,28 +568,11 @@ def _galerkin_level(A, fine, coarse):
             out[:, 2 * k:span - 2 * k].reshape(b - a, mx - 1, k, 3)[:] = gk[:, 1:mx]
             out[:, span - 2 * k:].reshape(-1, k, 2)[:] = gk[:, mx, :, :2]
     if coarse.fixed_vertices.size:
-        in_rows, in_columns, diagonal = _fixed_slots(indptr, coarse)
+        in_rows, in_columns, diagonal = coarse.fixed_slots
         data[in_rows] = data[in_columns] = 0.0
         data[diagonal] = 1.0
     n = indptr.size - 1
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def _fixed_slots(indptr, lattice):
-    """The CSR slots, in a lattice's `lattice_pattern`, of the entries in
-    the rows of its fixed vertices, of those in their columns (each row
-    entry seen from its neighbour) and of their diagonals, from index
-    arithmetic on the fixed vertices alone (`lattice_slots`)."""
-    nx, ny = lattice.nx, lattice.ny
-    v = lattice.fixed_vertices[:, None]
-    dy, dx = np.divmod(np.arange(9), 3)
-    dy, dx = dy - 1, dx - 1
-    j, i = np.divmod(v, nx + 1)
-    inside = (j + dy >= 0) & (j + dy <= ny) & (i + dx >= 0) & (i + dx <= nx)
-    v, dy, dx = (np.broadcast_to(a, inside.shape)[inside] for a in (v, dy, dx))
-    return (lattice_slots(indptr, nx, v, dy, dx),
-            lattice_slots(indptr, nx, v + dy * (nx + 1) + dx, -dy, -dx),
-            lattice_slots(indptr, nx, lattice.fixed_vertices, 0, 0))
 
 
 def _v_cycle(levels, coarse_solve, r, k=0):

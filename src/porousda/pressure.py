@@ -20,9 +20,10 @@ the mesh: its lattice is halved while nx and ny are both even and the
 coarse lattice keeps at least `MIN_COARSE_CELLS` cells per direction, and
 the coarsest level is solved directly.  The hierarchy holds only the
 lattices' sizes and their fixed vertices, strided views of the mesh's
-Dirichlet mask (`multigrid_hierarchy`): the transfers are applied by
-slices of the value grids and the coarse operators summed in stencil form
-on every solve (`linalg.multigrid_cycle`), so nothing mesh-sized is kept.
+Dirichlet mask (`multigrid_hierarchy`), with the index list of those
+vertices once a solve has read it: the transfers are applied by slices of
+the value grids and the coarse operators summed in stencil form on every
+solve (`linalg.multigrid_cycle`), so nothing mesh-sized is kept.
 
 What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
@@ -57,7 +58,8 @@ def multigrid_hierarchy(mesh):
     keeps at least `MIN_COARSE_CELLS` cells per direction, and empty when
     the mesh does not halve.  A coarse vertex is fixed when the fine vertex
     under it is, so each level's `fixed` is a strided view of
-    `mesh.is_dirichlet` and the hierarchy holds no array of its own.  Every
+    `mesh.is_dirichlet`, and the only array a level makes is the index
+    list of its fixed vertices (`Lattice.fixed_vertices`).  Every
     level keeps a Dirichlet vertex when the mesh has one, because each
     Dirichlet boundary edge has an endpoint on the next coarser lattice."""
     nx, ny = mesh.nx, mesh.ny
@@ -135,7 +137,7 @@ class PressureProblem:
     array is made; the blocks' products equal the whole array's einsum
     bitwise in the tests (numpy does not promise its summation order).
     `hierarchy` lists the lattices of the multigrid V-cycle
-    (`multigrid_hierarchy`), which hold no array of their own.  The
+    (`multigrid_hierarchy`), which hold no mesh-sized array.  The
     stiffness of the latest concentration is kept for the flux recovery
     that follows the solve (`element_kernel`)."""
 

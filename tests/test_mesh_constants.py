@@ -162,7 +162,7 @@ def test_point_set_owns_per_column_and_per_row_tables_only(nx, ny, Lx, Ly,
 def test_problems_on_one_mesh_share_the_transfers():
     """The transfers are defined by the hierarchy's lattices, whose fixed
     vertices are strided views of the mesh's one `is_dirichlet`: problems
-    on one mesh share them and hold no array of their own."""
+    on one mesh share them and hold no mesh-sized array."""
     sc = scenarios.example3(nx=32)
     mesh = sc.build_mesh()
     a = pressure.PressureProblem(mesh, sc.kappa, sc.pressure_source)

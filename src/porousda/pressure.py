@@ -20,10 +20,11 @@ the mesh: its lattice is halved while nx and ny are both even and the
 coarse lattice keeps at least `MIN_COARSE_CELLS` cells per direction, and
 the coarsest level is solved directly.  The hierarchy holds only the
 lattices' sizes and their fixed vertices, strided views of the mesh's
-Dirichlet mask (`multigrid_hierarchy`), with the index list of those
-vertices once a solve has read it: the transfers are applied by slices of
-the value grids and the coarse operators summed in stencil form on every
-solve (`linalg.multigrid_cycle`), so nothing mesh-sized is kept.
+Dirichlet mask (`multigrid_hierarchy`), with the index lists of those
+vertices and of their entries once a solve has read them: the transfers
+are applied by slices of the value grids and the coarse operators summed
+in stencil form on every solve (`linalg.multigrid_cycle`), so nothing
+mesh-sized is kept.
 
 What depends on the mesh alone is built once per mesh, on first use, and
 shared by every problem on it (the reference and the assimilated run of a
@@ -58,8 +59,9 @@ def multigrid_hierarchy(mesh):
     keeps at least `MIN_COARSE_CELLS` cells per direction, and empty when
     the mesh does not halve.  A coarse vertex is fixed when the fine vertex
     under it is, so each level's `fixed` is a strided view of
-    `mesh.is_dirichlet`, and the only array a level makes is the index
-    list of its fixed vertices (`Lattice.fixed_vertices`).  Every
+    `mesh.is_dirichlet`, and the only arrays a level makes are the index
+    lists of its fixed vertices and of their entries
+    (`Lattice.fixed_vertices` and `.fixed_slots`).  Every
     level keeps a Dirichlet vertex when the mesh has one, because each
     Dirichlet boundary edge has an endpoint on the next coarser lattice."""
     nx, ny = mesh.nx, mesh.ny

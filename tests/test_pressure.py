@@ -457,26 +457,37 @@ def test_multigrid_cg_takes_the_free_systems_iterations(factory, nx,
                               prob.dirichlet_values(fixed))
 
 
+def _odd_dirichlet_end(x, y):
+    # The left side's first 11 edges: the Dirichlet run ends at the odd
+    # vertex 11, between a fixed and a free coarse vertex.
+    return DIRICHLET if x == 0.0 and y < 0.33 else NEUMANN
+
+
 def _galerkin_case(case):
-    """(mesh, pressure matrix, hierarchy) of the four boundary cases of the
+    """(mesh, pressure matrix, hierarchy) of the boundary cases of the
     stencil hierarchy: example3 at nx = 240, all-Dirichlet and blocked;
     example2 at nx = 50, Dirichlet on the x faces only, which halves to
-    the odd 25 x 25; 34 x 18, which halves once to the odd 17 x 9; and
-    64 x 64 without Dirichlet vertices, which halves three times and pins
-    one coarsest vertex."""
+    the odd 25 x 25; 34 x 18, which halves once to the odd 17 x 9; 64 x 64
+    without Dirichlet vertices, which halves three times and pins one
+    coarsest vertex; and 32 x 32 with a Dirichlet run that ends at an odd
+    vertex on both levels, where a fixed fine vertex sits between a fixed
+    and a free coarse one."""
     if case == "example3":
         mesh, prob, theta = _darcy_system(scenarios.example3, 240)
     else:
         mesh = {"example2": lambda: scenarios.example2(nx=50).build_mesh(),
                 "odd": lambda: build_mesh(34, 18, 1.7, 0.9),
                 "all-neumann": lambda: build_mesh(
-                    64, 64, boundary_spec="all_neumann")}[case]()
+                    64, 64, boundary_spec="all_neumann"),
+                "odd-dirichlet-end": lambda: build_mesh(
+                    32, 32, boundary_spec=_odd_dirichlet_end)}[case]()
         prob = PressureProblem(mesh, _hetero_kappa, _wavy_source)
         theta = NodalField.from_callable(mesh, lambda x, y: x * (1.0 - y))
     return mesh, assemble_pressure(prob, theta)[0], prob.hierarchy
 
 
-GALERKIN_CASES = ["example3", "example2", "odd", "all-neumann"]
+GALERKIN_CASES = ["example3", "example2", "odd", "all-neumann",
+                  "odd-dirichlet-end"]
 
 
 @pytest.mark.parametrize("case", GALERKIN_CASES)
@@ -506,7 +517,7 @@ def test_slice_transfers_equal_the_csr_products(case):
 
 @pytest.mark.parametrize("case, block", [
     ("example3", fields.KERNEL_BLOCK), ("example2", 50), ("odd", 50),
-    ("all-neumann", 50)])
+    ("all-neumann", 50), ("odd-dirichlet-end", 50)])
 def test_stencil_galerkin_levels_equal_the_csr_products(monkeypatch, case,
                                                         block):
     """Every coarse level summed in stencil form (`linalg._galerkin_level`)

@@ -31,12 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transport
-from .fields import NodalField, QuadratureField, l2_diff, l2_norm
+from .fields import NodalField, QuadratureField, l2_diff, l2_norm, quadrature
 from .flux_postprocess import postprocess_flux
 from .linalg import NoConvergenceError, SolverConfig
 from .observation import (AlignmentError, ObservationStream, SparseGrid,
                           check_lattice)
 from .pressure import CoefficientRangeError, PressureProblem, solve_pressure
+from .scenarios import time_parts
 
 METRIC_COLUMNS = ("t", "R_percent", "Rtilde_percent", "mass_residual",
                   "range_min", "range_max")
@@ -299,27 +300,29 @@ class _Comparator:
 
     Against a reference trajectory, the level's norm and functionals come
     from the trajectory, which computes each once for every run compared
-    against it (see `Trajectory`)."""
+    against it (see `Trajectory`).  An analytic truth's spatial part
+    (`scenarios.time_parts`) is evaluated once, at the quadrature points and
+    at the vertices, and each row combines both with its time."""
 
     def __init__(self, scenario, grid, reference=None):
-        self.exact = scenario.exact
         self.reference = reference
         self.grid = grid
+        self.exact = None
+        if reference is None and scenario.exact is not None:
+            mesh = grid.mesh
+            quad = quadrature(mesh)
+            self.exact = time_parts(scenario.exact)
+            self.at_points = self.exact.spatial(quad.x, quad.y)
+            self.at_vertices = self.exact.spatial(*mesh.vertices.T)
 
     def metrics(self, theta, t):
         ref = self.reference
+        mesh = theta.mesh
         if ref is not None:
             i = ref.index(t)
             truth, denom = ref.field(i), ref.norm(i)
         elif self.exact is not None:
-            fn = self.exact
-
-            def target(x, y):
-                return fn(x, y, t)
-
-            # An analytic truth is evaluated at the quadrature points once;
-            # R's numerator and denominator both read those values.
-            truth = QuadratureField.sample(theta.mesh, target)
+            truth = QuadratureField(mesh, self.exact.combine(self.at_points, t))
             denom = l2_norm(truth)
         else:
             return float("nan"), float("nan")
@@ -327,8 +330,9 @@ class _Comparator:
             return float("nan"), float("nan")
         r = 100.0 * (l2_diff(theta, truth) / denom)
         coarse = (self.grid.reconstruct(ref.functionals(i, self.grid))
-                  if ref is not None else self.grid.interpolate(
-                      NodalField.from_callable(theta.mesh, target)))
+                  if ref is not None else self.grid.interpolate(NodalField(
+                      mesh, self.exact.combine(self.at_vertices, t)
+                      * np.ones(mesh.n_vertices))))
         rtilde = 100.0 * (l2_diff(theta, coarse) / denom)
         return r, rtilde
 

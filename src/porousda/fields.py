@@ -37,9 +37,9 @@ would, so the sums do not depend on the blocks; each such pass makes a few
 (`pressure.PressureProblem`) is blocked too: its product with the basis is
 an `np.einsum`, which calls no BLAS, and the blocks' products equal the
 whole array's bitwise in the tests, for the block layouts used (numpy does
-not promise einsum's summation order).  Not blocked: a general transport
-source or an analytic truth, evaluated at every quadrature point on each
-call.
+not promise einsum's summation order).  Not blocked: the spatial part of
+a general transport source or of an analytic truth
+(`scenarios.time_parts`), evaluated at every quadrature point once per run.
 
 The L2 norm of a nodal field, or of the difference of two, is sqrt(u^T M u),
 M = m_y (x) m_x the consistent mass matrix, never formed
@@ -249,20 +249,15 @@ class DGField:
 # -- L2 norms: by the mass factors for nodal fields, else by quadrature -----
 
 class QuadratureField:
-    """A function known by its values at the quadrature points, (ne, 16),
-    element by element.
-
-    `sample` evaluates a callable there once, so several integrals of the
-    same function (a norm and a difference, say) share one evaluation.
-    """
+    """A function known by its values at the quadrature points, kept as
+    (ne, 16), element by element; given in the points' (ny, nx, 16) layout
+    or any shape that broadcasts to it.  Several integrals of the function
+    (a norm and a difference, say) share the values."""
 
     def __init__(self, mesh, values):
         self.mesh = mesh
-        self.values = values
-
-    @classmethod
-    def sample(cls, mesh, fn):
-        return cls(mesh, _values_at_quadrature(mesh, fn))
+        self.values = np.broadcast_to(np.asarray(values, dtype=float),
+                                      quadrature(mesh).x.shape).reshape(-1, 16)
 
 
 def _values_at_quadrature(mesh, source):
@@ -275,9 +270,7 @@ def _values_at_quadrature(mesh, source):
         return source.values @ quad.phi.T
     if isinstance(source, QuadratureField):
         return source.values
-    x, y = quad.x, quad.y
-    return np.broadcast_to(np.asarray(source(x, y), dtype=float),
-                           x.shape).reshape(-1, 16)
+    return QuadratureField(mesh, source(quad.x, quad.y)).values
 
 
 def _mass_norm(mesh, u):

@@ -19,17 +19,19 @@ pressure solve, one kernel block at a time, and scale it in place by the
 concentration-dependent factor.  The lookup keeps nothing: it blends the
 raster at the block's compact per-row and per-column point tables, so a
 whole-mesh lookup costs a fraction of the bilinear formula at every point.
-example1's spatial factors are kept at the quadrature points
-(`FrozenPointMemo`), so its source costs a few products per step.  The
-sources of example2, example4 (its injection well) and diffusion_reaction
-are `Separable`, a fixed profile times a function of time: a transport run
-integrates the profile over its control volumes once and scales that
-vector on every step, so no profile is kept at the quadrature points.
-Every callable keeps its call form, kappa(theta, x, y) and f(x, y[, t]).
+A source or exact solution f(x, y, t) splits into a spatial part, which a
+run evaluates once, and a time part (`time_parts`).  The sources of
+example2, example4 (its injection well) and diffusion_reaction, and the
+exact solutions of example1 and example2, are `Separable`: a transport run
+integrates a source's profile over its control volumes once and scales
+that vector on every step.  example1's source is `TimeFactored`: a run
+keeps its spatial factors at the quadrature points and forms the forcing
+from them in a few products per step.  Every callable keeps its call form,
+kappa(theta, x, y) and f(x, y[, t]).
 """
 
+import inspect
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,44 +103,6 @@ def write_raster(path, values, lengths):
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def _frozen(a):
-    """An array nobody can write to in place: read-only, and owning its data
-    or a view of an array that is itself frozen."""
-    if not isinstance(a, np.ndarray) or a.flags.writeable:
-        return False
-    return a.flags.owndata or _frozen(a.base)
-
-
-class FrozenPointMemo:
-    """Values of functions of (x, y) kept at frozen point arrays.
-
-    `memo(fn, x, y)` returns fn(x, y).  For a pair of frozen arrays
-    (`_frozen`), such as the quadrature points of a mesh's point set, views
-    of its read-only per-column and per-row tables, it stores the value
-    (read-only) and returns it whenever the same two arrays come back: it
-    keys on array identity, and an entry is dropped when either array is
-    freed.  Any other input is computed fresh.  The value has the points'
-    full shape.  One memo serves one function; example1 keeps its spatial
-    factors at the quadrature points in one.
-    """
-
-    def __init__(self):
-        self.values = {}
-
-    def __call__(self, fn, x, y):
-        key = (id(x), id(y))
-        value = self.values.get(key)
-        if value is not None:
-            return value
-        value = fn(x, y)
-        if _frozen(x) and _frozen(y):
-            value.flags.writeable = False
-            self.values[key] = value
-            for a in (x, y):
-                weakref.finalize(a, self.values.pop, key, None)
-        return value
-
-
 # Output points per pass of `PermeabilityRaster.lookup`, which bounds its
 # temporaries: a few element rows of a kernel block at nx = 240.
 _LOOKUP_POINTS = 1 << 14
@@ -168,21 +132,53 @@ def _cells(coord, length, n):
 
 
 @dataclass(frozen=True)
-class Separable:
-    """A source f(x, y, t) = profile(x, y) * rate(t): a fixed profile times
-    a function of time.
+class TimeFactored:
+    """f(x, y, t) = combine(spatial(x, y), t), called like any other
+    source or truth.  A run evaluates `spatial` once, at its points, and
+    applies `combine` on every step (`time_parts`)."""
 
-    It is called like any other source.  A transport run integrates the
-    profile over its control volumes once, when it builds, and scales that
-    vector by rate(t) on every step; the run finds a `Separable` behind
-    `functools.wraps` wrappers too.
+    spatial: object                     # (x, y) -> values
+    combine: object                     # (values, t) -> f
+
+    def __call__(self, x, y, t):
+        return self.combine(self.spatial(x, y), t)
+
+
+@dataclass(frozen=True)
+class Separable:
+    """A function f(x, y, t) = profile(x, y) * rate(t): a fixed profile
+    times a function of time, the `TimeFactored` case combine(v, t) =
+    v * rate(t), with `spatial` the profile.
+
+    It is called like any other source or truth.  A transport run
+    integrates a source's profile over its control volumes once, when it
+    builds, and scales that vector by rate(t) on every step.
     """
 
     profile: object                     # (x, y) -> values
     rate: object                        # t -> scalar
 
+    @property
+    def spatial(self):
+        return self.profile
+
+    def combine(self, values, t):
+        return values * self.rate(t)
+
     def __call__(self, x, y, t):
-        return self.profile(x, y) * self.rate(t)
+        return self.combine(self.profile(x, y), t)
+
+
+def time_parts(fn):
+    """The `TimeFactored` or `Separable` that fn is, or wraps by
+    `functools.wraps` (as a tracer does); for any other callable, a
+    `TimeFactored` whose spatial part is the points themselves and whose
+    combine calls fn there.  Either way f(x, y, t) = parts.combine(
+    parts.spatial(x, y), t)."""
+    inner = inspect.unwrap(fn)
+    if isinstance(inner, (TimeFactored, Separable)):
+        return inner
+    return TimeFactored(lambda x, y: (x, y), lambda xy, t: fn(*xy, t))
 
 
 class PermeabilityRaster:
@@ -314,12 +310,12 @@ class Scenario:
     kappa: object = None                # kappa(theta, x, y); None if prescribed
     velocity: object = None             # v(x, y, theta) closure; None if Darcy
     pressure_source: object = None      # g(x, y)
-    source: object = None               # f(x, y, t)
+    source: object = None               # f(x, y, t), in a form of `time_parts`
     reaction: object = None             # q(x, y)
     theta_dirichlet: object = None      # boundary concentration (x, y, t)
     pressure_dirichlet: object = 0.0
     initial: object = None              # theta_0(x, y)
-    exact: object = None                # analytic theta(x, y, t) when known
+    exact: object = None                # theta(x, y, t) if known, as source
     dt: float = 0.01
     fine_per_coarse: int = 1
     t_end: float = 1.0
@@ -363,33 +359,35 @@ def example1_factors(x, y):
         gx * gy, -2.0 * (gy + gx), (1.0 - 2.0 * x) * gy + gx * (1.0 - 2.0 * y)))
 
 
+def _example1_hump(x, y):
+    """g = (x - x^2)(y - y^2), as `example1_factors` forms it."""
+    return (x - x**2) * (y - y**2)
+
+
+def _example1_forcing(factors, t):
+    """e (-g - lap + adv / (1 + e g)^2), e = e^{-t}, from the stacked
+    `example1_factors`, in one temporary."""
+    g, lap, adv = factors
+    e = np.exp(-t)
+    f = np.asarray(e * g)       # 0-d at a scalar point: updated in place
+    f += 1.0
+    f *= f
+    np.divide(adv, f, out=f)
+    f -= g
+    f -= lap
+    f *= e
+    return f
+
+
 def example1(nx=100, t_end=0.5):
     """Manufactured decaying hump with a concentration-dependent velocity.
 
     The velocity is prescribed directly as (w, w), w = 1/(1 + theta), so no
     pressure solve is involved; the forcing keeps the exact solution at
     (x - x^2)(y - y^2) e^{-t}.  Both are e^{-t} times functions of the
-    spatial factors (`example1_factors`), which are kept at the quadrature
-    points (`FrozenPointMemo`), where the source and the metrics read them
-    on every step.
+    spatial factors (`example1_factors`): the truth is `Separable` and the
+    source `TimeFactored`, so a run evaluates the factors once.
     """
-    factors = FrozenPointMemo()
-
-    def exact(x, y, t):
-        return np.exp(-t) * factors(example1_factors, x, y)[0]
-
-    def source(x, y, t):
-        # e (-g - lap + adv / (1 + e g)^2), e = e^{-t}, in one temporary.
-        g, lap, adv = factors(example1_factors, x, y)
-        e = np.exp(-t)
-        f = np.asarray(e * g)       # 0-d at a scalar point: updated in place
-        f += 1.0
-        f *= f
-        np.divide(adv, f, out=f)
-        f -= g
-        f -= lap
-        f *= e
-        return f
 
     def velocity(x, y, theta):
         w = 1.0 / (1.0 + theta)
@@ -400,9 +398,9 @@ def example1(nx=100, t_end=0.5):
         edge_tags="all_dirichlet",
         diffusion=lambda x, y: np.ones(np.shape(x)),
         velocity=velocity,
-        source=source,
-        initial=lambda x, y: (x - x**2) * (y - y**2),
-        exact=exact,
+        source=TimeFactored(example1_factors, _example1_forcing),
+        initial=_example1_hump,
+        exact=Separable(_example1_hump, lambda t: np.exp(-t)),
         dt=0.002, fine_per_coarse=10, t_end=t_end,
         mu=100.0, spacing=0.1, theta0_policy="zero",
         notes={"velocity": "prescribed closure, refreshed every coarse step"},
@@ -416,8 +414,8 @@ def example2(nx=50):
     manufactured concentration (x - x^2) e^t deliberately leaves [0, 1].
     """
 
-    def exact(x, y, t):
-        return np.exp(t) * (x - x**2) * np.ones_like(np.asarray(y, dtype=float))
+    def hump(x, y):
+        return (x - x**2) * np.ones_like(np.asarray(y, dtype=float))
 
     def profile(x, y):
         return ((x - x**2) + 2.0 + (1.0 - 2.0 * x)) * np.ones(np.shape(y))
@@ -430,8 +428,8 @@ def example2(nx=50):
         pressure_source=lambda x, y: np.zeros(np.shape(x)),
         source=Separable(profile, np.exp),
         pressure_dirichlet=lambda x, y: 1.0 - x,
-        initial=lambda x, y: (x - x**2) * np.ones_like(np.asarray(y, dtype=float)),
-        exact=exact,
+        initial=hump,
+        exact=Separable(hump, np.exp),
         dt=0.02, fine_per_coarse=1, t_end=2.0,
         mu=100.0, spacing=0.1, theta0_policy="zero", static_velocity=True,
         notes={"range": "manufactured concentration exceeds 1 by design"},

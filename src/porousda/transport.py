@@ -43,7 +43,6 @@ run's first factor fixes where the CSC data of S[q][:, q] sit in S0's and
 C's, so each factor gathers (and only it joins) its data in natural order.
 """
 
-import inspect
 import logging
 import math
 from dataclasses import dataclass
@@ -53,11 +52,11 @@ from scipy import sparse
 from scipy.sparse.linalg import splu as _superlu
 
 from . import linalg
-from .fields import (CELL_HATS, NodalField, cell_sum, cv_flux_blocks,
-                     kernel_point_blocks, quadrature)
+from .fields import (CELL_HATS, NodalField, QuadratureField, cell_sum,
+                     cv_flux_blocks, kernel_point_blocks, quadrature)
 from .mesh import SEG_LEFT_CORNER, SEG_NORMAL_AXIS, SEG_RIGHT_CORNER
 from .observation import kron_apply
-from .scenarios import Separable
+from .scenarios import Separable, time_parts
 
 _log = logging.getLogger("porousda")
 
@@ -180,13 +179,15 @@ class TransportCoefficients:
     K0, summed from its element blocks one block of element rows at a
     time, the coefficients evaluated at that block's points; M is not kept
     (see `matrices`).  `coupling`, None unless mu > 0, is C and holds M P's
-    1-D factors (A_y, A_x) as `coupling.factors`.  A general source has
-    `source_cv`, the CV integrals of values at the quadrature points as an
-    (nv, 16 ne) matrix, applied on every step.  A
-    `Separable` source (`separable`, found also through `functools.wraps`
-    wrappers) has no such matrix: the run keeps only `profile_cv`, the CV
-    integrals of its profile, integrated once, block by block, and scales
-    it by rate(t).  The factor state:
+    1-D factors (A_y, A_x) as `coupling.factors`.  The source's parts,
+    `source_parts`, come from `scenarios.time_parts`, which looks through
+    `functools.wraps` wrappers.  A `Separable` source (`separable`) keeps
+    only `profile_cv`, the CV integrals of its profile, integrated once,
+    block by block, and scales it by rate(t).  Any other source keeps
+    `source_spatial`, its spatial part at the quadrature points (of a plain
+    callable, the read-only point views themselves), and `source_cv`, the
+    CV integrals of values at those points as an (nv, 16 ne) matrix; a step
+    combines the kept part with t and applies the matrix.  The factor state:
     `factor_at_once`, set while the run factors by cost (see `step`), and
     `order`, the ordering q of its factors, from its first factor on.
 
@@ -209,7 +210,9 @@ class TransportCoefficients:
         self.diffusion = diffusion
         self.reaction = reaction
         self.source = source
-        self.separable = _separable(source)
+        self.source_parts = None if source is None else time_parts(source)
+        self.separable = (self.source_parts if isinstance(
+            self.source_parts, Separable) else None)
         self.mu = mu
         self.grid = grid
         self.dirichlet = dirichlet
@@ -232,8 +235,9 @@ class TransportCoefficients:
         # The four Gauss points of quadrant a all sit in the CV of corner a.
         phi_quadrant = quad.weight * quad.phi.reshape(4, 4, 4)   # (a, point, b)
         # A separable source keeps its profile's CV integrals, the CSR
-        # product of the general path done once, block by block.
-        self.source_cv = self.profile_cv = None
+        # product of the general path done once, block by block; any other
+        # keeps its spatial part at the quadrature points.
+        self.source_cv = self.profile_cv = self.source_spatial = None
         if self.separable is not None:
             self.profile_cv = np.zeros(mesh.n_vertices)
             for lo, hi, x, y in blocks:
@@ -248,6 +252,7 @@ class TransportCoefficients:
             self.profile_cv[mesh.is_dirichlet] = 0.0
         elif self.source is not None:
             self.source_cv = _cv_integration(mesh, ~mesh.is_dirichlet)
+            self.source_spatial = self.source_parts.spatial(quad.x, quad.y)
 
         stencil = linalg.stencil(mesh)
         self.coupling = None
@@ -375,8 +380,9 @@ class TransportCoefficients:
         return to_s[1:], coupled, where.indices, where.indptr
 
     def source_vector(self, t):
-        """CV integrals of the source f(., t) over free control volumes; of
-        a separable source, rate(t) times its profile's."""
+        """CV integrals of the source f(., t) over free control volumes: the
+        kept spatial part combined with t, then integrated; of a separable
+        source, rate(t) times its profile's."""
         if self._source[0] == t:
             return self._source[1]
         if self.separable is not None:
@@ -384,9 +390,9 @@ class TransportCoefficients:
         elif self.source is None:
             out = np.zeros(self.mesh.n_vertices)
         else:
-            quad = quadrature(self.mesh)
-            fv = np.asarray(self.source(quad.x, quad.y, t), dtype=float)
-            out = self.source_cv @ np.broadcast_to(fv, quad.x.shape).ravel()
+            fv = QuadratureField(self.mesh, self.source_parts.combine(
+                self.source_spatial, t))
+            out = self.source_cv @ fv.values.ravel()
         self._source[:] = (t, out)
         return out
 
@@ -472,13 +478,6 @@ def _cv_block(h):
     """(2, 2): entry (a, b) is the integral of hat b of a cell of length h
     over the cell's half at end a, by the rule's 1-D factor."""
     return 0.25 * h * CELL_HATS.reshape(2, 2, 2).sum(axis=2).T
-
-
-def _separable(source):
-    """The `Separable` a source is, or wraps by `functools.wraps` (as a
-    tracer does), or None."""
-    inner = None if source is None else inspect.unwrap(source)
-    return inner if isinstance(inner, Separable) else None
 
 
 def _cv_integration(mesh, free):

@@ -103,10 +103,11 @@ def _interp_error_at_plateau(mesh, ref, run, spacing):
 # ---------------------------------------------------------------- criteria
 
 @pytest.mark.xfail(
-    strict=False,
+    strict=True,
     reason="the 10-step clause holds only for mu=100 at this discretization: "
     "measured R after 10 fine steps is 9.54% (mu=1), 2.22% (mu=10), "
-    "0.50% (mu=100); the mismatch contracts at roughly exp(-(mu + pi^2) t), "
+    "0.50% (mu=100); the relative R contracts at roughly "
+    "exp(-(mu + pi^2 + 1) t) (tests/test_contraction_law.py), "
     "so mu=1 and mu=10 cannot reach 1% by t=0.2 from a 100% start")
 def test_criterion_1(ex2_runs):
     sc, ref, runs = ex2_runs

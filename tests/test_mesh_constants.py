@@ -1,10 +1,12 @@
 """Fixed point sets and mesh-constant operators: one owner, built once.
 
 The driver-path tests run a twin experiment (reference plus assimilated run)
-and count how often each mesh constant, the raster factor of kappa and
-example1's spatial factors are built.  The other tests hold the faster forms
-to the ones they replaced (`np.add.at` source scatter, two evaluations of an
-analytic truth per metric row, the sorted-stream prolongation), bitwise.
+and count how often each mesh constant and the raster factor of kappa are
+built, and how often a run evaluates the spatial part of example1's source
+and of its truth: once per run, never per step.  The other tests hold the
+faster forms to the ones they replaced (`np.add.at` source scatter, two
+evaluations of an analytic truth per metric row, the sorted-stream
+prolongation), bitwise.
 """
 
 import numpy as np
@@ -75,8 +77,8 @@ def test_twin_builds_no_transfer_constant(ex3_twin_builds):
 def test_point_sets_are_views_of_one_read_only_pair(ex3_twin_builds):
     """The quadrature points, the kernel blocks and the sub-segment
     midpoints are views of the one pair of the mesh's quadrature, broadcast
-    from an (nx, 28) table of columns and an (ny, 28) table of rows, frozen,
-    so a memo keeps them; the mesh holds no segment table."""
+    from an (nx, 28) table of columns and an (ny, 28) table of rows, all
+    read-only; the mesh holds no segment table."""
     mesh, _, _ = ex3_twin_builds
     quad = quadrature(mesh)
     px, py = quad.points
@@ -88,7 +90,6 @@ def test_point_sets_are_views_of_one_read_only_pair(ex3_twin_builds):
         assert base.shape == (n, 28) and base.flags.owndata
         for view in views:
             assert np.shares_memory(view, base) and view.base is base
-            assert scenarios._frozen(view)
             with pytest.raises(ValueError):
                 view[0, 0] = 0.0
     assert not [name for name in vars(mesh) if name.startswith("seg_")]
@@ -178,48 +179,48 @@ def test_problems_on_one_mesh_share_the_transfers():
 @pytest.fixture(scope="module")
 def ex1_twin_builds():
     """example1 nx=10 over two coarse intervals, reference plus assimilated
-    run on one mesh, counting the builds of the mass matrix's 1-D factors
-    and the evaluations of example1's spatial factors at the quadrature
-    points."""
+    run on one mesh, counting the builds of the mass matrix's 1-D factors,
+    every evaluation of the source's spatial factors and of the truth's
+    profile, at any points: (counts after the reference run, after both)."""
     sc = scenarios.example1(nx=10, t_end=0.04)
+    counts = {"mass": 0, "source_spatial": 0, "truth_profile": 0}
+    sc = sc.with_overrides(
+        source=scenarios.TimeFactored(
+            _counting(counts, "source_spatial", sc.source.spatial),
+            sc.source.combine),
+        exact=scenarios.Separable(
+            _counting(counts, "truth_profile", sc.exact.profile),
+            sc.exact.rate))
     mesh = sc.build_mesh()
-    quad = quadrature(mesh)
-    counts = {"mass": 0, "factors_at_quadrature": 0}
-    factors = scenarios.example1_factors
-
-    def counted_factors(x, y):
-        counts["factors_at_quadrature"] += x is quad.x and y is quad.y
-        return factors(x, y)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fields, "_build_mass_factors",
                    _counting(counts, "mass", fields._build_mass_factors))
-        mp.setattr(scenarios, "example1_factors", counted_factors)
         part = driver.TimePartition.from_scenario(sc)
         ref = driver.run_reference(sc, part, mesh)
+        after_reference = dict(counts)
         run = driver.run_assimilated(sc, ref.stream, part, mesh,
                                      reference=ref.trajectory)
     assert len(run.report.rows) == part.n_coarse * part.fine_per_coarse + 1
-    return counts
+    return after_reference, counts
 
 
-def test_twin_computes_example1_factors_once_per_mesh(ex1_twin_builds):
-    assert ex1_twin_builds["factors_at_quadrature"] == 1
+def test_twin_computes_example1_factors_once_per_run(ex1_twin_builds):
+    """Each run evaluates the source's spatial factors once, none per step;
+    the reference run's analytic comparator evaluates the truth's profile
+    twice, at the quadrature points and at the vertices, and the assimilated
+    run, measured against the reference trajectory, not at all."""
+    after_reference, counts = ex1_twin_builds
+    assert after_reference["source_spatial"] == 1
+    assert counts["source_spatial"] == 2
+    assert after_reference["truth_profile"] == 2
+    assert counts["truth_profile"] == 2
 
 
 def test_twin_builds_the_mass_matrix_once_per_mesh(ex1_twin_builds):
-    assert ex1_twin_builds["mass"] == 1
+    assert ex1_twin_builds[1]["mass"] == 1
 
 
-# -- the raster lookup and the point memo ---------------------------------------
-
-def _frozen_points(n=40, seed=3):
-    rng = np.random.default_rng(seed)
-    x, y = (a.copy() for a in rng.uniform(-0.1, 1.1, (2, n, 7)))
-    x.flags.writeable = False
-    y.flags.writeable = False
-    return x, y
-
+# -- the raster lookup ------------------------------------------------------------
 
 # The lookup blends along y and then along x, a + fx (b - a); the oracle
 # sums four weighted corners.  Both round to a few ulp of the value.
@@ -371,19 +372,6 @@ def test_no_mesh_attribute_or_constant_holds_a_whole_mesh_index_table():
     assert "stencil" in mesh._constants and "upwind_slots" in mesh._constants
 
 
-def test_memo_keeps_one_entry_per_pair_and_drops_it_with_its_arrays():
-    memo = scenarios.FrozenPointMemo()
-    x, y = _frozen_points()
-    x2, y2 = _frozen_points(seed=4)
-    first = memo(np.add, x, y)
-    assert memo(np.add, x2, y2) is not first
-    assert memo(np.add, x, y) is first and len(memo.values) == 2
-    del x, first
-    assert len(memo.values) == 1
-    del y2
-    assert memo.values == {}
-
-
 @pytest.mark.parametrize("factory", [scenarios.example3, scenarios.example4])
 def test_raster_kappa_reuses_the_factor_at_the_kernel_points(factory):
     """kappa at the mesh's broadcast point views equals kappa at contiguous
@@ -400,17 +388,27 @@ def test_raster_kappa_reuses_the_factor_at_the_kernel_points(factory):
 
 @pytest.mark.parametrize("boundary", ["all_dirichlet", "all_neumann", _mixed_faces])
 def test_source_vector_equals_the_add_at_scatter_bitwise(boundary):
+    """A plain source and its `TimeFactored` form, sin(3x) and e^y kept, give
+    the scatter of the plain source's values bitwise."""
     mesh = build_mesh(9, 7, 1.0, 0.7, boundary)
 
     def source(x, y, t):
         return np.sin(3.0 * x + t) * np.exp(y) - 0.4
 
-    coeffs = TransportCoefficients(mesh, lambda x, y: np.ones_like(x),
-                                   source=source)
-    for t in (0.0, 0.125, 1.0 / 3.0):
-        got = coeffs.source_vector(t)
-        want = dr.source_vector_add_at(coeffs, t)
-        assert got.tobytes() == want.tobytes()
+    def spatial(x, y):
+        return 3.0 * x, np.exp(y)
+
+    def combine(parts, t):
+        x3, ey = parts
+        return np.sin(x3 + t) * ey - 0.4
+
+    for form in (source, scenarios.TimeFactored(spatial, combine)):
+        coeffs = TransportCoefficients(mesh, lambda x, y: np.ones_like(x),
+                                       source=form)
+        for t in (0.0, 0.125, 1.0 / 3.0):
+            got = coeffs.source_vector(t)
+            want = dr.cv_integrals_add_at(mesh, lambda x, y: source(x, y, t))
+            assert got.tobytes() == want.tobytes()
 
 
 def test_scalar_source_is_spread_over_every_point():

@@ -61,3 +61,34 @@ def test_a_traced_separable_source_is_integrated_once():
     assert len(calls) == 2
     assert tracer.points["source"] == 0
     assert not any(span[0] == "scenarios.source" for span in tracer.spans)
+
+
+def test_a_traced_time_factored_source_evaluates_its_spatial_part_once():
+    """Behind the tracer's `functools.wraps` wrapper a run still finds the
+    `TimeFactored` source, evaluates its spatial part once, at build, and
+    combines it with t on each step without calling the wrapper."""
+    tracing = _load_tracing()
+    calls = []
+
+    def spatial(x, y):
+        calls.append(x.shape)
+        return scenarios.example1_factors(x, y)
+
+    sc = scenarios.example1(nx=8)
+    sc = sc.with_overrides(source=scenarios.TimeFactored(spatial,
+                                                         sc.source.combine))
+    tracer = tracing.Tracer()
+    traced = tracer.wrap_coefficients(sc)
+    assert traced.source.__wrapped__ is sc.source
+    mesh = sc.build_mesh()
+    runs = [TransportCoefficients(mesh, s.diffusion, source=s.source)
+            for s in (sc, traced)]
+    assert all(run.source_parts is sc.source and run.separable is None
+               for run in runs)
+    assert len(calls) == 2                   # once per run, at build
+    for t in np.arange(11) * sc.dt:
+        plain, wrapped = (run.source_vector(t) for run in runs)
+        assert plain.tobytes() == wrapped.tobytes()
+    assert len(calls) == 2
+    assert tracer.points["source"] == 0
+    assert not any(span[0] == "scenarios.source" for span in tracer.spans)
